@@ -83,17 +83,20 @@ func (h *histogram) observe(d time.Duration) {
 
 // quantile interpolates the q-th latency quantile from the bucket counts
 // (linear within a bucket, the standard Prometheus histogram estimate).
+// The bucket's bracket is clamped to the observed [min, max], so the
+// estimate never leaves the range of the samples: a run whose requests all
+// took 0.2 ms reports 0.2, not a point interpolated up from 0.
 func (h *histogram) quantile(q float64) float64 {
 	rank := q * float64(h.n)
 	var seen int64
 	for i, c := range h.counts {
 		if float64(seen+c) >= rank && c > 0 {
-			lo := 0.0
-			if i > 0 {
+			lo := h.minMs
+			if i > 0 && bucketBounds[i-1] > lo {
 				lo = bucketBounds[i-1]
 			}
 			hi := h.maxMs
-			if i < len(bucketBounds) {
+			if i < len(bucketBounds) && bucketBounds[i] < hi {
 				hi = bucketBounds[i]
 			}
 			frac := (rank - float64(seen)) / float64(c)

@@ -220,3 +220,37 @@ func TestRunRejectsMissingModel(t *testing.T) {
 		t.Fatal("run without -model must fail")
 	}
 }
+
+// TestQuantileStaysWithinObservedRange: the bucket interpolation must not
+// leave [min, max] of the samples. Every sample sits in the first bucket
+// (0–0.25 ms); interpolating from the bucket's 0 floor would report a p50
+// of 0.125 ms for requests that all took 0.2 ms.
+func TestQuantileStaysWithinObservedRange(t *testing.T) {
+	h := newHistogram()
+	for i := 0; i < 100; i++ {
+		h.observe(200 * time.Microsecond)
+	}
+	for _, q := range []float64{0.5, 0.95, 0.99} {
+		if got := h.quantile(q); got != 0.2 {
+			t.Fatalf("p%v = %v ms, want 0.2 (every sample took 0.2 ms)", q*100, got)
+		}
+	}
+
+	// Spread samples: every estimate stays inside the observed range, and
+	// quantiles stay ordered.
+	h = newHistogram()
+	for _, us := range []int{300, 350, 420, 900, 1500, 2600, 3100} {
+		h.observe(time.Duration(us) * time.Microsecond)
+	}
+	prev := 0.0
+	for _, q := range []float64{0.01, 0.25, 0.5, 0.75, 0.99, 1} {
+		got := h.quantile(q)
+		if got < h.minMs || got > h.maxMs {
+			t.Fatalf("p%v = %v ms outside observed [%v, %v]", q*100, got, h.minMs, h.maxMs)
+		}
+		if got < prev {
+			t.Fatalf("p%v = %v ms below the previous quantile %v", q*100, got, prev)
+		}
+		prev = got
+	}
+}

@@ -597,12 +597,14 @@ func (c *Cluster) probe(p *Peer) {
 	// not a dead one — so it leaves rotation without tripping the breaker,
 	// even when the body predates the readiness fields.
 	draining := h.Draining || resp.StatusCode == http.StatusServiceUnavailable
-	p.mu.Lock()
-	p.lastProbe = time.Now()
-	p.mu.Unlock()
 	if from, to, changed := p.recordSuccess(draining); changed {
 		c.logger.Info("cluster: peer state", "peer", p.url, "from", from.String(), "to", to.String())
 	}
+	// Stamped after the breaker update, so a non-zero lastProbe means the
+	// probe's verdict has landed.
+	p.mu.Lock()
+	p.lastProbe = time.Now()
+	p.mu.Unlock()
 }
 
 // peerFailed records a probe or transport failure against the breaker.

@@ -482,6 +482,24 @@ func TestNewNormalizesPeers(t *testing.T) {
 	}
 }
 
+// waitFirstProbe blocks until p has been probed at least once.
+func waitFirstProbe(t *testing.T, p *Peer) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		p.mu.Lock()
+		probed := !p.lastProbe.IsZero()
+		p.mu.Unlock()
+		if probed {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("start-up probe never finished")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestDrainNotice: an explicit notice removes the peer from rotation
 // immediately, and NotifyDraining delivers this node's notice to peers.
 func TestDrainNotice(t *testing.T) {
@@ -507,6 +525,10 @@ func TestDrainNotice(t *testing.T) {
 	}
 	defer c.Close()
 
+	// The probe loop checks every peer once at start-up. A probe verdict
+	// landing after the manual notice would overwrite it, so let that
+	// first probe finish before sending notices.
+	waitFirstProbe(t, c.peers[0])
 	if up, _ := c.PeerCounts(); up != 1 {
 		t.Fatal("peer must start routable")
 	}

@@ -183,9 +183,6 @@ func (c *Cluster) forwardOnce(w http.ResponseWriter, r *http.Request, p *Peer, b
 	if ct := r.Header.Get("Content-Type"); ct != "" {
 		req.Header.Set("Content-Type", ct)
 	}
-	if prec := r.Header.Get("X-Precision"); prec != "" {
-		req.Header.Set("X-Precision", prec)
-	}
 	if hasDeadline {
 		// Hand the peer the true remaining budget, not the original header:
 		// time already burned here must not be double-spent there.
@@ -217,9 +214,6 @@ func (c *Cluster) forwardOnce(w http.ResponseWriter, r *http.Request, p *Peer, b
 	h := w.Header()
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		h.Set("Content-Type", ct)
-	}
-	if prec := resp.Header.Get("X-Precision"); prec != "" {
-		h.Set("X-Precision", prec)
 	}
 	h.Set("X-RPC-Served-By", p.url)
 	w.WriteHeader(resp.StatusCode)

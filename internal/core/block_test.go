@@ -2,11 +2,12 @@ package core
 
 // Tests of the block-batched projection seeder: batch-vs-per-row score
 // parity over monotone curves (the engine contract convention), explicit
-// edge-projection and bracket-miss rows, block-boundary sizes, and the
-// behavioural invariants the block path must not disturb (NoWarmStart,
-// projector kinds, fit determinism).
+// edge-projection and bracket-miss rows, block-boundary sizes, the fit
+// pool's warm pass, cancellation, and the behavioural invariants the block
+// path must not disturb (NoWarmStart, projector kinds, fit determinism).
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -129,17 +130,260 @@ func TestProjectBlockEdgeRows(t *testing.T) {
 		ef.Set(6, j, 0.5)              // centre (interior basin)
 		ef.Set(7, j, lo-3)             // far past the worst corner
 	}
-	eng := newEngine(m.Curve, m.opts.withDefaults())
-	blockParityCheck(t, eng, ef)
+	// The fit's default projector refines through refineSeed, the cubic
+	// Newton engine (what serving compiles to) through cubicNewtonFromSeed;
+	// both tails must publish the edge nodes exactly.
+	for _, proj := range []Projector{m.opts.Projector, ProjectorNewton} {
+		t.Run(proj.String(), func(t *testing.T) {
+			opts := m.opts.withDefaults()
+			opts.Projector = proj
+			eng := newEngine(m.Curve, opts)
+			blockParityCheck(t, eng, ef)
 
-	scores := make([]float64, ef.N())
-	resid := make([]float64, ef.N())
-	eng.projectBlock(ef, 0, ef.N(), scores, resid)
-	if scores[0] != 0 || scores[2] != 0 {
-		t.Fatalf("start-tangent rows scored %v / %v, want exactly 0", scores[0], scores[2])
+			scores := make([]float64, ef.N())
+			resid := make([]float64, ef.N())
+			eng.projectBlock(ef, 0, ef.N(), scores, resid)
+			if scores[0] != 0 || scores[2] != 0 {
+				t.Fatalf("start-tangent rows scored %v / %v, want exactly 0", scores[0], scores[2])
+			}
+			if scores[1] != 1 || scores[3] != 1 {
+				t.Fatalf("end-tangent rows scored %v / %v, want exactly 1", scores[1], scores[3])
+			}
+		})
 	}
-	if scores[1] != 1 || scores[3] != 1 {
-		t.Fatalf("end-tangent rows scored %v / %v, want exactly 1", scores[1], scores[3])
+}
+
+// marginFrame builds n rows in normalised space spanning [-0.3, 1.3] per
+// coordinate, so the batch holds interior basins, near-edge brackets, and
+// bracket-miss rows that publish a grid node exactly.
+func marginFrame(rng *rand.Rand, n, dim int) *frame.Frame {
+	u := frame.New(n, dim)
+	for i := 0; i < n; i++ {
+		for j := 0; j < dim; j++ {
+			u.Set(i, j, rng.Float64()*1.6-0.3)
+		}
+	}
+	return u
+}
+
+// TestProjectBlockRandomCurves: block projection vs the per-row path over
+// random monotone curves (not fitted ones) across degrees (the cubic
+// Newton kernel and the general-degree refinement), dimensions (the
+// specialised d=2/3 seeders and the generic GEMM at d=8), and row counts
+// around the 64-row block (n%8 ∈ {0, 1, 7}). Every batch must also hold
+// bracket-miss rows that land exactly on s=0/1.
+func TestProjectBlockRandomCurves(t *testing.T) {
+	rng := rand.New(rand.NewSource(211))
+	for _, deg := range []int{2, 3, 5} {
+		for _, dim := range []int{2, 3, 8} {
+			for _, n := range []int{64, 65, 71} {
+				t.Run(fmt.Sprintf("deg=%d/d=%d/n=%d", deg, dim, n), func(t *testing.T) {
+					m := randParityModel(rng, deg, dim, ProjectorNewton)
+					u := marginFrame(rng, n, dim)
+					eng := newEngine(m.Curve, m.opts)
+					blockParityCheck(t, eng, u)
+					scores, resid := make([]float64, n), make([]float64, n)
+					eng.projectBlock(u, 0, n, scores, resid)
+					edges := 0
+					for _, s := range scores {
+						if s == 0 || s == 1 {
+							edges++
+						}
+					}
+					if edges == 0 {
+						t.Fatal("no bracket-miss rows landed exactly on s=0/1; widen the frame margin")
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestProjectBlockEdgeRowsInterleaved pins the bracket-miss contract on a
+// random cubic Newton curve across a block boundary: points outward along
+// the end tangents, interleaved with interior rows over 66 rows, must
+// publish exactly 0 and 1.
+func TestProjectBlockEdgeRowsInterleaved(t *testing.T) {
+	rng := rand.New(rand.NewSource(223))
+	m := randParityModel(rng, 3, 3, ProjectorNewton)
+	d := m.Dim()
+	f0 := m.Curve.Eval(0)
+	f1 := m.Curve.Eval(1)
+	der := m.Curve.Derivative()
+	t0 := der.Eval(0)
+	t1 := der.Eval(1)
+	const n = 66
+	u := frame.New(n, d)
+	for i := 0; i < n; i++ {
+		for j := 0; j < d; j++ {
+			switch i % 3 {
+			case 0:
+				u.Set(i, j, f0[j]-2*t0[j]) // outward along the start tangent → s=0
+			case 1:
+				u.Set(i, j, f1[j]+2*t1[j]) // outward along the end tangent → s=1
+			default:
+				u.Set(i, j, rng.Float64())
+			}
+		}
+	}
+	eng := newEngine(m.Curve, m.opts)
+	scores := make([]float64, n)
+	resid := make([]float64, n)
+	eng.projectBlock(u, 0, n, scores, resid)
+	for i := 0; i < n; i++ {
+		switch i % 3 {
+		case 0:
+			if scores[i] != 0 {
+				t.Fatalf("row %d: start-tangent row scored %.17g, want exactly 0", i, scores[i])
+			}
+		case 1:
+			if scores[i] != 1 {
+				t.Fatalf("row %d: end-tangent row scored %.17g, want exactly 1", i, scores[i])
+			}
+		default:
+			// In-box rows may still legitimately clamp to an end node; only
+			// the range is pinned here, parity tests cover their values.
+			if scores[i] < 0 || scores[i] > 1 || math.IsNaN(scores[i]) {
+				t.Fatalf("row %d: interior row scored %v", i, scores[i])
+			}
+		}
+	}
+	blockParityCheck(t, eng, u)
+}
+
+// TestProjPoolWarmMatchesProjectWarm: the fit pool's warm pass, striped
+// over two workers, must publish exactly what one engine's per-row
+// projectWarm loop does — scores, residuals and warm-hit telemetry — for
+// every grid-seeded projector, from honest warm seeds and from adversarial
+// ones that force the no-regression guard into its cold fallback.
+func TestProjPoolWarmMatchesProjectWarm(t *testing.T) {
+	rng := rand.New(rand.NewSource(227))
+	projs := []struct {
+		name string
+		proj Projector
+	}{
+		{"newton", ProjectorNewton},
+		{"gss", ProjectorGSS},
+		{"brent", ProjectorBrent},
+	}
+	for _, pc := range projs {
+		for _, deg := range []int{3, 5} {
+			t.Run(fmt.Sprintf("%s/deg=%d", pc.name, deg), func(t *testing.T) {
+				const dim, n = 3, 71
+				m := randParityModel(rng, deg, dim, pc.proj)
+				u := marginFrame(rng, n, dim)
+				opts := m.opts
+				opts.Workers = 2
+				pool := newProjPool(m.Curve, u, opts)
+				defer pool.close()
+				if len(pool.engines) != 2 {
+					t.Fatalf("pool has %d engines, want 2", len(pool.engines))
+				}
+				ref := newEngine(m.Curve, m.opts)
+
+				// Honest warm seeds: the previous sweep's own scores.
+				warm := make([]float64, n)
+				pool.project(m.Curve, warm, make([]float64, n), nil)
+				for pass := 0; pass < 2; pass++ {
+					if pass == 1 {
+						// Adversarial seeds: the mirrored score is usually in
+						// the wrong basin, driving classification failures and
+						// guarded cold fallbacks.
+						for i := range warm {
+							warm[i] = 1 - warm[i]
+						}
+					}
+					rows0, hits0 := pool.warmCounts()
+					ps, pr := make([]float64, n), make([]float64, n)
+					pool.project(m.Curve, ps, pr, warm)
+					rows1, hits1 := pool.warmCounts()
+					var refHits int64
+					for i := 0; i < n; i++ {
+						s, r2, hit := ref.projectWarm(u.Row(i), warm[i])
+						if ps[i] != s {
+							t.Fatalf("pass %d row %d: pool warm score %.17g, per-row %.17g", pass, i, ps[i], s)
+						}
+						if pr[i] != r2 {
+							t.Fatalf("pass %d row %d: pool warm resid %.17g, per-row %.17g", pass, i, pr[i], r2)
+						}
+						if hit {
+							refHits++
+						}
+					}
+					if rows1-rows0 != n || hits1-hits0 != refHits {
+						t.Fatalf("pass %d: pool telemetry %d/%d, per-row %d/%d",
+							pass, hits1-hits0, rows1-rows0, refHits, n)
+					}
+					if pass == 0 && refHits == 0 {
+						t.Fatal("honest warm seeds produced no warm hits")
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestScoreFrameRangeCtxCancellation pins the cooperative cancellation
+// contract on the block path and on the per-row quintic path: a context
+// done before the call stops at a block boundary, reports the rows it
+// scored and leaves dst beyond them untouched, and a live context scores
+// every row exactly as ScoreFrameRange does.
+func TestScoreFrameRangeCtxCancellation(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		proj Projector
+	}{
+		{"block", ProjectorNewton},
+		{"quintic", ProjectorQuintic},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(83))
+			m := randParityModel(rng, 3, 3, tc.proj)
+			const n = 4 * projBlockRows
+			f := frame.New(n, 3)
+			for i := 0; i < n; i++ {
+				for j := 0; j < 3; j++ {
+					lo, hi := m.Norm.Min[j], m.Norm.Max[j]
+					f.Set(i, j, lo+(hi-lo)*(rng.Float64()*1.6-0.3))
+				}
+			}
+			want := make([]float64, n)
+			m.Compile().ScoreFrameRange(want, f, 0, n)
+
+			sc := m.Compile()
+			got := make([]float64, n)
+			for i := range got {
+				got[i] = -1
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			// The context is polled between row blocks: the block path
+			// checks before its first block, the per-row path after each.
+			k := sc.ScoreFrameRangeCtx(ctx, got, f, 0, n)
+			if k >= n || k%projBlockRows != 0 {
+				t.Fatalf("cancelled range scored %d of %d rows, want a whole number of blocks short of all", k, n)
+			}
+			if tc.proj != ProjectorQuintic && k != 0 {
+				t.Fatalf("cancelled-before-start block range scored %d rows", k)
+			}
+			for i, v := range got {
+				if i < k && v != want[i] {
+					t.Fatalf("row %d: scored before the poll as %.17g, want %.17g", i, v, want[i])
+				}
+				if i >= k && v != -1 {
+					t.Fatalf("row %d written past the %d rows a cancelled range reported", i, k)
+				}
+			}
+			// The same scorer, reused after the cancelled call.
+			if k := sc.ScoreFrameRangeCtx(context.Background(), got, f, 0, n); k != n {
+				t.Fatalf("live range scored %d rows, want %d", k, n)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("row %d: ctx range %.17g vs ScoreFrameRange %.17g", i, got[i], want[i])
+				}
+			}
+		})
 	}
 }
 

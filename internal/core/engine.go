@@ -62,15 +62,6 @@ type engine struct {
 	stageNs  *FitStageNanos
 	warmRows int64
 	warmHits int64
-
-	// Lockstep refinement scratch (lockstep.go), embedded by value so the
-	// engine allocation count never changes: ctail serves the cubic Newton
-	// tail, ptail the general-degree and warm tails. scalarTail forces the
-	// per-row refinement path — the test knob the lockstep parity suite
-	// compares against.
-	ctail      cubicTail[float64]
-	ptail      polyTail
-	scalarTail bool
 }
 
 // projBlockRows is the row-block size of the batched seeding path: big
@@ -120,7 +111,7 @@ func (e *engine) initScratch() {
 // clone returns an engine sharing the compiled coefficients but owning
 // fresh scratch, for use by another goroutine.
 func (e *engine) clone() *engine {
-	c := &engine{kind: e.kind, cells: e.cells, tol: e.tol, comp: e.comp, curve: e.curve, scalarTail: e.scalarTail}
+	c := &engine{kind: e.kind, cells: e.cells, tol: e.tol, comp: e.comp, curve: e.curve}
 	c.initScratch()
 	return c
 }
@@ -314,8 +305,8 @@ func (e *engine) refineSeed(bestI int, bestV float64) (float64, float64) {
 // tail of projectSeeded and projectWarm, an inlined mirror of
 // optimize.NewtonBisect (function-pointer indirection would dominate the
 // refinement cost; the cubic kernel keeps its own register-resident Estrin
-// copy). Sharing it is what keeps the warm and cold refinements in
-// lockstep, which the warm/cold parity contract depends on.
+// copy). Sharing it is what keeps the warm and cold refinements in step,
+// which the warm/cold parity contract depends on.
 func (e *engine) newtonRefine(a, b, start float64) float64 {
 	s := start
 	for i := 0; i < 80; i++ {
@@ -396,22 +387,50 @@ func cubicNewtonKernel(c0, c1, c2, c3, c4, c5, c6 float64, cells int, wantDist b
 // block-batched seeder calls it directly, having found bestI through the
 // shared GEMM and re-evaluated bestV with the scan's own Estrin expression —
 // the split is pure extraction, so the per-row kernel's results are
-// unchanged bit for bit. The classification and parabolic seed live in
-// cubicSeedBracket (lockstep.go), shared with the lockstep tail; the Newton
-// loop body below must stay in sync with cubicTail.drain.
+// unchanged bit for bit.
 func cubicNewtonFromSeed(c0, c1, c2, c3, c4, c5, c6 float64, cells, bestI int, bestV float64, wantDist bool) (float64, float64) {
-	s, lo, hi, refine := cubicSeedBracket(c0, c1, c2, c3, c4, c5, c6, cells, bestI, bestV)
-	if !refine {
-		if wantDist {
-			return s, nonNeg(bestV)
-		}
-		return s, 0
-	}
-
+	const origin = bezier.DistPolyOrigin
 	// D′ and D″ coefficients (in the same shifted basis).
 	b0, b1, b2, b3, b4, b5 := c1, 2*c2, 3*c3, 4*c4, 5*c5, 6*c6
 	e0, e1, e2, e3, e4 := b1, 2*b2, 3*b3, 4*b4, 5*b5
-	const origin = bezier.DistPolyOrigin
+
+	h := 1 / float64(cells)
+	lo := float64(bestI-1) * h
+	hi := float64(bestI+1) * h
+	if lo < 0 {
+		lo = 0
+	}
+	if hi > 1 {
+		hi = 1
+	}
+	s0 := float64(bestI) * h
+
+	// Bracket classification by the sign of D′ at the bracket ends —
+	// mirrors projectOne. A miss publishes the seed node itself, so rows
+	// past the curve's ends land on exactly 0 or 1.
+	tl := lo - origin
+	th := hi - origin
+	ga := ((((b5*tl+b4)*tl+b3)*tl+b2)*tl+b1)*tl + b0
+	gb := ((((b5*th+b4)*th+b3)*th+b2)*th+b1)*th + b0
+	if !(ga <= 0 && gb >= 0) {
+		if wantDist {
+			return s0, nonNeg(bestV)
+		}
+		return s0, 0
+	}
+
+	// Parabolic seed through (lo, s0, hi): two extra profile evaluations
+	// buy a Newton start ~h² from the root instead of ~h.
+	s := s0
+	if lo < s0 && s0 < hi {
+		vl := (((((c6*tl+c5)*tl+c4)*tl+c3)*tl+c2)*tl+c1)*tl + c0
+		vh := (((((c6*th+c5)*th+c4)*th+c3)*th+c2)*th+c1)*th + c0
+		if den := vl - 2*bestV + vh; den > 0 {
+			if off := 0.5 * h * (vl - vh) / den; off > -h && off < h {
+				s = s0 + off
+			}
+		}
+	}
 
 	// Safeguarded Newton on D′ — control flow of optimize.NewtonBisect,
 	// with two liberties. The derivatives are evaluated in Estrin form
@@ -568,23 +587,12 @@ func (e *engine) projectBlockPacked(data []float64, nrows int, scores, resid []f
 		if profile {
 			st.set(st.refine)
 		}
-		// The Newton projector hands the whole block to the lockstep tail,
-		// which advances up to laneWidth rows per iteration; quintic and the
-		// scalarTail parity knob keep the one-row-at-a-time path.
-		if e.kind == ProjectorNewton && !e.scalarTail {
-			if len(e.dc) == 7 {
-				e.refineCubicBlock(data, d, b0, bn, scores, resid)
-			} else {
-				e.refinePolyBlock(data, d, b0, bn, scores, resid)
-			}
-		} else {
-			for r := 0; r < bn; r++ {
-				i := b0 + r
-				s, dist := e.projectRowSeeded(data[i*d:i*d+d], e.seeds[r], resid != nil)
-				scores[i] = s
-				if resid != nil {
-					resid[i] = dist
-				}
+		for r := 0; r < bn; r++ {
+			i := b0 + r
+			s, dist := e.projectRowSeeded(data[i*d:i*d+d], e.seeds[r], resid != nil)
+			scores[i] = s
+			if resid != nil {
+				resid[i] = dist
 			}
 		}
 		if timing {

@@ -758,11 +758,14 @@ func (p *projPool) runRange(e *engine, lo, hi int) {
 		e.projectBlock(p.u, lo, hi, p.scores, p.resid)
 		return
 	}
-	// projectWarmBlock runs projectWarm's decision tree with the basin-
-	// validated refinements batched through the lockstep lanes; rows whose
-	// warm basin fails validation fall back to the cold projection
-	// individually.
-	e.projectWarmBlock(p.u, lo, hi, p.scores, p.resid, warm)
+	for i := lo; i < hi; i++ {
+		s, r2, hit := e.projectWarm(p.u.Row(i), warm[i])
+		p.scores[i], p.resid[i] = s, r2
+		e.warmRows++
+		if hit {
+			e.warmHits++
+		}
+	}
 }
 
 // warmCounts sums the warm-start counters across the pool's engines.

@@ -12,26 +12,18 @@ import (
 // invPhi = 1/φ, the golden section split ratio.
 var invPhi = (math.Sqrt(5) - 1) / 2
 
-// GoldenSection minimises f over [lo, hi] assuming f is unimodal there,
+// GoldenSectionMin minimises f over [lo, hi] assuming f is unimodal there,
 // shrinking the bracket until its width is at most tol (or maxIter
-// evaluations pass). It returns the best *evaluated* point seen, never an
-// unevaluated midpoint, so the returned parameter always has a known
-// objective value.
+// evaluations pass). It returns the best *evaluated* point seen and its
+// objective value, never an unevaluated midpoint, so callers need not
+// re-evaluate f.
 //
 // Tolerance contract: for a unimodal f the true minimiser lies inside the
 // final bracket, so the returned point is within tol of it; the attained
-// value can exceed the true minimum by up to f″/2·tol². Callers that need
-// the value use GoldenSectionMin and avoid re-evaluating f.
-func GoldenSection(f func(float64) float64, lo, hi, tol float64, maxIter int) float64 {
-	x, _ := GoldenSectionMin(f, lo, hi, tol, maxIter)
-	return x
-}
-
-// GoldenSectionMin is GoldenSection returning both the best evaluated point
-// and its objective value, saving the caller a final re-evaluation.
+// value can exceed the true minimum by up to f″/2·tol².
 func GoldenSectionMin(f func(float64) float64, lo, hi, tol float64, maxIter int) (x, fx float64) {
 	if hi < lo {
-		panic(fmt.Sprintf("optimize: GoldenSection inverted bracket [%v,%v]", lo, hi))
+		panic(fmt.Sprintf("optimize: GoldenSectionMin inverted bracket [%v,%v]", lo, hi))
 	}
 	if tol <= 0 {
 		tol = 1e-10
@@ -64,24 +56,18 @@ func GoldenSectionMin(f func(float64) float64, lo, hi, tol float64, maxIter int)
 	return x, fx
 }
 
-// GridSeed evaluates f at cells+1 evenly spaced points on [lo, hi] and
-// returns the bracket [left, right] around the best sample. The RPC
-// projection objective ‖x − f(s)‖² along a cubic curve can have up to three
-// local minima, so GSS alone could land in the wrong basin; a coarse grid
-// pass first makes the combined projector reliable.
-func GridSeed(f func(float64) float64, lo, hi float64, cells int) (left, right float64) {
-	left, right, _, _ = GridSeedBest(f, lo, hi, cells)
-	return left, right
-}
-
-// GridSeedBest is GridSeed returning also the best sample and its value, so
-// callers seeding a refinement step start from an already-evaluated point.
+// GridSeedBest evaluates f at cells+1 evenly spaced points on [lo, hi] and
+// returns the bracket [left, right] around the best sample, plus that sample
+// and its value, so a refinement step starts from an already-evaluated
+// point. The RPC projection objective ‖x − f(s)‖² along a cubic curve can
+// have up to three local minima, so GSS alone could land in the wrong basin;
+// a coarse grid pass first makes the combined projector reliable.
 func GridSeedBest(f func(float64) float64, lo, hi float64, cells int) (left, right, best, fbest float64) {
 	if cells < 1 {
-		panic(fmt.Sprintf("optimize: GridSeed needs at least 1 cell, got %d", cells))
+		panic(fmt.Sprintf("optimize: GridSeedBest needs at least 1 cell, got %d", cells))
 	}
 	if hi < lo {
-		panic(fmt.Sprintf("optimize: GridSeed inverted bracket [%v,%v]", lo, hi))
+		panic(fmt.Sprintf("optimize: GridSeedBest inverted bracket [%v,%v]", lo, hi))
 	}
 	h := (hi - lo) / float64(cells)
 	bestI := 0
@@ -146,29 +132,16 @@ func NewtonBisect(g, dg func(float64) float64, a, b, x0 float64, maxIter int) fl
 	return s
 }
 
-// MinimizeUnit minimises f on [0,1] by grid seeding followed by golden
-// section refinement of the winning bracket. It is the default projector
-// used by the RPC fit loop.
-func MinimizeUnit(f func(float64) float64, cells int, tol float64) float64 {
-	lo, hi := GridSeed(f, 0, 1, cells)
-	return GoldenSection(f, lo, hi, tol, 200)
-}
-
-// Brent refines a minimum of f inside [lo,hi] with successive parabolic
+// BrentMin refines a minimum of f inside [lo,hi] with successive parabolic
 // interpolation, falling back to golden section when the parabola steps
 // misbehave. It typically converges in far fewer evaluations than pure GSS
-// and is offered as the "fast projector" ablation.
-func Brent(f func(float64) float64, lo, hi, tol float64, maxIter int) float64 {
-	x, _ := BrentMin(f, lo, hi, tol, maxIter)
-	return x
-}
-
-// BrentMin is Brent returning both the minimiser and its objective value.
-// The returned point is always the best one evaluated (an invariant of
-// Brent's bookkeeping), so callers need not re-evaluate f.
+// and is offered as the "fast projector" ablation. It returns the minimiser
+// and its objective value; the returned point is always the best one
+// evaluated (an invariant of Brent's bookkeeping), so callers need not
+// re-evaluate f.
 func BrentMin(f func(float64) float64, lo, hi, tol float64, maxIter int) (float64, float64) {
 	if hi < lo {
-		panic(fmt.Sprintf("optimize: Brent inverted bracket [%v,%v]", lo, hi))
+		panic(fmt.Sprintf("optimize: BrentMin inverted bracket [%v,%v]", lo, hi))
 	}
 	const cgold = 0.3819660112501051 // 2 − φ
 	a, b := lo, hi

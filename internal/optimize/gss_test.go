@@ -8,7 +8,7 @@ import (
 
 func TestGoldenSectionQuadratic(t *testing.T) {
 	f := func(x float64) float64 { return (x - 0.37) * (x - 0.37) }
-	got := GoldenSection(f, 0, 1, 1e-10, 200)
+	got, _ := GoldenSectionMin(f, 0, 1, 1e-10, 200)
 	if math.Abs(got-0.37) > 1e-8 {
 		t.Errorf("minimum = %v, want 0.37", got)
 	}
@@ -16,11 +16,11 @@ func TestGoldenSectionQuadratic(t *testing.T) {
 
 func TestGoldenSectionEndpointMinimum(t *testing.T) {
 	// Monotone increasing on the bracket → minimum at lo.
-	got := GoldenSection(func(x float64) float64 { return x }, 0, 1, 1e-10, 200)
+	got, _ := GoldenSectionMin(func(x float64) float64 { return x }, 0, 1, 1e-10, 200)
 	if got > 1e-6 {
 		t.Errorf("minimum = %v, want ~0", got)
 	}
-	got = GoldenSection(func(x float64) float64 { return -x }, 0, 1, 1e-10, 200)
+	got, _ = GoldenSectionMin(func(x float64) float64 { return -x }, 0, 1, 1e-10, 200)
 	if got < 1-1e-6 {
 		t.Errorf("minimum = %v, want ~1", got)
 	}
@@ -33,7 +33,7 @@ func TestGoldenSectionQuickProperty(t *testing.T) {
 		if math.IsNaN(c) {
 			c = 0.5
 		}
-		got := GoldenSection(func(x float64) float64 { return math.Abs(x - c) }, 0, 1, 1e-10, 300)
+		got, _ := GoldenSectionMin(func(x float64) float64 { return math.Abs(x - c) }, 0, 1, 1e-10, 300)
 		return math.Abs(got-c) < 1e-7
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -47,11 +47,11 @@ func TestGoldenSectionPanicsInverted(t *testing.T) {
 			t.Errorf("expected panic")
 		}
 	}()
-	GoldenSection(func(x float64) float64 { return x }, 1, 0, 1e-9, 10)
+	GoldenSectionMin(func(x float64) float64 { return x }, 1, 0, 1e-9, 10)
 }
 
 func TestGoldenSectionDefaultTol(t *testing.T) {
-	got := GoldenSection(func(x float64) float64 { return (x - 0.5) * (x - 0.5) }, 0, 1, 0, 300)
+	got, _ := GoldenSectionMin(func(x float64) float64 { return (x - 0.5) * (x - 0.5) }, 0, 1, 0, 300)
 	if math.Abs(got-0.5) > 1e-7 {
 		t.Errorf("minimum with default tol = %v", got)
 	}
@@ -62,21 +62,21 @@ func TestGridSeedBracketsGlobalMin(t *testing.T) {
 	f := func(x float64) float64 {
 		return math.Min((x-0.2)*(x-0.2)+0.05, (x-0.8)*(x-0.8))
 	}
-	lo, hi := GridSeed(f, 0, 1, 50)
+	lo, hi, _, _ := GridSeedBest(f, 0, 1, 50)
 	if lo > 0.8 || hi < 0.8 {
 		t.Errorf("bracket [%v,%v] misses global minimum 0.8", lo, hi)
 	}
 }
 
 func TestGridSeedClampsToDomain(t *testing.T) {
-	lo, hi := GridSeed(func(x float64) float64 { return x }, 0, 1, 10)
+	lo, hi, _, _ := GridSeedBest(func(x float64) float64 { return x }, 0, 1, 10)
 	if lo < 0 {
 		t.Errorf("lo = %v must stay in domain", lo)
 	}
 	if lo != 0 || math.Abs(hi-0.1) > 1e-12 {
 		t.Errorf("bracket [%v,%v], want [0,0.1]", lo, hi)
 	}
-	lo, hi = GridSeed(func(x float64) float64 { return -x }, 0, 1, 10)
+	lo, hi, _, _ = GridSeedBest(func(x float64) float64 { return -x }, 0, 1, 10)
 	if hi > 1 || math.Abs(lo-0.9) > 1e-12 {
 		t.Errorf("bracket [%v,%v], want [0.9,1]", lo, hi)
 	}
@@ -84,8 +84,8 @@ func TestGridSeedClampsToDomain(t *testing.T) {
 
 func TestGridSeedPanics(t *testing.T) {
 	for i, fn := range []func(){
-		func() { GridSeed(func(float64) float64 { return 0 }, 0, 1, 0) },
-		func() { GridSeed(func(float64) float64 { return 0 }, 1, 0, 4) },
+		func() { GridSeedBest(func(float64) float64 { return 0 }, 0, 1, 0) },
+		func() { GridSeedBest(func(float64) float64 { return 0 }, 1, 0, 4) },
 	} {
 		func() {
 			defer func() {
@@ -98,31 +98,32 @@ func TestGridSeedPanics(t *testing.T) {
 	}
 }
 
-func TestMinimizeUnitEscapesWrongBasin(t *testing.T) {
+func TestGridSeededGoldenSectionEscapesWrongBasin(t *testing.T) {
 	// Without grid seeding a pure GSS on [0,1] would settle near the
-	// shallow basin boundary; MinimizeUnit must find the deep one.
+	// shallow basin boundary; refining the grid bracket finds the deep one.
 	f := func(x float64) float64 {
 		return math.Min((x-0.15)*(x-0.15)+0.2, 3*(x-0.85)*(x-0.85))
 	}
-	got := MinimizeUnit(f, 32, 1e-10)
+	lo, hi, _, _ := GridSeedBest(f, 0, 1, 32)
+	got, _ := GoldenSectionMin(f, lo, hi, 1e-10, 200)
 	if math.Abs(got-0.85) > 1e-6 {
-		t.Errorf("MinimizeUnit = %v, want 0.85", got)
+		t.Errorf("grid-seeded GSS = %v, want 0.85", got)
 	}
 }
 
 func TestBrentQuartic(t *testing.T) {
 	f := func(x float64) float64 { return math.Pow(x-0.6, 4) + 0.3*(x-0.6)*(x-0.6) }
-	got := Brent(f, 0, 1, 1e-12, 200)
+	got, _ := BrentMin(f, 0, 1, 1e-12, 200)
 	if math.Abs(got-0.6) > 1e-6 {
-		t.Errorf("Brent = %v, want 0.6", got)
+		t.Errorf("BrentMin = %v, want 0.6", got)
 	}
 }
 
 func TestBrentMatchesGoldenSection(t *testing.T) {
 	for _, c := range []float64{0.1, 0.33, 0.5, 0.77, 0.95} {
 		f := func(x float64) float64 { return (x - c) * (x - c) }
-		g := GoldenSection(f, 0, 1, 1e-11, 300)
-		b := Brent(f, 0, 1, 1e-11, 300)
+		g, _ := GoldenSectionMin(f, 0, 1, 1e-11, 300)
+		b, _ := BrentMin(f, 0, 1, 1e-11, 300)
 		if math.Abs(g-b) > 1e-6 {
 			t.Errorf("c=%v: GSS %v vs Brent %v", c, g, b)
 		}
@@ -135,7 +136,7 @@ func TestBrentPanicsInverted(t *testing.T) {
 			t.Errorf("expected panic")
 		}
 	}()
-	Brent(func(x float64) float64 { return x }, 1, 0, 1e-9, 10)
+	BrentMin(func(x float64) float64 { return x }, 1, 0, 1e-9, 10)
 }
 
 func TestGoldenSectionReturnsEvaluatedPoint(t *testing.T) {

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -102,6 +103,66 @@ func TestPoolConcurrentBatchesDuringClose(t *testing.T) {
 	}
 	pool.Close() // races the batches; must not panic any submitter
 	wg.Wait()
+}
+
+// TestPoolMatchesSerialAcrossModels: every model kind takes the same
+// float64 path through the pool — sharded ScoreFrame and ScoreBatch must
+// be bit-identical to serial Model.ScoreAll for cubic, non-cubic and
+// quintic-projector models alike, on rows off the training curve too.
+func TestPoolMatchesSerialAcrossModels(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts core.Options
+	}{
+		{"deg2", core.Options{Degree: 2}},
+		{"cubic", core.Options{}},
+		{"deg4", core.Options{Degree: 4}},
+		{"cubic-gss", core.Options{Projector: core.ProjectorGSS}},
+		{"quintic", core.Options{Projector: core.ProjectorQuintic}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := tc.opts
+			opts.Alpha = order.MustDirection(1, 1, -1)
+			opts.Seed = 3
+			m, err := core.Fit(trainingRows(24), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(5))
+			rows := trainingRows(4 * concurrencyThreshold)
+			for _, r := range rows {
+				for j := range r {
+					r[j] += rng.NormFloat64()
+				}
+			}
+			f, err := frame.FromRows(rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool := NewPool(2)
+			defer pool.Close()
+			want := m.ScoreAll(rows)
+			got, err := pool.ScoreFrame(context.Background(), m, f, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch, err := pool.ScoreBatch(context.Background(), m, rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) || len(batch) != len(want) {
+				t.Fatalf("got %d frame / %d batch scores, want %d", len(got), len(batch), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("row %d: pooled ScoreFrame %v != serial %v", i, got[i], want[i])
+				}
+				if batch[i] != want[i] {
+					t.Fatalf("row %d: pooled ScoreBatch %v != serial %v", i, batch[i], want[i])
+				}
+			}
+		})
+	}
 }
 
 func TestScoreFrameAlreadyCancelledScoresNothing(t *testing.T) {

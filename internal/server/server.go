@@ -45,7 +45,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -800,18 +799,8 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 // the score kernels and lands in the score spans), decode (body read +
 // parse), validate (shape and batch-size checks), score (one span per pool
 // shard, recorded by the workers). The caller records encode.
-//
-// Precision negotiation: a request carrying "X-Precision: float32" is
-// served through the float32 kernel when the model admits it (cubic
-// degree, grid-seeded projector, coefficients within the float32
-// acceptance bound — see core's float32 error contract); otherwise it is
-// served float64 as usual. Whenever the header is present, the response's
-// X-Precision header reports the precision that actually served the batch.
-// Any other header value is ignored (float64, no response header), so the
-// negotiation can never turn a typo into an error.
-func (s *Server) scoreRows(w http.ResponseWriter, tr *obs.Trace, r *http.Request) (id string, scores []float64, err error) {
+func (s *Server) scoreRows(tr *obs.Trace, r *http.Request) (id string, scores []float64, err error) {
 	id = r.PathValue("id")
-	wantF32 := strings.EqualFold(r.Header.Get("X-Precision"), "float32")
 	// Validate against the metadata first: a request that will be
 	// rejected must not pay a model load (disk read + decode + LRU churn).
 	meta, err := s.reg.GetMeta(id)
@@ -895,10 +884,9 @@ func (s *Server) scoreRows(w http.ResponseWriter, tr *obs.Trace, r *http.Request
 			return id, nil, err
 		}
 		tr.EndStage(obs.StageNormalize)
-		f32 := negotiatePrecision(w, wantF32, m)
 		t0 := time.Now()
 		var serr error
-		scores, serr = s.pool.ScoreFrameMode(traceCtx(tr), m, fr, getScores(), f32)
+		scores, serr = s.pool.ScoreFrame(traceCtx(tr), m, fr, getScores())
 		tr.SkipStage() // score wall time is covered by the shard spans
 		if serr != nil {
 			putScores(scores)
@@ -935,10 +923,9 @@ func (s *Server) scoreRows(w http.ResponseWriter, tr *obs.Trace, r *http.Request
 		return id, nil, err
 	}
 	tr.EndStage(obs.StageNormalize)
-	f32 := negotiatePrecision(w, wantF32, m)
 	t0 := time.Now()
 	var serr error
-	scores, serr = s.pool.ScoreBatchMode(traceCtx(tr), m, rows, f32)
+	scores, serr = s.pool.ScoreBatch(traceCtx(tr), m, rows)
 	tr.SkipStage()
 	if serr != nil {
 		putScores(scores)
@@ -947,23 +934,6 @@ func (s *Server) scoreRows(w http.ResponseWriter, tr *obs.Trace, r *http.Request
 	s.metrics.AddRows(key, len(scores))
 	s.metrics.Model(id).ObserveScore(key, len(scores), time.Since(t0))
 	return id, scores, nil
-}
-
-// negotiatePrecision resolves a request's X-Precision ask against the
-// model's capability and, when the client asked, reports the serving
-// precision on the response so clients can tell which contract their
-// scores carry.
-func negotiatePrecision(w http.ResponseWriter, wantF32 bool, m *core.Model) bool {
-	if !wantF32 {
-		return false
-	}
-	f32 := m.CanServeFloat32()
-	if f32 {
-		w.Header().Set("X-Precision", "float32")
-	} else {
-		w.Header().Set("X-Precision", "float64")
-	}
-	return f32
 }
 
 // scoreFailed maps a scoring error — cooperative cancellation, deadline
@@ -986,7 +956,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tr := traceOf(w)
-	id, scores, err := s.scoreRows(w, tr, r)
+	id, scores, err := s.scoreRows(tr, r)
 	if sw, ok := w.(*statusWriter); ok {
 		sw.model = id
 		sw.rows = len(scores)
@@ -1013,7 +983,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tr := traceOf(w)
-	id, scores, err := s.scoreRows(w, tr, r)
+	id, scores, err := s.scoreRows(tr, r)
 	if sw, ok := w.(*statusWriter); ok {
 		sw.model = id
 		sw.rows = len(scores)
