@@ -23,10 +23,11 @@
 //
 // Refreshing the baseline after an intentional performance change:
 //
-//	go test -bench '<pinned benches>' -benchmem -count 5 -run '^$' ./... | tee bench.txt
+//	go test -bench '<pinned benches>' -benchmem -count 5 -cpu 1 -run '^$' ./... | tee bench.txt
 //	go run ./cmd/benchguard -update -baseline BENCH_BASELINE.json bench.txt
 //
-// and commit the rewritten BENCH_BASELINE.json together with the change
+// (-cpu 1 because allocs/op of the pool-sharded serving benches follows
+// GOMAXPROCS, and the comparison strips the -N suffix) and commit the rewritten BENCH_BASELINE.json together with the change
 // that moved the numbers, so the diff review sees both.
 //
 // Multiple -count runs of one benchmark are reduced to the geometric mean

@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"rpcrank/internal/cluster"
-	"rpcrank/internal/core"
 	"rpcrank/internal/registry"
 	"rpcrank/internal/server"
 )
@@ -183,12 +182,6 @@ func run(ctx context.Context, args []string, out io.Writer, onReady func(addr, p
 	// a timeout configuration — with the public API.
 	boundPprof := ""
 	if *pprofAddr != "" {
-		// With profiling on, the projection engines also tag their block
-		// phases (stage=gemm|seed|refine goroutine labels), so a captured
-		// profile attributes scoring time by stage out of the box. The
-		// labels cost nothing to readers who never capture a profile, but
-		// they stay off when the endpoint is off.
-		core.EnableStageProfiling(true)
 		pln, err := net.Listen("tcp", *pprofAddr)
 		if err != nil {
 			return fmt.Errorf("pprof listener: %w", err)

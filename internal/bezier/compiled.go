@@ -1,7 +1,5 @@
 package bezier
 
-import "fmt"
-
 // Compiled is an allocation-free evaluation form of a Curve: the
 // per-coordinate monomial coefficients of f (and of f′), plus the monomial
 // coefficients of ‖f(s)‖², all precomputed once. It exists for hot paths —
@@ -40,19 +38,6 @@ type Compiled struct {
 	// zero allocations.
 	basis [][]float64
 	crow  []float64
-
-	// gridCells/grid/gridNormSq form the projection grid table: when
-	// gridCells > 0, grid holds the curve points f(g/gridCells) for
-	// g = 0..gridCells as one contiguous (gridCells+1)×dim row-major block,
-	// and gridNormSq holds ‖f(g/gridCells)‖² per node. The table is what
-	// the block-batched seeding path multiplies row blocks against (a tiled
-	// X·Fᵀ GEMM replaces the per-row grid scan); it is built by EnsureGrid,
-	// rebuilt in place by every CompileInto, and shared read-only by all
-	// engines holding this Compiled — the same quiescence rule as the
-	// coefficient buffers applies.
-	gridCells  int
-	grid       []float64
-	gridNormSq []float64
 }
 
 // DistPolyOrigin is the expansion point of the collapsed distance
@@ -86,11 +71,6 @@ func CompileInto(dst *Compiled, c *Curve) *Compiled {
 		dst.snormSq = make([]float64, 2*k+1)
 		dst.basis = BernsteinToMonomial(k)
 		dst.crow = make([]float64, k+1)
-		if dst.gridCells > 0 {
-			// The grid table is sized by the dimension; a shape change
-			// must resize it before buildGrid refills it below.
-			dst.grid = make([]float64, (dst.gridCells+1)*d)
-		}
 	}
 	for i := range dst.snormSq {
 		dst.snormSq[i] = 0
@@ -134,69 +114,8 @@ func CompileInto(dst *Compiled, c *Curve) *Compiled {
 			}
 		}
 	}
-	if dst.gridCells > 0 {
-		dst.buildGrid()
-	}
 	return dst
 }
-
-// EnsureGrid builds the projection grid table for a cells-interval grid
-// (cells+1 nodes on [0,1]) if it is not already present at that resolution.
-// Once built, every subsequent CompileInto rebuilds the table in place, so
-// engines sharing this Compiled across fit iterations always read a table
-// consistent with the current coefficients. Calling EnsureGrid twice with
-// the same cells is free; changing the resolution reallocates.
-func (cc *Compiled) EnsureGrid(cells int) {
-	if cells < 1 {
-		panic(fmt.Sprintf("bezier: EnsureGrid(%d): need at least 1 cell", cells))
-	}
-	if cc.gridCells == cells && cc.grid != nil {
-		return
-	}
-	cc.gridCells = cells
-	cc.grid = make([]float64, (cells+1)*cc.dim)
-	cc.gridNormSq = make([]float64, cells+1)
-	cc.buildGrid()
-}
-
-// buildGrid fills grid/gridNormSq from the current monomial coefficients:
-// one Horner pass per coordinate per node, exactly EvalInto's arithmetic.
-func (cc *Compiled) buildGrid() {
-	if len(cc.gridNormSq) != cc.gridCells+1 {
-		cc.gridNormSq = make([]float64, cc.gridCells+1)
-	}
-	k, d := cc.deg, cc.dim
-	h := 1 / float64(cc.gridCells)
-	for g := 0; g <= cc.gridCells; g++ {
-		s := float64(g) * h
-		row := cc.grid[g*d : (g+1)*d]
-		var n2 float64
-		for j := 0; j < d; j++ {
-			mrow := cc.mono[j*(k+1) : (j+1)*(k+1)]
-			acc := mrow[k]
-			for p := k - 1; p >= 0; p-- {
-				acc = acc*s + mrow[p]
-			}
-			row[j] = acc
-			n2 += acc * acc
-		}
-		cc.gridNormSq[g] = n2
-	}
-}
-
-// GridCells returns the resolution the grid table was built for, 0 when no
-// table has been built.
-func (cc *Compiled) GridCells() int { return cc.gridCells }
-
-// GridTable returns the (GridCells()+1)×Dim row-major grid table — node g's
-// curve point occupies [g·Dim, (g+1)·Dim). The slice aliases internal
-// storage; callers must not modify it, and must not read it across a
-// concurrent CompileInto (the usual Compiled quiescence rule).
-func (cc *Compiled) GridTable() []float64 { return cc.grid }
-
-// GridNormSq returns ‖f(g/GridCells())‖² per grid node (len GridCells()+1),
-// aliasing internal storage under the same read-only contract as GridTable.
-func (cc *Compiled) GridNormSq() []float64 { return cc.gridNormSq }
 
 // Degree returns the polynomial degree.
 func (cc *Compiled) Degree() int { return cc.deg }

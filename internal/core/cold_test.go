@@ -1,10 +1,10 @@
 package core
 
-// Tests of the block-batched projection seeder: batch-vs-per-row score
-// parity over monotone curves (the engine contract convention), explicit
-// edge-projection and bracket-miss rows, block-boundary sizes, the fit
-// pool's warm pass, cancellation, and the behavioural invariants the block
-// path must not disturb (NoWarmStart, projector kinds, fit determinism).
+// Tests of the cold projection passes: the fit pool's grid-seeded pass and
+// the serving batch path (Scorer.ScoreFrameRange) held to the reference
+// projector projectOne, which shares no code with the engine or
+// bezier.Compiled; explicit edge-projection and bracket-miss rows; stripe
+// and range boundaries; the fit pool's warm pass; and cancellation.
 
 import (
 	"context"
@@ -13,43 +13,69 @@ import (
 	"math/rand"
 	"testing"
 
+	"rpcrank/internal/bezier"
 	"rpcrank/internal/frame"
 	"rpcrank/internal/order"
+	"rpcrank/internal/stats"
 )
 
-// blockParityCheck projects every frame row through the per-row engine path
-// and the block path and asserts ≤1e-12 agreement on scores and residuals
-// (the compiled-engine contract tolerance; in practice the paths are
-// bit-identical unless two grid nodes tie at rounding level).
-func blockParityCheck(t *testing.T, eng *engine, u *frame.Frame) {
+// coldParityCheck projects every row of u (normalised space) through the
+// fit pool's cold pass, serially and striped over two workers, and through
+// ScoreFrameRange of a model whose normaliser is the identity, and holds
+// every score to projectOne at 1e-12 (residuals at 1e-12 relative). It
+// returns the pool's and the serving path's scores for exact checks.
+func coldParityCheck(t *testing.T, c *bezier.Curve, opts Options, u *frame.Frame) (cold, served []float64) {
 	t.Helper()
 	n := u.N()
-	perRow := newEngineLike(eng)
-	scores := make([]float64, n)
-	resid := make([]float64, n)
-	eng.projectBlock(u, 0, n, scores, resid)
+	ref := make([]float64, n)
+	refD := make([]float64, n)
 	for i := 0; i < n; i++ {
-		s, d := perRow.project(u.Row(i))
-		if math.Abs(scores[i]-s) > 1e-12 {
-			t.Fatalf("row %d: block score %.17g vs per-row %.17g", i, scores[i], s)
+		ref[i], refD[i] = projectOne(c, u.Row(i), opts)
+	}
+	for _, workers := range []int{1, 2} {
+		o := opts
+		o.Workers = workers
+		pool := newProjPool(c, u, o)
+		scores := make([]float64, n)
+		resid := make([]float64, n)
+		pool.project(c, scores, resid, nil)
+		pool.close()
+		for i := 0; i < n; i++ {
+			if math.Abs(scores[i]-ref[i]) > 1e-12 {
+				t.Fatalf("workers=%d row %d: cold score %.17g vs reference %.17g", workers, i, scores[i], ref[i])
+			}
+			if math.Abs(resid[i]-refD[i]) > 1e-12*(1+refD[i]) {
+				t.Fatalf("workers=%d row %d: cold resid %.17g vs reference %.17g", workers, i, resid[i], refD[i])
+			}
 		}
-		if math.Abs(resid[i]-d) > 1e-12*(1+d) {
-			t.Fatalf("row %d: block resid %.17g vs per-row %.17g", i, resid[i], d)
+		if workers == 1 {
+			cold = scores
 		}
 	}
+	served = make([]float64, n)
+	identityModel(c, opts).Compile().ScoreFrameRange(served, u, 0, n)
+	for i := 0; i < n; i++ {
+		if math.Abs(served[i]-ref[i]) > 1e-12 {
+			t.Fatalf("row %d: ScoreFrameRange %.17g vs reference %.17g", i, served[i], ref[i])
+		}
+	}
+	return cold, served
 }
 
-// newEngineLike clones an engine's configuration onto a fresh engine (own
-// Compiled), so the per-row reference cannot share block state by accident.
-func newEngineLike(e *engine) *engine {
-	return newEngine(e.curve, Options{
-		Projector: e.kind, GridCells: e.cells, ProjTol: e.tol,
-	}.withDefaults())
+// identityModel wraps c in a serving model whose normaliser is the identity
+// on [0,1]^d, so normalised frames are its raw rows bit for bit.
+func identityModel(c *bezier.Curve, opts Options) *Model {
+	d := c.Dim()
+	mx := make([]float64, d)
+	for j := range mx {
+		mx[j] = 1
+	}
+	return &Model{Curve: c, Alpha: opts.Alpha, Norm: &stats.Normalizer{Min: make([]float64, d), Max: mx}, opts: opts}
 }
 
-// TestProjectBlockMatchesPerRow is the batch-vs-per-row parity property
-// test over monotone curves, across projector kinds and degrees.
-func TestProjectBlockMatchesPerRow(t *testing.T) {
+// TestColdPassMatchesReference is the cold-pass parity property test over
+// fitted monotone curves, across projector kinds, degrees and dimensions.
+func TestColdPassMatchesReference(t *testing.T) {
 	cases := []struct {
 		name string
 		proj Projector
@@ -60,7 +86,7 @@ func TestProjectBlockMatchesPerRow(t *testing.T) {
 		{"newton-cubic-d3", ProjectorNewton, 3, 3, 101},
 		{"newton-cubic-d2", ProjectorNewton, 3, 2, 102},
 		{"newton-cubic-d4", ProjectorNewton, 3, 4, 103},
-		{"newton-cubic-d7", ProjectorNewton, 3, 7, 104}, // generic GEMM path
+		{"newton-cubic-d7", ProjectorNewton, 3, 7, 104}, // wide rows
 		{"gss-cubic", ProjectorGSS, 3, 3, 105},
 		{"brent-cubic", ProjectorBrent, 3, 3, 106},
 		{"newton-deg5", ProjectorNewton, 5, 3, 107},
@@ -82,18 +108,18 @@ func TestProjectBlockMatchesPerRow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng := newEngine(m.Curve, m.opts.withDefaults())
-			blockParityCheck(t, eng, m.data)
+			coldParityCheck(t, m.Curve, m.opts, m.data)
 		})
 	}
 }
 
-// TestProjectBlockEdgeRows pins the classification-fail behaviour: rows far
+// TestColdPassEdgeRows pins the classification-fail behaviour: rows far
 // past the curve's end points project onto the domain edges s=0/1, where
-// the per-row path publishes the grid node itself (no bracket refinement).
-// The block path must land on exactly the same nodes — these rows are the
-// ones where a seeding disagreement would not be polished away by Newton.
-func TestProjectBlockEdgeRows(t *testing.T) {
+// every projector publishes the grid node itself (no bracket refinement).
+// The cold pass and the serving path must land on exactly those nodes —
+// these rows are the ones where a seeding disagreement would not be
+// polished away by Newton.
+func TestColdPassEdgeRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	alpha := order.MustDirection(1, 1, -1)
 	xs, _ := genBezierCloud(rng, 64, alpha, 0.02)
@@ -106,9 +132,9 @@ func TestProjectBlockEdgeRows(t *testing.T) {
 	// D′(0) = 2c‖f′(0)‖² > 0: the grid best is node 0, the bracket cannot
 	// slope down on its left edge, classification misses, and the per-row
 	// path publishes the grid node s=0 *exactly* (symmetrically s=1 at the
-	// far end). These are the rows where a block-seeding disagreement could
-	// not be polished away by Newton, so the assertions below demand the
-	// exact edge values. The remaining rows probe corners and the interior
+	// far end). These are the rows where a seeding disagreement could not be
+	// polished away by Newton, so the assertions below demand the exact edge
+	// values. The remaining rows probe corners and the interior
 	// for parity only.
 	f0 := m.Curve.Eval(0)
 	f1 := m.Curve.Eval(1)
@@ -137,17 +163,14 @@ func TestProjectBlockEdgeRows(t *testing.T) {
 		t.Run(proj.String(), func(t *testing.T) {
 			opts := m.opts.withDefaults()
 			opts.Projector = proj
-			eng := newEngine(m.Curve, opts)
-			blockParityCheck(t, eng, ef)
-
-			scores := make([]float64, ef.N())
-			resid := make([]float64, ef.N())
-			eng.projectBlock(ef, 0, ef.N(), scores, resid)
-			if scores[0] != 0 || scores[2] != 0 {
-				t.Fatalf("start-tangent rows scored %v / %v, want exactly 0", scores[0], scores[2])
-			}
-			if scores[1] != 1 || scores[3] != 1 {
-				t.Fatalf("end-tangent rows scored %v / %v, want exactly 1", scores[1], scores[3])
+			cold, served := coldParityCheck(t, m.Curve, opts, ef)
+			for _, scores := range [][]float64{cold, served} {
+				if scores[0] != 0 || scores[2] != 0 {
+					t.Fatalf("start-tangent rows scored %v / %v, want exactly 0", scores[0], scores[2])
+				}
+				if scores[1] != 1 || scores[3] != 1 {
+					t.Fatalf("end-tangent rows scored %v / %v, want exactly 1", scores[1], scores[3])
+				}
 			}
 		})
 	}
@@ -166,13 +189,12 @@ func marginFrame(rng *rand.Rand, n, dim int) *frame.Frame {
 	return u
 }
 
-// TestProjectBlockRandomCurves: block projection vs the per-row path over
-// random monotone curves (not fitted ones) across degrees (the cubic
-// Newton kernel and the general-degree refinement), dimensions (the
-// specialised d=2/3 seeders and the generic GEMM at d=8), and row counts
-// around the 64-row block (n%8 ∈ {0, 1, 7}). Every batch must also hold
-// bracket-miss rows that land exactly on s=0/1.
-func TestProjectBlockRandomCurves(t *testing.T) {
+// TestColdPassRandomCurves: the cold pass and the serving path vs the
+// reference over random monotone curves (not fitted ones) across degrees
+// (the cubic Newton kernel and the general-degree refinement), dimensions,
+// and row counts around the 64-row cancellation poll (n%8 ∈ {0, 1, 7}).
+// Every batch must also hold bracket-miss rows that land exactly on s=0/1.
+func TestColdPassRandomCurves(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	for _, deg := range []int{2, 3, 5} {
 		for _, dim := range []int{2, 3, 8} {
@@ -180,18 +202,17 @@ func TestProjectBlockRandomCurves(t *testing.T) {
 				t.Run(fmt.Sprintf("deg=%d/d=%d/n=%d", deg, dim, n), func(t *testing.T) {
 					m := randParityModel(rng, deg, dim, ProjectorNewton)
 					u := marginFrame(rng, n, dim)
-					eng := newEngine(m.Curve, m.opts)
-					blockParityCheck(t, eng, u)
-					scores, resid := make([]float64, n), make([]float64, n)
-					eng.projectBlock(u, 0, n, scores, resid)
-					edges := 0
-					for _, s := range scores {
-						if s == 0 || s == 1 {
-							edges++
+					cold, served := coldParityCheck(t, m.Curve, m.opts, u)
+					for _, scores := range [][]float64{cold, served} {
+						edges := 0
+						for _, s := range scores {
+							if s == 0 || s == 1 {
+								edges++
+							}
 						}
-					}
-					if edges == 0 {
-						t.Fatal("no bracket-miss rows landed exactly on s=0/1; widen the frame margin")
+						if edges == 0 {
+							t.Fatal("no bracket-miss rows landed exactly on s=0/1; widen the frame margin")
+						}
 					}
 				})
 			}
@@ -199,11 +220,11 @@ func TestProjectBlockRandomCurves(t *testing.T) {
 	}
 }
 
-// TestProjectBlockEdgeRowsInterleaved pins the bracket-miss contract on a
-// random cubic Newton curve across a block boundary: points outward along
+// TestColdPassEdgeRowsInterleaved pins the bracket-miss contract on a
+// random cubic Newton curve across a stripe boundary: points outward along
 // the end tangents, interleaved with interior rows over 66 rows, must
 // publish exactly 0 and 1.
-func TestProjectBlockEdgeRowsInterleaved(t *testing.T) {
+func TestColdPassEdgeRowsInterleaved(t *testing.T) {
 	rng := rand.New(rand.NewSource(223))
 	m := randParityModel(rng, 3, 3, ProjectorNewton)
 	d := m.Dim()
@@ -226,29 +247,27 @@ func TestProjectBlockEdgeRowsInterleaved(t *testing.T) {
 			}
 		}
 	}
-	eng := newEngine(m.Curve, m.opts)
-	scores := make([]float64, n)
-	resid := make([]float64, n)
-	eng.projectBlock(u, 0, n, scores, resid)
-	for i := 0; i < n; i++ {
-		switch i % 3 {
-		case 0:
-			if scores[i] != 0 {
-				t.Fatalf("row %d: start-tangent row scored %.17g, want exactly 0", i, scores[i])
-			}
-		case 1:
-			if scores[i] != 1 {
-				t.Fatalf("row %d: end-tangent row scored %.17g, want exactly 1", i, scores[i])
-			}
-		default:
-			// In-box rows may still legitimately clamp to an end node; only
-			// the range is pinned here, parity tests cover their values.
-			if scores[i] < 0 || scores[i] > 1 || math.IsNaN(scores[i]) {
-				t.Fatalf("row %d: interior row scored %v", i, scores[i])
+	cold, served := coldParityCheck(t, m.Curve, m.opts, u)
+	for _, scores := range [][]float64{cold, served} {
+		for i := 0; i < n; i++ {
+			switch i % 3 {
+			case 0:
+				if scores[i] != 0 {
+					t.Fatalf("row %d: start-tangent row scored %.17g, want exactly 0", i, scores[i])
+				}
+			case 1:
+				if scores[i] != 1 {
+					t.Fatalf("row %d: end-tangent row scored %.17g, want exactly 1", i, scores[i])
+				}
+			default:
+				// In-box rows may still legitimately clamp to an end node;
+				// only the range is pinned here, parity covers their values.
+				if scores[i] < 0 || scores[i] > 1 || math.IsNaN(scores[i]) {
+					t.Fatalf("row %d: interior row scored %v", i, scores[i])
+				}
 			}
 		}
 	}
-	blockParityCheck(t, eng, u)
 }
 
 // TestProjPoolWarmMatchesProjectWarm: the fit pool's warm pass, striped
@@ -324,8 +343,8 @@ func TestProjPoolWarmMatchesProjectWarm(t *testing.T) {
 }
 
 // TestScoreFrameRangeCtxCancellation pins the cooperative cancellation
-// contract on the block path and on the per-row quintic path: a context
-// done before the call stops at a block boundary, reports the rows it
+// contract for the cubic Newton kernel and the quintic solver: a context
+// done before the call stops before the first row, reports the rows it
 // scored and leaves dst beyond them untouched, and a live context scores
 // every row exactly as ScoreFrameRange does.
 func TestScoreFrameRangeCtxCancellation(t *testing.T) {
@@ -333,13 +352,13 @@ func TestScoreFrameRangeCtxCancellation(t *testing.T) {
 		name string
 		proj Projector
 	}{
-		{"block", ProjectorNewton},
+		{"newton", ProjectorNewton},
 		{"quintic", ProjectorQuintic},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(83))
 			m := randParityModel(rng, 3, 3, tc.proj)
-			const n = 4 * projBlockRows
+			const n = 4 * ctxPollRows
 			f := frame.New(n, 3)
 			for i := 0; i < n; i++ {
 				for j := 0; j < 3; j++ {
@@ -357,14 +376,11 @@ func TestScoreFrameRangeCtxCancellation(t *testing.T) {
 			}
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			// The context is polled between row blocks: the block path
-			// checks before its first block, the per-row path after each.
+			// The context is polled before every ctxPollRows rows, the
+			// first included.
 			k := sc.ScoreFrameRangeCtx(ctx, got, f, 0, n)
-			if k >= n || k%projBlockRows != 0 {
-				t.Fatalf("cancelled range scored %d of %d rows, want a whole number of blocks short of all", k, n)
-			}
-			if tc.proj != ProjectorQuintic && k != 0 {
-				t.Fatalf("cancelled-before-start block range scored %d rows", k)
+			if k != 0 {
+				t.Fatalf("cancelled-before-start range scored %d of %d rows, want 0", k, n)
 			}
 			for i, v := range got {
 				if i < k && v != want[i] {
@@ -387,50 +403,49 @@ func TestScoreFrameRangeCtxCancellation(t *testing.T) {
 	}
 }
 
-// TestProjectBlockBoundarySizes sweeps row counts around the block size so
-// every remainder shape of the batched kernels runs: n % block ∈ {0, 1,
-// block−1}, plus the 4-row micro-kernel remainders inside a block.
-func TestProjectBlockBoundarySizes(t *testing.T) {
+// TestColdPassBoundarySizes sweeps row counts around the cancellation
+// poll interval and the pool's serial threshold (four rows per worker), so
+// every remainder shape of the poll loop and of the two-worker stripes runs.
+func TestColdPassBoundarySizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	alpha := order.MustDirection(1, -1, 1)
-	xs, _ := genBezierCloud(rng, 3*projBlockRows, alpha, 0.05)
+	xs, _ := genBezierCloud(rng, 3*ctxPollRows, alpha, 0.05)
 	m, err := Fit(xs, Options{Alpha: alpha, MaxIter: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	full := m.data
-	eng := newEngine(m.Curve, m.opts.withDefaults())
 	for _, n := range []int{
-		projBlockRows, 2 * projBlockRows, // n % block == 0
-		1, projBlockRows + 1, // n % block == 1
-		projBlockRows - 1, 2*projBlockRows - 1, // n % block == block−1
-		2, 3, 4, 5, 6, 7, // micro-kernel remainders
+		ctxPollRows, 2 * ctxPollRows, // n % poll == 0
+		1, ctxPollRows + 1, // n % poll == 1
+		ctxPollRows - 1, 2*ctxPollRows - 1, // n % poll == poll−1
+		2, 3, 4, 5, 6, 7, // below and at the two-worker stripe threshold
 	} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			blockParityCheck(t, eng, full.Slice(0, n))
+			coldParityCheck(t, m.Curve, m.opts, full.Slice(0, n))
 		})
 	}
-	// A mid-frame range must agree with the same rows scored alone: the
-	// per-row chains are position-independent, so stripe boundaries cannot
+	// A mid-frame range must agree with the same rows scored alone: every
+	// row's projection is position-independent, so range boundaries cannot
 	// leak into results.
-	lo, hi := 17, 17+projBlockRows+5
+	lo, hi := 17, 17+ctxPollRows+5
+	sc := identityModel(m.Curve, m.opts).Compile()
 	whole := make([]float64, full.N())
-	wresid := make([]float64, full.N())
-	eng.projectBlock(full, lo, hi, whole, wresid)
+	sc.ScoreFrameRange(whole, full, lo, hi)
 	sub := full.Slice(lo, hi)
 	alone := make([]float64, sub.N())
-	aresid := make([]float64, sub.N())
-	eng.projectBlock(sub, 0, sub.N(), alone, aresid)
+	sc.ScoreFrameRange(alone, sub, 0, sub.N())
 	for i := 0; i < sub.N(); i++ {
-		if whole[lo+i] != alone[i] || wresid[lo+i] != aresid[i] {
+		if whole[lo+i] != alone[i] {
 			t.Fatalf("range row %d differs from standalone projection", lo+i)
 		}
 	}
 }
 
-// TestScoreFrameRangeMatchesScore pins the serving block path to per-row
-// Scorer.Score on raw (unnormalised) rows, including the non-cubic engine
-// and the quintic fallback.
+// TestScoreFrameRangeMatchesScore pins the serving batch path to per-row
+// Scorer.Score (bit for bit) and to the reference projector (at 1e-12) on
+// raw (unnormalised) rows, for the cubic kernel, the non-cubic engine and
+// the quintic solver.
 func TestScoreFrameRangeMatchesScore(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -451,7 +466,7 @@ func TestScoreFrameRangeMatchesScore(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Raw-space probes, including points outside the training box.
-			probes := make([][]float64, 2*projBlockRows+3)
+			probes := make([][]float64, 2*ctxPollRows+3)
 			for i := range probes {
 				p := make([]float64, len(alpha))
 				for j := range p {
@@ -466,22 +481,25 @@ func TestScoreFrameRangeMatchesScore(t *testing.T) {
 			sc := m.Compile()
 			batch := make([]float64, f.N())
 			sc.ScoreFrameRange(batch, f, 0, f.N())
-			ref := m.Compile()
+			per := m.Compile()
 			for i, p := range probes {
-				if s := ref.Score(p); math.Abs(batch[i]-s) > 1e-12 {
+				if s := per.Score(p); batch[i] != s {
 					t.Fatalf("probe %d: batch %.17g vs Score %.17g", i, batch[i], s)
+				}
+				if s := scoreReference(m, p); math.Abs(batch[i]-s) > 1e-12 {
+					t.Fatalf("probe %d: batch %.17g vs reference %.17g", i, batch[i], s)
 				}
 			}
 		})
 	}
 }
 
-// TestFitColdBlockMatchesReference: a NoWarmStart fit (every iteration runs
-// the block-batched cold pass) must agree with the same fit projected
-// through the one-shot per-row reference loop — the fit-level form of the
-// parity contract. Uses score agreement of the published model against
-// scoreReference, the uncompiled projector.
-func TestFitColdBlockMatchesReference(t *testing.T) {
+// TestFitColdMatchesReference: a NoWarmStart fit (every iteration runs the
+// cold pass) must publish the scores the reference projector gives its
+// final curve — the fit-level form of the parity contract. Uses score
+// agreement of the published model against scoreReference, the uncompiled
+// projector.
+func TestFitColdMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	alpha := order.MustDirection(1, 1, -1, -1)
 	xs, _ := genBezierCloud(rng, 200, alpha, 0.05)
@@ -494,69 +512,4 @@ func TestFitColdBlockMatchesReference(t *testing.T) {
 			t.Fatalf("row %d: published %.17g vs reference %.17g", i, m.Scores[i], s)
 		}
 	}
-}
-
-// TestStageProfilingToggle smoke-tests the pprof stage labels: enabling the
-// toggle must not change results, and the block path must run with it on.
-func TestStageProfilingToggle(t *testing.T) {
-	rng := rand.New(rand.NewSource(83))
-	alpha := order.MustDirection(1, -1)
-	xs, _ := genBezierCloud(rng, 2*projBlockRows, alpha, 0.03)
-	m, err := Fit(xs, Options{Alpha: alpha, MaxIter: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := newEngine(m.Curve, m.opts.withDefaults())
-	n := m.data.N()
-	off := make([]float64, n)
-	resid := make([]float64, n)
-	eng.projectBlock(m.data, 0, n, off, resid)
-	EnableStageProfiling(true)
-	defer EnableStageProfiling(false)
-	if !StageProfilingEnabled() {
-		t.Fatal("toggle did not latch")
-	}
-	on := make([]float64, n)
-	eng.projectBlock(m.data, 0, n, on, resid)
-	for i := range on {
-		if on[i] != off[i] {
-			t.Fatalf("row %d: score changed under stage profiling", i)
-		}
-	}
-}
-
-// BenchmarkProjectBlock measures one cold score step over a 4096-row frame
-// through the per-row engine loop and through the block-batched seeder —
-// the per-iteration delta the grid-table seeding buys the fit's cold
-// passes and (via ScoreFrameRange) the serving batch path. The engine runs
-// the Newton strategy, the configuration serving compiles to and the one
-// where the grid seed is the dominant per-row cost.
-func BenchmarkProjectBlock(b *testing.B) {
-	rng := rand.New(rand.NewSource(91))
-	alpha := order.MustDirection(1, 1, -1)
-	xs, _ := genBezierCloud(rng, 4096, alpha, 0.02)
-	m, err := Fit(xs, Options{Alpha: alpha, MaxIter: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := m.opts.withDefaults()
-	opts.Projector = ProjectorNewton
-	eng := newEngine(m.Curve, opts)
-	n := m.data.N()
-	scores := make([]float64, n)
-	resid := make([]float64, n)
-	b.Run("perrow", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for r := 0; r < n; r++ {
-				scores[r], resid[r] = eng.project(m.data.Row(r))
-			}
-		}
-	})
-	b.Run("block", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			eng.projectBlock(m.data, 0, n, scores, resid)
-		}
-	})
 }

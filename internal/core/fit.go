@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sync"
+	"time"
 
 	"rpcrank/internal/bezier"
 	"rpcrank/internal/frame"
@@ -140,8 +141,8 @@ func fitMultiStart(f *frame.Frame, opts Options) (*Model, error) {
 // resolveWorkers maps an Options.Workers value onto a concrete goroutine
 // width: -1 means machine-wide, anything below 1 means serial. Every site
 // sizing fit parallelism — restart fan-out, the worker split across
-// restarts, the projection pool, one-shot projectAll — resolves through
-// here so the semantics cannot drift apart.
+// restarts, the projection pool — resolves through here so the semantics
+// cannot drift apart.
 func resolveWorkers(w int) int {
 	if w == -1 {
 		return runtime.GOMAXPROCS(0)
@@ -314,9 +315,9 @@ func fitPrepared(sh *fitShared, opts Options) (*Model, error) {
 	}
 	haveWarm := false
 
-	// Fit telemetry: the per-iteration trace and warm-start deltas are
-	// collected as the loop runs; stage totals come from the pool engines
-	// at the end. restartTotal is 0 outside fitMultiStartN.
+	// Fit telemetry: the per-iteration trace, warm-start deltas and stage
+	// times are collected as the loop runs; restartTotal is 0 outside
+	// fitMultiStartN.
 	diag := &FitDiagnostics{Restart: opts.restartIndex, Restarts: opts.restartTotal}
 	if diag.Restarts == 0 {
 		diag.Restarts = 1
@@ -356,10 +357,13 @@ func fitPrepared(sh *fitShared, opts Options) (*Model, error) {
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		// Score step (Eq. 22): project every observation onto the curve,
 		// warm-started from the previous iteration's scores when available.
+		t0 := time.Now()
 		if haveWarm {
 			pool.project(curve, scores, resid, warmScores)
+			diag.Stages.RefineNs += time.Since(t0).Nanoseconds()
 		} else {
 			pool.project(curve, scores, resid, nil)
+			diag.Stages.SeedNs += time.Since(t0).Nanoseconds()
 		}
 		if useWarm {
 			copy(warmScores, scores)
@@ -485,10 +489,10 @@ func fitPrepared(sh *fitShared, opts Options) (*Model, error) {
 	}
 	// Final projection against the best curve so scores/residuals match it.
 	// Deliberately cold (grid-seeded): the model's published scores carry no
-	// dependence on the warm-start trajectory, only on the final curve. The
-	// pool's cold pass is bit-identical to a fresh projectAll and reuses the
-	// run's engines instead of compiling and spawning once more.
+	// dependence on the warm-start trajectory, only on the final curve.
+	t0 := time.Now()
 	pool.project(bestCurve, bestScores, bestResid, nil)
+	diag.Stages.SeedNs += time.Since(t0).Nanoseconds()
 	finalJ := sum(bestResid)
 	m.Curve = bestCurve
 	m.Scores = bestScores
@@ -499,7 +503,6 @@ func fitPrepared(sh *fitShared, opts Options) (*Model, error) {
 	diag.Iterations = m.Iterations
 	diag.Converged = m.Converged
 	diag.FinalObjective = finalJ
-	diag.Stages = pool.stageTotals()
 	if wr, wh := pool.warmCounts(); wr > 0 {
 		diag.WarmStartHitRate = float64(wh) / float64(wr)
 	}
@@ -604,59 +607,16 @@ func constrainCurve(c *bezier.Curve, opts Options, d, k int) {
 	}
 }
 
-// projectAll runs one cold score step (Eq. 22) over every frame row through
-// a freshly compiled projection engine: the curve is compiled once per
-// call, not re-derived per row, the rows are strided views into one
-// contiguous array, and each worker goroutine gets its own scratch via
-// engine.clone, so the parallel result stays bit-identical to the serial
-// one. Stripes project through the block-batched seeder (engine.projectBlock),
-// which is boundary-independent row by row, so the worker count still never
-// changes a bit of the result. The fit run (iterations and the final
-// best-curve projection alike) projects through a persistent projPool
-// instead; this one-shot form serves callers outside the fit loop.
-func projectAll(c *bezier.Curve, u *frame.Frame, scores, resid []float64, opts Options) {
-	eng := newEngine(c, opts)
-	workers := resolveWorkers(opts.Workers)
-	n := u.N()
-	if workers <= 1 || n < 4*workers {
-		eng.projectBlock(u, 0, n, scores, resid)
-		return
-	}
-	// Each worker owns a disjoint index stripe of the shared frame, so no
-	// synchronisation beyond the WaitGroup is needed.
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		e := eng
-		if w > 0 {
-			e = eng.clone()
-		}
-		go func(e *engine, lo, hi int) {
-			defer wg.Done()
-			e.projectBlock(u, lo, hi, scores, resid)
-		}(e, lo, hi)
-	}
-	wg.Wait()
-}
-
 // projJob is one stripe of rows for a pool worker to project.
 type projJob struct{ lo, hi int }
 
-// projPool is the persistent projection worker pool of one fit run. Where
-// projectAll compiles a fresh engine and spawns fresh goroutines per call,
-// the pool is built once per fit: worker goroutines park on per-worker job
-// channels across iterations, every worker keeps its engine (and scratch)
-// for the whole run, and all engines share one bezier.Compiled that
-// project() rebuilds in place (engine.recompile) each iteration.
+// projPool is the persistent projection worker pool of one fit run. It is
+// built once per fit: worker goroutines park on per-worker job channels
+// across iterations, every worker keeps its engine (and scratch) for the
+// whole run, and all engines share one bezier.Compiled that project()
+// rebuilds in place (engine.recompile) each iteration. Each worker owns a
+// disjoint stripe of rows and every row's projection is independent of its
+// stripe, so the worker count never changes a bit of the result.
 //
 // Lifetimes and synchronisation: the pool is owned by exactly one fit
 // goroutine, which must close() it when the run ends (fitPrepared defers
@@ -676,31 +636,21 @@ type projPool struct {
 }
 
 // newProjPool builds the pool for u with the worker count opts asks for,
-// spawning the extra goroutines immediately. Small inputs stay serial under
-// the same threshold projectAll applies.
+// spawning the extra goroutines immediately. Inputs under four rows per
+// worker stay serial.
 func newProjPool(c *bezier.Curve, u *frame.Frame, opts Options) *projPool {
 	p := &projPool{u: u, engines: []*engine{newEngine(c, opts)}}
-	// Every pool engine gets its own stage-time accumulator (fresh, never
-	// shared: engines run on different goroutines) so the fit can report
-	// the gemm/seed/refine breakdown; telemetry() sums them while the
-	// workers are parked.
-	p.engines[0].stageNs = &FitStageNanos{}
 	workers := resolveWorkers(opts.Workers)
 	if workers > 1 && u.N() >= 4*workers {
 		for w := 1; w < workers; w++ {
 			e := p.engines[0].clone()
-			e.stageNs = &FitStageNanos{}
 			ch := make(chan projJob, 1)
 			p.engines = append(p.engines, e)
 			p.chans = append(p.chans, ch)
 			go func(e *engine, ch chan projJob) {
 				// The worker label makes pool goroutines identifiable in
-				// profiles; the engine's stage labels (stage=gemm|seed|
-				// refine, when enabled) derive from it so neither erases
-				// the other.
-				ctx := pprof.WithLabels(context.Background(), pprof.Labels("worker", "fit-proj"))
-				pprof.SetGoroutineLabels(ctx)
-				e.setLabelCtx(ctx)
+				// profiles.
+				pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("worker", "fit-proj")))
 				for job := range ch {
 					p.runRange(e, job.lo, job.hi)
 					p.wg.Done()
@@ -749,13 +699,15 @@ func (p *projPool) project(c *bezier.Curve, scores, resid, warm []float64) {
 
 // runRange projects rows [lo, hi) through e, trying the warm start first
 // when one is available. Cold passes (the first iteration, NoWarmStart
-// runs, and the final best-curve projection) take the block-batched seeding
-// path; warm rows are seeded from their previous score and never scan the
-// grid unless the basin check fails.
+// runs, and the final best-curve projection) grid-seed every row; warm rows
+// are seeded from their previous score and never scan the grid unless the
+// basin check fails.
 func (p *projPool) runRange(e *engine, lo, hi int) {
 	warm := p.warm
 	if warm == nil {
-		e.projectBlock(p.u, lo, hi, p.scores, p.resid)
+		for i := lo; i < hi; i++ {
+			p.scores[i], p.resid[i] = e.project(p.u.Row(i))
+		}
 		return
 	}
 	for i := lo; i < hi; i++ {
@@ -777,20 +729,6 @@ func (p *projPool) warmCounts() (rows, hits int64) {
 		hits += e.warmHits
 	}
 	return rows, hits
-}
-
-// stageTotals sums the per-engine projection stage breakdown. Same
-// parked-workers precondition as warmCounts.
-func (p *projPool) stageTotals() FitStageNanos {
-	var t FitStageNanos
-	for _, e := range p.engines {
-		if e.stageNs != nil {
-			t.GemmNs += e.stageNs.GemmNs
-			t.SeedNs += e.stageNs.SeedNs
-			t.RefineNs += e.stageNs.RefineNs
-		}
-	}
-	return t
 }
 
 // close shuts the worker goroutines down. The pool must not be used after.

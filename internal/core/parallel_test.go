@@ -64,9 +64,10 @@ func BenchmarkProjectAllSerialVsParallel(b *testing.B) {
 			name = "allcpus"
 		}
 		b.Run(name, func(b *testing.B) {
-			opts := Options{Alpha: alpha, Workers: workers}.withDefaults()
+			pool := newProjPool(m.Curve, m.data, Options{Alpha: alpha, Workers: workers}.withDefaults())
+			defer pool.close()
 			for i := 0; i < b.N; i++ {
-				projectAll(m.Curve, m.data, scores, resid, opts)
+				pool.project(m.Curve, scores, resid, nil)
 			}
 		})
 	}

@@ -26,11 +26,13 @@ type FitIteration struct {
 	WarmHits int `json:"warm_hits,omitempty"`
 }
 
-// FitStageNanos is the projection-stage time breakdown of a fit run,
-// the same gemm/seed/refine split the pprof stage labels
-// (EnableStageProfiling) expose, measured directly as nanoseconds. Cold
-// block-batched projection passes are attributed stage by stage; the
-// per-row warm path has no grid/GEMM stage and is not broken down.
+// FitStageNanos is the projection time of a fit run in nanoseconds, read
+// from two clock reads around each score step. SeedNs is the wall time of
+// the cold, grid-seeded passes (the first iteration, every NoWarmStart
+// iteration, and the final best-curve projection), refinement included;
+// RefineNs is the wall time of the warm-started passes. GemmNs is never
+// written and stays 0; the field is kept so persisted diagnostics and
+// their readers keep their shape.
 type FitStageNanos struct {
 	GemmNs   int64 `json:"gemm_ns,omitempty"`
 	SeedNs   int64 `json:"seed_ns,omitempty"`

@@ -76,14 +76,49 @@ func TestFitDiagnosticsCollected(t *testing.T) {
 	if d.WarmStartHitRate < 0 || d.WarmStartHitRate > 1 {
 		t.Errorf("warm-start hit rate %v out of [0,1]", d.WarmStartHitRate)
 	}
-	// The stage breakdown must have recorded real time: refine always runs
-	// on cold passes, and the run had at least two cold passes (iteration 0
-	// and the final best-curve projection).
-	if d.Stages.RefineNs <= 0 {
-		t.Errorf("refine stage recorded %dns, want > 0", d.Stages.RefineNs)
+	// The stage times must have recorded real time: the run had at least
+	// two cold passes (iteration 0 and the final best-curve projection) and
+	// warm passes after iteration 0.
+	if d.Stages.SeedNs <= 0 || d.Stages.RefineNs <= 0 {
+		t.Errorf("stage times %+v, want seed and refine > 0", d.Stages)
 	}
-	if d.Stages.GemmNs < 0 || d.Stages.SeedNs < 0 {
-		t.Errorf("negative stage time: %+v", d.Stages)
+}
+
+// TestFitStageTiming pins what the stage times measure: cold passes add to
+// SeedNs, warm-started passes to RefineNs, and GemmNs is never written.
+func TestFitStageTiming(t *testing.T) {
+	alpha := order.MustDirection(1, 1, -1)
+	for _, tc := range []struct {
+		name       string
+		opts       Options
+		wantRefine bool
+	}{
+		{"warm", Options{Alpha: alpha, Seed: 5}, true},
+		{"cold", Options{Alpha: alpha, Seed: 5, NoWarmStart: true}, false},
+		{"restarts", Options{Alpha: alpha, Seed: 5, Restarts: 3}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := Fit(telemetryRows(48), tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Iterations < 2 {
+				t.Fatalf("fit ran %d iterations; the test needs a warm pass", m.Iterations)
+			}
+			st := m.FitDiag.Stages
+			if st.SeedNs <= 0 {
+				t.Errorf("SeedNs = %d, want > 0", st.SeedNs)
+			}
+			if tc.wantRefine && st.RefineNs <= 0 {
+				t.Errorf("RefineNs = %d, want > 0 on a warm-started fit", st.RefineNs)
+			}
+			if !tc.wantRefine && st.RefineNs != 0 {
+				t.Errorf("RefineNs = %d, want 0 on a NoWarmStart fit", st.RefineNs)
+			}
+			if st.GemmNs != 0 {
+				t.Errorf("GemmNs = %d, want 0", st.GemmNs)
+			}
+		})
 	}
 }
 

@@ -5,8 +5,8 @@ import (
 	"sync"
 )
 
-// This file holds the register-blocked A·Bᵀ kernels behind the block-batched
-// projection seeder and the fit loop's X·MZᵀ product. The naive MulABTInto
+// This file holds the register-blocked A·Bᵀ kernels behind the fit loop's
+// X·MZᵀ product. The naive MulABTInto
 // walks one output cell at a time, so every inner-product load feeds exactly
 // one multiply; the micro-kernel below keeps a 4×8 accumulator block live
 // across the shared-dimension loop, amortising each A load over eight
@@ -21,8 +21,8 @@ import (
 // GemmABT computes C = A·Bᵀ over flat row-major storage: A is m×k with row
 // stride lda, B is n×k with row stride ldb, and C is m×n with row stride
 // ldc. It exists below the Dense wrappers so kernels that already hold flat
-// blocks — frame row ranges, the compiled curve's grid table — can multiply
-// without building matrix headers. C must not alias A or B (not checked at
+// blocks (frame row ranges, say) can multiply without building matrix
+// headers. C must not alias A or B (not checked at
 // this level). Bit-identical to the naive triple loop.
 func GemmABT(c []float64, ldc int, a []float64, lda int, b []float64, ldb int, m, n, k int) {
 	i := 0

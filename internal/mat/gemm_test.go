@@ -112,8 +112,7 @@ func TestMulABTBlockedPanics(t *testing.T) {
 }
 
 // BenchmarkGemmABT compares the naive and blocked A·Bᵀ on the fit loop's
-// X·MZᵀ shape (d×n times (k+1)×n) and on the projection seeder's row-block
-// shape (64 rows against a 33-node grid table).
+// X·MZᵀ shape (d×n times (k+1)×n).
 func BenchmarkGemmABT(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	shapes := []struct {
@@ -121,7 +120,6 @@ func BenchmarkGemmABT(b *testing.B) {
 		m, n, k int
 	}{
 		{"fit-xmzt", 4, 4, 4096},
-		{"seed-block", 64, 33, 4},
 	}
 	for _, sh := range shapes {
 		x := randDense(rng, sh.m, sh.k)

@@ -37,7 +37,7 @@ var ErrPoolClosed = errors.New("scoring pool closed")
 //
 // Batches carrying a cancellable context (a trace with an armed deadline,
 // or a request context with a Done channel) are cooperatively cancellable:
-// workers poll between row blocks and the first shard to observe expiry
+// workers poll it every 64 rows and the first shard to observe expiry
 // trips a batch-wide abort, so every worker frees itself mid-batch instead
 // of finishing doomed work. Batches without either signal pay nothing.
 type Pool struct {
@@ -96,19 +96,10 @@ func NewPool(workers int) *Pool {
 func (p *Pool) worker() {
 	defer p.wg.Done()
 	// Label the worker goroutine so CPU profiles of rpcd separate pool
-	// scoring from handler work. The projection engine's finer
-	// stage=gemm|seed|refine labels (core.EnableStageProfiling) replace
-	// the label while a block is in flight and reset to the engine's base
-	// (background — pooled scorers are shared across workers, so they
-	// cannot carry one worker's identity); re-apply the worker label after
-	// each task when stages are active, from a context built once.
-	ctx := pprof.WithLabels(context.Background(), pprof.Labels("worker", "score-pool"))
-	pprof.SetGoroutineLabels(ctx)
+	// scoring from handler work.
+	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("worker", "score-pool")))
 	for t := range p.tasks {
 		p.runTask(t)
-		if core.StageProfilingEnabled() {
-			pprof.SetGoroutineLabels(ctx)
-		}
 	}
 }
 
@@ -123,10 +114,10 @@ func (p *Pool) worker() {
 // every shard span visible.
 //
 // Cancellation: when the batch carries a batchCancel, the scorer polls it
-// between row blocks; a shard that stops short trips the batch-wide abort
-// so sibling shards (and queued ones, which skip scoring entirely) free
-// their workers too. Cancellation lands on block boundaries only, so the
-// borrowed scorer is released back to the model's pool in a clean state.
+// every 64 rows; a shard that stops short trips the batch-wide abort so
+// sibling shards (and queued ones, which skip scoring entirely) free their
+// workers too. Cancellation lands between rows only, so the borrowed
+// scorer is released back to the model's pool in a clean state.
 func (p *Pool) runTask(t poolTask) {
 	p.busy.Add(1)
 	var t0 time.Time
@@ -169,7 +160,7 @@ func (p *Pool) runTask(t poolTask) {
 // production path) it is a single call.
 func (p *Pool) scoreRange(ctx context.Context, sc *core.Scorer, out []float64, f *frame.Frame, lo, hi int) int {
 	if p == nil || p.faults == nil {
-		return scoreFrameRange(ctx, sc, out, f, lo, hi)
+		return sc.ScoreFrameRangeCtx(ctx, out, f, lo, hi)
 	}
 	const faultChunk = 256
 	total := 0
@@ -179,24 +170,13 @@ func (p *Pool) scoreRange(ctx context.Context, sc *core.Scorer, out []float64, f
 			e = hi
 		}
 		p.faults.Fire(faultinject.PointScoreBlock)
-		n := scoreFrameRange(ctx, sc, out, f, b, e)
+		n := sc.ScoreFrameRangeCtx(ctx, out, f, b, e)
 		total += n
 		if n < e-b {
 			break
 		}
 	}
 	return total
-}
-
-// scoreFrameRange dispatches to the cancellable scorer only when there is
-// a context to poll, keeping the uncontended path free of per-block
-// checks.
-func scoreFrameRange(ctx context.Context, sc *core.Scorer, out []float64, f *frame.Frame, lo, hi int) int {
-	if ctx == nil {
-		sc.ScoreFrameRange(out, f, lo, hi)
-		return hi - lo
-	}
-	return sc.ScoreFrameRangeCtx(ctx, out, f, lo, hi)
 }
 
 // Workers returns the pool size.
