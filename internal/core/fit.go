@@ -392,9 +392,6 @@ func fitPrepared(sh *fitShared, opts Options) (*Model, error) {
 		} else {
 			diag.TraceTruncated = true
 		}
-		if opts.Observer != nil {
-			opts.Observer.ObserveFitIteration(it)
-		}
 		if accepted {
 			bestJ = J
 			if bestCurve == nil {
@@ -453,7 +450,7 @@ func fitPrepared(sh *fitShared, opts Options) (*Model, error) {
 				gamma = 2 / (lo + hi)
 			}
 			mat.MulInto(grad, P, A)
-			mat.MulABTBlockedInto(XMZt, X, MZ)
+			mat.MulABTInto(XMZt, X, MZ)
 			mat.SubInto(grad, grad, XMZt)
 			mat.MulDiagRightInPlace(grad, dinv) // grad is now the step
 			// Backtracking safeguard: a single Richardson step must not
@@ -475,7 +472,7 @@ func fitPrepared(sh *fitShared, opts Options) (*Model, error) {
 			// Richardson path's iteration-flat allocation profile.
 			mat.GramInto(A, MZ)
 			mat.PinvSymInto(pinvAinv, A, pinvW, pinvV, pinvVals)
-			mat.MulABTBlockedInto(XMZt, X, MZ)
+			mat.MulABTInto(XMZt, X, MZ)
 			mat.MulInto(P, XMZt, pinvAinv)
 		default:
 			return nil, fmt.Errorf("core: unknown updater %v", opts.Updater)

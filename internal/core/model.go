@@ -171,11 +171,6 @@ type Options struct {
 	// warm-start from — so this option never affects scoring.
 	NoWarmStart bool
 
-	// Observer, when non-nil, receives every fit iteration as it
-	// completes (see FitObserver). Telemetry is collected on the model's
-	// FitDiag either way; the observer is for callers that want it live.
-	Observer FitObserver
-
 	// restartIndex and restartTotal thread the multi-start bookkeeping
 	// into each restart's fitPrepared run for its diagnostics; they are
 	// set by fitMultiStartN, never by callers.

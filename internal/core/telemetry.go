@@ -3,8 +3,7 @@ package core
 // Fit telemetry: the per-iteration record of one Algorithm-1 run. The fit
 // loop always collects FitDiagnostics onto the returned Model (the cost is
 // a few counters per iteration — the iteration itself is a full projection
-// pass over the data); Options.Observer additionally streams each
-// iteration to the caller as it happens.
+// pass over the data).
 
 // FitIteration is one outer iteration of the alternating minimisation.
 type FitIteration struct {
@@ -72,17 +71,3 @@ type FitDiagnostics struct {
 	Trace          []FitIteration `json:"trace,omitempty"`
 	TraceTruncated bool           `json:"trace_truncated,omitempty"`
 }
-
-// FitObserver receives each fit iteration as it completes. With
-// Options.Restarts > 1 the restarts run concurrently, so implementations
-// must be safe for concurrent use; iterations of one restart arrive in
-// order, distinguishable by FitIteration.Restart.
-type FitObserver interface {
-	ObserveFitIteration(FitIteration)
-}
-
-// FitObserverFunc adapts a function to the FitObserver interface.
-type FitObserverFunc func(FitIteration)
-
-// ObserveFitIteration implements FitObserver.
-func (f FitObserverFunc) ObserveFitIteration(it FitIteration) { f(it) }

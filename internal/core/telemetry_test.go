@@ -2,7 +2,7 @@ package core
 
 import (
 	"math"
-	"sync"
+	"slices"
 	"testing"
 
 	"rpcrank/internal/order"
@@ -145,46 +145,12 @@ func TestFitDiagnosticsNoWarmStart(t *testing.T) {
 	}
 }
 
-func TestFitObserverStreamsIterations(t *testing.T) {
-	var mu sync.Mutex
-	var got []FitIteration
-	obs := FitObserverFunc(func(it FitIteration) {
-		mu.Lock()
-		got = append(got, it)
-		mu.Unlock()
-	})
-	m, err := Fit(telemetryRows(48), Options{
-		Alpha:    order.MustDirection(1, 1, -1),
-		Seed:     3,
-		Observer: obs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(m.FitDiag.Trace) {
-		t.Fatalf("observer saw %d iterations, trace has %d", len(got), len(m.FitDiag.Trace))
-	}
-	for i, it := range got {
-		if it != m.FitDiag.Trace[i] {
-			t.Errorf("observer iteration %d = %+v, trace has %+v", i, it, m.FitDiag.Trace[i])
-		}
-	}
-}
-
 func TestFitDiagnosticsRestarts(t *testing.T) {
-	var mu sync.Mutex
-	seen := map[int]bool{}
-	obs := FitObserverFunc(func(it FitIteration) {
-		mu.Lock()
-		seen[it.Restart] = true
-		mu.Unlock()
-	})
 	m, err := Fit(telemetryRows(64), Options{
 		Alpha:    order.MustDirection(1, 1, -1),
 		Seed:     3,
 		Restarts: 3,
-		Workers:  -1, // exercise the concurrent-restart observer path
-		Observer: obs,
+		Workers:  -1, // restarts run concurrently
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -204,8 +170,22 @@ func TestFitDiagnosticsRestarts(t *testing.T) {
 			t.Errorf("trace entry carries restart %d, diag says %d", it.Restart, d.Restart)
 		}
 	}
-	if len(seen) != 3 {
-		t.Errorf("observer saw restarts %v, want all of 0..2", seen)
+}
+
+// TestFitTraceIndependentOfWorkers checks that FitDiag.Trace, the record
+// of every iteration of the winning restart, is the same whether restarts
+// run serially or concurrently.
+func TestFitTraceIndependentOfWorkers(t *testing.T) {
+	var traces [2][]FitIteration
+	for i, workers := range []int{1, -1} {
+		m, err := Fit(telemetryRows(64), Options{Alpha: order.MustDirection(1, 1, -1), Seed: 3, Restarts: 3, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces[i] = m.FitDiag.Trace
+	}
+	if len(traces[0]) == 0 || !slices.Equal(traces[0], traces[1]) {
+		t.Errorf("serial trace (%d iterations) differs from concurrent trace (%d)", len(traces[0]), len(traces[1]))
 	}
 }
 

@@ -68,21 +68,6 @@ func BenchmarkSolve16(b *testing.B) {
 	}
 }
 
-func BenchmarkPinvWide4x256(b *testing.B) {
-	// The (MZ)⁺ shape of Eq. 26 on a mid-size dataset.
-	rng := rand.New(rand.NewSource(7))
-	m := Zeros(4, 256)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 256; j++ {
-			m.Set(i, j, rng.NormFloat64())
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		PinvWide(m)
-	}
-}
-
 func BenchmarkPowerIteration32(b *testing.B) {
 	m := benchMatrix(32)
 	sym := Mul(m, T(m))

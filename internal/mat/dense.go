@@ -66,32 +66,11 @@ func FromRows(rows [][]float64) *Dense {
 	return m
 }
 
-// FromCols builds a matrix from a slice of equal-length columns.
-func FromCols(cols [][]float64) *Dense {
-	if len(cols) == 0 {
-		return Zeros(0, 0)
-	}
-	r := len(cols[0])
-	m := Zeros(r, len(cols))
-	for j, col := range cols {
-		if len(col) != r {
-			panic(fmt.Sprintf("mat: ragged cols: col %d has %d rows, want %d", j, len(col), r))
-		}
-		for i, v := range col {
-			m.Set(i, j, v)
-		}
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Dense) Rows() int { return m.rows }
 
 // Cols returns the number of columns.
 func (m *Dense) Cols() int { return m.cols }
-
-// Dims returns (rows, cols).
-func (m *Dense) Dims() (int, int) { return m.rows, m.cols }
 
 // At returns the element at row i, column j.
 func (m *Dense) At(i, j int) float64 {
@@ -133,33 +112,12 @@ func (m *Dense) Col(j int) []float64 {
 	return out
 }
 
-// SetRow copies v into row i.
-func (m *Dense) SetRow(i int, v []float64) {
-	if len(v) != m.cols {
-		panic(fmt.Sprintf("mat: SetRow length %d want %d", len(v), m.cols))
-	}
-	copy(m.data[i*m.cols:(i+1)*m.cols], v)
-}
-
-// SetCol copies v into column j.
-func (m *Dense) SetCol(j int, v []float64) {
-	if len(v) != m.rows {
-		panic(fmt.Sprintf("mat: SetCol length %d want %d", len(v), m.rows))
-	}
-	for i, x := range v {
-		m.Set(i, j, x)
-	}
-}
-
 // Clone returns a deep copy of m.
 func (m *Dense) Clone() *Dense {
 	data := make([]float64, len(m.data))
 	copy(data, m.data)
 	return &Dense{rows: m.rows, cols: m.cols, data: data}
 }
-
-// RawData exposes the backing slice (row-major). Mutations are visible to m.
-func (m *Dense) RawData() []float64 { return m.data }
 
 // Equal reports whether m and n have identical dimensions and elements.
 func (m *Dense) Equal(n *Dense) bool {

@@ -8,8 +8,8 @@ import (
 
 func TestNewDenseAndAccessors(t *testing.T) {
 	m := NewDense(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	if r, c := m.Dims(); r != 2 || c != 3 {
-		t.Fatalf("Dims = (%d,%d), want (2,3)", r, c)
+	if r, c := m.Rows(), m.Cols(); r != 2 || c != 3 {
+		t.Fatalf("Rows, Cols = (%d,%d), want (2,3)", r, c)
 	}
 	if got := m.At(1, 2); got != 6 {
 		t.Errorf("At(1,2) = %v, want 6", got)
@@ -28,11 +28,8 @@ func TestNewDensePanics(t *testing.T) {
 		func() { Zeros(2, 2).At(0, -1) },
 		func() { Zeros(2, 2).Set(5, 5, 1) },
 		func() { FromRows([][]float64{{1, 2}, {3}}) },
-		func() { FromCols([][]float64{{1, 2}, {3}}) },
 		func() { Zeros(2, 2).Row(3) },
 		func() { Zeros(2, 2).Col(3) },
-		func() { Zeros(2, 2).SetRow(0, []float64{1}) },
-		func() { Zeros(2, 2).SetCol(0, []float64{1}) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -46,17 +43,13 @@ func TestNewDensePanics(t *testing.T) {
 	}
 }
 
-func TestFromRowsFromCols(t *testing.T) {
+func TestFromRows(t *testing.T) {
 	r := FromRows([][]float64{{1, 2}, {3, 4}})
-	c := FromCols([][]float64{{1, 3}, {2, 4}})
-	if !r.Equal(c) {
-		t.Errorf("FromRows and FromCols disagree:\n%v\n%v", r, c)
+	if want := NewDense(2, 2, []float64{1, 2, 3, 4}); !r.Equal(want) {
+		t.Errorf("FromRows =\n%vwant\n%v", r, want)
 	}
 	if !FromRows(nil).Equal(Zeros(0, 0)) {
 		t.Errorf("FromRows(nil) should be empty")
-	}
-	if !FromCols(nil).Equal(Zeros(0, 0)) {
-		t.Errorf("FromCols(nil) should be empty")
 	}
 }
 
@@ -71,16 +64,6 @@ func TestRowColCopies(t *testing.T) {
 	col[0] = 99
 	if m.At(0, 1) != 2 {
 		t.Errorf("Col must return a copy")
-	}
-}
-
-func TestSetRowSetCol(t *testing.T) {
-	m := Zeros(2, 2)
-	m.SetRow(0, []float64{1, 2})
-	m.SetCol(1, []float64{5, 6})
-	want := FromRows([][]float64{{1, 5}, {0, 6}})
-	if !m.Equal(want) {
-		t.Errorf("got\n%vwant\n%v", m, want)
 	}
 }
 
@@ -170,31 +153,14 @@ func TestTransposeInvolutionProperty(t *testing.T) {
 	}
 }
 
-func TestAddSubScale(t *testing.T) {
+func TestSubScale(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}})
 	b := FromRows([][]float64{{3, 5}})
-	if got := Add(a, b); !got.Equal(FromRows([][]float64{{4, 7}})) {
-		t.Errorf("Add = %v", got)
-	}
 	if got := Sub(b, a); !got.Equal(FromRows([][]float64{{2, 3}})) {
 		t.Errorf("Sub = %v", got)
 	}
 	if got := Scale(2, a); !got.Equal(FromRows([][]float64{{2, 4}})) {
 		t.Errorf("Scale = %v", got)
-	}
-	// In-place variants.
-	c := a.Clone()
-	AddInPlace(c, b)
-	if !c.Equal(FromRows([][]float64{{4, 7}})) {
-		t.Errorf("AddInPlace = %v", c)
-	}
-	SubInPlace(c, b)
-	if !c.Equal(a) {
-		t.Errorf("SubInPlace = %v", c)
-	}
-	ScaleInPlace(3, c)
-	if !c.Equal(FromRows([][]float64{{3, 6}})) {
-		t.Errorf("ScaleInPlace = %v", c)
 	}
 }
 
@@ -204,10 +170,7 @@ func TestDimMismatchPanics(t *testing.T) {
 	cases := []func(){
 		func() { Mul(a, Zeros(3, 2)) },
 		func() { MulVec(a, []float64{1}) },
-		func() { Add(a, b) },
 		func() { Sub(a, b) },
-		func() { AddInPlace(a, b) },
-		func() { SubInPlace(a, b) },
 		func() { Dot([]float64{1}, []float64{1, 2}) },
 		func() { MulDiagRight(a, []float64{1}) },
 		func() { Trace(Zeros(2, 3)) },

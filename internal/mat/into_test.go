@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -32,9 +33,6 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 	}
 	if got := SubInto(Zeros(4, 9), a, c); !got.Equal(Sub(a, c)) {
 		t.Errorf("SubInto mismatch")
-	}
-	if got := ScaleInto(Zeros(4, 9), 2.5, a); !got.Equal(Scale(2.5, a)) {
-		t.Errorf("ScaleInto mismatch")
 	}
 	if got := SubScaledInto(Zeros(4, 9), a, 0.75, c); !got.Equal(Sub(a, Scale(0.75, c))) {
 		t.Errorf("SubScaledInto mismatch")
@@ -120,4 +118,67 @@ func TestSubIntoAliasSafe(t *testing.T) {
 	if !a.Equal(want) {
 		t.Errorf("SubInto(a, a, b) mismatch")
 	}
+}
+
+// TestMulABTIntoMatchesMulT pins the fit's A·Bᵀ kernel to Mul(a, T(b)) bit
+// for bit: both sum each output cell serially over the shared dimension in
+// index order. The shapes run from single rows and columns to long shared
+// dimensions.
+func TestMulABTIntoMatchesMulT(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	shapes := [][3]int{
+		{4, 4, 4}, {8, 8, 16}, {5, 7, 3}, {1, 1, 1}, {1, 9, 257},
+		{3, 33, 3}, {4, 33, 3}, {7, 33, 4}, {64, 33, 3}, {13, 5, 100},
+		{4, 5, 1}, {6, 4, 2}, {12, 3, 7},
+		{4, 8, 5}, {5, 9, 6}, {8, 10, 7}, {9, 11, 4}, {4, 12, 9},
+		{7, 13, 3}, {6, 14, 8}, {4, 15, 2}, {5, 16, 11}, {8, 23, 5},
+		{3, 17, 4}, {1, 25, 6}, {64, 40, 4},
+	}
+	for _, sh := range shapes {
+		m, n, k := sh[0], sh[1], sh[2]
+		t.Run(fmt.Sprintf("%dx%dx%d", m, n, k), func(t *testing.T) {
+			a := randDense(rng, m, k)
+			b := randDense(rng, n, k)
+			want := Mul(a, T(b))
+			got := MulABTInto(Zeros(m, n), a, b)
+			for i := range want.data {
+				if got.data[i] != want.data[i] {
+					t.Fatalf("shape %v: element %d differs: %.17g vs %.17g",
+						sh, i, got.data[i], want.data[i])
+				}
+			}
+		})
+	}
+}
+
+// TestMulABTIntoReuseIsClean verifies a dirty destination is fully
+// overwritten: the fit reuses its X·MZᵀ buffer across iterations.
+func TestMulABTIntoReuseIsClean(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	a, b := randDense(rng, 5, 39), randDense(rng, 4, 39)
+	dst := randDense(rng, 5, 4) // garbage in
+	if !MulABTInto(dst, a, b).Equal(Mul(a, T(b))) {
+		t.Errorf("MulABTInto with dirty destination mismatch")
+	}
+}
+
+// TestMulABTIntoPanics checks MulABTInto's shape and aliasing contract.
+func TestMulABTIntoPanics(t *testing.T) {
+	a := Zeros(2, 3)
+	b := Zeros(4, 5)
+	assertPanics := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	assertPanics("dim mismatch", func() { MulABTInto(Zeros(2, 4), a, b) })
+	assertPanics("bad dst", func() { MulABTInto(Zeros(3, 3), a, Zeros(4, 3)) })
+	assertPanics("alias", func() {
+		x := Zeros(4, 4)
+		MulABTInto(x, x, Zeros(4, 4))
+	})
 }

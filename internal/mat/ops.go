@@ -55,16 +55,6 @@ func T(m *Dense) *Dense {
 	return out
 }
 
-// Add returns a+b.
-func Add(a, b *Dense) *Dense {
-	checkSameDims("Add", a, b)
-	out := a.Clone()
-	for i, v := range b.data {
-		out.data[i] += v
-	}
-	return out
-}
-
 // Sub returns a−b.
 func Sub(a, b *Dense) *Dense {
 	checkSameDims("Sub", a, b)
@@ -82,29 +72,6 @@ func Scale(c float64, m *Dense) *Dense {
 		out.data[i] *= c
 	}
 	return out
-}
-
-// AddInPlace adds b into a.
-func AddInPlace(a, b *Dense) {
-	checkSameDims("AddInPlace", a, b)
-	for i, v := range b.data {
-		a.data[i] += v
-	}
-}
-
-// SubInPlace subtracts b from a.
-func SubInPlace(a, b *Dense) {
-	checkSameDims("SubInPlace", a, b)
-	for i, v := range b.data {
-		a.data[i] -= v
-	}
-}
-
-// ScaleInPlace multiplies every element of m by c.
-func ScaleInPlace(c float64, m *Dense) {
-	for i := range m.data {
-		m.data[i] *= c
-	}
 }
 
 func checkSameDims(op string, a, b *Dense) {
@@ -303,15 +270,6 @@ func SubInto(dst, a, b *Dense) *Dense {
 	checkSameDims("SubInto", dst, a)
 	for i, v := range a.data {
 		dst.data[i] = v - b.data[i]
-	}
-	return dst
-}
-
-// ScaleInto computes dst = c·m elementwise. dst may alias m.
-func ScaleInto(dst *Dense, c float64, m *Dense) *Dense {
-	checkSameDims("ScaleInto", dst, m)
-	for i, v := range m.data {
-		dst.data[i] = c * v
 	}
 	return dst
 }

@@ -86,24 +86,3 @@ func PinvSymInto(dst, a, w, v *Dense, vals []float64) *Dense {
 	}
 	return dst
 }
-
-// PinvWide returns the pseudo-inverse of a wide matrix (rows ≤ cols) using
-// the identity A⁺ = Aᵀ(AAᵀ)⁺, which is the exact form the paper uses for
-// (MZ)⁺ in Eq. 26 (MZ is 4×n with n ≥ 4).
-func PinvWide(a *Dense) *Dense {
-	if a.rows > a.cols {
-		panic(fmt.Sprintf("mat: PinvWide requires rows<=cols, got %dx%d", a.rows, a.cols))
-	}
-	g := Gram(a) // a·aᵀ, rows×rows
-	return Mul(T(a), PinvSym(g))
-}
-
-// Pinv returns the Moore–Penrose pseudo-inverse of any matrix, dispatching
-// on shape: wide matrices use A⁺ = Aᵀ(AAᵀ)⁺ and tall ones A⁺ = (AᵀA)⁺Aᵀ.
-func Pinv(a *Dense) *Dense {
-	if a.rows <= a.cols {
-		return PinvWide(a)
-	}
-	g := Mul(T(a), a) // aᵀa, cols×cols
-	return Mul(PinvSym(g), T(a))
-}

@@ -72,28 +72,6 @@ func Solve(a, b *Dense) (*Dense, error) {
 	return x, nil
 }
 
-// SolveVec solves a·x = b for a single right-hand side vector.
-func SolveVec(a *Dense, b []float64) ([]float64, error) {
-	rhs := NewDense(len(b), 1, nil)
-	for i, v := range b {
-		rhs.Set(i, 0, v)
-	}
-	x, err := Solve(a, rhs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(b))
-	for i := range out {
-		out[i] = x.At(i, 0)
-	}
-	return out, nil
-}
-
-// Inverse returns a⁻¹ via LU solve against the identity.
-func Inverse(a *Dense) (*Dense, error) {
-	return Solve(a, Identity(a.rows))
-}
-
 func swapRows(m *Dense, i, j int) {
 	if i == j {
 		return

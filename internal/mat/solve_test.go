@@ -46,14 +46,14 @@ func TestSolveRandomResidual(t *testing.T) {
 		for i := range want {
 			want[i] = rng.NormFloat64()
 		}
-		b := MulVec(a, want)
-		got, err := SolveVec(a, b)
+		b := NewDense(n, 1, MulVec(a, want))
+		got, err := Solve(a, b)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		for i := range got {
-			if math.Abs(got[i]-want[i]) > 1e-8 {
-				t.Fatalf("n=%d: x[%d]=%.12g want %.12g", n, i, got[i], want[i])
+		for i, w := range want {
+			if math.Abs(got.At(i, 0)-w) > 1e-8 {
+				t.Fatalf("n=%d: x[%d]=%.12g want %.12g", n, i, got.At(i, 0), w)
 			}
 		}
 	}
@@ -70,11 +70,11 @@ func TestSolveSingular(t *testing.T) {
 func TestSolvePivoting(t *testing.T) {
 	// Zero pivot at (0,0) requires row exchange.
 	a := FromRows([][]float64{{0, 1}, {1, 0}})
-	x, err := SolveVec(a, []float64{2, 3})
+	x, err := Solve(a, FromRows([][]float64{{2}, {3}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(x[0]-3) > 1e-12 || math.Abs(x[1]-2) > 1e-12 {
+	if math.Abs(x.At(0, 0)-3) > 1e-12 || math.Abs(x.At(1, 0)-2) > 1e-12 {
 		t.Errorf("x = %v, want [3 2]", x)
 	}
 }
@@ -108,14 +108,14 @@ func TestSolveDoesNotMutateInputs(t *testing.T) {
 	}
 }
 
-func TestInverse(t *testing.T) {
-	a := FromRows([][]float64{{4, 7}, {2, 6}})
-	inv, err := Inverse(a)
+// TestSolveIdentityRHSGivesInverse solves A·X = I, which yields A⁻¹.
+func TestSolveIdentityRHSGivesInverse(t *testing.T) {
+	inv, err := Solve(FromRows([][]float64{{4, 7}, {2, 6}}), Identity(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Mul(inv, a).EqualApprox(Identity(2), 1e-10) {
-		t.Errorf("A⁻¹·A != I")
+	if want := FromRows([][]float64{{0.6, -0.7}, {-0.2, 0.4}}); !inv.EqualApprox(want, 1e-12) {
+		t.Errorf("Solve(A, I) =\n%vwant\n%v", inv, want)
 	}
 }
 
@@ -142,7 +142,10 @@ func TestPinvSymRankDeficient(t *testing.T) {
 	}
 }
 
-func TestPinvWideMoorePenrose(t *testing.T) {
+// TestPinvSymIntoWideMoorePenrose checks the pseudo-inverse the fit's
+// pinv updater forms for the wide MZ of Eq. 26: A⁺ = Aᵀ(AAᵀ)⁺, with the
+// symmetric factor from PinvSymInto.
+func TestPinvSymIntoWideMoorePenrose(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	a := Zeros(4, 9)
 	for i := 0; i < 4; i++ {
@@ -150,7 +153,8 @@ func TestPinvWideMoorePenrose(t *testing.T) {
 			a.Set(i, j, rng.NormFloat64())
 		}
 	}
-	p := PinvWide(a) // 9×4
+	g := PinvSymInto(Zeros(4, 4), Gram(a), Zeros(4, 4), Zeros(4, 4), make([]float64, 4))
+	p := Mul(T(a), g) // 9×4
 	// For a full-row-rank wide matrix, A·A⁺ = I (right inverse).
 	if !Mul(a, p).EqualApprox(Identity(4), 1e-8) {
 		t.Errorf("A·A⁺ != I:\n%v", Mul(a, p))
@@ -172,11 +176,24 @@ func TestPinvWideMoorePenrose(t *testing.T) {
 	}
 }
 
-func TestPinvWidePanicsOnTall(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Errorf("expected panic")
-		}
-	}()
-	PinvWide(Zeros(5, 2))
+// TestPinvSymIntoPanics checks PinvSymInto's shape contract: the input
+// must be square and every scratch buffer must match it.
+func TestPinvSymIntoPanics(t *testing.T) {
+	sq, vals := Zeros(4, 4), make([]float64, 4)
+	for name, fn := range map[string]func(){
+		"non-square": func() { PinvSymInto(sq, Zeros(4, 9), sq, sq, vals) },
+		"dst shape":  func() { PinvSymInto(Zeros(3, 3), sq, sq, sq, vals) },
+		"w shape":    func() { PinvSymInto(sq, sq, Zeros(4, 3), sq, vals) },
+		"v shape":    func() { PinvSymInto(sq, sq, sq, Zeros(3, 4), vals) },
+		"vals len":   func() { PinvSymInto(sq, sq, sq, sq, vals[:3]) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
 }

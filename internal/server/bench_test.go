@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"rpcrank/internal/core"
+	"rpcrank/internal/frame"
 	"rpcrank/internal/order"
 	"rpcrank/internal/registry"
 )
@@ -167,13 +168,16 @@ func BenchmarkPoolScoreBatch(b *testing.B) {
 	}
 	pool := NewPool(0)
 	defer pool.Close()
-	rows := benchRows(10_000)
+	f, err := frame.FromRows(benchRows(10_000))
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := pool.ScoreBatch(context.Background(), m, rows)
-		if err != nil || len(out) != len(rows) {
+		out, err := pool.ScoreFrame(context.Background(), m, f, nil)
+		if err != nil || len(out) != f.N() {
 			b.Fatal("short result")
 		}
 	}
-	b.ReportMetric(float64(len(rows))*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+	b.ReportMetric(float64(f.N())*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }

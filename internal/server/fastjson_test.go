@@ -1,15 +1,19 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
 
+	"rpcrank/internal/core"
 	"rpcrank/internal/frame"
+	"rpcrank/internal/order"
 )
 
 func TestParseScoreFrameAgreesWithStdlib(t *testing.T) {
@@ -127,6 +131,89 @@ func TestAppendScoreResponseFallsBack(t *testing.T) {
 	}
 	if _, ok := appendScoreResponse(nil, "ok", []float64{math.Inf(1)}, nil); ok {
 		t.Errorf("infinite score must fall back")
+	}
+}
+
+// TestServeHTTPFallbackKeysMatchCanonical drives ServeHTTP with bodies the
+// fast parser declines but encoding/json accepts — a key in another case
+// (the stdlib matches field names case-insensitively) and an escaped key —
+// and requires the response body to be byte-identical to the canonical
+// {"rows":[…]} one on /score and /rank: both decoders feed one scoring tail.
+func TestServeHTTPFallbackKeysMatchCanonical(t *testing.T) {
+	s, ts := newTestServer(t, t.TempDir())
+	fit := decodeBody[FitResponse](t, postJSON(t, ts.URL+"/v1/models", FitRequest{
+		Name:  "keys",
+		Alpha: []float64{1, 1, -1},
+		Rows:  trainingRows(40),
+	}))
+	rows := trainingRows(2 * concurrencyThreshold) // sharded across the pool
+	for i, r := range rows {
+		r[i%len(r)] += 0.25
+	}
+	raw, err := json.Marshal(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func(path, body string) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", path, body[:10], rec.Code, rec.Body.Bytes())
+		}
+		return rec.Body.Bytes()
+	}
+	for _, op := range []string{"score", "rank"} {
+		path := "/v1/models/" + fit.Model.ID + "/" + op
+		want := serve(path, `{"rows":`+string(raw)+`}`)
+		for _, key := range []string{`ROWS`, `\u0072ows`} {
+			if got := serve(path, `{"`+key+`":`+string(raw)+`}`); !bytes.Equal(got, want) {
+				t.Errorf("/%s with key %s:\n got %s\nwant %s", op, key, got, want)
+			}
+		}
+	}
+}
+
+// TestServeHTTPFallbackRejectsLikeCanonical: an over-limit batch and rows
+// of the wrong width get the same status and error whether the key is
+// spelled canonically, in another case, or with a \u escape.
+func TestServeHTTPFallbackRejectsLikeCanonical(t *testing.T) {
+	s, _ := newTestServerOpts(t, t.TempDir(), Options{MaxBatchRows: 4})
+	m, err := core.Fit(trainingRows(40), core.Options{Alpha: order.MustDirection(1, 1, -1), Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := s.reg.Put("limits", m, 40, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func(path, body string) (int, string) {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		var e ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+			t.Fatalf("%s: undecodable error body %s: %v", path, rec.Body.Bytes(), err)
+		}
+		return rec.Code, e.Error
+	}
+	for _, tc := range []struct{ name, rows, wantErr string }{
+		{"over-limit", `[[1,2,3],[1,2,3],[1,2,3],[1,2,3],[1,2,3]]`, "exceeds the limit of 4"},
+		{"narrow", `[[1,2]]`, "invalid rows"},
+		{"ragged", `[[1,2,3],[1,2]]`, "invalid rows"},
+	} {
+		for _, op := range []string{"score", "rank"} {
+			path := "/v1/models/" + meta.ID + "/" + op
+			code, want := serve(path, `{"rows":`+tc.rows+`}`)
+			if code != http.StatusBadRequest || !strings.Contains(want, tc.wantErr) {
+				t.Fatalf("%s /%s: status %d error %q, want 400 containing %q", tc.name, op, code, want, tc.wantErr)
+			}
+			for _, key := range []string{`ROWS`, `\u0072ows`} {
+				gotCode, got := serve(path, `{"`+key+`":`+tc.rows+`}`)
+				if gotCode != code || got != want {
+					t.Errorf("%s /%s with key %s: status %d error %q, want %d %q", tc.name, op, key, gotCode, got, code, want)
+				}
+			}
+		}
 	}
 }
 

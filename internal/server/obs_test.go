@@ -94,6 +94,10 @@ func TestSlowRequestLogHasAllStages(t *testing.T) {
 	}
 	wantID := resp.Header.Get("X-Request-Id")
 	resp.Body.Close()
+	// The slow-request line is written after the handler returns, and a
+	// response this large reaches the client before that; Close waits for
+	// every handler to finish.
+	ts.Close()
 
 	var scoreLog map[string]any
 	for _, line := range strings.Split(logBuf.String(), "\n") {

@@ -21,7 +21,7 @@ import (
 // batches are cheaper serial.
 const concurrencyThreshold = 64
 
-// ErrPoolClosed is returned by ScoreFrame/ScoreBatch when the pool has
+// ErrPoolClosed is returned by ScoreFrame when the pool has
 // been closed — a request racing shutdown. The server maps it to 503 with
 // Retry-After so the client retries against a healthy node instead of
 // having its batch silently stolen by a dying one.
@@ -306,17 +306,4 @@ func (p *Pool) scoreInlineCancel(bc *batchCancel, tr *obs.Trace, m *core.Model, 
 		return dst, context.Canceled
 	}
 	return dst, nil
-}
-
-// ScoreBatch is ScoreFrame over slice-of-slice rows: the batch is packed
-// into a contiguous frame first (one allocation), then sharded as usual.
-// It exists for callers still holding [][]float64 — the server's stdlib
-// fallback decode path among them; ragged rows score inline via
-// Model.ScoreAll, which surfaces the canonical dimension panic per row.
-func (p *Pool) ScoreBatch(ctx context.Context, m *core.Model, rows [][]float64) ([]float64, error) {
-	f, err := frame.FromRows(rows)
-	if err != nil {
-		return m.ScoreAll(rows), nil
-	}
-	return p.ScoreFrame(ctx, m, f, nil)
 }

@@ -28,22 +28,23 @@ func poolTestModel(t *testing.T) *core.Model {
 	return m
 }
 
-func TestScoreBatchAfterCloseReturnsErrPoolClosed(t *testing.T) {
+func TestScoreFrameAfterCloseReturnsErrPoolClosed(t *testing.T) {
 	m := poolTestModel(t)
 	rows := make([][]float64, 2*concurrencyThreshold)
 	for i := range rows {
 		u := float64(i) / float64(len(rows)-1)
 		rows[i] = []float64{10 * u, 5*u*u + 1, 3 - 2*u}
 	}
+	f := frame.MustFromRows(rows)
 	pool := NewPool(2)
-	if out, err := pool.ScoreBatch(context.Background(), m, rows); err != nil || len(out) != len(rows) {
+	if out, err := pool.ScoreFrame(context.Background(), m, f, nil); err != nil || len(out) != len(rows) {
 		t.Fatalf("pre-close batch: err=%v len=%d", err, len(out))
 	}
 	pool.Close()
 	// A batch after Close (e.g. a request landing during shutdown drain)
 	// must neither panic on the closed channel nor silently score on the
 	// dying node: it fails fast so the server answers 503 + Retry-After.
-	out, err := pool.ScoreBatch(context.Background(), m, rows)
+	out, err := pool.ScoreFrame(context.Background(), m, f, nil)
 	if !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("post-close batch: err=%v, want ErrPoolClosed", err)
 	}
@@ -70,11 +71,11 @@ func TestWorkerPanicSurfacesOnCallerNotWorker(t *testing.T) {
 		for i := range good {
 			good[i] = []float64{1, 2, 3}
 		}
-		if out, err := pool.ScoreBatch(context.Background(), m, good); err != nil || len(out) != len(good) {
+		if out, err := pool.ScoreFrame(context.Background(), m, frame.MustFromRows(good), nil); err != nil || len(out) != len(good) {
 			t.Errorf("pool broken after contained panic (err=%v)", err)
 		}
 	}()
-	pool.ScoreBatch(context.Background(), m, rows)
+	pool.ScoreFrame(context.Background(), m, frame.MustFromRows(rows), nil)
 }
 
 func TestPoolConcurrentBatchesDuringClose(t *testing.T) {
@@ -84,6 +85,7 @@ func TestPoolConcurrentBatchesDuringClose(t *testing.T) {
 		u := float64(i) / float64(len(rows)-1)
 		rows[i] = []float64{10 * u, 5*u*u + 1, 3 - 2*u}
 	}
+	f := frame.MustFromRows(rows)
 	pool := NewPool(2)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -92,7 +94,7 @@ func TestPoolConcurrentBatchesDuringClose(t *testing.T) {
 			defer wg.Done()
 			// Racing Close, a batch either completes in full or fails fast
 			// with ErrPoolClosed; nothing in between, and no panic.
-			out, err := pool.ScoreBatch(context.Background(), m, rows)
+			out, err := pool.ScoreFrame(context.Background(), m, f, nil)
 			if err == nil && len(out) != len(rows) {
 				t.Errorf("short result: %d", len(out))
 			}
@@ -106,8 +108,8 @@ func TestPoolConcurrentBatchesDuringClose(t *testing.T) {
 }
 
 // TestPoolMatchesSerialAcrossModels: every model kind takes the same
-// float64 path through the pool — sharded ScoreFrame and ScoreBatch must
-// be bit-identical to serial Model.ScoreAll for cubic, non-cubic and
+// float64 path through the pool — sharded ScoreFrame must be
+// bit-identical to serial Model.ScoreAll for cubic, non-cubic and
 // quintic-projector models alike, on rows off the training curve too.
 func TestPoolMatchesSerialAcrossModels(t *testing.T) {
 	for _, tc := range []struct {
@@ -146,19 +148,12 @@ func TestPoolMatchesSerialAcrossModels(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			batch, err := pool.ScoreBatch(context.Background(), m, rows)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) || len(batch) != len(want) {
-				t.Fatalf("got %d frame / %d batch scores, want %d", len(got), len(batch), len(want))
+			if len(got) != len(want) {
+				t.Fatalf("got %d scores, want %d", len(got), len(want))
 			}
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("row %d: pooled ScoreFrame %v != serial %v", i, got[i], want[i])
-				}
-				if batch[i] != want[i] {
-					t.Fatalf("row %d: pooled ScoreBatch %v != serial %v", i, batch[i], want[i])
 				}
 			}
 		})

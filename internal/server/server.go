@@ -791,8 +791,10 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 // rows that do not match the model's dimension — falls back to
 // encoding/json so error behaviour (unknown fields, type mismatches,
 // trailing garbage, the canonical dimension message) is exactly the
-// stdlib path's. The returned scores slice is pooled; handlers return it
-// via putScores after encoding the response.
+// stdlib path's. Rows the fallback accepts are copied into the same pooled
+// frame, so both decoders share one scoring tail. The returned scores
+// slice is pooled; handlers return it via putScores after encoding the
+// response.
 //
 // Stage spans recorded on tr: normalize (metadata resolution, and again
 // for the model load — the per-row min–max transform itself is fused into
@@ -857,6 +859,7 @@ func (s *Server) scoreRows(tr *obs.Trace, r *http.Request) (id string, scores []
 		return id, nil, ferr
 	}
 	fr := getFrame()
+	defer putFrame(fr)
 	if parseScoreFrame(fr, body, meta.Dim) {
 		// The frame owns the values; the body is done. The fast parser
 		// only yields finite values of the model's dimension (JSON has no
@@ -864,7 +867,6 @@ func (s *Server) scoreRows(tr *obs.Trace, r *http.Request) (id string, scores []
 		// so no further row validation is needed; the empty batch still
 		// 400s with the canonical message below.
 		putBuf(&bodyPool, body)
-		defer putFrame(fr)
 		tr.EndStage(obs.StageDecode)
 		if fr.N() > s.opts.MaxBatchRows {
 			return id, nil, badRequest("%d rows exceeds the limit of %d", fr.N(), s.opts.MaxBatchRows)
@@ -872,51 +874,33 @@ func (s *Server) scoreRows(tr *obs.Trace, r *http.Request) (id string, scores []
 		if fr.N() == 0 {
 			return id, nil, badRequest("invalid rows: %v", order.ValidateFrame(fr, meta.Dim))
 		}
-		if !s.adm.rows.tryAcquire(int64(fr.N())) {
-			s.adm.recordShed(key, shedRows)
-			return id, nil, &shedError{status: http.StatusTooManyRequests, reason: shedRows,
-				msg: "server at its in-flight row budget; retry later"}
+	} else {
+		var req ScoreRequest
+		derr := decodeJSONBytes(body, &req)
+		putBuf(&bodyPool, body)
+		if derr != nil {
+			return id, nil, derr
 		}
-		defer s.adm.rows.release(int64(fr.N()))
-		tr.EndStage(obs.StageValidate)
-		m, _, err := s.reg.Get(id)
-		if err != nil {
-			return id, nil, err
+		tr.EndStage(obs.StageDecode)
+		if len(req.Rows) > s.opts.MaxBatchRows {
+			return id, nil, badRequest("%d rows exceeds the limit of %d", len(req.Rows), s.opts.MaxBatchRows)
 		}
-		tr.EndStage(obs.StageNormalize)
-		t0 := time.Now()
-		var serr error
-		scores, serr = s.pool.ScoreFrame(traceCtx(tr), m, fr, getScores())
-		tr.SkipStage() // score wall time is covered by the shard spans
-		if serr != nil {
-			putScores(scores)
-			return id, nil, s.scoreFailed(tr, key, fr.N(), serr)
+		if err := order.ValidateRows(req.Rows, meta.Dim); err != nil {
+			return id, nil, badRequest("invalid rows: %v", err)
 		}
-		s.metrics.AddRows(key, len(scores))
-		s.metrics.Model(id).ObserveScore(key, len(scores), time.Since(t0))
-		return id, scores, nil
+		// Validated rows are rectangular at the model's width, so they pack
+		// into the pooled frame and share the one scoring tail below.
+		fr.Reset(meta.Dim)
+		for _, row := range req.Rows {
+			fr.AppendRow(row)
+		}
 	}
-	putFrame(fr)
-	var req ScoreRequest
-	derr := decodeJSONBytes(body, &req)
-	putBuf(&bodyPool, body)
-	if derr != nil {
-		return id, nil, derr
-	}
-	tr.EndStage(obs.StageDecode)
-	rows := req.Rows
-	if len(rows) > s.opts.MaxBatchRows {
-		return id, nil, badRequest("%d rows exceeds the limit of %d", len(rows), s.opts.MaxBatchRows)
-	}
-	if err := order.ValidateRows(rows, meta.Dim); err != nil {
-		return id, nil, badRequest("invalid rows: %v", err)
-	}
-	if !s.adm.rows.tryAcquire(int64(len(rows))) {
+	if !s.adm.rows.tryAcquire(int64(fr.N())) {
 		s.adm.recordShed(key, shedRows)
 		return id, nil, &shedError{status: http.StatusTooManyRequests, reason: shedRows,
 			msg: "server at its in-flight row budget; retry later"}
 	}
-	defer s.adm.rows.release(int64(len(rows)))
+	defer s.adm.rows.release(int64(fr.N()))
 	tr.EndStage(obs.StageValidate)
 	m, _, err := s.reg.Get(id)
 	if err != nil {
@@ -925,11 +909,11 @@ func (s *Server) scoreRows(tr *obs.Trace, r *http.Request) (id string, scores []
 	tr.EndStage(obs.StageNormalize)
 	t0 := time.Now()
 	var serr error
-	scores, serr = s.pool.ScoreBatch(traceCtx(tr), m, rows)
-	tr.SkipStage()
+	scores, serr = s.pool.ScoreFrame(traceCtx(tr), m, fr, getScores())
+	tr.SkipStage() // score wall time is covered by the shard spans
 	if serr != nil {
 		putScores(scores)
-		return id, nil, s.scoreFailed(tr, key, len(rows), serr)
+		return id, nil, s.scoreFailed(tr, key, fr.N(), serr)
 	}
 	s.metrics.AddRows(key, len(scores))
 	s.metrics.Model(id).ObserveScore(key, len(scores), time.Since(t0))
