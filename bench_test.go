@@ -239,6 +239,22 @@ func BenchmarkFitRestarts(b *testing.B) {
 	}
 }
 
+// BenchmarkFitJournals measures the fit rpcd serves for the journals table
+// (393×5): three restarts over two projection workers, seed 1. Algorithm
+// 1's score step dominates it, almost all of it warm-started passes.
+func BenchmarkFitJournals(b *testing.B) {
+	ds := dataset.Journals()
+	xs := ds.Data.ToRows()
+	opts := core.Options{Alpha: ds.Alpha, Restarts: 3, Workers: 2, Seed: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Fit(xs, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkScoreOne measures out-of-sample scoring latency through the
 // compiled scorer — the serving hot path (rpcd scores every row this way).
 // The alloc report must stay at 0.

@@ -97,8 +97,8 @@ func (e *engine) recompile(c *bezier.Curve) {
 // Algorithm-1 iteration instead of a fresh grid scan. Between consecutive
 // iterations the curve barely moves, so the previous score almost always
 // sits inside the basin of the new minimiser; safeguarded Newton from there
-// costs a handful of Horner passes instead of a GridCells-point scan plus a
-// 1-D search. Validity is checked, not assumed:
+// costs a handful of polynomial passes instead of a GridCells-point scan
+// plus a 1-D search. Validity is checked, not assumed:
 //
 //   - the derivative-sign bracket [sPrev−h, sPrev+h] (h the grid spacing)
 //     must enclose a minimum, the same classification project applies to its
@@ -107,28 +107,25 @@ func (e *engine) recompile(c *bezier.Curve) {
 //     parameter, i.e. D(s) ≤ D(sPrev) up to roundoff — Newton that wandered
 //     out of the basin cannot silently inflate the objective.
 //
-// Rows failing either check fall back to the cold decision tree — reusing
-// the already-collapsed profile, so a fallback costs one grid scan extra,
-// never a second collapse — and report warm=false; the fit stays within
-// the existing convergence contract either way. The quintic strategy
-// solves exact polynomial roots and takes no seed; it always projects
-// cold.
+// Cubic curves (every GSS, Brent and Newton engine of degree 3) take
+// projectWarmCubic, which refines on the serving kernel's register-resident
+// Newton tail; other degrees refine with newtonRefine over the collapsed
+// profile. Rows failing either check fall back to the cold decision tree —
+// the one project would take, so a fallback is bit-equal to a cold
+// projection — and report warm=false; the fit stays within the existing
+// convergence contract either way. The quintic strategy solves exact
+// polynomial roots and takes no seed; it always projects cold.
 func (e *engine) projectWarm(u []float64, sPrev float64) (s, distSq float64, warm bool) {
 	if e.kind == ProjectorQuintic {
 		s, d := projectQuintic(e.curve, u)
 		return s, d, false
 	}
+	if len(e.dc) == 7 {
+		return e.projectWarmCubic(u, sPrev)
+	}
 	e.comp.DistPolyInto(e.dc, u)
 	e.fillDerivatives()
-	h := 1 / float64(e.cells)
-	lo := sPrev - h
-	hi := sPrev + h
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > 1 {
-		hi = 1
-	}
+	lo, hi := e.warmBracket(sPrev)
 	ga := bezier.EvalPoly(e.d1c, lo-bezier.DistPolyOrigin)
 	gb := bezier.EvalPoly(e.d1c, hi-bezier.DistPolyOrigin)
 	if ga <= 0 && gb >= 0 {
@@ -142,10 +139,67 @@ func (e *engine) projectWarm(u []float64, sPrev float64) (s, distSq float64, war
 	// No validated basin around the warm start (it moved, or the row
 	// projects onto a domain edge, which only the grid pass detects). The
 	// profile in e.dc is already collapsed; only the seeding is redone.
-	if e.kind == ProjectorNewton && len(e.dc) == 7 {
-		s, d := e.projectCubicNewton()
+	s, d := e.projectSeeded()
+	return s, d, false
+}
+
+// warmBracket is the bracket [sPrev−h, sPrev+h] ∩ [0, 1] a warm start must
+// validate, h the grid spacing.
+func (e *engine) warmBracket(sPrev float64) (lo, hi float64) {
+	h := 1 / float64(e.cells)
+	return max(sPrev-h, 0), min(sPrev+h, 1)
+}
+
+// projectWarmCubic is projectWarm for a cubic curve. It collapses the row's
+// distance profile straight into registers — the arithmetic of
+// bezier.Compiled.DistPolyInto, term for term, so the coefficients are
+// bit-equal to the ones project would compute — applies the same bracket
+// and no-regress checks, and refines from sPrev with cubicNewtonTail, the
+// tail of the cold serving kernel. A row failing a check falls back exactly
+// as project would: Newton engines to cubicNewtonKernel on the same
+// coefficients, GSS and Brent engines to the collapsed-profile decision
+// tree.
+func (e *engine) projectWarmCubic(u []float64, sPrev float64) (s, distSq float64, warm bool) {
+	const origin = bezier.DistPolyOrigin
+	snorm := e.comp.ShiftedNormSq()
+	smono := e.comp.ShiftedMono()
+	c0, c1, c2, c3 := snorm[0], snorm[1], snorm[2], snorm[3]
+	c4, c5, c6 := snorm[4], snorm[5], snorm[6]
+	var x2 float64
+	for j, v := range u {
+		x2 += v * v
+		t := 2 * v
+		row := smono[j*4 : j*4+4]
+		c0 -= t * row[0]
+		c1 -= t * row[1]
+		c2 -= t * row[2]
+		c3 -= t * row[3]
+	}
+	c0 += x2
+	// D′ and D″ coefficients (in the same shifted basis).
+	b0, b1, b2, b3, b4, b5 := c1, 2*c2, 3*c3, 4*c4, 5*c5, 6*c6
+	e0, e1, e2, e3, e4 := b1, 2*b2, 3*b3, 4*b4, 5*b5
+
+	lo, hi := e.warmBracket(sPrev)
+	tl := lo - origin
+	th := hi - origin
+	ga := ((((b5*tl+b4)*tl+b3)*tl+b2)*tl+b1)*tl + b0
+	gb := ((((b5*th+b4)*th+b3)*th+b2)*th+b1)*th + b0
+	if ga <= 0 && gb >= 0 {
+		t := sPrev - origin
+		dPrev := (((((c6*t+c5)*t+c4)*t+c3)*t+c2)*t+c1)*t + c0
+		s = cubicNewtonTail(b0, b1, b2, b3, b4, b5, e0, e1, e2, e3, e4, lo, hi, sPrev)
+		t = s - origin
+		if d := (((((c6*t+c5)*t+c4)*t+c3)*t+c2)*t+c1)*t + c0; d <= dPrev+1e-12*(1+dPrev) {
+			return s, nonNeg(d), true
+		}
+	}
+	if e.kind == ProjectorNewton {
+		s, d := cubicNewtonKernel(c0, c1, c2, c3, c4, c5, c6, e.cells, true)
 		return s, d, false
 	}
+	e.comp.DistPolyInto(e.dc, u)
+	e.fillDerivatives()
 	s, d := e.projectSeeded()
 	return s, d, false
 }
@@ -239,12 +293,14 @@ func (e *engine) refineSeed(bestI int, bestV float64) (float64, float64) {
 }
 
 // newtonRefine is the safeguarded Newton iteration on D′ over the prepared
-// d1c/d2c profile, from start inside the sign bracket [a, b] — the shared
-// tail of projectSeeded and projectWarm, an inlined mirror of
+// d1c/d2c profile, from start inside the sign bracket [a, b] — the tail of
+// projectSeeded and of projectWarm's non-cubic rows, an inlined mirror of
 // optimize.NewtonBisect (function-pointer indirection would dominate the
-// refinement cost; the cubic kernel keeps its own register-resident Estrin
-// copy). Sharing it is what keeps the warm and cold refinements in step,
-// which the warm/cold parity contract depends on.
+// refinement cost; cubic rows refine in cubicNewtonTail instead). A Newton
+// step that does not move s means s is a root to the last bit, so the loop
+// stops there before the bracket safeguard could reject the step: at a
+// fixpoint on the bracket end the step lands on a == s, and bisecting away
+// from it would only walk back.
 func (e *engine) newtonRefine(a, b, start float64) float64 {
 	s := start
 	for i := 0; i < 80; i++ {
@@ -259,6 +315,9 @@ func (e *engine) newtonRefine(a, b, start float64) float64 {
 			b = s
 		}
 		nt := s - gs/bezier.EvalPoly(e.d2c, t)
+		if nt == s {
+			break
+		}
 		if !(nt > a && nt < b) {
 			nt = 0.5 * (a + b)
 		}
@@ -320,8 +379,8 @@ func cubicNewtonKernel(c0, c1, c2, c3, c4, c5, c6 float64, cells int, wantDist b
 }
 
 // cubicNewtonFromSeed is cubicNewtonKernel after its grid scan: bracket
-// classification, parabolic sharpening, and the Estrin-form safeguarded
-// Newton refinement around grid node bestI with profile value bestV. Like
+// classification and parabolic sharpening around grid node bestI with
+// profile value bestV, then the refinement in cubicNewtonTail. Like
 // refineSeed it stays a separate function so CPU profiles split the scan
 // from the refinement by function name.
 func cubicNewtonFromSeed(c0, c1, c2, c3, c4, c5, c6 float64, cells, bestI int, bestV float64, wantDist bool) (float64, float64) {
@@ -368,14 +427,26 @@ func cubicNewtonFromSeed(c0, c1, c2, c3, c4, c5, c6 float64, cells, bestI int, b
 		}
 	}
 
-	// Safeguarded Newton on D′ — control flow of optimize.NewtonBisect,
-	// with two liberties. The derivatives are evaluated in Estrin form
-	// (pairwise, on a shared t²), which halves the dependency chain this
-	// serial loop sits on; and iteration stops once the step is below
-	// 1e-13 instead of at the exact floating-point fixpoint — the tail
-	// iterations that skips move s by less than a tenth of the 1e-12
-	// agreement budget and cost as much as the whole grid pass.
-	a, b := lo, hi
+	s = cubicNewtonTail(b0, b1, b2, b3, b4, b5, e0, e1, e2, e3, e4, lo, hi, s)
+	if !wantDist {
+		return s, 0
+	}
+	t := s - origin
+	return s, nonNeg((((((c6*t+c5)*t+c4)*t+c3)*t+c2)*t+c1)*t + c0)
+}
+
+// cubicNewtonTail is the safeguarded Newton iteration on D′ of a cubic
+// curve's profile, from s inside the sign bracket [a, b], with D′ given by
+// its coefficients b0..b5 and D″ by e0..e4 (powers of t = s −
+// DistPolyOrigin). Both the cold serving kernel and the fit's warm cubic
+// rows refine here. It follows optimize.NewtonBisect's control flow, fixpoint
+// rule included, with two liberties. The derivatives are evaluated in
+// Estrin form (pairwise, on a shared t²), which halves the dependency chain
+// this serial loop sits on; and iteration also stops once a step is below
+// 1e-13 — the tail iterations that skips move s by less than a tenth of the
+// 1e-12 agreement budget and cost as much as the whole grid pass.
+func cubicNewtonTail(b0, b1, b2, b3, b4, b5, e0, e1, e2, e3, e4, a, b, s float64) float64 {
+	const origin = bezier.DistPolyOrigin
 	for i := 0; i < 80; i++ {
 		t := s - origin
 		t2 := t * t
@@ -390,6 +461,9 @@ func cubicNewtonFromSeed(c0, c1, c2, c3, c4, c5, c6 float64, cells, bestI int, b
 		}
 		hs := (e0 + e1*t) + t2*((e2+e3*t)+t2*e4)
 		nt := s - gs/hs
+		if nt == s {
+			break
+		}
 		if !(nt > a && nt < b) {
 			nt = 0.5 * (a + b)
 		}
@@ -399,11 +473,7 @@ func cubicNewtonFromSeed(c0, c1, c2, c3, c4, c5, c6 float64, cells, bestI int, b
 			break
 		}
 	}
-	if !wantDist {
-		return s, 0
-	}
-	t := s - origin
-	return s, nonNeg((((((c6*t+c5)*t+c4)*t+c3)*t+c2)*t+c1)*t + c0)
+	return s
 }
 
 // nonNeg clamps the collapsed profile's value at zero: for rows on the

@@ -6,6 +6,7 @@ package core
 // the fit loop.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -86,8 +87,12 @@ func TestFitWarmStartQuinticUnaffected(t *testing.T) {
 // settle on the same minimiser as the cold grid-seeded projection, whatever
 // (even absurd) previous score it was seeded with; a seed whose basin fails
 // validation must degrade to exactly the cold result (the internal
-// fallback shares the cold code path, so bit-equality is required).
+// fallback shares the cold code path, so bit-equality is required). It runs
+// for every seeded projector on a fitted model, and on random monotone
+// cubic clouds across dimensions, rows past the curve's ends included.
 func TestProjectWarmAgreesFromAnyStart(t *testing.T) {
+	projs := []Projector{ProjectorGSS, ProjectorNewton, ProjectorBrent}
+
 	rng := rand.New(rand.NewSource(31))
 	alpha := order.MustDirection(1, 1, -1)
 	xs, _ := genBezierCloud(rng, 60, alpha, 0.05)
@@ -95,11 +100,44 @@ func TestProjectWarmAgreesFromAnyStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := m.opts.withDefaults()
-	eng := newEngine(m.Curve, opts)
+	fitted := make([][]float64, m.data.N())
+	for i := range fitted {
+		fitted[i] = m.data.Row(i)
+	}
+	for _, p := range projs {
+		t.Run("fitted/"+p.String(), func(t *testing.T) {
+			opts := m.opts.withDefaults()
+			opts.Projector = p
+			checkWarmAgreesFromAnyStart(t, newEngine(m.Curve, opts), fitted)
+		})
+	}
+
+	for _, d := range []int{1, 2, 5, 8} {
+		c := randMonotoneCubic(rng, d)
+		rows := make([][]float64, 60)
+		for i := range rows {
+			// Latent parameters spill past [0, 1] so some rows project onto
+			// a domain edge, where only the cold grid pass classifies them.
+			rows[i] = c.Eval(-0.1 + 1.2*rng.Float64())
+			for j := range rows[i] {
+				rows[i][j] += 0.05 * rng.NormFloat64()
+			}
+		}
+		for _, p := range projs {
+			t.Run(fmt.Sprintf("cloud/d=%d/%s", d, p), func(t *testing.T) {
+				checkWarmAgreesFromAnyStart(t, newEngine(c, Options{Projector: p}.withDefaults()), rows)
+			})
+		}
+	}
+}
+
+// checkWarmAgreesFromAnyStart seeds eng's warm projection of every row from
+// a spread of starts and the cold answer itself: a validated warm result
+// must be within 1e-9 of the cold projection, a fallback bit-equal to it.
+func checkWarmAgreesFromAnyStart(t *testing.T, eng *engine, rows [][]float64) {
+	t.Helper()
 	fallbacks := 0
-	for i := 0; i < m.data.N(); i++ {
-		row := m.data.Row(i)
+	for i, row := range rows {
 		sCold, dCold := eng.project(row)
 		for _, s0 := range []float64{0, 0.25, 0.5, 0.75, 1, sCold} {
 			s, d, warm := eng.projectWarm(row, s0)
@@ -119,6 +157,30 @@ func TestProjectWarmAgreesFromAnyStart(t *testing.T) {
 	}
 	if fallbacks == 0 {
 		t.Fatal("expected some absurd warm seeds to fail basin validation")
+	}
+}
+
+// TestNewtonRefineStopsAtFixpoint: on D(s) = ½(s − 0.6)², a start on the
+// root takes a Newton step that rounds to zero. The refinement must return
+// the start unchanged rather than bisect away from it and walk back.
+func TestNewtonRefineStopsAtFixpoint(t *testing.T) {
+	e := &engine{
+		dc:  []float64{0.005, -0.1, 0.5, 0, 0, 0, 0},
+		d1c: make([]float64, 6),
+		d2c: make([]float64, 5),
+	}
+	e.fillDerivatives()
+	if s := e.newtonRefine(0.5, 0.7, 0.6); s != 0.6 {
+		t.Fatalf("newtonRefine from the root = %.17g, want 0.6", s)
+	}
+}
+
+// TestCubicNewtonKernelStopsAtFixpoint: the cubic serving kernel's
+// parabolic seed is exact on a quadratic profile, so its Newton tail starts
+// on the root and must stop there.
+func TestCubicNewtonKernelStopsAtFixpoint(t *testing.T) {
+	if s, _ := cubicNewtonKernel(0.005, -0.1, 0.5, 0, 0, 0, 0, 32, true); s != 0.6 {
+		t.Fatalf("cubicNewtonKernel on ½(s − 0.6)² = %.17g, want 0.6", s)
 	}
 }
 

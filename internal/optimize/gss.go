@@ -99,7 +99,8 @@ func GridSeedBest(f func(float64) float64, lo, hi float64, cells int) (left, rig
 // is exactly the g(a) ≤ 0 ≤ g(b) precondition.
 //
 // The compiled projection engine in internal/core inlines this control flow
-// over Horner-evaluated polynomials; keep the two in sync.
+// over its collapsed distance polynomials (newtonRefine, and cubicNewtonTail
+// for cubic curves); keep them in sync.
 func NewtonBisect(g, dg func(float64) float64, a, b, x0 float64, maxIter int) float64 {
 	s := x0
 	if s < a {
@@ -119,6 +120,12 @@ func NewtonBisect(g, dg func(float64) float64, a, b, x0 float64, maxIter int) fl
 			b = s
 		}
 		t := s - gs/dg(s)
+		// A step that does not move s means s is a root to the last bit.
+		// Test it before the safeguard: at a fixpoint on the bracket end
+		// the step lands on a == s, and bisecting away would walk back.
+		if t == s {
+			return s
+		}
 		// Reject non-finite, out-of-bracket, or non-contracting steps
 		// (dg ≤ 0 yields one of those) and bisect instead.
 		if !(t > a && t < b) {

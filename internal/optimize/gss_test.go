@@ -191,6 +191,27 @@ func TestNewtonBisect(t *testing.T) {
 	}
 }
 
+// TestNewtonBisectStopsAtFixpoint: a start that already sits on the root
+// to rounding takes a Newton step that does not move it. The iteration must
+// stop there, not let the bracket safeguard reject the zero step (it lands
+// on the bracket end the sign test just moved to s) and bisect away.
+func TestNewtonBisectStopsAtFixpoint(t *testing.T) {
+	calls := 0
+	g := func(s float64) float64 {
+		calls++
+		return math.FMA(s, s, -0.5)
+	}
+	dg := func(s float64) float64 { return 2 * s }
+	x0 := math.Sqrt(0.5)
+	got := NewtonBisect(g, dg, 0.6, 0.8, x0, 50)
+	if got != x0 {
+		t.Errorf("NewtonBisect from the rounded root = %.17g, want it unchanged (%.17g)", got, x0)
+	}
+	if calls > 2 {
+		t.Errorf("NewtonBisect evaluated g %d times from a fixpoint, want ≤ 2", calls)
+	}
+}
+
 func TestGridSeedBestReturnsSample(t *testing.T) {
 	f := func(x float64) float64 { return (x - 0.52) * (x - 0.52) }
 	lo, hi, best, fbest := GridSeedBest(f, 0, 1, 32)
