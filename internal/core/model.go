@@ -261,8 +261,10 @@ type Model struct {
 	Iterations int
 	// Converged reports whether the ΔJ < ξ criterion fired before MaxIter.
 	Converged bool
-	// ConditionNumbers records cond((MZ)(MZ)ᵀ) per iteration when the
-	// Richardson updater runs (used by the A2 ablation).
+	// ConditionNumbers records cond((MZ)(MZ)ᵀ) at each Richardson
+	// control-point step when KeepTrajectory is set (used by the A2
+	// ablation). The last iteration takes no step, so there is one entry
+	// fewer than Iterations.
 	ConditionNumbers []float64
 	// FitDiag is the telemetry of the fit run that produced this model
 	// (nil for models reconstructed by Load — the rule document carries

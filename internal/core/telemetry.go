@@ -25,17 +25,21 @@ type FitIteration struct {
 	WarmHits int `json:"warm_hits,omitempty"`
 }
 
-// FitStageNanos is the projection time of a fit run in nanoseconds, read
-// from two clock reads around each score step. SeedNs is the wall time of
-// the cold, grid-seeded passes (the first iteration, every NoWarmStart
-// iteration, and the final best-curve projection), refinement included;
-// RefineNs is the wall time of the warm-started passes. GemmNs is never
-// written and stays 0; the field is kept so persisted diagnostics and
-// their readers keep their shape.
+// FitStageNanos is the stage time of a fit run in nanoseconds, each stage
+// read from two clock reads per iteration. SeedNs is the wall time of the
+// cold, grid-seeded projection passes (the first iteration, every
+// NoWarmStart iteration, and the final best-curve projection), refinement
+// included; RefineNs is the wall time of the warm-started projection
+// passes; UpdateNs is the wall time of the control-point steps (Eq. 21:
+// basis fill, Gram and X·MZᵀ products, the Richardson or pseudo-inverse
+// update, and the box clamp). GemmNs is never written and stays 0; the
+// field is kept so persisted diagnostics and their readers keep their
+// shape.
 type FitStageNanos struct {
 	GemmNs   int64 `json:"gemm_ns,omitempty"`
 	SeedNs   int64 `json:"seed_ns,omitempty"`
 	RefineNs int64 `json:"refine_ns,omitempty"`
+	UpdateNs int64 `json:"update_ns,omitempty"`
 }
 
 // maxFitTrace bounds the retained per-iteration trace so a pathological
@@ -64,7 +68,7 @@ type FitDiagnostics struct {
 	// WarmStartHitRate is warm hits / warm rows over the whole run
 	// (0 when the run projected cold throughout).
 	WarmStartHitRate float64 `json:"warm_start_hit_rate"`
-	// Stages is the projection-stage time breakdown across the run.
+	// Stages is the stage time breakdown across the run.
 	Stages FitStageNanos `json:"stages"`
 	// Trace is the per-iteration record, capped at maxFitTrace entries
 	// (TraceTruncated reports the cap fired).

@@ -85,7 +85,8 @@ func TestFitDiagnosticsCollected(t *testing.T) {
 }
 
 // TestFitStageTiming pins what the stage times measure: cold passes add to
-// SeedNs, warm-started passes to RefineNs, and GemmNs is never written.
+// SeedNs, warm-started passes to RefineNs, control-point steps to
+// UpdateNs, and GemmNs is never written.
 func TestFitStageTiming(t *testing.T) {
 	alpha := order.MustDirection(1, 1, -1)
 	for _, tc := range []struct {
@@ -115,10 +116,42 @@ func TestFitStageTiming(t *testing.T) {
 			if !tc.wantRefine && st.RefineNs != 0 {
 				t.Errorf("RefineNs = %d, want 0 on a NoWarmStart fit", st.RefineNs)
 			}
+			if st.UpdateNs <= 0 {
+				t.Errorf("UpdateNs = %d, want > 0 on a fit of %d iterations", st.UpdateNs, m.Iterations)
+			}
 			if st.GemmNs != 0 {
 				t.Errorf("GemmNs = %d, want 0", st.GemmNs)
 			}
 		})
+	}
+}
+
+// TestFitUpdateSkippedOnLastIteration pins that the last iteration runs no
+// control-point step — its curve would never be projected — so a
+// single-iteration fit records no update time and, with KeepTrajectory, a
+// fit that runs out of iterations records one condition number per step
+// taken: one fewer than its iterations.
+func TestFitUpdateSkippedOnLastIteration(t *testing.T) {
+	alpha := order.MustDirection(1, 1, -1)
+	m, err := Fit(telemetryRows(48), Options{Alpha: alpha, Seed: 5, MaxIter: 1, KeepTrajectory: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := m.FitDiag.Stages; st.UpdateNs != 0 || st.SeedNs <= 0 {
+		t.Errorf("MaxIter 1 stage times %+v, want UpdateNs 0 and SeedNs > 0", st)
+	}
+	if len(m.ConditionNumbers) != 0 {
+		t.Errorf("MaxIter 1 recorded %d condition numbers, want 0", len(m.ConditionNumbers))
+	}
+	m, err = Fit(telemetryRows(48), Options{Alpha: alpha, Seed: 5, MaxIter: 3, Tol: 1e-300, KeepTrajectory: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Iterations != 3 || m.Converged {
+		t.Fatalf("fit ran %d iterations (converged %v), want all 3", m.Iterations, m.Converged)
+	}
+	if len(m.ConditionNumbers) != 2 {
+		t.Errorf("3-iteration fit recorded %d condition numbers, want 2", len(m.ConditionNumbers))
 	}
 }
 

@@ -274,8 +274,8 @@ func SubInto(dst, a, b *Dense) *Dense {
 	return dst
 }
 
-// SubScaledInto computes dst = a − c·b elementwise (the backtracking trial
-// step of the Richardson update). dst may alias a or b.
+// SubScaledInto computes dst = a − c·b elementwise (the accepted step of
+// the Richardson update). dst may alias a or b.
 func SubScaledInto(dst, a *Dense, c float64, b *Dense) *Dense {
 	checkSameDims("SubScaledInto", a, b)
 	checkSameDims("SubScaledInto", dst, a)
@@ -312,16 +312,4 @@ func ColNormsInto(dst []float64, m *Dense) []float64 {
 		dst[j] = math.Sqrt(s)
 	}
 	return dst
-}
-
-// SumSqDiff returns Σ (a−b)² over all elements — ‖a−b‖²_F without forming
-// the difference matrix.
-func SumSqDiff(a, b *Dense) float64 {
-	checkSameDims("SumSqDiff", a, b)
-	var s float64
-	for i, v := range a.data {
-		d := v - b.data[i]
-		s += d * d
-	}
-	return s
 }
