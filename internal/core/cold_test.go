@@ -1,10 +1,10 @@
 package core
 
 // Tests of the cold projection passes: the fit pool's grid-seeded pass and
-// the serving batch path (Scorer.ScoreFrameRange) held to the reference
-// projector projectOne, which shares no code with the engine or
-// bezier.Compiled; explicit edge-projection and bracket-miss rows; stripe
-// and range boundaries; the fit pool's warm pass; and cancellation.
+// the serving batch path (Scorer.ScoreFrameRange) held to internal/oracle,
+// which shares no code with the engine or bezier; explicit edge-projection
+// and bracket-miss rows; stripe and range boundaries; the fit pool's warm
+// pass; and cancellation.
 
 import (
 	"context"
@@ -15,6 +15,7 @@ import (
 
 	"rpcrank/internal/bezier"
 	"rpcrank/internal/frame"
+	"rpcrank/internal/oracle"
 	"rpcrank/internal/order"
 	"rpcrank/internal/stats"
 )
@@ -22,16 +23,19 @@ import (
 // coldParityCheck projects every row of u (normalised space) through the
 // fit pool's cold pass, serially and striped over two workers, and through
 // ScoreFrameRange of a model whose normaliser is the identity, and holds
-// every score to projectOne at 1e-12 (residuals at 1e-12 relative). It
-// returns the pool's and the serving path's scores for exact checks.
+// every score to the oracle's projection contract (oracle.Result.Check)
+// and every residual to the oracle's D(s) at 1e-12 relative. It returns the
+// pool's and the serving path's scores for exact checks.
 func coldParityCheck(t *testing.T, c *bezier.Curve, opts Options, u *frame.Frame) (cold, served []float64) {
 	t.Helper()
+	return checkColdPaths(t, oracleRows(c, u), c, opts, u)
+}
+
+// checkColdPaths is coldParityCheck with the oracle's results for the rows
+// of u already in hand.
+func checkColdPaths(t *testing.T, refs []*oracle.Result, c *bezier.Curve, opts Options, u *frame.Frame) (cold, served []float64) {
+	t.Helper()
 	n := u.N()
-	ref := make([]float64, n)
-	refD := make([]float64, n)
-	for i := 0; i < n; i++ {
-		ref[i], refD[i] = projectOne(c, u.Row(i), opts)
-	}
 	for _, workers := range []int{1, 2} {
 		o := opts
 		o.Workers = workers
@@ -41,11 +45,14 @@ func coldParityCheck(t *testing.T, c *bezier.Curve, opts Options, u *frame.Frame
 		pool.project(c, scores, resid, nil)
 		pool.close()
 		for i := 0; i < n; i++ {
-			if math.Abs(scores[i]-ref[i]) > 1e-12 {
-				t.Fatalf("workers=%d row %d: cold score %.17g vs reference %.17g", workers, i, scores[i], ref[i])
+			if err := refs[i].Check(scores[i], opts.GridCells); err != nil {
+				t.Fatalf("workers=%d row %d: cold pass: %v", workers, i, err)
 			}
-			if math.Abs(resid[i]-refD[i]) > 1e-12*(1+refD[i]) {
-				t.Fatalf("workers=%d row %d: cold resid %.17g vs reference %.17g", workers, i, resid[i], refD[i])
+			if d := refs[i].DistAt(scores[i]); math.Abs(resid[i]-d) > 1e-12*(1+d) {
+				t.Fatalf("workers=%d row %d: cold resid %.17g vs the oracle's D(s) %.17g", workers, i, resid[i], d)
+			}
+			if workers == 2 && scores[i] != cold[i] {
+				t.Fatalf("row %d: two-worker cold score %.17g vs serial %.17g", i, scores[i], cold[i])
 			}
 		}
 		if workers == 1 {
@@ -55,8 +62,8 @@ func coldParityCheck(t *testing.T, c *bezier.Curve, opts Options, u *frame.Frame
 	served = make([]float64, n)
 	identityModel(c, opts).Compile().ScoreFrameRange(served, u, 0, n)
 	for i := 0; i < n; i++ {
-		if math.Abs(served[i]-ref[i]) > 1e-12 {
-			t.Fatalf("row %d: ScoreFrameRange %.17g vs reference %.17g", i, served[i], ref[i])
+		if err := refs[i].Check(served[i], opts.GridCells); err != nil {
+			t.Fatalf("row %d: ScoreFrameRange: %v", i, err)
 		}
 	}
 	return cold, served
@@ -443,9 +450,9 @@ func TestColdPassBoundarySizes(t *testing.T) {
 }
 
 // TestScoreFrameRangeMatchesScore pins the serving batch path to per-row
-// Scorer.Score (bit for bit) and to the reference projector (at 1e-12) on
-// raw (unnormalised) rows, for the cubic kernel, the non-cubic engine and
-// the quintic solver.
+// Scorer.Score (bit for bit) and to the oracle's contract on raw
+// (unnormalised) rows, for the cubic kernel, the non-cubic engine and the
+// quintic solver.
 func TestScoreFrameRangeMatchesScore(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -482,12 +489,13 @@ func TestScoreFrameRangeMatchesScore(t *testing.T) {
 			batch := make([]float64, f.N())
 			sc.ScoreFrameRange(batch, f, 0, f.N())
 			per := m.Compile()
+			oc := oracleCurve(m.Curve)
 			for i, p := range probes {
 				if s := per.Score(p); batch[i] != s {
 					t.Fatalf("probe %d: batch %.17g vs Score %.17g", i, batch[i], s)
 				}
-				if s := scoreReference(m, p); math.Abs(batch[i]-s) > 1e-12 {
-					t.Fatalf("probe %d: batch %.17g vs reference %.17g", i, batch[i], s)
+				if err := oc.Project(unitRow(m, p)).Check(batch[i], m.opts.GridCells); err != nil {
+					t.Fatalf("probe %d: batch: %v", i, err)
 				}
 			}
 		})
@@ -495,10 +503,9 @@ func TestScoreFrameRangeMatchesScore(t *testing.T) {
 }
 
 // TestFitColdMatchesReference: a NoWarmStart fit (every iteration runs the
-// cold pass) must publish the scores the reference projector gives its
-// final curve — the fit-level form of the parity contract. Uses score
-// agreement of the published model against scoreReference, the uncompiled
-// projector.
+// cold pass) must publish scores and residuals that meet the oracle's
+// contract on its final curve — the fit-level form of the projection
+// contract.
 func TestFitColdMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	alpha := order.MustDirection(1, 1, -1, -1)
@@ -507,9 +514,14 @@ func TestFitColdMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	oc := oracleCurve(m.Curve)
 	for i, x := range xs {
-		if s := scoreReference(m, x); math.Abs(m.Scores[i]-s) > 1e-12 {
-			t.Fatalf("row %d: published %.17g vs reference %.17g", i, m.Scores[i], s)
+		r := oc.Project(unitRow(m, x))
+		if err := r.Check(m.Scores[i], m.opts.GridCells); err != nil {
+			t.Fatalf("row %d: published score: %v", i, err)
+		}
+		if d := r.DistAt(m.Scores[i]); math.Abs(m.ResidualsSq[i]-d) > 1e-12*(1+d) {
+			t.Fatalf("row %d: published residual %.17g vs the oracle's D(s) %.17g", i, m.ResidualsSq[i], d)
 		}
 	}
 }

@@ -16,18 +16,26 @@ import (
 // each goroutine its own via Clone, which shares the immutable compiled
 // coefficients and costs only the scratch.
 //
-// Scores agree with the uncompiled reference projection to within 1e-12
-// (typically far closer): both refine the projection to the same stationary
-// point of the same profile, evaluated through different but equivalent
-// arithmetic.
+// The projection contract. A score is the minimiser of the row's distance
+// profile D(s) = ‖f(s) − u‖² over s ∈ [0,1] (Eq. 20/22), found from a seed
+// grid of GridCells cells, h = 1/GridCells. Tests hold it to
+// internal/oracle, an independent dense-scan projector that finds every
+// local minimiser of D, its global minimum D* at s*, and M = max|D″| on
+// [0,1]. On every row:
+//
+//   - (a) the attained distance D(s) is at most D* + M·h²/8 + 1e-12·(1+D*),
+//     which a grid-seeded search guarantees;
+//   - (b) s is within 1e-12 of s*, unless the row is a near tie: another
+//     local minimum of D lies within M·h²/4 of D*, and which basin the seed
+//     lands in is not decided by the profile;
+//   - (c) Proposition 1 holds: if x strictly dominates y along α, then
+//     s(x) ≥ s(y).
+//
 // Models fitted with ProjectorGSS or ProjectorBrent are served through the
 // ProjectorNewton strategy, which converges to the same minimiser in far
 // fewer profile evaluations; quintic models keep their exact solver. The
-// agreement contract covers componentwise-monotone curves — everything Fit
-// can produce (Proposition 1) — and is enforced by the compile parity
-// property test; for a hand-assembled curve that bends back on itself, a
-// coarse-grid bracket can hold two local minima and the refinement
-// strategies may legitimately settle on different ones.
+// contract is tested on componentwise-monotone curves — everything Fit can
+// produce — and (c) rests on that monotonicity.
 type Scorer struct {
 	model *Model
 	eng   *engine
@@ -37,8 +45,8 @@ type Scorer struct {
 	// the normaliser's offsets and precomputed inverse ranges, so one pass
 	// over the row collapses its distance profile straight into registers.
 	// Multiplying by the inverse range instead of dividing perturbs the
-	// normalised coordinate by at most one ulp, far inside the 1e-12
-	// agreement contract.
+	// normalised coordinate by at most one ulp, far inside the contract's
+	// 1e-12 score bound.
 	fastCubic bool
 	smono     []float64 // flat, stride 4 (from bezier.Compiled.ShiftedMono)
 	snorm     []float64 // len 7 (from bezier.Compiled.ShiftedNormSq)
@@ -49,9 +57,9 @@ type Scorer struct {
 // its context.
 const ctxPollRows = 64
 
-// Compile builds the zero-allocation scorer for m. It is cheap — O(d·k²)
-// — so per-request compilation is fine; per-row compilation defeats the
-// point. The Scorer references m's curve and normaliser; mutating the
+// Compile builds the zero-allocation scorer for m, whose scores meet the
+// projection contract stated on Scorer. It is cheap — O(d·k²) — so
+// per-request compilation is fine; per-row compilation defeats the point. The Scorer references m's curve and normaliser; mutating the
 // model afterwards (refitting in place) invalidates it.
 func (m *Model) Compile() *Scorer {
 	opts := m.opts
@@ -138,8 +146,8 @@ func (sc *Scorer) Score(x []float64) float64 {
 // ScoreInto scores every row into dst, reusing dst's backing array when it
 // has the capacity (allocating a fresh slice otherwise), and returns the
 // slice of len(rows) scores. Beyond the possible dst growth it allocates
-// nothing, and each score carries the Score/Model.Score 1e-12 agreement
-// contract with the uncompiled reference projection.
+// nothing, and each score is Score's, so it meets the projection contract
+// stated on Scorer.
 func (sc *Scorer) ScoreInto(dst []float64, rows [][]float64) []float64 {
 	if cap(dst) >= len(rows) {
 		dst = dst[:len(rows)]
@@ -153,10 +161,8 @@ func (sc *Scorer) ScoreInto(dst []float64, rows [][]float64) []float64 {
 }
 
 // ScoreFrame scores every row of the frame into dst under the same reuse
-// and parity contract as ScoreInto: dst's backing array is kept when it has
-// the capacity, nothing else is allocated, and every score agrees with the
-// uncompiled reference projection (Model.Score) to within 1e-12 on
-// componentwise-monotone curves. Rows are zero-copy strided views into the
+// and projection contract as ScoreInto: dst's backing array is kept when it
+// has the capacity, nothing else is allocated, and every score is Score's. Rows are zero-copy strided views into the
 // frame's contiguous backing array, so large batches stream through the
 // cache instead of chasing row pointers.
 func (sc *Scorer) ScoreFrame(dst []float64, f *frame.Frame) []float64 {

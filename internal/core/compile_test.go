@@ -8,41 +8,41 @@ import (
 	"testing"
 
 	"rpcrank/internal/bezier"
+	"rpcrank/internal/frame"
+	"rpcrank/internal/oracle"
 	"rpcrank/internal/order"
 	"rpcrank/internal/stats"
-
-	"rpcrank/internal/frame"
 )
 
-// scoreParityTol is the compiled-scorer contract: Model.Compile().Score
-// agrees with the uncompiled reference projection (scoreReference) to this
-// tolerance. Both paths
-// refine the projection to the same stationary point; what remains is
-// rounding-level perturbation of that root.
+// scoreParityTol bounds the gap between two engine paths that refine the
+// same row in the same basin — the fit's training score and the compiled
+// scorer: what remains is rounding-level perturbation of one root.
 const scoreParityTol = 1e-12
 
 // randParityModel assembles a serving model (curve + normaliser + projector
 // options) directly, bypassing Fit, over random componentwise-monotone
 // curves — the model class the RPC produces (Proposition 1: sorted control
-// coordinates make every f_j monotone) and the class the compiled-scorer
-// parity contract covers. Curves that bend back on themselves can give a
-// grid bracket two local minima, where the search strategies legitimately
-// disagree about which one to refine.
+// coordinates make every f_j monotone) and the class the projection
+// contract's tests draw from. Alpha follows each coordinate's direction,
+// so the curve is monotone along it.
 func randParityModel(rng *rand.Rand, deg, dim int, proj Projector) *Model {
 	pts := make([][]float64, deg+1)
 	for r := range pts {
 		pts[r] = make([]float64, dim)
 	}
 	col := make([]float64, deg+1)
+	signs := make([]float64, dim)
 	for j := 0; j < dim; j++ {
 		for r := range col {
 			col[r] = rng.Float64()
 		}
 		sort.Float64s(col)
+		signs[j] = 1
 		if rng.Intn(2) == 0 { // decreasing coordinates are monotone too
 			for l, r := 0, len(col)-1; l < r; l, r = l+1, r-1 {
 				col[l], col[r] = col[r], col[l]
 			}
+			signs[j] = -1
 		}
 		for r := range col {
 			pts[r][j] = col[r]
@@ -50,11 +50,9 @@ func randParityModel(rng *rand.Rand, deg, dim int, proj Projector) *Model {
 	}
 	mn := make([]float64, dim)
 	mx := make([]float64, dim)
-	signs := make([]float64, dim)
 	for j := range mn {
 		mn[j] = -5 + 10*rng.Float64()
 		mx[j] = mn[j] + 0.1 + 5*rng.Float64()
-		signs[j] = 1
 	}
 	opts := Options{Alpha: order.MustDirection(signs...), Projector: proj}.withDefaults()
 	return &Model{
@@ -65,11 +63,11 @@ func randParityModel(rng *rand.Rand, deg, dim int, proj Projector) *Model {
 	}
 }
 
-// TestCompiledScoreParityProperty is the tentpole acceptance test: across
-// random curves (degrees 2–5, d up to 16) and every projector strategy,
-// the compiled scorer matches the reference path to ≤1e-12 on 1k random
-// rows per configuration — including rows far outside the data box, whose
-// projections clamp to the curve ends.
+// TestCompiledScoreParityProperty holds the compiled scorer to the oracle's
+// projection contract across random curves (degrees 2–5, d up to 16) and
+// every projector strategy on 1k random rows per configuration — including
+// rows far outside the data box, whose projections clamp to the curve
+// ends.
 func TestCompiledScoreParityProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const rowsPer = 1000
@@ -82,10 +80,11 @@ func TestCompiledScoreParityProperty(t *testing.T) {
 			for _, proj := range projectors {
 				m := randParityModel(rng, deg, dim, proj)
 				sc := m.Compile()
+				oc := oracleCurve(m.Curve)
+				cells := m.opts.GridCells
 				x := make([]float64, dim)
 				fr := frame.WithCapacity(dim, rowsPer)
-				refs := make([]float64, 0, rowsPer)
-				worst := 0.0
+				refs := make([]*oracle.Result, 0, rowsPer)
 				for trial := 0; trial < rowsPer; trial++ {
 					for j := range x {
 						// Stretch 30% beyond the normaliser box so end-point
@@ -93,25 +92,19 @@ func TestCompiledScoreParityProperty(t *testing.T) {
 						u := -0.3 + 1.6*rng.Float64()
 						x[j] = m.Norm.Min[j] + u*(m.Norm.Max[j]-m.Norm.Min[j])
 					}
-					ref := scoreReference(m, x)
-					got := sc.Score(x)
-					if d := math.Abs(ref - got); d > worst {
-						worst = d
+					ref := oc.Project(unitRow(m, x))
+					if err := ref.Check(sc.Score(x), cells); err != nil {
+						t.Fatalf("deg=%d dim=%d proj=%v row %d: Score: %v", deg, dim, proj, trial, err)
 					}
 					fr.AppendRow(x)
 					refs = append(refs, ref)
 				}
-				if worst > scoreParityTol {
-					t.Errorf("deg=%d dim=%d proj=%v: worst |ref−compiled| = %.3g > %.0g",
-						deg, dim, proj, worst, scoreParityTol)
-				}
-				// ScoreFrame carries the same 1e-12 contract against the
-				// reference projection over the whole batch at once.
+				// ScoreFrame carries the same contract over the whole batch
+				// at once.
 				batch := sc.ScoreFrame(nil, fr)
 				for i, b := range batch {
-					if math.Abs(refs[i]-b) > scoreParityTol {
-						t.Errorf("deg=%d dim=%d proj=%v row %d: ScoreFrame %v vs reference %v",
-							deg, dim, proj, i, b, refs[i])
+					if err := refs[i].Check(b, cells); err != nil {
+						t.Fatalf("deg=%d dim=%d proj=%v row %d: ScoreFrame: %v", deg, dim, proj, i, err)
 					}
 				}
 			}
@@ -119,9 +112,9 @@ func TestCompiledScoreParityProperty(t *testing.T) {
 	}
 }
 
-// TestCompiledScoreParityFittedModel checks parity on the curves that
-// matter in production: ones Fit actually produces, across projectors and
-// degrees, on training rows and fresh probes.
+// TestCompiledScoreParityFittedModel holds the compiled scorer to the
+// oracle on the curves that matter in production: ones Fit actually
+// produces, across projectors, on the training rows.
 func TestCompiledScoreParityFittedModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	alpha := order.MustDirection(1, 1, -1)
@@ -132,11 +125,11 @@ func TestCompiledScoreParityFittedModel(t *testing.T) {
 			t.Fatalf("%v: %v", proj, err)
 		}
 		sc := m.Compile()
+		oc := oracleCurve(m.Curve)
 		for i, x := range xs {
-			ref := scoreReference(m, x)
 			got := sc.Score(x)
-			if math.Abs(ref-got) > scoreParityTol {
-				t.Errorf("%v row %d: reference %v vs compiled %v", proj, i, ref, got)
+			if err := oc.Project(unitRow(m, x)).Check(got, m.opts.GridCells); err != nil {
+				t.Errorf("%v row %d: compiled: %v", proj, i, err)
 			}
 			// The training scores come from the fit-loop engine and must
 			// stay consistent with serving.
@@ -289,9 +282,10 @@ func TestCompileServesLoadedModels(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := loaded.Compile()
-	for _, x := range xs[:20] {
-		if got, want := sc.Score(x), scoreReference(loaded, x); math.Abs(got-want) > scoreParityTol {
-			t.Errorf("loaded-compiled %v vs fitted-reference %v", got, want)
+	oc := oracleCurve(loaded.Curve)
+	for i, x := range xs[:20] {
+		if err := oc.Project(unitRow(loaded, x)).Check(sc.Score(x), loaded.opts.GridCells); err != nil {
+			t.Errorf("row %d: loaded-compiled: %v", i, err)
 		}
 	}
 }

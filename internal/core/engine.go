@@ -13,13 +13,12 @@ import (
 // goroutine; clone() hands an independent scratch to another worker while
 // sharing the immutable compiled coefficients.
 //
-// project follows the exact decision tree of projectOne (project.go) — grid
-// seed, bracket classification by derivative signs, safeguarded Newton
-// refinement — so the two implementations agree on every row to ~1e-12:
-// both converge to the same stationary point of the same profile, they just
-// evaluate it differently (Horner on precomputed coefficients here, curve
-// evaluations there). Keep the control flow in sync with projectOne and
-// optimize.NewtonBisect.
+// project runs one decision tree for every strategy: a grid seed, bracket
+// classification by the signs of the profile's derivative, an optional 1-D
+// search (GSS or Brent) for the Newton start, and safeguarded Newton
+// refinement to machine precision. Tests hold every path through it to
+// internal/oracle, an independent dense-scan projector, under the contract
+// stated on Scorer.
 type engine struct {
 	kind  Projector
 	cells int
@@ -238,7 +237,7 @@ func (e *engine) fillDerivatives() {
 // already-collapsed profile in e.dc/d1c/d2c. project and the warm-start
 // fallback both land here, so a row never pays the profile collapse twice.
 func (e *engine) projectSeeded() (float64, float64) {
-	// Grid pass — mirrors optimize.GridSeedBest over [0,1].
+	// Grid pass: the best of cells+1 evenly spaced nodes on [0,1].
 	h := 1 / float64(e.cells)
 	bestI := 0
 	bestV := math.Inf(1)
@@ -267,7 +266,11 @@ func (e *engine) refineSeed(bestI int, bestV float64) (float64, float64) {
 	}
 	s0 := float64(bestI) * h
 
-	// Bracket classification — mirrors projectOne.
+	// Bracket classification: only a bracket whose profile slopes down at
+	// lo and up at hi encloses an interior minimum worth refining. Anything
+	// else (the grid best sat on a domain edge, or a non-unimodal profile
+	// confused the bracket) keeps the best grid node, which is exact at the
+	// edges, where the minimiser is 0 or 1.
 	ga := bezier.EvalPoly(e.d1c, lo-bezier.DistPolyOrigin)
 	gb := bezier.EvalPoly(e.d1c, hi-bezier.DistPolyOrigin)
 	if !(ga <= 0 && gb >= 0) {
@@ -294,13 +297,13 @@ func (e *engine) refineSeed(bestI int, bestV float64) (float64, float64) {
 
 // newtonRefine is the safeguarded Newton iteration on D′ over the prepared
 // d1c/d2c profile, from start inside the sign bracket [a, b] — the tail of
-// projectSeeded and of projectWarm's non-cubic rows, an inlined mirror of
-// optimize.NewtonBisect (function-pointer indirection would dominate the
-// refinement cost; cubic rows refine in cubicNewtonTail instead). A Newton
-// step that does not move s means s is a root to the last bit, so the loop
-// stops there before the bracket safeguard could reject the step: at a
-// fixpoint on the bracket end the step lands on a == s, and bisecting away
-// from it would only walk back.
+// projectSeeded and of projectWarm's non-cubic rows (cubic rows refine in
+// cubicNewtonTail instead). A step that leaves the current sign bracket is
+// replaced by the bracket midpoint, so the iteration always converges. A
+// Newton step that does not move s means s is a root to the last bit, so
+// the loop stops there before the bracket safeguard could reject the step:
+// at a fixpoint on the bracket end the step lands on a == s, and bisecting
+// away from it would only walk back.
 func (e *engine) newtonRefine(a, b, start float64) float64 {
 	s := start
 	for i := 0; i < 80; i++ {
@@ -342,8 +345,8 @@ func (e *engine) projectCubicNewton() (float64, float64) {
 // profile and its derivatives live in registers, every evaluation is an
 // unrolled polynomial pass, and the Newton seed is sharpened by a parabola
 // through the best grid sample and its neighbours. Same decision tree as
-// project/projectOne; only the seed and the arithmetic differ, which the
-// convergence contract absorbs. With wantDist false the attained distance
+// project; only the seed and the arithmetic differ, which the convergence
+// contract absorbs. With wantDist false the attained distance
 // is not evaluated (0 is returned) — serving only needs the score.
 func cubicNewtonKernel(c0, c1, c2, c3, c4, c5, c6 float64, cells int, wantDist bool) (float64, float64) {
 	const origin = bezier.DistPolyOrigin
@@ -400,9 +403,9 @@ func cubicNewtonFromSeed(c0, c1, c2, c3, c4, c5, c6 float64, cells, bestI int, b
 	}
 	s0 := float64(bestI) * h
 
-	// Bracket classification by the sign of D′ at the bracket ends —
-	// mirrors projectOne. A miss publishes the seed node itself, so rows
-	// past the curve's ends land on exactly 0 or 1.
+	// Bracket classification by the sign of D′ at the bracket ends, as in
+	// refineSeed. A miss publishes the seed node itself, so rows past the
+	// curve's ends land on exactly 0 or 1.
 	tl := lo - origin
 	th := hi - origin
 	ga := ((((b5*tl+b4)*tl+b3)*tl+b2)*tl+b1)*tl + b0
@@ -439,8 +442,8 @@ func cubicNewtonFromSeed(c0, c1, c2, c3, c4, c5, c6 float64, cells, bestI int, b
 // curve's profile, from s inside the sign bracket [a, b], with D′ given by
 // its coefficients b0..b5 and D″ by e0..e4 (powers of t = s −
 // DistPolyOrigin). Both the cold serving kernel and the fit's warm cubic
-// rows refine here. It follows optimize.NewtonBisect's control flow, fixpoint
-// rule included, with two liberties. The derivatives are evaluated in
+// rows refine here. It follows newtonRefine's control flow, fixpoint rule
+// included, with two liberties. The derivatives are evaluated in
 // Estrin form (pairwise, on a shared t²), which halves the dependency chain
 // this serial loop sits on; and iteration also stops once a step is below
 // 1e-13 — the tail iterations that skips move s by less than a tenth of the

@@ -471,22 +471,12 @@ func fitPrepared(sh *fitShared, opts Options) (*Model, error) {
 // its score in [0,1]. It scores through a pooled compiled scorer (see
 // Model.Compile), so casual per-row use is fast and safe for concurrent
 // callers; dedicated hot loops should still hold their own Scorer and skip
-// the pool round-trip. The result agrees with the uncompiled reference
-// projection to within 1e-12 (the compiled-scorer contract).
+// the pool round-trip. The result is Scorer.Score's and meets the
+// projection contract stated on Scorer.
 func (m *Model) Score(x []float64) float64 {
 	sc := m.AcquireScorer()
 	s := sc.Score(x)
 	m.ReleaseScorer(sc)
-	return s
-}
-
-// scoreReference is the uncompiled projection path — normalise, then the
-// grid/search/Newton-polish reference projector over direct curve
-// evaluations. The parity property tests hold the compiled engine to this
-// implementation.
-func scoreReference(m *Model, x []float64) float64 {
-	u := m.Norm.Apply(x)
-	s, _ := projectOne(m.Curve, u, m.opts)
 	return s
 }
 

@@ -4,85 +4,14 @@ import (
 	"math"
 
 	"rpcrank/internal/bezier"
-	"rpcrank/internal/optimize"
 	"rpcrank/internal/polyroot"
 )
-
-// projectOne computes sᵢ = argmin_{s∈[0,1]} ‖x − f(s)‖² (Eq. 20/22) and the
-// attained squared distance, using the projector selected in opts. It is
-// the readable reference implementation; the compiled engine (engine.go)
-// follows the same decision tree over precomputed polynomials and must stay
-// within 1e-12 of it (enforced by the compile parity test).
-//
-// All projectors share one structure: a coarse grid pass finds the basin,
-// the derivative signs at the bracket ends classify it, and — when the
-// bracket encloses a minimum — safeguarded Newton iteration on the
-// derivative of the distance profile refines the parameter to machine
-// precision. The 1-D searches (GSS, Brent) only choose the Newton starting
-// point, so every strategy converges to the same stationary point.
-func projectOne(c *bezier.Curve, x []float64, opts Options) (s, distSq float64) {
-	if opts.Projector == ProjectorQuintic {
-		return projectQuintic(c, x)
-	}
-	f := func(s float64) float64 { return c.DistanceTo(x, s) }
-	lo, hi, s0, f0 := optimize.GridSeedBest(f, 0, 1, opts.GridCells)
-
-	// D′ and D″ of the profile D(s) = ‖f(s)−x‖², via the hodographs:
-	// D′ = 2(f−x)·f′ and D″ = 2(‖f′‖² + (f−x)·f″).
-	d1 := c.Derivative()
-	d2 := d1.Derivative()
-	g := func(s float64) float64 {
-		fs := c.Eval(s)
-		t := d1.Eval(s)
-		var acc float64
-		for j, v := range fs {
-			acc += (v - x[j]) * t[j]
-		}
-		return 2 * acc
-	}
-	h := func(s float64) float64 {
-		fs := c.Eval(s)
-		t := d1.Eval(s)
-		tt := d2.Eval(s)
-		var acc float64
-		for j, v := range fs {
-			acc += t[j]*t[j] + (v-x[j])*tt[j]
-		}
-		return 2 * acc
-	}
-
-	// Bracket classification, shared verbatim with engine.project: only a
-	// bracket whose profile slopes down at lo and up at hi encloses an
-	// interior minimum worth refining. Anything else (the grid best sat on
-	// a domain edge, or a non-unimodal profile confused the bracket) keeps
-	// the best grid sample — which is exact at the edges, where the
-	// minimiser IS 0 or 1.
-	if ga, gb := g(lo), g(hi); !(ga <= 0 && gb >= 0) {
-		return s0, f0
-	}
-
-	start := s0
-	switch opts.Projector {
-	case ProjectorBrent:
-		if s1, f1 := optimize.BrentMin(f, lo, hi, opts.ProjTol, 200); f1 < f0 {
-			start = s1
-		}
-	case ProjectorNewton:
-		// Newton needs no 1-D search: the grid best is close enough.
-	default: // ProjectorGSS and unknown values
-		if s1, f1 := optimize.GoldenSectionMin(f, lo, hi, opts.ProjTol, 200); f1 < f0 {
-			start = s1
-		}
-	}
-	s = optimize.NewtonBisect(g, h, lo, hi, start, 80)
-	return s, f(s)
-}
 
 // projectQuintic solves the orthogonality condition g(s) = (f(s)−x)·f′(s) = 0
 // exactly. For a cubic curve each coordinate f_j is a cubic polynomial, so g
 // is a quintic; its real roots in [0,1] together with the interval endpoints
-// are the candidate minimisers, and the closest one wins. The engine mirrors
-// this routine bit for bit from precomputed coefficients; keep them in sync.
+// are the candidate minimisers, and the closest one wins. The engine calls
+// it for every row of a quintic model, fitted or served.
 func projectQuintic(c *bezier.Curve, x []float64) (float64, float64) {
 	coeffs := c.MonomialCoeffs() // per-dim cubic coefficients, len 4
 	// g(s) = Σ_j (f_j(s) − x_j)·f_j′(s); accumulate monomial coefficients.

@@ -10,20 +10,6 @@ import (
 	"rpcrank/internal/order"
 )
 
-// bruteForceProject finds the minimum-distance parameter by dense search —
-// the reference every projector must agree with.
-func bruteForceProject(c *bezier.Curve, x []float64) (float64, float64) {
-	const cells = 20000
-	best, bestD := 0.0, math.Inf(1)
-	for i := 0; i <= cells; i++ {
-		s := float64(i) / cells
-		if d := c.DistanceTo(x, s); d < bestD {
-			bestD, best = d, s
-		}
-	}
-	return best, bestD
-}
-
 func randMonotoneCubic(rng *rand.Rand, d int) *bezier.Curve {
 	pts := make([][]float64, 4)
 	for r := range pts {
@@ -37,21 +23,26 @@ func randMonotoneCubic(rng *rand.Rand, d int) *bezier.Curve {
 	return bezier.MustNew(pts)
 }
 
+// TestProjectorsAgainstBruteForce holds the engine's GSS, Brent and
+// quintic strategies to the oracle's dense scan on random monotone cubics:
+// the score meets the projection contract and the returned distance is the
+// oracle's D at that score.
 func TestProjectorsAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 	opts := Options{}.withDefaults()
 	for trial := 0; trial < 40; trial++ {
 		c := randMonotoneCubic(rng, 3)
 		x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-		_, wantD := bruteForceProject(c, x)
+		r := oracleCurve(c).Project(x)
 		for _, proj := range []Projector{ProjectorGSS, ProjectorBrent, ProjectorQuintic} {
 			o := opts
 			o.Projector = proj
-			_, gotD := projectOne(c, x, o)
-			// The attained distance must be essentially the global optimum
-			// (the parameter itself can differ when the profile is flat).
-			if gotD > wantD+1e-6 {
-				t.Errorf("trial %d %v: distance %.9f vs brute force %.9f", trial, proj, gotD, wantD)
+			s, d := newEngine(c, o).project(x)
+			if err := r.Check(s, o.GridCells); err != nil {
+				t.Errorf("trial %d %v: %v", trial, proj, err)
+			}
+			if want := r.DistAt(s); math.Abs(d-want) > 1e-12*(1+want) {
+				t.Errorf("trial %d %v: distance %.17g vs the oracle's D(s) %.17g", trial, proj, d, want)
 			}
 		}
 	}
@@ -71,27 +62,41 @@ func TestQuinticProjectorHandlesEndpoints(t *testing.T) {
 	}
 }
 
-func TestProjectOneUnknownProjectorFallsBack(t *testing.T) {
+// TestProjectUnknownProjectorFallsBack: an engine built for a projector
+// value outside the enum refines like GSS and still meets the contract.
+func TestProjectUnknownProjectorFallsBack(t *testing.T) {
 	c := bezier.MustNew([][]float64{{0}, {0.3}, {0.7}, {1}})
 	o := Options{}.withDefaults()
 	o.Projector = Projector(99)
-	s, d := projectOne(c, []float64{0.5}, o)
+	x := []float64{0.5}
+	s, d := newEngine(c, o).project(x)
 	if math.IsNaN(s) || math.IsNaN(d) {
-		t.Errorf("fallback projector produced NaN")
+		t.Fatalf("fallback projector produced NaN")
+	}
+	if err := oracleCurve(c).Project(x).Check(s, o.GridCells); err != nil {
+		t.Error(err)
 	}
 }
 
 func TestProjectionDistanceQuickProperty(t *testing.T) {
 	// For any point and any parameter, the projected distance is a lower
-	// bound on the distance at that parameter.
+	// bound on the distance at that parameter, and the projection meets the
+	// oracle's contract.
 	rng := rand.New(rand.NewSource(203))
 	c := randMonotoneCubic(rng, 2)
 	opts := Options{}.withDefaults()
+	e := newEngine(c, opts)
+	oc := oracleCurve(c)
 	f := func(rawX, rawY, rawS float64) bool {
 		x := []float64{fold(rawX), fold(rawY)}
 		s := fold(rawS)
-		_, projD := projectOne(c, x, opts)
-		return projD <= c.DistanceTo(x, s)+1e-9
+		ps, projD := e.project(x)
+		r := oc.Project(x)
+		if err := r.Check(ps, opts.GridCells); err != nil {
+			t.Log(err)
+			return false
+		}
+		return projD <= r.DistAt(s)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -1,7 +1,8 @@
-// Package optimize provides the one-dimensional minimisers the RPC
-// projection step needs: Golden Section Search (the method Algorithm 1 of
-// the paper adopts for Eq. 22), coarse grid seeding for non-unimodal
-// distance profiles, and a quadratic-interpolation refinement.
+// Package optimize provides the two one-dimensional minimisers the RPC
+// projection step can refine a grid-seeded bracket with: Golden Section
+// Search (the method Algorithm 1 of the paper adopts for Eq. 22) and
+// Brent's parabolic interpolation. Seeding the bracket and the Newton
+// polish that follows are the projection engine's own (internal/core).
 package optimize
 
 import (
@@ -54,89 +55,6 @@ func GoldenSectionMin(f func(float64) float64, lo, hi, tol float64, maxIter int)
 		}
 	}
 	return x, fx
-}
-
-// GridSeedBest evaluates f at cells+1 evenly spaced points on [lo, hi] and
-// returns the bracket [left, right] around the best sample, plus that sample
-// and its value, so a refinement step starts from an already-evaluated
-// point. The RPC projection objective ‖x − f(s)‖² along a cubic curve can
-// have up to three local minima, so GSS alone could land in the wrong basin;
-// a coarse grid pass first makes the combined projector reliable.
-func GridSeedBest(f func(float64) float64, lo, hi float64, cells int) (left, right, best, fbest float64) {
-	if cells < 1 {
-		panic(fmt.Sprintf("optimize: GridSeedBest needs at least 1 cell, got %d", cells))
-	}
-	if hi < lo {
-		panic(fmt.Sprintf("optimize: GridSeedBest inverted bracket [%v,%v]", lo, hi))
-	}
-	h := (hi - lo) / float64(cells)
-	bestI := 0
-	bestV := math.Inf(1)
-	for i := 0; i <= cells; i++ {
-		s := lo + float64(i)*h
-		if v := f(s); v < bestV {
-			bestV, bestI = v, i
-		}
-	}
-	left = lo + float64(bestI-1)*h
-	right = lo + float64(bestI+1)*h
-	if left < lo {
-		left = lo
-	}
-	if right > hi {
-		right = hi
-	}
-	return left, right, lo + float64(bestI)*h, bestV
-}
-
-// NewtonBisect finds a root of g inside [a, b] given g(a) ≤ 0 ≤ g(b), by
-// Newton steps (using the derivative dg) safeguarded with bisection: a step
-// that leaves the current sign-bracket, or lands where dg is not positive,
-// is replaced by the bracket midpoint, so the iteration always converges.
-// x0 is the starting point (clamped into [a, b]). The RPC projectors use it
-// to refine the projection parameter to machine precision: the projection
-// objective's derivative crosses zero from below at a local minimum, which
-// is exactly the g(a) ≤ 0 ≤ g(b) precondition.
-//
-// The compiled projection engine in internal/core inlines this control flow
-// over its collapsed distance polynomials (newtonRefine, and cubicNewtonTail
-// for cubic curves); keep them in sync.
-func NewtonBisect(g, dg func(float64) float64, a, b, x0 float64, maxIter int) float64 {
-	s := x0
-	if s < a {
-		s = a
-	}
-	if s > b {
-		s = b
-	}
-	for i := 0; i < maxIter; i++ {
-		gs := g(s)
-		if gs == 0 {
-			return s
-		}
-		if gs < 0 {
-			a = s
-		} else {
-			b = s
-		}
-		t := s - gs/dg(s)
-		// A step that does not move s means s is a root to the last bit.
-		// Test it before the safeguard: at a fixpoint on the bracket end
-		// the step lands on a == s, and bisecting away would walk back.
-		if t == s {
-			return s
-		}
-		// Reject non-finite, out-of-bracket, or non-contracting steps
-		// (dg ≤ 0 yields one of those) and bisect instead.
-		if !(t > a && t < b) {
-			t = 0.5 * (a + b)
-		}
-		if t == s {
-			return s
-		}
-		s = t
-	}
-	return s
 }
 
 // BrentMin refines a minimum of f inside [lo,hi] with successive parabolic

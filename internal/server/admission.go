@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -301,7 +302,12 @@ func parseDeadline(r *http.Request, maxDeadline time.Duration) (time.Duration, e
 	if err != nil || ms <= 0 {
 		return 0, badRequest("invalid deadline %q: want a positive integer of milliseconds", v)
 	}
-	d := time.Duration(ms) * time.Millisecond
+	// More milliseconds than a Duration holds would wrap negative and
+	// silently drop the deadline; saturate instead, so the cap applies.
+	d := time.Duration(math.MaxInt64)
+	if ms <= int64(d/time.Millisecond) {
+		d = time.Duration(ms) * time.Millisecond
+	}
 	if maxDeadline > 0 && d > maxDeadline {
 		d = maxDeadline
 	}

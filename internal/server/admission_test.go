@@ -86,6 +86,11 @@ func TestParseDeadline(t *testing.T) {
 	if d, err := parseDeadline(mk("500000", ""), time.Second); err != nil || d != time.Second {
 		t.Fatalf("cap: d=%v err=%v", d, err)
 	}
+	// A count past what a Duration holds saturates, so the cap still
+	// applies instead of the value wrapping negative.
+	if d, err := parseDeadline(mk("9223372036854775807", ""), time.Second); err != nil || d != time.Second {
+		t.Fatalf("overflowing deadline: d=%v err=%v", d, err)
+	}
 	for _, bad := range []string{"abc", "-5", "0", "1.5"} {
 		if _, err := parseDeadline(mk(bad, ""), time.Minute); err == nil {
 			t.Fatalf("deadline %q accepted", bad)

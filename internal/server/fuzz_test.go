@@ -3,7 +3,11 @@ package server
 import (
 	"encoding/json"
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"testing"
+	"time"
 
 	"rpcrank/internal/frame"
 )
@@ -115,6 +119,51 @@ func FuzzDecodeRowsRoundTrip(f *testing.F) {
 				if math.Float64bits(fr.At(i, j)) != math.Float64bits(rows[i][j]) {
 					t.Fatalf("cell (%d,%d): %v != %v", i, j, fr.At(i, j), rows[i][j])
 				}
+			}
+		}
+	})
+}
+
+// FuzzParseDeadline drives the client-deadline parser with arbitrary
+// X-Deadline-Ms header and ?deadline_ms= query values and caps. It must
+// never panic; an accepted deadline is either 0 (none asked for) or lies in
+// (0, cap] when a cap is set, and is positive without one; and a header,
+// when present, decides the result alone, whatever the query says.
+//
+// CI runs this as a short smoke (-fuzz with a bounded -fuzztime) on every
+// push; longer local runs explore deeper.
+func FuzzParseDeadline(f *testing.F) {
+	f.Add("250", "", int64(60000))
+	f.Add("", "40", int64(60000))
+	f.Add("10", "99999", int64(60000))
+	f.Add("500000", "", int64(1000))
+	f.Add("9223372036854775807", "", int64(1000))
+	f.Add("", "9223372036854775807", int64(0))
+	f.Add("-5", "1.5", int64(-1))
+	f.Add("0", "abc", int64(1))
+	f.Fuzz(func(t *testing.T, header, query string, capMs int64) {
+		maxDeadline := time.Duration(capMs) * time.Millisecond
+		mk := func(header, query string) *http.Request {
+			r := httptest.NewRequest(http.MethodPost, "/v1/models/m/score", nil)
+			if query != "" {
+				r.URL.RawQuery = url.Values{"deadline_ms": {query}}.Encode()
+			}
+			if header != "" {
+				r.Header.Set("X-Deadline-Ms", header)
+			}
+			return r
+		}
+		d, err := parseDeadline(mk(header, query), maxDeadline)
+		if err == nil && d < 0 {
+			t.Fatalf("header %q query %q cap %v: negative deadline %v", header, query, maxDeadline, d)
+		}
+		if err == nil && maxDeadline > 0 && d > maxDeadline {
+			t.Fatalf("header %q query %q: deadline %v above the cap %v", header, query, d, maxDeadline)
+		}
+		if header != "" {
+			hd, herr := parseDeadline(mk(header, ""), maxDeadline)
+			if hd != d || (herr == nil) != (err == nil) {
+				t.Fatalf("header %q with query %q gave %v/%v, header alone %v/%v", header, query, d, err, hd, herr)
 			}
 		}
 	})
