@@ -33,6 +33,13 @@
 // Multiple -count runs of one benchmark are reduced to the geometric mean
 // of ns/op (robust to the occasional noisy run) and the maximum allocs/op
 // and B/op (bytes allocated).
+//
+// -update also stamps the baseline with the machine the numbers came from:
+// the goos/goarch/cpu header lines of the bench output and GOMAXPROCS (the
+// -N suffix of the benchmark names, 1 when there is none). A comparison
+// prints the baseline's machine and this run's on its first line
+// ("unrecorded" for a baseline written before stamping), so a ratio is
+// never read without knowing what it compares. The stamp gates nothing.
 package main
 
 import (
@@ -56,9 +63,48 @@ type Baseline struct {
 	// Benchmarks maps the benchmark name (CPU suffix stripped) to its
 	// reduced measurements.
 	Benchmarks map[string]Result `json:"benchmarks"`
+	// Machine is where the numbers were measured; nil in baselines written
+	// before benchguard recorded it.
+	Machine *Machine `json:"machine,omitempty"`
 	// Raw preserves the original benchmark lines so benchstat can diff a
 	// fresh run against the baseline.
 	Raw []string `json:"raw,omitempty"`
+}
+
+// Machine identifies the environment of one bench run: the goos, goarch
+// and cpu header lines go test -bench prints, and the distinct GOMAXPROCS
+// values of its benchmark lines in ascending order.
+type Machine struct {
+	GOOS       string `json:"goos,omitempty"`
+	GOARCH     string `json:"goarch,omitempty"`
+	CPU        string `json:"cpu,omitempty"`
+	GOMAXPROCS []int  `json:"gomaxprocs,omitempty"`
+}
+
+// String renders the stamp on one line, or "unrecorded" for a nil or
+// empty one.
+func (m *Machine) String() string {
+	if m == nil {
+		return "unrecorded"
+	}
+	var parts []string
+	if m.GOOS != "" || m.GOARCH != "" {
+		parts = append(parts, m.GOOS+"/"+m.GOARCH)
+	}
+	if m.CPU != "" {
+		parts = append(parts, m.CPU)
+	}
+	if len(m.GOMAXPROCS) > 0 {
+		procs := make([]string, len(m.GOMAXPROCS))
+		for i, p := range m.GOMAXPROCS {
+			procs[i] = strconv.Itoa(p)
+		}
+		parts = append(parts, "GOMAXPROCS "+strings.Join(procs, ","))
+	}
+	if len(parts) == 0 {
+		return "unrecorded"
+	}
+	return strings.Join(parts, ", ")
 }
 
 // Result is one benchmark's reduced measurement.
@@ -69,7 +115,7 @@ type Result struct {
 	Runs        int     `json:"runs"`
 }
 
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
 var allocsField = regexp.MustCompile(`(\d+) allocs/op`)
 var bytesField = regexp.MustCompile(`(\d+) B/op`)
 
@@ -125,7 +171,7 @@ func run(args []string, out io.Writer) error {
 		defer f.Close()
 		in = f
 	}
-	results, raw, err := parseBench(in)
+	results, raw, machine, err := parseBench(in)
 	if err != nil {
 		return err
 	}
@@ -137,6 +183,7 @@ func run(args []string, out io.Writer) error {
 		base := Baseline{
 			Note:       "reduced go test -bench output; refresh with: go run ./cmd/benchguard -update -baseline BENCH_BASELINE.json bench.txt",
 			Benchmarks: results,
+			Machine:    machine,
 			Raw:        raw,
 		}
 		b, err := json.MarshalIndent(base, "", "  ")
@@ -154,6 +201,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	fmt.Fprintf(out, "benchguard: baseline machine: %s; this run: %s\n", base.Machine, machine)
 	return compare(out, base, results, gates{
 		maxRatio:         *maxRatio,
 		pinned:           pinnedRe,
@@ -184,8 +232,9 @@ func readBaseline(path string) (Baseline, error) {
 	return base, nil
 }
 
-// parseBench reduces bench output to per-name results plus the raw lines.
-func parseBench(r io.Reader) (map[string]Result, []string, error) {
+// parseBench reduces bench output to per-name results plus the raw lines,
+// and reads the machine stamp from the same output.
+func parseBench(r io.Reader) (map[string]Result, []string, *Machine, error) {
 	type acc struct {
 		logSum float64
 		allocs int64
@@ -194,18 +243,35 @@ func parseBench(r io.Reader) (map[string]Result, []string, error) {
 	}
 	accs := map[string]*acc{}
 	var raw []string
+	machine := &Machine{}
+	procs := map[int]bool{}
+	// header records a "key: value" header line; a multi-package run
+	// repeats the headers, and the first one wins.
+	header := func(line, key string, dst *string) {
+		if v, ok := strings.CutPrefix(line, key+": "); ok && *dst == "" {
+			*dst = strings.TrimSpace(v)
+		}
+	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
+		header(line, "goos", &machine.GOOS)
+		header(line, "goarch", &machine.GOARCH)
+		header(line, "cpu", &machine.CPU)
 		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
-		ns, err := strconv.ParseFloat(m[2], 64)
+		ns, err := strconv.ParseFloat(m[3], 64)
 		if err != nil || ns <= 0 {
 			continue
 		}
+		p := 1
+		if m[2] != "" {
+			p, _ = strconv.Atoi(m[2]) // the regexp admits only digits
+		}
+		procs[p] = true
 		raw = append(raw, line)
 		a := accs[m[1]]
 		if a == nil {
@@ -214,20 +280,24 @@ func parseBench(r io.Reader) (map[string]Result, []string, error) {
 		}
 		a.logSum += math.Log(ns)
 		a.runs++
-		if am := allocsField.FindStringSubmatch(m[3]); am != nil {
+		if am := allocsField.FindStringSubmatch(m[4]); am != nil {
 			if v, err := strconv.ParseInt(am[1], 10, 64); err == nil && v > a.allocs {
 				a.allocs = v
 			}
 		}
-		if bm := bytesField.FindStringSubmatch(m[3]); bm != nil {
+		if bm := bytesField.FindStringSubmatch(m[4]); bm != nil {
 			if v, err := strconv.ParseInt(bm[1], 10, 64); err == nil && v > a.bytes {
 				a.bytes = v
 			}
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
+	for p := range procs {
+		machine.GOMAXPROCS = append(machine.GOMAXPROCS, p)
+	}
+	sort.Ints(machine.GOMAXPROCS)
 	out := make(map[string]Result, len(accs))
 	for name, a := range accs {
 		out[name] = Result{
@@ -237,7 +307,7 @@ func parseBench(r io.Reader) (map[string]Result, []string, error) {
 			Runs:        a.runs,
 		}
 	}
-	return out, raw, nil
+	return out, raw, machine, nil
 }
 
 func compare(out io.Writer, base Baseline, results map[string]Result, g gates) error {

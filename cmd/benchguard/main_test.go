@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -21,7 +23,7 @@ ok  	rpcrank	20.677s
 `
 
 func TestParseBenchReduces(t *testing.T) {
-	results, raw, err := parseBench(strings.NewReader(sampleBench))
+	results, raw, _, err := parseBench(strings.NewReader(sampleBench))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,6 +47,71 @@ func TestParseBenchReduces(t *testing.T) {
 	}
 	if sb.AllocsPerOp != 40314 {
 		t.Errorf("allocs %d, want 40314", sb.AllocsPerOp)
+	}
+}
+
+// TestMachineStamp: -update records the bench output's goos/goarch/cpu
+// headers and GOMAXPROCS (1 without a -N suffix) in the baseline, and a
+// comparison names both machines on its first line — "unrecorded" for a
+// baseline without a stamp — without any gate depending on them.
+func TestMachineStamp(t *testing.T) {
+	dir := t.TempDir()
+	baseline := filepath.Join(dir, "BENCH_BASELINE.json")
+	benchTxt := filepath.Join(dir, "bench.txt")
+	if err := os.WriteFile(benchTxt, []byte(sampleBench), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-update", "-baseline", baseline, benchTxt}, &out); err != nil {
+		t.Fatalf("update: %v", err)
+	}
+	raw, err := os.ReadFile(baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base Baseline
+	if err := json.Unmarshal(raw, &base); err != nil {
+		t.Fatal(err)
+	}
+	want := Machine{GOOS: "linux", GOARCH: "amd64", CPU: "Intel(R) Xeon(R) Processor @ 2.10GHz", GOMAXPROCS: []int{1}}
+	if base.Machine == nil || !reflect.DeepEqual(*base.Machine, want) {
+		t.Fatalf("recorded machine %+v, want %+v", base.Machine, want)
+	}
+
+	// A run at GOMAXPROCS 2 on another CPU: both stamps on the first line.
+	other := strings.ReplaceAll(sampleBench, "Intel(R) Xeon(R) Processor @ 2.10GHz", "AMD EPYC 7B13")
+	other = strings.ReplaceAll(other, "BenchmarkScoreOne ", "BenchmarkScoreOne-2 ")
+	other = strings.ReplaceAll(other, "rows=10000 ", "rows=10000-2 ")
+	otherTxt := filepath.Join(dir, "other.txt")
+	if err := os.WriteFile(otherTxt, []byte(other), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := run([]string{"-baseline", baseline, otherTxt}, &out); err != nil {
+		t.Fatalf("compare: %v\n%s", err, out.String())
+	}
+	first, _, _ := strings.Cut(out.String(), "\n")
+	wantFirst := "benchguard: baseline machine: linux/amd64, Intel(R) Xeon(R) Processor @ 2.10GHz, GOMAXPROCS 1; " +
+		"this run: linux/amd64, AMD EPYC 7B13, GOMAXPROCS 2"
+	if first != wantFirst {
+		t.Errorf("first line\n%q\nwant\n%q", first, wantFirst)
+	}
+
+	// A baseline from before the stamp still compares, as "unrecorded".
+	base.Machine = nil
+	legacy, err := json.Marshal(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(baseline, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := run([]string{"-baseline", baseline, benchTxt}, &out); err != nil {
+		t.Fatalf("compare against an unstamped baseline: %v\n%s", err, out.String())
+	}
+	if !strings.HasPrefix(out.String(), "benchguard: baseline machine: unrecorded; this run: linux/amd64") {
+		t.Errorf("unstamped baseline not reported as unrecorded:\n%s", out.String())
 	}
 }
 

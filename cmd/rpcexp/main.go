@@ -10,6 +10,9 @@
 //
 // Experiments: table1 table2 table3 fig2 fig4 fig5 fig6 fig7 fig8
 // ablations:   projector updater degree metarules scaling
+//
+// The projector ablation (A1) compares the two score solvers: grid-seeded
+// safeguarded Newton and exact quintic roots.
 package main
 
 import (
@@ -35,7 +38,7 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("rpcexp", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment id (table1..3, fig2/4/5/6/7/8, projector, updater, degree, metarules, scaling, all)")
+	exp := fs.String("exp", "all", "experiment id (table1..3, fig2/4/5/6/7/8, projector (grid+Newton vs quintic), updater, degree, metarules, scaling, all)")
 	svgDir := fs.String("out", ".", "directory for figure SVGs")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -9,8 +9,8 @@ import (
 // Scorer is the compiled serving form of a fitted Model: the curve's
 // distance profile precomputed into Horner-evaluated polynomial
 // coefficients, plus reusable scratch, so scoring one observation performs
-// zero heap allocations (GSS/Brent/Newton-projector models; the quintic
-// strategy's exact root solver allocates). Obtain one with Model.Compile.
+// zero heap allocations (Newton-projector models; the quintic strategy's
+// exact root solver allocates). Obtain one with Model.Compile.
 //
 // A Scorer is NOT safe for concurrent use — it owns scratch buffers. Hand
 // each goroutine its own via Clone, which shares the immutable compiled
@@ -31,11 +31,11 @@ import (
 //   - (c) Proposition 1 holds: if x strictly dominates y along α, then
 //     s(x) ≥ s(y).
 //
-// Models fitted with ProjectorGSS or ProjectorBrent are served through the
-// ProjectorNewton strategy, which converges to the same minimiser in far
-// fewer profile evaluations; quintic models keep their exact solver. The
-// contract is tested on componentwise-monotone curves — everything Fit can
-// produce — and (c) rests on that monotonicity.
+// A model is served by the projector that fitted it: ProjectorNewton
+// models through the same grid-seeded Newton decision tree as the fit's
+// score step, quintic models through their exact solver. The contract is
+// tested on componentwise-monotone curves — everything Fit can produce —
+// and (c) rests on that monotonicity.
 type Scorer struct {
 	model *Model
 	eng   *engine
@@ -68,9 +68,6 @@ func (m *Model) Compile() *Scorer {
 		// through Fit or Load; give them the standard projector settings.
 		opts = opts.withDefaults()
 	}
-	if opts.Projector != ProjectorQuintic {
-		opts.Projector = ProjectorNewton
-	}
 	sc := &Scorer{
 		model: m,
 		eng:   newEngine(m.Curve, opts),
@@ -82,7 +79,7 @@ func (m *Model) Compile() *Scorer {
 
 func (sc *Scorer) initFastPath() {
 	e := sc.eng
-	if e.kind != ProjectorNewton || e.comp.Degree() != 3 {
+	if e.quintic || e.comp.Degree() != 3 {
 		return
 	}
 	d := e.comp.Dim()

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"rpcrank/internal/bezier"
-	"rpcrank/internal/optimize"
 )
 
 // engine is the compiled projection kernel: the curve's squared-distance
@@ -13,26 +12,22 @@ import (
 // goroutine; clone() hands an independent scratch to another worker while
 // sharing the immutable compiled coefficients.
 //
-// project runs one decision tree for every strategy: a grid seed, bracket
-// classification by the signs of the profile's derivative, an optional 1-D
-// search (GSS or Brent) for the Newton start, and safeguarded Newton
-// refinement to machine precision. Tests hold every path through it to
-// internal/oracle, an independent dense-scan projector, under the contract
-// stated on Scorer.
+// project runs one decision tree for every non-quintic row, fitted or
+// served: a grid seed, bracket classification by the signs of the profile's
+// derivative, and safeguarded Newton refinement from the best grid node to
+// machine precision — cubicNewtonKernel for cubic curves, projectSeeded for
+// other degrees. Quintic engines solve exact roots instead. Tests hold every
+// path through it to internal/oracle, an independent dense-scan projector,
+// under the contract stated on Scorer.
 type engine struct {
-	kind  Projector
-	cells int
-	tol   float64
-	comp  *bezier.Compiled
-	curve *bezier.Curve
+	quintic bool
+	cells   int
+	comp    *bezier.Compiled
+	curve   *bezier.Curve
 
 	// dc/d1c/d2c hold the distance profile D and its first two derivatives
 	// for the row being projected, as polynomials in t = s − ½.
 	dc, d1c, d2c []float64
-	// distFn is dc bound as a plain function once, so the GSS/Brent
-	// refinement strategies can reuse the optimizer implementations without
-	// a per-row closure allocation.
-	distFn func(float64) float64
 
 	// warmRows/warmHits count warm-started projections and validated
 	// basins for fit telemetry. One engine is owned by one goroutine, so
@@ -43,14 +38,14 @@ type engine struct {
 }
 
 // newEngine compiles c for the projection strategy in opts. opts must have
-// defaults applied.
+// defaults applied. Projector values outside the enum project like
+// ProjectorNewton.
 func newEngine(c *bezier.Curve, opts Options) *engine {
 	e := &engine{
-		kind:  opts.Projector,
-		cells: opts.GridCells,
-		tol:   opts.ProjTol,
-		comp:  bezier.Compile(c),
-		curve: c,
+		quintic: opts.Projector == ProjectorQuintic,
+		cells:   opts.GridCells,
+		comp:    bezier.Compile(c),
+		curve:   c,
 	}
 	e.initScratch()
 	return e
@@ -61,15 +56,12 @@ func (e *engine) initScratch() {
 	e.dc = make([]float64, n)
 	e.d1c = make([]float64, n-1)
 	e.d2c = make([]float64, n-2)
-	e.distFn = func(s float64) float64 {
-		return bezier.EvalPoly(e.dc, s-bezier.DistPolyOrigin)
-	}
 }
 
 // clone returns an engine sharing the compiled coefficients but owning
 // fresh scratch, for use by another goroutine.
 func (e *engine) clone() *engine {
-	c := &engine{kind: e.kind, cells: e.cells, tol: e.tol, comp: e.comp, curve: e.curve}
+	c := &engine{quintic: e.quintic, cells: e.cells, comp: e.comp, curve: e.curve}
 	c.initScratch()
 	return c
 }
@@ -96,8 +88,8 @@ func (e *engine) recompile(c *bezier.Curve) {
 // Algorithm-1 iteration instead of a fresh grid scan. Between consecutive
 // iterations the curve barely moves, so the previous score almost always
 // sits inside the basin of the new minimiser; safeguarded Newton from there
-// costs a handful of polynomial passes instead of a GridCells-point scan
-// plus a 1-D search. Validity is checked, not assumed:
+// costs a handful of polynomial passes instead of a GridCells-point scan.
+// Validity is checked, not assumed:
 //
 //   - the derivative-sign bracket [sPrev−h, sPrev+h] (h the grid spacing)
 //     must enclose a minimum, the same classification project applies to its
@@ -106,16 +98,15 @@ func (e *engine) recompile(c *bezier.Curve) {
 //     parameter, i.e. D(s) ≤ D(sPrev) up to roundoff — Newton that wandered
 //     out of the basin cannot silently inflate the objective.
 //
-// Cubic curves (every GSS, Brent and Newton engine of degree 3) take
-// projectWarmCubic, which refines on the serving kernel's register-resident
-// Newton tail; other degrees refine with newtonRefine over the collapsed
-// profile. Rows failing either check fall back to the cold decision tree —
-// the one project would take, so a fallback is bit-equal to a cold
-// projection — and report warm=false; the fit stays within the existing
-// convergence contract either way. The quintic strategy solves exact
+// Cubic curves take projectWarmCubic, which refines on the serving kernel's
+// register-resident Newton tail; other degrees refine with newtonRefine over
+// the collapsed profile. Rows failing either check fall back to the cold
+// decision tree — the one project would take, so a fallback is bit-equal to
+// a cold projection — and report warm=false; the fit stays within the
+// existing convergence contract either way. The quintic strategy solves exact
 // polynomial roots and takes no seed; it always projects cold.
 func (e *engine) projectWarm(u []float64, sPrev float64) (s, distSq float64, warm bool) {
-	if e.kind == ProjectorQuintic {
+	if e.quintic {
 		s, d := projectQuintic(e.curve, u)
 		return s, d, false
 	}
@@ -155,9 +146,7 @@ func (e *engine) warmBracket(sPrev float64) (lo, hi float64) {
 // bit-equal to the ones project would compute — applies the same bracket
 // and no-regress checks, and refines from sPrev with cubicNewtonTail, the
 // tail of the cold serving kernel. A row failing a check falls back exactly
-// as project would: Newton engines to cubicNewtonKernel on the same
-// coefficients, GSS and Brent engines to the collapsed-profile decision
-// tree.
+// as project would, to cubicNewtonKernel on the same coefficients.
 func (e *engine) projectWarmCubic(u []float64, sPrev float64) (s, distSq float64, warm bool) {
 	const origin = bezier.DistPolyOrigin
 	snorm := e.comp.ShiftedNormSq()
@@ -193,28 +182,21 @@ func (e *engine) projectWarmCubic(u []float64, sPrev float64) (s, distSq float64
 			return s, nonNeg(d), true
 		}
 	}
-	if e.kind == ProjectorNewton {
-		s, d := cubicNewtonKernel(c0, c1, c2, c3, c4, c5, c6, e.cells, true)
-		return s, d, false
-	}
-	e.comp.DistPolyInto(e.dc, u)
-	e.fillDerivatives()
-	s, d := e.projectSeeded()
+	s, d := cubicNewtonKernel(c0, c1, c2, c3, c4, c5, c6, e.cells, true)
 	return s, d, false
 }
 
 // project computes argmin_s ‖u − f(s)‖² and the attained squared distance
-// for one normalised row. Zero allocations for the GSS/Brent/Newton
-// strategies; the quintic strategy delegates to the exact root solver
-// (which allocates) to stay bit-identical with the reference path.
+// for one normalised row. Zero allocations for the Newton strategy; the
+// quintic strategy delegates to the exact root solver, which allocates.
 func (e *engine) project(u []float64) (float64, float64) {
-	if e.kind == ProjectorQuintic {
+	if e.quintic {
 		return projectQuintic(e.curve, u)
 	}
 	e.comp.DistPolyInto(e.dc, u)
-	if e.kind == ProjectorNewton && len(e.dc) == 7 {
-		// Cubic curves served through the Newton strategy are THE hot
-		// path (rpcd's default); it gets a fully inlined kernel.
+	if len(e.dc) == 7 {
+		// Cubic curves are THE hot path (rpcd's default degree); they get
+		// a fully inlined kernel.
 		return e.projectCubicNewton()
 	}
 	e.fillDerivatives()
@@ -232,10 +214,10 @@ func (e *engine) fillDerivatives() {
 	}
 }
 
-// projectSeeded is the cold decision tree — grid seed, bracket
-// classification, strategy refinement, safeguarded Newton — over the
-// already-collapsed profile in e.dc/d1c/d2c. project and the warm-start
-// fallback both land here, so a row never pays the profile collapse twice.
+// projectSeeded is the cold decision tree of non-cubic curves — grid seed,
+// bracket classification, safeguarded Newton — over the already-collapsed
+// profile in e.dc/d1c/d2c. project and the warm-start fallback both land
+// here, so a row never pays the profile collapse twice.
 func (e *engine) projectSeeded() (float64, float64) {
 	// Grid pass: the best of cells+1 evenly spaced nodes on [0,1].
 	h := 1 / float64(e.cells)
@@ -250,10 +232,10 @@ func (e *engine) projectSeeded() (float64, float64) {
 	return e.refineSeed(bestI, bestV)
 }
 
-// refineSeed is projectSeeded after its grid pass: bracket classification,
-// strategy refinement, and safeguarded Newton around grid node bestI, whose
-// profile value is bestV. It is a separate function so CPU profiles split
-// the grid scan from the refinement by function name.
+// refineSeed is projectSeeded after its grid pass: bracket classification
+// and safeguarded Newton from grid node bestI, whose profile value is
+// bestV. It is a separate function so CPU profiles split the grid scan
+// from the refinement by function name.
 func (e *engine) refineSeed(bestI int, bestV float64) (float64, float64) {
 	h := 1 / float64(e.cells)
 	lo := float64(bestI-1) * h
@@ -277,21 +259,7 @@ func (e *engine) refineSeed(bestI int, bestV float64) (float64, float64) {
 		return s0, nonNeg(bestV)
 	}
 
-	start := s0
-	switch e.kind {
-	case ProjectorBrent:
-		if s1, f1 := optimize.BrentMin(e.distFn, lo, hi, e.tol, 200); f1 < bestV {
-			start = s1
-		}
-	case ProjectorNewton:
-		// The grid best seeds Newton directly.
-	default: // ProjectorGSS and unknown values
-		if s1, f1 := optimize.GoldenSectionMin(e.distFn, lo, hi, e.tol, 200); f1 < bestV {
-			start = s1
-		}
-	}
-
-	s := e.newtonRefine(lo, hi, start)
+	s := e.newtonRefine(lo, hi, s0)
 	return s, nonNeg(bezier.EvalPoly(e.dc, s-bezier.DistPolyOrigin))
 }
 

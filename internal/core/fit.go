@@ -23,9 +23,11 @@ import (
 //  1. normalise X into [0,1]^d (Eq. 29);
 //  2. initialise P with pinned end points p₀ = (1−α)/2, p_k = (1+α)/2 and
 //     jittered interior control points;
-//  3. repeat: project every row onto the curve to get scores (Eq. 22, GSS),
-//     update the control points (Eq. 27 Richardson step or Eq. 26
-//     pseudo-inverse), clamp the interior control points into the open box;
+//  3. repeat: project every row onto the curve to get scores (Eq. 22, by
+//     grid-seeded safeguarded Newton where the paper uses Golden Section
+//     Search; see the package doc), update the control points (Eq. 27
+//     Richardson step or Eq. 26 pseudo-inverse), clamp the interior
+//     control points into the open box;
 //  4. stop when ΔJ < ξ, when J would increase, or at MaxIter.
 func Fit(xs [][]float64, opts Options) (*Model, error) {
 	if len(xs) == 0 {

@@ -211,7 +211,7 @@ func TestFitProjectorsAgree(t *testing.T) {
 	alpha := order.MustDirection(1, 1)
 	xs, _ := genBezierCloud(rng, 80, alpha, 0.03)
 	var ref []float64
-	for _, proj := range []Projector{ProjectorGSS, ProjectorBrent, ProjectorQuintic} {
+	for _, proj := range []Projector{ProjectorNewton, ProjectorQuintic} {
 		m, err := Fit(xs, Options{Alpha: alpha, Projector: proj})
 		if err != nil {
 			t.Fatalf("%v: %v", proj, err)
@@ -221,7 +221,7 @@ func TestFitProjectorsAgree(t *testing.T) {
 			continue
 		}
 		if tau := order.KendallTau(ref, m.Scores); tau < 0.99 {
-			t.Errorf("%v: ranking deviates from GSS, tau = %v", proj, tau)
+			t.Errorf("%v: ranking deviates from Newton, tau = %v", proj, tau)
 		}
 	}
 }
@@ -377,8 +377,8 @@ func TestFitDeterminism(t *testing.T) {
 }
 
 func TestProjectorUpdaterStrings(t *testing.T) {
-	if ProjectorGSS.String() != "gss" || ProjectorBrent.String() != "brent" ||
-		ProjectorQuintic.String() != "quintic" || Projector(9).String() != "unknown" {
+	if ProjectorNewton.String() != "newton" || ProjectorQuintic.String() != "quintic" ||
+		Projector(9).String() != "unknown" {
 		t.Errorf("Projector.String broken")
 	}
 	if UpdaterRichardson.String() != "richardson" || UpdaterPseudoInverse.String() != "pseudoinverse" ||

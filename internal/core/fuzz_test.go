@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"rpcrank/internal/order"
@@ -24,7 +26,7 @@ func FuzzLoad(f *testing.F) {
 	for _, opts := range []Options{
 		{Alpha: alpha, MaxIter: 5},
 		{Alpha: alpha, MaxIter: 5, Projector: ProjectorQuintic},
-		{Alpha: alpha, MaxIter: 5, Projector: ProjectorBrent, Degree: 2},
+		{Alpha: alpha, MaxIter: 5, Degree: 2},
 		{Alpha: alpha, MaxIter: 5, Projector: ProjectorNewton, Degree: 5},
 	} {
 		m, err := Fit(xs, opts)
@@ -37,8 +39,23 @@ func FuzzLoad(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	// Documents from before the Golden Section and Brent projectors were
+	// retired, naming them and carrying their proj_tol.
+	legacy, err := filepath.Glob("testdata/legacy/*.json")
+	if err != nil || len(legacy) == 0 {
+		f.Fatalf("no legacy seed documents: %v", err)
+	}
+	for _, path := range legacy {
+		doc, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(doc)
+	}
 	for _, s := range []string{
 		`{"version":1,"alpha":[1],"control_points":[[0],[1]],"norm_min":[0],"norm_max":[1]}`,
+		// A legacy document whose proj_tol is out of range: Load rejects it.
+		`{"version":1,"alpha":[1,1],"control_points":[[0,0],[0.3,0.2],[0.7,0.6],[1,1]],"norm_min":[0,0],"norm_max":[1,1],"projector":"brent","grid_cells":32,"proj_tol":1.5}`,
 		`{"version":1,"alpha":[1,-1],"control_points":[[0,1],[0.5,0.5],[1,0]],"norm_min":[0,0],"norm_max":[1,1],"projector":"newton","grid_cells":2}`,
 		`{"version":1,"alpha":[1],"control_points":[[0],[1e300],[1]],"norm_min":[-1e308],"norm_max":[1e308]}`,
 		`{"version":1,"alpha":[1],"control_points":[[0],[0.2],[0.9],[1]],"norm_min":[0],"norm_max":[1e-300],"projector":"quintic"}`,

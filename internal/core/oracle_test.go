@@ -3,9 +3,10 @@ package core
 // The differential harness: every path that produces a fitted or served
 // score — Model.Score, Scorer.Score, the fit pool's cold pass on one and
 // two workers (with Scorer.ScoreFrameRange), projectWarm seeded at the
-// oracle's minimiser, and bare GSS, Newton and Brent engines — held to
-// internal/oracle, which shares no code with any of them, under the
-// contract of oracle.Result.Check, plus Proposition 1 on dominated pairs.
+// oracle's minimiser, and bare Newton engines (plus quintic ones for
+// cubics) — held to internal/oracle, which shares no code with any of
+// them, under the contract of oracle.Result.Check, plus Proposition 1 on
+// dominated pairs.
 // The HTTP and forwarded-hop paths are held to the same oracle in
 // internal/server.
 
@@ -56,9 +57,9 @@ func rawRow(m *Model, u []float64) []float64 {
 }
 
 // harnessKinds lists the engine strategies the harness runs for a curve:
-// GSS, Newton and Brent, plus the quintic solver for cubics.
+// Newton, plus the quintic solver for cubics.
 func harnessKinds(c *bezier.Curve) []Projector {
-	kinds := []Projector{ProjectorGSS, ProjectorNewton, ProjectorBrent}
+	kinds := []Projector{ProjectorNewton}
 	if c.Degree() == 3 {
 		kinds = append(kinds, ProjectorQuintic)
 	}
@@ -188,12 +189,12 @@ func TestOracleDifferentialFitted(t *testing.T) {
 }
 
 // TestOracleDifferentialRandom runs the harness on random monotone control
-// polygons at degrees 2–5 and d ∈ {1, 2, 3, 5, 8, 16}, with rows in
-// [−0.3, 1.3]^d: interior basins, rows past the curve's ends and near
-// ties.
+// polygons at degrees 2–6 (every degree Fit accepts) and
+// d ∈ {1, 2, 3, 5, 8, 16}, with rows in [−0.3, 1.3]^d: interior basins,
+// rows past the curve's ends and near ties.
 func TestOracleDifferentialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for deg := 2; deg <= 5; deg++ {
+	for deg := 2; deg <= 6; deg++ {
 		for _, d := range []int{1, 2, 3, 5, 8, 16} {
 			m := randParityModel(rng, deg, d, ProjectorNewton)
 			u := marginFrame(rng, 300, d)

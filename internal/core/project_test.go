@@ -23,8 +23,8 @@ func randMonotoneCubic(rng *rand.Rand, d int) *bezier.Curve {
 	return bezier.MustNew(pts)
 }
 
-// TestProjectorsAgainstBruteForce holds the engine's GSS, Brent and
-// quintic strategies to the oracle's dense scan on random monotone cubics:
+// TestProjectorsAgainstBruteForce holds the engine's Newton and quintic
+// strategies to the oracle's dense scan on random monotone cubics:
 // the score meets the projection contract and the returned distance is the
 // oracle's D at that score.
 func TestProjectorsAgainstBruteForce(t *testing.T) {
@@ -34,7 +34,7 @@ func TestProjectorsAgainstBruteForce(t *testing.T) {
 		c := randMonotoneCubic(rng, 3)
 		x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
 		r := oracleCurve(c).Project(x)
-		for _, proj := range []Projector{ProjectorGSS, ProjectorBrent, ProjectorQuintic} {
+		for _, proj := range []Projector{ProjectorNewton, ProjectorQuintic} {
 			o := opts
 			o.Projector = proj
 			s, d := newEngine(c, o).project(x)
@@ -63,7 +63,8 @@ func TestQuinticProjectorHandlesEndpoints(t *testing.T) {
 }
 
 // TestProjectUnknownProjectorFallsBack: an engine built for a projector
-// value outside the enum refines like GSS and still meets the contract.
+// value outside the enum projects exactly like ProjectorNewton and meets
+// the contract.
 func TestProjectUnknownProjectorFallsBack(t *testing.T) {
 	c := bezier.MustNew([][]float64{{0}, {0.3}, {0.7}, {1}})
 	o := Options{}.withDefaults()
@@ -75,6 +76,10 @@ func TestProjectUnknownProjectorFallsBack(t *testing.T) {
 	}
 	if err := oracleCurve(c).Project(x).Check(s, o.GridCells); err != nil {
 		t.Error(err)
+	}
+	o.Projector = ProjectorNewton
+	if sn, dn := newEngine(c, o).project(x); s != sn || d != dn {
+		t.Errorf("unknown projector (%.17g, %.17g), Newton (%.17g, %.17g)", s, d, sn, dn)
 	}
 }
 

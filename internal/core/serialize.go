@@ -15,6 +15,10 @@ import (
 // control points, the direction vector, and the normalisation ranges are
 // the complete ranking rule (that is the "explicitness" meta-rule made
 // operational — the whole model serialises to a few dozen numbers).
+//
+// ProjTol is read only to validate legacy documents: it was the bracket
+// width of the Golden Section and Brent projectors, which no longer exist.
+// Save leaves it out.
 type modelJSON struct {
 	Version       int         `json:"version"`
 	Alpha         []float64   `json:"alpha"`
@@ -23,7 +27,7 @@ type modelJSON struct {
 	NormMax       []float64   `json:"norm_max"`
 	Projector     string      `json:"projector"`
 	GridCells     int         `json:"grid_cells"`
-	ProjTol       float64     `json:"proj_tol"`
+	ProjTol       float64     `json:"proj_tol,omitempty"`
 }
 
 const modelVersion = 1
@@ -42,7 +46,6 @@ func (m *Model) Save(w io.Writer) error {
 		NormMax:       append([]float64{}, m.Norm.Max...),
 		Projector:     m.opts.Projector.String(),
 		GridCells:     m.opts.GridCells,
-		ProjTol:       m.opts.ProjTol,
 	}
 	for i, p := range m.Curve.Points {
 		out.ControlPoints[i] = append([]float64{}, p...)
@@ -54,7 +57,10 @@ func (m *Model) Save(w io.Writer) error {
 
 // Load reads a model saved by Save. The returned model scores observations
 // identically to the original; training-time diagnostics (Scores,
-// ResidualsSq, Objective) are empty.
+// ResidualsSq, Objective) are empty. The "quintic" projector loads as
+// ProjectorQuintic; every other value — "newton", the retired "gss" and
+// "brent", an unknown name or none at all — loads as ProjectorNewton, the
+// strategy such documents were always served through.
 func Load(r io.Reader) (*Model, error) {
 	var in modelJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -99,33 +105,24 @@ func Load(r io.Reader) (*Model, error) {
 	}
 	// The projector settings come from an untrusted document: 0 means
 	// "use the default", anything else must be usable — a negative grid
-	// panics GridSeed and a huge one is a CPU bomb per scored row. The
-	// bounds match Options.validate, so every fitted model round-trips.
+	// panics the grid seed and a huge one is a CPU bomb per scored row. The
+	// bounds match Options.validate, so every fitted model round-trips. A
+	// legacy proj_tol is ignored, but one out of its old range still marks
+	// the document as malformed.
 	if in.GridCells != 0 && (in.GridCells < 2 || in.GridCells > MaxGridCells) {
 		return nil, fmt.Errorf("core: grid_cells %d out of [2, %d]", in.GridCells, MaxGridCells)
 	}
 	if in.ProjTol != 0 && !(in.ProjTol > 0 && in.ProjTol <= 1) {
 		return nil, fmt.Errorf("core: proj_tol %v out of (0, 1]", in.ProjTol)
 	}
-	opts := Options{
-		Alpha:     alpha,
-		GridCells: in.GridCells,
-		ProjTol:   in.ProjTol,
-	}
-	switch in.Projector {
-	case "brent":
-		opts.Projector = ProjectorBrent
-	case "newton":
-		opts.Projector = ProjectorNewton
-	case "quintic":
+	opts := Options{Alpha: alpha, GridCells: in.GridCells}
+	if in.Projector == "quintic" {
 		// Mirror Options.validate: the quintic projector solves a cubic's
 		// orthogonality condition and panics on any other degree.
 		if curve.Degree() != 3 {
 			return nil, fmt.Errorf("core: quintic projector requires degree 3, got %d", curve.Degree())
 		}
 		opts.Projector = ProjectorQuintic
-	default:
-		opts.Projector = ProjectorGSS
 	}
 	opts = opts.withDefaults()
 	return &Model{

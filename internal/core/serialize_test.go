@@ -2,7 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -13,7 +17,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(301))
 	alpha := order.MustDirection(1, 1, -1)
 	xs, _ := genBezierCloud(rng, 100, alpha, 0.02)
-	m, err := Fit(xs, Options{Alpha: alpha, Projector: ProjectorBrent})
+	m, err := Fit(xs, Options{Alpha: alpha})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,6 +63,8 @@ func TestLoadRejectsMalformed(t *testing.T) {
 		{"nan point", `{"version":1,"alpha":[1],"control_points":[[0],["NaN"]],"norm_min":[0],"norm_max":[1]}`},
 		{"bad norm dims", `{"version":1,"alpha":[1],"control_points":[[0],[1]],"norm_min":[0,1],"norm_max":[1]}`},
 		{"empty norm range", `{"version":1,"alpha":[1],"control_points":[[0],[1]],"norm_min":[1],"norm_max":[1]}`},
+		{"proj_tol above 1", `{"version":1,"alpha":[1],"control_points":[[0],[1]],"norm_min":[0],"norm_max":[1],"projector":"gss","proj_tol":1.5}`},
+		{"negative proj_tol", `{"version":1,"alpha":[1],"control_points":[[0],[1]],"norm_min":[0],"norm_max":[1],"proj_tol":-1e-10}`},
 	}
 	for _, c := range cases {
 		if _, err := Load(strings.NewReader(c.body)); err == nil {
@@ -67,20 +73,104 @@ func TestLoadRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestLoadProjectorSelection: "quintic" loads as ProjectorQuintic; every
+// other projector name — "newton", the retired "gss" and "brent", an
+// unknown one, or none — loads as ProjectorNewton.
 func TestLoadProjectorSelection(t *testing.T) {
-	base := `{"version":1,"alpha":[1],"control_points":[[0],[0.3],[0.7],[1]],"norm_min":[0],"norm_max":[1],"projector":%q}`
+	base := `{"version":1,"alpha":[1],"control_points":[[0],[0.3],[0.7],[1]],"norm_min":[0],"norm_max":[1]%s}`
 	for spec, want := range map[string]Projector{
-		"gss":     ProjectorGSS,
-		"brent":   ProjectorBrent,
-		"quintic": ProjectorQuintic,
-		"bogus":   ProjectorGSS, // unknown falls back to the default
+		`,"projector":"newton"`:  ProjectorNewton,
+		`,"projector":"gss"`:     ProjectorNewton,
+		`,"projector":"brent"`:   ProjectorNewton,
+		`,"projector":"quintic"`: ProjectorQuintic,
+		`,"projector":"bogus"`:   ProjectorNewton,
+		``:                       ProjectorNewton,
 	} {
-		m, err := Load(strings.NewReader(strings.Replace(base, "%q", `"`+spec+`"`, 1)))
+		m, err := Load(strings.NewReader(fmt.Sprintf(base, spec)))
 		if err != nil {
 			t.Fatalf("%s: %v", spec, err)
 		}
 		if m.opts.Projector != want {
 			t.Errorf("%s: projector %v, want %v", spec, m.opts.Projector, want)
 		}
+	}
+}
+
+// TestLoadLegacyDocuments holds the committed documents in testdata/legacy
+// — fitted models saved with the gss, brent, newton and quintic projectors
+// and hand-written rules (a gss rule with proj_tol, no projector, an
+// unknown projector) — to the scores recorded in
+// testdata/legacy_scores.json, which were recorded when Load still told gss
+// and brent apart. Each must load, score its probe rows bit-identically
+// through Scorer.Score and Model.Score, and round-trip Save → Load → Save
+// byte-stably without writing proj_tol.
+func TestLoadLegacyDocuments(t *testing.T) {
+	raw, err := os.ReadFile("testdata/legacy_scores.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fixture map[string]struct {
+		Rows   [][]float64 `json:"rows"`
+		Scores []float64   `json:"scores"`
+	}
+	if err := json.Unmarshal(raw, &fixture); err != nil {
+		t.Fatal(err)
+	}
+	paths, err := filepath.Glob("testdata/legacy/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) != len(fixture) {
+		t.Fatalf("%d legacy documents but %d fixture entries", len(paths), len(fixture))
+	}
+	for _, path := range paths {
+		name := strings.TrimSuffix(filepath.Base(path), ".json")
+		t.Run(name, func(t *testing.T) {
+			probe, ok := fixture[name]
+			if !ok || len(probe.Rows) == 0 || len(probe.Rows) != len(probe.Scores) {
+				t.Fatalf("no usable fixture entry for %s", name)
+			}
+			doc, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := Load(bytes.NewReader(doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantProj := ProjectorNewton
+			if strings.Contains(string(doc), `"quintic"`) {
+				wantProj = ProjectorQuintic
+			}
+			if m.opts.Projector != wantProj {
+				t.Errorf("projector %v, want %v", m.opts.Projector, wantProj)
+			}
+			sc := m.Compile()
+			for i, x := range probe.Rows {
+				if got := sc.Score(x); got != probe.Scores[i] {
+					t.Errorf("row %d: Scorer.Score %.17g, recorded %.17g", i, got, probe.Scores[i])
+				}
+				if got := m.Score(x); got != probe.Scores[i] {
+					t.Errorf("row %d: Model.Score %.17g, recorded %.17g", i, got, probe.Scores[i])
+				}
+			}
+			var first, second bytes.Buffer
+			if err := m.Save(&first); err != nil {
+				t.Fatal(err)
+			}
+			if strings.Contains(first.String(), "proj_tol") {
+				t.Errorf("Save wrote proj_tol:\n%s", first.String())
+			}
+			again, err := Load(bytes.NewReader(first.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := again.Save(&second); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(first.Bytes(), second.Bytes()) {
+				t.Errorf("Save → Load → Save changed the document:\n%s\nvs\n%s", first.Bytes(), second.Bytes())
+			}
+		})
 	}
 }

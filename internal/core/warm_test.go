@@ -16,8 +16,8 @@ import (
 )
 
 // TestFitWarmStartMatchesCold pins the warm-start convergence contract:
-// across projectors and degrees, the warm-started fit must land within 1e-9
-// of the cold fit's final scores with a final objective no worse.
+// across degrees, the warm-started fit must land within 1e-9 of the cold
+// fit's final scores with a final objective no worse.
 func TestFitWarmStartMatchesCold(t *testing.T) {
 	cases := []struct {
 		name string
@@ -25,11 +25,11 @@ func TestFitWarmStartMatchesCold(t *testing.T) {
 		deg  int
 		seed int64
 	}{
-		{"gss", ProjectorGSS, 3, 11},
 		{"newton", ProjectorNewton, 3, 12},
-		{"brent", ProjectorBrent, 3, 13},
-		{"gss-deg4", ProjectorGSS, 4, 14},
-		{"gss-deg2", ProjectorGSS, 2, 15},
+		{"newton-deg4", ProjectorNewton, 4, 14},
+		{"newton-deg2", ProjectorNewton, 2, 15},
+		{"newton-deg5", ProjectorNewton, 5, 16},
+		{"newton-deg6", ProjectorNewton, 6, 17},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -88,11 +88,9 @@ func TestFitWarmStartQuinticUnaffected(t *testing.T) {
 // (even absurd) previous score it was seeded with; a seed whose basin fails
 // validation must degrade to exactly the cold result (the internal
 // fallback shares the cold code path, so bit-equality is required). It runs
-// for every seeded projector on a fitted model, and on random monotone
-// cubic clouds across dimensions, rows past the curve's ends included.
+// on fitted models of every degree, and on random monotone cubic clouds
+// across dimensions, rows past the curve's ends included.
 func TestProjectWarmAgreesFromAnyStart(t *testing.T) {
-	projs := []Projector{ProjectorGSS, ProjectorNewton, ProjectorBrent}
-
 	rng := rand.New(rand.NewSource(31))
 	alpha := order.MustDirection(1, 1, -1)
 	xs, _ := genBezierCloud(rng, 60, alpha, 0.05)
@@ -104,11 +102,18 @@ func TestProjectWarmAgreesFromAnyStart(t *testing.T) {
 	for i := range fitted {
 		fitted[i] = m.data.Row(i)
 	}
-	for _, p := range projs {
-		t.Run("fitted/"+p.String(), func(t *testing.T) {
-			opts := m.opts.withDefaults()
-			opts.Projector = p
-			checkWarmAgreesFromAnyStart(t, newEngine(m.Curve, opts), fitted)
+	t.Run("fitted/newton", func(t *testing.T) {
+		checkWarmAgreesFromAnyStart(t, newEngine(m.Curve, m.opts), fitted)
+	})
+	// Other degrees take the collapsed-profile newtonRefine warm path and
+	// fall back to projectSeeded instead of the cubic register kernel.
+	for _, deg := range []int{2, 4, 5, 6} {
+		t.Run(fmt.Sprintf("fitted-deg%d/newton", deg), func(t *testing.T) {
+			md, err := Fit(xs, Options{Alpha: alpha, Degree: deg, MaxIter: 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkWarmAgreesFromAnyStart(t, newEngine(md.Curve, md.opts), fitted)
 		})
 	}
 
@@ -123,11 +128,9 @@ func TestProjectWarmAgreesFromAnyStart(t *testing.T) {
 				rows[i][j] += 0.05 * rng.NormFloat64()
 			}
 		}
-		for _, p := range projs {
-			t.Run(fmt.Sprintf("cloud/d=%d/%s", d, p), func(t *testing.T) {
-				checkWarmAgreesFromAnyStart(t, newEngine(c, Options{Projector: p}.withDefaults()), rows)
-			})
-		}
+		t.Run(fmt.Sprintf("cloud/d=%d/newton", d), func(t *testing.T) {
+			checkWarmAgreesFromAnyStart(t, newEngine(c, Options{}.withDefaults()), rows)
+		})
 	}
 }
 

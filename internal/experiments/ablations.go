@@ -10,9 +10,11 @@ import (
 	"rpcrank/internal/order"
 )
 
-// ProjectorAblationResult is experiment A1: the three projection solvers
-// (GSS, Brent, exact quintic roots) compared on recovery quality against a
-// known latent order.
+// ProjectorAblationResult is experiment A1: the two projection solvers —
+// grid-seeded safeguarded Newton and exact quintic roots — compared on
+// recovery quality against a known latent order. (The paper's Golden
+// Section Search is not among them: it only ever produced a start for the
+// same Newton refinement; see the core package doc.)
 type ProjectorAblationResult struct {
 	N, D int
 	Rows []ProjectorAblationRow
@@ -31,7 +33,7 @@ type ProjectorAblationRow struct {
 func RunProjectorAblation(n int, alpha order.Direction) (*ProjectorAblationResult, error) {
 	xs, latent, _ := dataset.BezierCloud(alpha, n, 0.02, 91)
 	res := &ProjectorAblationResult{N: n, D: alpha.Dim()}
-	for _, p := range []core.Projector{core.ProjectorGSS, core.ProjectorBrent, core.ProjectorQuintic} {
+	for _, p := range []core.Projector{core.ProjectorNewton, core.ProjectorQuintic} {
 		m, err := core.Fit(xs, core.Options{Alpha: alpha, Projector: p})
 		if err != nil {
 			return nil, fmt.Errorf("projector %v: %w", p, err)

@@ -2,8 +2,8 @@
 // with the Aberth–Ehrlich simultaneous iteration. The RPC projection
 // condition (f(s) − x)·f′(s) = 0 (Eq. 20/22) is a degree-5 polynomial in s;
 // the paper cites Jenkins–Traub as one way to solve it directly, and this
-// package provides that "exact projector" as an ablation alternative to
-// Golden Section Search.
+// package provides that "exact projector" as the alternative to the
+// grid-seeded Newton projector (ablation A1).
 package polyroot
 
 import (

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"rpcrank/internal/core"
 	"rpcrank/internal/registry"
 )
 
@@ -221,6 +223,55 @@ func TestStatuszHTML(t *testing.T) {
 	resp2.Body.Close()
 	if ct := resp2.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
 		t.Errorf("format=json served %q", ct)
+	}
+}
+
+// TestStatuszShowsConverged: the models table puts the fit's Converged
+// beside its iteration count, so a model published as its MaxIter-th
+// iterate is visible as such; an installed rule, which has no fit, shows
+// "-". The live page agrees with the JSON document's fit diagnostics.
+func TestStatuszShowsConverged(t *testing.T) {
+	snap := statuszSnapshot{Models: []registry.Meta{
+		{ID: "capped-v1", Fit: &core.FitDiagnostics{Iterations: 200}},
+		{ID: "done-v1", Fit: &core.FitDiagnostics{Iterations: 41, Converged: true}},
+		{ID: "rule-v1"},
+	}}
+	var b bytes.Buffer
+	renderStatuszHTML(&b, &snap)
+	page := b.String()
+	for _, want := range []string{
+		"<th>fit iters</th><th>converged</th>",
+		"<td>200</td><td>no</td>",
+		"<td>41</td><td>yes</td>",
+		"<td>-</td><td>-</td><td>-</td><td>-</td></tr>",
+	} {
+		if !strings.Contains(page, want) {
+			t.Errorf("models table missing %q", want)
+		}
+	}
+
+	_, ts := newTestServer(t, t.TempDir())
+	fitModel(t, ts, "conv")
+	resp, err := http.Get(ts.URL + "/statusz?format=json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	js := decodeBody[statuszSnapshot](t, resp)
+	if len(js.Models) != 1 || js.Models[0].Fit == nil {
+		t.Fatalf("models = %+v", js.Models)
+	}
+	fit := js.Models[0].Fit
+	want := fmt.Sprintf("<td>%d</td><td>no</td>", fit.Iterations)
+	if fit.Converged {
+		want = fmt.Sprintf("<td>%d</td><td>yes</td>", fit.Iterations)
+	}
+	resp, err = http.Get(ts.URL + "/statusz?format=html")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if page, _ := io.ReadAll(resp.Body); !strings.Contains(string(page), want) {
+		t.Errorf("live page missing %q for the fitted model", want)
 	}
 }
 

@@ -124,6 +124,8 @@ func TestOracleScoreRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for deg := 2; deg <= 5; deg++ {
 		for _, d := range []int{1, 3, 8} {
+			// "gss" is a retired projector name that legacy rule
+			// documents still carry; such rules install as Newton.
 			projectors := []string{"newton", "gss"}
 			if deg == 3 {
 				projectors = append(projectors, "quintic")

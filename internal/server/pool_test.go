@@ -119,7 +119,8 @@ func TestPoolMatchesSerialAcrossModels(t *testing.T) {
 		{"deg2", core.Options{Degree: 2}},
 		{"cubic", core.Options{}},
 		{"deg4", core.Options{Degree: 4}},
-		{"cubic-gss", core.Options{Projector: core.ProjectorGSS}},
+		{"deg5", core.Options{Degree: 5}},
+		{"deg6", core.Options{Degree: 6}},
 		{"quintic", core.Options{Projector: core.ProjectorQuintic}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -182,16 +182,23 @@ func renderStatuszHTML(b *bytes.Buffer, snap *statuszSnapshot) {
 	fmt.Fprintf(b, "</table>\n")
 
 	fmt.Fprintf(b, "<h2>Models (%d)</h2>\n", len(snap.Models))
-	fmt.Fprintf(b, "<table><tr><th>id</th><th>dim</th><th>degree</th><th>rows</th><th>explained var</th><th>monotone</th><th>fit iters</th><th>final objective</th><th>warm-hit</th></tr>\n")
+	// "converged" says whether the fit stopped on ΔJ < ξ or was published
+	// as its MaxIter-th iterate; rules installed from a document have no
+	// fit and show "-".
+	fmt.Fprintf(b, "<table><tr><th>id</th><th>dim</th><th>degree</th><th>rows</th><th>explained var</th><th>monotone</th><th>fit iters</th><th>converged</th><th>final objective</th><th>warm-hit</th></tr>\n")
 	for _, m := range snap.Models {
-		iters, obj, warm := "-", "-", "-"
+		iters, converged, obj, warm := "-", "-", "-", "-"
 		if m.Fit != nil {
 			iters = fmt.Sprintf("%d", m.Fit.Iterations)
+			converged = "no"
+			if m.Fit.Converged {
+				converged = "yes"
+			}
 			obj = fmt.Sprintf("%.6g", m.Fit.FinalObjective)
 			warm = fmt.Sprintf("%.1f%%", 100*m.Fit.WarmStartHitRate)
 		}
-		fmt.Fprintf(b, "<tr><td>%s</td><td>%d</td><td>%d</td><td>%d</td><td>%.4f</td><td>%v</td><td>%s</td><td>%s</td><td>%s</td></tr>\n",
-			esc(m.ID), m.Dim, m.Degree, m.Rows, m.ExplainedVariance, m.Monotone, iters, obj, warm)
+		fmt.Fprintf(b, "<tr><td>%s</td><td>%d</td><td>%d</td><td>%d</td><td>%.4f</td><td>%v</td><td>%s</td><td>%s</td><td>%s</td><td>%s</td></tr>\n",
+			esc(m.ID), m.Dim, m.Degree, m.Rows, m.ExplainedVariance, m.Monotone, iters, converged, obj, warm)
 	}
 	fmt.Fprintf(b, "</table>\n")
 
