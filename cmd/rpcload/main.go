@@ -25,6 +25,7 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -121,8 +122,11 @@ type bucketOut struct {
 // network is broken), Shed counts 429/503 answers (the server is healthy
 // and protecting itself — expected when the storm exceeds its admission
 // limits), and Non2xx is everything else non-2xx (a real bug in the run
-// or the server). ByStatus has the full per-status breakdown.
+// or the server). ByStatus has the full per-status breakdown. Machine
+// names the host that generated the load, so artifacts from different
+// boxes are not read as like for like.
 type artifact struct {
+	Machine        machine          `json:"machine"`
 	URL            string           `json:"url"`
 	Model          string           `json:"model"`
 	Concurrency    int              `json:"concurrency"`
@@ -142,6 +146,41 @@ type artifact struct {
 	P95Ms          float64          `json:"p95_ms"`
 	P99Ms          float64          `json:"p99_ms"`
 	Histogram      []bucketOut      `json:"histogram"`
+}
+
+// machine is the load generator's host: logical CPUs (what nproc counts),
+// GOMAXPROCS, the Go version, and the CPU model.
+type machine struct {
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	CPUModel   string `json:"cpu_model"`
+}
+
+func thisMachine() machine {
+	return machine{
+		NProc:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+		CPUModel:   cpuModel("/proc/cpuinfo"),
+	}
+}
+
+// cpuModel returns the first "model name" entry of a /proc/cpuinfo-format
+// file, or "unknown" when the file is unreadable or has none (non-Linux
+// hosts, some ARM kernels).
+func cpuModel(path string) string {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return "unknown"
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		key, val, ok := strings.Cut(line, ":")
+		if v := strings.TrimSpace(val); ok && v != "" && strings.TrimSpace(key) == "model name" {
+			return v
+		}
+	}
+	return "unknown"
 }
 
 func run(args []string, out io.Writer) error {
@@ -240,6 +279,7 @@ func run(args []string, out io.Writer) error {
 
 	hist.mu.Lock()
 	art := artifact{
+		Machine:        thisMachine(),
 		URL:            base,
 		Model:          *model,
 		Concurrency:    *concurrency,

@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -98,6 +100,60 @@ func TestRunEmitsHistogramArtifact(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "requests") {
 		t.Fatalf("missing summary line in output: %q", buf.String())
+	}
+}
+
+// TestArtifactStampsMachine: the artifact names the host the load came
+// from — CPU count, GOMAXPROCS, Go version and CPU model.
+func TestArtifactStampsMachine(t *testing.T) {
+	url := startTestServer(t)
+	out := filepath.Join(t.TempDir(), "hist.json")
+	var buf strings.Builder
+	if err := run([]string{"-url", url, "-model", "load-v1", "-concurrency", "1", "-rows", "4",
+		"-duration", "50ms", "-out", out}, &buf); err != nil {
+		t.Fatalf("run: %v (output: %s)", err, buf.String())
+	}
+	raw, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Machine map[string]any `json:"machine"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("artifact is not valid JSON: %v", err)
+	}
+	want := map[string]any{
+		"nproc":      float64(runtime.NumCPU()),
+		"gomaxprocs": float64(runtime.GOMAXPROCS(0)),
+		"go_version": runtime.Version(),
+		"cpu_model":  cpuModel("/proc/cpuinfo"),
+	}
+	if !reflect.DeepEqual(doc.Machine, want) {
+		t.Errorf("machine = %v, want %v", doc.Machine, want)
+	}
+}
+
+func TestCPUModel(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, tc := range []struct{ name, body, want string }{
+		{"two", "processor\t: 0\nvendor_id\t: GenuineIntel\nmodel name\t: Intel(R) Xeon(R) Processor\n\nprocessor\t: 1\nmodel name\t: Other\n", "Intel(R) Xeon(R) Processor"},
+		{"none", "processor\t: 0\nHardware\t: BCM2835\n", "unknown"},
+		{"empty", "model name\t:\nmodel name\t: Late\n", "Late"},
+	} {
+		if got := cpuModel(write(tc.name, tc.body)); got != tc.want {
+			t.Errorf("%s: cpuModel = %q, want %q", tc.name, got, tc.want)
+		}
+	}
+	if got := cpuModel(filepath.Join(dir, "missing")); got != "unknown" {
+		t.Errorf("missing file: cpuModel = %q, want unknown", got)
 	}
 }
 

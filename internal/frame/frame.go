@@ -9,9 +9,9 @@
 // A Frame carries an explicit row stride so sub-frames (Slice) can view a
 // row range of a parent without copying. Row returns a zero-copy view;
 // FromRows/ToRows are the conversion shims that let callers still holding
-// [][]float64 migrate incrementally. The streaming Reset/PushValue/EndRow
-// trio exists for decoders that discover values one at a time and want to
-// build the frame without a per-row buffer.
+// [][]float64 migrate incrementally. Resize sizes a reused frame for a
+// decoder that counts its rows first and then writes them in place, range
+// by range, through Data.
 //
 // The package is dependency-free (standard library only) and makes no
 // attempt at general linear algebra — that is internal/mat's job. A Frame
@@ -265,11 +265,7 @@ func (f *Frame) Data() []float64 {
 // Cap returns the value capacity of the backing array, for pool size caps.
 func (f *Frame) Cap() int { return cap(f.data) }
 
-// Reset empties the frame to 0×d, keeping the backing capacity. It begins
-// the streaming construction protocol used by decoders:
-//
-//	f.Reset(d)
-//	for each row { for each value { f.PushValue(v) }; if !f.EndRow() { ... } }
+// Reset empties the frame to 0×d, keeping the backing capacity.
 func (f *Frame) Reset(d int) {
 	if d < 0 {
 		panic(fmt.Sprintf("frame: Reset(%d): negative dimension", d))
@@ -278,31 +274,20 @@ func (f *Frame) Reset(d int) {
 	f.n, f.d, f.stride = 0, d, d
 }
 
-// Reserve ensures the backing array can hold at least vals values before
-// the next growth copy — the decoder's pre-sizing hook for batches too
-// large to come out of a pool warm.
-func (f *Frame) Reserve(vals int) {
-	if vals <= cap(f.data) {
-		return
+// Resize makes f an n×d packed frame, reusing the backing array when it
+// holds n·d values and allocating a fresh one otherwise. The values are
+// unspecified: Resize exists for decoders that overwrite every cell, and
+// it does not pay to zero or copy them.
+func (f *Frame) Resize(n, d int) {
+	if n < 0 || d < 0 {
+		panic(fmt.Sprintf("frame: Resize(%d, %d): negative dimension", n, d))
 	}
-	grown := make([]float64, len(f.data), vals)
-	copy(grown, f.data)
-	f.data = grown
-}
-
-// PushValue appends one scalar to the pending (uncommitted) row.
-func (f *Frame) PushValue(v float64) {
-	f.data = append(f.data, v)
-}
-
-// EndRow commits the pending row. It reports false — leaving the frame
-// unchanged with the pending values discarded — when the pending width is
-// not exactly Dim, which is how streaming decoders detect ragged input.
-func (f *Frame) EndRow() bool {
-	if len(f.data)-f.n*f.d != f.d {
-		f.data = f.data[:f.n*f.d]
-		return false
+	if f.view {
+		panic("frame: Resize on a view")
 	}
-	f.n++
-	return true
+	if cap(f.data) < n*d {
+		f.data = make([]float64, n*d)
+	}
+	f.data = f.data[:n*d]
+	f.n, f.d, f.stride = n, d, d
 }

@@ -139,31 +139,32 @@ func TestCloneRepacksViews(t *testing.T) {
 	}
 }
 
-func TestStreamingProtocol(t *testing.T) {
+func TestResizeReusesBacking(t *testing.T) {
 	var f Frame
-	f.Reset(2)
-	for _, row := range [][]float64{{1, 2}, {3, 4}} {
-		for _, v := range row {
-			f.PushValue(v)
-		}
-		if !f.EndRow() {
-			t.Fatal("EndRow rejected a well-formed row")
-		}
+	f.Resize(3, 2)
+	if f.N() != 3 || f.Dim() != 2 || f.Stride() != 2 || len(f.Data()) != 6 {
+		t.Fatalf("Resize(3, 2): n=%d d=%d stride=%d len %d", f.N(), f.Dim(), f.Stride(), len(f.Data()))
 	}
-	if f.N() != 2 || f.At(1, 1) != 4 {
-		t.Fatalf("streamed frame = %v", f.ToRows())
+	copy(f.Data(), []float64{1, 2, 3, 4, 5, 6})
+	if f.At(2, 1) != 6 {
+		t.Fatalf("row-major fill: %v", f.ToRows())
 	}
-	// A ragged pending row is rejected and discarded; the committed rows
-	// survive.
-	f.PushValue(9)
-	if f.EndRow() {
-		t.Fatal("EndRow accepted a short row")
+	// Shrinking, or growing within capacity, keeps the backing array.
+	c, p := f.Cap(), &f.Data()[0]
+	f.Resize(2, 3)
+	if f.N() != 2 || f.Dim() != 3 || f.Cap() != c || &f.Data()[0] != p {
+		t.Fatalf("Resize(2, 3) within capacity: n=%d d=%d cap %d vs %d", f.N(), f.Dim(), f.Cap(), c)
 	}
-	if f.N() != 2 || len(f.Data()) != 4 {
-		t.Fatalf("after rejected row: n=%d data=%v", f.N(), f.Data())
+	f.Resize(0, 4)
+	if f.N() != 0 || f.Dim() != 4 || f.Cap() != c {
+		t.Fatalf("Resize(0, 4): n=%d d=%d cap %d vs %d", f.N(), f.Dim(), f.Cap(), c)
+	}
+	f.Resize(5, 4)
+	if f.N() != 5 || f.Cap() < 20 {
+		t.Fatalf("Resize(5, 4) past capacity: n=%d cap %d", f.N(), f.Cap())
 	}
 	// Reset keeps capacity but clears content.
-	c := f.Cap()
+	c = f.Cap()
 	f.Reset(3)
 	if f.N() != 0 || f.Dim() != 3 || f.Cap() != c {
 		t.Fatalf("after Reset: n=%d d=%d cap %d vs %d", f.N(), f.Dim(), f.Cap(), c)
@@ -180,6 +181,8 @@ func TestPanics(t *testing.T) {
 		"Append view":  func() { f.Slice(0, 1).AppendRow([]float64{1, 2}) },
 		"Slice range":  func() { f.Slice(0, 2) },
 		"Col range":    func() { f.Col(5, nil) },
+		"Resize neg":   func() { new(Frame).Resize(-1, 2) },
+		"Resize view":  func() { f.Slice(0, 1).Resize(1, 2) },
 	} {
 		func() {
 			defer func() {

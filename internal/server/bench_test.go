@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 
 	"rpcrank/internal/core"
@@ -180,4 +182,53 @@ func BenchmarkPoolScoreBatch(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(f.N())*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+}
+
+// BenchmarkScoreBodyRanges times the score path's JSON work alone — decode
+// a body of 4-value rows with six significant digits, then encode one
+// score per row — in one inline range and in two ranges on the pool. The
+// body size where two ranges start to win is the crossover splitMinBytes
+// is set from; run it at -cpu 2.
+func BenchmarkScoreBodyRanges(b *testing.B) {
+	pool := NewPool(0)
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(1))
+	for _, rows := range []int{50, 100, 200, 400, 800, 1600, 10_000} {
+		body := []byte(`{"rows":[`)
+		for i := 0; i < rows; i++ {
+			if i > 0 {
+				body = append(body, ',')
+			}
+			body = append(body, '[')
+			for j := 0; j < 4; j++ {
+				if j > 0 {
+					body = append(body, ',')
+				}
+				body = strconv.AppendFloat(body, 100*rng.Float64(), 'g', 6, 64)
+			}
+			body = append(body, ']')
+		}
+		body = append(body, "]}"...)
+		scores := make([]float64, rows)
+		for i := range scores {
+			scores[i] = rng.Float64()
+		}
+		for _, k := range []int{1, 2} {
+			b.Run(fmt.Sprintf("bytes=%d/ranges=%d", len(body), k), func(b *testing.B) {
+				st := &scoreState{}
+				b.SetBytes(int64(len(body)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					st.body = body
+					if !st.decode(pool, 4, k) {
+						b.Fatal("decode declined the body")
+					}
+					st.scores = scores
+					if _, ok := st.encode(pool, "bench-v1"); !ok {
+						b.Fatal("encode declined the answer")
+					}
+				}
+			})
+		}
+	}
 }

@@ -35,7 +35,7 @@ func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request) bool {
 	// The body is buffered up front (through the installed limiter, so the
 	// MaxBodyBytes cap holds) because a retry must replay it to the next
 	// replica.
-	body, err := readBody(r, s.opts.MaxBodyBytes)
+	body, err := readBody(r, s.opts.MaxBodyBytes, getBuf(&bodyPool))
 	if err != nil {
 		putBuf(&bodyPool, body)
 		var mbe *http.MaxBytesError

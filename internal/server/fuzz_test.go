@@ -8,8 +8,6 @@ import (
 	"net/url"
 	"testing"
 	"time"
-
-	"rpcrank/internal/frame"
 )
 
 // FuzzDecodeRows pins the hand-rolled score-request decoder against
@@ -19,7 +17,9 @@ import (
 // count, and bit-identical values. The one asymmetry is deliberate and also
 // checked: the fast path only accepts batches whose rows all have the
 // expected width d, so the stdlib fallback owns the canonical
-// dimension-mismatch error.
+// dimension-mismatch error. The body is decoded twice, in one range and in
+// k (1–8) ranges on a pool, and the two must agree exactly: same
+// acceptance, bit-identical frames.
 //
 // CI runs this as a short smoke (-fuzz with a bounded -fuzztime) on every
 // push; longer local runs explore deeper.
@@ -38,18 +38,26 @@ func FuzzDecodeRows(f *testing.F) {
 		`{"rows":null}`,
 		`{"rows":[[1,2]]} trailing`,
 		`{"rows":[[1,2]]}`,
+		`{"rows":[[1],[2],[3],[4],[5],[6],[7],[8],[9]]}`,
+		`{"rows":[[1],[2],,[3],[4]]}`,
+		`{"rows":[[1] , [2] ,[3],[4]]}`,
 	}
 	for _, s := range seeds {
 		for _, d := range []int{1, 2, 3} {
-			f.Add([]byte(s), d)
+			f.Add([]byte(s), d, uint8(d+1))
 		}
 	}
-	fr := &frame.Frame{}
-	f.Fuzz(func(t *testing.T, body []byte, d int) {
+	p := NewPool(2)
+	f.Cleanup(p.Close)
+	f.Fuzz(func(t *testing.T, body []byte, d int, k uint8) {
 		if d < 1 || d > 64 {
 			d = 1 + (d%64+64)%64
 		}
-		fastOK := parseScoreFrame(fr, body, d)
+		one, fastOK := decodeRows(nil, body, d, 1)
+		split, splitOK := decodeRows(p, body, d, 1+int(k%8))
+		if splitOK != fastOK {
+			t.Fatalf("%q (dim %d): one range ok=%v, %d ranges ok=%v", body, d, fastOK, 1+k%8, splitOK)
+		}
 
 		// The stdlib arbiter, with the exact semantics of the fallback path
 		// (decodeJSONBytes): unknown fields and trailing data are errors.
@@ -59,9 +67,13 @@ func FuzzDecodeRows(f *testing.F) {
 		if !fastOK {
 			return // fallback path owns the outcome, whatever it is
 		}
+		if !sameFrame(&one.fr, &split.fr) {
+			t.Fatalf("%q (dim %d): one-range and %d-range frames differ", body, d, 1+k%8)
+		}
 		if stdErr != nil {
 			t.Fatalf("fast parser accepted %q (dim %d) but stdlib rejects it: %v", body, d, stdErr)
 		}
+		fr := &one.fr
 		if fr.N() != len(req.Rows) {
 			t.Fatalf("%q: fast %d rows, stdlib %d", body, fr.N(), len(req.Rows))
 		}
@@ -83,14 +95,15 @@ func FuzzDecodeRows(f *testing.F) {
 }
 
 // FuzzDecodeRowsRoundTrip feeds the fuzzer structurally valid batches: any
-// [][]float64 the stdlib encoder can produce must take the fast path and
-// come back value-identical.
+// [][]float64 the stdlib encoder can produce must take the fast path, in
+// one range and in k (1–8) ranges on a pool, and come back value-identical.
 func FuzzDecodeRowsRoundTrip(f *testing.F) {
-	f.Add(3, 4, 1.5)
-	f.Add(1, 1, -0.0)
-	f.Add(17, 2, 6.21801796743513e-05)
-	fr := &frame.Frame{}
-	f.Fuzz(func(t *testing.T, n, d int, base float64) {
+	f.Add(3, 4, 1.5, uint8(2))
+	f.Add(1, 1, -0.0, uint8(1))
+	f.Add(17, 2, 6.21801796743513e-05, uint8(8))
+	p := NewPool(2)
+	f.Cleanup(p.Close)
+	f.Fuzz(func(t *testing.T, n, d int, base float64, k uint8) {
 		if n < 0 || n > 64 || d < 1 || d > 16 {
 			return
 		}
@@ -108,16 +121,20 @@ func FuzzDecodeRowsRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		if !parseScoreFrame(fr, body, d) {
-			t.Fatalf("fast parser declined canonical body %s", body)
-		}
-		if fr.N() != n {
-			t.Fatalf("%s: %d rows, want %d", body, fr.N(), n)
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < d; j++ {
-				if math.Float64bits(fr.At(i, j)) != math.Float64bits(rows[i][j]) {
-					t.Fatalf("cell (%d,%d): %v != %v", i, j, fr.At(i, j), rows[i][j])
+		for _, ranges := range []int{1, 1 + int(k%8)} {
+			st, ok := decodeRows(p, body, d, ranges)
+			if !ok {
+				t.Fatalf("fast parser declined canonical body %s in %d ranges", body, ranges)
+			}
+			fr := &st.fr
+			if fr.N() != n {
+				t.Fatalf("%s in %d ranges: %d rows, want %d", body, ranges, fr.N(), n)
+			}
+			for i := 0; i < n; i++ {
+				for j := 0; j < d; j++ {
+					if math.Float64bits(fr.At(i, j)) != math.Float64bits(rows[i][j]) {
+						t.Fatalf("%d ranges, cell (%d,%d): %v != %v", ranges, i, j, fr.At(i, j), rows[i][j])
+					}
 				}
 			}
 		}

@@ -54,6 +54,11 @@ type Metrics struct {
 	slow     obs.Counter
 	inFlight obs.Gauge
 
+	// fits counts successful fits by outcome: [0] stopped on ΔJ < ξ,
+	// [1] stopped at MaxIter; fitIters sums their outer iterations.
+	fits     [2]obs.Counter
+	fitIters obs.Counter
+
 	modelMu       sync.RWMutex
 	models        map[string]*ModelStats
 	modelOverflow *ModelStats
@@ -170,6 +175,17 @@ func (m *Metrics) Model(id string) *ModelStats {
 // AddRows adds to the total count of rows scored. key selects the shard.
 func (m *Metrics) AddRows(key uint64, n int) { m.rows.Add(key, int64(n)) }
 
+// ObserveFit records one successful fit: whether it converged and how
+// many outer iterations it ran.
+func (m *Metrics) ObserveFit(key uint64, converged bool, iterations int) {
+	i := 0
+	if !converged {
+		i = 1
+	}
+	m.fits[i].Add(key, 1)
+	m.fitIters.Add(key, int64(iterations))
+}
+
 // AddSlow counts one request over the slow-trace threshold.
 func (m *Metrics) AddSlow(key uint64) { m.slow.Add(key, 1) }
 
@@ -252,6 +268,13 @@ func (m *Metrics) ServeHTTP(rw http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(&w, "# HELP rpcd_rows_scored_total Rows scored across score and rank endpoints.\n")
 	fmt.Fprintf(&w, "# TYPE rpcd_rows_scored_total counter\n")
 	fmt.Fprintf(&w, "rpcd_rows_scored_total %d\n", m.rows.Load())
+	fmt.Fprintf(&w, "# HELP rpcd_fits_total Fits run by POST /v1/models, by whether they converged before the iteration cap.\n")
+	fmt.Fprintf(&w, "# TYPE rpcd_fits_total counter\n")
+	fmt.Fprintf(&w, "rpcd_fits_total{converged=\"true\"} %d\n", m.fits[0].Load())
+	fmt.Fprintf(&w, "rpcd_fits_total{converged=\"false\"} %d\n", m.fits[1].Load())
+	fmt.Fprintf(&w, "# HELP rpcd_fit_iterations_total Outer iterations run by the fits in rpcd_fits_total.\n")
+	fmt.Fprintf(&w, "# TYPE rpcd_fit_iterations_total counter\n")
+	fmt.Fprintf(&w, "rpcd_fit_iterations_total %d\n", m.fitIters.Load())
 
 	m.modelMu.RLock()
 	models := make([]string, 0, len(m.models))
@@ -294,10 +317,10 @@ func (m *Metrics) ServeHTTP(rw http.ResponseWriter, _ *http.Request) {
 
 	if m.poolStats != nil {
 		queue, busy, workers := m.poolStats()
-		fmt.Fprintf(&w, "# HELP rpcd_pool_queue_depth Scoring tasks waiting in the pool queue.\n")
+		fmt.Fprintf(&w, "# HELP rpcd_pool_queue_depth Tasks waiting in the pool queue.\n")
 		fmt.Fprintf(&w, "# TYPE rpcd_pool_queue_depth gauge\n")
 		fmt.Fprintf(&w, "rpcd_pool_queue_depth %d\n", queue)
-		fmt.Fprintf(&w, "# HELP rpcd_pool_workers_busy Pool workers currently scoring a task.\n")
+		fmt.Fprintf(&w, "# HELP rpcd_pool_workers_busy Pool workers currently running a task: scoring a row range, or decoding or encoding one range of a score request.\n")
 		fmt.Fprintf(&w, "# TYPE rpcd_pool_workers_busy gauge\n")
 		fmt.Fprintf(&w, "rpcd_pool_workers_busy %d\n", busy)
 		fmt.Fprintf(&w, "# HELP rpcd_pool_workers Pool size.\n")

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"rpcrank/internal/core"
+	"rpcrank/internal/dataset"
 	"rpcrank/internal/registry"
 )
 
@@ -431,7 +432,7 @@ func TestMetricsStrictExposition(t *testing.T) {
 	for _, want := range []string{
 		"rpcd_requests_total", "rpcd_request_errors_total",
 		"rpcd_request_duration_ms_bucket", "rpcd_request_duration_ms_sum", "rpcd_request_duration_ms_count",
-		"rpcd_rows_scored_total",
+		"rpcd_rows_scored_total", "rpcd_fits_total", "rpcd_fit_iterations_total",
 		"rpcd_model_requests_total", "rpcd_model_rows_total",
 		"rpcd_model_score_duration_ms_bucket",
 		"rpcd_requests_in_flight", "rpcd_slow_requests_total",
@@ -462,6 +463,59 @@ func TestMetricsStrictExposition(t *testing.T) {
 	// counts non-decreasing, +Inf present and equal to _count.
 	checkHistogram(t, byName, "rpcd_request_duration_ms")
 	checkHistogram(t, byName, "rpcd_model_score_duration_ms")
+}
+
+// TestMetricsFitTelemetry: every fit POST /v1/models runs lands in
+// rpcd_fits_total under its converged label, and its outer iterations in
+// rpcd_fit_iterations_total, matching the fit diagnostics the registry
+// keeps for the published version.
+func TestMetricsFitTelemetry(t *testing.T) {
+	_, ts := newTestServer(t, t.TempDir())
+	journals := dataset.Journals()
+	fits := []FitResponse{
+		fitModel(t, ts, "small"),
+		decodeBody[FitResponse](t, postJSON(t, ts.URL+"/v1/models", FitRequest{
+			Name:  "journals",
+			Alpha: journals.Alpha,
+			Rows:  journals.Data.ToRows(),
+		})),
+	}
+	var converged, unconverged, iterations float64
+	for _, f := range fits {
+		if f.Model.Fit == nil {
+			t.Fatalf("fit %s carries no diagnostics", f.Model.ID)
+		}
+		if f.Model.Fit.Converged {
+			converged++
+		} else {
+			unconverged++
+		}
+		iterations += float64(f.Model.Fit.Iterations)
+	}
+	// A failed fit is not counted.
+	postJSON(t, ts.URL+"/v1/models", FitRequest{Name: "bad", Alpha: []float64{1}, Rows: [][]float64{{1}}}).Body.Close()
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	got := map[string]float64{}
+	for _, s := range parsePromText(t, string(raw)) {
+		if strings.HasPrefix(s.name, "rpcd_fit") {
+			got[s.name+"{"+s.labels+"}"] = s.value
+		}
+	}
+	for key, want := range map[string]float64{
+		`rpcd_fits_total{converged="true"}`:  converged,
+		`rpcd_fits_total{converged="false"}`: unconverged,
+		`rpcd_fit_iterations_total{}`:        iterations,
+	} {
+		if v, ok := got[key]; !ok || v != want {
+			t.Errorf("%s = %v (present %v), want %v", key, v, ok, want)
+		}
+	}
 }
 
 func checkHistogram(t *testing.T, byName map[string][]promSample, fam string) {

@@ -33,7 +33,8 @@ var ErrPoolClosed = errors.New("scoring pool closed")
 // all requests; tasks are row ranges of a batch's shared frame, fanned out
 // over a channel. Workers borrow compiled scorers from the model's internal
 // pool (core.Model.AcquireScorer), so steady-state batches allocate neither
-// row storage nor scorer scratch.
+// row storage nor scorer scratch. The same workers decode a large score
+// request's body and encode its answer, one row range a task (runRanges).
 //
 // Batches carrying a cancellable context (a trace with an armed deadline,
 // or a request context with a Done channel) are cooperatively cancellable:
@@ -59,12 +60,16 @@ type Pool struct {
 	closed  bool
 }
 
-// poolTask is one shard: score rows [lo, hi) of f into out[lo:hi]. The
-// frame and output slice are shared across the batch's tasks; the ranges
-// are disjoint, so no synchronisation beyond done is needed. tr, when
-// non-nil, receives a score span for the shard. bc, when non-nil, carries
-// the batch's cancellation state.
+// poolTask is one shard of a batch. A score task (the zero kind) scores
+// rows [lo, hi) of f into out[lo:hi]; the frame and output slice are
+// shared across the batch's tasks, the ranges are disjoint, so no
+// synchronisation beyond done is needed. tr, when non-nil, receives a
+// score span for the shard; bc, when non-nil, carries the batch's
+// cancellation state. A decode or encode task runs range lo of st (see
+// runRanges) and carries nothing else.
 type poolTask struct {
+	kind   taskKind
+	st     *scoreState
 	model  *core.Model
 	f      *frame.Frame
 	out    []float64
@@ -75,6 +80,15 @@ type poolTask struct {
 	done   *sync.WaitGroup
 	fail   *atomic.Pointer[any] // first panic value of the batch, if any
 }
+
+// taskKind says what a poolTask does.
+type taskKind uint8
+
+const (
+	taskScore taskKind = iota
+	taskDecode
+	taskEncode
+)
 
 // NewPool starts a pool with the given number of workers (≤ 0 selects
 // GOMAXPROCS). Close releases the workers.
@@ -99,9 +113,19 @@ func (p *Pool) worker() {
 	// scoring from handler work.
 	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("worker", "score-pool")))
 	for t := range p.tasks {
-		p.runTask(t)
+		if t.kind == taskScore {
+			p.runTask(t)
+		} else {
+			p.runRangeTask(t)
+		}
 	}
 }
+
+// boxPanic boxes a recovered panic value for a batch's fail slot. Taking
+// the address of recover()'s result in place would move that variable to
+// the heap on every task, panic or not; here the box is made only when
+// there is something to box.
+func boxPanic(r any) *any { return &r }
 
 // runTask scores one row range. A panic in Scorer.Score (a poison model,
 // or an injected worker fault) must not kill the worker — and with it the
@@ -126,7 +150,7 @@ func (p *Pool) runTask(t poolTask) {
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			t.fail.CompareAndSwap(nil, &r)
+			t.fail.CompareAndSwap(nil, boxPanic(r))
 		}
 		if t.tr != nil {
 			t.tr.AddSpan(obs.StageScore, int(t.shard), t0, time.Now())
@@ -150,6 +174,49 @@ func (p *Pool) runTask(t poolTask) {
 	t.tr.AddRowsDone(n)
 	if n < t.hi-t.lo && t.bc != nil {
 		t.bc.aborted.Store(true)
+	}
+}
+
+// runRangeTask decodes or encodes one range of a score request, with the
+// same containment as runTask: a panic is captured for runRanges to
+// re-raise on the request goroutine.
+func (p *Pool) runRangeTask(t poolTask) {
+	p.busy.Add(1)
+	defer func() {
+		if r := recover(); r != nil {
+			t.st.fail.CompareAndSwap(nil, boxPanic(r))
+		}
+		p.busy.Add(-1)
+		t.st.done.Done()
+	}()
+	t.st.runRange(t.kind, t.lo)
+}
+
+// runRanges runs one decode or encode stage over every range of st and
+// returns when all are done. A single range runs inline on the caller, as
+// does every range when there is no pool to run them or it has closed
+// (the score that follows a decode then fails with ErrPoolClosed anyway).
+// Otherwise each range is one task on the workers, and a worker's panic
+// is re-raised here, on the request goroutine, as ScoreFrame does.
+func (p *Pool) runRanges(st *scoreState, kind taskKind) {
+	if p != nil && len(st.ranges) > 1 {
+		p.closeMu.RLock()
+		if !p.closed {
+			st.done.Add(len(st.ranges))
+			for i := range st.ranges {
+				p.tasks <- poolTask{kind: kind, st: st, lo: i}
+			}
+			p.closeMu.RUnlock()
+			st.done.Wait()
+			if r := st.fail.Swap(nil); r != nil {
+				panic(*r)
+			}
+			return
+		}
+		p.closeMu.RUnlock()
+	}
+	for i := range st.ranges {
+		st.runRange(kind, i)
 	}
 }
 

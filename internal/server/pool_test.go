@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
@@ -76,6 +77,36 @@ func TestWorkerPanicSurfacesOnCallerNotWorker(t *testing.T) {
 		}
 	}()
 	pool.ScoreFrame(context.Background(), m, frame.MustFromRows(rows), nil)
+}
+
+// TestRangeTaskPanicSurfacesOnCaller: a decode or encode task that panics
+// on a worker is re-raised on the goroutine that ran the stage, after every
+// range finished, and neither the pool nor the request state is left
+// broken.
+func TestRangeTaskPanicSurfacesOnCaller(t *testing.T) {
+	pool := NewPool(2)
+	defer pool.Close()
+	st := &scoreState{scores: []float64{0.25, 0.5}}
+	st.addRange(0, 0)
+	st.addRange(0, 0)
+	st.ranges[0].row, st.ranges[0].n = 0, 2
+	st.ranges[1].row, st.ranges[1].n = 2, 3 // past the scores: this task panics
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("encode panic not re-raised on the calling goroutine")
+			}
+		}()
+		pool.runRanges(st, taskEncode)
+	}()
+	if busy := pool.busy.Load(); busy != 0 {
+		t.Errorf("%d workers still busy after the stage returned", busy)
+	}
+	st.ranges[1].n = 0
+	parts, ok := st.encode(pool, "m")
+	if got := string(bytes.Join(parts, nil)); !ok || got != `{"model_id":"m","count":2,"scores":[0.25,0.5]}`+"\n" {
+		t.Errorf("after a contained panic: ok=%v answer %q", ok, got)
+	}
 }
 
 func TestPoolConcurrentBatchesDuringClose(t *testing.T) {

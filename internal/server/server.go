@@ -45,6 +45,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,7 +53,6 @@ import (
 	"rpcrank/internal/cluster"
 	"rpcrank/internal/core"
 	"rpcrank/internal/faultinject"
-	"rpcrank/internal/frame"
 	"rpcrank/internal/obs"
 	"rpcrank/internal/order"
 	"rpcrank/internal/registry"
@@ -526,63 +526,35 @@ func decodeJSONBytes(body []byte, v any) error {
 	return nil
 }
 
-// writeRawJSON writes a pre-encoded JSON document, mirroring writeJSON's
-// framing (json.Encoder terminates documents with a newline).
-func writeRawJSON(w http.ResponseWriter, b []byte) {
-	w.Header().Set("Content-Type", "application/json")
+// writeRawJSON writes a pre-encoded JSON answer given as parts to send in
+// order (ending in the newline json.Encoder terminates documents with).
+// The length is declared up front, so the answer is not chunked, and the
+// parts go out as they are, without being copied into one buffer.
+func writeRawJSON(w http.ResponseWriter, parts [][]byte) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(n))
 	w.WriteHeader(http.StatusOK)
-	w.Write(b)
-	w.Write([]byte{'\n'})
+	for _, p := range parts {
+		w.Write(p)
+	}
 }
 
-// bodyPool and respPool recycle request-body and response-encode buffers
-// between score/rank calls; buffers past poolMaxBuf are left for the
-// collector rather than pinned forever. Pooled as *[]byte so Put does not
-// re-box the slice header every time. framePool and scoresPool do the same
-// for the decoded request frame and the score output, which closes the
-// loop: a steady-state batch re-uses one body buffer, one contiguous
-// frame, one score slice, and one response buffer — a handful of
-// allocations per request regardless of row count.
-var (
-	bodyPool   sync.Pool
-	respPool   sync.Pool
-	framePool  sync.Pool
-	scoresPool sync.Pool
-)
+// bodyPool recycles the request-body buffers of forwarded requests (score
+// and rank bodies live in their pooled scoreState); buffers past poolMaxBuf
+// are left for the collector rather than pinned forever. Pooled as *[]byte
+// so Put does not re-box the slice header every time.
+var bodyPool sync.Pool
 
 const poolMaxBuf = 1 << 20
 
 // poolMaxFrameVals bounds the pooled frame and score buffers (in float64s,
 // 1 MiB of frame backing) just as poolMaxBuf bounds the byte buffers.
 const poolMaxFrameVals = 1 << 17
-
-func getFrame() *frame.Frame {
-	if f, ok := framePool.Get().(*frame.Frame); ok {
-		return f
-	}
-	return &frame.Frame{}
-}
-
-func putFrame(f *frame.Frame) {
-	if f.Cap() > poolMaxFrameVals {
-		return
-	}
-	framePool.Put(f)
-}
-
-func getScores() []float64 {
-	if p, ok := scoresPool.Get().(*[]float64); ok {
-		return (*p)[:0]
-	}
-	return nil
-}
-
-func putScores(s []float64) {
-	if cap(s) == 0 || cap(s) > poolMaxFrameVals {
-		return
-	}
-	scoresPool.Put(&s)
-}
 
 func getBuf(pool *sync.Pool) []byte {
 	if p, ok := pool.Get().(*[]byte); ok {
@@ -598,17 +570,15 @@ func putBuf(pool *sync.Pool, b []byte) {
 	pool.Put(&b)
 }
 
-// readBody reads the whole (MaxBytesReader-limited) body into a pooled
-// buffer pre-sized from Content-Length, avoiding io.ReadAll's growth
+// readBody reads the whole (MaxBytesReader-limited) body into buf (reused
+// from its start) pre-sized from Content-Length, avoiding io.ReadAll's growth
 // copies on megabyte batches. Content-Length is only trusted up to
 // maxBody — the same bound MaxBytesReader enforces on the actual read —
 // so a forged header cannot allocate beyond the configured request cap.
-// The caller returns the buffer via putBuf (which keeps only buffers up
-// to poolMaxBuf).
-func readBody(r *http.Request, maxBody int64) ([]byte, error) {
-	buf := getBuf(&bodyPool)
+// The result, on error too, is the buffer to pool again.
+func readBody(r *http.Request, maxBody int64, buf []byte) ([]byte, error) {
+	buf = buf[:0]
 	if n := r.ContentLength; n > 0 && n+1 <= maxBody+2 && int64(cap(buf)) < n+1 {
-		putBuf(&bodyPool, buf)
 		buf = make([]byte, 0, n+1)
 	}
 	for {
@@ -736,6 +706,7 @@ func (s *Server) fitRows(w http.ResponseWriter, name string, req *FitRequest) {
 		writeError(w, badRequest("fit failed: %v", err))
 		return
 	}
+	s.metrics.ObserveFit(shardKeyOf(traceOf(w)), m.Converged, m.Iterations)
 	meta, err := s.reg.Put(name, m, len(req.Rows), m.ExplainedVariance())
 	if err != nil {
 		writeError(w, err)
@@ -783,31 +754,31 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 // scoreRows is the shared validation + worker-pool scoring path behind
-// /score and /rank. The request body goes through a hand-rolled decoder for
-// the overwhelmingly common {"rows": [[...]]} shape (reflection-based JSON
-// decoding dominates large-batch latency otherwise), parsed straight into
-// one pooled contiguous frame that the worker pool then shards by row
-// range; anything that parser does not recognise byte-for-byte — including
-// rows that do not match the model's dimension — falls back to
-// encoding/json so error behaviour (unknown fields, type mismatches,
-// trailing garbage, the canonical dimension message) is exactly the
-// stdlib path's. Rows the fallback accepts are copied into the same pooled
-// frame, so both decoders share one scoring tail. The returned scores
-// slice is pooled; handlers return it via putScores after encoding the
-// response.
+// /score and /rank, working in st (the handler's pooled request state). The
+// request body goes through a hand-rolled decoder for the overwhelmingly
+// common {"rows": [[...]]} shape (reflection-based JSON decoding dominates
+// large-batch latency otherwise), parsed straight into st's frame — in row
+// ranges on the pool's workers for a large body — which the worker pool
+// then shards by row range; anything that parser does not recognise
+// byte-for-byte — including rows that do not match the model's dimension —
+// falls back to encoding/json so error behaviour (unknown fields, type
+// mismatches, trailing garbage, the canonical dimension message) is
+// exactly the stdlib path's. Rows the fallback accepts are copied into the
+// same frame, so both decoders share one scoring tail. On success st.scores
+// holds the scores and st.ranges the row ranges to encode them in.
 //
 // Stage spans recorded on tr: normalize (metadata resolution, and again
 // for the model load — the per-row min–max transform itself is fused into
 // the score kernels and lands in the score spans), decode (body read +
 // parse), validate (shape and batch-size checks), score (one span per pool
 // shard, recorded by the workers). The caller records encode.
-func (s *Server) scoreRows(tr *obs.Trace, r *http.Request) (id string, scores []float64, err error) {
+func (s *Server) scoreRows(tr *obs.Trace, r *http.Request, st *scoreState) (id string, err error) {
 	id = r.PathValue("id")
 	// Validate against the metadata first: a request that will be
 	// rejected must not pay a model load (disk read + decode + LRU churn).
 	meta, err := s.reg.GetMeta(id)
 	if err != nil {
-		return id, nil, err
+		return id, err
 	}
 	tr.EndStage(obs.StageNormalize)
 	key := shardKeyOf(tr)
@@ -822,12 +793,12 @@ func (s *Server) scoreRows(tr *obs.Trace, r *http.Request) (id string, scores []
 		if rem, ok := tr.Remaining(); ok {
 			if rem <= 0 {
 				s.adm.recordShed(key, shedExpired)
-				return id, nil, &shedError{status: http.StatusServiceUnavailable, reason: shedExpired,
+				return id, &shedError{status: http.StatusServiceUnavailable, reason: shedExpired,
 					msg: "deadline already expired"}
 			}
 			if p50 := s.metrics.Model(id).lat.QuantileUs(0.5); p50 > 0 && rem < time.Duration(p50)*time.Microsecond {
 				s.adm.recordShed(key, shedDeadline)
-				return id, nil, &shedError{status: http.StatusServiceUnavailable, reason: shedDeadline,
+				return id, &shedError{status: http.StatusServiceUnavailable, reason: shedDeadline,
 					msg: fmt.Sprintf("remaining deadline %v is below the model's observed p50 score time %v",
 						rem.Round(time.Millisecond), time.Duration(p50)*time.Microsecond)}
 			}
@@ -840,53 +811,47 @@ func (s *Server) scoreRows(tr *obs.Trace, r *http.Request) (id string, scores []
 		if errors.As(err, &se) {
 			s.adm.recordShed(key, se.reason)
 		}
-		return id, nil, err
+		return id, err
 	}
 	defer lim.release()
 	s.adm.waitHist.Observe(key, wait.Microseconds())
 	tr.EndStage(obs.StageAdmit)
-	body, err := readBody(r, s.opts.MaxBodyBytes)
+	st.body, err = readBody(r, s.opts.MaxBodyBytes, st.body)
 	if err != nil {
-		putBuf(&bodyPool, body)
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			return id, nil, mbe
+			return id, mbe
 		}
-		return id, nil, badRequest("reading request body: %v", err)
+		return id, badRequest("reading request body: %v", err)
 	}
 	if ferr := s.opts.Faults.Fire(faultinject.PointDecode); ferr != nil {
-		putBuf(&bodyPool, body)
-		return id, nil, ferr
+		return id, ferr
 	}
-	fr := getFrame()
-	defer putFrame(fr)
-	if parseScoreFrame(fr, body, meta.Dim) {
-		// The frame owns the values; the body is done. The fast parser
-		// only yields finite values of the model's dimension (JSON has no
-		// NaN/Inf literals, range errors reject, EndRow enforces width),
-		// so no further row validation is needed; the empty batch still
-		// 400s with the canonical message below.
-		putBuf(&bodyPool, body)
+	fr := &st.fr
+	if st.decode(s.pool, meta.Dim, s.pool.splitCount(len(st.body))) {
+		// The fast parser only yields finite values of the model's
+		// dimension (JSON has no NaN/Inf literals, range errors reject,
+		// every row must be exactly meta.Dim wide), so no further row
+		// validation is needed; the empty batch still 400s with the
+		// canonical message below.
 		tr.EndStage(obs.StageDecode)
 		if fr.N() > s.opts.MaxBatchRows {
-			return id, nil, badRequest("%d rows exceeds the limit of %d", fr.N(), s.opts.MaxBatchRows)
+			return id, badRequest("%d rows exceeds the limit of %d", fr.N(), s.opts.MaxBatchRows)
 		}
 		if fr.N() == 0 {
-			return id, nil, badRequest("invalid rows: %v", order.ValidateFrame(fr, meta.Dim))
+			return id, badRequest("invalid rows: %v", order.ValidateFrame(fr, meta.Dim))
 		}
 	} else {
 		var req ScoreRequest
-		derr := decodeJSONBytes(body, &req)
-		putBuf(&bodyPool, body)
-		if derr != nil {
-			return id, nil, derr
+		if err := decodeJSONBytes(st.body, &req); err != nil {
+			return id, err
 		}
 		tr.EndStage(obs.StageDecode)
 		if len(req.Rows) > s.opts.MaxBatchRows {
-			return id, nil, badRequest("%d rows exceeds the limit of %d", len(req.Rows), s.opts.MaxBatchRows)
+			return id, badRequest("%d rows exceeds the limit of %d", len(req.Rows), s.opts.MaxBatchRows)
 		}
 		if err := order.ValidateRows(req.Rows, meta.Dim); err != nil {
-			return id, nil, badRequest("invalid rows: %v", err)
+			return id, badRequest("invalid rows: %v", err)
 		}
 		// Validated rows are rectangular at the model's width, so they pack
 		// into the pooled frame and share the one scoring tail below.
@@ -894,30 +859,30 @@ func (s *Server) scoreRows(tr *obs.Trace, r *http.Request) (id string, scores []
 		for _, row := range req.Rows {
 			fr.AppendRow(row)
 		}
+		st.oneRange(fr.N())
 	}
 	if !s.adm.rows.tryAcquire(int64(fr.N())) {
 		s.adm.recordShed(key, shedRows)
-		return id, nil, &shedError{status: http.StatusTooManyRequests, reason: shedRows,
+		return id, &shedError{status: http.StatusTooManyRequests, reason: shedRows,
 			msg: "server at its in-flight row budget; retry later"}
 	}
 	defer s.adm.rows.release(int64(fr.N()))
 	tr.EndStage(obs.StageValidate)
 	m, _, err := s.reg.Get(id)
 	if err != nil {
-		return id, nil, err
+		return id, err
 	}
 	tr.EndStage(obs.StageNormalize)
 	t0 := time.Now()
 	var serr error
-	scores, serr = s.pool.ScoreFrame(traceCtx(tr), m, fr, getScores())
+	st.scores, serr = s.pool.ScoreFrame(traceCtx(tr), m, fr, st.scores)
 	tr.SkipStage() // score wall time is covered by the shard spans
 	if serr != nil {
-		putScores(scores)
-		return id, nil, s.scoreFailed(tr, key, fr.N(), serr)
+		return id, s.scoreFailed(tr, key, fr.N(), serr)
 	}
-	s.metrics.AddRows(key, len(scores))
-	s.metrics.Model(id).ObserveScore(key, len(scores), time.Since(t0))
-	return id, scores, nil
+	s.metrics.AddRows(key, len(st.scores))
+	s.metrics.Model(id).ObserveScore(key, len(st.scores), time.Since(t0))
+	return id, nil
 }
 
 // scoreFailed maps a scoring error — cooperative cancellation, deadline
@@ -936,62 +901,45 @@ func (s *Server) scoreFailed(tr *obs.Trace, key uint64, total int, err error) er
 }
 
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
-	if s.cluster != nil && s.maybeForward(w, r) {
-		return
-	}
-	tr := traceOf(w)
-	id, scores, err := s.scoreRows(tr, r)
-	if sw, ok := w.(*statusWriter); ok {
-		sw.model = id
-		sw.rows = len(scores)
-	}
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	defer putScores(scores) // encoding is synchronous on both paths below
-	buf := getBuf(&respPool)
-	if b, ok := appendScoreResponse(buf, id, scores, nil); ok {
-		writeRawJSON(w, b)
-		putBuf(&respPool, b)
-		tr.EndStage(obs.StageEncode)
-		return
-	}
-	putBuf(&respPool, buf)
-	writeJSON(w, http.StatusOK, ScoreResponse{ModelID: id, Count: len(scores), Scores: scores})
-	tr.EndStage(obs.StageEncode)
+	s.serveScores(w, r, false)
 }
 
 func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
+	s.serveScores(w, r, true)
+}
+
+// serveScores answers /score, or /rank when rank is set. The fast-path
+// answer is encoded in st's row ranges (on the pool's workers for a large
+// batch) and written part by part; an answer it declines goes through
+// writeJSON.
+func (s *Server) serveScores(w http.ResponseWriter, r *http.Request, rank bool) {
 	if s.cluster != nil && s.maybeForward(w, r) {
 		return
 	}
 	tr := traceOf(w)
-	id, scores, err := s.scoreRows(tr, r)
+	st := getScoreState()
+	defer putScoreState(st) // encoding is synchronous on both paths below
+	id, err := s.scoreRows(tr, r, st)
 	if sw, ok := w.(*statusWriter); ok {
 		sw.model = id
-		sw.rows = len(scores)
+		if err == nil {
+			sw.rows = len(st.scores)
+		}
 	}
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	defer putScores(scores)
-	positions := order.RankFromScores(scores)
-	buf := getBuf(&respPool)
-	if b, ok := appendScoreResponse(buf, id, scores, positions); ok {
-		writeRawJSON(w, b)
-		putBuf(&respPool, b)
-		tr.EndStage(obs.StageEncode)
-		return
+	if rank {
+		st.positions = order.RankFromScores(st.scores)
 	}
-	putBuf(&respPool, buf)
-	writeJSON(w, http.StatusOK, RankResponse{
-		ModelID:   id,
-		Count:     len(scores),
-		Scores:    scores,
-		Positions: positions,
-	})
+	if parts, ok := st.encode(s.pool, id); ok {
+		writeRawJSON(w, parts)
+	} else if rank {
+		writeJSON(w, http.StatusOK, RankResponse{ModelID: id, Count: len(st.scores), Scores: st.scores, Positions: st.positions})
+	} else {
+		writeJSON(w, http.StatusOK, ScoreResponse{ModelID: id, Count: len(st.scores), Scores: st.scores})
+	}
 	tr.EndStage(obs.StageEncode)
 }
 
