@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -149,6 +150,25 @@ func TestBadFlags(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-log-format", "yaml"}, &out, nil); err == nil {
 		t.Errorf("unknown log format should error")
+	}
+}
+
+// TestBadPeersExit: a -peers entry that is not http://host[:port] stops
+// the daemon at start-up with an error naming it, rather than starting a
+// node whose every forward to that peer would fail.
+func TestBadPeersExit(t *testing.T) {
+	var out bytes.Buffer
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	err := run(ctx, []string{
+		"-addr", "127.0.0.1:0", "-model-dir", filepath.Join(t.TempDir(), "models"),
+		"-peers", "http://127.0.0.1:1,b:8080",
+	}, &out, func(string, string) {
+		t.Error("daemon started serving with a bad peer URL")
+		cancel()
+	})
+	if err == nil || !strings.Contains(err.Error(), `"b:8080"`) {
+		t.Fatalf("run with a bad -peers entry: %v, want an error naming \"b:8080\"", err)
 	}
 }
 

@@ -39,6 +39,7 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -126,10 +127,10 @@ func (s State) String() string {
 
 // Options configures New. Zero values select the documented defaults.
 type Options struct {
-	// Self is this node's advertised base URL; it participates in
-	// rendezvous routing alongside the peers.
+	// Self is this node's advertised base URL, http://host[:port]; it
+	// participates in rendezvous routing alongside the peers.
 	Self string
-	// Peers are the other replicas' base URLs.
+	// Peers are the other replicas' base URLs, each http://host[:port].
 	Peers []string
 	// Registry is the local store replicated installs apply to.
 	Registry *registry.Registry
@@ -159,8 +160,10 @@ type Options struct {
 	// offered before the node degrades to serving locally (default 3).
 	MaxForwardAttempts int
 
-	// Client issues all peer HTTP requests (default: a dedicated client;
-	// per-request timeouts come from contexts, not the client).
+	// Client issues all peer HTTP requests. The default is a client over
+	// the package's own keep-alive transport, which runs each request on
+	// the caller's goroutine and honours no proxy settings; per-request
+	// timeouts come from contexts, not the client.
 	Client *http.Client
 	// Logger receives peer state transitions and sync errors (nil selects
 	// slog.Default()).
@@ -180,6 +183,7 @@ type Peer struct {
 	mu        sync.Mutex
 	state     State
 	draining  bool
+	notices   uint64 // drain notices applied, so a probe can tell it is stale
 	fails     int
 	lastProbe time.Time
 	lastErr   string
@@ -203,15 +207,15 @@ func (p *Peer) alive() bool {
 	return p.state != StateDown
 }
 
-// recordSuccess advances the breaker on a successful probe or forward:
-// down peers re-enter half-open, half-open peers are promoted to up.
-// It returns the state transition, if any, for logging.
-func (p *Peer) recordSuccess(draining bool) (from, to State, changed bool) {
+// recordSuccess advances the breaker on a successful probe, forward or
+// install: down peers re-enter half-open, half-open peers are promoted to
+// up. It returns the state transition, if any, for logging. It leaves the
+// draining flag alone: only probes and drain notices set that.
+func (p *Peer) recordSuccess() (from, to State, changed bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	from = p.state
 	p.fails = 0
-	p.draining = draining
 	p.lastErr = ""
 	switch p.state {
 	case StateDown:
@@ -243,6 +247,25 @@ func (p *Peer) recordFailure(err error, threshold int) (from, to State, changed 
 func (p *Peer) setDraining(d bool) {
 	p.mu.Lock()
 	p.draining = d
+	p.notices++
+	p.mu.Unlock()
+}
+
+// noticesSeen returns the count of drain notices applied so far.
+func (p *Peer) noticesSeen() uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.notices
+}
+
+// probeDraining applies a probe's readiness answer. sent is noticesSeen
+// when the probe went out: a notice that landed since is newer than the
+// answer, which the peer may have written before it started to drain.
+func (p *Peer) probeDraining(draining bool, sent uint64) {
+	p.mu.Lock()
+	if p.notices == sent {
+		p.draining = draining
+	}
 	p.mu.Unlock()
 }
 
@@ -368,7 +391,7 @@ func New(opts Options) (*Cluster, error) {
 	}
 	client := opts.Client
 	if client == nil {
-		client = &http.Client{}
+		client = &http.Client{Transport: newPeerTransport()}
 	}
 	logger := opts.Logger
 	if logger == nil {
@@ -388,30 +411,55 @@ func New(opts Options) (*Cluster, error) {
 		rng:    rand.New(rand.NewSource(seed)),
 		stop:   make(chan struct{}),
 	}
-	c.ctx, c.cancel = context.WithCancel(context.Background())
+	if err := checkURL("Self", opts.Self); err != nil {
+		return nil, err
+	}
 	seen := map[string]bool{c.self: true}
 	for _, u := range opts.Peers {
-		u = strings.TrimRight(strings.TrimSpace(u), "/")
-		if u == "" || seen[u] {
+		u = strings.TrimSpace(u)
+		if u == "" {
+			continue
+		}
+		if err := checkURL("peer", u); err != nil {
+			return nil, err
+		}
+		u = strings.TrimRight(u, "/")
+		if seen[u] {
 			continue // self-references and duplicates would double-count a member
 		}
 		seen[u] = true
 		c.peers = append(c.peers, &Peer{url: u, state: StateUp})
 	}
+	c.ctx, c.cancel = context.WithCancel(context.Background())
 	c.wg.Add(2)
 	go c.probeLoop()
 	go c.antiEntropyLoop()
 	return c, nil
 }
 
+// checkURL accepts a member's base URL only in the form http://host[:port]
+// (trailing slashes aside): request paths are appended to it, and peers
+// speak plain HTTP. A URL that is not would fail every request built from
+// it, which the router counts as an unusable answer rather than a dead
+// peer.
+func checkURL(role, u string) error {
+	p, err := url.Parse(u)
+	if err != nil || p.Scheme != "http" || p.Hostname() == "" || p.Opaque != "" || p.User != nil ||
+		strings.Trim(p.Path, "/") != "" || p.RawPath != "" || p.RawQuery != "" || p.ForceQuery || p.Fragment != "" {
+		return fmt.Errorf("cluster: %s URL %q is not http://host[:port]", role, u)
+	}
+	return nil
+}
+
 // Close stops the probe and anti-entropy loops, cancels in-flight
-// broadcasts, and waits for all of them.
+// broadcasts, waits for all of them, and closes the idle peer connections.
 func (c *Cluster) Close() {
 	c.stopOnce.Do(func() {
 		close(c.stop)
 		c.cancel()
 	})
 	c.wg.Wait()
+	c.client.CloseIdleConnections()
 }
 
 // Self returns this node's advertised URL.
@@ -573,6 +621,7 @@ func (c *Cluster) probeAll() {
 // draining node reports readiness, not a failure.
 func (c *Cluster) probe(p *Peer) {
 	c.probes.Add(1)
+	sent := p.noticesSeen()
 	ctx, cancel := context.WithTimeout(context.Background(), c.opts.ProbeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.url+HealthPath, nil)
@@ -596,8 +645,8 @@ func (c *Cluster) probe(p *Peer) {
 	// A 503 is how a draining node answers /healthz — an answering process,
 	// not a dead one — so it leaves rotation without tripping the breaker,
 	// even when the body predates the readiness fields.
-	draining := h.Draining || resp.StatusCode == http.StatusServiceUnavailable
-	if from, to, changed := p.recordSuccess(draining); changed {
+	p.probeDraining(h.Draining || resp.StatusCode == http.StatusServiceUnavailable, sent)
+	if from, to, changed := p.recordSuccess(); changed {
 		c.logger.Info("cluster: peer state", "peer", p.url, "from", from.String(), "to", to.String())
 	}
 	// Stamped after the breaker update, so a non-zero lastProbe means the

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -111,7 +112,7 @@ func TestPeerBreakerStateMachine(t *testing.T) {
 		t.Fatal("three consecutive failures must open the breaker")
 	}
 
-	if _, to, changed := p.recordSuccess(false); !changed || to != StateHalfOpen {
+	if _, to, changed := p.recordSuccess(); !changed || to != StateHalfOpen {
 		t.Fatalf("success on a down peer: got state %v, want half-open", to)
 	}
 	if !p.routable() {
@@ -121,18 +122,37 @@ func TestPeerBreakerStateMachine(t *testing.T) {
 		t.Fatalf("one failure in half-open must re-open the breaker, got %v", to)
 	}
 
-	p.recordSuccess(false)
-	if _, to, _ := p.recordSuccess(false); to != StateUp {
+	p.recordSuccess()
+	if _, to, _ := p.recordSuccess(); to != StateUp {
 		t.Fatalf("second success must promote to up, got %v", to)
 	}
 
 	// Draining keeps the peer alive but out of rotation.
-	p.recordSuccess(true)
+	p.probeDraining(true, p.noticesSeen())
 	if p.routable() {
 		t.Fatal("draining peer must leave rotation")
 	}
 	if !p.alive() {
 		t.Fatal("draining peer is alive")
+	}
+}
+
+// TestStaleProbeKeepsDrainNotice: a probe answer written before the peer
+// started to drain can land after the peer's drain notice; it must not put
+// the peer back in rotation. Nor may a forward or install that succeeded.
+// A probe sent after the notice does set the flag.
+func TestStaleProbeKeepsDrainNotice(t *testing.T) {
+	p := &Peer{url: "http://x:1", state: StateUp}
+	sent := p.noticesSeen() // the probe goes out
+	p.setDraining(true)     // the notice lands first
+	p.probeDraining(false, sent)
+	p.recordSuccess()
+	if p.routable() {
+		t.Fatal("a probe sent before the drain notice put the peer back in rotation")
+	}
+	p.probeDraining(false, p.noticesSeen())
+	if !p.routable() {
+		t.Fatal("a probe sent after the drain notice was ignored")
 	}
 }
 
@@ -479,6 +499,58 @@ func TestNewNormalizesPeers(t *testing.T) {
 	defer c.Close()
 	if _, total := c.PeerCounts(); total != 2 {
 		t.Fatalf("peer count = %d, want 2 (a and b)", total)
+	}
+}
+
+// TestNewRejectsBadURLs: Self and every peer must be http://host[:port];
+// anything else fails New with an error naming the URL, instead of
+// failing every request built from it later.
+func TestNewRejectsBadURLs(t *testing.T) {
+	for _, tc := range []struct {
+		self, peer string
+		bad        string // the URL the error must name; "" when New succeeds
+	}{
+		{self: "http://self:1", peer: "http://b:8080"},
+		{self: "http://self:1", peer: "http://b"},
+		{self: "http://self:1", peer: "http://b:8080/"},
+		{self: "http://self:1", peer: "http://[::1]:8080"},
+		{self: "http://self", peer: "http://127.0.0.1:1"},
+		{self: "http://self:1", peer: "b:8080", bad: "b:8080"},
+		{self: "http://self:1", peer: "https://b:8080", bad: "https://b:8080"},
+		{self: "http://self:1", peer: "http://b:8080/v1", bad: "http://b:8080/v1"},
+		{self: "http://self:1", peer: "http://b:8080?x=1", bad: "http://b:8080?x=1"},
+		{self: "http://self:1", peer: "http://b:8080#top", bad: "http://b:8080#top"},
+		{self: "http://self:1", peer: "http://u:p@b:8080", bad: "http://u:p@b:8080"},
+		{self: "http://self:1", peer: "http://b:port", bad: "http://b:port"},
+		{self: "http://self:1", peer: "http://:8080", bad: "http://:8080"},
+		{self: "http://self:1", peer: "http://", bad: "http://"},
+		{self: "self:1", peer: "http://b:8080", bad: "self:1"},
+		{self: "http://self:1/api", peer: "http://b:8080", bad: "http://self:1/api"},
+	} {
+		c, err := New(Options{
+			Self:                tc.self,
+			Peers:               []string{tc.peer},
+			Registry:            newTestRegistry(t),
+			ProbeInterval:       time.Hour,
+			AntiEntropyInterval: time.Hour,
+			Seed:                1,
+		})
+		if tc.bad == "" {
+			if err != nil {
+				t.Errorf("New(self %q, peer %q): %v", tc.self, tc.peer, err)
+				continue
+			}
+			c.Close()
+			continue
+		}
+		if err == nil {
+			c.Close()
+			t.Errorf("New(self %q, peer %q) accepted a URL that is not http://host[:port]", tc.self, tc.peer)
+			continue
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.bad)) {
+			t.Errorf("New(self %q, peer %q): error %q does not name %q", tc.self, tc.peer, err, tc.bad)
+		}
 	}
 }
 

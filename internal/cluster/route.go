@@ -180,6 +180,11 @@ func (c *Cluster) forwardOnce(w http.ResponseWriter, r *http.Request, p *Peer, b
 		return false, true
 	}
 	req.Header.Set(ForwardedHeader, c.self)
+	// The caller's own request ID (set on w by the server's instrumentation)
+	// travels with the hop, so the owner can log the two as one request.
+	if id := w.Header().Get("X-Request-Id"); id != "" {
+		req.Header.Set("X-Request-Id", id)
+	}
 	if ct := r.Header.Get("Content-Type"); ct != "" {
 		req.Header.Set("Content-Type", ct)
 	}
@@ -210,11 +215,12 @@ func (c *Cluster) forwardOnce(w http.ResponseWriter, r *http.Request, p *Peer, b
 		c.peerFailed(p, err)
 		return false, false
 	}
-	p.recordSuccess(false)
+	p.recordSuccess()
 	h := w.Header()
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		h.Set("Content-Type", ct)
 	}
+	h.Set("Content-Length", strconv.Itoa(len(respBody)))
 	h.Set("X-RPC-Served-By", p.url)
 	w.WriteHeader(resp.StatusCode)
 	w.Write(respBody)

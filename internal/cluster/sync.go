@@ -60,15 +60,18 @@ func (c *Cluster) sendInstall(p *Peer, id string, doc []byte) {
 		}
 		req.Header.Set("Content-Type", "application/json")
 		resp, err := c.do(req)
-		cancel()
 		if err != nil {
+			cancel()
 			c.peerFailed(p, err)
 			continue
 		}
 		code := resp.StatusCode
+		// Read the answer before cancelling: a cancelled request's
+		// connection is closed rather than kept for the next one.
 		drainBody(resp)
+		cancel()
 		if code >= 200 && code < 300 {
-			p.recordSuccess(false)
+			p.recordSuccess()
 			c.broadcasts.Add(1)
 			return
 		}

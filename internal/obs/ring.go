@@ -26,6 +26,9 @@ type TraceSummary struct {
 	// PartialRows is the rows a cancelled batch completed before its
 	// workers were freed (0 for requests that ran to completion).
 	PartialRows int `json:"partial_rows,omitempty"`
+	// UpstreamRequestID is the forwarding node's request ID when the
+	// request crossed one cluster hop (set by the server, not Summarize).
+	UpstreamRequestID string `json:"upstream_request_id,omitempty"`
 }
 
 // Summarize fills a TraceSummary from the trace's spans plus the

@@ -156,8 +156,12 @@ func BenchmarkServerScoreHTTP(b *testing.B) {
 	}
 }
 
-// BenchmarkPoolScoreBatch isolates the worker pool from HTTP and JSON, for
-// profiling the raw sharded scoring path over a contiguous frame.
+// BenchmarkPoolScoreBatch isolates the worker pool from HTTP and JSON.
+// Each batch size from 64 to 1024 rows scores once inline on the caller's
+// goroutine and once split into one row range per worker; the size where
+// the split starts to win is the crossover concurrencyThreshold is set
+// from (run it at -cpu 2). rows=10000 goes through Pool.ScoreFrame with
+// its own chunking, the bulk case.
 func BenchmarkPoolScoreBatch(b *testing.B) {
 	train := make([][]float64, 64)
 	for i := range train {
@@ -170,18 +174,46 @@ func BenchmarkPoolScoreBatch(b *testing.B) {
 	}
 	pool := NewPool(0)
 	defer pool.Close()
-	f, err := frame.FromRows(benchRows(10_000))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := pool.ScoreFrame(context.Background(), m, f, nil)
-		if err != nil || len(out) != f.N() {
-			b.Fatal("short result")
+	for _, rows := range []int{64, 128, 256, 512, 1024} {
+		f, err := frame.FromRows(benchRows(rows))
+		if err != nil {
+			b.Fatal(err)
+		}
+		dst := make([]float64, rows)
+		chunk := (rows + pool.Workers() - 1) / pool.Workers()
+		for _, mode := range []string{"inline", "split"} {
+			b.Run(fmt.Sprintf("rows=%d/%s", rows, mode), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					var out []float64
+					if mode == "inline" {
+						out, err = (*Pool)(nil).ScoreFrame(context.Background(), m, f, dst)
+					} else {
+						out, err = pool.scoreSharded(nil, nil, m, f, dst, chunk)
+					}
+					if err != nil || len(out) != rows {
+						b.Fatal("short result")
+					}
+				}
+				b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+			})
 		}
 	}
-	b.ReportMetric(float64(f.N())*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+	b.Run("rows=10000", func(b *testing.B) {
+		f, err := frame.FromRows(benchRows(10_000))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out, err := pool.ScoreFrame(context.Background(), m, f, nil)
+			if err != nil || len(out) != f.N() {
+				b.Fatal("short result")
+			}
+		}
+		b.ReportMetric(float64(f.N())*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+	})
 }
 
 // BenchmarkScoreBodyRanges times the score path's JSON work alone — decode

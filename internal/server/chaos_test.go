@@ -225,8 +225,9 @@ func chaosRequest(t *testing.T, client *http.Client, base, model string, rng *ra
 	var resp *http.Response
 	var err error
 	switch rng.Intn(10) {
-	case 0, 1, 2, 3: // score, sometimes with a tight deadline
-		rows := trainingRows(64 + rng.Intn(448))
+	case 0, 1, 2, 3: // score, sometimes with a tight deadline; every batch
+		// clears concurrencyThreshold, so it shards and meets PointWorker
+		rows := trainingRows(concurrencyThreshold + rng.Intn(448))
 		raw, _ := json.Marshal(ScoreRequest{Rows: rows})
 		req, _ := http.NewRequest(http.MethodPost, base+"/v1/models/"+model+"/score", bytes.NewReader(raw))
 		req.Header.Set("Content-Type", "application/json")
@@ -234,8 +235,8 @@ func chaosRequest(t *testing.T, client *http.Client, base, model string, rng *ra
 			req.Header.Set("X-Deadline-Ms", strconv.Itoa(1+rng.Intn(30)))
 		}
 		resp, err = client.Do(req)
-	case 4: // rank
-		raw, _ := json.Marshal(ScoreRequest{Rows: trainingRows(64)})
+	case 4: // rank, sharded like the score batches
+		raw, _ := json.Marshal(ScoreRequest{Rows: trainingRows(concurrencyThreshold)})
 		resp, err = client.Post(base+"/v1/models/"+model+"/rank", "application/json", bytes.NewReader(raw))
 	case 5: // malformed rows — must stay a clean 400 under faults
 		resp, err = client.Post(base+"/v1/models/"+model+"/score", "application/json",

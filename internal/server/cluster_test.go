@@ -2,13 +2,15 @@ package server
 
 import (
 	"bytes"
-	"errors"
+	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,11 +18,13 @@ import (
 	"time"
 
 	"rpcrank/internal/cluster"
+	"rpcrank/internal/faultinject"
+	"rpcrank/internal/obs"
 	"rpcrank/internal/registry"
 )
 
 // stormNode is one in-process member of a test serving group, with a kill
-// gate: flipping dead makes the node abort every inbound connection without
+// gate: setDead(true) makes the node abort every inbound connection without
 // a response (a crashed process, as seen by clients and peers) and fail
 // every outbound peer request (so a dead node cannot keep probing or
 // syncing while "down").
@@ -28,10 +32,23 @@ type stormNode struct {
 	url     string
 	reg     *registry.Registry
 	cl      *cluster.Cluster
+	faults  *faultinject.Faults // the cluster's own fault points
 	srv     *Server
 	ts      *httptest.Server
 	dead    atomic.Bool
 	apiHits atomic.Int64 // inbound /v1/ requests that reached this node
+}
+
+// setDead kills or revives the node. Its outbound peer requests fail at
+// the cluster's PointPeerDial, before they reach the peer transport, so
+// the group runs over the transport production uses.
+func (n *stormNode) setDead(dead bool) {
+	var spec faultinject.Spec
+	if dead {
+		spec.ErrProb = 1
+	}
+	n.faults.Set(faultinject.PointPeerDial, spec)
+	n.dead.Store(dead)
 }
 
 func (n *stormNode) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -46,23 +63,16 @@ func (n *stormNode) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	n.srv.ServeHTTP(w, r)
 }
 
-// gatedTransport fails a dead node's outbound requests, so being "dead"
-// cuts both directions.
-type gatedTransport struct {
-	n  *stormNode
-	rt http.RoundTripper
-}
-
-func (g *gatedTransport) RoundTrip(r *http.Request) (*http.Response, error) {
-	if g.n.dead.Load() {
-		return nil, errors.New("node is dead")
-	}
-	return g.rt.RoundTrip(r)
-}
-
 // newStormCluster brings up n in-process replicas, fully meshed, with fast
 // probe and anti-entropy periods sized for a test.
 func newStormCluster(t *testing.T, n int) []*stormNode {
+	t.Helper()
+	return newGroup(t, n, Options{})
+}
+
+// newGroup is newStormCluster with each node's server options (Cluster is
+// filled in).
+func newGroup(t *testing.T, n int, opts Options) []*stormNode {
 	t.Helper()
 	nodes := make([]*stormNode, n)
 	for i := range nodes {
@@ -83,6 +93,7 @@ func newStormCluster(t *testing.T, n int) []*stormNode {
 				peers = append(peers, o.url)
 			}
 		}
+		nd.faults = faultinject.New(int64(i + 1))
 		cl, err := cluster.New(cluster.Options{
 			Self:                nd.url,
 			Peers:               peers,
@@ -94,14 +105,16 @@ func newStormCluster(t *testing.T, n int) []*stormNode {
 			AttemptTimeout:      500 * time.Millisecond,
 			BackoffBase:         2 * time.Millisecond,
 			BackoffMax:          10 * time.Millisecond,
-			Client:              &http.Client{Transport: &gatedTransport{n: nd, rt: http.DefaultTransport}},
+			Faults:              nd.faults,
 			Seed:                int64(i + 1),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		nd.cl = cl
-		nd.srv = New(nd.reg, Options{Cluster: cl})
+		o := opts
+		o.Cluster = cl
+		nd.srv = New(nd.reg, o)
 		nd.ts.Start()
 	}
 	t.Cleanup(func() {
@@ -193,7 +206,7 @@ func TestClusterStorm(t *testing.T) {
 		}(s)
 	}
 	time.Sleep(100 * time.Millisecond)
-	nodes[2].dead.Store(true)
+	nodes[2].setDead(true)
 	nodes[2].ts.CloseClientConnections() // cut in-flight forwards too
 	time.Sleep(250 * time.Millisecond)
 	stop.Store(true)
@@ -234,7 +247,7 @@ func TestClusterStorm(t *testing.T) {
 	waitForCondition(t, 3*time.Second, "node 0's broadcast to the dead node to give up", func() bool {
 		return nodes[0].cl.Snapshot().BroadcastFailures >= 1
 	})
-	nodes[2].dead.Store(false)
+	nodes[2].setDead(false)
 	waitForCondition(t, 5*time.Second, "late-v1 to reach recovered node 2 by anti-entropy", func() bool {
 		_, err := nodes[2].reg.GetMeta("late-v1")
 		return err == nil
@@ -478,4 +491,189 @@ func TestQuarantineRepairedByAntiEntropy(t *testing.T) {
 	if !h.RegistryOK || h.Quarantined != 0 {
 		t.Fatalf("healthz after repair = %+v, want registry_ok=true quarantined=0", h)
 	}
+}
+
+// hopPair brings up two nodes over the cluster's own peer transport, fits
+// a rule on the first, and returns the nodes ordered owner first, plus
+// the rule's ID.
+func hopPair(t *testing.T, opts Options) (owner, forwarder *stormNode, id string) {
+	t.Helper()
+	nodes := newGroup(t, 2, opts)
+	for i, nd := range nodes {
+		waitForCondition(t, 3*time.Second, fmt.Sprintf("node %d to see its peer", i), func() bool {
+			up, _ := nd.cl.PeerCounts()
+			return up == 1
+		})
+	}
+	fitStormModel(t, nodes[0].url, "hop")
+	id = "hop-v1"
+	waitForCondition(t, 3*time.Second, "hop-v1 to reach node 1", func() bool {
+		_, err := nodes[1].reg.GetMeta(id)
+		return err == nil
+	})
+	if nodes[0].cl.Owner(id) == "" {
+		return nodes[0], nodes[1], id
+	}
+	return nodes[1], nodes[0], id
+}
+
+// postScore posts a score body to a node and returns the answer and its
+// body.
+func postScore(t *testing.T, nd *stormNode, id string, body []byte, header map[string]string) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, nd.url+"/v1/models/"+id+"/score", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	for k, v := range header {
+		req.Header.Set(k, v)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("score via %s: status %d: %s", nd.url, resp.StatusCode, raw)
+	}
+	return resp, raw
+}
+
+// TestForwardedAnswerCarriesContentLength: a 10k-row answer relayed over
+// the hop declares its length instead of going out chunked, and its bytes
+// are the owner's own answer.
+func TestForwardedAnswerCarriesContentLength(t *testing.T) {
+	owner, fwd, id := hopPair(t, Options{})
+	body, err := json.Marshal(ScoreRequest{Rows: trainingRows(10_000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, relayed := postScore(t, fwd, id, body, nil)
+	if got := resp.Header.Get("X-RPC-Served-By"); got != owner.url {
+		t.Fatalf("X-RPC-Served-By = %q, want the owner %q", got, owner.url)
+	}
+	if got, want := resp.Header.Get("Content-Length"), strconv.Itoa(len(relayed)); got != want {
+		t.Fatalf("relayed Content-Length = %q, want %s", got, want)
+	}
+	if len(resp.TransferEncoding) != 0 {
+		t.Fatalf("relayed answer sent with transfer encoding %v", resp.TransferEncoding)
+	}
+	_, direct := postScore(t, owner, id, body, nil)
+	if !bytes.Equal(relayed, direct) {
+		t.Fatal("relayed answer differs from the owner's direct answer")
+	}
+}
+
+// TestForwardedRequestIDReachesOwnerLog: the forwarder's request ID rides
+// the hop, and the owner records it as upstream_request_id in its request
+// log and slow ring. An upstream ID is read only on a forwarded request,
+// and one that fails the character and length check is dropped.
+func TestForwardedRequestIDReachesOwnerLog(t *testing.T) {
+	var logBuf syncBuffer
+	owner, fwd, id := hopPair(t, Options{
+		SlowThreshold: time.Nanosecond, // every request logs and enters the slow ring
+		Logger:        slog.New(slog.NewJSONHandler(&logBuf, nil)),
+	})
+	body := []byte(`{"rows":[[1.0,1.5,7.5],[4.5,4.4,3.9]]}`)
+	// records returns the score-route log records whose request_id is one
+	// of this node's answers.
+	records := func(requestID string) []map[string]any {
+		var out []map[string]any
+		for _, line := range strings.Split(logBuf.String(), "\n") {
+			var rec map[string]any
+			if json.Unmarshal([]byte(line), &rec) == nil && rec["route"] == "score" &&
+				(rec["request_id"] == requestID || rec["upstream_request_id"] == requestID) {
+				out = append(out, rec)
+			}
+		}
+		return out
+	}
+	ringEntry := func(nd *stormNode, requestID string) (obs.TraceSummary, bool) {
+		for _, s := range nd.srv.slowRing.Snapshot() {
+			if s.RequestID == requestID {
+				return s, true
+			}
+		}
+		return obs.TraceSummary{}, false
+	}
+
+	resp, _ := postScore(t, fwd, id, body, nil)
+	if resp.Header.Get("X-RPC-Served-By") != owner.url {
+		t.Fatal("the request was not forwarded to the owner")
+	}
+	fwdID := resp.Header.Get("X-Request-Id")
+	var ownerRec map[string]any
+	waitForCondition(t, 2*time.Second, "the owner's log record of the hop", func() bool {
+		for _, rec := range records(fwdID) {
+			if rec["upstream_request_id"] == fwdID {
+				ownerRec = rec
+				return true
+			}
+		}
+		return false
+	})
+	ownerID, _ := ownerRec["request_id"].(string)
+	if ownerID == "" || ownerID == fwdID {
+		t.Fatalf("owner record request_id = %v, want the owner's own ID", ownerRec["request_id"])
+	}
+	waitForCondition(t, 2*time.Second, "the forwarder's own log record", func() bool {
+		for _, rec := range records(fwdID) {
+			if rec["request_id"] == fwdID {
+				if _, ok := rec["upstream_request_id"]; ok {
+					t.Fatalf("forwarder record carries an upstream ID: %v", rec)
+				}
+				return true
+			}
+		}
+		return false
+	})
+	if s, ok := ringEntry(owner, ownerID); !ok || s.UpstreamRequestID != fwdID {
+		t.Fatalf("owner slow-ring entry %+v (found %v), want upstream_request_id %q", s, ok, fwdID)
+	}
+
+	// Headers the owner must not record: a valid ID without the forwarded
+	// mark, and invalid IDs with it.
+	for _, tc := range []struct {
+		name   string
+		header map[string]string
+	}{
+		{"not forwarded", map[string]string{"X-Request-Id": "abc-123"}},
+		{"bad character", map[string]string{cluster.ForwardedHeader: fwd.url, "X-Request-Id": "abc 123"}},
+		{"bad quote", map[string]string{cluster.ForwardedHeader: fwd.url, "X-Request-Id": `a"b`}},
+		{"too long", map[string]string{cluster.ForwardedHeader: fwd.url, "X-Request-Id": strings.Repeat("a", 65)}},
+	} {
+		resp, _ := postScore(t, owner, id, body, tc.header)
+		if got := resp.Header.Get("X-Request-Id"); got == tc.header["X-Request-Id"] {
+			t.Fatalf("%s: the owner echoed the caller's request ID", tc.name)
+		}
+		reqID := resp.Header.Get("X-Request-Id")
+		waitForCondition(t, 2*time.Second, tc.name+": the owner's log record", func() bool {
+			return len(records(reqID)) > 0
+		})
+		for _, rec := range records(reqID) {
+			if v, ok := rec["upstream_request_id"]; ok {
+				t.Fatalf("%s: owner logged upstream_request_id %v", tc.name, v)
+			}
+		}
+		if s, ok := ringEntry(owner, reqID); !ok || s.UpstreamRequestID != "" {
+			t.Fatalf("%s: slow-ring entry %+v (found %v), want no upstream ID", tc.name, s, ok)
+		}
+	}
+	// The longest valid ID is recorded.
+	longest := strings.Repeat("aZ9._-", 10) + "abcd"
+	resp, _ = postScore(t, owner, id, body, map[string]string{cluster.ForwardedHeader: fwd.url, "X-Request-Id": longest})
+	reqID := resp.Header.Get("X-Request-Id")
+	waitForCondition(t, 2*time.Second, "the 64-byte upstream ID to be logged", func() bool {
+		for _, rec := range records(reqID) {
+			if rec["upstream_request_id"] == longest {
+				return true
+			}
+		}
+		return false
+	})
 }

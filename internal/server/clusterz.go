@@ -25,7 +25,7 @@ import (
 // Requests that already crossed one hop are always served locally, so a
 // routing disagreement between replicas can never loop.
 func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request) bool {
-	if r.Header.Get(cluster.ForwardedHeader) != "" {
+	if forwarded(r) {
 		return false
 	}
 	id := r.PathValue("id")

@@ -17,9 +17,11 @@ import (
 
 // concurrencyThreshold is the batch size below which sharding overhead
 // outweighs the win and scoring stays on the caller's goroutine. Scoring
-// one row is a grid seed plus a 1-D refinement — microseconds — so small
-// batches are cheaper serial.
-const concurrencyThreshold = 64
+// one row costs a fraction of a microsecond, and handing ranges to the
+// workers and waking them costs about as much as 100 rows: at -cpu 2,
+// BenchmarkPoolScoreBatch splits 128 rows no faster than it scores them
+// inline, and 256 rows about 1.35× faster.
+const concurrencyThreshold = 256
 
 // ErrPoolClosed is returned by ScoreFrame when the pool has
 // been closed — a request racing shutdown. The server maps it to 503 with
@@ -306,16 +308,23 @@ func (p *Pool) ScoreFrame(ctx context.Context, m *core.Model, f *frame.Frame, ds
 	if p == nil || n < concurrencyThreshold {
 		return p.scoreInlineCancel(bc, tr, m, f, dst)
 	}
-	p.closeMu.RLock()
-	if p.closed {
-		p.closeMu.RUnlock()
-		return dst[:0], ErrPoolClosed
-	}
 	// Aim for a few chunks per worker so an uneven row mix still balances,
 	// but never chunks so small the channel hops dominate.
 	chunk := (n + 4*p.workers - 1) / (4 * p.workers)
 	if chunk < concurrencyThreshold/2 {
 		chunk = concurrencyThreshold / 2
+	}
+	return p.scoreSharded(bc, tr, m, f, dst, chunk)
+}
+
+// scoreSharded is the large-batch path: rows go to the workers in ranges
+// of chunk rows over the shared frame, and the caller waits for them all.
+func (p *Pool) scoreSharded(bc *batchCancel, tr *obs.Trace, m *core.Model, f *frame.Frame, dst []float64, chunk int) ([]float64, error) {
+	n := f.N()
+	p.closeMu.RLock()
+	if p.closed {
+		p.closeMu.RUnlock()
+		return dst[:0], ErrPoolClosed
 	}
 	var done sync.WaitGroup
 	var fail atomic.Pointer[any]

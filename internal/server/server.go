@@ -261,6 +261,10 @@ type statusWriter struct {
 	rows    int    // rows scored, for slow logs
 	charged int64  // bytes charged against the in-flight byte budget
 	limiter bodyLimiter
+
+	// upstream is the forwarding node's request ID on a request that
+	// crossed one hop (empty otherwise), for request logs.
+	upstream string
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -378,6 +382,11 @@ func (s *Server) instrumented(route string, h http.HandlerFunc, ops bool) http.H
 		sw.limiter = bodyLimiter{rc: r.Body, remaining: s.opts.MaxBodyBytes, limit: s.opts.MaxBodyBytes, faults: s.opts.Faults}
 		r.Body = &sw.limiter
 		w.Header().Set("X-Request-Id", tr.IDString())
+		if forwarded(r) {
+			if id := r.Header.Get("X-Request-Id"); validRequestID(id) {
+				sw.upstream = id
+			}
+		}
 		s.metrics.InFlight().Add(1)
 		// Deferred so a panicking handler (net/http recovers it per
 		// connection) still counts as a request — and as an error, not as
@@ -443,7 +452,9 @@ func (s *Server) finishTrace(route string, tr *obs.Trace, sw *statusWriter, stat
 	}
 	if slow {
 		s.metrics.AddSlow(tr.ID())
-		s.slowRing.Push(obs.Summarize(tr, route, sw.model, status, sw.rows, elapsed))
+		sum := obs.Summarize(tr, route, sw.model, status, sw.rows, elapsed)
+		sum.UpstreamRequestID = sw.upstream
+		s.slowRing.Push(sum)
 	}
 	attrs := tr.LogAttrs()
 	attrs = append(attrs,
@@ -454,11 +465,41 @@ func (s *Server) finishTrace(route string, tr *obs.Trace, sw *statusWriter, stat
 	if sw.model != "" {
 		attrs = append(attrs, slog.String("model", sw.model), slog.Int("rows", sw.rows))
 	}
+	if sw.upstream != "" {
+		attrs = append(attrs, slog.String("upstream_request_id", sw.upstream))
+	}
 	msg, level := "request", slog.LevelInfo
 	if slow {
 		msg, level = "slow request", slog.LevelWarn
 	}
 	s.logger.LogAttrs(context.Background(), level, msg, attrs...)
+}
+
+// forwardedKey is cluster.ForwardedHeader in the canonical form net/http
+// stores it under, so forwarded is a plain map lookup; Header.Get would
+// canonicalize, and allocate, on every request.
+var forwardedKey = http.CanonicalHeaderKey(cluster.ForwardedHeader)
+
+// forwarded reports whether r already crossed one cluster hop.
+func forwarded(r *http.Request) bool {
+	v := r.Header[forwardedKey]
+	return len(v) > 0 && v[0] != ""
+}
+
+// validRequestID reports whether an upstream request ID may be logged: at
+// most 64 bytes of [0-9A-Za-z._-]. Anything else is dropped, so a peer
+// header can never inject text into a log line.
+func validRequestID(id string) bool {
+	if id == "" || len(id) > 64 {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		c := id[i]
+		if !('0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '.' || c == '_' || c == '-') {
+			return false
+		}
+	}
+	return true
 }
 
 // httpError is an error with an HTTP status attached.
