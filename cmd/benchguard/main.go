@@ -14,6 +14,12 @@
 //   - ns/op: every matched benchmark fails beyond -max-ratio (default 2.0,
 //     loose because CI machines differ from the baseline machine).
 //
+// The ns/op gates compare medians, and only when the runs can resolve the
+// bound: when the interquartile spread of this run's ns/op, or of the
+// baseline's, is wider than the bound (ratio − 1) relative to its median,
+// benchguard refuses a verdict for that benchmark and fails with "no
+// verdict" — a gate that cannot tell 15% from noise must not pass.
+//
 // Usage:
 //
 //	benchguard -baseline BENCH_BASELINE.json bench.txt        compare
@@ -30,16 +36,18 @@
 // GOMAXPROCS, and the comparison strips the -N suffix) and commit the rewritten BENCH_BASELINE.json together with the change
 // that moved the numbers, so the diff review sees both.
 //
-// Multiple -count runs of one benchmark are reduced to the geometric mean
-// of ns/op (robust to the occasional noisy run) and the maximum allocs/op
-// and B/op (bytes allocated).
+// Multiple -count runs of one benchmark are reduced to the median of ns/op
+// with its quartiles (an occasional noisy run moves neither) and the
+// maximum allocs/op and B/op (bytes allocated).
 //
 // -update also stamps the baseline with the machine the numbers came from:
-// the goos/goarch/cpu header lines of the bench output and GOMAXPROCS (the
-// -N suffix of the benchmark names, 1 when there is none). A comparison
-// prints the baseline's machine and this run's on its first line
-// ("unrecorded" for a baseline written before stamping), so a ratio is
-// never read without knowing what it compares. The stamp gates nothing.
+// the goos/goarch/cpu header lines of the bench output, GOMAXPROCS (the
+// -N suffix of the benchmark names, 1 when there is none), and the Go
+// version and CPU count of the process running benchguard, which the
+// documented workflow runs on the same machine right after the benches. A
+// comparison prints the baseline's machine and this run's on its first
+// line ("unrecorded" for a baseline written before stamping), so a ratio
+// is never read without knowing what it compares. The stamp gates nothing.
 package main
 
 import (
@@ -51,6 +59,7 @@ import (
 	"math"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -72,13 +81,16 @@ type Baseline struct {
 }
 
 // Machine identifies the environment of one bench run: the goos, goarch
-// and cpu header lines go test -bench prints, and the distinct GOMAXPROCS
-// values of its benchmark lines in ascending order.
+// and cpu header lines go test -bench prints, the distinct GOMAXPROCS
+// values of its benchmark lines in ascending order, and the Go version and
+// logical CPU count of the machine.
 type Machine struct {
 	GOOS       string `json:"goos,omitempty"`
 	GOARCH     string `json:"goarch,omitempty"`
 	CPU        string `json:"cpu,omitempty"`
 	GOMAXPROCS []int  `json:"gomaxprocs,omitempty"`
+	GoVersion  string `json:"go_version,omitempty"`
+	NumCPU     int    `json:"nproc,omitempty"`
 }
 
 // String renders the stamp on one line, or "unrecorded" for a nil or
@@ -101,18 +113,37 @@ func (m *Machine) String() string {
 		}
 		parts = append(parts, "GOMAXPROCS "+strings.Join(procs, ","))
 	}
+	if m.GoVersion != "" {
+		parts = append(parts, m.GoVersion)
+	}
+	if m.NumCPU > 0 {
+		parts = append(parts, "nproc "+strconv.Itoa(m.NumCPU))
+	}
 	if len(parts) == 0 {
 		return "unrecorded"
 	}
 	return strings.Join(parts, ", ")
 }
 
-// Result is one benchmark's reduced measurement.
+// Result is one benchmark's reduced measurement: the median ns/op over its
+// runs with the first and third quartiles (absent in baselines written
+// before benchguard recorded them), and the largest allocs/op and B/op.
 type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
+	NsQ1        float64 `json:"ns_q1,omitempty"`
+	NsQ3        float64 `json:"ns_q3,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	Runs        int     `json:"runs"`
+}
+
+// spread is the interquartile range of ns/op relative to its median, 0
+// when no quartiles are recorded.
+func (r Result) spread() float64 {
+	if r.NsPerOp <= 0 || r.NsQ3 == 0 {
+		return 0
+	}
+	return (r.NsQ3 - r.NsQ1) / r.NsPerOp
 }
 
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
@@ -175,6 +206,8 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	machine.GoVersion = runtime.Version()
+	machine.NumCPU = runtime.NumCPU()
 	if len(results) == 0 {
 		return fmt.Errorf("no benchmark lines found in input")
 	}
@@ -236,10 +269,9 @@ func readBaseline(path string) (Baseline, error) {
 // and reads the machine stamp from the same output.
 func parseBench(r io.Reader) (map[string]Result, []string, *Machine, error) {
 	type acc struct {
-		logSum float64
+		ns     []float64
 		allocs int64
 		bytes  int64
-		runs   int
 	}
 	accs := map[string]*acc{}
 	var raw []string
@@ -278,8 +310,7 @@ func parseBench(r io.Reader) (map[string]Result, []string, *Machine, error) {
 			a = &acc{}
 			accs[m[1]] = a
 		}
-		a.logSum += math.Log(ns)
-		a.runs++
+		a.ns = append(a.ns, ns)
 		if am := allocsField.FindStringSubmatch(m[4]); am != nil {
 			if v, err := strconv.ParseInt(am[1], 10, 64); err == nil && v > a.allocs {
 				a.allocs = v
@@ -300,14 +331,28 @@ func parseBench(r io.Reader) (map[string]Result, []string, *Machine, error) {
 	sort.Ints(machine.GOMAXPROCS)
 	out := make(map[string]Result, len(accs))
 	for name, a := range accs {
+		sort.Float64s(a.ns)
 		out[name] = Result{
-			NsPerOp:     math.Exp(a.logSum / float64(a.runs)),
+			NsPerOp:     quantile(a.ns, 0.5),
+			NsQ1:        quantile(a.ns, 0.25),
+			NsQ3:        quantile(a.ns, 0.75),
 			AllocsPerOp: a.allocs,
 			BytesPerOp:  a.bytes,
-			Runs:        a.runs,
+			Runs:        len(a.ns),
 		}
 	}
 	return out, raw, machine, nil
+}
+
+// quantile is the q-quantile of the sorted, non-empty v, interpolated
+// linearly between order statistics.
+func quantile(v []float64, q float64) float64 {
+	pos := q * float64(len(v)-1)
+	lo := int(math.Floor(pos))
+	if lo+1 >= len(v) {
+		return v[len(v)-1]
+	}
+	return v[lo] + (pos-float64(lo))*(v[lo+1]-v[lo])
 }
 
 func compare(out io.Writer, base Baseline, results map[string]Result, g gates) error {
@@ -335,7 +380,11 @@ func compare(out io.Writer, base Baseline, results map[string]Result, g gates) e
 			status = "ok (pinned)"
 			tag = " [pinned]"
 		}
-		if ratio > limit {
+		if spread := max(got.spread(), want.spread()); spread > limit-1 {
+			status = "NO VERDICT" + tag
+			failures = append(failures, fmt.Sprintf("%s: interquartile spread %.1f%% of the median is wider than the %.1f%% bound; no verdict%s",
+				name, 100*spread, 100*(limit-1), tag))
+		} else if ratio > limit {
 			status = "REGRESSION" + tag
 			failures = append(failures, fmt.Sprintf("%s: %.1f ns/op vs baseline %.1f (%.2fx > %.2fx)%s",
 				name, got.NsPerOp, want.NsPerOp, ratio, limit, tag))
@@ -354,7 +403,7 @@ func compare(out io.Writer, base Baseline, results map[string]Result, g gates) e
 		}
 	}
 	if len(failures) > 0 {
-		return fmt.Errorf("%d regression(s):\n  %s", len(failures), strings.Join(failures, "\n  "))
+		return fmt.Errorf("%d regression(s) or refused verdict(s):\n  %s", len(failures), strings.Join(failures, "\n  "))
 	}
 	return nil
 }

@@ -3,10 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"math"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -34,9 +35,9 @@ func TestParseBenchReduces(t *testing.T) {
 	if !ok {
 		t.Fatal("BenchmarkScoreOne missing")
 	}
-	// Geomean of 140 and 160.
-	if want := math.Sqrt(140 * 160); math.Abs(so.NsPerOp-want) > 1e-9 {
-		t.Errorf("geomean %v, want %v", so.NsPerOp, want)
+	// The median of 140 and 160, and the quartiles between them.
+	if so.NsPerOp != 150 || so.NsQ1 != 145 || so.NsQ3 != 155 {
+		t.Errorf("median %v quartiles %v/%v, want 150 and 145/155", so.NsPerOp, so.NsQ1, so.NsQ3)
 	}
 	if so.AllocsPerOp != 0 || so.Runs != 2 {
 		t.Errorf("ScoreOne reduced to %+v", so)
@@ -73,7 +74,8 @@ func TestMachineStamp(t *testing.T) {
 	if err := json.Unmarshal(raw, &base); err != nil {
 		t.Fatal(err)
 	}
-	want := Machine{GOOS: "linux", GOARCH: "amd64", CPU: "Intel(R) Xeon(R) Processor @ 2.10GHz", GOMAXPROCS: []int{1}}
+	want := Machine{GOOS: "linux", GOARCH: "amd64", CPU: "Intel(R) Xeon(R) Processor @ 2.10GHz", GOMAXPROCS: []int{1},
+		GoVersion: runtime.Version(), NumCPU: runtime.NumCPU()}
 	if base.Machine == nil || !reflect.DeepEqual(*base.Machine, want) {
 		t.Fatalf("recorded machine %+v, want %+v", base.Machine, want)
 	}
@@ -91,8 +93,9 @@ func TestMachineStamp(t *testing.T) {
 		t.Fatalf("compare: %v\n%s", err, out.String())
 	}
 	first, _, _ := strings.Cut(out.String(), "\n")
-	wantFirst := "benchguard: baseline machine: linux/amd64, Intel(R) Xeon(R) Processor @ 2.10GHz, GOMAXPROCS 1; " +
-		"this run: linux/amd64, AMD EPYC 7B13, GOMAXPROCS 2"
+	here := fmt.Sprintf("%s, nproc %d", runtime.Version(), runtime.NumCPU())
+	wantFirst := "benchguard: baseline machine: linux/amd64, Intel(R) Xeon(R) Processor @ 2.10GHz, GOMAXPROCS 1, " + here + "; " +
+		"this run: linux/amd64, AMD EPYC 7B13, GOMAXPROCS 2, " + here
 	if first != wantFirst {
 		t.Errorf("first line\n%q\nwant\n%q", first, wantFirst)
 	}
@@ -267,5 +270,82 @@ BenchmarkBrandNew 	 100	 99.0 ns/op
 	}
 	if !strings.Contains(out.String(), "no baseline") || !strings.Contains(out.String(), "missing from this run") {
 		t.Errorf("expected informational lines:\n%s", out.String())
+	}
+}
+
+// fiveRuns renders five -count runs of one benchmark at the given ns/op.
+func fiveRuns(name string, ns ...float64) string {
+	var b strings.Builder
+	for _, v := range ns {
+		fmt.Fprintf(&b, "%s \t 100\t %.1f ns/op\t 0 B/op\t 0 allocs/op\n", name, v)
+	}
+	return b.String()
+}
+
+// TestCompareMedianIgnoresOutlier: one slow run in five moves the median
+// and the quartiles not at all, so a pinned bench whose other runs match
+// the baseline passes; the geometric mean (1.58× here) would have failed it.
+func TestCompareMedianIgnoresOutlier(t *testing.T) {
+	dir := t.TempDir()
+	baseline := filepath.Join(dir, "b.json")
+	quiet := filepath.Join(dir, "quiet.txt")
+	noisy := filepath.Join(dir, "noisy.txt")
+	if err := os.WriteFile(quiet, []byte(fiveRuns("BenchmarkFit", 100, 100, 100, 100, 100)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(noisy, []byte(fiveRuns("BenchmarkFit", 100, 100, 1000, 100, 100)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-update", "-baseline", baseline, quiet}, &out); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := run([]string{"-baseline", baseline, "-pinned", "^BenchmarkFit$", noisy}, &out); err != nil {
+		t.Fatalf("one outlier in five failed the pinned gate: %v\n%s", err, out.String())
+	}
+}
+
+// TestCompareRefusesWideSpread: when the runs scatter wider than the bound
+// they are judged against, benchguard gives no verdict — neither a pass
+// nor a regression — and fails saying so; the same runs still get a
+// verdict under a bound wide enough to resolve them, and a wide baseline
+// is refused as well.
+func TestCompareRefusesWideSpread(t *testing.T) {
+	dir := t.TempDir()
+	baseline := filepath.Join(dir, "b.json")
+	quiet := filepath.Join(dir, "quiet.txt")
+	wide := filepath.Join(dir, "wide.txt")
+	// Same median as the baseline, quartiles 80 and 120: a 40% spread.
+	if err := os.WriteFile(quiet, []byte(fiveRuns("BenchmarkFit", 99, 100, 100, 100, 101)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(wide, []byte(fiveRuns("BenchmarkFit", 60, 80, 100, 120, 140)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-update", "-baseline", baseline, quiet}, &out); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	err := run([]string{"-baseline", baseline, "-pinned", "^BenchmarkFit$", wide}, &out)
+	if err == nil || !strings.Contains(err.Error(), "no verdict") || !strings.Contains(out.String(), "NO VERDICT") {
+		t.Fatalf("a 40%% spread against the 15%% bound got a verdict: %v\n%s", err, out.String())
+	}
+	if strings.Contains(out.String(), "REGRESSION") {
+		t.Errorf("a refused verdict was reported as a regression:\n%s", out.String())
+	}
+	out.Reset()
+	if err := run([]string{"-baseline", baseline, "-max-ratio", "2.0", wide}, &out); err != nil {
+		t.Fatalf("a 40%% spread against the loose 100%% bound was refused: %v\n%s", err, out.String())
+	}
+	// The baseline's own spread counts too.
+	if err := run([]string{"-update", "-baseline", baseline, wide}, &out); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := run([]string{"-baseline", baseline, "-pinned", "^BenchmarkFit$", quiet}, &out); err == nil ||
+		!strings.Contains(err.Error(), "no verdict") {
+		t.Fatalf("a wide baseline got a verdict: %v\n%s", err, out.String())
 	}
 }

@@ -42,7 +42,7 @@ func checkColdPaths(t *testing.T, refs []*oracle.Result, c *bezier.Curve, opts O
 		pool := newProjPool(c, u, o)
 		scores := make([]float64, n)
 		resid := make([]float64, n)
-		pool.project(c, scores, resid, nil)
+		pool.project(c, scores, resid, nil, true)
 		pool.close()
 		for i := 0; i < n; i++ {
 			if err := refs[i].Check(scores[i], opts.GridCells); err != nil {
@@ -279,7 +279,8 @@ func TestColdPassEdgeRowsInterleaved(t *testing.T) {
 
 // TestProjPoolWarmMatchesProjectWarm: the fit pool's warm pass, striped
 // over two workers, must publish exactly what one engine's per-row
-// projectWarm loop does — scores, residuals and warm-hit telemetry — at
+// projectWarm loop, made canonical, does — scores, residuals and warm-hit
+// telemetry — at
 // every degree Fit accepts, from honest warm seeds and from adversarial
 // ones that force the no-regression guard into its cold fallback.
 func TestProjPoolWarmMatchesProjectWarm(t *testing.T) {
@@ -300,7 +301,7 @@ func TestProjPoolWarmMatchesProjectWarm(t *testing.T) {
 
 			// Honest warm seeds: the previous sweep's own scores.
 			warm := make([]float64, n)
-			pool.project(m.Curve, warm, make([]float64, n), nil)
+			pool.project(m.Curve, warm, make([]float64, n), nil, true)
 			for pass := 0; pass < 2; pass++ {
 				if pass == 1 {
 					// Adversarial seeds: the mirrored score is usually in
@@ -312,11 +313,12 @@ func TestProjPoolWarmMatchesProjectWarm(t *testing.T) {
 				}
 				rows0, hits0 := pool.warmCounts()
 				ps, pr := make([]float64, n), make([]float64, n)
-				pool.project(m.Curve, ps, pr, warm)
+				pool.project(m.Curve, ps, pr, warm, true)
 				rows1, hits1 := pool.warmCounts()
 				var refHits int64
 				for i := 0; i < n; i++ {
 					s, r2, hit := ref.projectWarm(u.Row(i), warm[i])
+					s, r2 = ref.canonical(s, r2)
 					if ps[i] != s {
 						t.Fatalf("pass %d row %d: pool warm score %.17g, per-row %.17g", pass, i, ps[i], s)
 					}

@@ -164,6 +164,8 @@ func (e *engine) projectWarmCubic(u []float64, sPrev float64) (s, distSq float64
 		c3 -= t * row[3]
 	}
 	c0 += x2
+	// The profile stays in e.dc, where engine.canonical reads it.
+	e.dc[0], e.dc[1], e.dc[2], e.dc[3], e.dc[4], e.dc[5], e.dc[6] = c0, c1, c2, c3, c4, c5, c6
 	// D′ and D″ coefficients (in the same shifted basis).
 	b0, b1, b2, b3, b4, b5 := c1, 2*c2, 3*c3, 4*c4, 5*c5, 6*c6
 	e0, e1, e2, e3, e4 := b1, 2*b2, 3*b3, 4*b4, 5*b5
@@ -184,6 +186,64 @@ func (e *engine) projectWarmCubic(u []float64, sPrev float64) (s, distSq float64
 	}
 	s, d := cubicNewtonKernel(c0, c1, c2, c3, c4, c5, c6, e.cells, true)
 	return s, d, false
+}
+
+// canonQuantum is the grid engine.canonical rounds a score to: 2⁻²⁶,
+// about 1.5e-8. That is far wider than the few-ulp spread between two
+// starts' Newton answers, so both round to the same node, and narrow enough
+// that one Newton step from the node lands on the root to rounding.
+const canonQuantum = 0x1p-26
+
+// canonical returns the fit's canonical form of an interior minimiser s,
+// with distance d, of the row whose profile project or projectWarm left in
+// e.dc: s rounded to a multiple of canonQuantum, then one Newton step on D′
+// from there, and the distance at the result. Started from the same node on
+// the same profile, the step returns the same float whichever start, warm
+// or cold, found s. The fit's iterations project every row through this,
+// so their scores and objective do not depend on the warm start: Anderson
+// acceleration multiplies any difference between iterates, and without
+// this the last-ulp differences between warm and cold scores grew to
+// score differences of up to 4e-2 between a warm and a cold fit. Edge
+// minimisers (0 and 1), quintic engines, and a step that leaves the
+// node's quantum, finds no minimum or raises the distance keep s.
+func (e *engine) canonical(s, d float64) (float64, float64) {
+	if e.quintic || !(s > 0 && s < 1) {
+		return s, d
+	}
+	// s < 1, so s/canonQuantum < 2²⁶ and the conversion rounds exactly.
+	sc := float64(int64(s/canonQuantum+0.5)) * canonQuantum
+	t := sc - bezier.DistPolyOrigin
+	dc := e.dc
+	var g, h, ns, nd float64 // D′(t), D″(t), the Newton step's result and D there
+	if len(dc) == 7 {
+		// Cubic curves, the default, in straight-line code.
+		c0, c1, c2, c3, c4, c5, c6 := dc[0], dc[1], dc[2], dc[3], dc[4], dc[5], dc[6]
+		g = ((((6*c6*t+5*c5)*t+4*c4)*t+3*c3)*t+2*c2)*t + c1
+		h = (((30*c6*t+20*c5)*t+12*c4)*t+6*c3)*t + 2*c2
+		dsc := (((((c6*t+c5)*t+c4)*t+c3)*t+c2)*t+c1)*t + c0
+		step := -g / h
+		ns = sc + step
+		// D(sc + step) by its Taylor series: |step| ≤ canonQuantum, so
+		// the cubic term is below 2⁻⁷⁸ of D‴ and the sum is exact to
+		// rounding, and D(sc) does not wait for the division.
+		nd = dsc + step*(g+0.5*h*step)
+	} else {
+		for c := len(dc) - 1; c >= 1; c-- {
+			g = g*t + float64(c)*dc[c]
+		}
+		for c := len(dc) - 1; c >= 2; c-- {
+			h = h*t + float64(c*(c-1))*dc[c]
+		}
+		ns = sc - g/h
+		nd = bezier.EvalPoly(dc, ns-bezier.DistPolyOrigin)
+	}
+	if !(h > 0 && ns > 0 && ns < 1 && math.Abs(ns-sc) <= canonQuantum) {
+		return s, d
+	}
+	if !(nd <= d+1e-12*(1+d)) {
+		return s, d
+	}
+	return ns, nonNeg(nd)
 }
 
 // project computes argmin_s ‖u − f(s)‖² and the attained squared distance

@@ -25,10 +25,12 @@ import (
 //     jittered interior control points;
 //  3. repeat: project every row onto the curve to get scores (Eq. 22, by
 //     grid-seeded safeguarded Newton where the paper uses Golden Section
-//     Search; see the package doc), update the control points (Eq. 27
-//     Richardson step or Eq. 26 pseudo-inverse), clamp the interior
-//     control points into the open box;
-//  4. stop when ΔJ < ξ, when J would increase, or at MaxIter.
+//     Search; see the package doc), then update the control points: by
+//     default the exact minimiser of Eq. 26 under the box [ε, 1−ε] the
+//     interior points live in, Anderson-accelerated across iterations
+//     with a J safeguard; with UpdaterRichardson the Eq. 27 Richardson
+//     step, clamped into the box;
+//  4. stop when |ΔJ| < ξ, when J rises by more than ξ, or at MaxIter.
 func Fit(xs [][]float64, opts Options) (*Model, error) {
 	if len(xs) == 0 {
 		return nil, fmt.Errorf("core: no observations")
@@ -156,13 +158,29 @@ func resolveWorkers(w int) int {
 }
 
 // fitMultiStartN is fitMultiStart with the restart concurrency capped at
-// par. The normalised frame and X matrix are prepared once and shared
-// read-only by every restart; the restart initialisations are drawn
-// serially up front (so rng consumption never depends on scheduling) and
-// the winner scan walks restart order with a strict '<', giving the lowest
-// restart index on ties. The returned model is therefore bit-identical for
+// par. The winner scan walks restart order with a strict '<', giving the
+// lowest restart index on ties, so the returned model is bit-identical for
 // every par ≥ 1 — pinned by test.
 func fitMultiStartN(f *frame.Frame, opts Options, par int) (*Model, error) {
+	models, err := fitRestarts(f, opts, par)
+	if err != nil {
+		return nil, err
+	}
+	var best *Model
+	for _, m := range models {
+		if best == nil || sum(m.ResidualsSq) < sum(best.ResidualsSq) {
+			best = m
+		}
+	}
+	return best, nil
+}
+
+// fitRestarts runs every restart of a multi-start fit, at most par at a
+// time, and returns their models in restart order. The normalised frame and
+// X matrix are prepared once and shared read-only by every restart; the
+// restart initialisations are drawn serially up front, so rng consumption
+// never depends on scheduling.
+func fitRestarts(f *frame.Frame, opts Options, par int) ([]*Model, error) {
 	restarts := opts.Restarts
 	rng := rand.New(rand.NewSource(opts.Seed + 1000003))
 
@@ -253,13 +271,7 @@ func fitMultiStartN(f *frame.Frame, opts Options, par int) (*Model, error) {
 			return nil, err
 		}
 	}
-	var best *Model
-	for _, m := range models {
-		if best == nil || sum(m.ResidualsSq) < sum(best.ResidualsSq) {
-			best = m
-		}
-	}
-	return best, nil
+	return models, nil
 }
 
 // fitOnce is a single run of Algorithm 1 from raw input: normalise, then
@@ -334,35 +346,44 @@ func fitPrepared(sh *fitShared, opts Options) (*Model, error) {
 	M := bezier.BernsteinToMonomial(k)
 	mz := make([]float64, kp1*n)
 	MZ := mat.NewDense(kp1, n, mz) // Bernstein basis b(sᵢ), one column per observation
-	P := mat.Zeros(d, kp1)
+	pd := make([]float64, d*kp1)
+	P := mat.NewDense(d, kp1, pd) // control points of the current iterate
 	A := mat.Zeros(kp1, kp1)
 	XMZt := mat.Zeros(d, kp1)
 	// Scratch of the updater, so either one stays iteration-flat in
-	// allocations.
+	// allocations. The exact step keeps its image of the last adopted
+	// iterate in G: it is the plain step Anderson's safeguard falls back to.
 	var rich *richardson
-	var pinvAinv, pinvW, pinvV *mat.Dense
-	var pinvVals []float64
+	var exact *boxStep
+	var accel *anderson
+	var gd []float64
+	var G *mat.Dense
 	switch opts.Updater {
+	case UpdaterPseudoInverse:
+		exact = newBoxStep(k, opts.ClampEps)
+		accel = newAnderson(d * kp1)
+		gd = make([]float64, d*kp1)
+		G = mat.NewDense(d, kp1, gd)
 	case UpdaterRichardson:
 		rich = newRichardson(d, kp1)
-	case UpdaterPseudoInverse:
-		pinvAinv = mat.Zeros(kp1, kp1)
-		pinvW = mat.Zeros(kp1, kp1)
-		pinvV = mat.Zeros(kp1, kp1)
-		pinvVals = make([]float64, kp1)
 	default:
 		return nil, fmt.Errorf("core: unknown updater %v", opts.Updater)
 	}
+	// extrapolated marks a curve that came from Anderson's extrapolation
+	// rather than from a plain step; plain counts the plain steps still
+	// owed after the safeguard fired.
+	extrapolated := false
+	plain := 0
 
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		// Score step (Eq. 22): project every observation onto the curve,
 		// warm-started from the previous iteration's scores when available.
 		t0 := time.Now()
 		if haveWarm {
-			pool.project(curve, scores, resid, warmScores)
+			pool.project(curve, scores, resid, warmScores, true)
 			diag.Stages.RefineNs += time.Since(t0).Nanoseconds()
 		} else {
-			pool.project(curve, scores, resid, nil)
+			pool.project(curve, scores, resid, nil, true)
 			diag.Stages.SeedNs += time.Since(t0).Nanoseconds()
 		}
 		if useWarm {
@@ -370,10 +391,10 @@ func fitPrepared(sh *fitShared, opts Options) (*Model, error) {
 			haveWarm = true
 		}
 		J := sum(resid)
-		if opts.KeepTrajectory {
-			m.Objective = append(m.Objective, J)
-		}
-		accepted := J < bestJ
+		// An extrapolated curve is adopted only when it lowers J by at
+		// least ξ: a stalled extrapolation is no evidence of convergence,
+		// so the plain step decides that.
+		accepted := J < bestJ && (!extrapolated || bestJ-J >= opts.Tol)
 		wr, wh := pool.warmCounts()
 		it := FitIteration{
 			Restart:   opts.restartIndex,
@@ -392,7 +413,25 @@ func fitPrepared(sh *fitShared, opts Options) (*Model, error) {
 		} else {
 			diag.TraceTruncated = true
 		}
+		m.Iterations = iter + 1
+		if extrapolated && !accepted {
+			// Safeguard: the extrapolated curve did not lower J. Discard
+			// it, forget the history, and continue from the plain exact
+			// step of the last adopted iterate, warm-started from that
+			// iterate's scores.
+			extrapolated = false
+			accel.reset()
+			plain = andersonRestart - 1
+			matIntoCurve(G, curve)
+			if useWarm {
+				copy(warmScores, bestScores)
+			}
+			continue
+		}
 		if accepted {
+			if opts.KeepTrajectory {
+				m.Objective = append(m.Objective, J)
+			}
 			bestJ = J
 			if bestCurve == nil {
 				bestCurve = cloneCurve(curve)
@@ -402,14 +441,13 @@ func fitPrepared(sh *fitShared, opts Options) (*Model, error) {
 			copy(bestScores, scores)
 			copy(bestResid, resid)
 		}
-		m.Iterations = iter + 1
-		// Stopping rules of Algorithm 1: ΔJ < ξ converged; ΔJ < 0 (J rose)
-		// breaks and keeps the best iterate.
-		if J > prevJ {
+		// Stopping rules of Algorithm 1: |ΔJ| < ξ has converged; a rise of
+		// J by more than ξ stops the run, which keeps the best iterate.
+		if math.Abs(prevJ-J) < opts.Tol {
+			m.Converged = true
 			break
 		}
-		if prevJ-J < opts.Tol {
-			m.Converged = true
+		if J > prevJ {
 			break
 		}
 		prevJ = J
@@ -425,21 +463,28 @@ func fitPrepared(sh *fitShared, opts Options) (*Model, error) {
 		curveIntoMat(P, curve)            // d×(k+1)
 		mat.GramInto(A, MZ)               // (MZ)(MZ)ᵀ, (k+1)×(k+1)
 		mat.MulABTInto(XMZt, X, MZ)       // X·MZᵀ, d×(k+1)
-		if rich != nil {
-			if opts.KeepTrajectory {
-				m.ConditionNumbers = append(m.ConditionNumbers, mat.ConditionNumber(A))
-			}
-			rich.step(P, A, XMZt, rich.nominalGamma(A))
-		} else {
-			// P = X·(MZ)⁺ (Eq. 26), computed as (X·MZᵀ)·((MZ)(MZ)ᵀ)⁺ — the
-			// universal identity A⁺ = Aᵀ(AAᵀ)⁺ folded so every factor lands
-			// in preallocated scratch and the ablation updater matches the
-			// Richardson path's iteration-flat allocation profile.
-			mat.PinvSymInto(pinvAinv, A, pinvW, pinvV, pinvVals)
-			mat.MulInto(P, XMZt, pinvAinv)
+		if opts.KeepTrajectory {
+			m.ConditionNumbers = append(m.ConditionNumbers, mat.ConditionNumber(A))
 		}
-		matIntoCurve(P, curve)
-		constrainCurve(curve, opts, d, k)
+		if rich != nil {
+			rich.step(P, A, XMZt, rich.nominalGamma(A))
+			matIntoCurve(P, curve)
+			constrainCurve(curve, opts, d, k)
+		} else {
+			// Eq. 26 under the box, then Anderson's extrapolation over
+			// the adopted iterates unless plain steps are owed.
+			exact.step(G, P, A, XMZt)
+			accel.push(pd, gd)
+			if plain == 0 && accel.extrapolate(pd) {
+				extrapolated = true
+				matIntoCurve(P, curve)
+				constrainCurve(curve, opts, d, k)
+			} else {
+				extrapolated = false
+				plain = max(plain-1, 0)
+				matIntoCurve(G, curve)
+			}
+		}
 		diag.Stages.UpdateNs += time.Since(t1).Nanoseconds()
 	}
 
@@ -447,10 +492,12 @@ func fitPrepared(sh *fitShared, opts Options) (*Model, error) {
 		bestCurve = curve
 	}
 	// Final projection against the best curve so scores/residuals match it.
-	// Deliberately cold (grid-seeded): the model's published scores carry no
-	// dependence on the warm-start trajectory, only on the final curve.
+	// Deliberately cold (grid-seeded) and not canonical: the model's
+	// published scores carry no dependence on the warm-start trajectory,
+	// only on the final curve, and are bit for bit what serving the model
+	// returns for the same rows.
 	t0 := time.Now()
-	pool.project(bestCurve, bestScores, bestResid, nil)
+	pool.project(bestCurve, bestScores, bestResid, nil, false)
 	diag.Stages.SeedNs += time.Since(t0).Nanoseconds()
 	finalJ := sum(bestResid)
 	m.Curve = bestCurve
@@ -582,6 +629,7 @@ type projPool struct {
 	scores  []float64
 	resid   []float64
 	warm    []float64 // previous scores; nil on cold passes
+	canon   bool      // make every score canonical (engine.canonical)
 }
 
 // newProjPool builds the pool for u with the worker count opts asks for,
@@ -616,13 +664,15 @@ func newProjPool(c *bezier.Curve, u *frame.Frame, opts Options) *projPool {
 // the rows fan out to the parked workers (the calling goroutine takes
 // stripe 0). warm is the previous iteration's score per row, or nil for a
 // cold pass; rows whose warm basin fails validation fall back to the cold
-// projection individually.
-func (p *projPool) project(c *bezier.Curve, scores, resid, warm []float64) {
+// projection individually. canon makes every score canonical
+// (engine.canonical), which the iterations of the fit need and its final,
+// published projection does not.
+func (p *projPool) project(c *bezier.Curve, scores, resid, warm []float64, canon bool) {
 	p.engines[0].recompile(c)
 	for _, e := range p.engines[1:] {
 		e.curve = c
 	}
-	p.scores, p.resid, p.warm = scores, resid, warm
+	p.scores, p.resid, p.warm, p.canon = scores, resid, warm, canon
 	n := p.u.N()
 	W := len(p.chans) + 1
 	if W == 1 || n < W {
@@ -655,12 +705,19 @@ func (p *projPool) runRange(e *engine, lo, hi int) {
 	warm := p.warm
 	if warm == nil {
 		for i := lo; i < hi; i++ {
-			p.scores[i], p.resid[i] = e.project(p.u.Row(i))
+			s, r2 := e.project(p.u.Row(i))
+			if p.canon {
+				s, r2 = e.canonical(s, r2)
+			}
+			p.scores[i], p.resid[i] = s, r2
 		}
 		return
 	}
 	for i := lo; i < hi; i++ {
 		s, r2, hit := e.projectWarm(p.u.Row(i), warm[i])
+		if p.canon {
+			s, r2 = e.canonical(s, r2)
+		}
 		p.scores[i], p.resid[i] = s, r2
 		e.warmRows++
 		if hit {

@@ -6,7 +6,8 @@
 // coordinate of the curve strictly monotone (Proposition 1) and hence the
 // induced score map order-preserving. Fitting follows Algorithm 1:
 // alternating minimisation of the latent scores (Eq. 22) and the control
-// points (Eq. 27–28 preconditioned Richardson step).
+// points (Eq. 26, solved exactly under the box; the paper's Eq. 27–28
+// Richardson step remains as an ablation).
 //
 // One departure from Algorithm 1: the paper solves the score step by Golden
 // Section Search, and this package does not. Each score is a grid seed
@@ -18,6 +19,11 @@
 // alike, with scores within ~1e-14. So neither search is kept. The exact
 // quintic root solver (the Jenkins–Traub route the paper cites) is the one
 // alternative projector.
+//
+// A second departure: Algorithm 1 iterates the two steps plainly, and
+// this package accelerates the iteration with Anderson mixing and a J
+// safeguard (see Fit), because the plain iteration crawls along nearly
+// flat directions of J and ran out of iterations on the journals data.
 package core
 
 import (
@@ -62,14 +68,16 @@ func (p Projector) String() string {
 type Updater int
 
 const (
+	// UpdaterPseudoInverse takes the exact minimiser of Eq. 26 under the
+	// box [ClampEps, 1−ClampEps] the interior control points live in: one
+	// small box-constrained quadratic per coordinate, solved exactly, so
+	// the step never raises the fixed-score objective. The outer iteration
+	// is Anderson-accelerated with a J safeguard. Default.
+	UpdaterPseudoInverse Updater = iota
 	// UpdaterRichardson is the preconditioned Richardson iteration of
 	// Eq. 27–28 that the paper adopts to cope with the ill-conditioning of
-	// (MZ)(MZ)ᵀ. Default.
-	UpdaterRichardson Updater = iota
-	// UpdaterPseudoInverse applies the closed-form minimiser
-	// P = X·(MZ)⁺ of Eq. 26 directly. Offered as an ablation; the paper
-	// argues it is numerically fragile.
-	UpdaterPseudoInverse
+	// (MZ)(MZ)ᵀ, run unaccelerated. Kept for the updater ablation (A2).
+	UpdaterRichardson
 )
 
 // String implements fmt.Stringer.
@@ -109,7 +117,8 @@ type Options struct {
 	// Projector selects the score solver. Default ProjectorNewton.
 	Projector Projector
 
-	// Updater selects the control-point update. Default UpdaterRichardson.
+	// Updater selects the control-point update. Default
+	// UpdaterPseudoInverse.
 	Updater Updater
 
 	// ClampEps keeps inner control points inside [ClampEps, 1−ClampEps]
@@ -120,7 +129,7 @@ type Options struct {
 	// initialisation. Default 1.
 	Seed int64
 
-	// KeepTrajectory records the objective value after every iteration in
+	// KeepTrajectory records the objective of every adopted iterate in
 	// Model.Objective (always records at least the final value).
 	KeepTrajectory bool
 
@@ -195,6 +204,14 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// minDegree and maxDegree bound the curve degree. Shared by
+// Options.validate and Load: Load accepts a rule exactly when Fit could
+// have produced its degree.
+const (
+	minDegree = 2
+	maxDegree = 6
+)
+
 // MaxGridCells bounds the projection grid. Shared by Options.validate and
 // Load so a fitted model always round-trips through Save/Load: anything
 // Fit accepts, Load accepts.
@@ -213,8 +230,8 @@ func (o Options) validate(nRows, dim int) error {
 	if nRows < 2 {
 		return fmt.Errorf("core: need at least 2 observations, got %d", nRows)
 	}
-	if o.Degree < 2 || o.Degree > 6 {
-		return fmt.Errorf("core: degree %d out of supported range [2,6]", o.Degree)
+	if o.Degree < minDegree || o.Degree > maxDegree {
+		return fmt.Errorf("core: degree %d out of supported range [%d,%d]", o.Degree, minDegree, maxDegree)
 	}
 	if o.Projector == ProjectorQuintic && o.Degree != 3 {
 		return fmt.Errorf("core: quintic projector requires degree 3, got %d", o.Degree)
@@ -244,16 +261,20 @@ type Model struct {
 	Scores []float64
 	// ResidualsSq holds the squared orthogonal reconstruction error per row.
 	ResidualsSq []float64
-	// Objective is the recorded J trajectory (final value always present).
+	// Objective is the recorded J trajectory: with KeepTrajectory, J of
+	// every iterate the fit adopted, so it never rises; otherwise only the
+	// final value.
 	Objective []float64
 	// Iterations is the number of outer iterations performed.
 	Iterations int
-	// Converged reports whether the ΔJ < ξ criterion fired before MaxIter.
+	// Converged reports whether the |ΔJ| < ξ criterion fired before
+	// MaxIter.
 	Converged bool
-	// ConditionNumbers records cond((MZ)(MZ)ᵀ) at each Richardson
-	// control-point step when KeepTrajectory is set (used by the A2
-	// ablation). The last iteration takes no step, so there is one entry
-	// fewer than Iterations.
+	// ConditionNumbers records cond((MZ)(MZ)ᵀ) at each control-point step,
+	// for either updater, when KeepTrajectory is set (used by the A2
+	// ablation). The last iteration takes no step, and neither does an
+	// iteration whose extrapolated curve the safeguard rejects, so there
+	// are at most Iterations − 1 entries.
 	ConditionNumbers []float64
 	// FitDiag is the telemetry of the fit run that produced this model
 	// (nil for models reconstructed by Load — the rule document carries

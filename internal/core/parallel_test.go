@@ -7,28 +7,50 @@ import (
 	"rpcrank/internal/order"
 )
 
+// TestParallelFitBitIdentical: at every degree Fit accepts, a
+// three-restart fit is bit-identical whatever the projection workers and
+// the restart concurrency they grant — curve, scores, and the winner's
+// trace.
 func TestParallelFitBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(501))
 	alpha := order.MustDirection(1, 1, -1)
 	xs, _ := genBezierCloud(rng, 400, alpha, 0.03)
-	serial, err := Fit(xs, Options{Alpha: alpha, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, -1} {
-		par, err := Fit(xs, Options{Alpha: alpha, Workers: workers})
+	for k := minDegree; k <= maxDegree; k++ {
+		opts := Options{Alpha: alpha, Degree: k, Restarts: 3, MaxIter: 60, Workers: 1}
+		serial, err := Fit(xs, opts)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatal(err)
 		}
-		for i := range serial.Scores {
-			if serial.Scores[i] != par.Scores[i] {
-				t.Fatalf("workers=%d: score %d differs: %.17g vs %.17g",
-					workers, i, serial.Scores[i], par.Scores[i])
+		for _, workers := range []int{2, 4, -1} {
+			opts.Workers = workers
+			par, err := Fit(xs, opts)
+			if err != nil {
+				t.Fatalf("degree %d workers=%d: %v", k, workers, err)
 			}
-		}
-		if serial.Iterations != par.Iterations {
-			t.Errorf("workers=%d: iteration count differs (%d vs %d)",
-				workers, serial.Iterations, par.Iterations)
+			for r, p := range serial.Curve.Points {
+				for j, v := range p {
+					if par.Curve.Points[r][j] != v {
+						t.Fatalf("degree %d workers=%d: control point [%d][%d] %.17g vs %.17g",
+							k, workers, r, j, par.Curve.Points[r][j], v)
+					}
+				}
+			}
+			for i := range serial.Scores {
+				if serial.Scores[i] != par.Scores[i] {
+					t.Fatalf("degree %d workers=%d: score %d differs: %.17g vs %.17g",
+						k, workers, i, serial.Scores[i], par.Scores[i])
+				}
+			}
+			st, pt := serial.FitDiag.Trace, par.FitDiag.Trace
+			if len(pt) != len(st) || par.FitDiag.Restart != serial.FitDiag.Restart {
+				t.Fatalf("degree %d workers=%d: winner %d after %d iterations, serial %d after %d",
+					k, workers, par.FitDiag.Restart, len(pt), serial.FitDiag.Restart, len(st))
+			}
+			for i := range st {
+				if pt[i].Objective != st[i].Objective || pt[i].Accepted != st[i].Accepted {
+					t.Fatalf("degree %d workers=%d: iteration %d %+v, serial %+v", k, workers, i, pt[i], st[i])
+				}
+			}
 		}
 	}
 }
@@ -67,7 +89,7 @@ func BenchmarkProjectAllSerialVsParallel(b *testing.B) {
 			pool := newProjPool(m.Curve, m.data, Options{Alpha: alpha, Workers: workers}.withDefaults())
 			defer pool.close()
 			for i := 0; i < b.N; i++ {
-				pool.project(m.Curve, scores, resid, nil)
+				pool.project(m.Curve, scores, resid, nil, true)
 			}
 		})
 	}

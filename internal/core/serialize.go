@@ -57,7 +57,8 @@ func (m *Model) Save(w io.Writer) error {
 
 // Load reads a model saved by Save. The returned model scores observations
 // identically to the original; training-time diagnostics (Scores,
-// ResidualsSq, Objective) are empty. The "quintic" projector loads as
+// ResidualsSq, Objective) are empty. The curve must have a degree Fit
+// accepts (minDegree to maxDegree). The "quintic" projector loads as
 // ProjectorQuintic; every other value — "newton", the retired "gss" and
 // "brent", an unknown name or none at all — loads as ProjectorNewton, the
 // strategy such documents were always served through.
@@ -73,12 +74,15 @@ func Load(r io.Reader) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: loading model: %w", err)
 	}
-	// Fit caps the degree at 6 (7 control points); 64 leaves headroom for
-	// future degrees while keeping the O(k²·d) de Casteljau evaluation of
-	// an untrusted document from becoming a per-row CPU bomb.
-	const maxControlPoints = 64
-	if len(in.ControlPoints) < 2 || len(in.ControlPoints) > maxControlPoints {
-		return nil, fmt.Errorf("core: model has %d control points, want 2 to %d", len(in.ControlPoints), maxControlPoints)
+	// A rule has the degrees Fit produces, minDegree to maxDegree, and no
+	// others. The compiled scorer's monomial form loses precision as the
+	// degree grows: an identity curve scored against its exact answer is off
+	// by 1.1e-7 at degree 23 and by 1.0 at degree 63, and the oracle harness
+	// checks fitted degrees only. Degree 1, a straight segment, is never
+	// fitted either.
+	if k := len(in.ControlPoints) - 1; k < minDegree || k > maxDegree {
+		return nil, fmt.Errorf("core: model has %d control points (degree %d), want %d to %d",
+			len(in.ControlPoints), k, minDegree+1, maxDegree+1)
 	}
 	d := alpha.Dim()
 	for i, p := range in.ControlPoints {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -57,18 +58,62 @@ func TestLoadRejectsMalformed(t *testing.T) {
 	}{
 		{"garbage", "not json"},
 		{"bad version", `{"version": 99}`},
-		{"bad alpha", `{"version":1,"alpha":[2],"control_points":[[0],[1]],"norm_min":[0],"norm_max":[1]}`},
+		{"bad alpha", `{"version":1,"alpha":[2],"control_points":[[0],[0.5],[1]],"norm_min":[0],"norm_max":[1]}`},
 		{"too few points", `{"version":1,"alpha":[1],"control_points":[[0]],"norm_min":[0],"norm_max":[1]}`},
-		{"dim mismatch", `{"version":1,"alpha":[1,1],"control_points":[[0],[1]],"norm_min":[0,0],"norm_max":[1,1]}`},
-		{"nan point", `{"version":1,"alpha":[1],"control_points":[[0],["NaN"]],"norm_min":[0],"norm_max":[1]}`},
-		{"bad norm dims", `{"version":1,"alpha":[1],"control_points":[[0],[1]],"norm_min":[0,1],"norm_max":[1]}`},
-		{"empty norm range", `{"version":1,"alpha":[1],"control_points":[[0],[1]],"norm_min":[1],"norm_max":[1]}`},
-		{"proj_tol above 1", `{"version":1,"alpha":[1],"control_points":[[0],[1]],"norm_min":[0],"norm_max":[1],"projector":"gss","proj_tol":1.5}`},
-		{"negative proj_tol", `{"version":1,"alpha":[1],"control_points":[[0],[1]],"norm_min":[0],"norm_max":[1],"proj_tol":-1e-10}`},
+		{"dim mismatch", `{"version":1,"alpha":[1,1],"control_points":[[0],[0.5],[1]],"norm_min":[0,0],"norm_max":[1,1]}`},
+		{"nan point", `{"version":1,"alpha":[1],"control_points":[[0],["NaN"],[1]],"norm_min":[0],"norm_max":[1]}`},
+		{"bad norm dims", `{"version":1,"alpha":[1],"control_points":[[0],[0.5],[1]],"norm_min":[0,1],"norm_max":[1]}`},
+		{"empty norm range", `{"version":1,"alpha":[1],"control_points":[[0],[0.5],[1]],"norm_min":[1],"norm_max":[1]}`},
+		{"proj_tol above 1", `{"version":1,"alpha":[1],"control_points":[[0],[0.5],[1]],"norm_min":[0],"norm_max":[1],"projector":"gss","proj_tol":1.5}`},
+		{"negative proj_tol", `{"version":1,"alpha":[1],"control_points":[[0],[0.5],[1]],"norm_min":[0],"norm_max":[1],"proj_tol":-1e-10}`},
 	}
 	for _, c := range cases {
 		if _, err := Load(strings.NewReader(c.body)); err == nil {
 			t.Errorf("%s: expected error", c.name)
+		}
+	}
+}
+
+// identityRule is the rule document of the degree-k identity curve in two
+// dimensions, Pᵣ = (r/k, r/k), over the unit normaliser.
+func identityRule(k int) string {
+	pts := make([][]float64, k+1)
+	for r := range pts {
+		v := float64(r) / float64(k)
+		pts[r] = []float64{v, v}
+	}
+	doc, err := json.Marshal(map[string]any{
+		"version": 1, "alpha": []float64{1, 1}, "control_points": pts,
+		"norm_min": []float64{0, 0}, "norm_max": []float64{1, 1},
+	})
+	if err != nil {
+		panic(err)
+	}
+	return string(doc)
+}
+
+// TestLoadDegreeCap: Load takes exactly the degrees Fit produces, 2 to 6.
+// The high-degree identity curves are the measured cases the compiled
+// scorer gets wrong (off by 1.1e-7 at degree 23, 7.9e-4 at 31, 0.34 at 47
+// and 1.0 at 63); degree 1, a segment Fit never produces, is refused too.
+func TestLoadDegreeCap(t *testing.T) {
+	for _, k := range []int{1, 7, 23, 31, 47, 63} {
+		if _, err := Load(strings.NewReader(identityRule(k))); err == nil {
+			t.Errorf("degree %d identity rule loaded, want an error", k)
+		} else if !strings.Contains(err.Error(), fmt.Sprintf("(degree %d)", k)) {
+			t.Errorf("degree %d: error %q does not name the degree", k, err)
+		}
+	}
+	for k := minDegree; k <= maxDegree; k++ {
+		m, err := Load(strings.NewReader(identityRule(k)))
+		if err != nil {
+			t.Fatalf("degree %d identity rule: %v", k, err)
+		}
+		// On the identity curve the row (v, v) projects to s = v.
+		for _, v := range []float64{0.1, 0.5, 0.9} {
+			if s := m.Score([]float64{v, v}); math.Abs(s-v) > 1e-12 {
+				t.Errorf("degree %d: row (%v, %v) scored %v", k, v, v, s)
+			}
 		}
 	}
 }

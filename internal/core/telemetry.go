@@ -15,8 +15,10 @@ type FitIteration struct {
 	// Objective is J = Σᵢ‖xᵢ − f(sᵢ)‖², Eq. 24 evaluated after the score
 	// step — the quantity Algorithm 1 drives down.
 	Objective float64 `json:"objective"`
-	// Accepted reports whether this iterate improved on the best J so far
-	// (the best iterate is what the fit ultimately returns).
+	// Accepted reports whether the fit adopted this iterate: it improved
+	// on the best J so far (the best iterate is what the fit ultimately
+	// returns). An Anderson-extrapolated iterate that lowers J by less
+	// than ξ is rejected too, and the fit falls back to the plain step.
 	Accepted bool `json:"accepted"`
 	// WarmRows is the number of rows projected through the warm-started
 	// path this iteration (0 on cold passes); WarmHits is how many of them
@@ -31,10 +33,10 @@ type FitIteration struct {
 // NoWarmStart iteration, and the final best-curve projection), refinement
 // included; RefineNs is the wall time of the warm-started projection
 // passes; UpdateNs is the wall time of the control-point steps (Eq. 21:
-// basis fill, Gram and X·MZᵀ products, the Richardson or pseudo-inverse
-// update, and the box clamp). GemmNs is never written and stays 0; the
-// field is kept so persisted diagnostics and their readers keep their
-// shape.
+// basis fill, Gram and X·MZᵀ products, the exact box step with Anderson's
+// extrapolation or the Richardson update, and the box clamp). GemmNs is
+// never written and stays 0; the field is kept so persisted diagnostics
+// and their readers keep their shape.
 type FitStageNanos struct {
 	GemmNs   int64 `json:"gemm_ns,omitempty"`
 	SeedNs   int64 `json:"seed_ns,omitempty"`

@@ -16,22 +16,6 @@ func benchMatrix(n int) *Dense {
 	return m
 }
 
-func BenchmarkMul16(b *testing.B) {
-	m := benchMatrix(16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Mul(m, m)
-	}
-}
-
-func BenchmarkMul64(b *testing.B) {
-	m := benchMatrix(64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Mul(m, m)
-	}
-}
-
 func BenchmarkSymEigen4(b *testing.B) {
 	// The 4×4 Bernstein Gram case the RPC solves every iteration.
 	m := benchMatrix(4)

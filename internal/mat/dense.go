@@ -1,7 +1,7 @@
 // Package mat provides a small dense linear-algebra kernel used by every
-// numeric module in this repository: matrix arithmetic, Frobenius and
-// spectral norms, a symmetric Jacobi eigensolver, Moore–Penrose
-// pseudo-inverses for small symmetric systems, and LU-based linear solves.
+// numeric module in this repository: in-place matrix products, Frobenius
+// and spectral norms, a symmetric Jacobi eigensolver, and LU-based linear
+// solves.
 //
 // The package is deliberately minimal — it implements exactly what the RPC
 // learning algorithm (Eq. 24–28 of the paper) and the baseline models need,
@@ -11,7 +11,6 @@ package mat
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -117,32 +116,6 @@ func (m *Dense) Clone() *Dense {
 	data := make([]float64, len(m.data))
 	copy(data, m.data)
 	return &Dense{rows: m.rows, cols: m.cols, data: data}
-}
-
-// Equal reports whether m and n have identical dimensions and elements.
-func (m *Dense) Equal(n *Dense) bool {
-	if m.rows != n.rows || m.cols != n.cols {
-		return false
-	}
-	for i, v := range m.data {
-		if v != n.data[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// EqualApprox reports whether m and n agree elementwise within tol.
-func (m *Dense) EqualApprox(n *Dense, tol float64) bool {
-	if m.rows != n.rows || m.cols != n.cols {
-		return false
-	}
-	for i, v := range m.data {
-		if math.Abs(v-n.data[i]) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the matrix for debugging.

@@ -189,43 +189,3 @@ func TestEigenRangeScratchMatchesEigenRange(t *testing.T) {
 		t.Fatalf("EigenRangeScratch allocated %.0f times", allocs)
 	}
 }
-
-// TestPinvSymIntoMatchesPinvSym: same rotations, same cutoff, so the
-// scratch pseudo-inverse agrees with PinvSym to summation-order roundoff,
-// on full-rank and rank-deficient PSD inputs alike (the Gram matrices the
-// fit feeds it; PinvSym truncates negative spectrum, so only PSD input
-// satisfies the Moore–Penrose identity), without allocating.
-func TestPinvSymIntoMatchesPinvSym(t *testing.T) {
-	rng := rand.New(rand.NewSource(67))
-	cases := []*Dense{
-		Gram(NewDense(4, 4, []float64{2, 1, 0, -1, 1, 3, 1, 0, 0, 1, 1, 2, -1, 0, 2, 4})),
-		Gram(NewDense(4, 16, func() []float64 {
-			v := make([]float64, 64)
-			for i := range v {
-				v[i] = rng.NormFloat64()
-			}
-			return v
-		}())),
-		// Rank-1: cutoff must zero the null directions identically.
-		Gram(NewDense(3, 2, []float64{1, 2, 2, 4, 3, 6})),
-	}
-	for ci, a := range cases {
-		n := a.Rows()
-		want := PinvSym(a)
-		dst := Zeros(n, n)
-		w := Zeros(n, n)
-		v := Zeros(n, n)
-		vals := make([]float64, n)
-		PinvSymInto(dst, a, w, v, vals)
-		if !dst.EqualApprox(want, 1e-12) {
-			t.Fatalf("case %d: PinvSymInto =\n%vwant\n%v", ci, dst, want)
-		}
-		// The Moore–Penrose identity A·A⁺·A = A must hold directly too.
-		if got := Mul(a, Mul(dst, a)); !got.EqualApprox(a, 1e-9) {
-			t.Fatalf("case %d: A·A⁺·A deviates from A:\n%v", ci, got)
-		}
-		if allocs := testing.AllocsPerRun(10, func() { PinvSymInto(dst, a, w, v, vals) }); allocs != 0 {
-			t.Fatalf("case %d: PinvSymInto allocated %.0f times", ci, allocs)
-		}
-	}
-}

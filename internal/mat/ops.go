@@ -5,28 +5,6 @@ import (
 	"math"
 )
 
-// Mul returns the matrix product a·b.
-func Mul(a, b *Dense) *Dense {
-	if a.cols != b.rows {
-		panic(fmt.Sprintf("mat: Mul dimension mismatch %dx%d · %dx%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	out := Zeros(a.rows, b.cols)
-	for i := 0; i < a.rows; i++ {
-		arow := a.data[i*a.cols : (i+1)*a.cols]
-		orow := out.data[i*out.cols : (i+1)*out.cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.data[k*b.cols : (k+1)*b.cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out
-}
-
 // MulVec returns the matrix-vector product a·x.
 func MulVec(a *Dense, x []float64) []float64 {
 	if a.cols != len(x) {
@@ -40,36 +18,6 @@ func MulVec(a *Dense, x []float64) []float64 {
 			s += v * x[j]
 		}
 		out[i] = s
-	}
-	return out
-}
-
-// T returns the transpose of m as a new matrix.
-func T(m *Dense) *Dense {
-	out := Zeros(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
-// Sub returns a−b.
-func Sub(a, b *Dense) *Dense {
-	checkSameDims("Sub", a, b)
-	out := a.Clone()
-	for i, v := range b.data {
-		out.data[i] -= v
-	}
-	return out
-}
-
-// Scale returns c·m.
-func Scale(c float64, m *Dense) *Dense {
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] *= c
 	}
 	return out
 }
@@ -89,17 +37,6 @@ func FrobeniusNorm(m *Dense) float64 {
 	return math.Sqrt(s)
 }
 
-// MaxAbs returns the largest absolute element of m (0 for an empty matrix).
-func MaxAbs(m *Dense) float64 {
-	var best float64
-	for _, v := range m.data {
-		if a := math.Abs(v); a > best {
-			best = a
-		}
-	}
-	return best
-}
-
 // Dot returns the Euclidean inner product of x and y.
 func Dot(x, y []float64) float64 {
 	if len(x) != len(y) {
@@ -114,64 +51,6 @@ func Dot(x, y []float64) float64 {
 
 // Norm2 returns the Euclidean norm of x.
 func Norm2(x []float64) float64 { return math.Sqrt(Dot(x, x)) }
-
-// ColNorms returns the L2 norm of each column of m.
-func ColNorms(m *Dense) []float64 {
-	out := make([]float64, m.cols)
-	for j := 0; j < m.cols; j++ {
-		var s float64
-		for i := 0; i < m.rows; i++ {
-			v := m.At(i, j)
-			s += v * v
-		}
-		out[j] = math.Sqrt(s)
-	}
-	return out
-}
-
-// MulDiagRight returns m·diag(d): scales column j of m by d[j].
-func MulDiagRight(m *Dense, d []float64) *Dense {
-	if len(d) != m.cols {
-		panic(fmt.Sprintf("mat: MulDiagRight diag length %d want %d", len(d), m.cols))
-	}
-	out := m.Clone()
-	for i := 0; i < out.rows; i++ {
-		for j := 0; j < out.cols; j++ {
-			out.data[i*out.cols+j] *= d[j]
-		}
-	}
-	return out
-}
-
-// Trace returns the sum of diagonal elements of a square matrix.
-func Trace(m *Dense) float64 {
-	if m.rows != m.cols {
-		panic(fmt.Sprintf("mat: Trace of non-square %dx%d", m.rows, m.cols))
-	}
-	var s float64
-	for i := 0; i < m.rows; i++ {
-		s += m.At(i, i)
-	}
-	return s
-}
-
-// Gram returns m·mᵀ (rows-by-rows Gram matrix), which is symmetric PSD.
-func Gram(m *Dense) *Dense {
-	out := Zeros(m.rows, m.rows)
-	for i := 0; i < m.rows; i++ {
-		ri := m.data[i*m.cols : (i+1)*m.cols]
-		for j := i; j < m.rows; j++ {
-			rj := m.data[j*m.cols : (j+1)*m.cols]
-			var s float64
-			for k, v := range ri {
-				s += v * rj[k]
-			}
-			out.Set(i, j, s)
-			out.Set(j, i, s)
-		}
-	}
-	return out
-}
 
 // The *Into variants below write their result into a caller-owned matrix so
 // iterative algorithms (the RPC fit loop re-forms the same products every

@@ -118,82 +118,3 @@ func TestSolveIdentityRHSGivesInverse(t *testing.T) {
 		t.Errorf("Solve(A, I) =\n%vwant\n%v", inv, want)
 	}
 }
-
-func TestPinvSymExact(t *testing.T) {
-	// Invertible symmetric: pseudo-inverse equals inverse.
-	a := FromRows([][]float64{{2, 1}, {1, 2}})
-	p := PinvSym(a)
-	if !Mul(p, a).EqualApprox(Identity(2), 1e-9) {
-		t.Errorf("PinvSym of invertible matrix is not the inverse:\n%v", Mul(p, a))
-	}
-}
-
-func TestPinvSymRankDeficient(t *testing.T) {
-	// Rank-1 symmetric matrix vvᵀ with v=(1,1): A⁺ = A/4.
-	a := FromRows([][]float64{{1, 1}, {1, 1}})
-	p := PinvSym(a)
-	want := Scale(0.25, a)
-	if !p.EqualApprox(want, 1e-9) {
-		t.Errorf("PinvSym =\n%vwant\n%v", p, want)
-	}
-	// Moore–Penrose condition A·A⁺·A = A.
-	if !Mul(Mul(a, p), a).EqualApprox(a, 1e-9) {
-		t.Errorf("A·A⁺·A != A")
-	}
-}
-
-// TestPinvSymIntoWideMoorePenrose checks the pseudo-inverse the fit's
-// pinv updater forms for the wide MZ of Eq. 26: A⁺ = Aᵀ(AAᵀ)⁺, with the
-// symmetric factor from PinvSymInto.
-func TestPinvSymIntoWideMoorePenrose(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	a := Zeros(4, 9)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 9; j++ {
-			a.Set(i, j, rng.NormFloat64())
-		}
-	}
-	g := PinvSymInto(Zeros(4, 4), Gram(a), Zeros(4, 4), Zeros(4, 4), make([]float64, 4))
-	p := Mul(T(a), g) // 9×4
-	// For a full-row-rank wide matrix, A·A⁺ = I (right inverse).
-	if !Mul(a, p).EqualApprox(Identity(4), 1e-8) {
-		t.Errorf("A·A⁺ != I:\n%v", Mul(a, p))
-	}
-	// All four Moore–Penrose conditions.
-	if !Mul(Mul(a, p), a).EqualApprox(a, 1e-8) {
-		t.Errorf("A·A⁺·A != A")
-	}
-	if !Mul(Mul(p, a), p).EqualApprox(p, 1e-8) {
-		t.Errorf("A⁺·A·A⁺ != A⁺")
-	}
-	ap := Mul(a, p)
-	if !ap.EqualApprox(T(ap), 1e-8) {
-		t.Errorf("A·A⁺ not symmetric")
-	}
-	pa := Mul(p, a)
-	if !pa.EqualApprox(T(pa), 1e-8) {
-		t.Errorf("A⁺·A not symmetric")
-	}
-}
-
-// TestPinvSymIntoPanics checks PinvSymInto's shape contract: the input
-// must be square and every scratch buffer must match it.
-func TestPinvSymIntoPanics(t *testing.T) {
-	sq, vals := Zeros(4, 4), make([]float64, 4)
-	for name, fn := range map[string]func(){
-		"non-square": func() { PinvSymInto(sq, Zeros(4, 9), sq, sq, vals) },
-		"dst shape":  func() { PinvSymInto(Zeros(3, 3), sq, sq, sq, vals) },
-		"w shape":    func() { PinvSymInto(sq, sq, Zeros(4, 3), sq, vals) },
-		"v shape":    func() { PinvSymInto(sq, sq, sq, Zeros(3, 4), vals) },
-		"vals len":   func() { PinvSymInto(sq, sq, sq, sq, vals[:3]) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}

@@ -518,6 +518,40 @@ func TestMetricsFitTelemetry(t *testing.T) {
 	}
 }
 
+// TestFitJournalsConverges: rpcd's fit of the journals table (three
+// restarts, the default degree) stops on Algorithm 1's ΔJ < ξ rule before
+// the iteration cap, and /metrics counts it under converged="true".
+func TestFitJournalsConverges(t *testing.T) {
+	_, ts := newTestServer(t, t.TempDir())
+	journals := dataset.Journals()
+	fit := decodeBody[FitResponse](t, postJSON(t, ts.URL+"/v1/models", FitRequest{
+		Name:  "journals",
+		Alpha: journals.Alpha,
+		Rows:  journals.Data.ToRows(),
+	}))
+	if fit.Model.Fit == nil {
+		t.Fatal("fit carries no diagnostics")
+	}
+	if !fit.Model.Fit.Converged {
+		t.Errorf("journals fit ran %d iterations without converging", fit.Model.Fit.Iterations)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	got := map[string]float64{}
+	for _, s := range parsePromText(t, string(raw)) {
+		if s.name == "rpcd_fits_total" {
+			got[s.labels] = s.value
+		}
+	}
+	if got[`converged="true"`] != 1 || got[`converged="false"`] != 0 {
+		t.Errorf("rpcd_fits_total %v, want one converged fit and no other", got)
+	}
+}
+
 func checkHistogram(t *testing.T, byName map[string][]promSample, fam string) {
 	t.Helper()
 	series := map[string][]promSample{}
