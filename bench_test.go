@@ -127,22 +127,6 @@ func BenchmarkFig8(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationProjector compares the two projection solvers (A1):
-// grid-seeded Newton against exact quintic roots.
-func BenchmarkAblationProjector(b *testing.B) {
-	alpha := order.MustDirection(1, 1, -1, -1)
-	xs, _, _ := dataset.BezierCloud(alpha, 300, 0.02, 991)
-	for _, proj := range []core.Projector{core.ProjectorNewton, core.ProjectorQuintic} {
-		b.Run(proj.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Fit(xs, core.Options{Alpha: alpha, Projector: proj}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationUpdater compares the Richardson and pseudo-inverse
 // control-point updates (A2).
 func BenchmarkAblationUpdater(b *testing.B) {

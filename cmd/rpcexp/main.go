@@ -8,11 +8,11 @@
 //	rpcexp -exp table2          # one experiment
 //	rpcexp -exp fig7 -out ./fig # write SVGs into ./fig
 //
-// Experiments: table1 table2 table3 fig2 fig4 fig5 fig6 fig7 fig8
-// ablations:   projector updater degree metarules scaling
-//
-// The projector ablation (A1) compares the two score solvers: grid-seeded
-// safeguarded Newton and exact quintic roots.
+// The experiments are the paper's tables (table1–table3) and figures
+// (fig2, fig4–fig8), then the repository's ablations: updater (A2, the
+// exact box step against the paper's Richardson iteration), degree,
+// metarules and scaling. `rpcexp -h` lists every id; the list is built
+// from the runner table, so it names exactly what -exp accepts.
 package main
 
 import (
@@ -21,6 +21,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"rpcrank/internal/experiments"
 	"rpcrank/internal/order"
@@ -28,6 +29,37 @@ import (
 )
 
 type runner func(out io.Writer, svgDir string) error
+
+// experimentTable is every -exp id with its runner, in the order "all" runs
+// them.
+var experimentTable = []struct {
+	id string
+	fn runner
+}{
+	{"table1", runTable1},
+	{"table2", runTable2},
+	{"table3", runTable3},
+	{"fig2", runFig2},
+	{"fig4", runFig4},
+	{"fig5", runFig5},
+	{"fig6", runFig6},
+	{"fig7", runFig7},
+	{"fig8", runFig8},
+	{"updater", runUpdater},
+	{"degree", runDegree},
+	{"metarules", runMetaRules},
+	{"scaling", runScaling},
+}
+
+// experimentIDs is the -exp help text: every id in experimentTable, then
+// "all".
+func experimentIDs() string {
+	ids := make([]string, 0, len(experimentTable)+1)
+	for _, e := range experimentTable {
+		ids = append(ids, e.id)
+	}
+	return strings.Join(append(ids, "all"), ", ")
+}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -38,33 +70,14 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("rpcexp", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment id (table1..3, fig2/4/5/6/7/8, projector (grid+Newton vs quintic), updater, degree, metarules, scaling, all)")
+	exp := fs.String("exp", "all", "experiment id: "+experimentIDs())
 	svgDir := fs.String("out", ".", "directory for figure SVGs")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	all := []struct {
-		id string
-		fn runner
-	}{
-		{"table1", runTable1},
-		{"table2", runTable2},
-		{"table3", runTable3},
-		{"fig2", runFig2},
-		{"fig4", runFig4},
-		{"fig5", runFig5},
-		{"fig6", runFig6},
-		{"fig7", runFig7},
-		{"fig8", runFig8},
-		{"projector", runProjector},
-		{"updater", runUpdater},
-		{"degree", runDegree},
-		{"metarules", runMetaRules},
-		{"scaling", runScaling},
-	}
 	ran := false
-	for _, e := range all {
+	for _, e := range experimentTable {
 		if *exp != "all" && *exp != e.id {
 			continue
 		}
@@ -157,15 +170,6 @@ func runFig8(out io.Writer, svgDir string) error {
 	}
 	r.Report(out)
 	return writeSVG(out, svgDir, "fig8-journals.svg", r.Grid)
-}
-
-func runProjector(out io.Writer, _ string) error {
-	r, err := experiments.RunProjectorAblation(300, order.MustDirection(1, 1, -1, -1))
-	if err != nil {
-		return err
-	}
-	r.Report(out)
-	return nil
 }
 
 func runUpdater(out io.Writer, _ string) error {

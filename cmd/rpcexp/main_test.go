@@ -8,7 +8,7 @@ import (
 
 func TestRunSingleExperiments(t *testing.T) {
 	dir := t.TempDir()
-	for _, exp := range []string{"table1", "fig2", "fig4", "fig5", "projector", "degree", "scaling"} {
+	for _, exp := range []string{"table1", "fig2", "fig4", "fig5", "degree", "scaling"} {
 		var buf bytes.Buffer
 		if err := run([]string{"-exp", exp, "-out", dir}, &buf); err != nil {
 			t.Fatalf("%s: %v", exp, err)
@@ -20,9 +20,17 @@ func TestRunSingleExperiments(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-exp", "nope"}, &buf); err == nil {
-		t.Errorf("unknown experiment should error")
+	// "projector" was the grid-Newton vs quintic-roots ablation, removed
+	// with the quintic solver.
+	for _, exp := range []string{"nope", "projector"} {
+		var buf bytes.Buffer
+		err := run([]string{"-exp", exp}, &buf)
+		if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+			t.Errorf("-exp %s: err %v, want unknown experiment", exp, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("-exp %s: printed %q before failing", exp, buf.String())
+		}
 	}
 }
 

@@ -77,9 +77,8 @@ func CompileInto(dst *Compiled, c *Curve) *Compiled {
 	}
 	row := dst.crow
 	for j := 0; j < d; j++ {
-		// Monomial coefficients of coordinate j: P·M_k row-by-row, the same
-		// accumulation (and order) as Curve.MonomialCoeffs, without its
-		// per-call allocations.
+		// Monomial coefficients of coordinate j: P·M_k row-by-row, into
+		// the cached row scratch.
 		for i := range row {
 			row[i] = 0
 		}

@@ -20,27 +20,3 @@ func BernsteinToMonomial(k int) [][]float64 {
 	}
 	return m
 }
-
-// MonomialCoeffs returns, for each coordinate j of the curve, the monomial
-// coefficients of f_j(s) in ascending order: f_j(s) = Σ_c out[j][c]·s^c.
-// This is P·M_k computed row-by-row and is what the quintic projector needs.
-func (c *Curve) MonomialCoeffs() [][]float64 {
-	k := c.Degree()
-	d := c.Dim()
-	m := BernsteinToMonomial(k)
-	out := make([][]float64, d)
-	for j := 0; j < d; j++ {
-		row := make([]float64, k+1)
-		for r := 0; r <= k; r++ {
-			pj := c.Points[r][j]
-			if pj == 0 {
-				continue
-			}
-			for col := 0; col <= k; col++ {
-				row[col] += pj * m[r][col]
-			}
-		}
-		out[j] = row
-	}
-	return out
-}

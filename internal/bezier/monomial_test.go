@@ -2,7 +2,6 @@ package bezier
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -30,32 +29,6 @@ func TestBernsteinToMonomialEvaluates(t *testing.T) {
 				}
 				if want := Bernstein(k, r, s); math.Abs(viaM-want) > 1e-12 {
 					t.Fatalf("k=%d r=%d s=%v: monomial %v vs Bernstein %v", k, r, s, viaM, want)
-				}
-			}
-		}
-	}
-}
-
-func TestMonomialCoeffsMatchEval(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for _, deg := range []int{2, 3, 4} {
-		pts := make([][]float64, deg+1)
-		for i := range pts {
-			pts[i] = []float64{rng.Float64(), rng.Float64()}
-		}
-		c := MustNew(pts)
-		coeffs := c.MonomialCoeffs()
-		for _, s := range []float64{0, 0.3, 0.55, 1} {
-			want := c.Eval(s)
-			for j := 0; j < 2; j++ {
-				var got float64
-				pw := 1.0
-				for _, a := range coeffs[j] {
-					got += a * pw
-					pw *= s
-				}
-				if math.Abs(got-want[j]) > 1e-12 {
-					t.Fatalf("deg=%d s=%v dim=%d: monomial %v vs Eval %v", deg, s, j, got, want[j])
 				}
 			}
 		}

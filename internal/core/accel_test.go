@@ -306,7 +306,7 @@ func TestFitTelemetryCountsAdoptedIterates(t *testing.T) {
 func TestCanonicalProjectionIgnoresStart(t *testing.T) {
 	rng := rand.New(rand.NewSource(2103))
 	for k := minDegree; k <= maxDegree; k++ {
-		m := randParityModel(rng, k, 3, ProjectorNewton)
+		m := randParityModel(rng, k, 3)
 		u := marginFrame(rng, 400, 3)
 		e := newEngine(m.Curve, m.opts)
 		interior := 0

@@ -85,19 +85,18 @@ func identityModel(c *bezier.Curve, opts Options) *Model {
 func TestColdPassMatchesReference(t *testing.T) {
 	cases := []struct {
 		name string
-		proj Projector
 		deg  int
 		dim  int
 		seed int64
 	}{
-		{"newton-cubic-d3", ProjectorNewton, 3, 3, 101},
-		{"newton-cubic-d2", ProjectorNewton, 3, 2, 102},
-		{"newton-cubic-d4", ProjectorNewton, 3, 4, 103},
-		{"newton-cubic-d7", ProjectorNewton, 3, 7, 104}, // wide rows
-		{"newton-deg5", ProjectorNewton, 5, 3, 107},
-		{"newton-deg2", ProjectorNewton, 2, 4, 108},
-		{"newton-deg4", ProjectorNewton, 4, 2, 109},
-		{"newton-deg6", ProjectorNewton, 6, 3, 110},
+		{"newton-cubic-d3", 3, 3, 101},
+		{"newton-cubic-d2", 3, 2, 102},
+		{"newton-cubic-d4", 3, 4, 103},
+		{"newton-cubic-d7", 3, 7, 104}, // wide rows
+		{"newton-deg5", 5, 3, 107},
+		{"newton-deg2", 2, 4, 108},
+		{"newton-deg4", 4, 2, 109},
+		{"newton-deg6", 6, 3, 110},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -111,7 +110,7 @@ func TestColdPassMatchesReference(t *testing.T) {
 			}
 			alpha := order.MustDirection(signs...)
 			xs, _ := genBezierCloud(rng, 257, alpha, 0.05)
-			m, err := Fit(xs, Options{Alpha: alpha, Projector: tc.proj, Degree: tc.deg, MaxIter: 15})
+			m, err := Fit(xs, Options{Alpha: alpha, Degree: tc.deg, MaxIter: 15})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,7 +121,7 @@ func TestColdPassMatchesReference(t *testing.T) {
 
 // TestColdPassEdgeRows pins the classification-fail behaviour: rows far
 // past the curve's end points project onto the domain edges s=0/1, where
-// every projector publishes the grid node itself (no bracket refinement).
+// the projector publishes the grid node itself (no bracket refinement).
 // The cold pass and the serving path must land on exactly those nodes —
 // these rows are the ones where a seeding disagreement would not be
 // polished away by Newton.
@@ -163,23 +162,16 @@ func TestColdPassEdgeRows(t *testing.T) {
 		ef.Set(6, j, 0.5)              // centre (interior basin)
 		ef.Set(7, j, lo-3)             // far past the worst corner
 	}
-	// The fit's default projector refines through refineSeed, the cubic
-	// Newton engine (what serving compiles to) through cubicNewtonFromSeed;
-	// both tails must publish the edge nodes exactly.
-	for _, proj := range []Projector{m.opts.Projector, ProjectorNewton} {
-		t.Run(proj.String(), func(t *testing.T) {
-			opts := m.opts.withDefaults()
-			opts.Projector = proj
-			cold, served := coldParityCheck(t, m.Curve, opts, ef)
-			for _, scores := range [][]float64{cold, served} {
-				if scores[0] != 0 || scores[2] != 0 {
-					t.Fatalf("start-tangent rows scored %v / %v, want exactly 0", scores[0], scores[2])
-				}
-				if scores[1] != 1 || scores[3] != 1 {
-					t.Fatalf("end-tangent rows scored %v / %v, want exactly 1", scores[1], scores[3])
-				}
-			}
-		})
+	// The fit's pool and the served scorer must both publish the edge
+	// nodes exactly.
+	cold, served := coldParityCheck(t, m.Curve, m.opts.withDefaults(), ef)
+	for _, scores := range [][]float64{cold, served} {
+		if scores[0] != 0 || scores[2] != 0 {
+			t.Fatalf("start-tangent rows scored %v / %v, want exactly 0", scores[0], scores[2])
+		}
+		if scores[1] != 1 || scores[3] != 1 {
+			t.Fatalf("end-tangent rows scored %v / %v, want exactly 1", scores[1], scores[3])
+		}
 	}
 }
 
@@ -207,7 +199,7 @@ func TestColdPassRandomCurves(t *testing.T) {
 		for _, dim := range []int{2, 3, 8} {
 			for _, n := range []int{64, 65, 71} {
 				t.Run(fmt.Sprintf("deg=%d/d=%d/n=%d", deg, dim, n), func(t *testing.T) {
-					m := randParityModel(rng, deg, dim, ProjectorNewton)
+					m := randParityModel(rng, deg, dim)
 					u := marginFrame(rng, n, dim)
 					cold, served := coldParityCheck(t, m.Curve, m.opts, u)
 					for _, scores := range [][]float64{cold, served} {
@@ -233,7 +225,7 @@ func TestColdPassRandomCurves(t *testing.T) {
 // publish exactly 0 and 1.
 func TestColdPassEdgeRowsInterleaved(t *testing.T) {
 	rng := rand.New(rand.NewSource(223))
-	m := randParityModel(rng, 3, 3, ProjectorNewton)
+	m := randParityModel(rng, 3, 3)
 	d := m.Dim()
 	f0 := m.Curve.Eval(0)
 	f1 := m.Curve.Eval(1)
@@ -288,7 +280,7 @@ func TestProjPoolWarmMatchesProjectWarm(t *testing.T) {
 	for _, deg := range []int{3, 5, 2, 4, 6} {
 		t.Run(fmt.Sprintf("newton/deg=%d", deg), func(t *testing.T) {
 			const dim, n = 3, 71
-			m := randParityModel(rng, deg, dim, ProjectorNewton)
+			m := randParityModel(rng, deg, dim)
 			u := marginFrame(rng, n, dim)
 			opts := m.opts
 			opts.Workers = 2
@@ -342,63 +334,53 @@ func TestProjPoolWarmMatchesProjectWarm(t *testing.T) {
 }
 
 // TestScoreFrameRangeCtxCancellation pins the cooperative cancellation
-// contract for the cubic Newton kernel and the quintic solver: a context
-// done before the call stops before the first row, reports the rows it
-// scored and leaves dst beyond them untouched, and a live context scores
-// every row exactly as ScoreFrameRange does.
+// contract of the cubic Newton kernel: a context done before the call
+// stops before the first row, reports the rows it scored and leaves dst
+// beyond them untouched, and a live context scores every row exactly as
+// ScoreFrameRange does.
 func TestScoreFrameRangeCtxCancellation(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		proj Projector
-	}{
-		{"newton", ProjectorNewton},
-		{"quintic", ProjectorQuintic},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(83))
-			m := randParityModel(rng, 3, 3, tc.proj)
-			const n = 4 * ctxPollRows
-			f := frame.New(n, 3)
-			for i := 0; i < n; i++ {
-				for j := 0; j < 3; j++ {
-					lo, hi := m.Norm.Min[j], m.Norm.Max[j]
-					f.Set(i, j, lo+(hi-lo)*(rng.Float64()*1.6-0.3))
-				}
-			}
-			want := make([]float64, n)
-			m.Compile().ScoreFrameRange(want, f, 0, n)
+	rng := rand.New(rand.NewSource(83))
+	m := randParityModel(rng, 3, 3)
+	const n = 4 * ctxPollRows
+	f := frame.New(n, 3)
+	for i := 0; i < n; i++ {
+		for j := 0; j < 3; j++ {
+			lo, hi := m.Norm.Min[j], m.Norm.Max[j]
+			f.Set(i, j, lo+(hi-lo)*(rng.Float64()*1.6-0.3))
+		}
+	}
+	want := make([]float64, n)
+	m.Compile().ScoreFrameRange(want, f, 0, n)
 
-			sc := m.Compile()
-			got := make([]float64, n)
-			for i := range got {
-				got[i] = -1
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			// The context is polled before every ctxPollRows rows, the
-			// first included.
-			k := sc.ScoreFrameRangeCtx(ctx, got, f, 0, n)
-			if k != 0 {
-				t.Fatalf("cancelled-before-start range scored %d of %d rows, want 0", k, n)
-			}
-			for i, v := range got {
-				if i < k && v != want[i] {
-					t.Fatalf("row %d: scored before the poll as %.17g, want %.17g", i, v, want[i])
-				}
-				if i >= k && v != -1 {
-					t.Fatalf("row %d written past the %d rows a cancelled range reported", i, k)
-				}
-			}
-			// The same scorer, reused after the cancelled call.
-			if k := sc.ScoreFrameRangeCtx(context.Background(), got, f, 0, n); k != n {
-				t.Fatalf("live range scored %d rows, want %d", k, n)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("row %d: ctx range %.17g vs ScoreFrameRange %.17g", i, got[i], want[i])
-				}
-			}
-		})
+	sc := m.Compile()
+	got := make([]float64, n)
+	for i := range got {
+		got[i] = -1
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	// The context is polled before every ctxPollRows rows, the
+	// first included.
+	k := sc.ScoreFrameRangeCtx(ctx, got, f, 0, n)
+	if k != 0 {
+		t.Fatalf("cancelled-before-start range scored %d of %d rows, want 0", k, n)
+	}
+	for i, v := range got {
+		if i < k && v != want[i] {
+			t.Fatalf("row %d: scored before the poll as %.17g, want %.17g", i, v, want[i])
+		}
+		if i >= k && v != -1 {
+			t.Fatalf("row %d written past the %d rows a cancelled range reported", i, k)
+		}
+	}
+	// The same scorer, reused after the cancelled call.
+	if k := sc.ScoreFrameRangeCtx(context.Background(), got, f, 0, n); k != n {
+		t.Fatalf("live range scored %d rows, want %d", k, n)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("row %d: ctx range %.17g vs ScoreFrameRange %.17g", i, got[i], want[i])
+		}
 	}
 }
 
@@ -443,8 +425,7 @@ func TestColdPassBoundarySizes(t *testing.T) {
 
 // TestScoreFrameRangeMatchesScore pins the serving batch path to per-row
 // Scorer.Score (bit for bit) and to the oracle's contract on raw
-// (unnormalised) rows, for the cubic kernel, the non-cubic engine and the
-// quintic solver.
+// (unnormalised) rows, for the cubic kernel and the non-cubic engine.
 func TestScoreFrameRangeMatchesScore(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -452,7 +433,6 @@ func TestScoreFrameRangeMatchesScore(t *testing.T) {
 	}{
 		{"cubic", Options{}},
 		{"deg4", Options{Degree: 4}},
-		{"quintic", Options{Projector: ProjectorQuintic}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(61))

@@ -9,8 +9,7 @@ import (
 // Scorer is the compiled serving form of a fitted Model: the curve's
 // distance profile precomputed into Horner-evaluated polynomial
 // coefficients, plus reusable scratch, so scoring one observation performs
-// zero heap allocations (Newton-projector models; the quintic strategy's
-// exact root solver allocates). Obtain one with Model.Compile.
+// zero heap allocations. Obtain one with Model.Compile.
 //
 // A Scorer is NOT safe for concurrent use — it owns scratch buffers. Hand
 // each goroutine its own via Clone, which shares the immutable compiled
@@ -31,11 +30,10 @@ import (
 //   - (c) Proposition 1 holds: if x strictly dominates y along α, then
 //     s(x) ≥ s(y).
 //
-// A model is served by the projector that fitted it: ProjectorNewton
-// models through the same grid-seeded Newton decision tree as the fit's
-// score step, quintic models through their exact solver. The contract is
-// tested on componentwise-monotone curves — everything Fit can produce —
-// and (c) rests on that monotonicity.
+// Every model is served through the same grid-seeded Newton decision tree
+// as the fit's score step, whatever projector a loaded rule names. The
+// contract is tested on componentwise-monotone curves — everything Fit can
+// produce — and (c) rests on that monotonicity.
 type Scorer struct {
 	model *Model
 	eng   *engine
@@ -79,7 +77,7 @@ func (m *Model) Compile() *Scorer {
 
 func (sc *Scorer) initFastPath() {
 	e := sc.eng
-	if e.quintic || e.comp.Degree() != 3 {
+	if e.comp.Degree() != 3 {
 		return
 	}
 	d := e.comp.Dim()
@@ -112,7 +110,7 @@ func (sc *Scorer) Dim() int { return len(sc.u) }
 func (sc *Scorer) Model() *Model { return sc.model }
 
 // Score projects one raw observation and returns its score in [0,1].
-// It allocates nothing (see the type comment for the quintic exception).
+// It allocates nothing.
 func (sc *Scorer) Score(x []float64) float64 {
 	if sc.fastCubic && len(x) == len(sc.mn) {
 		// Normalise and collapse the distance profile in one register

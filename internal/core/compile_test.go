@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -19,13 +20,13 @@ import (
 // scorer: what remains is rounding-level perturbation of one root.
 const scoreParityTol = 1e-12
 
-// randParityModel assembles a serving model (curve + normaliser + projector
-// options) directly, bypassing Fit, over random componentwise-monotone
+// randParityModel assembles a serving model (curve + normaliser + projection
+// grid) directly, bypassing Fit, over random componentwise-monotone
 // curves — the model class the RPC produces (Proposition 1: sorted control
 // coordinates make every f_j monotone) and the class the projection
 // contract's tests draw from. Alpha follows each coordinate's direction,
 // so the curve is monotone along it.
-func randParityModel(rng *rand.Rand, deg, dim int, proj Projector) *Model {
+func randParityModel(rng *rand.Rand, deg, dim int) *Model {
 	pts := make([][]float64, deg+1)
 	for r := range pts {
 		pts[r] = make([]float64, dim)
@@ -54,7 +55,7 @@ func randParityModel(rng *rand.Rand, deg, dim int, proj Projector) *Model {
 		mn[j] = -5 + 10*rng.Float64()
 		mx[j] = mn[j] + 0.1 + 5*rng.Float64()
 	}
-	opts := Options{Alpha: order.MustDirection(signs...), Projector: proj}.withDefaults()
+	opts := Options{Alpha: order.MustDirection(signs...)}.withDefaults()
 	return &Model{
 		Curve: bezier.MustNew(pts),
 		Alpha: opts.Alpha,
@@ -67,18 +68,14 @@ func randParityModel(rng *rand.Rand, deg, dim int, proj Projector) *Model {
 // projection contract across random curves (degrees 2–5, d up to 16) on 1k
 // random rows per curve — including rows far outside the data box, whose
 // projections clamp to the curve ends. Each configuration draws three
-// Newton-served curves, plus a quintic-served one for cubics.
+// curves.
 func TestCompiledScoreParityProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const rowsPer = 1000
 	for deg := 2; deg <= 5; deg++ {
 		for _, dim := range []int{1, 2, 4, 8, 16} {
-			projectors := []Projector{ProjectorNewton, ProjectorNewton, ProjectorNewton}
-			if deg == 3 {
-				projectors = append(projectors, ProjectorQuintic)
-			}
-			for _, proj := range projectors {
-				m := randParityModel(rng, deg, dim, proj)
+			for curve := 0; curve < 3; curve++ {
+				m := randParityModel(rng, deg, dim)
 				sc := m.Compile()
 				oc := oracleCurve(m.Curve)
 				cells := m.opts.GridCells
@@ -94,7 +91,7 @@ func TestCompiledScoreParityProperty(t *testing.T) {
 					}
 					ref := oc.Project(unitRow(m, x))
 					if err := ref.Check(sc.Score(x), cells); err != nil {
-						t.Fatalf("deg=%d dim=%d proj=%v row %d: Score: %v", deg, dim, proj, trial, err)
+						t.Fatalf("deg=%d dim=%d curve %d row %d: Score: %v", deg, dim, curve, trial, err)
 					}
 					fr.AppendRow(x)
 					refs = append(refs, ref)
@@ -104,7 +101,7 @@ func TestCompiledScoreParityProperty(t *testing.T) {
 				batch := sc.ScoreFrame(nil, fr)
 				for i, b := range batch {
 					if err := refs[i].Check(b, cells); err != nil {
-						t.Fatalf("deg=%d dim=%d proj=%v row %d: ScoreFrame: %v", deg, dim, proj, i, err)
+						t.Fatalf("deg=%d dim=%d curve %d row %d: ScoreFrame: %v", deg, dim, curve, i, err)
 					}
 				}
 			}
@@ -114,48 +111,50 @@ func TestCompiledScoreParityProperty(t *testing.T) {
 
 // TestCompiledScoreParityFittedModel holds the compiled scorer to the
 // oracle on the curves that matter in production: ones Fit actually
-// produces, across projectors, on the training rows.
+// produces, on the training rows.
 func TestCompiledScoreParityFittedModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	alpha := order.MustDirection(1, 1, -1)
 	xs, _ := genBezierCloud(rng, 150, alpha, 0.03)
-	for _, proj := range []Projector{ProjectorQuintic, ProjectorNewton} {
-		m, err := Fit(xs, Options{Alpha: alpha, Projector: proj, Seed: 9})
-		if err != nil {
-			t.Fatalf("%v: %v", proj, err)
+	m, err := Fit(xs, Options{Alpha: alpha, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := m.Compile()
+	oc := oracleCurve(m.Curve)
+	for i, x := range xs {
+		got := sc.Score(x)
+		if err := oc.Project(unitRow(m, x)).Check(got, m.opts.GridCells); err != nil {
+			t.Errorf("row %d: compiled: %v", i, err)
 		}
-		sc := m.Compile()
-		oc := oracleCurve(m.Curve)
-		for i, x := range xs {
-			got := sc.Score(x)
-			if err := oc.Project(unitRow(m, x)).Check(got, m.opts.GridCells); err != nil {
-				t.Errorf("%v row %d: compiled: %v", proj, i, err)
-			}
-			// The training scores come from the fit-loop engine and must
-			// stay consistent with serving.
-			if math.Abs(m.Scores[i]-got) > scoreParityTol {
-				t.Errorf("%v row %d: training score %v vs compiled %v", proj, i, m.Scores[i], got)
-			}
+		// The training scores come from the fit-loop engine and must
+		// stay consistent with serving.
+		if math.Abs(m.Scores[i]-got) > scoreParityTol {
+			t.Errorf("row %d: training score %v vs compiled %v", i, m.Scores[i], got)
 		}
 	}
 }
 
-// TestScorerZeroAllocs is the alloc ceiling of the tentpole: scoring one
-// row through a compiled Newton scorer performs zero heap allocations at
-// every degree (the quintic root solver is documented as allocating).
+// TestScorerZeroAllocs is the scorer's alloc ceiling: scoring one row
+// performs zero heap allocations for every rule Load accepts, degrees
+// minDegree to maxDegree, through the cubic fast path and the generic
+// engine alike, at narrow and wide rows.
 func TestScorerZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
-	for deg := 2; deg <= 5; deg++ {
-		m := randParityModel(rng, deg, 4, ProjectorNewton)
-		sc := m.Compile()
-		probe := []float64{
-			m.Norm.Min[0] + 0.3*(m.Norm.Max[0]-m.Norm.Min[0]),
-			m.Norm.Min[1] + 0.9*(m.Norm.Max[1]-m.Norm.Min[1]),
-			m.Norm.Min[2] + 0.5*(m.Norm.Max[2]-m.Norm.Min[2]),
-			m.Norm.Min[3] + 0.1*(m.Norm.Max[3]-m.Norm.Min[3]),
-		}
-		if n := testing.AllocsPerRun(200, func() { sc.Score(probe) }); n != 0 {
-			t.Errorf("deg=%d: Scorer.Score allocates %v times per call", deg, n)
+	at := []float64{0.3, 0.9, 0.5, 0.1}
+	for deg := minDegree; deg <= maxDegree; deg++ {
+		for _, dim := range []int{1, 2, 4, 8} {
+			m := randParityModel(rng, deg, dim)
+			t.Run(fmt.Sprintf("deg=%d/d=%d", deg, dim), func(t *testing.T) {
+				sc := m.Compile()
+				probe := make([]float64, dim)
+				for j := range probe {
+					probe[j] = m.Norm.Min[j] + at[j%len(at)]*(m.Norm.Max[j]-m.Norm.Min[j])
+				}
+				if n := testing.AllocsPerRun(200, func() { sc.Score(probe) }); n != 0 {
+					t.Errorf("Scorer.Score allocates %v times per call", n)
+				}
+			})
 		}
 	}
 }
@@ -165,7 +164,7 @@ func TestScorerZeroAllocs(t *testing.T) {
 // and a warm scorer allocates nothing for the whole batch.
 func TestScoreFrameReusesBuffer(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
-	m := randParityModel(rng, 3, 2, ProjectorNewton)
+	m := randParityModel(rng, 3, 2)
 	sc := m.Compile()
 	fr := frame.MustFromRows([][]float64{
 		{m.Norm.Min[0], m.Norm.Min[1]},
@@ -199,7 +198,7 @@ func TestScoreFrameReusesBuffer(t *testing.T) {
 // TestScoreIntoReusesBuffer pins ScoreInto's buffer contract.
 func TestScoreIntoReusesBuffer(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
-	m := randParityModel(rng, 3, 2, ProjectorNewton)
+	m := randParityModel(rng, 3, 2)
 	sc := m.Compile()
 	rows := [][]float64{
 		{m.Norm.Min[0], m.Norm.Min[1]},
@@ -234,7 +233,7 @@ func TestScoreIntoReusesBuffer(t *testing.T) {
 // scratch: concurrent use of clones is race-free (run with -race).
 func TestScorerCloneIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
-	m := randParityModel(rng, 3, 3, ProjectorNewton)
+	m := randParityModel(rng, 3, 3)
 	sc := m.Compile()
 	rows := make([][]float64, 64)
 	for i := range rows {

@@ -12,18 +12,15 @@ import (
 // goroutine; clone() hands an independent scratch to another worker while
 // sharing the immutable compiled coefficients.
 //
-// project runs one decision tree for every non-quintic row, fitted or
-// served: a grid seed, bracket classification by the signs of the profile's
-// derivative, and safeguarded Newton refinement from the best grid node to
-// machine precision — cubicNewtonKernel for cubic curves, projectSeeded for
-// other degrees. Quintic engines solve exact roots instead. Tests hold every
-// path through it to internal/oracle, an independent dense-scan projector,
-// under the contract stated on Scorer.
+// project runs one decision tree for every row, fitted or served: a grid
+// seed, bracket classification by the signs of the profile's derivative,
+// and safeguarded Newton refinement from the best grid node to machine
+// precision — cubicNewtonKernel for cubic curves, projectSeeded for other
+// degrees. Tests hold every path through it to internal/oracle, an
+// independent dense-scan projector, under the contract stated on Scorer.
 type engine struct {
-	quintic bool
-	cells   int
-	comp    *bezier.Compiled
-	curve   *bezier.Curve
+	cells int
+	comp  *bezier.Compiled
 
 	// dc/d1c/d2c hold the distance profile D and its first two derivatives
 	// for the row being projected, as polynomials in t = s − ½.
@@ -37,15 +34,12 @@ type engine struct {
 	warmHits int64
 }
 
-// newEngine compiles c for the projection strategy in opts. opts must have
-// defaults applied. Projector values outside the enum project like
-// ProjectorNewton.
+// newEngine compiles c for the projection grid in opts. opts must have
+// defaults applied.
 func newEngine(c *bezier.Curve, opts Options) *engine {
 	e := &engine{
-		quintic: opts.Projector == ProjectorQuintic,
-		cells:   opts.GridCells,
-		comp:    bezier.Compile(c),
-		curve:   c,
+		cells: opts.GridCells,
+		comp:  bezier.Compile(c),
 	}
 	e.initScratch()
 	return e
@@ -61,17 +55,17 @@ func (e *engine) initScratch() {
 // clone returns an engine sharing the compiled coefficients but owning
 // fresh scratch, for use by another goroutine.
 func (e *engine) clone() *engine {
-	c := &engine{quintic: e.quintic, cells: e.cells, comp: e.comp, curve: e.curve}
+	c := &engine{cells: e.cells, comp: e.comp}
 	c.initScratch()
 	return c
 }
 
-// recompile points the engine at c and rebuilds the compiled coefficients
-// in place, reusing their buffers (bezier.CompileInto). Engines cloned from
-// this one share the Compiled, so one recompile refreshes all of them — that
-// is exactly what the fit worker pool wants between iterations of
-// Algorithm 1, and why recompile must only run while every sharing engine
-// is quiescent (the pool's workers are parked on their job channels).
+// recompile rebuilds the compiled coefficients for c in place, reusing
+// their buffers (bezier.CompileInto). Engines cloned from this one share
+// the Compiled, so one recompile refreshes all of them — that is exactly
+// what the fit worker pool wants between iterations of Algorithm 1, and why
+// recompile must only run while every sharing engine is quiescent (the
+// pool's workers are parked on their job channels).
 func (e *engine) recompile(c *bezier.Curve) {
 	// A shape change cannot be honoured: clones sharing e.comp keep their
 	// own dc/d1c/d2c scratch that recompile cannot reach, so resizing here
@@ -80,7 +74,6 @@ func (e *engine) recompile(c *bezier.Curve) {
 	if c.Degree() != e.comp.Degree() || c.Dim() != e.comp.Dim() {
 		panic("core: engine.recompile across curve shapes; build a new engine")
 	}
-	e.curve = c
 	bezier.CompileInto(e.comp, c)
 }
 
@@ -103,13 +96,8 @@ func (e *engine) recompile(c *bezier.Curve) {
 // the collapsed profile. Rows failing either check fall back to the cold
 // decision tree — the one project would take, so a fallback is bit-equal to
 // a cold projection — and report warm=false; the fit stays within the
-// existing convergence contract either way. The quintic strategy solves exact
-// polynomial roots and takes no seed; it always projects cold.
+// existing convergence contract either way.
 func (e *engine) projectWarm(u []float64, sPrev float64) (s, distSq float64, warm bool) {
-	if e.quintic {
-		s, d := projectQuintic(e.curve, u)
-		return s, d, false
-	}
 	if len(e.dc) == 7 {
 		return e.projectWarmCubic(u, sPrev)
 	}
@@ -204,10 +192,10 @@ const canonQuantum = 0x1p-26
 // acceleration multiplies any difference between iterates, and without
 // this the last-ulp differences between warm and cold scores grew to
 // score differences of up to 4e-2 between a warm and a cold fit. Edge
-// minimisers (0 and 1), quintic engines, and a step that leaves the
-// node's quantum, finds no minimum or raises the distance keep s.
+// minimisers (0 and 1) and a step that leaves the node's quantum, finds no
+// minimum or raises the distance keep s.
 func (e *engine) canonical(s, d float64) (float64, float64) {
-	if e.quintic || !(s > 0 && s < 1) {
+	if !(s > 0 && s < 1) {
 		return s, d
 	}
 	// s < 1, so s/canonQuantum < 2²⁶ and the conversion rounds exactly.
@@ -247,12 +235,8 @@ func (e *engine) canonical(s, d float64) (float64, float64) {
 }
 
 // project computes argmin_s ‖u − f(s)‖² and the attained squared distance
-// for one normalised row. Zero allocations for the Newton strategy; the
-// quintic strategy delegates to the exact root solver, which allocates.
+// for one normalised row. Zero allocations.
 func (e *engine) project(u []float64) (float64, float64) {
-	if e.quintic {
-		return projectQuintic(e.curve, u)
-	}
 	e.comp.DistPolyInto(e.dc, u)
 	if len(e.dc) == 7 {
 		// Cubic curves are THE hot path (rpcd's default degree); they get

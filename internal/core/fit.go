@@ -659,19 +659,14 @@ func newProjPool(c *bezier.Curve, u *frame.Frame, opts Options) *projPool {
 }
 
 // project runs one score step against c: the shared compiled coefficients
-// are rebuilt in place and every engine repointed at c (clones keep their
-// own curve reference, which the quintic strategy projects through), then
-// the rows fan out to the parked workers (the calling goroutine takes
-// stripe 0). warm is the previous iteration's score per row, or nil for a
-// cold pass; rows whose warm basin fails validation fall back to the cold
-// projection individually. canon makes every score canonical
-// (engine.canonical), which the iterations of the fit need and its final,
-// published projection does not.
+// are rebuilt in place, then the rows fan out to the parked workers (the
+// calling goroutine takes stripe 0). warm is the previous iteration's score
+// per row, or nil for a cold pass; rows whose warm basin fails validation
+// fall back to the cold projection individually. canon makes every score
+// canonical (engine.canonical), which the iterations of the fit need and
+// its final, published projection does not.
 func (p *projPool) project(c *bezier.Curve, scores, resid, warm []float64, canon bool) {
 	p.engines[0].recompile(c)
-	for _, e := range p.engines[1:] {
-		e.curve = c
-	}
 	p.scores, p.resid, p.warm, p.canon = scores, resid, warm, canon
 	n := p.u.N()
 	W := len(p.chans) + 1

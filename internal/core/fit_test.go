@@ -70,7 +70,6 @@ func TestFitValidation(t *testing.T) {
 		{"alpha dim mismatch", good, Options{Alpha: order.MustDirection(1)}},
 		{"one row", good[:1], Options{Alpha: alpha}},
 		{"bad degree", good, Options{Alpha: alpha, Degree: 9}},
-		{"quintic projector non-cubic", good, Options{Alpha: alpha, Degree: 2, Projector: ProjectorQuintic}},
 		{"negative maxiter", good, Options{Alpha: alpha, MaxIter: -1}},
 		{"bad gridcells", good, Options{Alpha: alpha, GridCells: 1}},
 		{"bad clamp", good, Options{Alpha: alpha, ClampEps: 0.7}},
@@ -203,26 +202,6 @@ func TestFitScaleTranslationInvariance(t *testing.T) {
 	}
 	if tau := order.KendallTau(m1.Scores, m2.Scores); tau < 0.9999 {
 		t.Errorf("ranking changed under affine rescaling: tau = %v", tau)
-	}
-}
-
-func TestFitProjectorsAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(104))
-	alpha := order.MustDirection(1, 1)
-	xs, _ := genBezierCloud(rng, 80, alpha, 0.03)
-	var ref []float64
-	for _, proj := range []Projector{ProjectorNewton, ProjectorQuintic} {
-		m, err := Fit(xs, Options{Alpha: alpha, Projector: proj})
-		if err != nil {
-			t.Fatalf("%v: %v", proj, err)
-		}
-		if ref == nil {
-			ref = m.Scores
-			continue
-		}
-		if tau := order.KendallTau(ref, m.Scores); tau < 0.99 {
-			t.Errorf("%v: ranking deviates from Newton, tau = %v", proj, tau)
-		}
 	}
 }
 
@@ -376,11 +355,7 @@ func TestFitDeterminism(t *testing.T) {
 	}
 }
 
-func TestProjectorUpdaterStrings(t *testing.T) {
-	if ProjectorNewton.String() != "newton" || ProjectorQuintic.String() != "quintic" ||
-		Projector(9).String() != "unknown" {
-		t.Errorf("Projector.String broken")
-	}
+func TestUpdaterStrings(t *testing.T) {
 	if UpdaterRichardson.String() != "richardson" || UpdaterPseudoInverse.String() != "pseudoinverse" ||
 		Updater(9).String() != "unknown" {
 		t.Errorf("Updater.String broken")

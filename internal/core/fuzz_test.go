@@ -25,9 +25,9 @@ func FuzzLoad(f *testing.F) {
 	xs, _ := genBezierCloud(rng, 60, alpha, 0.03)
 	for _, opts := range []Options{
 		{Alpha: alpha, MaxIter: 5},
-		{Alpha: alpha, MaxIter: 5, Projector: ProjectorQuintic},
 		{Alpha: alpha, MaxIter: 5, Degree: 2},
-		{Alpha: alpha, MaxIter: 5, Projector: ProjectorNewton, Degree: 5},
+		{Alpha: alpha, MaxIter: 5, Degree: 5},
+		{Alpha: alpha, MaxIter: 5, Degree: 6},
 	} {
 		m, err := Fit(xs, opts)
 		if err != nil {

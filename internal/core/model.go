@@ -16,9 +16,13 @@
 // passes. A Golden Section (or Brent) search of the same grid bracket would
 // only hand that Newton iteration a different start to the same root: fits
 // run both ways took identical iterations, converged alike and ranked
-// alike, with scores within ~1e-14. So neither search is kept. The exact
-// quintic root solver (the Jenkins–Traub route the paper cites) is the one
-// alternative projector.
+// alike, with scores within ~1e-14. So neither search is kept. Nor is the
+// exact route the paper cites, Jenkins–Traub roots of the degree-5
+// orthogonality condition (f(s)−x)·f′(s) = 0 of a cubic: it gave the same
+// scores to within 4.4e-16 at over 20 times Newton's cost per row, with
+// allocations, and internal/oracle is the exact reference the tests hold
+// every projection to. Grid-seeded Newton is the only projector, fitted or
+// served.
 //
 // A second departure: Algorithm 1 iterates the two steps plainly, and
 // this package accelerates the iteration with Anderson mixing and a J
@@ -36,33 +40,6 @@ import (
 	"rpcrank/internal/order"
 	"rpcrank/internal/stats"
 )
-
-// Projector selects how the per-point latent score sᵢ (Eq. 20) is computed.
-type Projector int
-
-const (
-	// ProjectorNewton seeds with a coarse grid and refines by safeguarded
-	// Newton iteration on the derivative of the squared-distance profile.
-	// Fit and the compiled scorer of Model.Compile share it, so a fitted
-	// model is served by the same decision tree that fitted it. Any degree.
-	// Default (the zero value).
-	ProjectorNewton Projector = iota
-	// ProjectorQuintic solves the orthogonality condition (f(s)−x)·f′(s)=0
-	// exactly as a quintic polynomial (the Jenkins–Traub route the paper
-	// cites). Only valid for cubic curves.
-	ProjectorQuintic
-)
-
-// String implements fmt.Stringer.
-func (p Projector) String() string {
-	switch p {
-	case ProjectorNewton:
-		return "newton"
-	case ProjectorQuintic:
-		return "quintic"
-	}
-	return "unknown"
-}
 
 // Updater selects the control-point update rule for Eq. 21.
 type Updater int
@@ -113,9 +90,6 @@ type Options struct {
 	// GridCells is the coarse-grid resolution used to seed the projector.
 	// Default 32.
 	GridCells int
-
-	// Projector selects the score solver. Default ProjectorNewton.
-	Projector Projector
 
 	// Updater selects the control-point update. Default
 	// UpdaterPseudoInverse.
@@ -233,9 +207,6 @@ func (o Options) validate(nRows, dim int) error {
 	if o.Degree < minDegree || o.Degree > maxDegree {
 		return fmt.Errorf("core: degree %d out of supported range [%d,%d]", o.Degree, minDegree, maxDegree)
 	}
-	if o.Projector == ProjectorQuintic && o.Degree != 3 {
-		return fmt.Errorf("core: quintic projector requires degree 3, got %d", o.Degree)
-	}
 	if o.MaxIter < 1 {
 		return fmt.Errorf("core: MaxIter must be positive, got %d", o.MaxIter)
 	}
@@ -341,8 +312,8 @@ func (m *Model) ControlPointsOriginal() [][]float64 {
 }
 
 // ServingCopy returns a copy of the model holding only what scoring new
-// observations needs — the curve, direction, normaliser, and projector
-// options. Training-time diagnostics (Scores, ResidualsSq, Objective, the
+// observations needs — the curve, direction, normaliser, and projection
+// grid. Training-time diagnostics (Scores, ResidualsSq, Objective, the
 // retained data) are dropped, matching what Load reconstructs from disk.
 // Long-lived caches should hold this instead of the fitted model, whose
 // diagnostics are sized by the training set.

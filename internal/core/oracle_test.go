@@ -3,10 +3,9 @@ package core
 // The differential harness: every path that produces a fitted or served
 // score — Model.Score, Scorer.Score, the fit pool's cold pass on one and
 // two workers (with Scorer.ScoreFrameRange), projectWarm seeded at the
-// oracle's minimiser, and bare Newton engines (plus quintic ones for
-// cubics) — held to internal/oracle, which shares no code with any of
-// them, under the contract of oracle.Result.Check, plus Proposition 1 on
-// dominated pairs.
+// oracle's minimiser, and bare engines — held to internal/oracle, which
+// shares no code with any of them, under the contract of
+// oracle.Result.Check, plus Proposition 1 on dominated pairs.
 // The HTTP and forwarded-hop paths are held to the same oracle in
 // internal/server.
 
@@ -56,16 +55,6 @@ func rawRow(m *Model, u []float64) []float64 {
 	return x
 }
 
-// harnessKinds lists the engine strategies the harness runs for a curve:
-// Newton, plus the quintic solver for cubics.
-func harnessKinds(c *bezier.Curve) []Projector {
-	kinds := []Projector{ProjectorNewton}
-	if c.Degree() == 3 {
-		kinds = append(kinds, ProjectorQuintic)
-	}
-	return kinds
-}
-
 // checkModelPaths holds every projection path of m to the oracle on the
 // normalised rows of u, and returns how many rows are near ties at m's
 // grid (rows where clause (b) of the contract does not apply).
@@ -92,26 +81,22 @@ func checkModelPaths(t *testing.T, m *Model, u *frame.Frame) (ties int) {
 		}
 	}
 
-	for _, kind := range harnessKinds(m.Curve) {
-		o := opts
-		o.Projector = kind
-		checkColdPaths(t, refs, m.Curve, o, u)
-		e := newEngine(m.Curve, o)
-		for i, r := range refs {
-			s, d := e.project(u.Row(i))
-			if err := r.Check(s, cells); err != nil {
-				t.Fatalf("%v engine row %d: %v", kind, i, err)
-			}
-			if want := r.DistAt(s); math.Abs(d-want) > 1e-12*(1+want) {
-				t.Fatalf("%v engine row %d: distance %.17g vs the oracle's D(s) %.17g", kind, i, d, want)
-			}
-			s, d, _ = e.projectWarm(u.Row(i), r.S)
-			if err := r.Check(s, cells); err != nil {
-				t.Fatalf("%v projectWarm row %d (seed %.17g): %v", kind, i, r.S, err)
-			}
-			if want := r.DistAt(s); math.Abs(d-want) > 1e-12*(1+want) {
-				t.Fatalf("%v projectWarm row %d: distance %.17g vs the oracle's D(s) %.17g", kind, i, d, want)
-			}
+	checkColdPaths(t, refs, m.Curve, opts, u)
+	e := newEngine(m.Curve, opts)
+	for i, r := range refs {
+		s, d := e.project(u.Row(i))
+		if err := r.Check(s, cells); err != nil {
+			t.Fatalf("engine row %d: %v", i, err)
+		}
+		if want := r.DistAt(s); math.Abs(d-want) > 1e-12*(1+want) {
+			t.Fatalf("engine row %d: distance %.17g vs the oracle's D(s) %.17g", i, d, want)
+		}
+		s, d, _ = e.projectWarm(u.Row(i), r.S)
+		if err := r.Check(s, cells); err != nil {
+			t.Fatalf("projectWarm row %d (seed %.17g): %v", i, r.S, err)
+		}
+		if want := r.DistAt(s); math.Abs(d-want) > 1e-12*(1+want) {
+			t.Fatalf("projectWarm row %d: distance %.17g vs the oracle's D(s) %.17g", i, d, want)
 		}
 	}
 	return ties
@@ -119,18 +104,12 @@ func checkModelPaths(t *testing.T, m *Model, u *frame.Frame) (ties int) {
 
 // checkProp1 checks Proposition 1 on pairs in and out of m's unit box: for
 // y drawn from [−0.3, 1.3]^d and x = y + α∘δ with every δ_j in (0, 0.5],
-// x strictly dominates y along α, so no path may score x below y. Every
-// engine strategy, Scorer.Score and Model.Score are checked.
+// x strictly dominates y along α, so no path may score x below y. The
+// bare engine, Scorer.Score and Model.Score are checked.
 func checkProp1(t *testing.T, rng *rand.Rand, m *Model, pairs int) {
 	t.Helper()
 	opts := m.opts.withDefaults()
-	kinds := harnessKinds(m.Curve)
-	engines := make([]*engine, len(kinds))
-	for k, kind := range kinds {
-		o := opts
-		o.Projector = kind
-		engines[k] = newEngine(m.Curve, o)
-	}
+	e := newEngine(m.Curve, opts)
 	sc := m.Compile()
 	d := m.Dim()
 	uy, ux := make([]float64, d), make([]float64, d)
@@ -139,12 +118,10 @@ func checkProp1(t *testing.T, rng *rand.Rand, m *Model, pairs int) {
 			uy[j] = -0.3 + 1.6*rng.Float64()
 			ux[j] = uy[j] + m.Alpha[j]*(1e-3+0.5*rng.Float64())
 		}
-		for k, e := range engines {
-			sx, _ := e.project(ux)
-			sy, _ := e.project(uy)
-			if sx < sy {
-				t.Fatalf("Prop. 1, %v engine: s(x)=%.17g < s(y)=%.17g for x=%v dominating y=%v", kinds[k], sx, sy, ux, uy)
-			}
+		sx, _ := e.project(ux)
+		sy, _ := e.project(uy)
+		if sx < sy {
+			t.Fatalf("Prop. 1, engine: s(x)=%.17g < s(y)=%.17g for x=%v dominating y=%v", sx, sy, ux, uy)
 		}
 		x, y := rawRow(m, ux), rawRow(m, uy)
 		if sx, sy := sc.Score(x), sc.Score(y); sx < sy {
@@ -196,7 +173,7 @@ func TestOracleDifferentialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for deg := 2; deg <= 6; deg++ {
 		for _, d := range []int{1, 2, 3, 5, 8, 16} {
-			m := randParityModel(rng, deg, d, ProjectorNewton)
+			m := randParityModel(rng, deg, d)
 			u := marginFrame(rng, 300, d)
 			seed := rng.Int63()
 			t.Run(fmt.Sprintf("deg=%d/d=%d", deg, d), func(t *testing.T) {
@@ -216,7 +193,7 @@ func TestOracleDifferentialRandom(t *testing.T) {
 // meet clause (a).
 func TestOracleNearTieRow(t *testing.T) {
 	c := bezier.MustNew([][]float64{{0, 0}, {0.3365, 0.8843}, {0.9030, 0.9392}, {1, 1}})
-	opts := Options{Projector: ProjectorNewton}.withDefaults()
+	opts := Options{}.withDefaults()
 	m := identityModel(c, opts)
 	u := frame.MustFromRows([][]float64{{0.9362, 1.1036}})
 	if ties := checkModelPaths(t, m, u); ties != 1 {

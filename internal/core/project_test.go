@@ -23,63 +23,23 @@ func randMonotoneCubic(rng *rand.Rand, d int) *bezier.Curve {
 	return bezier.MustNew(pts)
 }
 
-// TestProjectorsAgainstBruteForce holds the engine's Newton and quintic
-// strategies to the oracle's dense scan on random monotone cubics:
-// the score meets the projection contract and the returned distance is the
-// oracle's D at that score.
-func TestProjectorsAgainstBruteForce(t *testing.T) {
+// TestProjectAgainstBruteForce holds the engine to the oracle's dense scan
+// on random monotone cubics: the score meets the projection contract and
+// the returned distance is the oracle's D at that score.
+func TestProjectAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 	opts := Options{}.withDefaults()
 	for trial := 0; trial < 40; trial++ {
 		c := randMonotoneCubic(rng, 3)
 		x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
 		r := oracleCurve(c).Project(x)
-		for _, proj := range []Projector{ProjectorNewton, ProjectorQuintic} {
-			o := opts
-			o.Projector = proj
-			s, d := newEngine(c, o).project(x)
-			if err := r.Check(s, o.GridCells); err != nil {
-				t.Errorf("trial %d %v: %v", trial, proj, err)
-			}
-			if want := r.DistAt(s); math.Abs(d-want) > 1e-12*(1+want) {
-				t.Errorf("trial %d %v: distance %.17g vs the oracle's D(s) %.17g", trial, proj, d, want)
-			}
+		s, d := newEngine(c, opts).project(x)
+		if err := r.Check(s, opts.GridCells); err != nil {
+			t.Errorf("trial %d: %v", trial, err)
 		}
-	}
-}
-
-func TestQuinticProjectorHandlesEndpoints(t *testing.T) {
-	// A point beyond the curve's end must project exactly to s=1 (the
-	// orthogonality condition has no interior root there).
-	c := bezier.MustNew([][]float64{{0, 0}, {0.3, 0.3}, {0.7, 0.7}, {1, 1}})
-	s, _ := projectQuintic(c, []float64{2, 2})
-	if s != 1 {
-		t.Errorf("projection of far dominating point = %v, want 1", s)
-	}
-	s, _ = projectQuintic(c, []float64{-2, -2})
-	if s != 0 {
-		t.Errorf("projection of far dominated point = %v, want 0", s)
-	}
-}
-
-// TestProjectUnknownProjectorFallsBack: an engine built for a projector
-// value outside the enum projects exactly like ProjectorNewton and meets
-// the contract.
-func TestProjectUnknownProjectorFallsBack(t *testing.T) {
-	c := bezier.MustNew([][]float64{{0}, {0.3}, {0.7}, {1}})
-	o := Options{}.withDefaults()
-	o.Projector = Projector(99)
-	x := []float64{0.5}
-	s, d := newEngine(c, o).project(x)
-	if math.IsNaN(s) || math.IsNaN(d) {
-		t.Fatalf("fallback projector produced NaN")
-	}
-	if err := oracleCurve(c).Project(x).Check(s, o.GridCells); err != nil {
-		t.Error(err)
-	}
-	o.Projector = ProjectorNewton
-	if sn, dn := newEngine(c, o).project(x); s != sn || d != dn {
-		t.Errorf("unknown projector (%.17g, %.17g), Newton (%.17g, %.17g)", s, d, sn, dn)
+		if want := r.DistAt(s); math.Abs(d-want) > 1e-12*(1+want) {
+			t.Errorf("trial %d: distance %.17g vs the oracle's D(s) %.17g", trial, d, want)
+		}
 	}
 }
 

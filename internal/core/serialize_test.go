@@ -118,25 +118,52 @@ func TestLoadDegreeCap(t *testing.T) {
 	}
 }
 
-// TestLoadProjectorSelection: "quintic" loads as ProjectorQuintic; every
-// other projector name — "newton", the retired "gss" and "brent", an
-// unknown one, or none — loads as ProjectorNewton.
-func TestLoadProjectorSelection(t *testing.T) {
-	base := `{"version":1,"alpha":[1],"control_points":[[0],[0.3],[0.7],[1]],"norm_min":[0],"norm_max":[1]%s}`
-	for spec, want := range map[string]Projector{
-		`,"projector":"newton"`:  ProjectorNewton,
-		`,"projector":"gss"`:     ProjectorNewton,
-		`,"projector":"brent"`:   ProjectorNewton,
-		`,"projector":"quintic"`: ProjectorQuintic,
-		`,"projector":"bogus"`:   ProjectorNewton,
-		``:                       ProjectorNewton,
-	} {
-		m, err := Load(strings.NewReader(fmt.Sprintf(base, spec)))
+// TestLoadIgnoresProjectorName: every projector name — "newton", the
+// retired "gss", "brent" and "quintic", an unknown one, or none — loads as
+// the one projector, at degrees 2, 3 and 6: the rule scores exactly like
+// its "newton" twin and saves to the same bytes.
+func TestLoadIgnoresProjectorName(t *testing.T) {
+	rules := map[int]string{
+		2: `[[0,1],[0.4,0.3],[1,0]]`,
+		3: `[[0,1],[0.3,0.6],[0.7,0.2],[1,0]]`,
+		6: `[[0,1],[0.1,0.9],[0.3,0.8],[0.5,0.5],[0.6,0.3],[0.8,0.1],[1,0]]`,
+	}
+	base := `{"version":1,"alpha":[1,-1],"control_points":%s,"norm_min":[0,0],"norm_max":[2,3]%s}`
+	rows := [][]float64{{0, 0}, {1, 1.5}, {2, 3}, {0.3, 2.9}, {-1, 4}, {1.9, 0.1}}
+	for _, deg := range []int{2, 3, 6} {
+		ref, err := Load(strings.NewReader(fmt.Sprintf(base, rules[deg], `,"projector":"newton"`)))
 		if err != nil {
-			t.Fatalf("%s: %v", spec, err)
+			t.Fatal(err)
 		}
-		if m.opts.Projector != want {
-			t.Errorf("%s: projector %v, want %v", spec, m.opts.Projector, want)
+		var want bytes.Buffer
+		if err := ref.Save(&want); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct{ label, spec string }{
+			{"gss", `,"projector":"gss"`},
+			{"brent", `,"projector":"brent"`},
+			{"quintic", `,"projector":"quintic"`},
+			{"bogus", `,"projector":"bogus"`},
+			{"absent", ``},
+		} {
+			t.Run(fmt.Sprintf("deg=%d/%s", deg, c.label), func(t *testing.T) {
+				m, err := Load(strings.NewReader(fmt.Sprintf(base, rules[deg], c.spec)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, x := range rows {
+					if got, exp := m.Score(x), ref.Score(x); got != exp {
+						t.Errorf("row %v: scored %.17g, the newton rule %.17g", x, got, exp)
+					}
+				}
+				var got bytes.Buffer
+				if err := m.Save(&got); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Errorf("Save wrote\n%s\nwant\n%s", got.Bytes(), want.Bytes())
+				}
+			})
 		}
 	}
 }
@@ -146,10 +173,17 @@ func TestLoadProjectorSelection(t *testing.T) {
 // and hand-written rules (a gss rule with proj_tol, no projector, an
 // unknown projector) — to the scores recorded in
 // testdata/legacy_scores.json, which were recorded when Load still told gss
-// and brent apart. Each must load, score its probe rows bit-identically
-// through Scorer.Score and Model.Score, and round-trip Save → Load → Save
-// byte-stably without writing proj_tol.
+// and brent apart and served quintic rules by exact roots. Each must load,
+// score its probe rows through Scorer.Score and Model.Score within the
+// oracle's contract, and round-trip Save → Load → Save byte-stably without
+// writing proj_tol. The scores must match the recorded ones bit for bit,
+// except on the quintic rule, which Newton now serves within
+// legacyQuinticTol of its recorded exact roots.
 func TestLoadLegacyDocuments(t *testing.T) {
+	// legacyQuinticTol bounds how far Newton's scores of the legacy quintic
+	// rule may sit from the exact roots recorded for it; the measured
+	// worst is 4.4e-16, and 2 of its 20 rows are bit-identical.
+	const legacyQuinticTol = 1e-15
 	raw, err := os.ReadFile("testdata/legacy_scores.json")
 	if err != nil {
 		t.Fatal(err)
@@ -183,20 +217,21 @@ func TestLoadLegacyDocuments(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantProj := ProjectorNewton
+			tol := 0.0
 			if strings.Contains(string(doc), `"quintic"`) {
-				wantProj = ProjectorQuintic
-			}
-			if m.opts.Projector != wantProj {
-				t.Errorf("projector %v, want %v", m.opts.Projector, wantProj)
+				tol = legacyQuinticTol
 			}
 			sc := m.Compile()
+			oc := oracleCurve(m.Curve)
 			for i, x := range probe.Rows {
-				if got := sc.Score(x); got != probe.Scores[i] {
-					t.Errorf("row %d: Scorer.Score %.17g, recorded %.17g", i, got, probe.Scores[i])
-				}
-				if got := m.Score(x); got != probe.Scores[i] {
-					t.Errorf("row %d: Model.Score %.17g, recorded %.17g", i, got, probe.Scores[i])
+				ref := oc.Project(unitRow(m, x))
+				for path, got := range map[string]float64{"Scorer.Score": sc.Score(x), "Model.Score": m.Score(x)} {
+					if d := math.Abs(got - probe.Scores[i]); !(d <= tol) {
+						t.Errorf("row %d: %s %.17g, recorded %.17g (|Δ| %.3g > %g)", i, path, got, probe.Scores[i], d, tol)
+					}
+					if err := ref.Check(got, m.opts.GridCells); err != nil {
+						t.Errorf("row %d: %s: %v", i, path, err)
+					}
 				}
 			}
 			var first, second bytes.Buffer

@@ -21,22 +21,21 @@ import (
 func TestFitWarmStartMatchesCold(t *testing.T) {
 	cases := []struct {
 		name string
-		proj Projector
 		deg  int
 		seed int64
 	}{
-		{"newton", ProjectorNewton, 3, 12},
-		{"newton-deg4", ProjectorNewton, 4, 14},
-		{"newton-deg2", ProjectorNewton, 2, 15},
-		{"newton-deg5", ProjectorNewton, 5, 16},
-		{"newton-deg6", ProjectorNewton, 6, 17},
+		{"newton", 3, 12},
+		{"newton-deg4", 4, 14},
+		{"newton-deg2", 2, 15},
+		{"newton-deg5", 5, 16},
+		{"newton-deg6", 6, 17},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(tc.seed))
 			alpha := order.MustDirection(1, 1, -1)
 			xs, _ := genBezierCloud(rng, 300, alpha, 0.03)
-			opts := Options{Alpha: alpha, Projector: tc.proj, Degree: tc.deg}
+			opts := Options{Alpha: alpha, Degree: tc.deg}
 			warm, err := Fit(xs, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -58,27 +57,6 @@ func TestFitWarmStartMatchesCold(t *testing.T) {
 				t.Fatalf("warm objective %.17g worse than cold %.17g", warmJ, coldJ)
 			}
 		})
-	}
-}
-
-// TestFitWarmStartQuinticUnaffected: the quintic projector takes no warm
-// seed (exact root solving), so warm and cold fits must be bit-identical.
-func TestFitWarmStartQuinticUnaffected(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	alpha := order.MustDirection(1, -1)
-	xs, _ := genBezierCloud(rng, 120, alpha, 0.02)
-	warm, err := Fit(xs, Options{Alpha: alpha, Projector: ProjectorQuintic})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := Fit(xs, Options{Alpha: alpha, Projector: ProjectorQuintic, NoWarmStart: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cold.Scores {
-		if warm.Scores[i] != cold.Scores[i] {
-			t.Fatalf("quintic score %d differs: %.17g vs %.17g", i, warm.Scores[i], cold.Scores[i])
-		}
 	}
 }
 

@@ -10,53 +10,6 @@ import (
 	"rpcrank/internal/order"
 )
 
-// ProjectorAblationResult is experiment A1: the two projection solvers —
-// grid-seeded safeguarded Newton and exact quintic roots — compared on
-// recovery quality against a known latent order. (The paper's Golden
-// Section Search is not among them: it only ever produced a start for the
-// same Newton refinement; see the core package doc.)
-type ProjectorAblationResult struct {
-	N, D int
-	Rows []ProjectorAblationRow
-}
-
-// ProjectorAblationRow is one projector's outcome.
-type ProjectorAblationRow struct {
-	Projector core.Projector
-	// Tau against the generating latent order.
-	Tau float64
-	// MSE of the fit.
-	MSE float64
-}
-
-// RunProjectorAblation executes A1 on a Bézier-generated cloud.
-func RunProjectorAblation(n int, alpha order.Direction) (*ProjectorAblationResult, error) {
-	xs, latent, _ := dataset.BezierCloud(alpha, n, 0.02, 91)
-	res := &ProjectorAblationResult{N: n, D: alpha.Dim()}
-	for _, p := range []core.Projector{core.ProjectorNewton, core.ProjectorQuintic} {
-		m, err := core.Fit(xs, core.Options{Alpha: alpha, Projector: p})
-		if err != nil {
-			return nil, fmt.Errorf("projector %v: %w", p, err)
-		}
-		res.Rows = append(res.Rows, ProjectorAblationRow{
-			Projector: p,
-			Tau:       order.KendallTau(m.Scores, latent),
-			MSE:       m.MSE(),
-		})
-	}
-	return res, nil
-}
-
-// Report prints the comparison.
-func (r *ProjectorAblationResult) Report(w io.Writer) {
-	fmt.Fprintf(w, "A1: projector ablation (n=%d, d=%d, Bezier cloud with known order)\n", r.N, r.D)
-	tw := newTable("Projector", "Kendall tau", "MSE")
-	for _, row := range r.Rows {
-		tw.addRowf("%v\t%.4f\t%.6f", row.Projector, row.Tau, row.MSE)
-	}
-	tw.writeTo(w)
-}
-
 // UpdaterAblationResult is experiment A2: the paper's preconditioned
 // Richardson update (Eq. 27–28) versus the exact minimiser of Eq. 26 under
 // the box, Anderson-accelerated (the default), with the condition number

@@ -212,27 +212,6 @@ func TestFig7And8ProjectionGrids(t *testing.T) {
 	}
 }
 
-func TestProjectorAblation(t *testing.T) {
-	alpha := order.MustDirection(1, 1, -1)
-	r, err := RunProjectorAblation(120, alpha)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 2 {
-		t.Fatalf("want 2 projectors, got %d", len(r.Rows))
-	}
-	for _, row := range r.Rows {
-		if row.Tau < 0.9 {
-			t.Errorf("%v: tau %.3f < 0.9 — all projectors should recover the order", row.Projector, row.Tau)
-		}
-	}
-	var buf bytes.Buffer
-	r.Report(&buf)
-	if !strings.Contains(buf.String(), "newton") || !strings.Contains(buf.String(), "quintic") {
-		t.Errorf("report output malformed")
-	}
-}
-
 func TestUpdaterAblation(t *testing.T) {
 	alpha := order.MustDirection(1, 1)
 	r, err := RunUpdaterAblation(150, alpha)

@@ -1,6 +1,8 @@
 package registry
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -9,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"rpcrank/internal/core"
 )
 
 // corruptFile flips one byte in the middle of a file.
@@ -429,5 +433,102 @@ func TestDeleteDropsPendingWrite(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(reg.Dir(), meta.ID+".json")); !os.IsNotExist(err) {
 		t.Fatal("deleted pending rule reached disk anyway")
+	}
+}
+
+// TestRecordWhoseRuleNoLongerLoads: a stored record whose rule core.Load
+// now refuses — here one with 8 control points, past the degree cap —
+// takes the corrupt-record path. A bare v1 record is deep-verified at Open
+// and quarantined there; a checksummed v2 record is indexed on its CRC
+// alone and quarantined on its first load, which answers ErrNotFound.
+func TestRecordWhoseRuleNoLongerLoads(t *testing.T) {
+	dir := t.TempDir()
+	reg, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := fitTestModel(t)
+	meta, err := reg.Put("wine", m, 8, m.ExplainedVariance())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.Close()
+	raw, err := os.ReadFile(filepath.Join(dir, meta.ID+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, _, err := openRecord(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f fileJSON
+	if err := json.Unmarshal(payload, &f); err != nil {
+		t.Fatal(err)
+	}
+	var rule map[string]any
+	if err := json.Unmarshal(f.Model, &rule); err != nil {
+		t.Fatal(err)
+	}
+	points := make([][]float64, 8)
+	for r := range points {
+		v := float64(r) / 7
+		points[r] = []float64{v, v, 1 - v}
+	}
+	rule["control_points"] = points
+	if f.Model, err = json.Marshal(rule); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.Load(bytes.NewReader(f.Model)); err == nil {
+		t.Fatal("core.Load accepts an 8-control-point rule; the test needs one it refuses")
+	}
+	record := func(name string) []byte {
+		g := f
+		g.Meta.ID, g.Meta.Name, g.Meta.Degree = name+"-v1", name, 7
+		out, err := json.Marshal(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	if err := os.WriteFile(filepath.Join(dir, "bare-v1.json"), record("bare"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "sealed-v1.json"), sealRecord(record("sealed")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	reg, err = Open(dir, 0)
+	if err != nil {
+		t.Fatalf("records whose rule no longer loads must not fail Open: %v", err)
+	}
+	defer reg.Close()
+	if skipped := strings.Join(reg.Skipped(), "\n"); !strings.Contains(skipped, "bare-v1.json") || strings.Contains(skipped, "sealed-v1.json") {
+		t.Errorf("Skipped() = %q, want bare-v1.json and not sealed-v1.json", skipped)
+	}
+	st := reg.Stats()
+	if st.Quarantined != 1 || st.CorruptTotal != 1 || len(st.QuarantinedIDs) != 1 || st.QuarantinedIDs[0] != "bare-v1" {
+		t.Fatalf("after Open: stats = %+v, want bare-v1 alone quarantined", st)
+	}
+	if _, err := os.Stat(filepath.Join(dir, quarantineDirName, "bare-v1.json")); err != nil {
+		t.Fatalf("bare-v1 not in quarantine: %v", err)
+	}
+	if _, err := reg.GetMeta("sealed-v1"); err != nil {
+		t.Fatalf("sealed-v1 not indexed at Open: %v", err)
+	}
+
+	if _, _, err := reg.Get("sealed-v1"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get(sealed-v1): err = %v, want ErrNotFound", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, quarantineDirName, "sealed-v1.json")); err != nil {
+		t.Fatalf("sealed-v1 not in quarantine after its first load: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "sealed-v1.json")); !os.IsNotExist(err) {
+		t.Fatalf("sealed-v1.json still in the rule directory: %v", err)
+	}
+	if st := reg.Stats(); st.Quarantined != 2 || st.CorruptTotal != 2 {
+		t.Fatalf("after Get: stats = %+v, want 2 quarantined, CorruptTotal 2", st)
+	}
+	if _, _, err := reg.Get(meta.ID); err != nil {
+		t.Fatalf("healthy rule unserveable: %v", err)
 	}
 }

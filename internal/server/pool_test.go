@@ -140,8 +140,8 @@ func TestPoolConcurrentBatchesDuringClose(t *testing.T) {
 
 // TestPoolMatchesSerialAcrossModels: every model kind takes the same
 // float64 path through the pool — sharded ScoreFrame must be
-// bit-identical to serial Model.ScoreAll for cubic, non-cubic and
-// quintic-projector models alike, on rows off the training curve too.
+// bit-identical to serial Model.ScoreAll for cubic and non-cubic models
+// alike, on rows off the training curve too.
 func TestPoolMatchesSerialAcrossModels(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -152,7 +152,6 @@ func TestPoolMatchesSerialAcrossModels(t *testing.T) {
 		{"deg4", core.Options{Degree: 4}},
 		{"deg5", core.Options{Degree: 5}},
 		{"deg6", core.Options{Degree: 6}},
-		{"quintic", core.Options{Projector: core.ProjectorQuintic}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := tc.opts

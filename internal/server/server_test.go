@@ -264,26 +264,56 @@ func TestBadInputs(t *testing.T) {
 	checkStatus("empty batch", postJSON(t, ts.URL+"/v1/models/guard-v1/score", ScoreRequest{}), http.StatusBadRequest)
 }
 
-func TestQuinticRuleWithWrongDegreeRejected(t *testing.T) {
-	_, ts := newTestServer(t, t.TempDir())
-	// A degree-2 rule claiming the quintic projector would panic scoring;
-	// core.Load (and hence install) must refuse it up front.
+// TestRuleInstallIgnoresProjectorChecksGrid: a rule's projector name is a
+// legacy label, so a degree-2 rule naming "quintic" (refused when the
+// quintic solver, which only handled cubics, still existed) installs and
+// serves exactly like the same rule naming "newton": 201, the same /score
+// bytes and the same exported rule. Its grid_cells is still checked.
+func TestRuleInstallIgnoresProjectorChecksGrid(t *testing.T) {
 	rule := `{
 		"version": 1,
 		"alpha": [1, 1],
 		"control_points": [[0, 0], [0.5, 0.4], [1, 1]],
 		"norm_min": [0, 0],
 		"norm_max": [1, 1],
-		"projector": "quintic",
+		"projector": "%s",
 		"grid_cells": 32,
 		"proj_tol": 1e-10
 	}`
-	resp := postJSON(t, ts.URL+"/v1/models", FitRequest{Name: "poison", Rule: []byte(rule)})
-	body := decodeBody[ErrorResponse](t, resp)
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, "quintic") {
-		t.Errorf("poison rule: status %d, error %q; want 400 naming the quintic projector", resp.StatusCode, body.Error)
+	rows := [][]float64{{0, 0}, {0.2, 0.9}, {0.5, 0.5}, {0.93, 0.41}, {1.5, -0.2}}
+	var answers [2][]byte
+	for i, proj := range []string{"quintic", "newton"} {
+		_, ts := newTestServer(t, t.TempDir())
+		resp := postJSON(t, ts.URL+"/v1/models", FitRequest{Name: "legacy", Rule: []byte(fmt.Sprintf(rule, proj))})
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("%s rule: install status %d, want 201", proj, resp.StatusCode)
+		}
+		resp = postJSON(t, ts.URL+"/v1/models/legacy-v1/score", ScoreRequest{Rows: rows})
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s rule: score status %d, err %v", proj, resp.StatusCode, err)
+		}
+		resp, err = http.Get(ts.URL + "/v1/models/legacy-v1/rule")
+		if err != nil {
+			t.Fatal(err)
+		}
+		exported, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s rule: export status %d, err %v", proj, resp.StatusCode, err)
+		}
+		if !bytes.Contains(exported, []byte(`"projector": "newton"`)) {
+			t.Errorf("%s rule: exported as\n%s\nwant projector newton", proj, exported)
+		}
+		answers[i] = append(body, exported...)
+	}
+	if !bytes.Equal(answers[0], answers[1]) {
+		t.Errorf("quintic-named rule answered\n%s\nthe newton-named rule\n%s", answers[0], answers[1])
 	}
 
+	_, ts := newTestServer(t, t.TempDir())
 	// A negative grid would panic GridSeed on every later score request; a
 	// huge one is a CPU bomb. Both die at install.
 	for _, grid := range []string{"-1", "1000000000"} {
