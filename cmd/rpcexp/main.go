@@ -16,6 +16,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -72,7 +73,11 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("rpcexp", flag.ContinueOnError)
 	exp := fs.String("exp", "all", "experiment id: "+experimentIDs())
 	svgDir := fs.String("out", ".", "directory for figure SVGs")
+	fs.SetOutput(out)
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
 		return err
 	}
 

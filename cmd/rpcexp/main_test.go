@@ -34,6 +34,23 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestRunHelp: -h prints the usage, naming every experiment id, and is
+// not an error, so the command exits 0.
+func TestRunHelp(t *testing.T) {
+	for _, arg := range []string{"-h", "-help"} {
+		var buf bytes.Buffer
+		if err := run([]string{arg}, &buf); err != nil {
+			t.Fatalf("%s: %v", arg, err)
+		}
+		if !strings.Contains(buf.String(), experimentIDs()) {
+			t.Errorf("%s: usage does not list the experiment ids: %q", arg, buf.String())
+		}
+		if strings.Contains(buf.String(), "====") {
+			t.Errorf("%s: ran an experiment", arg)
+		}
+	}
+}
+
 func TestRunWritesSVG(t *testing.T) {
 	dir := t.TempDir()
 	var buf bytes.Buffer

@@ -22,26 +22,6 @@ func BenchmarkEvalDeCasteljau(b *testing.B) {
 	}
 }
 
-func BenchmarkEvalBernstein(b *testing.B) {
-	c := benchCubic()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.EvalBernstein(0.37)
-	}
-}
-
-// BenchmarkDistanceToCubic exercises the allocation-free fast path — the
-// innermost loop of the RPC fit.
-func BenchmarkDistanceToCubic(b *testing.B) {
-	c := benchCubic()
-	x := []float64{0.5, 0.5, 0.5, 0.5}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.DistanceTo(x, 0.37)
-	}
-}
-
 func BenchmarkStrictlyMonotone(b *testing.B) {
 	c := Canonical2D(ShapeS)
 	alpha := []float64{1, 1}
@@ -56,34 +36,5 @@ func BenchmarkSplit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Split(0.5)
-	}
-}
-
-func BenchmarkArcLength(b *testing.B) {
-	c := benchCubic()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.ArcLength(1e-8)
-	}
-}
-
-func TestDistanceToFastPathMatchesGeneric(t *testing.T) {
-	// The cubic fast path must agree exactly in semantics (within float
-	// noise) with the de Casteljau route used for other degrees.
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 100; trial++ {
-		c := benchCubic()
-		x := []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
-		s := rng.Float64()
-		fast := c.DistanceTo(x, s)
-		f := c.Eval(s)
-		var slow float64
-		for i, v := range x {
-			d := v - f[i]
-			slow += d * d
-		}
-		if diff := fast - slow; diff > 1e-12 || diff < -1e-12 {
-			t.Fatalf("trial %d: fast %.15g vs generic %.15g", trial, fast, slow)
-		}
 	}
 }

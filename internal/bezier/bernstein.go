@@ -1,9 +1,8 @@
 // Package bezier implements Bézier curves in d-dimensional space in terms of
-// Bernstein polynomials (Eq. 12–17 of the paper), including evaluation by
-// both the Bernstein expansion and the numerically stable de Casteljau
-// recurrence, derivatives, splitting, arc length, and an *exact*
-// strict-monotonicity test for cubic curves (the condition Hu et al. [14]
-// prove sufficient when control points lie in the interior of the unit box).
+// Bernstein polynomials (Eq. 12–17 of the paper): evaluation by the
+// numerically stable de Casteljau recurrence, the hodograph, subdivision,
+// the compiled monomial form the projection kernels run on, and an exact
+// strict-monotonicity certificate at every degree (Proposition 1).
 package bezier
 
 import "fmt"
@@ -33,16 +32,6 @@ func Bernstein(n, r int, s float64) float64 {
 	return Binomial(n, r) * powInt(1-s, n-r) * powInt(s, r)
 }
 
-// BernsteinBasis returns all n+1 Bernstein basis values of degree n at s.
-// The values form a partition of unity for s ∈ [0,1].
-func BernsteinBasis(n int, s float64) []float64 {
-	out := make([]float64, n+1)
-	for r := 0; r <= n; r++ {
-		out[r] = Bernstein(n, r, s)
-	}
-	return out
-}
-
 // powInt computes x^k for small non-negative integer k without math.Pow.
 func powInt(x float64, k int) float64 {
 	p := 1.0
@@ -50,26 +39,4 @@ func powInt(x float64, k int) float64 {
 		p *= x
 	}
 	return p
-}
-
-// CubicM is the 4×4 coefficient matrix of Eq. 15 converting the monomial
-// basis z = (1, s, s², s³)ᵀ into cubic Bernstein coordinates: f(s) = P·M·z.
-// CubicM returns a fresh copy on each call so callers may mutate it.
-func CubicM() [][]float64 {
-	return [][]float64{
-		{1, -3, 3, -1},
-		{0, 3, -6, 3},
-		{0, 0, 3, -3},
-		{0, 0, 0, 1},
-	}
-}
-
-// MonomialVec returns z = (1, s, s², s³, ... s^deg)ᵀ.
-func MonomialVec(deg int, s float64) []float64 {
-	z := make([]float64, deg+1)
-	z[0] = 1
-	for i := 1; i <= deg; i++ {
-		z[i] = z[i-1] * s
-	}
-	return z
 }

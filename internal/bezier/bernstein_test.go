@@ -63,7 +63,8 @@ func TestBernsteinPartitionOfUnityProperty(t *testing.T) {
 		s := math.Mod(math.Abs(raw), 1) // fold into [0,1)
 		for _, n := range []int{1, 2, 3, 5, 8} {
 			var sum float64
-			for _, b := range BernsteinBasis(n, s) {
+			for r := 0; r <= n; r++ {
+				b := Bernstein(n, r, s)
 				sum += b
 				if b < -1e-15 {
 					return false // basis must be non-negative on [0,1]
@@ -83,9 +84,9 @@ func TestBernsteinPartitionOfUnityProperty(t *testing.T) {
 func TestCubicMMatchesBernstein(t *testing.T) {
 	// P·M·z must reproduce the Bernstein expansion for a 1-D curve.
 	p := []float64{0.2, 0.9, 0.1, 0.8}
-	m := CubicM()
+	m := eq15M
 	for _, s := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 1} {
-		z := MonomialVec(3, s)
+		z := monomials(3, s)
 		var viaM float64
 		for r := 0; r < 4; r++ {
 			var mz float64
@@ -104,21 +105,22 @@ func TestCubicMMatchesBernstein(t *testing.T) {
 	}
 }
 
-func TestCubicMIsFreshCopy(t *testing.T) {
-	m := CubicM()
-	m[0][0] = 999
-	if CubicM()[0][0] != 1 {
-		t.Errorf("CubicM must return a fresh copy")
-	}
+// eq15M is the 4×4 coefficient matrix of Eq. 15 converting the monomial
+// basis z = (1, s, s², s³)ᵀ into cubic Bernstein coordinates: f(s) = P·M·z.
+// It is the paper's own statement of BernsteinToMonomial(3).
+var eq15M = [][]float64{
+	{1, -3, 3, -1},
+	{0, 3, -6, 3},
+	{0, 0, 3, -3},
+	{0, 0, 0, 1},
 }
 
-func TestMonomialVec(t *testing.T) {
-	z := MonomialVec(3, 2)
-	want := []float64{1, 2, 4, 8}
-	for i := range want {
-		if z[i] != want[i] {
-			t.Errorf("MonomialVec(3,2) = %v, want %v", z, want)
-			break
-		}
+// monomials returns z = (1, s, s², ..., s^deg)ᵀ.
+func monomials(deg int, s float64) []float64 {
+	z := make([]float64, deg+1)
+	z[0] = 1
+	for i := 1; i <= deg; i++ {
+		z[i] = z[i-1] * s
 	}
+	return z
 }

@@ -1,50 +1,44 @@
 package bezier
 
-// Compiled is an allocation-free evaluation form of a Curve: the
-// per-coordinate monomial coefficients of f (and of f′), plus the monomial
-// coefficients of ‖f(s)‖², all precomputed once. It exists for hot paths —
-// serving and the fit's projection step evaluate the curve hundreds of times
-// per observation, and the Curve methods re-derive the basis (and allocate)
-// on every call. A Compiled is safe for concurrent *reading*; all methods
-// that need scratch take caller-provided destination slices. CompileInto may
-// rebuild the coefficients in place for an evolving curve of the same shape
-// (the fit loop does this once per iteration), but only while no other
-// goroutine is reading them.
+// Compiled is an allocation-free evaluation form of a Curve for the
+// projection kernels: the per-coordinate coefficients of f in powers of
+// t = s − ½, plus those of ‖f(t+½)‖², precomputed once. Serving and the
+// fit's projection step collapse a row's squared distance to the curve into
+// one 1-D polynomial from these (DistPolyInto) and evaluate it hundreds of
+// times per observation; the Curve methods would re-derive the basis (and
+// allocate) on every call. A Compiled is safe for concurrent *reading*;
+// methods that need scratch take caller-provided destination slices.
+// CompileInto may rebuild the coefficients in place for an evolving curve of
+// the same shape (the fit loop does this once per iteration), but only while
+// no other goroutine is reading them.
 //
-// The monomial form is evaluated by Horner's rule. For the degrees the RPC
-// supports (≤ 6) on s ∈ [0,1] the change of basis is well-conditioned, so
-// values agree with the Bernstein/de Casteljau path to ~1e-15; exact
-// bit-parity with Curve.Eval is not guaranteed.
+// For the degrees the RPC supports (≤ 6) on s ∈ [0,1] the change of basis
+// is well-conditioned, so values agree with the de Casteljau path to
+// ~1e-15; exact bit-parity with Curve.Eval is not guaranteed.
 type Compiled struct {
 	deg, dim int
-	// mono holds, coordinate-major, the monomial coefficients of f_j:
-	// f_j(s) = Σ_c mono[j*(deg+1)+c]·s^c.
-	mono []float64
-	// dmono holds the coefficients of f_j′ (deg per coordinate).
-	dmono []float64
-	// smono is mono Taylor-shifted to the bracket centre: coefficients of
-	// f_j(t + ½) in powers of t. On t ∈ [−½, ½] the shifted basis keeps
-	// coefficients small, which is what makes the collapsed distance
-	// polynomial of DistPolyInto accurate at degree 5–6 (the plain
-	// monomial form cancels catastrophically near s = 1).
+	// smono holds, coordinate-major, the coefficients of f_j(t + ½) in
+	// powers of t: f_j(s) = Σ_c smono[j*(deg+1)+c]·(s − ½)^c. On
+	// t ∈ [−½, ½] the shifted basis keeps coefficients small, which is what
+	// makes the collapsed distance polynomial of DistPolyInto accurate at
+	// degree 5–6 (the plain monomial form cancels catastrophically near
+	// s = 1).
 	smono []float64
 	// snormSq holds the shifted-basis coefficients of ‖f(t+½)‖²
 	// (degree 2·deg). Combined with a per-row cross term it collapses the
 	// squared distance from any point to a single 1-D polynomial — see
 	// DistPolyInto.
 	snormSq []float64
-	// basis caches BernsteinToMonomial(deg) and crow one coefficient row,
-	// so CompileInto recompiles an evolving curve of the same shape with
-	// zero allocations.
+	// basis caches BernsteinToMonomial(deg), so CompileInto recompiles an
+	// evolving curve of the same shape with zero allocations.
 	basis [][]float64
-	crow  []float64
 }
 
 // DistPolyOrigin is the expansion point of the collapsed distance
 // polynomial: evaluate it at t = s − DistPolyOrigin.
 const DistPolyOrigin = 0.5
 
-// Compile precomputes the monomial form of c.
+// Compile precomputes the centre-shifted monomial form of c.
 func Compile(c *Curve) *Compiled {
 	return CompileInto(&Compiled{}, c)
 }
@@ -65,22 +59,19 @@ func CompileInto(dst *Compiled, c *Curve) *Compiled {
 	d := c.Dim()
 	if dst.deg != k || dst.dim != d || dst.basis == nil {
 		dst.deg, dst.dim = k, d
-		dst.mono = make([]float64, d*(k+1))
-		dst.dmono = make([]float64, d*k)
 		dst.smono = make([]float64, d*(k+1))
 		dst.snormSq = make([]float64, 2*k+1)
 		dst.basis = BernsteinToMonomial(k)
-		dst.crow = make([]float64, k+1)
 	}
 	for i := range dst.snormSq {
 		dst.snormSq[i] = 0
 	}
-	row := dst.crow
 	for j := 0; j < d; j++ {
-		// Monomial coefficients of coordinate j: P·M_k row-by-row, into
-		// the cached row scratch.
-		for i := range row {
-			row[i] = 0
+		// Monomial coefficients of coordinate j: P·M_k row-by-row, built
+		// in place of the shifted row.
+		srow := dst.smono[j*(k+1) : (j+1)*(k+1)]
+		for i := range srow {
+			srow[i] = 0
 		}
 		for r := 0; r <= k; r++ {
 			pj := c.Points[r][j]
@@ -89,16 +80,10 @@ func CompileInto(dst *Compiled, c *Curve) *Compiled {
 			}
 			brow := dst.basis[r]
 			for col := 0; col <= k; col++ {
-				row[col] += pj * brow[col]
+				srow[col] += pj * brow[col]
 			}
 		}
-		copy(dst.mono[j*(k+1):(j+1)*(k+1)], row)
-		for p := 1; p <= k; p++ {
-			dst.dmono[j*k+p-1] = float64(p) * row[p]
-		}
-		// Ruffini–Horner Taylor shift of row to the centre ½.
-		srow := dst.smono[j*(k+1) : (j+1)*(k+1)]
-		copy(srow, row)
+		// Ruffini–Horner Taylor shift of the row to the centre ½.
 		for i := 0; i < k; i++ {
 			for p := k - 1; p >= i; p-- {
 				srow[p] += DistPolyOrigin * srow[p+1]
@@ -132,52 +117,6 @@ func (cc *Compiled) ShiftedMono() []float64 { return cc.smono }
 // ShiftedNormSq returns the centre-shifted coefficients of ‖f(t+½)‖²
 // (length 2·Degree()+1), aliasing internal storage.
 func (cc *Compiled) ShiftedNormSq() []float64 { return cc.snormSq }
-
-// MonoRow returns the monomial coefficients of coordinate j (ascending
-// powers, length Degree()+1). The slice aliases internal storage; callers
-// must not modify it.
-func (cc *Compiled) MonoRow(j int) []float64 {
-	return cc.mono[j*(cc.deg+1) : (j+1)*(cc.deg+1)]
-}
-
-// DerivRow returns the monomial coefficients of coordinate j of f′
-// (ascending powers, length Degree()). The slice aliases internal storage.
-func (cc *Compiled) DerivRow(j int) []float64 {
-	return cc.dmono[j*cc.deg : (j+1)*cc.deg]
-}
-
-// EvalInto evaluates the curve at s into dst (len Dim) and returns dst.
-func (cc *Compiled) EvalInto(dst []float64, s float64) []float64 {
-	k := cc.deg
-	for j := 0; j < cc.dim; j++ {
-		row := cc.mono[j*(k+1) : (j+1)*(k+1)]
-		acc := row[k]
-		for p := k - 1; p >= 0; p-- {
-			acc = acc*s + row[p]
-		}
-		dst[j] = acc
-	}
-	return dst
-}
-
-// DistanceTo returns the squared Euclidean distance from x to the curve
-// point at parameter s, coordinate by coordinate. It allocates nothing and
-// works for any degree; hot loops that evaluate many parameters for one x
-// should collapse the polynomial once with DistPolyInto instead.
-func (cc *Compiled) DistanceTo(x []float64, s float64) float64 {
-	k := cc.deg
-	var sum float64
-	for j, v := range x {
-		row := cc.mono[j*(k+1) : (j+1)*(k+1)]
-		acc := row[k]
-		for p := k - 1; p >= 0; p-- {
-			acc = acc*s + row[p]
-		}
-		d := v - acc
-		sum += d * d
-	}
-	return sum
-}
 
 // DistPolyInto fills dst (len 2·Degree()+1) with the coefficients of the
 // squared-distance profile ‖x − f(s)‖² expanded around DistPolyOrigin —

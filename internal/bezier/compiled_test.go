@@ -19,6 +19,8 @@ func randCurve(rng *rand.Rand, deg, dim int) *Curve {
 	return MustNew(pts)
 }
 
+// TestCompiledEvalMatchesCurve evaluates each coordinate's centre-shifted
+// coefficients at t = s − ½ and checks them against de Casteljau.
 func TestCompiledEvalMatchesCurve(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for deg := 2; deg <= 6; deg++ {
@@ -28,14 +30,14 @@ func TestCompiledEvalMatchesCurve(t *testing.T) {
 			if cc.Degree() != deg || cc.Dim() != dim {
 				t.Fatalf("deg/dim lost in compilation")
 			}
-			dst := make([]float64, dim)
+			sm := cc.ShiftedMono()
 			for trial := 0; trial < 50; trial++ {
 				s := rng.Float64()
 				want := c.Eval(s)
-				got := cc.EvalInto(dst, s)
 				for j := range want {
-					if math.Abs(got[j]-want[j]) > 1e-13 {
-						t.Fatalf("deg=%d dim=%d s=%v coord %d: %v vs %v", deg, dim, s, j, got[j], want[j])
+					got := EvalPoly(sm[j*(deg+1):(j+1)*(deg+1)], s-DistPolyOrigin)
+					if math.Abs(got-want[j]) > 1e-13 {
+						t.Fatalf("deg=%d dim=%d s=%v coord %d: %v vs %v", deg, dim, s, j, got, want[j])
 					}
 				}
 			}
@@ -43,20 +45,28 @@ func TestCompiledEvalMatchesCurve(t *testing.T) {
 	}
 }
 
-func TestCompiledDistanceToMatchesCurve(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for deg := 2; deg <= 6; deg++ {
-		c := randCurve(rng, deg, 4)
-		cc := Compile(c)
-		x := []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
-		for trial := 0; trial < 50; trial++ {
-			s := rng.Float64()
-			want := c.DistanceTo(x, s)
-			got := cc.DistanceTo(x, s)
-			if math.Abs(got-want) > 1e-12 {
-				t.Fatalf("deg=%d s=%v: compiled %v vs curve %v", deg, s, got, want)
-			}
-		}
+// sqDist is the squared Euclidean distance from x to c(s), the reference
+// the collapsed distance polynomial is checked against.
+func sqDist(c *Curve, x []float64, s float64) float64 {
+	var sum float64
+	for j, v := range c.Eval(s) {
+		d := x[j] - v
+		sum += d * d
+	}
+	return sum
+}
+
+// TestDistanceTo pins the squared distance the projection minimises on a
+// straight line c(s) = (s, s): zero for a point on the curve, and 1 from
+// (0, 1) to c(0).
+func TestDistanceTo(t *testing.T) {
+	cc := Compile(MustNew([][]float64{{0, 0}, {0.5, 0.5}, {1, 1}}))
+	dc := make([]float64, 5)
+	if got := EvalPoly(cc.DistPolyInto(dc, []float64{0.5, 0.5}), 0.5-DistPolyOrigin); math.Abs(got) > 1e-14 {
+		t.Errorf("distance to a point on the curve = %v, want 0", got)
+	}
+	if got := EvalPoly(cc.DistPolyInto(dc, []float64{0, 1}), 0-DistPolyOrigin); math.Abs(got-1) > 1e-14 {
+		t.Errorf("squared distance = %v, want 1", got)
 	}
 }
 
@@ -73,27 +83,11 @@ func TestCompiledDistPoly(t *testing.T) {
 			dc := cc.DistPolyInto(make([]float64, 2*deg+1), x)
 			for trial := 0; trial < 30; trial++ {
 				s := rng.Float64()
-				want := c.DistanceTo(x, s)
+				want := sqDist(c, x, s)
 				got := EvalPoly(dc, s-DistPolyOrigin)
 				if math.Abs(got-want) > 1e-13*float64(dim) {
 					t.Fatalf("deg=%d dim=%d s=%v: poly %v vs direct %v", deg, dim, s, got, want)
 				}
-			}
-		}
-	}
-}
-
-func TestCompiledDerivRow(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	c := randCurve(rng, 3, 2)
-	cc := Compile(c)
-	for trial := 0; trial < 30; trial++ {
-		s := rng.Float64()
-		want := c.TangentAt(s)
-		for j := 0; j < 2; j++ {
-			got := EvalPoly(cc.DerivRow(j), s)
-			if math.Abs(got-want[j]) > 1e-12 {
-				t.Fatalf("s=%v coord %d: deriv %v vs tangent %v", s, j, got, want[j])
 			}
 		}
 	}
@@ -157,8 +151,6 @@ func TestCompileIntoMatchesCompile(t *testing.T) {
 	}
 	check := func(t *testing.T, got, want *Compiled) {
 		t.Helper()
-		equalSlices(t, "mono", got.mono, want.mono)
-		equalSlices(t, "dmono", got.dmono, want.dmono)
 		equalSlices(t, "smono", got.smono, want.smono)
 		equalSlices(t, "snormSq", got.snormSq, want.snormSq)
 	}

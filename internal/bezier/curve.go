@@ -1,9 +1,6 @@
 package bezier
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Curve is a Bézier curve of arbitrary degree in d-dimensional space.
 // Points[r] is the r-th control point (Points[0] and Points[len-1] are the
@@ -69,22 +66,6 @@ func (c *Curve) Eval(s float64) []float64 {
 	return out
 }
 
-// EvalBernstein evaluates the curve as Σ B_{k,r}(s)·p_r (Eq. 12). It is
-// mathematically identical to Eval and exists so tests can cross-validate
-// the two formulations.
-func (c *Curve) EvalBernstein(s float64) []float64 {
-	n := c.Degree()
-	d := c.Dim()
-	out := make([]float64, d)
-	for r, p := range c.Points {
-		b := Bernstein(n, r, s)
-		for j := 0; j < d; j++ {
-			out[j] += b * p[j]
-		}
-	}
-	return out
-}
-
 // Derivative returns the hodograph: the Bézier curve of degree k−1 with
 // control points k·(p_{j+1} − p_j) (Eq. 17). Evaluating it at s gives f′(s).
 func (c *Curve) Derivative() *Curve {
@@ -106,20 +87,6 @@ func (c *Curve) Derivative() *Curve {
 		pts = append(pts, append([]float64{}, pts[0]...))
 	}
 	return &Curve{Points: pts}
-}
-
-// TangentAt returns f′(s) directly.
-func (c *Curve) TangentAt(s float64) []float64 {
-	k := c.Degree()
-	d := c.Dim()
-	out := make([]float64, d)
-	for j := 0; j < k; j++ {
-		b := Bernstein(k-1, j, s)
-		for i := 0; i < d; i++ {
-			out[i] += float64(k) * b * (c.Points[j+1][i] - c.Points[j][i])
-		}
-	}
-	return out
 }
 
 // Split subdivides the curve at s into left and right sub-curves covering
@@ -149,80 +116,4 @@ func (c *Curve) Split(s float64) (left, right *Curve) {
 		rp[k-1-level] = tri[level][len(tri[level])-1]
 	}
 	return &Curve{Points: lp}, &Curve{Points: rp}
-}
-
-// ArcLength estimates the Euclidean length of the curve over [0,1] by
-// adaptive Gauss–Legendre-free composite evaluation: it bisects until chord
-// and control-polygon lengths agree within tol.
-func (c *Curve) ArcLength(tol float64) float64 {
-	return arcLenRec(c, tol, 0)
-}
-
-func arcLenRec(c *Curve, tol float64, depth int) float64 {
-	chord := dist(c.Points[0], c.Points[len(c.Points)-1])
-	var poly float64
-	for i := 1; i < len(c.Points); i++ {
-		poly += dist(c.Points[i-1], c.Points[i])
-	}
-	if poly-chord <= tol || depth >= 32 {
-		return (poly + chord) / 2
-	}
-	l, r := c.Split(0.5)
-	return arcLenRec(l, tol/2, depth+1) + arcLenRec(r, tol/2, depth+1)
-}
-
-// DistanceTo returns the squared Euclidean distance from x to the point on
-// the curve at parameter s. Cubic curves take an allocation-free Bernstein
-// path — this is the innermost loop of the RPC fit (every projection
-// evaluates it hundreds of times per observation).
-func (c *Curve) DistanceTo(x []float64, s float64) float64 {
-	if len(c.Points) == 4 {
-		u := 1 - s
-		b0 := u * u * u
-		b1 := 3 * u * u * s
-		b2 := 3 * u * s * s
-		b3 := s * s * s
-		p0, p1, p2, p3 := c.Points[0], c.Points[1], c.Points[2], c.Points[3]
-		var sum float64
-		for i, v := range x {
-			d := v - (b0*p0[i] + b1*p1[i] + b2*p2[i] + b3*p3[i])
-			sum += d * d
-		}
-		return sum
-	}
-	f := c.Eval(s)
-	var sum float64
-	for i, v := range x {
-		d := v - f[i]
-		sum += d * d
-	}
-	return sum
-}
-
-// ElevateDegree returns an equivalent curve of degree one higher. Used by
-// the degree-ablation experiment to compare k=2,3,4 fits on equal footing.
-func (c *Curve) ElevateDegree() *Curve {
-	k := c.Degree()
-	d := c.Dim()
-	pts := make([][]float64, k+2)
-	pts[0] = append([]float64{}, c.Points[0]...)
-	pts[k+1] = append([]float64{}, c.Points[k]...)
-	for i := 1; i <= k; i++ {
-		q := make([]float64, d)
-		t := float64(i) / float64(k+1)
-		for j := 0; j < d; j++ {
-			q[j] = t*c.Points[i-1][j] + (1-t)*c.Points[i][j]
-		}
-		pts[i] = q
-	}
-	return &Curve{Points: pts}
-}
-
-func dist(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func randCubic(rng *rand.Rand, d int) *Curve {
@@ -55,13 +54,20 @@ func TestEvalEndpoints(t *testing.T) {
 	}
 }
 
+// TestEvalMatchesBernstein checks de Casteljau against the Bernstein
+// expansion Σ B_{k,r}(s)·p_r of Eq. 12.
 func TestEvalMatchesBernstein(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 25; trial++ {
 		c := randCubic(rng, 3)
 		for _, s := range []float64{0, 0.13, 0.5, 0.77, 1} {
 			a := c.Eval(s)
-			b := c.EvalBernstein(s)
+			b := make([]float64, c.Dim())
+			for r, p := range c.Points {
+				for j := range b {
+					b[j] += Bernstein(c.Degree(), r, s) * p[j]
+				}
+			}
 			for j := range a {
 				if math.Abs(a[j]-b[j]) > 1e-13 {
 					t.Fatalf("trial %d s=%v: de Casteljau %v vs Bernstein %v", trial, s, a, b)
@@ -89,13 +95,17 @@ func TestDerivativeMatchesFiniteDifference(t *testing.T) {
 		fd1 := c.Eval(s + h)
 		want := []float64{(fd1[0] - fd0[0]) / (2 * h), (fd1[1] - fd0[1]) / (2 * h)}
 		got := dc.Eval(s)
-		got2 := c.TangentAt(s)
 		for j := range want {
 			if math.Abs(got[j]-want[j]) > 1e-5 {
 				t.Errorf("s=%v coord %d: hodograph %v vs FD %v", s, j, got[j], want[j])
 			}
-			if math.Abs(got2[j]-got[j]) > 1e-12 {
-				t.Errorf("s=%v coord %d: TangentAt %v vs hodograph %v", s, j, got2[j], got[j])
+			// Eq. 17 directly: f′(s) = Σ k·B_{k−1,r}(s)·(p_{r+1} − p_r).
+			var eq17 float64
+			for r := 0; r < 3; r++ {
+				eq17 += 3 * Bernstein(2, r, s) * (c.Points[r+1][j] - c.Points[r][j])
+			}
+			if math.Abs(eq17-got[j]) > 1e-12 {
+				t.Errorf("s=%v coord %d: Eq. 17 %v vs hodograph %v", s, j, eq17, got[j])
 			}
 		}
 	}
@@ -130,77 +140,6 @@ func TestSplitContinuity(t *testing.T) {
 				if math.Abs(got[j]-want[j]) > 1e-12 {
 					t.Fatalf("split right s=%v u=%v: %v vs %v", s, u, got, want)
 				}
-			}
-		}
-	}
-}
-
-func TestArcLengthLine(t *testing.T) {
-	c := MustNew([][]float64{{0, 0}, {3, 4}})
-	if got := c.ArcLength(1e-9); math.Abs(got-5) > 1e-8 {
-		t.Errorf("ArcLength of 3-4-5 line = %v, want 5", got)
-	}
-}
-
-func TestArcLengthQuarterCircleApprox(t *testing.T) {
-	// Cubic Bézier approximation of a quarter circle of radius 1:
-	// control points (1,0),(1,k),(k,1),(0,1) with k = 0.5522847498.
-	k := 0.5522847498307936
-	c := MustNew([][]float64{{1, 0}, {1, k}, {k, 1}, {0, 1}})
-	got := c.ArcLength(1e-10)
-	want := math.Pi / 2
-	if math.Abs(got-want) > 3e-4 { // the Bézier approximation error itself
-		t.Errorf("ArcLength = %v, want ≈ %v", got, want)
-	}
-}
-
-func TestArcLengthAtLeastChordProperty(t *testing.T) {
-	f := func(vals [8]float64) bool {
-		pts := [][]float64{
-			{clamp01(vals[0]), clamp01(vals[1])},
-			{clamp01(vals[2]), clamp01(vals[3])},
-			{clamp01(vals[4]), clamp01(vals[5])},
-			{clamp01(vals[6]), clamp01(vals[7])},
-		}
-		c := MustNew(pts)
-		chord := dist(pts[0], pts[3])
-		return c.ArcLength(1e-8) >= chord-1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func clamp01(v float64) float64 {
-	v = math.Mod(math.Abs(v), 1)
-	if math.IsNaN(v) {
-		return 0.5
-	}
-	return v
-}
-
-func TestDistanceTo(t *testing.T) {
-	c := MustNew([][]float64{{0, 0}, {1, 1}})
-	if got := c.DistanceTo([]float64{0.5, 0.5}, 0.5); got > 1e-14 {
-		t.Errorf("distance to a point on the curve = %v, want 0", got)
-	}
-	if got := c.DistanceTo([]float64{0, 1}, 0); math.Abs(got-1) > 1e-14 {
-		t.Errorf("squared distance = %v, want 1", got)
-	}
-}
-
-func TestElevateDegreePreservesCurve(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	c := randCubic(rng, 2)
-	e := c.ElevateDegree()
-	if e.Degree() != 4 {
-		t.Fatalf("elevated degree = %d, want 4", e.Degree())
-	}
-	for _, s := range []float64{0, 0.2, 0.5, 0.85, 1} {
-		a, b := c.Eval(s), e.Eval(s)
-		for j := range a {
-			if math.Abs(a[j]-b[j]) > 1e-12 {
-				t.Errorf("s=%v: original %v vs elevated %v", s, a, b)
 			}
 		}
 	}

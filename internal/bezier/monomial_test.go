@@ -7,7 +7,7 @@ import (
 
 func TestBernsteinToMonomialCubicMatchesEq15(t *testing.T) {
 	got := BernsteinToMonomial(3)
-	want := CubicM()
+	want := eq15M
 	for r := 0; r < 4; r++ {
 		for c := 0; c < 4; c++ {
 			if got[r][c] != want[r][c] {
@@ -21,7 +21,7 @@ func TestBernsteinToMonomialEvaluates(t *testing.T) {
 	for _, k := range []int{1, 2, 3, 4, 5} {
 		m := BernsteinToMonomial(k)
 		for _, s := range []float64{0, 0.2, 0.5, 0.8, 1} {
-			z := MonomialVec(k, s)
+			z := monomials(k, s)
 			for r := 0; r <= k; r++ {
 				var viaM float64
 				for c := 0; c <= k; c++ {

@@ -1,121 +1,71 @@
 package bezier
 
-import "math"
-
-// Monotonicity analysis for cubic Bézier coordinates.
+// Strict monotonicity of a Bézier curve, decided from its hodograph.
 //
-// For one coordinate of a cubic curve with values (p0, p1, p2, p3), the
-// derivative is f′(s) = 3[a(1−s)² + 2b·s(1−s) + c·s²] with a = p1−p0,
-// b = p2−p1, c = p3−p2 (Eq. 17). f is strictly increasing on [0,1] iff this
-// quadratic is positive on (0,1) — decided here in closed form, not by
-// sampling, so the meta-rule test of §3.2 is exact.
+// Coordinate j of a degree-k curve has derivative f′ⱼ(s) = Σ_r h_r·B_{k−1,r}(s)
+// with Bernstein coefficients h_r = k·(P_{r+1,j} − P_{r,j}) (Eq. 17). The
+// Bernstein basis is positive on (0,1), so if every h_r ≥ 0 and one is > 0
+// then f′ⱼ > 0 on the open interval and fⱼ is strictly increasing. The end
+// coefficients are the values f′ⱼ(0) and f′ⱼ(1), so a negative one proves
+// the opposite. Between the two, de Casteljau subdivision at the midpoint
+// gives each half its own coefficients, which converge to the derivative's
+// values as the pieces shrink; the certificate recurses on the halves.
 
-// quadMinOnUnit returns the minimum of q(s) = a(1−s)² + 2b·s(1−s) + c·s²
-// over s ∈ [0,1].
-func quadMinOnUnit(a, b, c float64) float64 {
-	// Expand to standard form q(s) = A s² + B s + C.
-	A := a - 2*b + c
-	B := 2 * (b - a)
-	C := a
-	minv := math.Min(C, A+B+C) // endpoints s=0, s=1
-	if A > 0 {
-		sv := -B / (2 * A)
-		if sv > 0 && sv < 1 {
-			v := (A*sv+B)*sv + C
-			if v < minv {
-				minv = v
-			}
-		}
-	}
-	return minv
-}
+// maxCertifyDepth caps the midpoint subdivision of StrictlyMonotone. A
+// piece still undecided at this depth (width 2⁻⁴⁰) counts as not
+// monotone. That is what happens when f′ⱼ touches zero at an interior
+// point the dyadic midpoints never land on: the pieces around the touch
+// never have all-nonnegative coefficients and never a negative end.
+const maxCertifyDepth = 40
 
-// CoordStrictlyIncreasing reports whether the cubic coordinate (p0,p1,p2,p3)
-// is strictly increasing on [0,1]: the derivative quadratic must be positive
-// on the open interval, and the total rise p3−p0 must be positive (ruling
-// out the constant curve, whose derivative is identically zero).
-func CoordStrictlyIncreasing(p0, p1, p2, p3 float64) bool {
-	if !(p3 > p0) {
-		return false
-	}
-	a, b, c := p1-p0, p2-p1, p3-p2
-	// Allow isolated zeros of f′ only at parameters where the quadratic
-	// touches zero but does not cross; that still gives a strictly
-	// increasing f. A touch happens exactly when min == 0 attained at a
-	// single point with positive curvature, or at an endpoint. We accept
-	// min >= 0 because a quadratic that is ≥0 on [0,1] and not identically
-	// zero (guaranteed by p3>p0) has at most one zero, so f remains
-	// strictly increasing.
-	return quadMinOnUnit(a, b, c) >= 0
-}
-
-// CoordStrictlyDecreasing is the mirror test.
-func CoordStrictlyDecreasing(p0, p1, p2, p3 float64) bool {
-	return CoordStrictlyIncreasing(-p0, -p1, -p2, -p3)
-}
-
-// StrictlyMonotone reports whether every coordinate of a cubic curve is
-// strictly monotone (increasing where alpha[j] = +1, decreasing where
-// alpha[j] = −1). This is the executable form of Proposition 1. It panics
-// if the curve is not cubic or alpha has the wrong length.
+// StrictlyMonotone reports whether every coordinate of c is strictly
+// monotone on [0,1]: increasing where alpha[j] > 0, decreasing where
+// alpha[j] < 0. This is the executable form of Proposition 1, for any
+// degree. It certifies each coordinate from the Bernstein coefficients of
+// αⱼ·f′ⱼ, subdividing at midpoints up to maxCertifyDepth; the answer comes
+// from the coefficients, not from samples of the curve. A coordinate whose
+// derivative touches zero at an interior point reports false unless a
+// midpoint lands on the touch. A zero (or NaN) alpha entry reports false.
+// It panics if alpha has the wrong length.
 func StrictlyMonotone(c *Curve, alpha []float64) bool {
-	if c.Degree() != 3 {
-		panic("bezier: StrictlyMonotone requires a cubic curve")
-	}
-	d := c.Dim()
-	if len(alpha) != d {
+	if len(alpha) != c.Dim() {
 		panic("bezier: alpha dimension mismatch")
 	}
-	for j := 0; j < d; j++ {
-		p0, p1, p2, p3 := c.Points[0][j], c.Points[1][j], c.Points[2][j], c.Points[3][j]
-		switch {
-		case alpha[j] > 0:
-			if !CoordStrictlyIncreasing(p0, p1, p2, p3) {
-				return false
-			}
-		case alpha[j] < 0:
-			if !CoordStrictlyDecreasing(p0, p1, p2, p3) {
-				return false
-			}
-		default:
-			return false // alpha components must be ±1
+	h := c.Derivative()
+	for j, a := range alpha {
+		if !(a > 0 || a < 0) {
+			return false
+		}
+		pts := make([][]float64, len(h.Points))
+		for r, p := range h.Points {
+			pts[r] = []float64{a * p[j]}
+		}
+		if !certifyPositive(&Curve{Points: pts}, 0) {
+			return false
 		}
 	}
 	return true
 }
 
-// InteriorBox reports whether the inner control points p1, p2 of a cubic
-// curve lie strictly inside (0,1)^d, the sufficient condition of Hu et al.
-// [14] under which a cubic with end points in opposite corners of the box is
-// monotone in every coordinate.
-func InteriorBox(c *Curve) bool {
-	if c.Degree() != 3 {
-		panic("bezier: InteriorBox requires a cubic curve")
+// certifyPositive reports whether the 1-D Bézier polynomial g, a piece of
+// αⱼ·f′ⱼ at subdivision depth depth, is certified ≥ 0 and not identically
+// zero on its interval.
+func certifyPositive(g *Curve, depth int) bool {
+	b := g.Points
+	if b[0][0] < 0 || b[len(b)-1][0] < 0 {
+		return false
 	}
-	for _, idx := range []int{1, 2} {
-		for _, v := range c.Points[idx] {
-			if !(v > 0 && v < 1) {
-				return false
-			}
-		}
+	nonneg, pos := true, false
+	for _, p := range b {
+		nonneg = nonneg && p[0] >= 0
+		pos = pos || p[0] > 0
 	}
-	return true
-}
-
-// ClampInterior clamps the inner control points of a cubic curve into
-// [eps, 1−eps]^d in place, preserving the Hu et al. monotonicity condition
-// after an unconstrained update step. End points are untouched.
-func ClampInterior(c *Curve, eps float64) {
-	if c.Degree() != 3 {
-		panic("bezier: ClampInterior requires a cubic curve")
+	if nonneg && pos {
+		return true
 	}
-	for _, idx := range []int{1, 2} {
-		for j, v := range c.Points[idx] {
-			if v < eps {
-				c.Points[idx][j] = eps
-			} else if v > 1-eps {
-				c.Points[idx][j] = 1 - eps
-			}
-		}
+	if depth == maxCertifyDepth {
+		return false
 	}
+	l, r := g.Split(0.5)
+	return certifyPositive(l, depth+1) && certifyPositive(r, depth+1)
 }

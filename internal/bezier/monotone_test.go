@@ -1,21 +1,63 @@
 package bezier
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-func TestCoordStrictlyIncreasingBasics(t *testing.T) {
+// quadMinOnUnit returns the minimum of q(s) = a(1−s)² + 2b·s(1−s) + c·s²
+// over s ∈ [0,1].
+func quadMinOnUnit(a, b, c float64) float64 {
+	// Expand to standard form q(s) = A s² + B s + C.
+	A := a - 2*b + c
+	B := 2 * (b - a)
+	C := a
+	minv := math.Min(C, A+B+C) // endpoints s=0, s=1
+	if A > 0 {
+		sv := -B / (2 * A)
+		if sv > 0 && sv < 1 {
+			v := (A*sv+B)*sv + C
+			if v < minv {
+				minv = v
+			}
+		}
+	}
+	return minv
+}
+
+// cubicIncreasing is the closed-form degree-3 oracle: the cubic coordinate
+// (p0,p1,p2,p3) is strictly increasing on [0,1] iff its derivative
+// quadratic 3[a(1−s)² + 2b·s(1−s) + c·s²], with a = p1−p0, b = p2−p1 and
+// c = p3−p2 (Eq. 17), is ≥ 0 there and p3 > p0 (which rules out the
+// identically zero derivative). It accepts a derivative that touches zero
+// anywhere, which the certificate does only at dyadic midpoints.
+func cubicIncreasing(p0, p1, p2, p3 float64) bool {
+	return p3 > p0 && quadMinOnUnit(p1-p0, p2-p1, p3-p2) >= 0
+}
+
+// line1D is the 1-D Bézier curve with control values vs.
+func line1D(vs ...float64) *Curve {
+	pts := make([][]float64, len(vs))
+	for r, v := range vs {
+		pts[r] = []float64{v}
+	}
+	return MustNew(pts)
+}
+
+func increasing(vs ...float64) bool { return StrictlyMonotone(line1D(vs...), []float64{1}) }
+
+func TestStrictlyMonotoneCubicCases(t *testing.T) {
 	cases := []struct {
 		p0, p1, p2, p3 float64
 		want           bool
 		name           string
 	}{
 		{0, 1.0 / 3, 2.0 / 3, 1, true, "straight line"},
-		{0, 0.9, 0.1, 1, true, "extreme interior S is still nondecreasing (f'=3(1-2s)^2)"},
-		{0, 0.5, 0.5, 1, true, "plateau-ish"},
+		{0, 0.9, 0.1, 1, true, "extreme interior S (min f′ = 0.15)"},
+		{0, 0.5, 0.5, 1, true, "flat middle coefficient"},
 		{1, 0.5, 0.5, 0, false, "decreasing"},
 		{0, 0, 0, 0, false, "constant"},
 		{0, -0.5, 0.5, 1, false, "dips below start"},
@@ -23,82 +65,209 @@ func TestCoordStrictlyIncreasingBasics(t *testing.T) {
 		{0.2, 0.4, 0.6, 0.8, true, "interior segment"},
 	}
 	for _, c := range cases {
-		if got := CoordStrictlyIncreasing(c.p0, c.p1, c.p2, c.p3); got != c.want {
+		if got := increasing(c.p0, c.p1, c.p2, c.p3); got != c.want {
 			t.Errorf("%s: got %v, want %v", c.name, got, c.want)
+		}
+		if got := cubicIncreasing(c.p0, c.p1, c.p2, c.p3); got != c.want {
+			t.Errorf("%s: closed form %v, want %v", c.name, got, c.want)
 		}
 	}
 }
 
-func TestCoordDecreasingMirror(t *testing.T) {
-	if !CoordStrictlyDecreasing(1, 0.7, 0.3, 0) {
+func TestStrictlyMonotoneDecreasingMirror(t *testing.T) {
+	if !StrictlyMonotone(line1D(1, 0.7, 0.3, 0), []float64{-1}) {
 		t.Errorf("clearly decreasing coordinate rejected")
 	}
-	if CoordStrictlyDecreasing(0, 0.3, 0.7, 1) {
+	if StrictlyMonotone(line1D(0, 0.3, 0.7, 1), []float64{-1}) {
 		t.Errorf("increasing coordinate accepted as decreasing")
 	}
 }
 
-// TestHuInteriorTheorem verifies the paper's Proposition 1 empirically and
-// exactly: with end points at 0 and 1 and inner control values anywhere in
-// the open interval (0,1), the cubic coordinate is strictly increasing.
+// TestHuInteriorTheorem verifies the paper's Proposition 1 exactly: with
+// end points at 0 and 1 and inner control values anywhere in the open
+// interval (0,1), the cubic coordinate is strictly increasing.
 func TestHuInteriorTheorem(t *testing.T) {
 	f := func(a, b float64) bool {
 		p1 := 0.001 + 0.998*fold01(a)
 		p2 := 0.001 + 0.998*fold01(b)
-		return CoordStrictlyIncreasing(0, p1, p2, 1)
+		return increasing(0, p1, p2, 1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestExactCheckAgainstSampling cross-validates the closed-form test against
-// dense sampling of the curve values for random (possibly non-interior)
-// control values.
-func TestExactCheckAgainstSampling(t *testing.T) {
+// TestCertificateMatchesClosedForm runs the certificate and the degree-3
+// closed form on 200,000 random 1-D cubics, half of them checked for a
+// decrease. Inner values range half the rise beyond the end values, so
+// both answers occur often.
+func TestCertificateMatchesClosedForm(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 400; trial++ {
-		p0 := rng.Float64()
-		p1 := rng.Float64()*3 - 1
-		p2 := rng.Float64()*3 - 1
-		p3 := p0 + rng.Float64() // ensure p3 > p0 so only shape matters
-		exact := CoordStrictlyIncreasing(p0, p1, p2, p3)
-		c := MustNew([][]float64{{p0}, {p1}, {p2}, {p3}})
-		sampled := true
-		prev := c.Eval(0)[0]
-		for i := 1; i <= 600; i++ {
-			v := c.Eval(float64(i) / 600)[0]
-			if v < prev-1e-12 {
-				sampled = false
-				break
+	var certified, refuted int
+	for trial := 0; trial < 200000; trial++ {
+		lo, hi := 0.5*rng.Float64(), 0.5+0.5*rng.Float64()
+		inner := func() float64 { return lo + (hi-lo)*(2*rng.Float64()-0.5) }
+		p := [4]float64{lo, inner(), inner(), hi}
+		alpha := 1.0
+		if trial%2 == 1 {
+			alpha = -1
+			for i := range p {
+				p[i] = 1 - p[i]
 			}
-			prev = v
 		}
-		// The exact test implies the sampled one. (Sampling can miss tiny
-		// violations, so only check that direction.)
-		if exact && !sampled {
-			t.Errorf("trial %d: exact says increasing but samples decrease (p=%v,%v,%v,%v)",
-				trial, p0, p1, p2, p3)
+		got := StrictlyMonotone(line1D(p[:]...), []float64{alpha})
+		want := cubicIncreasing(alpha*p[0], alpha*p[1], alpha*p[2], alpha*p[3])
+		if got != want {
+			t.Fatalf("trial %d: certificate %v, closed form %v (p=%v, alpha=%v)", trial, got, want, p, alpha)
 		}
-		// And on a coarse margin the converse: a clear sampled violation
-		// must be caught exactly (checked above); a clearly-increasing
-		// derivative everywhere must be accepted.
-		if !exact && sampled {
-			// Confirm there really is a derivative zero or negative region.
-			dc := c.Derivative()
-			minD := math.Inf(1)
-			for i := 0; i <= 600; i++ {
-				d := dc.Eval(float64(i) / 600)[0]
-				if d < minD {
-					minD = d
-				}
-			}
-			if minD > 1e-9 {
-				t.Errorf("trial %d: exact rejects but derivative min %.3g > 0 (p=%v,%v,%v,%v)",
-					trial, minD, p0, p1, p2, p3)
-			}
+		if got {
+			certified++
+		} else {
+			refuted++
 		}
 	}
+	if certified < 10000 || refuted < 10000 {
+		t.Fatalf("draws too one-sided: %d certified, %d refuted", certified, refuted)
+	}
+}
+
+// TestStrictlyMonotoneTouchingDerivative pins where the certificate and
+// the closed form part ways. The cubic (0, 1/3, −1/3, 1) has derivative
+// (1 − 3s)², which touches zero at s = 1/3; no dyadic midpoint lands there,
+// so the pieces around it never certify and the cap reports false. The
+// closed form accepted it. A touch at s = ½, as in (0, 1, 0, 1), is a split
+// point, both halves certify, and the curve passes.
+func TestStrictlyMonotoneTouchingDerivative(t *testing.T) {
+	if !cubicIncreasing(0, 1.0/3, -1.0/3, 1) {
+		t.Fatal("closed form should accept the touching cubic")
+	}
+	touch := line1D(0, 1.0/3, -1.0/3, 1)
+	if StrictlyMonotone(touch, []float64{1}) {
+		t.Error("derivative touching zero at s = 1/3 certified")
+	}
+	if !increasing(0, 1, 0, 1) {
+		t.Error("derivative touching zero at s = 1/2 not certified")
+	}
+
+	// The search stops at the depth cap: it walks one undecided path
+	// down, certifying the sibling pieces on the way, so it splits about
+	// twice per level. Every split allocates the same amount, so the
+	// allocation count bounds the number of splits.
+	h := touch.Derivative()
+	perSplit := testing.AllocsPerRun(10, func() { h.Split(0.5) })
+	total := testing.AllocsPerRun(10, func() { StrictlyMonotone(touch, []float64{1}) })
+	if maxSplits := 2*maxCertifyDepth + 4; total > float64(maxSplits)*perSplit {
+		t.Errorf("touching cubic allocated %.0f times, more than %d splits of %.0f", total, maxSplits, perSplit)
+	}
+}
+
+// TestStrictlyMonotoneHigherDegrees checks the certificate below and above
+// cubic: curves it must certify, and curves whose derivative dips below
+// zero only between the ends.
+func TestStrictlyMonotoneHigherDegrees(t *testing.T) {
+	cases := []struct {
+		vs   []float64
+		want bool
+	}{
+		{[]float64{0, 0.5, 1}, true},
+		{[]float64{0, 1.2, 1}, false}, // quadratic overshoot: f′(1) < 0
+		{[]float64{0, 0.25, 0.5, 0.75, 1}, true},
+		{[]float64{0, 0.6, 0.2, 0.8, 1}, true},       // a negative coefficient, f′ > 0
+		{[]float64{0, 1.125, 0.5, -0.125, 1}, false}, // f′ < 0 in the middle only
+		{[]float64{0, 0.1, 0.3, 0.5, 0.7, 0.9, 1}, true},
+		{[]float64{0, 0.5, 0.45, 0.55, 0.5, 0.9, 1}, true},
+		{[]float64{0, 0.7, 0, 0, 1, 0.3, 1}, false}, // f′ < 0 near s = 0.25
+	}
+	for _, c := range cases {
+		if got := increasing(c.vs...); got != c.want {
+			t.Errorf("%v: got %v, want %v", c.vs, got, c.want)
+		}
+		if c.want {
+			continue
+		}
+		// A refusal is backed by a sample of f′ that is clearly negative.
+		h := line1D(c.vs...).Derivative()
+		neg := false
+		for i := 0; i <= 1000 && !neg; i++ {
+			neg = h.Eval(float64(i) / 1000)[0] < -1e-9
+		}
+		if !neg {
+			t.Errorf("%v: refused, but no sample of f′ is negative", c.vs)
+		}
+	}
+}
+
+// TestExactCheckAgainstSampling cross-validates the certificate against
+// dense sampling of the hodograph on random coordinates of degree 2–6.
+func TestExactCheckAgainstSampling(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for trial := 0; trial < 2000; trial++ {
+		deg := 2 + trial%5
+		vs := make([]float64, deg+1)
+		for r := range vs {
+			vs[r] = float64(r)/float64(deg) + 0.5*(rng.Float64()-0.5)
+		}
+		alpha := 1.0
+		if rng.Intn(4) == 0 {
+			alpha = -1
+		}
+		if msg := checkAgainstSamples(vs, alpha); msg != "" {
+			t.Fatalf("trial %d: %s", trial, msg)
+		}
+	}
+}
+
+// checkAgainstSamples compares the certificate on the 1-D curve vs with
+// 2,001 samples of αⱼ·f′ⱼ and returns what disagrees, or "". Only a sample
+// clearly below zero, by 1e-9 of the largest hodograph coefficient, counts
+// against a certificate, so rounding near a touch never decides. The
+// converse cannot be checked by sampling: samples can all be positive while
+// f′ dips below zero between them.
+func checkAgainstSamples(vs []float64, alpha float64) string {
+	c := line1D(vs...)
+	h := c.Derivative()
+	scale := 0.0
+	for _, p := range h.Points {
+		scale = math.Max(scale, math.Abs(p[0]))
+	}
+	if !StrictlyMonotone(c, []float64{alpha}) {
+		return ""
+	}
+	for i := 0; i <= 2000; i++ {
+		s := float64(i) / 2000
+		if d := alpha * h.Eval(s)[0]; d < -1e-9*scale {
+			return fmt.Sprintf("certified, but α·f′(%v) = %v is clearly negative", s, d)
+		}
+	}
+	return ""
+}
+
+// FuzzStrictlyMonotone draws one coordinate of degree 2–6 and checks the
+// certificate against dense sampling of its hodograph in both directions:
+// a certified coordinate has no sample clearly below zero, and one whose
+// samples are clearly negative is never certified.
+func FuzzStrictlyMonotone(f *testing.F) {
+	f.Add(uint8(3), 0.0, 1.0/3, -1.0/3, 1.0, 0.0, 0.0, 0.0, true)
+	f.Add(uint8(3), 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, true)
+	f.Add(uint8(4), 0.0, 0.6, 0.2, 0.8, 1.0, 0.0, 0.0, true)
+	f.Add(uint8(6), 1.0, 0.9, 0.7, 0.5, 0.3, 0.1, 0.0, false)
+	f.Add(uint8(2), 0.0, 1.2, 1.0, 0.0, 0.0, 0.0, 0.0, true)
+	f.Fuzz(func(t *testing.T, deg uint8, v0, v1, v2, v3, v4, v5, v6 float64, up bool) {
+		k := 2 + int(deg%5)
+		vs := []float64{v0, v1, v2, v3, v4, v5, v6}[:k+1]
+		for _, v := range vs {
+			if math.IsNaN(v) || math.Abs(v) > 1e6 {
+				t.Skip()
+			}
+		}
+		alpha := 1.0
+		if !up {
+			alpha = -1
+		}
+		if msg := checkAgainstSamples(vs, alpha); msg != "" {
+			t.Fatalf("%v (alpha %v): %s", vs, alpha, msg)
+		}
+	})
 }
 
 func TestStrictlyMonotoneMultiDim(t *testing.T) {
@@ -118,68 +287,18 @@ func TestStrictlyMonotoneMultiDim(t *testing.T) {
 	if StrictlyMonotone(c, []float64{1, 0}) {
 		t.Errorf("alpha with zero entry must be rejected")
 	}
+	if StrictlyMonotone(c, []float64{1, math.NaN()}) {
+		t.Errorf("alpha with NaN entry must be rejected")
+	}
 }
 
 func TestStrictlyMonotonePanics(t *testing.T) {
-	quad := MustNew([][]float64{{0}, {0.5}, {1}})
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("non-cubic should panic")
-			}
-		}()
-		StrictlyMonotone(quad, []float64{1})
-	}()
-	cubic := MustNew([][]float64{{0}, {0.3}, {0.7}, {1}})
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("alpha length mismatch should panic")
-			}
-		}()
-		StrictlyMonotone(cubic, []float64{1, 1})
-	}()
-}
-
-func TestInteriorBoxAndClamp(t *testing.T) {
-	c := MustNew([][]float64{
-		{0, 0},
-		{-0.2, 0.5},
-		{0.5, 1.4},
-		{1, 1},
-	})
-	if InteriorBox(c) {
-		t.Errorf("out-of-box control points accepted")
-	}
-	ClampInterior(c, 1e-3)
-	if !InteriorBox(c) {
-		t.Errorf("after clamping, control points should be interior: %v %v", c.Points[1], c.Points[2])
-	}
-	if c.Points[1][0] != 1e-3 || c.Points[2][1] != 1-1e-3 {
-		t.Errorf("clamp values wrong: %v %v", c.Points[1], c.Points[2])
-	}
-	// End points untouched.
-	if c.Points[0][0] != 0 || c.Points[3][0] != 1 {
-		t.Errorf("clamp must not move end points")
-	}
-}
-
-func TestInteriorBoxPanicsNonCubic(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Errorf("expected panic")
+			t.Errorf("alpha length mismatch should panic")
 		}
 	}()
-	InteriorBox(MustNew([][]float64{{0}, {1}}))
-}
-
-func TestClampPanicsNonCubic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Errorf("expected panic")
-		}
-	}()
-	ClampInterior(MustNew([][]float64{{0}, {1}}), 1e-3)
+	StrictlyMonotone(line1D(0, 0.3, 0.7, 1), []float64{1, 1})
 }
 
 func fold01(v float64) float64 {

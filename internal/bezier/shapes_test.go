@@ -8,8 +8,12 @@ func TestShapesAreStrictlyMonotone(t *testing.T) {
 	// of the figure.
 	for _, s := range Shapes() {
 		c := Canonical2D(s)
-		if !InteriorBox(c) {
-			t.Errorf("%v: control points not interior", s)
+		for _, p := range c.Points[1:3] {
+			for _, v := range p {
+				if !(v > 0 && v < 1) {
+					t.Errorf("%v: control point %v not interior", s, p)
+				}
+			}
 		}
 		if !StrictlyMonotone(c, []float64{1, 1}) {
 			t.Errorf("%v: not strictly monotone", s)

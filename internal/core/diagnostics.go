@@ -25,7 +25,8 @@ type Diagnostics struct {
 	// ResidualQuantiles holds the {min, 25%, median, 75%, max} of the
 	// per-row orthogonal residual (square root of the squared residual).
 	ResidualQuantiles [5]float64
-	// StrictlyMonotone is the exact curve-level check.
+	// StrictlyMonotone is Model.StrictlyMonotone: the exact Bernstein
+	// certificate of Proposition 1 on the curve, at any degree.
 	StrictlyMonotone bool
 	// DominanceViolations and ComparablePairs measure empirical
 	// order-preservation on the training rows (must be 0 violations).

@@ -71,10 +71,12 @@ func fitValidated(f *frame.Frame, opts Options) (*Model, error) {
 	if err := opts.validate(f.N(), f.Dim()); err != nil {
 		return nil, err
 	}
-	if opts.Restarts > 1 {
-		return fitMultiStart(f, opts)
-	}
-	return fitOnce(f, opts)
+	// Restart concurrency honours the caller's parallelism grant: Workers
+	// is the fit's goroutine budget, so with Workers 0 or 1 the restarts
+	// run serially exactly as the projection does, and with Workers = -1
+	// they fan out machine-wide. The fitted model is bit-identical for
+	// every width (see fitMultiStart), so this only shapes CPU use.
+	return fitMultiStart(f, opts, resolveWorkers(opts.Workers))
 }
 
 // fitShared is the per-fit-run input every restart shares read-only: the
@@ -127,21 +129,6 @@ func prepFit(f *frame.Frame, opts Options) (*fitShared, error) {
 	return &fitShared{norm: norm, u: u, X: X}, nil
 }
 
-// fitMultiStart runs Algorithm 1 from several initialisations and returns
-// the model with the lowest final objective: restart 0 is the
-// jittered-diagonal default, restart 1 places the interior control points on
-// the rows at the interior quantiles of a rough weighted-sum ordering (a
-// deterministic version of Algorithm 1's sample-based init), and further
-// restarts draw random data rows.
-func fitMultiStart(f *frame.Frame, opts Options) (*Model, error) {
-	// Restart concurrency honours the caller's parallelism grant: Workers
-	// is the fit's goroutine budget, so with Workers 0 or 1 the restarts
-	// run serially exactly as the projection does, and with Workers = -1
-	// they fan out machine-wide. The fitted model is bit-identical for
-	// every width (see fitMultiStartN), so this only shapes CPU use.
-	return fitMultiStartN(f, opts, resolveWorkers(opts.Workers))
-}
-
 // resolveWorkers maps an Options.Workers value onto a concrete goroutine
 // width: -1 means machine-wide, anything below 1 means serial. Every site
 // sizing fit parallelism — restart fan-out, the worker split across
@@ -157,11 +144,16 @@ func resolveWorkers(w int) int {
 	return w
 }
 
-// fitMultiStartN is fitMultiStart with the restart concurrency capped at
-// par. The winner scan walks restart order with a strict '<', giving the
-// lowest restart index on ties, so the returned model is bit-identical for
-// every par ≥ 1 — pinned by test.
-func fitMultiStartN(f *frame.Frame, opts Options, par int) (*Model, error) {
+// fitMultiStart runs Algorithm 1 from every initialisation of the fit, at
+// most par restarts at a time, and returns the model with the lowest final
+// objective: restart 0 is the jittered-diagonal default, restart 1 places
+// the interior control points on the rows at the interior quantiles of a
+// rough weighted-sum ordering (a deterministic version of Algorithm 1's
+// sample-based init), and further restarts draw random data rows. A fit
+// with Restarts ≤ 1 is restart 0 alone. The winner scan walks restart
+// order with a strict '<', giving the lowest restart index on ties, so the
+// returned model is bit-identical for every par ≥ 1 — pinned by test.
+func fitMultiStart(f *frame.Frame, opts Options, par int) (*Model, error) {
 	models, err := fitRestarts(f, opts, par)
 	if err != nil {
 		return nil, err
@@ -181,23 +173,11 @@ func fitMultiStartN(f *frame.Frame, opts Options, par int) (*Model, error) {
 // restart initialisations are drawn serially up front, so rng consumption
 // never depends on scheduling.
 func fitRestarts(f *frame.Frame, opts Options, par int) ([]*Model, error) {
-	restarts := opts.Restarts
-	rng := rand.New(rand.NewSource(opts.Seed + 1000003))
-
+	restarts := max(opts.Restarts, 1)
 	sh, err := prepFit(f, opts)
 	if err != nil {
 		return nil, err
 	}
-	u := sh.u
-	// Rough ordering by the oriented attribute sum.
-	rough := make([]float64, u.N())
-	for i := range rough {
-		for j, s := range opts.Alpha {
-			rough[i] += s * u.At(i, j)
-		}
-	}
-	byRough := order.SortByScoreDesc(rough) // best-first
-
 	ros := make([]Options, restarts)
 	for r := range ros {
 		o := opts
@@ -205,25 +185,35 @@ func fitRestarts(f *frame.Frame, opts Options, par int) ([]*Model, error) {
 		o.Seed = opts.Seed + int64(r)
 		o.restartIndex = r
 		o.restartTotal = restarts
-		switch {
-		case r == 1:
-			inner := make([][]float64, o.Degree-1)
-			for i := range inner {
-				// Interior quantile position, best-first reversed so
-				// inner[0] is the *low*-score row (near p₀'s corner).
-				q := float64(i+1) / float64(o.Degree)
-				pos := byRough[len(byRough)-1-int(q*float64(len(byRough)-1))]
-				inner[i] = append([]float64{}, u.Row(pos)...)
+		ros[r] = o
+	}
+	if restarts > 1 {
+		u := sh.u
+		// Rough ordering by the oriented attribute sum.
+		rough := make([]float64, u.N())
+		for i := range rough {
+			for j, s := range opts.Alpha {
+				rough[i] += s * u.At(i, j)
 			}
-			o.InitInner = inner
-		case r > 1:
-			inner := make([][]float64, o.Degree-1)
+		}
+		byRough := order.SortByScoreDesc(rough) // best-first
+		quantiles := make([][]float64, opts.Degree-1)
+		for i := range quantiles {
+			// Interior quantile position, best-first reversed so
+			// quantiles[0] is the *low*-score row (near p₀'s corner).
+			q := float64(i+1) / float64(opts.Degree)
+			pos := byRough[len(byRough)-1-int(q*float64(len(byRough)-1))]
+			quantiles[i] = append([]float64{}, u.Row(pos)...)
+		}
+		ros[1].initInner = quantiles
+		rng := rand.New(rand.NewSource(opts.Seed + 1000003))
+		for r := 2; r < restarts; r++ {
+			inner := make([][]float64, opts.Degree-1)
 			for i := range inner {
 				inner[i] = append([]float64{}, u.Row(rng.Intn(u.N()))...)
 			}
-			o.InitInner = inner
+			ros[r].initInner = inner
 		}
-		ros[r] = o
 	}
 
 	if par > restarts {
@@ -274,16 +264,6 @@ func fitRestarts(f *frame.Frame, opts Options, par int) ([]*Model, error) {
 	return models, nil
 }
 
-// fitOnce is a single run of Algorithm 1 from raw input: normalise, then
-// iterate.
-func fitOnce(f *frame.Frame, opts Options) (*Model, error) {
-	sh, err := prepFit(f, opts)
-	if err != nil {
-		return nil, err
-	}
-	return fitPrepared(sh, opts)
-}
-
 // fitPrepared is the Algorithm-1 iteration loop over a prepared (normalised,
 // shared, read-only) input. All per-iteration state — the projection worker
 // pool with its per-worker engines, the control-point work matrices, the
@@ -327,12 +307,8 @@ func fitPrepared(sh *fitShared, opts Options) (*Model, error) {
 	haveWarm := false
 
 	// Fit telemetry: the per-iteration trace, warm-start deltas and stage
-	// times are collected as the loop runs; restartTotal is 0 outside
-	// fitMultiStartN.
+	// times are collected as the loop runs.
 	diag := &FitDiagnostics{Restart: opts.restartIndex, Restarts: opts.restartTotal}
-	if diag.Restarts == 0 {
-		diag.Restarts = 1
-	}
 	// Pre-sized to its cap so the iteration loop stays allocation-flat
 	// (pinned by TestFitAllocsFlatInIterations).
 	diag.Trace = make([]FitIteration, 0, min(opts.MaxIter, maxFitTrace))
@@ -572,8 +548,8 @@ func initCurve(opts Options, d, k int) *bezier.Curve {
 	pts[k] = pk
 	for r := 1; r < k; r++ {
 		p := make([]float64, d)
-		if opts.InitInner != nil && r-1 < len(opts.InitInner) && len(opts.InitInner[r-1]) == d {
-			copy(p, opts.InitInner[r-1])
+		if opts.initInner != nil {
+			copy(p, opts.initInner[r-1])
 			for j := range p {
 				p[j] = clampTo(p[j], opts.ClampEps, 1-opts.ClampEps)
 			}

@@ -113,13 +113,6 @@ type Options struct {
 	// outside [0,1] in this mode.
 	NoNormalize bool
 
-	// InitInner, when non-nil, supplies the initial interior control
-	// points (Degree−1 rows of dimension d, in normalised space) instead of
-	// the jittered-diagonal default. Algorithm 1 step 2 initialises from
-	// randomly selected samples; passing data rows here reproduces that.
-	// Values are clamped into the open box before use.
-	InitInner [][]float64
-
 	// Restarts > 1 runs the fit from multiple initialisations — the
 	// jittered diagonal plus Restarts−1 draws of random data rows as
 	// initial control points (the paper's sample-based init) — and keeps
@@ -150,10 +143,14 @@ type Options struct {
 	NoWarmStart bool
 
 	// restartIndex and restartTotal thread the multi-start bookkeeping
-	// into each restart's fitPrepared run for its diagnostics; they are
-	// set by fitMultiStartN, never by callers.
+	// into each restart's fitPrepared run for its diagnostics; initInner,
+	// when non-nil, holds that restart's initial interior control points
+	// (Degree−1 rows of dimension d, in normalised space, clamped into the
+	// box before use) in place of the jittered diagonal. fitRestarts sets
+	// all three, never callers.
 	restartIndex int
 	restartTotal int
+	initInner    [][]float64
 }
 
 func (o Options) withDefaults() Options {
@@ -326,29 +323,9 @@ func (m *Model) ServingCopy() *Model {
 	}
 }
 
-// StrictlyMonotone reports whether the fitted curve passes the exact
-// componentwise monotonicity test of Proposition 1 (always true for the
-// cubic fit with clamped control points; exposed so callers can assert it).
-func (m *Model) StrictlyMonotone() bool {
-	if m.Curve.Degree() != 3 {
-		return sampledMonotone(m.Curve, m.Alpha)
-	}
-	return bezier.StrictlyMonotone(m.Curve, m.Alpha)
-}
-
-// sampledMonotone is the fallback monotonicity check for non-cubic degrees
-// (where no closed form is implemented): dense sampling of each coordinate.
-func sampledMonotone(c *bezier.Curve, alpha order.Direction) bool {
-	const cells = 512
-	prev := c.Eval(0)
-	for i := 1; i <= cells; i++ {
-		cur := c.Eval(float64(i) / cells)
-		for j, s := range alpha {
-			if s*(cur[j]-prev[j]) < -1e-12 {
-				return false
-			}
-		}
-		prev = cur
-	}
-	return true
-}
+// StrictlyMonotone reports whether every coordinate of the curve is
+// strictly monotone in its direction α, the condition of Proposition 1 that
+// makes the scores order-preserving. It is bezier.StrictlyMonotone's exact
+// Bernstein certificate, the same at every degree; a derivative that
+// touches zero at an interior point reports false.
+func (m *Model) StrictlyMonotone() bool { return bezier.StrictlyMonotone(m.Curve, m.Alpha) }

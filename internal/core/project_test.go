@@ -165,7 +165,7 @@ func TestInitInnerClamped(t *testing.T) {
 	m, err := Fit(xs, Options{
 		Alpha:       alpha,
 		NoNormalize: true,
-		InitInner:   [][]float64{{-5, 9}, {3, -2}},
+		initInner:   [][]float64{{-5, 9}, {3, -2}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,11 +6,14 @@ package core
 // the fit loop.
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"rpcrank/internal/dataset"
 	"rpcrank/internal/frame"
 	"rpcrank/internal/order"
 )
@@ -178,12 +181,12 @@ func TestFitMultiStartDeterministicAcrossParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Alpha: alpha, Restarts: 5, Seed: 7}.withDefaults()
-	serial, err := fitMultiStartN(f, opts, 1)
+	serial, err := fitMultiStart(f, opts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{2, 4, 16} {
-		parallel, err := fitMultiStartN(f, opts, par)
+		parallel, err := fitMultiStart(f, opts, par)
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}
@@ -206,6 +209,57 @@ func TestFitMultiStartDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
+// TestSingleStartFitIsRestartZero pins the one fit driver: a fit with
+// Restarts 0 or 1 runs restart 0 of the multi-start driver alone, at every
+// Workers width. All six variants of each fit must save the same rule
+// bytes and report the same scores, iteration count and fit telemetry
+// (stage times aside).
+func TestSingleStartFitIsRestartZero(t *testing.T) {
+	for _, table := range []*dataset.Table{dataset.Journals(), dataset.Countries()} {
+		for deg := 2; deg <= 6; deg++ {
+			var ref *Model
+			var refSave []byte
+			for _, workers := range []int{0, 1, 2} {
+				for _, restarts := range []int{0, 1} {
+					name := fmt.Sprintf("%s deg=%d workers=%d restarts=%d", table.Name, deg, workers, restarts)
+					m, err := FitFrame(table.Data, Options{Alpha: table.Alpha, Degree: deg, Workers: workers, Restarts: restarts, Seed: 2})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					var buf bytes.Buffer
+					if err := m.Save(&buf); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					diag := *m.FitDiag
+					diag.Stages = FitStageNanos{}
+					if diag.Restart != 0 || diag.Restarts != 1 {
+						t.Fatalf("%s: restart %d of %d, want 0 of 1", name, diag.Restart, diag.Restarts)
+					}
+					if ref == nil {
+						ref, refSave = m, buf.Bytes()
+						ref.FitDiag = &diag
+						continue
+					}
+					if !bytes.Equal(buf.Bytes(), refSave) {
+						t.Fatalf("%s: saved rule differs", name)
+					}
+					for i, s := range ref.Scores {
+						if m.Scores[i] != s {
+							t.Fatalf("%s: score %d = %.17g, want %.17g", name, i, m.Scores[i], s)
+						}
+					}
+					if m.Iterations != ref.Iterations {
+						t.Fatalf("%s: %d iterations, want %d", name, m.Iterations, ref.Iterations)
+					}
+					if !reflect.DeepEqual(diag, *ref.FitDiag) {
+						t.Fatalf("%s: fit telemetry differs", name)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestFitMultiStartPublicPathDeterministic: the exported Fit with
 // Restarts > 1 (which picks its own concurrency) must agree with the
 // serial reference run for the same options.
@@ -224,7 +278,7 @@ func TestFitMultiStartPublicPathDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := fitMultiStartN(f, opts.withDefaults(), 1)
+	ref, err := fitMultiStart(f, opts.withDefaults(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

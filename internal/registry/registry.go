@@ -49,7 +49,10 @@ type Meta struct {
 	Rows int `json:"rows"`
 	// ExplainedVariance is the fit quality of §6.2.1 (0 when unknown).
 	ExplainedVariance float64 `json:"explained_variance"`
-	// Monotone reports the strict-monotonicity check of Proposition 1.
+	// Monotone is Model.StrictlyMonotone at Put: true when the exact
+	// Bernstein certificate proves every coordinate strictly monotone in
+	// its direction (Proposition 1), false when it refutes one or cannot
+	// decide it (a derivative touching zero at an interior point).
 	Monotone bool `json:"monotone"`
 	// CreatedAt is the wall-clock time the rule entered the registry.
 	CreatedAt time.Time `json:"created_at"`

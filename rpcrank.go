@@ -107,8 +107,10 @@ func (r *Result) ExplainedVariance() float64 { return r.Model.ExplainedVariance(
 // data space — the 4×d interpretable parameter set of the model.
 func (r *Result) ControlPoints() [][]float64 { return r.Model.ControlPointsOriginal() }
 
-// StrictlyMonotone reports whether the fitted curve passes the exact
-// componentwise monotonicity test (always true for the cubic fit).
+// StrictlyMonotone reports whether the fitted curve is certified strictly
+// monotone in every attribute's direction (Proposition 1), by an exact
+// check on the Bernstein coefficients of its derivative. The cubic fit's
+// box keeps this true; at degrees 4–6 it can fail.
 func (r *Result) StrictlyMonotone() bool { return r.Model.StrictlyMonotone() }
 
 // Options re-exports the full fitting configuration for advanced use.
