@@ -308,7 +308,7 @@ func TestCanonicalProjectionIgnoresStart(t *testing.T) {
 	for k := minDegree; k <= maxDegree; k++ {
 		m := randParityModel(rng, k, 3)
 		u := marginFrame(rng, 400, 3)
-		e := newEngine(m.Curve, m.opts)
+		e := newEngine(m.Curve, defaultGridCells)
 		interior := 0
 		for i := 0; i < u.N(); i++ {
 			cs, cd := e.canonical(e.project(u.Row(i)))

@@ -26,26 +26,24 @@ import (
 // every score to the oracle's projection contract (oracle.Result.Check)
 // and every residual to the oracle's D(s) at 1e-12 relative. It returns the
 // pool's and the serving path's scores for exact checks.
-func coldParityCheck(t *testing.T, c *bezier.Curve, opts Options, u *frame.Frame) (cold, served []float64) {
+func coldParityCheck(t *testing.T, c *bezier.Curve, alpha order.Direction, u *frame.Frame) (cold, served []float64) {
 	t.Helper()
-	return checkColdPaths(t, oracleRows(c, u), c, opts, u)
+	return checkColdPaths(t, oracleRows(c, u), c, alpha, u)
 }
 
 // checkColdPaths is coldParityCheck with the oracle's results for the rows
 // of u already in hand.
-func checkColdPaths(t *testing.T, refs []*oracle.Result, c *bezier.Curve, opts Options, u *frame.Frame) (cold, served []float64) {
+func checkColdPaths(t *testing.T, refs []*oracle.Result, c *bezier.Curve, alpha order.Direction, u *frame.Frame) (cold, served []float64) {
 	t.Helper()
 	n := u.N()
 	for _, workers := range []int{1, 2} {
-		o := opts
-		o.Workers = workers
-		pool := newProjPool(c, u, o)
+		pool := newProjPool(c, u, workers)
 		scores := make([]float64, n)
 		resid := make([]float64, n)
 		pool.project(c, scores, resid, nil, true)
 		pool.close()
 		for i := 0; i < n; i++ {
-			if err := refs[i].Check(scores[i], opts.GridCells); err != nil {
+			if err := refs[i].Check(scores[i], defaultGridCells); err != nil {
 				t.Fatalf("workers=%d row %d: cold pass: %v", workers, i, err)
 			}
 			if d := refs[i].DistAt(scores[i]); math.Abs(resid[i]-d) > 1e-12*(1+d) {
@@ -60,9 +58,9 @@ func checkColdPaths(t *testing.T, refs []*oracle.Result, c *bezier.Curve, opts O
 		}
 	}
 	served = make([]float64, n)
-	identityModel(c, opts).Compile().ScoreFrameRange(served, u, 0, n)
+	identityModel(c, alpha).Compile().ScoreFrameRange(served, u, 0, n)
 	for i := 0; i < n; i++ {
-		if err := refs[i].Check(served[i], opts.GridCells); err != nil {
+		if err := refs[i].Check(served[i], defaultGridCells); err != nil {
 			t.Fatalf("row %d: ScoreFrameRange: %v", i, err)
 		}
 	}
@@ -71,13 +69,13 @@ func checkColdPaths(t *testing.T, refs []*oracle.Result, c *bezier.Curve, opts O
 
 // identityModel wraps c in a serving model whose normaliser is the identity
 // on [0,1]^d, so normalised frames are its raw rows bit for bit.
-func identityModel(c *bezier.Curve, opts Options) *Model {
+func identityModel(c *bezier.Curve, alpha order.Direction) *Model {
 	d := c.Dim()
 	mx := make([]float64, d)
 	for j := range mx {
 		mx[j] = 1
 	}
-	return &Model{Curve: c, Alpha: opts.Alpha, Norm: &stats.Normalizer{Min: make([]float64, d), Max: mx}, opts: opts}
+	return &Model{Curve: c, Alpha: alpha, Norm: &stats.Normalizer{Min: make([]float64, d), Max: mx}}
 }
 
 // TestColdPassMatchesReference is the cold-pass parity property test over
@@ -114,7 +112,7 @@ func TestColdPassMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			coldParityCheck(t, m.Curve, m.opts, m.data)
+			coldParityCheck(t, m.Curve, m.Alpha, m.data)
 		})
 	}
 }
@@ -164,7 +162,7 @@ func TestColdPassEdgeRows(t *testing.T) {
 	}
 	// The fit's pool and the served scorer must both publish the edge
 	// nodes exactly.
-	cold, served := coldParityCheck(t, m.Curve, m.opts.withDefaults(), ef)
+	cold, served := coldParityCheck(t, m.Curve, m.Alpha, ef)
 	for _, scores := range [][]float64{cold, served} {
 		if scores[0] != 0 || scores[2] != 0 {
 			t.Fatalf("start-tangent rows scored %v / %v, want exactly 0", scores[0], scores[2])
@@ -201,7 +199,7 @@ func TestColdPassRandomCurves(t *testing.T) {
 				t.Run(fmt.Sprintf("deg=%d/d=%d/n=%d", deg, dim, n), func(t *testing.T) {
 					m := randParityModel(rng, deg, dim)
 					u := marginFrame(rng, n, dim)
-					cold, served := coldParityCheck(t, m.Curve, m.opts, u)
+					cold, served := coldParityCheck(t, m.Curve, m.Alpha, u)
 					for _, scores := range [][]float64{cold, served} {
 						edges := 0
 						for _, s := range scores {
@@ -246,7 +244,7 @@ func TestColdPassEdgeRowsInterleaved(t *testing.T) {
 			}
 		}
 	}
-	cold, served := coldParityCheck(t, m.Curve, m.opts, u)
+	cold, served := coldParityCheck(t, m.Curve, m.Alpha, u)
 	for _, scores := range [][]float64{cold, served} {
 		for i := 0; i < n; i++ {
 			switch i % 3 {
@@ -282,14 +280,12 @@ func TestProjPoolWarmMatchesProjectWarm(t *testing.T) {
 			const dim, n = 3, 71
 			m := randParityModel(rng, deg, dim)
 			u := marginFrame(rng, n, dim)
-			opts := m.opts
-			opts.Workers = 2
-			pool := newProjPool(m.Curve, u, opts)
+			pool := newProjPool(m.Curve, u, 2)
 			defer pool.close()
 			if len(pool.engines) != 2 {
 				t.Fatalf("pool has %d engines, want 2", len(pool.engines))
 			}
-			ref := newEngine(m.Curve, m.opts)
+			ref := newEngine(m.Curve, defaultGridCells)
 
 			// Honest warm seeds: the previous sweep's own scores.
 			warm := make([]float64, n)
@@ -403,14 +399,14 @@ func TestColdPassBoundarySizes(t *testing.T) {
 		2, 3, 4, 5, 6, 7, // below and at the two-worker stripe threshold
 	} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			coldParityCheck(t, m.Curve, m.opts, full.Slice(0, n))
+			coldParityCheck(t, m.Curve, m.Alpha, full.Slice(0, n))
 		})
 	}
 	// A mid-frame range must agree with the same rows scored alone: every
 	// row's projection is position-independent, so range boundaries cannot
 	// leak into results.
 	lo, hi := 17, 17+ctxPollRows+5
-	sc := identityModel(m.Curve, m.opts).Compile()
+	sc := identityModel(m.Curve, m.Alpha).Compile()
 	whole := make([]float64, full.N())
 	sc.ScoreFrameRange(whole, full, lo, hi)
 	sub := full.Slice(lo, hi)
@@ -466,7 +462,7 @@ func TestScoreFrameRangeMatchesScore(t *testing.T) {
 				if s := per.Score(p); batch[i] != s {
 					t.Fatalf("probe %d: batch %.17g vs Score %.17g", i, batch[i], s)
 				}
-				if err := oc.Project(unitRow(m, p)).Check(batch[i], m.opts.GridCells); err != nil {
+				if err := oc.Project(unitRow(m, p)).Check(batch[i], m.gridCells); err != nil {
 					t.Fatalf("probe %d: batch: %v", i, err)
 				}
 			}
@@ -474,22 +470,22 @@ func TestScoreFrameRangeMatchesScore(t *testing.T) {
 	}
 }
 
-// TestFitColdMatchesReference: a NoWarmStart fit (every iteration runs the
-// cold pass) must publish scores and residuals that meet the oracle's
-// contract on its final curve — the fit-level form of the projection
-// contract.
+// TestFitColdMatchesReference: a fit must publish scores and residuals
+// that meet the oracle's contract on its final curve — the fit-level form
+// of the projection contract. The published scores come from a cold
+// projection of the final curve, however the iterations were warm-started.
 func TestFitColdMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	alpha := order.MustDirection(1, 1, -1, -1)
 	xs, _ := genBezierCloud(rng, 200, alpha, 0.05)
-	m, err := Fit(xs, Options{Alpha: alpha, NoWarmStart: true})
+	m, err := Fit(xs, Options{Alpha: alpha})
 	if err != nil {
 		t.Fatal(err)
 	}
 	oc := oracleCurve(m.Curve)
 	for i, x := range xs {
 		r := oc.Project(unitRow(m, x))
-		if err := r.Check(m.Scores[i], m.opts.GridCells); err != nil {
+		if err := r.Check(m.Scores[i], m.gridCells); err != nil {
 			t.Fatalf("row %d: published score: %v", i, err)
 		}
 		if d := r.DistAt(m.Scores[i]); math.Abs(m.ResidualsSq[i]-d) > 1e-12*(1+d) {

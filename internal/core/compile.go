@@ -17,7 +17,7 @@ import (
 //
 // The projection contract. A score is the minimiser of the row's distance
 // profile D(s) = ‖f(s) − u‖² over s ∈ [0,1] (Eq. 20/22), found from a seed
-// grid of GridCells cells, h = 1/GridCells. Tests hold it to
+// grid of G cells, h = 1/G (see Model). Tests hold it to
 // internal/oracle, an independent dense-scan projector that finds every
 // local minimiser of D, its global minimum D* at s*, and M = max|D″| on
 // [0,1]. On every row:
@@ -56,19 +56,22 @@ type Scorer struct {
 const ctxPollRows = 64
 
 // Compile builds the zero-allocation scorer for m, whose scores meet the
-// projection contract stated on Scorer. It is cheap — O(d·k²) — so
-// per-request compilation is fine; per-row compilation defeats the point. The Scorer references m's curve and normaliser; mutating the
-// model afterwards (refitting in place) invalidates it.
+// projection contract stated on Scorer, on m's seed grid: 32 cells for a
+// fitted model, the document's grid_cells for a loaded one, and 32 for a
+// hand-assembled one. It is cheap — O(d·k²) — so per-request compilation
+// is fine; per-row compilation defeats the point. The Scorer references
+// m's curve and normaliser; mutating the model afterwards (refitting in
+// place) invalidates it.
 func (m *Model) Compile() *Scorer {
-	opts := m.opts
-	if opts.GridCells == 0 {
+	cells := m.gridCells
+	if cells == 0 {
 		// Hand-assembled models (tests, direct struct literals) never went
-		// through Fit or Load; give them the standard projector settings.
-		opts = opts.withDefaults()
+		// through Fit or Load; give them the standard grid.
+		cells = defaultGridCells
 	}
 	sc := &Scorer{
 		model: m,
-		eng:   newEngine(m.Curve, opts),
+		eng:   newEngine(m.Curve, cells),
 		u:     make([]float64, m.Curve.Dim()),
 	}
 	sc.initFastPath()

@@ -55,12 +55,10 @@ func randParityModel(rng *rand.Rand, deg, dim int) *Model {
 		mn[j] = -5 + 10*rng.Float64()
 		mx[j] = mn[j] + 0.1 + 5*rng.Float64()
 	}
-	opts := Options{Alpha: order.MustDirection(signs...)}.withDefaults()
 	return &Model{
 		Curve: bezier.MustNew(pts),
-		Alpha: opts.Alpha,
+		Alpha: order.MustDirection(signs...),
 		Norm:  &stats.Normalizer{Min: mn, Max: mx},
-		opts:  opts,
 	}
 }
 
@@ -78,7 +76,7 @@ func TestCompiledScoreParityProperty(t *testing.T) {
 				m := randParityModel(rng, deg, dim)
 				sc := m.Compile()
 				oc := oracleCurve(m.Curve)
-				cells := m.opts.GridCells
+				const cells = defaultGridCells
 				x := make([]float64, dim)
 				fr := frame.WithCapacity(dim, rowsPer)
 				refs := make([]*oracle.Result, 0, rowsPer)
@@ -124,7 +122,7 @@ func TestCompiledScoreParityFittedModel(t *testing.T) {
 	oc := oracleCurve(m.Curve)
 	for i, x := range xs {
 		got := sc.Score(x)
-		if err := oc.Project(unitRow(m, x)).Check(got, m.opts.GridCells); err != nil {
+		if err := oc.Project(unitRow(m, x)).Check(got, m.gridCells); err != nil {
 			t.Errorf("row %d: compiled: %v", i, err)
 		}
 		// The training scores come from the fit-loop engine and must
@@ -281,7 +279,7 @@ func TestCompileServesLoadedModels(t *testing.T) {
 	sc := loaded.Compile()
 	oc := oracleCurve(loaded.Curve)
 	for i, x := range xs[:20] {
-		if err := oc.Project(unitRow(loaded, x)).Check(sc.Score(x), loaded.opts.GridCells); err != nil {
+		if err := oc.Project(unitRow(loaded, x)).Check(sc.Score(x), loaded.gridCells); err != nil {
 			t.Errorf("row %d: loaded-compiled: %v", i, err)
 		}
 	}

@@ -34,11 +34,10 @@ type engine struct {
 	warmHits int64
 }
 
-// newEngine compiles c for the projection grid in opts. opts must have
-// defaults applied.
-func newEngine(c *bezier.Curve, opts Options) *engine {
+// newEngine compiles c for a seed grid of cells cells.
+func newEngine(c *bezier.Curve, cells int) *engine {
 	e := &engine{
-		cells: opts.GridCells,
+		cells: cells,
 		comp:  bezier.Compile(c),
 	}
 	e.initScratch()
@@ -81,7 +80,7 @@ func (e *engine) recompile(c *bezier.Curve) {
 // Algorithm-1 iteration instead of a fresh grid scan. Between consecutive
 // iterations the curve barely moves, so the previous score almost always
 // sits inside the basin of the new minimiser; safeguarded Newton from there
-// costs a handful of polynomial passes instead of a GridCells-point scan.
+// costs a handful of polynomial passes instead of a grid scan.
 // Validity is checked, not assumed:
 //
 //   - the derivative-sign bracket [sPrev−h, sPrev+h] (h the grid spacing)

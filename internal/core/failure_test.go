@@ -111,20 +111,6 @@ func TestFitAntiCorrelatedAttributes(t *testing.T) {
 	}
 }
 
-func TestFitTinyClampEps(t *testing.T) {
-	rng := rand.New(rand.NewSource(602))
-	alpha := order.MustDirection(1, 1)
-	xs, _ := genBezierCloud(rng, 60, alpha, 0.02)
-	m, err := Fit(xs, Options{Alpha: alpha, ClampEps: 1e-9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertFinite(t, m)
-	if !m.StrictlyMonotone() {
-		t.Errorf("tiny clamp eps broke monotonicity")
-	}
-}
-
 func TestFitManyDuplicateGroups(t *testing.T) {
 	// Heavy ties: five distinct values, each repeated 20 times.
 	alpha := order.MustDirection(1, 1)

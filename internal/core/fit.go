@@ -266,9 +266,9 @@ func fitRestarts(f *frame.Frame, opts Options, par int) ([]*Model, error) {
 
 // fitPrepared is the Algorithm-1 iteration loop over a prepared (normalised,
 // shared, read-only) input. All per-iteration state — the projection worker
-// pool with its per-worker engines, the control-point work matrices, the
-// eigen scratch, and the warm-start score cache — is allocated once up
-// front, so the loop itself is allocation-free however many iterations run.
+// pool with its per-worker engines, the control-point work matrices and
+// the eigen scratch — is allocated once up front, so the loop itself is
+// allocation-free however many iterations run.
 func fitPrepared(sh *fitShared, opts Options) (*Model, error) {
 	u := sh.u
 	X := sh.X
@@ -279,10 +279,10 @@ func fitPrepared(sh *fitShared, opts Options) (*Model, error) {
 	curve := initCurve(opts, d, k)
 
 	m := &Model{
-		Alpha: opts.Alpha,
-		Norm:  sh.norm,
-		opts:  opts,
-		data:  u,
+		Alpha:     opts.Alpha,
+		Norm:      sh.norm,
+		gridCells: defaultGridCells,
+		data:      u,
 	}
 
 	scores := make([]float64, n)
@@ -295,16 +295,10 @@ func fitPrepared(sh *fitShared, opts Options) (*Model, error) {
 
 	// The projection worker pool lives for the whole fit run: its engines
 	// (and their shared compiled curve coefficients) persist across all
-	// iterations, and warmScores carries each row's previous score into the
-	// next iteration's warm-started projection.
-	pool := newProjPool(curve, u, opts)
+	// iterations. scores carries each row's previous score into the next
+	// iteration's warm-started projection, which overwrites it in place.
+	pool := newProjPool(curve, u, opts.Workers)
 	defer pool.close()
-	useWarm := !opts.NoWarmStart
-	var warmScores []float64
-	if useWarm {
-		warmScores = make([]float64, n)
-	}
-	haveWarm := false
 
 	// Fit telemetry: the per-iteration trace, warm-start deltas and stage
 	// times are collected as the loop runs.
@@ -336,7 +330,7 @@ func fitPrepared(sh *fitShared, opts Options) (*Model, error) {
 	var G *mat.Dense
 	switch opts.Updater {
 	case UpdaterPseudoInverse:
-		exact = newBoxStep(k, opts.ClampEps)
+		exact = newBoxStep(k, clampEps)
 		accel = newAnderson(d * kp1)
 		gd = make([]float64, d*kp1)
 		G = mat.NewDense(d, kp1, gd)
@@ -353,18 +347,14 @@ func fitPrepared(sh *fitShared, opts Options) (*Model, error) {
 
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		// Score step (Eq. 22): project every observation onto the curve,
-		// warm-started from the previous iteration's scores when available.
+		// warm-started from the previous iteration's scores after the first.
 		t0 := time.Now()
-		if haveWarm {
-			pool.project(curve, scores, resid, warmScores, true)
+		if iter > 0 {
+			pool.project(curve, scores, resid, scores, true)
 			diag.Stages.RefineNs += time.Since(t0).Nanoseconds()
 		} else {
 			pool.project(curve, scores, resid, nil, true)
 			diag.Stages.SeedNs += time.Since(t0).Nanoseconds()
-		}
-		if useWarm {
-			copy(warmScores, scores)
-			haveWarm = true
 		}
 		J := sum(resid)
 		// An extrapolated curve is adopted only when it lowers J by at
@@ -399,9 +389,7 @@ func fitPrepared(sh *fitShared, opts Options) (*Model, error) {
 			accel.reset()
 			plain = andersonRestart - 1
 			matIntoCurve(G, curve)
-			if useWarm {
-				copy(warmScores, bestScores)
-			}
+			copy(scores, bestScores)
 			continue
 		}
 		if accepted {
@@ -551,13 +539,13 @@ func initCurve(opts Options, d, k int) *bezier.Curve {
 		if opts.initInner != nil {
 			copy(p, opts.initInner[r-1])
 			for j := range p {
-				p[j] = clampTo(p[j], opts.ClampEps, 1-opts.ClampEps)
+				p[j] = clampTo(p[j], clampEps, 1-clampEps)
 			}
 		} else {
 			t := float64(r) / float64(k)
 			for j := 0; j < d; j++ {
 				p[j] = p0[j] + t*(pk[j]-p0[j]) + 0.05*(rng.Float64()-0.5)
-				p[j] = clampTo(p[j], opts.ClampEps, 1-opts.ClampEps)
+				p[j] = clampTo(p[j], clampEps, 1-clampEps)
 			}
 		}
 		pts[r] = p
@@ -566,7 +554,7 @@ func initCurve(opts Options, d, k int) *bezier.Curve {
 }
 
 // constrainCurve re-pins the end points and clamps interior control points
-// into [eps, 1−eps]^d after an unconstrained update step.
+// into [ε, 1−ε]^d after an unconstrained update step.
 func constrainCurve(c *bezier.Curve, opts Options, d, k int) {
 	for j, s := range opts.Alpha {
 		c.Points[0][j] = (1 - s) / 2
@@ -574,7 +562,7 @@ func constrainCurve(c *bezier.Curve, opts Options, d, k int) {
 	}
 	for r := 1; r < k; r++ {
 		for j := 0; j < d; j++ {
-			c.Points[r][j] = clampTo(c.Points[r][j], opts.ClampEps, 1-opts.ClampEps)
+			c.Points[r][j] = clampTo(c.Points[r][j], clampEps, 1-clampEps)
 		}
 	}
 }
@@ -608,12 +596,12 @@ type projPool struct {
 	canon   bool      // make every score canonical (engine.canonical)
 }
 
-// newProjPool builds the pool for u with the worker count opts asks for,
-// spawning the extra goroutines immediately. Inputs under four rows per
-// worker stay serial.
-func newProjPool(c *bezier.Curve, u *frame.Frame, opts Options) *projPool {
-	p := &projPool{u: u, engines: []*engine{newEngine(c, opts)}}
-	workers := resolveWorkers(opts.Workers)
+// newProjPool builds the pool for u on the default seed grid, with
+// workers resolved as Options.Workers is, spawning the extra goroutines
+// immediately. Inputs under four rows per worker stay serial.
+func newProjPool(c *bezier.Curve, u *frame.Frame, workers int) *projPool {
+	p := &projPool{u: u, engines: []*engine{newEngine(c, defaultGridCells)}}
+	workers = resolveWorkers(workers)
 	if workers > 1 && u.N() >= 4*workers {
 		for w := 1; w < workers; w++ {
 			e := p.engines[0].clone()
@@ -637,10 +625,11 @@ func newProjPool(c *bezier.Curve, u *frame.Frame, opts Options) *projPool {
 // project runs one score step against c: the shared compiled coefficients
 // are rebuilt in place, then the rows fan out to the parked workers (the
 // calling goroutine takes stripe 0). warm is the previous iteration's score
-// per row, or nil for a cold pass; rows whose warm basin fails validation
-// fall back to the cold projection individually. canon makes every score
-// canonical (engine.canonical), which the iterations of the fit need and
-// its final, published projection does not.
+// per row, or nil for a cold pass; it may be scores itself, since each row
+// reads its warm score before writing its new one. Rows whose warm basin
+// fails validation fall back to the cold projection individually. canon
+// makes every score canonical (engine.canonical), which the iterations of
+// the fit need and its final, published projection does not.
 func (p *projPool) project(c *bezier.Curve, scores, resid, warm []float64, canon bool) {
 	p.engines[0].recompile(c)
 	p.scores, p.resid, p.warm, p.canon = scores, resid, warm, canon
@@ -668,10 +657,10 @@ func (p *projPool) project(c *bezier.Curve, scores, resid, warm []float64, canon
 }
 
 // runRange projects rows [lo, hi) through e, trying the warm start first
-// when one is available. Cold passes (the first iteration, NoWarmStart
-// runs, and the final best-curve projection) grid-seed every row; warm rows
-// are seeded from their previous score and never scan the grid unless the
-// basin check fails.
+// when one is available. Cold passes (the first iteration and the final
+// best-curve projection) grid-seed every row; warm rows are seeded from
+// their previous score and never scan the grid unless the basin check
+// fails.
 func (p *projPool) runRange(e *engine, lo, hi int) {
 	warm := p.warm
 	if warm == nil {

@@ -71,8 +71,6 @@ func TestFitValidation(t *testing.T) {
 		{"one row", good[:1], Options{Alpha: alpha}},
 		{"bad degree", good, Options{Alpha: alpha, Degree: 9}},
 		{"negative maxiter", good, Options{Alpha: alpha, MaxIter: -1}},
-		{"bad gridcells", good, Options{Alpha: alpha, GridCells: 1}},
-		{"bad clamp", good, Options{Alpha: alpha, ClampEps: 0.7}},
 		{"NaN data", [][]float64{{math.NaN(), 0}, {1, 1}}, Options{Alpha: alpha}},
 	}
 	for _, c := range cases {

@@ -46,7 +46,7 @@ type Updater int
 
 const (
 	// UpdaterPseudoInverse takes the exact minimiser of Eq. 26 under the
-	// box [ClampEps, 1−ClampEps] the interior control points live in: one
+	// box [ε, 1−ε] (ε = 1e-3) the interior control points live in: one
 	// small box-constrained quadratic per coordinate, solved exactly, so
 	// the step never raises the fixed-score objective. The outer iteration
 	// is Anderson-accelerated with a J safeguard. Default.
@@ -69,7 +69,8 @@ func (u Updater) String() string {
 }
 
 // Options configures Fit. The zero value is not usable: Alpha is required.
-// Every other field has a sensible default applied by withDefaults.
+// Every other field has a sensible default applied by withDefaults. Options
+// is an input of the fit only: the Model it produces keeps none of it.
 type Options struct {
 	// Alpha is the direction vector of Eq. 3: one ±1 entry per attribute
 	// (+1 benefit, −1 cost). Required.
@@ -87,17 +88,9 @@ type Options struct {
 	// than this between iterations. Default 1e-8.
 	Tol float64
 
-	// GridCells is the coarse-grid resolution used to seed the projector.
-	// Default 32.
-	GridCells int
-
 	// Updater selects the control-point update. Default
 	// UpdaterPseudoInverse.
 	Updater Updater
-
-	// ClampEps keeps inner control points inside [ClampEps, 1−ClampEps]
-	// so the Hu et al. monotonicity condition holds strictly. Default 1e-3.
-	ClampEps float64
 
 	// Seed drives the deterministic jitter of the control-point
 	// initialisation. Default 1.
@@ -130,18 +123,6 @@ type Options struct {
 	// either degree of parallelism.
 	Workers int
 
-	// NoWarmStart disables the warm-started projection of the fit loop.
-	// WarmStart is the default: from the second Algorithm-1 iteration on,
-	// each row's projection seeds safeguarded Newton from the row's score
-	// in the previous iteration, falling back to the full grid scan for any
-	// row whose warm basin fails validation (see engine.projectWarm). The
-	// warm and cold fits agree to ~1e-9 in the final scores with the final
-	// objective no worse (pinned by test); set NoWarmStart to force the
-	// cold grid-seeded projection in every iteration. Serving (Scorer,
-	// Model.Score) always projects cold — there is no previous iterate to
-	// warm-start from — so this option never affects scoring.
-	NoWarmStart bool
-
 	// restartIndex and restartTotal thread the multi-start bookkeeping
 	// into each restart's fitPrepared run for its diagnostics; initInner,
 	// when non-nil, holds that restart's initial interior control points
@@ -163,12 +144,6 @@ func (o Options) withDefaults() Options {
 	if o.Tol == 0 {
 		o.Tol = 1e-8
 	}
-	if o.GridCells == 0 {
-		o.GridCells = 32
-	}
-	if o.ClampEps == 0 {
-		o.ClampEps = 1e-3
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
@@ -183,10 +158,19 @@ const (
 	maxDegree = 6
 )
 
-// MaxGridCells bounds the projection grid. Shared by Options.validate and
-// Load so a fitted model always round-trips through Save/Load: anything
-// Fit accepts, Load accepts.
-const MaxGridCells = 1 << 16
+// clampEps is ε of Prop. 1's interior box: Fit holds every inner control
+// point inside [ε, 1−ε]^d, so the Hu et al. monotonicity condition holds
+// strictly.
+const clampEps = 1e-3
+
+// defaultGridCells is the seed grid of the projector: every fit projects
+// on it, and so does every model that names no grid of its own.
+// maxGridCells bounds the grid a loaded rule may name, since a huge grid
+// is a CPU bomb per scored row.
+const (
+	defaultGridCells = 32
+	maxGridCells     = 1 << 16
+)
 
 func (o Options) validate(nRows, dim int) error {
 	if len(o.Alpha) == 0 {
@@ -207,17 +191,15 @@ func (o Options) validate(nRows, dim int) error {
 	if o.MaxIter < 1 {
 		return fmt.Errorf("core: MaxIter must be positive, got %d", o.MaxIter)
 	}
-	if o.GridCells < 2 || o.GridCells > MaxGridCells {
-		return fmt.Errorf("core: GridCells %d out of [2, %d]", o.GridCells, MaxGridCells)
-	}
-	if o.ClampEps <= 0 || o.ClampEps >= 0.5 {
-		return fmt.Errorf("core: ClampEps %v out of (0, 0.5)", o.ClampEps)
-	}
 	return nil
 }
 
 // Model is a fitted RPC. Scores live in [0,1] with 1 the "best" corner
-// (1+α)/2 of the hypercube and 0 the "worst".
+// (1+α)/2 of the hypercube and 0 the "worst". The ranking rule is the
+// curve, the direction and the normaliser, plus the seed grid its scores
+// are projected on: 32 cells for a fitted model, the rule document's value
+// for a loaded one. A model keeps nothing else of the Options it was
+// fitted with.
 type Model struct {
 	// Curve is the fitted Bézier curve in normalised [0,1]^d space.
 	Curve *bezier.Curve
@@ -250,8 +232,8 @@ type Model struct {
 	// persists it in the model's metadata envelope instead.
 	FitDiag *FitDiagnostics
 
-	opts Options
-	data *frame.Frame // normalised training rows, retained for diagnostics
+	gridCells int          // seed grid of the projector; 0 means defaultGridCells
+	data      *frame.Frame // normalised training rows, retained for diagnostics
 
 	// scorers recycles compiled scorers for Model.Score, which must stay
 	// safe for concurrent use while a Scorer (owning scratch) is not.
@@ -316,10 +298,10 @@ func (m *Model) ControlPointsOriginal() [][]float64 {
 // diagnostics are sized by the training set.
 func (m *Model) ServingCopy() *Model {
 	return &Model{
-		Curve: m.Curve,
-		Alpha: m.Alpha,
-		Norm:  m.Norm,
-		opts:  m.opts,
+		Curve:     m.Curve,
+		Alpha:     m.Alpha,
+		Norm:      m.Norm,
+		gridCells: m.gridCells,
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"rpcrank/internal/dataset"
 	"rpcrank/internal/frame"
 	"rpcrank/internal/oracle"
+	"rpcrank/internal/order"
 )
 
 // oracleCurve tabulates c for the oracle at its default resolution.
@@ -60,8 +61,7 @@ func rawRow(m *Model, u []float64) []float64 {
 // grid (rows where clause (b) of the contract does not apply).
 func checkModelPaths(t *testing.T, m *Model, u *frame.Frame) (ties int) {
 	t.Helper()
-	opts := m.opts.withDefaults()
-	cells := opts.GridCells
+	const cells = defaultGridCells
 	refs := oracleRows(m.Curve, u)
 	h := 1 / float64(cells)
 	for _, r := range refs {
@@ -81,8 +81,8 @@ func checkModelPaths(t *testing.T, m *Model, u *frame.Frame) (ties int) {
 		}
 	}
 
-	checkColdPaths(t, refs, m.Curve, opts, u)
-	e := newEngine(m.Curve, opts)
+	checkColdPaths(t, refs, m.Curve, m.Alpha, u)
+	e := newEngine(m.Curve, cells)
 	for i, r := range refs {
 		s, d := e.project(u.Row(i))
 		if err := r.Check(s, cells); err != nil {
@@ -108,8 +108,7 @@ func checkModelPaths(t *testing.T, m *Model, u *frame.Frame) (ties int) {
 // bare engine, Scorer.Score and Model.Score are checked.
 func checkProp1(t *testing.T, rng *rand.Rand, m *Model, pairs int) {
 	t.Helper()
-	opts := m.opts.withDefaults()
-	e := newEngine(m.Curve, opts)
+	e := newEngine(m.Curve, defaultGridCells)
 	sc := m.Compile()
 	d := m.Dim()
 	uy, ux := make([]float64, d), make([]float64, d)
@@ -193,10 +192,9 @@ func TestOracleDifferentialRandom(t *testing.T) {
 // meet clause (a).
 func TestOracleNearTieRow(t *testing.T) {
 	c := bezier.MustNew([][]float64{{0, 0}, {0.3365, 0.8843}, {0.9030, 0.9392}, {1, 1}})
-	opts := Options{}.withDefaults()
-	m := identityModel(c, opts)
+	m := identityModel(c, order.MustDirection(1, 1))
 	u := frame.MustFromRows([][]float64{{0.9362, 1.1036}})
 	if ties := checkModelPaths(t, m, u); ties != 1 {
-		t.Fatalf("row is not a near tie at a %d-cell grid", opts.GridCells)
+		t.Fatalf("row is not a near tie at a %d-cell grid", defaultGridCells)
 	}
 }

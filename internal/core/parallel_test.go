@@ -86,7 +86,7 @@ func BenchmarkProjectAllSerialVsParallel(b *testing.B) {
 			name = "allcpus"
 		}
 		b.Run(name, func(b *testing.B) {
-			pool := newProjPool(m.Curve, m.data, Options{Alpha: alpha, Workers: workers}.withDefaults())
+			pool := newProjPool(m.Curve, m.data, workers)
 			defer pool.close()
 			for i := 0; i < b.N; i++ {
 				pool.project(m.Curve, scores, resid, nil, true)

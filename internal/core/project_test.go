@@ -28,13 +28,12 @@ func randMonotoneCubic(rng *rand.Rand, d int) *bezier.Curve {
 // the returned distance is the oracle's D at that score.
 func TestProjectAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
-	opts := Options{}.withDefaults()
 	for trial := 0; trial < 40; trial++ {
 		c := randMonotoneCubic(rng, 3)
 		x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
 		r := oracleCurve(c).Project(x)
-		s, d := newEngine(c, opts).project(x)
-		if err := r.Check(s, opts.GridCells); err != nil {
+		s, d := newEngine(c, defaultGridCells).project(x)
+		if err := r.Check(s, defaultGridCells); err != nil {
 			t.Errorf("trial %d: %v", trial, err)
 		}
 		if want := r.DistAt(s); math.Abs(d-want) > 1e-12*(1+want) {
@@ -49,15 +48,14 @@ func TestProjectionDistanceQuickProperty(t *testing.T) {
 	// oracle's contract.
 	rng := rand.New(rand.NewSource(203))
 	c := randMonotoneCubic(rng, 2)
-	opts := Options{}.withDefaults()
-	e := newEngine(c, opts)
+	e := newEngine(c, defaultGridCells)
 	oc := oracleCurve(c)
 	f := func(rawX, rawY, rawS float64) bool {
 		x := []float64{fold(rawX), fold(rawY)}
 		s := fold(rawS)
 		ps, projD := e.project(x)
 		r := oc.Project(x)
-		if err := r.Check(ps, opts.GridCells); err != nil {
+		if err := r.Check(ps, defaultGridCells); err != nil {
 			t.Log(err)
 			return false
 		}

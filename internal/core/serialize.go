@@ -46,7 +46,7 @@ func (m *Model) Save(w io.Writer) error {
 		NormMin:       append([]float64{}, m.Norm.Min...),
 		NormMax:       append([]float64{}, m.Norm.Max...),
 		Projector:     "newton",
-		GridCells:     m.opts.GridCells,
+		GridCells:     m.gridCells,
 	}
 	for i, p := range m.Curve.Points {
 		out.ControlPoints[i] = append([]float64{}, p...)
@@ -57,12 +57,14 @@ func (m *Model) Save(w io.Writer) error {
 }
 
 // Load reads a model saved by Save. The returned model scores observations
-// identically to the original; training-time diagnostics (Scores,
-// ResidualsSq, Objective) are empty. The curve must have a degree Fit
-// accepts (minDegree to maxDegree). Every projector name — "newton", the
-// retired "gss", "brent" and "quintic", an unknown name or none at all —
-// loads as grid-seeded Newton. Legacy "quintic" rules score within 4.4e-16
-// of the exact quintic roots they were once served by.
+// identically to the original, on the seed grid the document names
+// (grid_cells; 32 when absent, so a legacy 48-cell rule keeps its 48);
+// training-time diagnostics (Scores, ResidualsSq, Objective) are empty.
+// The curve must have a degree Fit accepts (minDegree to maxDegree).
+// Every projector name — "newton", the retired "gss", "brent" and
+// "quintic", an unknown name or none at all — loads as grid-seeded Newton.
+// Legacy "quintic" rules score within 4.4e-16 of the exact quintic roots
+// they were once served by.
 func Load(r io.Reader) (*Model, error) {
 	var in modelJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -110,21 +112,24 @@ func Load(r io.Reader) (*Model, error) {
 	}
 	// The projector settings come from an untrusted document: 0 means
 	// "use the default", anything else must be usable — a negative grid
-	// panics the grid seed and a huge one is a CPU bomb per scored row. The
-	// bounds match Options.validate, so every fitted model round-trips. A
-	// legacy proj_tol is ignored, but one out of its old range still marks
-	// the document as malformed.
-	if in.GridCells != 0 && (in.GridCells < 2 || in.GridCells > MaxGridCells) {
-		return nil, fmt.Errorf("core: grid_cells %d out of [2, %d]", in.GridCells, MaxGridCells)
+	// panics the grid seed and a huge one is a CPU bomb per scored row.
+	// Every fitted model's 32 cells is inside the bounds, so it round-trips.
+	// A legacy proj_tol is ignored, but one out of its old range still
+	// marks the document as malformed.
+	cells := in.GridCells
+	if cells == 0 {
+		cells = defaultGridCells
+	}
+	if cells < 2 || cells > maxGridCells {
+		return nil, fmt.Errorf("core: grid_cells %d out of [2, %d]", in.GridCells, maxGridCells)
 	}
 	if in.ProjTol != 0 && !(in.ProjTol > 0 && in.ProjTol <= 1) {
 		return nil, fmt.Errorf("core: proj_tol %v out of (0, 1]", in.ProjTol)
 	}
-	opts := Options{Alpha: alpha, GridCells: in.GridCells}.withDefaults()
 	return &Model{
-		Curve: curve,
-		Alpha: alpha,
-		Norm:  &stats.Normalizer{Min: in.NormMin, Max: in.NormMax},
-		opts:  opts,
+		Curve:     curve,
+		Alpha:     alpha,
+		Norm:      &stats.Normalizer{Min: in.NormMin, Max: in.NormMax},
+		gridCells: cells,
 	}, nil
 }

@@ -118,6 +118,53 @@ func TestLoadDegreeCap(t *testing.T) {
 	}
 }
 
+// TestModelCarriesGridCells: a fitted model projects on the default grid,
+// a loaded rule on the grid its document names (the legacy 48-cell rule
+// keeps 48), and ServingCopy, Compile and Save carry that grid on.
+func TestModelCarriesGridCells(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	alpha := order.MustDirection(1, -1)
+	xs, _ := genBezierCloud(rng, 40, alpha, 0.05)
+	fitted, err := Fit(xs, Options{Alpha: alpha})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := os.ReadFile("testdata/legacy/rule-unknown-projector.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := Load(bytes.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		m    *Model
+		want int
+	}{{"fitted", fitted, defaultGridCells}, {"legacy", legacy, 48}} {
+		for path, cells := range map[string]int{
+			"model":       c.m.gridCells,
+			"ServingCopy": c.m.ServingCopy().gridCells,
+			"Compile":     c.m.Compile().eng.cells,
+		} {
+			if cells != c.want {
+				t.Errorf("%s: %s grid %d, want %d", c.name, path, cells, c.want)
+			}
+		}
+		var buf bytes.Buffer
+		if err := c.m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var out modelJSON
+		if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.GridCells != c.want {
+			t.Errorf("%s: Save wrote grid_cells %d, want %d", c.name, out.GridCells, c.want)
+		}
+	}
+}
+
 // TestLoadIgnoresProjectorName: every projector name — "newton", the
 // retired "gss", "brent" and "quintic", an unknown one, or none — loads as
 // the one projector, at degrees 2, 3 and 6: the rule scores exactly like
@@ -229,7 +276,7 @@ func TestLoadLegacyDocuments(t *testing.T) {
 					if d := math.Abs(got - probe.Scores[i]); !(d <= tol) {
 						t.Errorf("row %d: %s %.17g, recorded %.17g (|Δ| %.3g > %g)", i, path, got, probe.Scores[i], d, tol)
 					}
-					if err := ref.Check(got, m.opts.GridCells); err != nil {
+					if err := ref.Check(got, m.gridCells); err != nil {
 						t.Errorf("row %d: %s: %v", i, path, err)
 					}
 				}

@@ -29,14 +29,13 @@ type FitIteration struct {
 
 // FitStageNanos is the stage time of a fit run in nanoseconds, each stage
 // read from two clock reads per iteration. SeedNs is the wall time of the
-// cold, grid-seeded projection passes (the first iteration, every
-// NoWarmStart iteration, and the final best-curve projection), refinement
-// included; RefineNs is the wall time of the warm-started projection
-// passes; UpdateNs is the wall time of the control-point steps (Eq. 21:
-// basis fill, Gram and X·MZᵀ products, the exact box step with Anderson's
-// extrapolation or the Richardson update, and the box clamp). GemmNs is
-// never written and stays 0; the field is kept so persisted diagnostics
-// and their readers keep their shape.
+// cold, grid-seeded projection passes (the first iteration and the final
+// best-curve projection), refinement included; RefineNs is the wall time
+// of the warm-started projection passes; UpdateNs is the wall time of the
+// control-point steps (Eq. 21: basis fill, Gram and X·MZᵀ products, the
+// exact box step with Anderson's extrapolation or the Richardson update,
+// and the box clamp). GemmNs is never written and stays 0; the field is
+// kept so persisted diagnostics and their readers keep their shape.
 type FitStageNanos struct {
 	GemmNs   int64 `json:"gemm_ns,omitempty"`
 	SeedNs   int64 `json:"seed_ns,omitempty"`

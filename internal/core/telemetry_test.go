@@ -90,13 +90,11 @@ func TestFitDiagnosticsCollected(t *testing.T) {
 func TestFitStageTiming(t *testing.T) {
 	alpha := order.MustDirection(1, 1, -1)
 	for _, tc := range []struct {
-		name       string
-		opts       Options
-		wantRefine bool
+		name string
+		opts Options
 	}{
-		{"warm", Options{Alpha: alpha, Seed: 5}, true},
-		{"cold", Options{Alpha: alpha, Seed: 5, NoWarmStart: true}, false},
-		{"restarts", Options{Alpha: alpha, Seed: 5, Restarts: 3}, true},
+		{"warm", Options{Alpha: alpha, Seed: 5}},
+		{"restarts", Options{Alpha: alpha, Seed: 5, Restarts: 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, err := Fit(telemetryRows(48), tc.opts)
@@ -110,11 +108,8 @@ func TestFitStageTiming(t *testing.T) {
 			if st.SeedNs <= 0 {
 				t.Errorf("SeedNs = %d, want > 0", st.SeedNs)
 			}
-			if tc.wantRefine && st.RefineNs <= 0 {
+			if st.RefineNs <= 0 {
 				t.Errorf("RefineNs = %d, want > 0 on a warm-started fit", st.RefineNs)
-			}
-			if !tc.wantRefine && st.RefineNs != 0 {
-				t.Errorf("RefineNs = %d, want 0 on a NoWarmStart fit", st.RefineNs)
 			}
 			if st.UpdateNs <= 0 {
 				t.Errorf("UpdateNs = %d, want > 0 on a fit of %d iterations", st.UpdateNs, m.Iterations)
@@ -152,29 +147,6 @@ func TestFitUpdateSkippedOnLastIteration(t *testing.T) {
 	}
 	if len(m.ConditionNumbers) != 2 {
 		t.Errorf("3-iteration fit recorded %d condition numbers, want 2", len(m.ConditionNumbers))
-	}
-}
-
-func TestFitDiagnosticsNoWarmStart(t *testing.T) {
-	m, err := Fit(telemetryRows(48), Options{
-		Alpha:       order.MustDirection(1, 1, -1),
-		Seed:        5,
-		NoWarmStart: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := m.FitDiag
-	if d == nil {
-		t.Fatal("FitDiag is nil")
-	}
-	for _, it := range d.Trace {
-		if it.WarmRows != 0 || it.WarmHits != 0 {
-			t.Errorf("cold run iteration %d reports warm rows/hits %d/%d", it.Iter, it.WarmRows, it.WarmHits)
-		}
-	}
-	if d.WarmStartHitRate != 0 {
-		t.Errorf("cold run hit rate = %v, want 0", d.WarmStartHitRate)
 	}
 }
 

@@ -1,9 +1,9 @@
 package core
 
-// Tests of the incremental projection subsystem: warm-vs-cold fit parity,
-// deterministic parallel multi-start, shared-frame concurrency (exercised
-// under the -race CI job), and the iteration-flat allocation contract of
-// the fit loop.
+// Tests of the incremental projection subsystem: warm-vs-cold projection
+// parity, deterministic parallel multi-start, shared-frame concurrency
+// (exercised under the -race CI job), and the iteration-flat allocation
+// contract of the fit loop.
 
 import (
 	"bytes"
@@ -17,51 +17,6 @@ import (
 	"rpcrank/internal/frame"
 	"rpcrank/internal/order"
 )
-
-// TestFitWarmStartMatchesCold pins the warm-start convergence contract:
-// across degrees, the warm-started fit must land within 1e-9 of the cold
-// fit's final scores with a final objective no worse.
-func TestFitWarmStartMatchesCold(t *testing.T) {
-	cases := []struct {
-		name string
-		deg  int
-		seed int64
-	}{
-		{"newton", 3, 12},
-		{"newton-deg4", 4, 14},
-		{"newton-deg2", 2, 15},
-		{"newton-deg5", 5, 16},
-		{"newton-deg6", 6, 17},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(tc.seed))
-			alpha := order.MustDirection(1, 1, -1)
-			xs, _ := genBezierCloud(rng, 300, alpha, 0.03)
-			opts := Options{Alpha: alpha, Degree: tc.deg}
-			warm, err := Fit(xs, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts.NoWarmStart = true
-			cold, err := Fit(xs, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range cold.Scores {
-				if d := math.Abs(warm.Scores[i] - cold.Scores[i]); d > 1e-9 {
-					t.Fatalf("score %d diverged by %g: warm %.17g cold %.17g",
-						i, d, warm.Scores[i], cold.Scores[i])
-				}
-			}
-			warmJ := sum(warm.ResidualsSq)
-			coldJ := sum(cold.ResidualsSq)
-			if warmJ > coldJ+1e-9*(1+coldJ) {
-				t.Fatalf("warm objective %.17g worse than cold %.17g", warmJ, coldJ)
-			}
-		})
-	}
-}
 
 // TestProjectWarmAgreesFromAnyStart: on the unimodal profiles a fitted
 // monotone curve produces, a warm projection that validates its basin must
@@ -84,7 +39,7 @@ func TestProjectWarmAgreesFromAnyStart(t *testing.T) {
 		fitted[i] = m.data.Row(i)
 	}
 	t.Run("fitted/newton", func(t *testing.T) {
-		checkWarmAgreesFromAnyStart(t, newEngine(m.Curve, m.opts), fitted)
+		checkWarmAgreesFromAnyStart(t, newEngine(m.Curve, m.gridCells), fitted)
 	})
 	// Other degrees take the collapsed-profile newtonRefine warm path and
 	// fall back to projectSeeded instead of the cubic register kernel.
@@ -94,7 +49,7 @@ func TestProjectWarmAgreesFromAnyStart(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkWarmAgreesFromAnyStart(t, newEngine(md.Curve, md.opts), fitted)
+			checkWarmAgreesFromAnyStart(t, newEngine(md.Curve, md.gridCells), fitted)
 		})
 	}
 
@@ -110,7 +65,7 @@ func TestProjectWarmAgreesFromAnyStart(t *testing.T) {
 			}
 		}
 		t.Run(fmt.Sprintf("cloud/d=%d/newton", d), func(t *testing.T) {
-			checkWarmAgreesFromAnyStart(t, newEngine(c, Options{}.withDefaults()), rows)
+			checkWarmAgreesFromAnyStart(t, newEngine(c, defaultGridCells), rows)
 		})
 	}
 }
@@ -358,8 +313,7 @@ func BenchmarkProjectAllWarm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := m.opts.withDefaults()
-	pool := newProjPool(m.Curve, m.data, opts)
+	pool := newProjPool(m.Curve, m.data, 0)
 	defer pool.close()
 	n := m.data.N()
 	scores := make([]float64, n)

@@ -264,27 +264,6 @@ func (a *admission) snapshotModels() []admissionModelState {
 	return out
 }
 
-// batchCancel is the per-batch cancellation fanout the pool shares with
-// its shard tasks: the request context (deadline + client disconnect)
-// plus an abort latch any shard can trip, so one shard observing expiry
-// frees the whole batch's workers at their next block boundary. It is
-// only allocated for batches that can actually be cancelled — a request
-// without a deadline or a cancellable parent context never pays for it.
-type batchCancel struct {
-	ctx     context.Context
-	aborted atomic.Bool
-}
-
-func (b *batchCancel) Deadline() (time.Time, bool) { return b.ctx.Deadline() }
-func (b *batchCancel) Done() <-chan struct{}       { return b.ctx.Done() }
-func (b *batchCancel) Value(k any) any             { return b.ctx.Value(k) }
-func (b *batchCancel) Err() error {
-	if b.aborted.Load() {
-		return context.Canceled
-	}
-	return b.ctx.Err()
-}
-
 // parseDeadline extracts the client deadline from the X-Deadline-Ms header
 // or the deadline_ms query parameter (header wins), capped by maxDeadline.
 // It returns 0 when no deadline was requested. The header path allocates

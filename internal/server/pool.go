@@ -39,10 +39,11 @@ var ErrPoolClosed = errors.New("scoring pool closed")
 // request's body and encode its answer, one row range a task (runRanges).
 //
 // Batches carrying a cancellable context (a trace with an armed deadline,
-// or a request context with a Done channel) are cooperatively cancellable:
-// workers poll it every 64 rows and the first shard to observe expiry
-// trips a batch-wide abort, so every worker frees itself mid-batch instead
-// of finishing doomed work. Batches without either signal pay nothing.
+// or a request context with a Done channel — every HTTP request has one)
+// are cooperatively cancellable: workers poll it every 64 rows and the
+// first shard to observe expiry trips a batch-wide abort, so every worker
+// frees itself mid-batch instead of finishing doomed work. Batches without
+// either signal skip the polls.
 type Pool struct {
 	workers int
 	tasks   chan poolTask
@@ -65,8 +66,8 @@ type Pool struct {
 // poolTask is one shard of a batch. A score task (the zero kind) scores
 // rows [lo, hi) of f into out[lo:hi]; the frame and output slice are
 // shared across the batch's tasks, the ranges are disjoint, so no
-// synchronisation beyond done is needed. tr, when non-nil, receives a
-// score span for the shard; bc, when non-nil, carries the batch's
+// synchronisation beyond b.done is needed. tr, when non-nil, receives a
+// score span for the shard; b carries the batch's barrier, panic slot and
 // cancellation state. A decode or encode task runs range lo of st (see
 // runRanges) and carries nothing else.
 type poolTask struct {
@@ -78,9 +79,56 @@ type poolTask struct {
 	lo, hi int
 	shard  int32
 	tr     *obs.Trace
-	bc     *batchCancel
-	done   *sync.WaitGroup
-	fail   *atomic.Pointer[any] // first panic value of the batch, if any
+	b      *scoreBatch
+}
+
+// scoreBatch is the per-batch state ScoreFrame shares with its shard
+// tasks. As a context it is the cancellation fanout: the request context
+// (deadline + client disconnect; nil when the batch cannot be cancelled)
+// plus an abort latch any shard can trip, so one shard observing expiry
+// frees the whole batch's workers at their next block boundary. done is
+// the barrier the caller waits on, fail the first panic value of a worker.
+// It comes from batchPool and goes back only after the batch's last task
+// has called done.Done, so a steady-state batch allocates none of it. A
+// batch whose worker panicked is dropped rather than returned: its panic
+// is re-raised on the caller.
+type scoreBatch struct {
+	ctx     context.Context
+	aborted atomic.Bool
+	done    sync.WaitGroup
+	fail    atomic.Pointer[any]
+}
+
+var batchPool = sync.Pool{New: func() any { return new(scoreBatch) }}
+
+func (b *scoreBatch) Deadline() (time.Time, bool) { return b.ctx.Deadline() }
+func (b *scoreBatch) Done() <-chan struct{}       { return b.ctx.Done() }
+func (b *scoreBatch) Value(k any) any             { return b.ctx.Value(k) }
+func (b *scoreBatch) Err() error {
+	if err := b.ctx.Err(); err != nil {
+		return err
+	}
+	if b.aborted.Load() {
+		return context.Canceled
+	}
+	return nil
+}
+
+// cancelCtx returns b as the context its shards poll, or nil when the
+// batch cannot be cancelled.
+func (b *scoreBatch) cancelCtx() context.Context {
+	if b.ctx == nil {
+		return nil
+	}
+	return b
+}
+
+// release resets b and returns it to batchPool. The caller must be the
+// batch's only remaining user: every task of it has finished.
+func (b *scoreBatch) release() {
+	b.ctx = nil
+	b.aborted.Store(false)
+	batchPool.Put(b)
 }
 
 // taskKind says what a poolTask does.
@@ -139,8 +187,8 @@ func boxPanic(r any) *any { return &r }
 // before done.Done(), so the submitter's Wait is the barrier that makes
 // every shard span visible.
 //
-// Cancellation: when the batch carries a batchCancel, the scorer polls it
-// every 64 rows; a shard that stops short trips the batch-wide abort so
+// Cancellation: when the batch is cancellable, the scorer polls it every
+// 64 rows; a shard that stops short trips the batch-wide abort so
 // sibling shards (and queued ones, which skip scoring entirely) free their
 // workers too. Cancellation lands between rows only, so the borrowed
 // scorer is released back to the model's pool in a clean state.
@@ -152,30 +200,27 @@ func (p *Pool) runTask(t poolTask) {
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			t.fail.CompareAndSwap(nil, boxPanic(r))
+			t.b.fail.CompareAndSwap(nil, boxPanic(r))
 		}
 		if t.tr != nil {
 			t.tr.AddSpan(obs.StageScore, int(t.shard), t0, time.Now())
 		}
 		p.busy.Add(-1)
-		t.done.Done()
+		t.b.done.Done()
 	}()
-	var cctx context.Context
-	if t.bc != nil {
-		if t.bc.Err() != nil {
-			// The batch is already dead: free this worker without touching
-			// a scorer. The shard still records its (empty) span.
-			return
-		}
-		cctx = t.bc
+	cctx := t.b.cancelCtx()
+	if cctx != nil && cctx.Err() != nil {
+		// The batch is already dead: free this worker without touching a
+		// scorer. The shard still records its (empty) span.
+		return
 	}
 	p.faults.Fire(faultinject.PointWorker)
 	sc := t.model.AcquireScorer()
 	n := p.scoreRange(cctx, sc, t.out, t.f, t.lo, t.hi)
 	t.model.ReleaseScorer(sc)
 	t.tr.AddRowsDone(n)
-	if n < t.hi-t.lo && t.bc != nil {
-		t.bc.aborted.Store(true)
+	if n < t.hi-t.lo && cctx != nil {
+		t.b.aborted.Store(true)
 	}
 }
 
@@ -286,7 +331,9 @@ func (p *Pool) Close() {
 // deadline), the batch is cooperatively cancelled at row-block granularity:
 // the error is ctx.Err()'s cause, the returned slice holds only partially
 // valid scores, and the trace's RowsDone reports how far the batch got.
-// After Close, ErrPoolClosed.
+// After Close, ErrPoolClosed. The batch's own state (scoreBatch) is
+// pooled, so with a dst of capacity f.N() a steady-state call allocates
+// nothing, cancellable or not, inline or sharded.
 func (p *Pool) ScoreFrame(ctx context.Context, m *core.Model, f *frame.Frame, dst []float64) ([]float64, error) {
 	tr := obs.FromContext(ctx)
 	n := f.N()
@@ -295,62 +342,61 @@ func (p *Pool) ScoreFrame(ctx context.Context, m *core.Model, f *frame.Frame, ds
 	} else {
 		dst = make([]float64, n)
 	}
-	// One allocation per cancellable batch; requests without a deadline or
-	// a cancellable parent (ctx.Done() == nil) skip it entirely, keeping
-	// the uncontended serving path's alloc count flat.
-	var bc *batchCancel
+	b := batchPool.Get().(*scoreBatch)
 	if ctx != nil && (ctx.Done() != nil || (tr != nil && tr.HasDeadline())) {
-		bc = &batchCancel{ctx: ctx}
-		if err := bc.Err(); err != nil {
+		b.ctx = ctx
+		if err := ctx.Err(); err != nil {
+			b.release()
 			return dst[:0], err
 		}
 	}
+	var err error
 	if p == nil || n < concurrencyThreshold {
-		return p.scoreInlineCancel(bc, tr, m, f, dst)
+		dst, err = p.scoreInlineCancel(b.cancelCtx(), tr, m, f, dst)
+	} else {
+		// Aim for a few chunks per worker so an uneven row mix still
+		// balances, but never chunks so small the channel hops dominate.
+		chunk := (n + 4*p.workers - 1) / (4 * p.workers)
+		if chunk < concurrencyThreshold/2 {
+			chunk = concurrencyThreshold / 2
+		}
+		dst, err = p.scoreSharded(b, tr, m, f, dst, chunk)
 	}
-	// Aim for a few chunks per worker so an uneven row mix still balances,
-	// but never chunks so small the channel hops dominate.
-	chunk := (n + 4*p.workers - 1) / (4 * p.workers)
-	if chunk < concurrencyThreshold/2 {
-		chunk = concurrencyThreshold / 2
-	}
-	return p.scoreSharded(bc, tr, m, f, dst, chunk)
+	b.release()
+	return dst, err
 }
 
 // scoreSharded is the large-batch path: rows go to the workers in ranges
-// of chunk rows over the shared frame, and the caller waits for them all.
-func (p *Pool) scoreSharded(bc *batchCancel, tr *obs.Trace, m *core.Model, f *frame.Frame, dst []float64, chunk int) ([]float64, error) {
+// of chunk rows over the shared frame, and the caller waits on b for them
+// all. A worker's panic is re-raised here, so b is never released after
+// one.
+func (p *Pool) scoreSharded(b *scoreBatch, tr *obs.Trace, m *core.Model, f *frame.Frame, dst []float64, chunk int) ([]float64, error) {
 	n := f.N()
 	p.closeMu.RLock()
 	if p.closed {
 		p.closeMu.RUnlock()
 		return dst[:0], ErrPoolClosed
 	}
-	var done sync.WaitGroup
-	var fail atomic.Pointer[any]
 	shard := int32(0)
 	for lo := 0; lo < n; lo += chunk {
 		hi := lo + chunk
 		if hi > n {
 			hi = n
 		}
-		done.Add(1)
-		p.tasks <- poolTask{model: m, f: f, out: dst, lo: lo, hi: hi, shard: shard, tr: tr, bc: bc, done: &done, fail: &fail}
+		b.done.Add(1)
+		p.tasks <- poolTask{model: m, f: f, out: dst, lo: lo, hi: hi, shard: shard, tr: tr, b: b}
 		shard++
 	}
 	p.closeMu.RUnlock()
-	done.Wait()
-	if r := fail.Load(); r != nil {
+	b.done.Wait()
+	if r := b.fail.Load(); r != nil {
 		// Re-raise the worker's panic on the request goroutine, where the
 		// HTTP server's per-connection recover contains it.
 		panic(*r)
 	}
-	if bc != nil {
-		if err := bc.ctx.Err(); err != nil {
+	if b.ctx != nil {
+		if err := b.Err(); err != nil {
 			return dst, err
-		}
-		if bc.aborted.Load() {
-			return dst, context.Canceled
 		}
 	}
 	return dst, nil
@@ -359,14 +405,10 @@ func (p *Pool) scoreSharded(bc *batchCancel, tr *obs.Trace, m *core.Model, f *fr
 // scoreInlineCancel is the small-batch path: one borrowed scorer on the
 // caller's goroutine, with the same cancellation contract as the sharded
 // path.
-func (p *Pool) scoreInlineCancel(bc *batchCancel, tr *obs.Trace, m *core.Model, f *frame.Frame, dst []float64) ([]float64, error) {
+func (p *Pool) scoreInlineCancel(cctx context.Context, tr *obs.Trace, m *core.Model, f *frame.Frame, dst []float64) ([]float64, error) {
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
-	}
-	var cctx context.Context
-	if bc != nil {
-		cctx = bc
 	}
 	sc := m.AcquireScorer()
 	n := p.scoreRange(cctx, sc, dst, f, 0, f.N())
@@ -376,7 +418,7 @@ func (p *Pool) scoreInlineCancel(bc *batchCancel, tr *obs.Trace, m *core.Model, 
 		tr.AddSpan(obs.StageScore, -1, t0, time.Now())
 	}
 	if n < f.N() {
-		if err := bc.Err(); err != nil {
+		if err := cctx.Err(); err != nil {
 			return dst, err
 		}
 		return dst, context.Canceled

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -53,6 +54,46 @@ func TestScoreFrameAfterCloseReturnsErrPoolClosed(t *testing.T) {
 		t.Fatalf("post-close batch returned %d scores; want none", len(out))
 	}
 	pool.Close() // idempotent
+}
+
+// TestScoreFrameAllocatesNothing: with a dst of the batch's size, a
+// steady-state ScoreFrame allocates nothing, inline (100 rows) or sharded
+// (10,000 rows), under context.Background() or a cancellable context like
+// every HTTP request's. The per-batch state comes from a pool.
+func TestScoreFrameAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	m := poolTestModel(t)
+	pool := NewPool(2)
+	defer pool.Close()
+	cctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, n := range []int{100, 10_000} {
+		rows := make([][]float64, n)
+		for i := range rows {
+			u := float64(i) / float64(n-1)
+			rows[i] = []float64{10 * u, 5*u*u + 1, 3 - 2*u}
+		}
+		f := frame.MustFromRows(rows)
+		dst := make([]float64, n)
+		for _, c := range []struct {
+			name string
+			ctx  context.Context
+		}{{"background", context.Background()}, {"cancellable", cctx}} {
+			t.Run(fmt.Sprintf("rows=%d/%s", n, c.name), func(t *testing.T) {
+				score := func() {
+					if _, err := pool.ScoreFrame(c.ctx, m, f, dst); err != nil {
+						t.Fatal(err)
+					}
+				}
+				score()
+				if allocs := testing.AllocsPerRun(20, score); allocs != 0 {
+					t.Errorf("%v allocs per batch, want 0", allocs)
+				}
+			})
+		}
+	}
 }
 
 func TestWorkerPanicSurfacesOnCallerNotWorker(t *testing.T) {

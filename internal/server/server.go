@@ -738,9 +738,7 @@ func (s *Server) fitRows(w http.ResponseWriter, name string, req *FitRequest) {
 		// Restarts > 1 core.Fit also runs the restarts concurrently, at
 		// most Workers wide, splitting these workers between them — the
 		// parallelism never changes the fitted model, so /v1/models stays
-		// deterministic per seed. (The fit additionally warm-starts its
-		// projection step; that is the default fit path, deterministic per
-		// seed too, though not bit-identical to a NoWarmStart fit.)
+		// deterministic per seed.
 		Workers: s.pool.Workers(),
 	})
 	if err != nil {

@@ -126,7 +126,9 @@ type Model = core.Model
 type Scorer = core.Scorer
 
 // Fit is the full-control entry point (all options of the paper's
-// Algorithm 1 plus the ablation knobs).
+// Algorithm 1 plus the ablation knobs). The options shape the fit only: the
+// returned model is its curve, direction and normaliser, scored on a
+// 32-cell seed grid, and Save writes exactly that rule.
 func Fit(rows [][]float64, opts Options) (*Model, error) { return core.Fit(rows, opts) }
 
 // LoadModel reads a ranking rule saved with Model.Save. The loaded model
