@@ -53,6 +53,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -169,6 +170,9 @@ func run(args []string, out io.Writer) error {
 	update := fs.Bool("update", false, "rewrite the baseline from the given bench output")
 	emitText := fs.Bool("emit-text", false, "print the baseline's raw bench lines and exit")
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
 		return err
 	}
 	var pinnedRe *regexp.Regexp

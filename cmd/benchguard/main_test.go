@@ -349,3 +349,17 @@ func TestCompareRefusesWideSpread(t *testing.T) {
 		t.Fatalf("a wide baseline got a verdict: %v\n%s", err, out.String())
 	}
 }
+
+// TestRunHelp: -h and -help print the usage and are not an error, so the
+// command exits 0 without comparing anything.
+func TestRunHelp(t *testing.T) {
+	for _, arg := range []string{"-h", "-help"} {
+		var buf bytes.Buffer
+		if err := run([]string{arg}, &buf); err != nil {
+			t.Errorf("%s: %v", arg, err)
+		}
+		if !strings.Contains(buf.String(), "-baseline") {
+			t.Errorf("%s: usage does not list -baseline: %q", arg, buf.String())
+		}
+	}
+}

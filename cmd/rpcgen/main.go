@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -33,6 +34,9 @@ func run(args []string, out io.Writer) error {
 	noise := fs.Float64("noise", 0.02, "noise level for synthetic datasets")
 	seed := fs.Int64("seed", 1, "seed for synthetic datasets")
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
 		return err
 	}
 	var t *dataset.Table

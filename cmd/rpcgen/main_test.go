@@ -41,3 +41,17 @@ func TestRunDeterministic(t *testing.T) {
 		t.Errorf("same seed must give identical CSV")
 	}
 }
+
+// TestRunHelp: -h and -help print the usage and are not an error, so the
+// command exits 0 without emitting a dataset.
+func TestRunHelp(t *testing.T) {
+	for _, arg := range []string{"-h", "-help"} {
+		var buf bytes.Buffer
+		if err := run([]string{arg}, &buf); err != nil {
+			t.Errorf("%s: %v", arg, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: emitted %q", arg, buf.String())
+		}
+	}
+}

@@ -19,6 +19,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -196,6 +197,9 @@ func run(args []string, out io.Writer) error {
 	seed := fs.Int64("seed", 1, "seed for the synthesised row payloads")
 	outPath := fs.String("out", "rpcload_hist.json", "latency-histogram artifact path (empty = stdout only)")
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
 		return err
 	}
 	if fs.NArg() != 0 {

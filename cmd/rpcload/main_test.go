@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"math/rand"
 	"net/http"
@@ -308,5 +309,19 @@ func TestQuantileStaysWithinObservedRange(t *testing.T) {
 			t.Fatalf("p%v = %v ms below the previous quantile %v", q*100, got, prev)
 		}
 		prev = got
+	}
+}
+
+// TestRunHelp: -h and -help print the usage and are not an error, so the
+// command exits 0 without loading anything.
+func TestRunHelp(t *testing.T) {
+	for _, arg := range []string{"-h", "-help"} {
+		var buf bytes.Buffer
+		if err := run([]string{arg}, &buf); err != nil {
+			t.Errorf("%s: %v", arg, err)
+		}
+		if !strings.Contains(buf.String(), "-model") {
+			t.Errorf("%s: usage does not list -model: %q", arg, buf.String())
+		}
 	}
 }

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -40,6 +41,9 @@ func run(args []string) error {
 	fullReport := fs.Bool("report", false, "emit the full ranking report (diagnostics, dominance structure, model)")
 	seed := fs.Int64("seed", 1, "fit seed")
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
 		return err
 	}
 

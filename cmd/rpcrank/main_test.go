@@ -48,3 +48,13 @@ func TestRunReportFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRunHelp: -h and -help print the usage and are not an error, so the
+// command exits 0 without ranking anything.
+func TestRunHelp(t *testing.T) {
+	for _, arg := range []string{"-h", "-help"} {
+		if err := run([]string{arg}); err != nil {
+			t.Errorf("%s: %v", arg, err)
+		}
+	}
+}

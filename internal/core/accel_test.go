@@ -251,79 +251,46 @@ func TestAndersonSolvesLinearMap(t *testing.T) {
 	}
 }
 
-// TestFitTelemetryCountsAdoptedIterates: Model.Objective holds exactly the
-// J of the iterates the fit adopted, in order and never rising; rejected
-// extrapolations appear in the trace with Accepted false; and a condition
-// number is recorded for every control step, which neither a rejected
-// extrapolation nor the last iteration takes.
+// TestFitTelemetryCountsAdoptedIterates: the J of the iterates the fit
+// adopts, read from FitDiag.Trace, falls at every adoption; a rejected
+// extrapolation appears in the trace with Accepted false and did not lower
+// J by ξ; and the control steps the trace accounts for are the ones whose
+// time UpdateNs records.
 func TestFitTelemetryCountsAdoptedIterates(t *testing.T) {
 	ds := dataset.Journals()
 	for _, upd := range []Updater{UpdaterPseudoInverse, UpdaterRichardson} {
 		t.Run(upd.String(), func(t *testing.T) {
-			m, err := FitFrame(ds.Data, Options{Alpha: ds.Alpha, Updater: upd, KeepTrajectory: true})
+			m, err := FitFrame(ds.Data, Options{Alpha: ds.Alpha, Updater: upd})
 			if err != nil {
 				t.Fatal(err)
 			}
 			trace := m.FitDiag.Trace
-			var adopted []float64
-			rejected := 0
-			for _, it := range trace {
-				if it.Accepted {
-					adopted = append(adopted, it.Objective)
-				} else {
+			best := math.Inf(1)
+			adopted, rejected := 0, 0
+			for i, it := range trace {
+				switch {
+				case it.Accepted:
+					if it.Objective >= best {
+						t.Fatalf("iteration %d adopted J %v, not below the best %v", i, it.Objective, best)
+					}
+					best = it.Objective
+					adopted++
+				case i < len(trace)-1:
+					// Only a rejected extrapolation lets the fit go on,
+					// and it missed the best J by less than ξ (default Tol).
+					if best-it.Objective >= 1e-8 {
+						t.Fatalf("iteration %d rejected J %v, ξ below the best %v", i, it.Objective, best)
+					}
 					rejected++
 				}
 			}
-			if len(adopted) != len(m.Objective) {
-				t.Fatalf("Objective has %d entries, the trace adopts %d", len(m.Objective), len(adopted))
-			}
-			for i, j := range adopted {
-				if m.Objective[i] != j {
-					t.Fatalf("Objective[%d] = %v, adopted J %v", i, m.Objective[i], j)
-				}
-				if i > 0 && j >= adopted[i-1] {
-					t.Fatalf("adopted J rose at %d: %v → %v", i, adopted[i-1], j)
-				}
-			}
-			steps := len(trace) - rejected
-			if trace[len(trace)-1].Accepted {
-				steps--
-			}
-			if len(m.ConditionNumbers) != steps {
-				t.Errorf("%d condition numbers for %d control steps", len(m.ConditionNumbers), steps)
+			if steps := controlSteps(trace); (steps > 0) != (m.FitDiag.Stages.UpdateNs > 0) {
+				t.Errorf("%d control steps, UpdateNs %d", steps, m.FitDiag.Stages.UpdateNs)
 			}
 			if upd == UpdaterPseudoInverse && rejected < 2 {
 				t.Errorf("the safeguard rejected %d iterates; the test needs a rejected extrapolation", rejected)
 			}
-			t.Logf("%d iterations, %d adopted, %d not", len(trace), len(adopted), rejected)
+			t.Logf("%d iterations, %d adopted, %d rejected extrapolations", len(trace), adopted, rejected)
 		})
-	}
-}
-
-// TestCanonicalProjectionIgnoresStart: the fit's canonical projection
-// returns the same float for a row whether a warm start from a nearby
-// score or the cold grid seed found the minimiser, at every degree.
-func TestCanonicalProjectionIgnoresStart(t *testing.T) {
-	rng := rand.New(rand.NewSource(2103))
-	for k := minDegree; k <= maxDegree; k++ {
-		m := randParityModel(rng, k, 3)
-		u := marginFrame(rng, 400, 3)
-		e := newEngine(m.Curve, defaultGridCells)
-		interior := 0
-		for i := 0; i < u.N(); i++ {
-			cs, cd := e.canonical(e.project(u.Row(i)))
-			seed := min(max(cs+1e-4*rng.NormFloat64(), 0), 1)
-			ws, wd, _ := e.projectWarm(u.Row(i), seed)
-			ws, wd = e.canonical(ws, wd)
-			if ws != cs || wd != cd {
-				t.Fatalf("degree %d row %d: warm (%.17g, %.17g), cold (%.17g, %.17g)", k, i, ws, wd, cs, cd)
-			}
-			if cs > 0 && cs < 1 {
-				interior++
-			}
-		}
-		if interior < u.N()/4 {
-			t.Errorf("degree %d: only %d of %d rows project inside (0, 1)", k, interior, u.N())
-		}
 	}
 }

@@ -40,7 +40,7 @@ func checkColdPaths(t *testing.T, refs []*oracle.Result, c *bezier.Curve, alpha 
 		pool := newProjPool(c, u, workers)
 		scores := make([]float64, n)
 		resid := make([]float64, n)
-		pool.project(c, scores, resid, nil, true)
+		pool.project(c, scores, resid, nil)
 		pool.close()
 		for i := 0; i < n; i++ {
 			if err := refs[i].Check(scores[i], defaultGridCells); err != nil {
@@ -269,8 +269,7 @@ func TestColdPassEdgeRowsInterleaved(t *testing.T) {
 
 // TestProjPoolWarmMatchesProjectWarm: the fit pool's warm pass, striped
 // over two workers, must publish exactly what one engine's per-row
-// projectWarm loop, made canonical, does — scores, residuals and warm-hit
-// telemetry — at
+// projectWarm loop does — scores, residuals and warm-hit telemetry — at
 // every degree Fit accepts, from honest warm seeds and from adversarial
 // ones that force the no-regression guard into its cold fallback.
 func TestProjPoolWarmMatchesProjectWarm(t *testing.T) {
@@ -289,7 +288,7 @@ func TestProjPoolWarmMatchesProjectWarm(t *testing.T) {
 
 			// Honest warm seeds: the previous sweep's own scores.
 			warm := make([]float64, n)
-			pool.project(m.Curve, warm, make([]float64, n), nil, true)
+			pool.project(m.Curve, warm, make([]float64, n), nil)
 			for pass := 0; pass < 2; pass++ {
 				if pass == 1 {
 					// Adversarial seeds: the mirrored score is usually in
@@ -301,12 +300,11 @@ func TestProjPoolWarmMatchesProjectWarm(t *testing.T) {
 				}
 				rows0, hits0 := pool.warmCounts()
 				ps, pr := make([]float64, n), make([]float64, n)
-				pool.project(m.Curve, ps, pr, warm, true)
+				pool.project(m.Curve, ps, pr, warm)
 				rows1, hits1 := pool.warmCounts()
 				var refHits int64
 				for i := 0; i < n; i++ {
 					s, r2, hit := ref.projectWarm(u.Row(i), warm[i])
-					s, r2 = ref.canonical(s, r2)
 					if ps[i] != s {
 						t.Fatalf("pass %d row %d: pool warm score %.17g, per-row %.17g", pass, i, ps[i], s)
 					}

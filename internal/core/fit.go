@@ -350,10 +350,10 @@ func fitPrepared(sh *fitShared, opts Options) (*Model, error) {
 		// warm-started from the previous iteration's scores after the first.
 		t0 := time.Now()
 		if iter > 0 {
-			pool.project(curve, scores, resid, scores, true)
+			pool.project(curve, scores, resid, scores)
 			diag.Stages.RefineNs += time.Since(t0).Nanoseconds()
 		} else {
-			pool.project(curve, scores, resid, nil, true)
+			pool.project(curve, scores, resid, nil)
 			diag.Stages.SeedNs += time.Since(t0).Nanoseconds()
 		}
 		J := sum(resid)
@@ -393,9 +393,6 @@ func fitPrepared(sh *fitShared, opts Options) (*Model, error) {
 			continue
 		}
 		if accepted {
-			if opts.KeepTrajectory {
-				m.Objective = append(m.Objective, J)
-			}
 			bestJ = J
 			if bestCurve == nil {
 				bestCurve = cloneCurve(curve)
@@ -427,9 +424,6 @@ func fitPrepared(sh *fitShared, opts Options) (*Model, error) {
 		curveIntoMat(P, curve)            // d×(k+1)
 		mat.GramInto(A, MZ)               // (MZ)(MZ)ᵀ, (k+1)×(k+1)
 		mat.MulABTInto(XMZt, X, MZ)       // X·MZᵀ, d×(k+1)
-		if opts.KeepTrajectory {
-			m.ConditionNumbers = append(m.ConditionNumbers, mat.ConditionNumber(A))
-		}
 		if rich != nil {
 			rich.step(P, A, XMZt, rich.nominalGamma(A))
 			matIntoCurve(P, curve)
@@ -456,20 +450,16 @@ func fitPrepared(sh *fitShared, opts Options) (*Model, error) {
 		bestCurve = curve
 	}
 	// Final projection against the best curve so scores/residuals match it.
-	// Deliberately cold (grid-seeded) and not canonical: the model's
-	// published scores carry no dependence on the warm-start trajectory,
-	// only on the final curve, and are bit for bit what serving the model
-	// returns for the same rows.
+	// Deliberately cold (grid-seeded): the model's published scores carry
+	// no dependence on the warm-start trajectory, only on the final curve,
+	// and are bit for bit what serving the model returns for the same rows.
 	t0 := time.Now()
-	pool.project(bestCurve, bestScores, bestResid, nil, false)
+	pool.project(bestCurve, bestScores, bestResid, nil)
 	diag.Stages.SeedNs += time.Since(t0).Nanoseconds()
 	finalJ := sum(bestResid)
 	m.Curve = bestCurve
 	m.Scores = bestScores
 	m.ResidualsSq = bestResid
-	if len(m.Objective) == 0 || !opts.KeepTrajectory {
-		m.Objective = append(m.Objective, finalJ)
-	}
 	diag.Iterations = m.Iterations
 	diag.Converged = m.Converged
 	diag.FinalObjective = finalJ
@@ -593,7 +583,6 @@ type projPool struct {
 	scores  []float64
 	resid   []float64
 	warm    []float64 // previous scores; nil on cold passes
-	canon   bool      // make every score canonical (engine.canonical)
 }
 
 // newProjPool builds the pool for u on the default seed grid, with
@@ -627,12 +616,10 @@ func newProjPool(c *bezier.Curve, u *frame.Frame, workers int) *projPool {
 // calling goroutine takes stripe 0). warm is the previous iteration's score
 // per row, or nil for a cold pass; it may be scores itself, since each row
 // reads its warm score before writing its new one. Rows whose warm basin
-// fails validation fall back to the cold projection individually. canon
-// makes every score canonical (engine.canonical), which the iterations of
-// the fit need and its final, published projection does not.
-func (p *projPool) project(c *bezier.Curve, scores, resid, warm []float64, canon bool) {
+// fails validation fall back to the cold projection individually.
+func (p *projPool) project(c *bezier.Curve, scores, resid, warm []float64) {
 	p.engines[0].recompile(c)
-	p.scores, p.resid, p.warm, p.canon = scores, resid, warm, canon
+	p.scores, p.resid, p.warm = scores, resid, warm
 	n := p.u.N()
 	W := len(p.chans) + 1
 	if W == 1 || n < W {
@@ -665,19 +652,12 @@ func (p *projPool) runRange(e *engine, lo, hi int) {
 	warm := p.warm
 	if warm == nil {
 		for i := lo; i < hi; i++ {
-			s, r2 := e.project(p.u.Row(i))
-			if p.canon {
-				s, r2 = e.canonical(s, r2)
-			}
-			p.scores[i], p.resid[i] = s, r2
+			p.scores[i], p.resid[i] = e.project(p.u.Row(i))
 		}
 		return
 	}
 	for i := lo; i < hi; i++ {
 		s, r2, hit := e.projectWarm(p.u.Row(i), warm[i])
-		if p.canon {
-			s, r2 = e.canonical(s, r2)
-		}
 		p.scores[i], p.resid[i] = s, r2
 		e.warmRows++
 		if hit {

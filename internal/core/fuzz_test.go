@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"rpcrank/internal/oracle"
 	"rpcrank/internal/order"
 )
 
@@ -15,7 +16,13 @@ import (
 // must never panic, and any document it accepts must compile and score
 // every probe row (the normaliser's corners and centre) to a finite value
 // in [0,1] through both Scorer.Score and Model.Score, and Save → Load →
-// Save must be byte-identical.
+// Save must be byte-identical. Each score must meet the oracle's
+// projection contract on the model's own seed grid: part (a), the
+// distance, always (oracle.Result.CheckDist), and part (b), the score
+// itself, too (oracle.Result.Check) when Model.StrictlyMonotone
+// certifies the curve. Load also accepts uncertified curves that stall,
+// such as P₀ = P₁ = P₂; there the profile is flat to high order around
+// the minimiser and no projector can pin the score to 1e-12.
 //
 // CI runs this as a short smoke (-fuzz with a bounded -fuzztime) on every
 // push; longer local runs explore deeper.
@@ -60,6 +67,9 @@ func FuzzLoad(f *testing.F) {
 		`{"version":1,"alpha":[1],"control_points":[[0],[1e300],[1]],"norm_min":[-1e308],"norm_max":[1e308]}`,
 		`{"version":1,"alpha":[1],"control_points":[[0],[0.2],[0.9],[1]],"norm_min":[0],"norm_max":[1e-300],"projector":"quintic"}`,
 		`{"version":2}`,
+		// A curve that stalls, P₀ = P₁ = P₂: Load accepts it, and its
+		// origin row's score is pinned only by part (a) of the contract.
+		`{"version":1,"alpha":[1,1,1],"control_points":[[0,0,0],[0,0,0],[0,0,0],[0.1,0,0],[0,1,0]],"norm_min":[0,0,0],"norm_max":[1,1,1]}`,
 		`{"version":1,"alpha":[1],"control_points":[[0],[1]],"norm_min":[1],"norm_max":[0]}`,
 		`not json`,
 	} {
@@ -71,6 +81,11 @@ func FuzzLoad(f *testing.F) {
 			return
 		}
 		sc := m.Compile()
+		oc := oracle.New(m.Curve.Points, oracle.DefaultCells)
+		check := (*oracle.Result).CheckDist
+		if m.StrictlyMonotone() {
+			check = (*oracle.Result).Check
+		}
 		d := m.Dim()
 		lo, hi, mid := make([]float64, d), make([]float64, d), make([]float64, d)
 		mixed := make([]float64, d)
@@ -83,9 +98,13 @@ func FuzzLoad(f *testing.F) {
 			}
 		}
 		for _, x := range [][]float64{lo, hi, mid, mixed} {
+			ref := oc.Project(unitRow(m, x))
 			for name, s := range map[string]float64{"Scorer.Score": sc.Score(x), "Model.Score": m.Score(x)} {
 				if !(s >= 0 && s <= 1) {
 					t.Fatalf("%s(%v) = %v, want a finite score in [0,1]", name, x, s)
+				}
+				if err := check(ref, s, m.gridCells); err != nil {
+					t.Fatalf("%s(%v): %v", name, x, err)
 				}
 			}
 		}

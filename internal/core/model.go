@@ -70,7 +70,9 @@ func (u Updater) String() string {
 
 // Options configures Fit. The zero value is not usable: Alpha is required.
 // Every other field has a sensible default applied by withDefaults. Options
-// is an input of the fit only: the Model it produces keeps none of it.
+// is an input of the fit only: the Model it produces keeps none of it, and
+// none of it changes what the fit records (Model.FitDiag always carries the
+// per-iteration trace).
 type Options struct {
 	// Alpha is the direction vector of Eq. 3: one ±1 entry per attribute
 	// (+1 benefit, −1 cost). Required.
@@ -95,10 +97,6 @@ type Options struct {
 	// Seed drives the deterministic jitter of the control-point
 	// initialisation. Default 1.
 	Seed int64
-
-	// KeepTrajectory records the objective of every adopted iterate in
-	// Model.Objective (always records at least the final value).
-	KeepTrajectory bool
 
 	// NoNormalize skips the min–max normalisation of Eq. 29 and treats the
 	// input as already lying in [0,1]^d. Use when the unit box carries
@@ -199,7 +197,8 @@ func (o Options) validate(nRows, dim int) error {
 // curve, the direction and the normaliser, plus the seed grid its scores
 // are projected on: 32 cells for a fitted model, the rule document's value
 // for a loaded one. A model keeps nothing else of the Options it was
-// fitted with.
+// fitted with. What the fit did is recorded once, in FitDiag: its trace
+// holds J and whether the fit adopted the iterate, for every iteration.
 type Model struct {
 	// Curve is the fitted Bézier curve in normalised [0,1]^d space.
 	Curve *bezier.Curve
@@ -211,21 +210,11 @@ type Model struct {
 	Scores []float64
 	// ResidualsSq holds the squared orthogonal reconstruction error per row.
 	ResidualsSq []float64
-	// Objective is the recorded J trajectory: with KeepTrajectory, J of
-	// every iterate the fit adopted, so it never rises; otherwise only the
-	// final value.
-	Objective []float64
 	// Iterations is the number of outer iterations performed.
 	Iterations int
 	// Converged reports whether the |ΔJ| < ξ criterion fired before
 	// MaxIter.
 	Converged bool
-	// ConditionNumbers records cond((MZ)(MZ)ᵀ) at each control-point step,
-	// for either updater, when KeepTrajectory is set (used by the A2
-	// ablation). The last iteration takes no step, and neither does an
-	// iteration whose extrapolated curve the safeguard rejects, so there
-	// are at most Iterations − 1 entries.
-	ConditionNumbers []float64
 	// FitDiag is the telemetry of the fit run that produced this model
 	// (nil for models reconstructed by Load — the rule document carries
 	// no training history). Not part of the saved rule; the registry
@@ -292,8 +281,9 @@ func (m *Model) ControlPointsOriginal() [][]float64 {
 
 // ServingCopy returns a copy of the model holding only what scoring new
 // observations needs — the curve, direction, normaliser, and projection
-// grid. Training-time diagnostics (Scores, ResidualsSq, Objective, the
-// retained data) are dropped, matching what Load reconstructs from disk.
+// grid. The fit's record (Scores, ResidualsSq, Iterations, Converged,
+// FitDiag and the retained data) is dropped, matching what Load
+// reconstructs from disk.
 // Long-lived caches should hold this instead of the fitted model, whose
 // diagnostics are sized by the training set.
 func (m *Model) ServingCopy() *Model {

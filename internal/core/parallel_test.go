@@ -89,7 +89,7 @@ func BenchmarkProjectAllSerialVsParallel(b *testing.B) {
 			pool := newProjPool(m.Curve, m.data, workers)
 			defer pool.close()
 			for i := 0; i < b.N; i++ {
-				pool.project(m.Curve, scores, resid, nil, true)
+				pool.project(m.Curve, scores, resid, nil)
 			}
 		})
 	}

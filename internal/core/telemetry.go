@@ -31,7 +31,8 @@ type FitIteration struct {
 // read from two clock reads per iteration. SeedNs is the wall time of the
 // cold, grid-seeded projection passes (the first iteration and the final
 // best-curve projection), refinement included; RefineNs is the wall time
-// of the warm-started projection passes; UpdateNs is the wall time of the
+// of the warm-started projection passes (every iteration after the first,
+// cold fallbacks of single rows included); UpdateNs is the wall time of the
 // control-point steps (Eq. 21: basis fill, Gram and X·MZᵀ products, the
 // exact box step with Anderson's extrapolation or the Richardson update,
 // and the box clamp). GemmNs is never written and stays 0; the field is

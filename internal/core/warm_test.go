@@ -319,17 +319,17 @@ func BenchmarkProjectAllWarm(b *testing.B) {
 	scores := make([]float64, n)
 	resid := make([]float64, n)
 	warm := make([]float64, n)
-	pool.project(m.Curve, warm, resid, nil, true) // seed the warm cache
+	pool.project(m.Curve, warm, resid, nil) // seed the warm cache
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			pool.project(m.Curve, scores, resid, nil, true)
+			pool.project(m.Curve, scores, resid, nil)
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			pool.project(m.Curve, scores, resid, warm, true)
+			pool.project(m.Curve, scores, resid, warm)
 		}
 	})
 }
