@@ -252,10 +252,10 @@ func TestAndersonSolvesLinearMap(t *testing.T) {
 }
 
 // TestFitTelemetryCountsAdoptedIterates: the J of the iterates the fit
-// adopts, read from FitDiag.Trace, falls at every adoption; a rejected
+// adopts, read from FitDiag.Trace, falls at every adoption, and a rejected
 // extrapolation appears in the trace with Accepted false and did not lower
-// J by ξ; and the control steps the trace accounts for are the ones whose
-// time UpdateNs records.
+// J by ξ. Which iterations take a control step is not in the trace:
+// TestFitUpdateSkippedOnLastIteration and TestGoldenFits guard it.
 func TestFitTelemetryCountsAdoptedIterates(t *testing.T) {
 	ds := dataset.Journals()
 	for _, upd := range []Updater{UpdaterPseudoInverse, UpdaterRichardson} {
@@ -283,9 +283,6 @@ func TestFitTelemetryCountsAdoptedIterates(t *testing.T) {
 					}
 					rejected++
 				}
-			}
-			if steps := controlSteps(trace); (steps > 0) != (m.FitDiag.Stages.UpdateNs > 0) {
-				t.Errorf("%d control steps, UpdateNs %d", steps, m.FitDiag.Stages.UpdateNs)
 			}
 			if upd == UpdaterPseudoInverse && rejected < 2 {
 				t.Errorf("the safeguard rejected %d iterates; the test needs a rejected extrapolation", rejected)

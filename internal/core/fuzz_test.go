@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -16,13 +17,19 @@ import (
 // must never panic, and any document it accepts must compile and score
 // every probe row (the normaliser's corners and centre) to a finite value
 // in [0,1] through both Scorer.Score and Model.Score, and Save → Load →
-// Save must be byte-identical. Each score must meet the oracle's
-// projection contract on the model's own seed grid: part (a), the
-// distance, always (oracle.Result.CheckDist), and part (b), the score
-// itself, too (oracle.Result.Check) when Model.StrictlyMonotone
-// certifies the curve. Load also accepts uncertified curves that stall,
-// such as P₀ = P₁ = P₂; there the profile is flat to high order around
-// the minimiser and no projector can pin the score to 1e-12.
+// Save must be byte-identical. Where every normaliser range has a finite
+// inverse, each score must also meet the oracle's projection contract on
+// the model's own seed grid: part (a), the distance, always
+// (oracle.Result.CheckDist), and part (b), the score itself, too
+// (oracle.Result.Check) when the curve lies in the unit box, as every
+// fitted curve does, and D is not flat at the row's minimiser.
+//
+// Elsewhere the oracle holds less. A range without a finite inverse (the
+// scorer multiplies by 1/range, so it does not see the row (x−min)/range
+// the oracle sees) gets the [0,1] check alone. A curve off the unit box
+// (its compiled monomial form loses precision: a coordinate of 7000
+// scored 3.2e-12 off the exact projection) and a row whose minimiser is
+// flat (see flatMinimum) get part (a) alone.
 //
 // CI runs this as a short smoke (-fuzz with a bounded -fuzztime) on every
 // push; longer local runs explore deeper.
@@ -70,6 +77,14 @@ func FuzzLoad(f *testing.F) {
 		// A curve that stalls, P₀ = P₁ = P₂: Load accepts it, and its
 		// origin row's score is pinned only by part (a) of the contract.
 		`{"version":1,"alpha":[1,1,1],"control_points":[[0,0,0],[0,0,0],[0,0,0],[0.1,0,0],[0,1,0]],"norm_min":[0,0,0],"norm_max":[1,1,1]}`,
+		// A certified curve on which the origin row's D is flat to second
+		// order at its minimiser s = 0 (D′(0) = D″(0) = 0): part (a) alone.
+		`{"version":1,"alpha":[1,1,-1,-1],"control_points":[[0,0,0.1,0.1],[0.1,0,0.1,0.1],[1,1,0,0]],"norm_min":[0,0,0,0],"norm_max":[1,10,1,1]}`,
+		// Rules Load accepts and a fit never writes: a curve off the unit
+		// box, held to part (a) alone, and a normaliser range without a
+		// finite inverse, held to [0,1] alone.
+		`{"version":1,"alpha":[1,-1,1],"control_points":[[0,7000,0],[0,0,0.1],[1,0,1]],"norm_min":[0,0,0],"norm_max":[1,1,1]}`,
+		`{"version":1,"alpha":[1],"control_points":[[0],[0],[0],[1]],"norm_min":[0],"norm_max":[1e-310]}`,
 		`{"version":1,"alpha":[1],"control_points":[[0],[1]],"norm_min":[1],"norm_max":[0]}`,
 		`not json`,
 	} {
@@ -82,10 +97,7 @@ func FuzzLoad(f *testing.F) {
 		}
 		sc := m.Compile()
 		oc := oracle.New(m.Curve.Points, oracle.DefaultCells)
-		check := (*oracle.Result).CheckDist
-		if m.StrictlyMonotone() {
-			check = (*oracle.Result).Check
-		}
+		held, inBox := invertibleRanges(m), inUnitBox(m.Curve.Points)
 		d := m.Dim()
 		lo, hi, mid := make([]float64, d), make([]float64, d), make([]float64, d)
 		mixed := make([]float64, d)
@@ -98,10 +110,20 @@ func FuzzLoad(f *testing.F) {
 			}
 		}
 		for _, x := range [][]float64{lo, hi, mid, mixed} {
-			ref := oc.Project(unitRow(m, x))
+			var ref *oracle.Result
+			check := (*oracle.Result).CheckDist
+			if held {
+				ref = oc.Project(unitRow(m, x))
+				if inBox && !flatMinimum(ref) {
+					check = (*oracle.Result).Check
+				}
+			}
 			for name, s := range map[string]float64{"Scorer.Score": sc.Score(x), "Model.Score": m.Score(x)} {
 				if !(s >= 0 && s <= 1) {
 					t.Fatalf("%s(%v) = %v, want a finite score in [0,1]", name, x, s)
+				}
+				if ref == nil {
+					continue
 				}
 				if err := check(ref, s, m.gridCells); err != nil {
 					t.Fatalf("%s(%v): %v", name, x, err)
@@ -123,4 +145,48 @@ func FuzzLoad(f *testing.F) {
 			t.Fatalf("Save → Load → Save changed the document:\n%s\nvs\n%s", first.Bytes(), second.Bytes())
 		}
 	})
+}
+
+// invertibleRanges reports whether every normaliser range of m and its
+// inverse are finite, so the scorer's (x−min)·(1/range) is the oracle's
+// (x−min)/range to rounding.
+func invertibleRanges(m *Model) bool {
+	for j := range m.Norm.Min {
+		r := m.Norm.Max[j] - m.Norm.Min[j]
+		if !(r <= math.MaxFloat64 && 1/r <= math.MaxFloat64) {
+			return false
+		}
+	}
+	return true
+}
+
+// inUnitBox reports whether every control point lies in [0,1]^d, where
+// a fit keeps them.
+func inUnitBox(points [][]float64) bool {
+	for _, p := range points {
+		for _, v := range p {
+			if !(v >= 0 && v <= 1) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// flatMinimum reports whether D is flat to second order at the oracle's
+// minimiser S: within δ = 1e-4 of S it rises by less than a curvature
+// D″ = 1e-3 would make it. There the profile pins s only to a root of
+// its rounding, and no projector can meet part (b)'s 1e-12: on a curve
+// that stalls (P₀ = P₁ = P₂) the engine's score sat 8.5e-4 from the
+// oracle's, and on a certified curve whose row's error vector is normal
+// to both f′(0) and f″(0) (so D′(0) = D″(0) = 0), 2.9e-8.
+func flatMinimum(r *oracle.Result) bool {
+	const delta = 1e-4
+	rise := math.Inf(1)
+	for _, s := range []float64{r.S - delta, r.S + delta} {
+		if s >= 0 && s <= 1 {
+			rise = math.Min(rise, r.DistAt(s)-r.Dist)
+		}
+	}
+	return rise < 1e-3*delta*delta/2
 }

@@ -60,9 +60,7 @@ func (m *Model) Save(w io.Writer) error {
 // identically to the original, on the seed grid the document names
 // (grid_cells; 32 when absent, so a legacy 48-cell rule keeps its 48);
 // the fit's record (Scores, ResidualsSq, FitDiag) is empty. The curve
-// must have a degree Fit accepts (minDegree to maxDegree) and every
-// control point in the unit box, and each normaliser range and its
-// inverse must be finite and positive.
+// must have a degree Fit accepts (minDegree to maxDegree).
 // Every projector name — "newton", the retired "gss", "brent" and
 // "quintic", an unknown name or none at all — loads as grid-seeded Newton.
 // Legacy "quintic" rules score within 4.4e-16 of the exact quintic roots
@@ -95,12 +93,8 @@ func Load(r io.Reader) (*Model, error) {
 			return nil, fmt.Errorf("core: control point %d has dim %d, want %d", i, len(p), d)
 		}
 		for j, v := range p {
-			// Fit keeps every control point in the unit box (Prop. 1's
-			// hypercube), and off it the compiled scorer's monomial form
-			// loses precision: a curve with a coordinate of 7000 scored
-			// 3.2e-12 off the exact projection.
-			if !(v >= 0 && v <= 1) {
-				return nil, fmt.Errorf("core: control point %d coordinate %d is %v, outside [0, 1]", i, j, v)
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("core: control point %d coordinate %d is not finite", i, j)
 			}
 		}
 	}
@@ -108,11 +102,8 @@ func Load(r io.Reader) (*Model, error) {
 		return nil, fmt.Errorf("core: normaliser dims %d/%d, want %d", len(in.NormMin), len(in.NormMax), d)
 	}
 	for j := range in.NormMin {
-		// The scorer multiplies by the inverse range, so both the range
-		// and its inverse must be finite: a range of 1e-310 has none and
-		// scored its own top corner 0.
-		if r := in.NormMax[j] - in.NormMin[j]; !(r > 0 && r <= math.MaxFloat64 && 1/r <= math.MaxFloat64) {
-			return nil, fmt.Errorf("core: normaliser range for attribute %d is %v, want a positive range with a finite inverse", j, r)
+		if !(in.NormMax[j] > in.NormMin[j]) {
+			return nil, fmt.Errorf("core: normaliser range for attribute %d is empty", j)
 		}
 	}
 	curve, err := bezier.New(in.ControlPoints)

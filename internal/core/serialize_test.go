@@ -64,10 +64,6 @@ func TestLoadRejectsMalformed(t *testing.T) {
 		{"nan point", `{"version":1,"alpha":[1],"control_points":[[0],["NaN"],[1]],"norm_min":[0],"norm_max":[1]}`},
 		{"bad norm dims", `{"version":1,"alpha":[1],"control_points":[[0],[0.5],[1]],"norm_min":[0,1],"norm_max":[1]}`},
 		{"empty norm range", `{"version":1,"alpha":[1],"control_points":[[0],[0.5],[1]],"norm_min":[1],"norm_max":[1]}`},
-		{"point off the unit box", `{"version":1,"alpha":[1,-1,1],"control_points":[[0,7000,0],[0,0,0.1],[1,0,1]],"norm_min":[0,0,0],"norm_max":[1,1,1]}`},
-		{"negative point", `{"version":1,"alpha":[1],"control_points":[[0],[-1e-9],[1]],"norm_min":[0],"norm_max":[1]}`},
-		{"norm range without finite inverse", `{"version":1,"alpha":[1],"control_points":[[0],[0],[0],[1]],"norm_min":[0],"norm_max":[1e-310]}`},
-		{"norm range overflows", `{"version":1,"alpha":[1],"control_points":[[0],[0.5],[1]],"norm_min":[-1e308],"norm_max":[1e308]}`},
 		{"proj_tol above 1", `{"version":1,"alpha":[1],"control_points":[[0],[0.5],[1]],"norm_min":[0],"norm_max":[1],"projector":"gss","proj_tol":1.5}`},
 		{"negative proj_tol", `{"version":1,"alpha":[1],"control_points":[[0],[0.5],[1]],"norm_min":[0],"norm_max":[1],"proj_tol":-1e-10}`},
 	}

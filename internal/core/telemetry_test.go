@@ -122,9 +122,11 @@ func TestFitStageTiming(t *testing.T) {
 }
 
 // TestFitUpdateSkippedOnLastIteration pins that the last iteration runs no
-// control-point step — its curve would never be projected — so a fit that
-// runs out of iterations records one step fewer than its iterations, and a
-// single-iteration fit records no update time.
+// control-point step — its curve would never be projected — so a
+// single-iteration fit records no update time, while a fit that runs all
+// of 3 iterations does. The trace does not count steps; a step taken on
+// the last iteration of a longer fit, or after a rejected extrapolation,
+// would move a recorded fit and fail TestGoldenFits.
 func TestFitUpdateSkippedOnLastIteration(t *testing.T) {
 	alpha := order.MustDirection(1, 1, -1)
 	for _, iters := range []int{1, 3} {
@@ -134,9 +136,6 @@ func TestFitUpdateSkippedOnLastIteration(t *testing.T) {
 		}
 		if m.Iterations != iters || m.Converged {
 			t.Fatalf("fit ran %d iterations (converged %v), want all %d", m.Iterations, m.Converged, iters)
-		}
-		if steps := controlSteps(m.FitDiag.Trace); steps != iters-1 {
-			t.Errorf("%d-iteration fit took %d control steps, want %d", iters, steps, iters-1)
 		}
 		if st := m.FitDiag.Stages; (st.UpdateNs > 0) != (iters > 1) || st.SeedNs <= 0 {
 			t.Errorf("MaxIter %d stage times %+v, want UpdateNs > 0 only past one iteration and SeedNs > 0", iters, st)
@@ -153,21 +152,6 @@ func adoptedObjectives(trace []FitIteration) []float64 {
 		}
 	}
 	return js
-}
-
-// controlSteps counts the control-point steps a fit took, read from its
-// trace. Every adopted iterate takes one except the last iteration's. The
-// only iterate the fit rejects and then goes on from is an extrapolation
-// the safeguard discarded, and it takes none: the fit continues from the
-// plain step it already holds.
-func controlSteps(trace []FitIteration) int {
-	steps := 0
-	for _, it := range trace[:len(trace)-1] {
-		if it.Accepted {
-			steps++
-		}
-	}
-	return steps
 }
 
 func TestFitDiagnosticsRestarts(t *testing.T) {

@@ -443,38 +443,14 @@ func TestDeleteDropsPendingWrite(t *testing.T) {
 // alone and quarantined on its first load, which answers ErrNotFound.
 func TestRecordWhoseRuleNoLongerLoads(t *testing.T) {
 	dir := t.TempDir()
-	reg, err := Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := fitTestModel(t)
-	meta, err := reg.Put("wine", m, 8, m.ExplainedVariance())
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg.Close()
-	raw, err := os.ReadFile(filepath.Join(dir, meta.ID+".json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, _, err := openRecord(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var f fileJSON
-	if err := json.Unmarshal(payload, &f); err != nil {
-		t.Fatal(err)
-	}
-	var rule map[string]any
-	if err := json.Unmarshal(f.Model, &rule); err != nil {
-		t.Fatal(err)
-	}
+	f, rule, meta := storedRecord(t, dir)
 	points := make([][]float64, 8)
 	for r := range points {
 		v := float64(r) / 7
 		points[r] = []float64{v, v, 1 - v}
 	}
 	rule["control_points"] = points
+	var err error
 	if f.Model, err = json.Marshal(rule); err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +473,7 @@ func TestRecordWhoseRuleNoLongerLoads(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reg, err = Open(dir, 0)
+	reg, err := Open(dir, 0)
 	if err != nil {
 		t.Fatalf("records whose rule no longer loads must not fail Open: %v", err)
 	}
@@ -531,4 +507,124 @@ func TestRecordWhoseRuleNoLongerLoads(t *testing.T) {
 	if _, _, err := reg.Get(meta.ID); err != nil {
 		t.Fatalf("healthy rule unserveable: %v", err)
 	}
+}
+
+// TestRecordOfAcceptedRuleStaysLoadable: a rule core.Load accepts though
+// no fit writes it — a control point off the unit box, which a client can
+// install, or a normaliser range too small to invert, which FitNormalizer
+// lets through — is indexed at Open and served on a cache-miss Get from a
+// bare v1 record and from a sealed one alike, scoring as core.Load's model
+// does; none is quarantined.
+func TestRecordOfAcceptedRuleStaysLoadable(t *testing.T) {
+	dir := t.TempDir()
+	f, rule, meta := storedRecord(t, dir)
+	points := rule["control_points"].([]any)
+	edits := map[string]func(rule map[string]any){
+		"offbox": func(rule map[string]any) {
+			off := append([]any{}, points...)
+			p := append([]any{}, off[1].([]any)...)
+			p[1] = 7000.0
+			off[1] = p
+			rule["control_points"] = off
+		},
+		"subnormal": func(rule map[string]any) {
+			rule["norm_min"] = []float64{0, 0, 0}
+			rule["norm_max"] = []float64{1e-310, 1, 1}
+		},
+	}
+	want := map[string]*core.Model{}
+	for name, edit := range edits {
+		g := f
+		r := map[string]any{}
+		for k, v := range rule {
+			r[k] = v
+		}
+		edit(r)
+		var err error
+		if g.Model, err = json.Marshal(r); err != nil {
+			t.Fatal(err)
+		}
+		m, err := core.Load(bytes.NewReader(g.Model))
+		if err != nil {
+			t.Fatalf("core.Load refuses the %s rule: %v", name, err)
+		}
+		for _, sealed := range []bool{false, true} {
+			id := name + "-v1"
+			if sealed {
+				id = name + "sealed-v1"
+			}
+			g.Meta.ID, g.Meta.Name = id, strings.TrimSuffix(id, "-v1")
+			out, err := json.Marshal(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sealed {
+				out = sealRecord(out)
+			}
+			if err := os.WriteFile(filepath.Join(dir, id+".json"), out, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			want[id] = m
+		}
+	}
+
+	reg, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	if skipped := reg.Skipped(); len(skipped) != 0 {
+		t.Fatalf("Skipped() = %q, want none", skipped)
+	}
+	for id, m := range want {
+		got, _, err := reg.Get(id)
+		if err != nil {
+			t.Fatalf("Get(%s): %v", id, err)
+		}
+		for _, row := range probeRows {
+			if s, w := got.Score(row), m.Score(row); s != w {
+				t.Errorf("%s scores %v as %v, core.Load's model %v", id, row, s, w)
+			}
+		}
+	}
+	if st := reg.Stats(); st.Quarantined != 0 || st.CorruptTotal != 0 {
+		t.Fatalf("stats = %+v, want nothing quarantined", st)
+	}
+	if _, _, err := reg.Get(meta.ID); err != nil {
+		t.Fatalf("fitted rule unserveable: %v", err)
+	}
+}
+
+// storedRecord puts a fitted rule into a registry on dir, closes it and
+// returns the rule's record, the rule document decoded into a map, and
+// its meta, so a test can write altered records next to it.
+func storedRecord(t *testing.T, dir string) (fileJSON, map[string]any, Meta) {
+	t.Helper()
+	reg, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := fitTestModel(t)
+	meta, err := reg.Put("wine", m, 8, m.ExplainedVariance())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.Close()
+	raw, err := os.ReadFile(filepath.Join(dir, meta.ID+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, _, err := openRecord(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f fileJSON
+	if err := json.Unmarshal(payload, &f); err != nil {
+		t.Fatal(err)
+	}
+	var rule map[string]any
+	if err := json.Unmarshal(f.Model, &rule); err != nil {
+		t.Fatal(err)
+	}
+	return f, rule, meta
 }
