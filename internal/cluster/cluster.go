@@ -64,6 +64,12 @@ const (
 // replicas can never loop a request.
 const ForwardedHeader = "X-RPC-Forwarded"
 
+// ServedByHeader names the member that computed a non-owner's answer: the
+// peer a request was relayed to, or the node itself when it served the
+// rule from a resident copy or fell back to serving locally. The owner's
+// own answers carry none.
+const ServedByHeader = "X-RPC-Served-By"
+
 // InstallDoc is the replication envelope: the registry metadata that fixes
 // a rule's identity plus the raw saved-rule payload. It is what install
 // broadcasts POST and what /clusterz/export returns.
@@ -304,6 +310,7 @@ type Snapshot struct {
 	Peers              []PeerStatus `json:"peers"`
 	PeersUp            int          `json:"peers_up"`
 	Forwards           int64        `json:"forwards"`
+	ForwardLocal       int64        `json:"forward_local"`
 	ForwardRetries     int64        `json:"forward_retries"`
 	ForwardShed        int64        `json:"forward_shed"`
 	Broadcasts         int64        `json:"broadcasts"`
@@ -333,6 +340,7 @@ type Cluster struct {
 	rng      *rand.Rand
 
 	forwards          atomic.Int64
+	forwardLocal      atomic.Int64
 	forwardRetries    atomic.Int64
 	forwardShed       atomic.Int64
 	broadcasts        atomic.Int64
@@ -482,6 +490,7 @@ func (c *Cluster) Snapshot() Snapshot {
 		Self:               c.self,
 		Peers:              make([]PeerStatus, 0, len(c.peers)),
 		Forwards:           c.forwards.Load(),
+		ForwardLocal:       c.forwardLocal.Load(),
 		ForwardRetries:     c.forwardRetries.Load(),
 		ForwardShed:        c.forwardShed.Load(),
 		Broadcasts:         c.broadcasts.Load(),

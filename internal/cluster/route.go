@@ -71,6 +71,10 @@ func (c *Cluster) ShouldForward(modelID string) bool {
 	return cands[0].peer != nil
 }
 
+// CountLocal records a score/rank request for a peer-owned model that this
+// node answered from its own resident copy instead of forwarding it.
+func (c *Cluster) CountLocal() { c.forwardLocal.Add(1) }
+
 // Owner returns the URL of the member that owns modelID under the current
 // live set ("" for self). For tests and /statusz.
 func (c *Cluster) Owner(modelID string) string {
@@ -221,7 +225,7 @@ func (c *Cluster) forwardOnce(w http.ResponseWriter, r *http.Request, p *Peer, b
 		h.Set("Content-Type", ct)
 	}
 	h.Set("Content-Length", strconv.Itoa(len(respBody)))
-	h.Set("X-RPC-Served-By", p.url)
+	h.Set(ServedByHeader, p.url)
 	w.WriteHeader(resp.StatusCode)
 	w.Write(respBody)
 	return true, true

@@ -526,6 +526,19 @@ func (r *Registry) Get(id string) (*core.Model, Meta, error) {
 	return m, meta, nil
 }
 
+// Resident returns the rule with the given ID if it is decoded in the LRU
+// cache, and false otherwise. Unlike Get it never reads the disk and never
+// promotes the entry, so asking leaves the eviction order as it was. The
+// returned model is shared and read-only, as Get's is.
+func (r *Registry) Resident(id string) (*core.Model, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if el, ok := r.cache[id]; ok {
+		return el.Value.(cached).model, true
+	}
+	return nil, false
+}
+
 // readFileJSON reads, verifies, and decodes a rule record after confirming
 // the rule is still indexed. A rule in degraded write mode is served from
 // its in-memory pending payload — the only copy there is. An ENOENT means

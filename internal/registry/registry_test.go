@@ -231,6 +231,51 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// TestResidentLeavesEvictionOrder: Resident reports what the cache holds
+// without reading the disk or promoting the entry, so the rule it was
+// asked about is still the next one evicted; Get on the same rule would
+// have saved it.
+func TestResidentLeavesEvictionOrder(t *testing.T) {
+	m := fitTestModel(t)
+	for _, promote := range []bool{false, true} {
+		reg, err := Open(t.TempDir(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"a", "b"} { // cache: b-v1, then a-v1
+			if _, err := reg.Put(name, m, 8, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, ok := reg.Resident("a-v1")
+		if !ok || got.Score(probeRows[0]) != m.Score(probeRows[0]) {
+			t.Fatalf("Resident(a-v1) = %v, %v; want the cached rule", got, ok)
+		}
+		if promote {
+			if _, _, err := reg.Get("a-v1"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := reg.Put("c", m, 8, 0); err != nil { // evicts the back entry
+			t.Fatal(err)
+		}
+		_, aKept := reg.Resident("a-v1")
+		_, bKept := reg.Resident("b-v1")
+		if aKept != promote || bKept == promote {
+			t.Fatalf("promote=%v: after a third Put a-v1 resident %v, b-v1 resident %v", promote, aKept, bKept)
+		}
+		if _, ok := reg.Resident("nope-v1"); ok {
+			t.Fatal("Resident reports an unknown rule")
+		}
+		if err := reg.Delete("c-v1"); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := reg.Resident("c-v1"); ok {
+			t.Fatal("Resident reports a deleted rule")
+		}
+	}
+}
+
 func TestInvalidNamesAndMissingRules(t *testing.T) {
 	reg, err := Open(t.TempDir(), 0)
 	if err != nil {

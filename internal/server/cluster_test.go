@@ -67,19 +67,19 @@ func (n *stormNode) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // probe and anti-entropy periods sized for a test.
 func newStormCluster(t *testing.T, n int) []*stormNode {
 	t.Helper()
-	return newGroup(t, n, Options{})
+	return newGroup(t, n, 0, Options{})
 }
 
-// newGroup is newStormCluster with each node's server options (Cluster is
-// filled in).
-func newGroup(t *testing.T, n int, opts Options) []*stormNode {
+// newGroup is newStormCluster with each registry's MaxLoaded (≤ 0 selects
+// the default) and each node's server options (Cluster is filled in).
+func newGroup(t *testing.T, n, maxLoaded int, opts Options) []*stormNode {
 	t.Helper()
 	nodes := make([]*stormNode, n)
 	for i := range nodes {
 		nd := &stormNode{}
 		nd.ts = httptest.NewUnstartedServer(nd)
 		nd.url = "http://" + nd.ts.Listener.Addr().String()
-		reg, err := registry.Open(t.TempDir(), 0)
+		reg, err := registry.Open(t.TempDir(), maxLoaded)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func waitForCondition(t *testing.T, d time.Duration, what string, cond func() bo
 // recovers, and draining a node must remove it from peers' rotations
 // before any shutdown work starts.
 func TestClusterStorm(t *testing.T) {
-	nodes := newStormCluster(t, 3)
+	nodes := newGroup(t, 3, 1, Options{})
 
 	// Every node must see both peers routable before the storm starts.
 	for i, nd := range nodes {
@@ -166,6 +166,8 @@ func TestClusterStorm(t *testing.T) {
 			return err == nil
 		})
 	}
+	// Crowd storm-v1 out of every cache, so the non-owners forward it.
+	crowdOut(t, nodes, "crowd")
 
 	// Phase A: storm nodes 0 and 1, kill node 2 mid-storm. Zero
 	// client-visible failures allowed.
@@ -308,6 +310,21 @@ func TestClusterStorm(t *testing.T) {
 		up, _ := nodes[0].cl.PeerCounts()
 		return up == 2
 	})
+}
+
+// crowdOut fits a rule on nodes[0] and waits until every node holds it. In
+// a group opened at MaxLoaded 1 that leaves every earlier rule
+// non-resident on every node, so a non-owner's next request for one takes
+// the hop instead of being served from a resident copy.
+func crowdOut(t *testing.T, nodes []*stormNode, name string) {
+	t.Helper()
+	fitStormModel(t, nodes[0].url, name)
+	for i, nd := range nodes {
+		waitForCondition(t, 3*time.Second, fmt.Sprintf("%s-v1 on node %d", name, i), func() bool {
+			_, ok := nd.reg.Resident(name + "-v1")
+			return ok
+		})
+	}
 }
 
 // fitStormModel fits a small rule on the given node over HTTP.
@@ -495,10 +512,11 @@ func TestQuarantineRepairedByAntiEntropy(t *testing.T) {
 
 // hopPair brings up two nodes over the cluster's own peer transport, fits
 // a rule on the first, and returns the nodes ordered owner first, plus
-// the rule's ID.
+// the rule's ID. The rule is crowded out of both caches, so a request
+// through the forwarder crosses the hop.
 func hopPair(t *testing.T, opts Options) (owner, forwarder *stormNode, id string) {
 	t.Helper()
-	nodes := newGroup(t, 2, opts)
+	nodes := newGroup(t, 2, 1, opts)
 	for i, nd := range nodes {
 		waitForCondition(t, 3*time.Second, fmt.Sprintf("node %d to see its peer", i), func() bool {
 			up, _ := nd.cl.PeerCounts()
@@ -511,6 +529,7 @@ func hopPair(t *testing.T, opts Options) (owner, forwarder *stormNode, id string
 		_, err := nodes[1].reg.GetMeta(id)
 		return err == nil
 	})
+	crowdOut(t, nodes, "crowd")
 	if nodes[0].cl.Owner(id) == "" {
 		return nodes[0], nodes[1], id
 	}
@@ -553,9 +572,13 @@ func TestForwardedAnswerCarriesContentLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := fwd.cl.Snapshot().Forwards
 	resp, relayed := postScore(t, fwd, id, body, nil)
 	if got := resp.Header.Get("X-RPC-Served-By"); got != owner.url {
 		t.Fatalf("X-RPC-Served-By = %q, want the owner %q", got, owner.url)
+	}
+	if got := fwd.cl.Snapshot().Forwards; got != before+1 {
+		t.Fatalf("forwards went %d → %d, want one hop", before, got)
 	}
 	if got, want := resp.Header.Get("Content-Length"), strconv.Itoa(len(relayed)); got != want {
 		t.Fatalf("relayed Content-Length = %q, want %s", got, want)
@@ -602,8 +625,9 @@ func TestForwardedRequestIDReachesOwnerLog(t *testing.T) {
 		return obs.TraceSummary{}, false
 	}
 
+	before := fwd.cl.Snapshot().Forwards
 	resp, _ := postScore(t, fwd, id, body, nil)
-	if resp.Header.Get("X-RPC-Served-By") != owner.url {
+	if resp.Header.Get("X-RPC-Served-By") != owner.url || fwd.cl.Snapshot().Forwards != before+1 {
 		t.Fatal("the request was not forwarded to the owner")
 	}
 	fwdID := resp.Header.Get("X-Request-Id")
@@ -676,4 +700,125 @@ func TestForwardedRequestIDReachesOwnerLog(t *testing.T) {
 		}
 		return false
 	})
+}
+
+// TestResidentHitAndMissRouting pins hit/miss routing and the LRU contract
+// on a two-node group whose registries keep 2 rules decoded, scored
+// through one node. A rule the node owns is served locally; a peer-owned
+// rule it holds resident is served from that copy, with X-RPC-Served-By
+// naming the node; only a peer-owned rule it does not hold crosses the
+// hop. A local hit does not promote the entry, so rules the node owns,
+// loaded after it, evict it and its next request forwards again. Every
+// answer is the owner's byte for byte, also under concurrent requests that
+// race the residency check against loads and evictions.
+func TestResidentHitAndMissRouting(t *testing.T) {
+	nodes := newGroup(t, 2, 2, Options{})
+	self, peer := nodes[0], nodes[1]
+	for i, nd := range nodes {
+		waitForCondition(t, 3*time.Second, fmt.Sprintf("node %d to see its peer", i), func() bool {
+			up, _ := nd.cl.PeerCounts()
+			return up == 1
+		})
+	}
+	// Two rule names self owns and two its peer owns.
+	var own, peers []string
+	for i := 0; len(own) < 2 || len(peers) < 2; i++ {
+		name := fmt.Sprintf("lru%d", i)
+		if self.cl.Owner(name+"-v1") == "" {
+			if len(own) < 2 {
+				own = append(own, name)
+			}
+		} else if len(peers) < 2 {
+			peers = append(peers, name)
+		}
+	}
+	body := []byte(`{"rows":[[1.0,1.5,7.5],[4.5,4.4,3.9],[7.7,7.5,0.9]]}`)
+	// Fit each rule on self and keep its owner's answer. Self's cache ends
+	// up holding the peer-owned rules, b2 then b1 (most recent first).
+	want := map[string][]byte{}
+	for i, name := range append(own, peers...) {
+		fitStormModel(t, self.url, name)
+		id := name + "-v1"
+		waitForCondition(t, 3*time.Second, id+" on the peer", func() bool {
+			_, err := peer.reg.GetMeta(id)
+			return err == nil
+		})
+		owner := self
+		if i >= len(own) {
+			owner = peer
+		}
+		_, want[id] = postScore(t, owner, id, body, nil)
+	}
+	a1, a2, b1, b2 := own[0]+"-v1", own[1]+"-v1", peers[0]+"-v1", peers[1]+"-v1"
+
+	steps := []struct{ id, servedBy string }{
+		{b1, self.url}, // resident: served from the copy, not promoted
+		{a1, ""},       // owned: loaded, evicting b1, the least recently used
+		{b1, peer.url}, // a miss takes the hop
+		{b2, self.url},
+		{a2, ""}, // evicts b2
+		{b2, peer.url},
+		{b1, peer.url}, // the hop did not load b1 here
+		{a1, ""},
+	}
+	before := self.cl.Snapshot()
+	var hits, hops int64
+	for i, st := range steps {
+		resp, got := postScore(t, self, st.id, body, nil)
+		if sb := resp.Header.Get("X-RPC-Served-By"); sb != st.servedBy {
+			t.Fatalf("step %d (%s): served by %q, want %q", i, st.id, sb, st.servedBy)
+		}
+		if !bytes.Equal(got, want[st.id]) {
+			t.Fatalf("step %d (%s): answer %s differs from the owner's %s", i, st.id, got, want[st.id])
+		}
+		switch st.servedBy {
+		case self.url:
+			hits++
+		case peer.url:
+			hops++
+		}
+	}
+	after := self.cl.Snapshot()
+	if after.ForwardLocal-before.ForwardLocal != hits || after.Forwards-before.Forwards != hops {
+		t.Fatalf("counted %d local hits and %d forwards, want %d and %d",
+			after.ForwardLocal-before.ForwardLocal, after.Forwards-before.Forwards, hits, hops)
+	}
+	resp, err := http.Get(self.url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if line := fmt.Sprintf("\nrpcd_forward_local_total %d\n", after.ForwardLocal); !strings.Contains(string(metrics), line) {
+		t.Fatalf("/metrics lacks %q", strings.TrimSpace(line))
+	}
+
+	ids := []string{a1, b1, a2, b2}
+	errs := make(chan string, 4)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 20; k++ {
+				id := ids[(g+k)%len(ids)]
+				resp, err := http.Post(self.url+"/v1/models/"+id+"/score", "application/json", bytes.NewReader(body))
+				if err != nil {
+					errs <- err.Error()
+					return
+				}
+				raw, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK || !bytes.Equal(raw, want[id]) {
+					errs <- fmt.Sprintf("%s: status %d: answer %s, owner's %s", id, resp.StatusCode, raw, want[id])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
 }

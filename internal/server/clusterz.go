@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"rpcrank/internal/cluster"
+	"rpcrank/internal/core"
 )
 
 // This file wires the serving group (internal/cluster) into the HTTP
@@ -17,20 +18,33 @@ import (
 // and export endpoints are registry-backed, so a single node can still
 // seed a group that is formed around it later.
 
-// maybeForward routes a score/rank request through the serving group when
-// its model is owned by a remote replica. It reports true when the request
+// maybeForward routes a score/rank request through the serving group, if
+// the node is a member, when its model is owned by a remote replica. It reports done when the request
 // was fully answered (a peer's response was relayed, or reading the body
-// failed); false means the caller must serve it locally — either this node
-// owns the model or every candidate peer failed (graceful degradation).
-// Requests that already crossed one hop are always served locally, so a
-// routing disagreement between replicas can never loop.
-func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request) bool {
-	if forwarded(r) {
-		return false
+// failed). Otherwise the caller serves it locally: from resident when that
+// is non-nil, through the registry when this node owns the model or every
+// candidate peer failed (graceful degradation). Requests that already
+// crossed one hop are always served locally, so a routing disagreement
+// between replicas can never loop.
+func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request) (done bool, resident *core.Model) {
+	if s.cluster == nil || forwarded(r) {
+		return false, nil
 	}
 	id := r.PathValue("id")
 	if !s.cluster.ShouldForward(id) {
-		return false
+		return false, nil
+	}
+	// A non-owner's answer names who computed it: this node, unless a
+	// relay below replaces the name with the peer's.
+	w.Header().Set(cluster.ServedByHeader, s.cluster.Self())
+	// A rule this node holds decoded is served here, and only a miss takes
+	// the hop. An id names one immutable version, so the resident copy is
+	// the owner's rule bit for bit. Resident does not promote the entry,
+	// and the handler does not call reg.Get for it, so which rules stay
+	// cached is still decided by the requests this node owns.
+	if m, ok := s.reg.Resident(id); ok {
+		s.cluster.CountLocal()
+		return false, m
 	}
 	// The body is buffered up front (through the installed limiter, so the
 	// MaxBodyBytes cap holds) because a retry must replay it to the next
@@ -44,7 +58,7 @@ func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request) bool {
 		} else {
 			writeError(w, badRequest("reading request body: %v", err))
 		}
-		return true
+		return true, nil
 	}
 	tr := traceOf(w)
 	var remaining time.Duration
@@ -56,13 +70,13 @@ func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request) bool {
 	}
 	if s.cluster.Forward(w, r, id, body, remaining, hasDeadline) {
 		putBuf(&bodyPool, body)
-		return true
+		return true, nil
 	}
 	// Local fallback: hand the handler the buffered body. The buffer is
 	// deliberately not repooled — the reader escapes into the handler, and
 	// degraded-path requests are rare enough to leave to the collector.
 	r.Body = io.NopCloser(bytes.NewReader(body))
-	return false
+	return false, nil
 }
 
 // handleClusterInstall serves POST /clusterz/install: a peer replicating a

@@ -366,6 +366,9 @@ func (m *Metrics) ServeHTTP(rw http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(&w, "# HELP rpcd_forwards_total Score/rank requests answered by a peer's relayed response.\n")
 		fmt.Fprintf(&w, "# TYPE rpcd_forwards_total counter\n")
 		fmt.Fprintf(&w, "rpcd_forwards_total %d\n", snap.Forwards)
+		fmt.Fprintf(&w, "# HELP rpcd_forward_local_total Score/rank requests for a peer-owned rule answered from a resident copy.\n")
+		fmt.Fprintf(&w, "# TYPE rpcd_forward_local_total counter\n")
+		fmt.Fprintf(&w, "rpcd_forward_local_total %d\n", snap.ForwardLocal)
 		fmt.Fprintf(&w, "# HELP rpcd_forward_retries_total Forward attempts beyond the first, across all requests.\n")
 		fmt.Fprintf(&w, "# TYPE rpcd_forward_retries_total counter\n")
 		fmt.Fprintf(&w, "rpcd_forward_retries_total %d\n", snap.ForwardRetries)

@@ -156,10 +156,11 @@ func TestOracleScoreRoundTrip(t *testing.T) {
 }
 
 // TestOracleForwardedHop scores through both nodes of a two-node group:
-// the node that does not own the rule forwards the request, and the scores
-// that come back over the hop must meet the oracle's contract too.
+// the node that does not own the rule, crowded out of its cache, forwards
+// the request, and the scores that come back over the hop must meet the
+// oracle's contract too.
 func TestOracleForwardedHop(t *testing.T) {
-	nodes := newStormCluster(t, 2)
+	nodes := newGroup(t, 2, 1, Options{})
 	rng := rand.New(rand.NewSource(31))
 	rule := newOracleRule(t, rng, 3, 4, "newton")
 	resp := postJSON(t, nodes[0].url+"/v1/models", FitRequest{Name: "hop", Rule: rule.doc})
@@ -174,6 +175,7 @@ func TestOracleForwardedHop(t *testing.T) {
 			return err == nil
 		})
 	}
+	crowdOut(t, nodes, "crowd")
 	rows := rule.rows(rng, 200)
 	forwarded := 0
 	for i, nd := range nodes {
@@ -183,12 +185,13 @@ func TestOracleForwardedHop(t *testing.T) {
 			resp.Body.Close()
 			t.Fatalf("node %d: status %d: %s", i, resp.StatusCode, raw)
 		}
-		if resp.Header.Get("X-RPC-Served-By") != "" {
+		if sb := resp.Header.Get("X-RPC-Served-By"); sb != "" && sb != nd.url {
 			forwarded++
 		}
 		rule.check(t, fmt.Sprintf("via node %d", i), rows, decodeBody[ScoreResponse](t, resp).Scores)
 	}
-	if forwarded != 1 {
-		t.Fatalf("%d of 2 requests were forwarded, want exactly 1", forwarded)
+	hops := nodes[0].cl.Snapshot().Forwards + nodes[1].cl.Snapshot().Forwards
+	if forwarded != 1 || hops != 1 {
+		t.Fatalf("%d of 2 requests were relayed by a peer, %d forwards counted; want exactly 1 of each", forwarded, hops)
 	}
 }

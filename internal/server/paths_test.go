@@ -21,10 +21,12 @@ import (
 // TestServingPathsAgree serves a degree-3 countries fit on two nodes with
 // four pool workers each and scores 3,000 rows of six significant digits,
 // a body large enough to decode and encode in several ranges and to shard
-// scoring. Model.ScoreAll, Pool.ScoreFrame, /score, /rank and /rank through
-// the forwarding node must return bit-identical scores; /rank's positions
-// must be order.RankFromScores of them; and no row that strictly
-// dominates another along α may score below it (Proposition 1).
+// scoring. Model.ScoreAll, Pool.ScoreFrame, /score, /rank, /rank through
+// the non-owner while it holds the rule resident, and /rank through the
+// non-owner over the hop once the rule is crowded out of its cache must
+// return bit-identical scores; /rank's positions must be
+// order.RankFromScores of them; and no row that strictly dominates another
+// along α may score below it (Proposition 1).
 func TestServingPathsAgree(t *testing.T) {
 	tab := dataset.Countries()
 	fitted, err := core.FitFrame(tab.Data, core.Options{Alpha: tab.Alpha, Degree: 3, Restarts: 3, Seed: 1})
@@ -35,7 +37,7 @@ func TestServingPathsAgree(t *testing.T) {
 	if err := fitted.Save(&rule); err != nil {
 		t.Fatal(err)
 	}
-	nodes := newGroup(t, 2, Options{Workers: 4})
+	nodes := newGroup(t, 2, 1, Options{Workers: 4})
 	resp := postJSON(t, nodes[0].url+"/v1/models", FitRequest{Name: "paths", Rule: rule.Bytes()})
 	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
@@ -70,40 +72,48 @@ func TestServingPathsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forwarded := 0
-	for i, nd := range nodes {
+	// rank posts the rows to nd's /rank, checks who served them and the
+	// positions against the scores, and files the scores under path.
+	rank := func(nd *stormNode, path, servedBy string) {
+		t.Helper()
 		resp := postJSON(t, nd.url+"/v1/models/paths-v1/rank", ScoreRequest{Rows: rows})
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("node %d /rank: status %d", i, resp.StatusCode)
+			t.Fatalf("%s: status %d", path, resp.StatusCode)
 		}
-		path := "/rank"
-		if resp.Header.Get("X-RPC-Served-By") != "" {
-			path = "/rank forwarded"
-			forwarded++
-		} else {
-			sresp := postJSON(t, nd.url+"/v1/models/paths-v1/score", ScoreRequest{Rows: rows})
-			if sresp.StatusCode != http.StatusOK {
-				t.Fatalf("node %d /score: status %d", i, sresp.StatusCode)
-			}
-			paths["/score"] = decodeBody[ScoreResponse](t, sresp).Scores
+		if got := resp.Header.Get("X-RPC-Served-By"); got != servedBy {
+			t.Fatalf("%s: served by %q, want %q", path, got, servedBy)
 		}
-		rank := decodeBody[RankResponse](t, resp)
-		paths[path] = rank.Scores
-		wantPos := order.RankFromScores(rank.Scores)
-		if len(rank.Positions) != len(wantPos) {
-			t.Fatalf("%s: %d positions for %d rows", path, len(rank.Positions), len(wantPos))
+		got := decodeBody[RankResponse](t, resp)
+		paths[path] = got.Scores
+		wantPos := order.RankFromScores(got.Scores)
+		if len(got.Positions) != len(wantPos) {
+			t.Fatalf("%s: %d positions for %d rows", path, len(got.Positions), len(wantPos))
 		}
 		for r := range wantPos {
-			if rank.Positions[r] != wantPos[r] {
-				t.Fatalf("%s: row %d at position %d, RankFromScores puts it at %d", path, r, rank.Positions[r], wantPos[r])
+			if got.Positions[r] != wantPos[r] {
+				t.Fatalf("%s: row %d at position %d, RankFromScores puts it at %d", path, r, got.Positions[r], wantPos[r])
 			}
 		}
 	}
-	if forwarded != 1 {
-		t.Fatalf("%d of 2 /rank requests were forwarded, want exactly 1", forwarded)
+	owner, other := nodes[0], nodes[1]
+	if owner.cl.Owner("paths-v1") != "" {
+		owner, other = other, owner
 	}
-	if len(paths) != 4 {
-		t.Fatalf("scored through %d paths besides Model.ScoreAll, want 4", len(paths))
+	rank(owner, "/rank", "")
+	sresp := postJSON(t, owner.url+"/v1/models/paths-v1/score", ScoreRequest{Rows: rows})
+	if sresp.StatusCode != http.StatusOK {
+		t.Fatalf("owner /score: status %d", sresp.StatusCode)
+	}
+	paths["/score"] = decodeBody[ScoreResponse](t, sresp).Scores
+	rank(other, "/rank resident non-owner", other.url)
+	crowdOut(t, nodes, "crowd")
+	hops := other.cl.Snapshot().Forwards
+	rank(other, "/rank forwarded", owner.url)
+	if got := other.cl.Snapshot().Forwards; got != hops+1 {
+		t.Fatalf("forwards went %d → %d over the hop path, want one more", hops, got)
+	}
+	if len(paths) != 5 {
+		t.Fatalf("scored through %d paths besides Model.ScoreAll, want 5", len(paths))
 	}
 	for path, got := range paths {
 		if len(got) != len(want) {

@@ -106,10 +106,11 @@ type Options struct {
 
 	// Cluster, when non-nil, makes this node a member of a fault-tolerant
 	// serving group (see internal/cluster): score/rank traffic is sharded
-	// by rendezvous hashing across the live members and forwarded with
-	// retries, installs are broadcast to peers, and the /clusterz
-	// replication endpoints answer them. Nil is a single node; the scoring
-	// fast path then pays only a nil check.
+	// by rendezvous hashing across the live members, a non-owner serves a
+	// rule it holds resident and forwards the rest with retries, installs
+	// are broadcast to peers, and the /clusterz replication endpoints
+	// answer them. Nil is a single node; the scoring fast path then pays
+	// only a nil check.
 	Cluster *cluster.Cluster
 }
 
@@ -804,14 +805,16 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 // mismatches, trailing garbage, the canonical dimension message) is
 // exactly the stdlib path's. Rows the fallback accepts are copied into the
 // same frame, so both decoders share one scoring tail. On success st.scores
-// holds the scores and st.ranges the row ranges to encode them in.
+// holds the scores and st.ranges the row ranges to encode them in. A
+// non-nil m is the rule to score with, already resident (maybeForward's
+// local hit); nil loads it through the registry.
 //
 // Stage spans recorded on tr: normalize (metadata resolution, and again
 // for the model load — the per-row min–max transform itself is fused into
 // the score kernels and lands in the score spans), decode (body read +
 // parse), validate (shape and batch-size checks), score (one span per pool
 // shard, recorded by the workers). The caller records encode.
-func (s *Server) scoreRows(tr *obs.Trace, r *http.Request, st *scoreState) (id string, err error) {
+func (s *Server) scoreRows(tr *obs.Trace, r *http.Request, st *scoreState, m *core.Model) (id string, err error) {
 	id = r.PathValue("id")
 	// Validate against the metadata first: a request that will be
 	// rejected must not pay a model load (disk read + decode + LRU churn).
@@ -907,9 +910,10 @@ func (s *Server) scoreRows(tr *obs.Trace, r *http.Request, st *scoreState) (id s
 	}
 	defer s.adm.rows.release(int64(fr.N()))
 	tr.EndStage(obs.StageValidate)
-	m, _, err := s.reg.Get(id)
-	if err != nil {
-		return id, err
+	if m == nil {
+		if m, _, err = s.reg.Get(id); err != nil {
+			return id, err
+		}
 	}
 	tr.EndStage(obs.StageNormalize)
 	t0 := time.Now()
@@ -952,13 +956,14 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 // batch) and written part by part; an answer it declines goes through
 // writeJSON.
 func (s *Server) serveScores(w http.ResponseWriter, r *http.Request, rank bool) {
-	if s.cluster != nil && s.maybeForward(w, r) {
+	done, resident := s.maybeForward(w, r)
+	if done {
 		return
 	}
 	tr := traceOf(w)
 	st := getScoreState()
 	defer putScoreState(st) // encoding is synchronous on both paths below
-	id, err := s.scoreRows(tr, r, st)
+	id, err := s.scoreRows(tr, r, st, resident)
 	if sw, ok := w.(*statusWriter); ok {
 		sw.model = id
 		if err == nil {

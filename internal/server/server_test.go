@@ -243,6 +243,14 @@ func TestBadInputs(t *testing.T) {
 	checkStatus("no rows no rule", postJSON(t, ts.URL+"/v1/models", FitRequest{Name: "x", Alpha: []float64{1}}), http.StatusBadRequest)
 	checkStatus("bad alpha", postJSON(t, ts.URL+"/v1/models", FitRequest{Alpha: []float64{1, 2}, Rows: trainingRows(8)}), http.StatusBadRequest)
 	checkStatus("bad name", postJSON(t, ts.URL+"/v1/models", FitRequest{Name: "../x", Alpha: []float64{1, 1, -1}, Rows: trainingRows(8)}), http.StatusBadRequest)
+	// A column whose range has no finite inverse would be served as all
+	// zeros; the fit is refused, naming the column.
+	resp = postJSON(t, ts.URL+"/v1/models", FitRequest{Name: "subnormal", Alpha: []float64{1, 1}, Rows: [][]float64{
+		{0, 1}, {1e-310, 2}, {5e-311, 3}, {2e-311, 4}, {8e-311, 5},
+	}})
+	if body := decodeBody[ErrorResponse](t, resp); resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, "column 0 ") {
+		t.Errorf("sub-normal column: status %d, error %q; want 400 naming column 0", resp.StatusCode, body.Error)
+	}
 
 	// Non-finite numbers cannot even be expressed in JSON; both the NaN
 	// token and an overflowing literal die in decoding with a 400. (Rows

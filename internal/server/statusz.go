@@ -153,7 +153,7 @@ func renderStatuszHTML(b *bytes.Buffer, snap *statuszSnapshot) {
 		fmt.Fprintf(b, "<h2>Cluster</h2><table>\n")
 		fmt.Fprintf(b, "<tr><th>self</th><td>%s</td></tr>\n", esc(c.Self))
 		fmt.Fprintf(b, "<tr><th>peers up</th><td>%d / %d</td></tr>\n", c.PeersUp, len(c.Peers))
-		fmt.Fprintf(b, "<tr><th>forwards</th><td>%d (%d retries, %d shed)</td></tr>\n", c.Forwards, c.ForwardRetries, c.ForwardShed)
+		fmt.Fprintf(b, "<tr><th>forwards</th><td>%d (%d retries, %d shed, %d served from a resident copy)</td></tr>\n", c.Forwards, c.ForwardRetries, c.ForwardShed, c.ForwardLocal)
 		fmt.Fprintf(b, "<tr><th>broadcasts</th><td>%d (%d failed)</td></tr>\n", c.Broadcasts, c.BroadcastFailures)
 		fmt.Fprintf(b, "<tr><th>anti-entropy</th><td>%d rounds, %d pulls</td></tr>\n", c.AntiEntropyRounds, c.AntiEntropyPulls)
 		fmt.Fprintf(b, "<tr><th>installs replicated</th><td>%d</td></tr>\n", c.InstallsReplicated)

@@ -20,7 +20,8 @@ type Normalizer struct {
 
 // FitNormalizer computes column ranges over the rows. Degenerate columns
 // (max == min) are widened by ±0.5 around the constant value so that the
-// transform remains well-defined and maps the constant to 0.5.
+// transform remains well-defined and maps the constant to 0.5. A column
+// whose range or its inverse is not finite is refused, naming the column.
 func FitNormalizer(xs [][]float64) (*Normalizer, error) {
 	if len(xs) == 0 {
 		return nil, fmt.Errorf("stats: no rows to normalise")
@@ -49,10 +50,21 @@ func FitNormalizer(xs [][]float64) (*Normalizer, error) {
 			}
 		}
 	}
+	return finishRanges(mn, mx)
+}
+
+// finishRanges widens each constant column by ±0.5 and refuses a column
+// whose range, or its inverse, is not finite: the range overflows between
+// extreme values, or is sub-normal (or a widened constant too large to
+// move), so the transform would send every value to 0 or ±Inf.
+func finishRanges(mn, mx []float64) (*Normalizer, error) {
 	for j := range mn {
 		if mx[j] == mn[j] {
 			mn[j] -= 0.5
 			mx[j] += 0.5
+		}
+		if r := mx[j] - mn[j]; math.IsInf(r, 0) || math.IsInf(1/r, 0) {
+			return nil, fmt.Errorf("stats: column %d spans [%g, %g], a range without a finite inverse", j, mn[j], mx[j])
 		}
 	}
 	return &Normalizer{Min: mn, Max: mx}, nil
@@ -86,13 +98,7 @@ func FitNormalizerFrame(f *frame.Frame) (*Normalizer, error) {
 			}
 		}
 	}
-	for j := range mn {
-		if mx[j] == mn[j] {
-			mn[j] -= 0.5
-			mx[j] += 0.5
-		}
-	}
-	return &Normalizer{Min: mn, Max: mx}, nil
+	return finishRanges(mn, mx)
 }
 
 // Dim returns the number of columns.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -278,5 +279,29 @@ func TestFitNormalizerFrameRejectsNonFinite(t *testing.T) {
 	}
 	if _, err := FitNormalizerFrame(&frame.Frame{}); err == nil {
 		t.Fatal("empty frame must be rejected")
+	}
+}
+
+// TestFitNormalizerRefusesRangeWithoutFiniteInverse: a column whose range
+// is sub-normal (its inverse overflows), whose range overflows, or whose
+// constant is too large for the ±0.5 widening to move is refused by both
+// fitters, and the error names the column.
+func TestFitNormalizerRefusesRangeWithoutFiniteInverse(t *testing.T) {
+	for name, col := range map[string][]float64{
+		"sub-normal range": {0, 1e-310, 5e-311, 2e-311, 8e-311},
+		"range overflows":  {-1e308, 1e308, 0, 1, 2},
+		"huge constant":    {1e17, 1e17, 1e17, 1e17, 1e17},
+	} {
+		rows := make([][]float64, len(col))
+		for i, v := range col {
+			rows[i] = []float64{float64(i) + 0.5, v}
+		}
+		_, err := FitNormalizer(rows)
+		_, ferr := FitNormalizerFrame(frame.MustFromRows(rows))
+		for _, e := range []error{err, ferr} {
+			if e == nil || !strings.Contains(e.Error(), "column 1 ") {
+				t.Fatalf("%s: error %v, want a refusal naming column 1", name, e)
+			}
+		}
 	}
 }
