@@ -36,6 +36,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"math/rand"
 	"net/http"
@@ -132,6 +133,12 @@ func (s State) String() string {
 }
 
 // Options configures New. Zero values select the documented defaults.
+//
+// Peer traffic (forwards, probes, broadcasts, digests, exports and drain
+// notices) goes through a net/http transport private to the cluster: it
+// honours no proxy settings, speaks HTTP/1.1 over plain http, replays a
+// request that fails on a stale pooled connection, and Close empties its
+// pool. Per-request timeouts come from contexts.
 type Options struct {
 	// Self is this node's advertised base URL, http://host[:port]; it
 	// participates in rendezvous routing alongside the peers.
@@ -166,11 +173,6 @@ type Options struct {
 	// offered before the node degrades to serving locally (default 3).
 	MaxForwardAttempts int
 
-	// Client issues all peer HTTP requests. The default is a client over
-	// the package's own keep-alive transport, which runs each request on
-	// the caller's goroutine and honours no proxy settings; per-request
-	// timeouts come from contexts, not the client.
-	Client *http.Client
 	// Logger receives peer state transitions and sync errors (nil selects
 	// slog.Default()).
 	Logger *slog.Logger
@@ -397,10 +399,6 @@ func New(opts Options) (*Cluster, error) {
 	if opts.MaxForwardAttempts <= 0 {
 		opts.MaxForwardAttempts = 3
 	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{Transport: newPeerTransport()}
-	}
 	logger := opts.Logger
 	if logger == nil {
 		logger = slog.Default()
@@ -409,11 +407,13 @@ func New(opts Options) (*Cluster, error) {
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
+	// A zero Transport, not http.DefaultTransport, which reads proxy
+	// settings and shares its pool with the whole process.
 	c := &Cluster{
 		opts:   opts,
 		self:   strings.TrimRight(opts.Self, "/"),
 		reg:    opts.Registry,
-		client: client,
+		client: &http.Client{Transport: &http.Transport{}},
 		logger: logger,
 		faults: opts.Faults,
 		rng:    rand.New(rand.NewSource(seed)),
@@ -558,10 +558,18 @@ func (c *Cluster) NotifyDraining(draining bool) {
 
 // do issues one peer request through the shared client, firing the
 // PeerDial and PeerRead injection points around it.
+//
+// Every peer request is idempotent — a score is a pure function of its
+// body, installs apply once, and a drain notice sets a flag — so each is
+// marked so: net/http then replays a POST that fails on a stale pooled
+// connection before any answer byte, as it does a GET. The nil value
+// marks the request without sending the header; every body is a bytes or
+// strings reader, so GetBody is set and the body can be sent again.
 func (c *Cluster) do(req *http.Request) (*http.Response, error) {
 	if err := c.faults.Fire(faultinject.PointPeerDial); err != nil {
 		return nil, err
 	}
+	req.Header["Idempotency-Key"] = nil
 	resp, err := c.client.Do(req)
 	if err != nil {
 		return nil, err
@@ -573,19 +581,10 @@ func (c *Cluster) do(req *http.Request) (*http.Response, error) {
 	return resp, nil
 }
 
-// drainBody discards and closes a response body so the transport can reuse
-// the connection.
+// drainBody discards (up to 1 MiB of) and closes a response body so the
+// transport can reuse the connection.
 func drainBody(resp *http.Response) {
-	const limit = 1 << 20
-	buf := make([]byte, 4096)
-	var n int64
-	for {
-		m, err := resp.Body.Read(buf)
-		n += int64(m)
-		if err != nil || n > limit {
-			break
-		}
-	}
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
 	resp.Body.Close()
 }
 

@@ -183,8 +183,9 @@ func (r *Result) NearTie(tol float64) bool {
 //	(a) D(s) ≤ Dist + M·h²/8 + 1e-12·(1 + Dist), the distance a grid-seeded
 //	    search guarantees: the seed node nearest the global minimiser is
 //	    within h/2 of it;
-//	(b) |s − S| ≤ 1e-12, unless the row is a near tie: another local
-//	    minimiser lies within M·h²/4 of the global minimum.
+//	(b) |s − S| ≤ 1e-12, unless the row is a near tie (another local
+//	    minimiser lies within M·h²/4 of the global minimum) or D is flat
+//	    at S (see Flat).
 //
 // It returns nil when both hold.
 func (r *Result) Check(s float64, cells int) error {
@@ -192,16 +193,30 @@ func (r *Result) Check(s float64, cells int) error {
 		return err
 	}
 	h := 1 / float64(cells)
-	if math.Abs(s-r.S) > 1e-12 && !r.NearTie(r.M*h*h/4) {
-		return fmt.Errorf("(b) score %.17g vs the oracle's %.17g (|Δ|=%.3g, not a near tie)", s, r.S, math.Abs(s-r.S))
+	if math.Abs(s-r.S) > 1e-12 && !r.NearTie(r.M*h*h/4) && !r.Flat() {
+		return fmt.Errorf("(b) score %.17g vs the oracle's %.17g (|Δ|=%.3g, neither a near tie nor flat)", s, r.S, math.Abs(s-r.S))
 	}
 	return nil
 }
 
-// CheckDist is part (a) of Check alone, with the range check: it holds
-// where the distance profile does not pin the minimiser down, as on a
-// curve that stalls (repeated control points), where every s on the flat
-// stretch attains the minimum distance to rounding.
+// Flat reports whether D is flat to second order at S: within δ = 1e-4 of
+// S it rises by less than a curvature D″ = 1e-3 would make it. There the
+// profile pins s only to a root of its rounding, and no projector can meet
+// part (b)'s 1e-12: on a curve that stalls (P₀ = P₁ = P₂) the engine's
+// score sat 8.5e-4 from the oracle's, and on a curve whose row's error
+// vector is normal to both f′(0) and f″(0) (so D′(0) = D″(0) = 0), 2.9e-8.
+func (r *Result) Flat() bool {
+	const delta = 1e-4
+	rise := math.Inf(1)
+	for _, s := range []float64{r.S - delta, r.S + delta} {
+		if s >= 0 && s <= 1 {
+			rise = math.Min(rise, r.DistAt(s)-r.Dist)
+		}
+	}
+	return rise < 1e-3*delta*delta/2
+}
+
+// CheckDist is part (a) of Check alone, with the range check.
 func (r *Result) CheckDist(s float64, cells int) error {
 	if !(s >= 0 && s <= 1) {
 		return fmt.Errorf("score %v outside [0,1]", s)

@@ -181,17 +181,51 @@ func TestNearTieRow(t *testing.T) {
 	}
 }
 
-// TestCheckRejects: Check flags a score off the unique minimiser, a score
-// in a worse basin, and scores outside [0,1].
+// TestCheckRejects: Check flags a score off the unique minimiser (1e-9
+// off is enough where D is not flat), a score in a worse basin, and scores
+// outside [0,1].
 func TestCheckRejects(t *testing.T) {
 	c := New([][]float64{{0, 0}, {0.3, 0.6}, {0.7, 0.9}, {1, 1}}, DefaultCells)
 	r := c.Project([]float64{0.4, 0.6})
+	if r.Flat() {
+		t.Fatalf("D is flat at S = %v", r.S)
+	}
 	if err := r.Check(r.S, 32); err != nil {
 		t.Fatalf("the oracle's own minimiser rejected: %v", err)
 	}
 	for _, s := range []float64{r.S + 1e-9, r.S - 0.2, 1, math.NaN(), -0.1, 1.1} {
 		if err := r.Check(s, 32); err == nil {
 			t.Errorf("score %v accepted (oracle %v)", s, r.S)
+		}
+	}
+}
+
+// TestCheckExemptsFlatMinimum: where D is flat to second order at the
+// minimiser, Check holds a score to part (a) alone. The two flat rows are
+// ones the engine scored off the oracle's minimiser at the same distance
+// to rounding: the origin row on a curve that stalls (P₀ = P₁ = P₂),
+// 8.5e-4 off, and on a degree-2 curve where D′(0) = D″(0) = 0, 2.9e-8
+// off. (TestCheckRejects holds a row whose D curves at its minimiser to
+// part (b).)
+func TestCheckExemptsFlatMinimum(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ctrl [][]float64
+		x    []float64
+		off  float64
+	}{
+		{"stalled curve", [][]float64{{0, 0, 0}, {0, 0, 0}, {0, 0, 0}, {0.1, 0, 0}, {0, 1, 0}}, []float64{0, 0, 0}, 8.5e-4},
+		{"D′(0) = D″(0) = 0", [][]float64{{0, 0, 0.1, 0.1}, {0.1, 0, 0.1, 0.1}, {1, 1, 0, 0}}, []float64{0, 0, 0, 0}, 2.9e-8},
+	} {
+		r := New(tc.ctrl, DefaultCells).Project(tc.x)
+		if !r.Flat() {
+			t.Errorf("%s: D is not flat at S = %v", tc.name, r.S)
+		}
+		if err := r.Check(r.S+tc.off, DefaultCells); err != nil {
+			t.Errorf("%s: score %v off the minimiser rejected: %v", tc.name, tc.off, err)
+		}
+		if err := r.Check(0.5, DefaultCells); err == nil {
+			t.Errorf("%s: s = 0.5 accepted, far from the minimum distance", tc.name)
 		}
 	}
 }
