@@ -310,3 +310,136 @@ func TestClusterCloseReleasesConnections(t *testing.T) {
 		return !strings.Contains(string(buf[:runtime.Stack(buf, true)]), "net/http.(*persistConn)")
 	})
 }
+
+// TestPeerRequestsSendNoIdempotencyKey: c.do marks each request idempotent
+// with a nil Idempotency-Key, which net/http reads but never writes; the
+// peer sees a plain HTTP/1.1 request without the header.
+func TestPeerRequestsSendNoIdempotencyKey(t *testing.T) {
+	type seen struct {
+		proto string
+		keys  []string
+		ok    bool
+	}
+	got := make(chan seen, 1)
+	ts, _ := newCountedServer(t, func(w http.ResponseWriter, r *http.Request) {
+		keys, ok := r.Header["Idempotency-Key"]
+		got <- seen{r.Proto, keys, ok}
+	})
+	c := newPeerlessCluster(t)
+	if code, _, err := send(t, c, http.MethodPost, ts.URL+"/x", strings.NewReader("{}")); err != nil || code != http.StatusOK {
+		t.Fatalf("POST = %d, %v", code, err)
+	}
+	s := <-got
+	if s.ok {
+		t.Fatalf("the peer received Idempotency-Key %q", s.keys)
+	}
+	if s.proto != "HTTP/1.1" {
+		t.Fatalf("the peer received %s, want HTTP/1.1", s.proto)
+	}
+}
+
+// TestPeerTransportIgnoresProxyEnvironment: peer traffic goes straight to
+// the peer whatever HTTP_PROXY says; the transport New builds consults no
+// proxy function at all.
+func TestPeerTransportIgnoresProxyEnvironment(t *testing.T) {
+	t.Setenv("HTTP_PROXY", "http://proxy.example:3128")
+	t.Setenv("http_proxy", "http://proxy.example:3128")
+	c := newPeerlessCluster(t)
+	tr, ok := c.client.Transport.(*http.Transport)
+	if !ok {
+		t.Fatalf("peer client transport is %T, want *http.Transport", c.client.Transport)
+	}
+	if tr.Proxy != nil {
+		t.Fatal("the peer transport consults a proxy function")
+	}
+}
+
+// TestPeerTransportNoReplayAfterAnswerBegins: once the peer has begun its
+// answer, a failure is returned rather than replayed, even on a reused
+// connection; only a failure before the first answer byte is replayed.
+func TestPeerTransportNoReplayAfterAnswerBegins(t *testing.T) {
+	var posts atomic.Int64
+	ts, cc := newCountedServer(t, func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet {
+			return
+		}
+		io.ReadAll(r.Body)
+		posts.Add(1)
+		conn, buf, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			return
+		}
+		buf.WriteString("HTTP/1.1 200 OK\r\nContent-")
+		buf.Flush()
+		conn.Close()
+	})
+	c := newPeerlessCluster(t)
+	// Pool a connection, so the POST runs on a reused one.
+	if code, _, err := send(t, c, http.MethodGet, ts.URL, nil); err != nil || code != http.StatusOK {
+		t.Fatalf("GET = %d, %v", code, err)
+	}
+	if _, _, err := send(t, c, http.MethodPost, ts.URL+"/score", strings.NewReader("{}")); err == nil {
+		t.Fatal("a truncated answer head reported success")
+	}
+	if n := posts.Load(); n != 1 {
+		t.Fatalf("the peer saw the POST %d times, want 1 (no replay)", n)
+	}
+	if n := cc.accepted.Load(); n != 1 {
+		t.Fatalf("%d connections accepted, want 1", n)
+	}
+}
+
+// TestDrainBodyReusesConnection: a short answer drained to its end leaves
+// its connection in the pool for the next request.
+func TestDrainBodyReusesConnection(t *testing.T) {
+	ts, cc := newCountedServer(t, func(w http.ResponseWriter, _ *http.Request) {
+		w.Write(bytes.Repeat([]byte("x"), 64<<10))
+	})
+	c := newPeerlessCluster(t)
+	for i := 0; i < 3; i++ {
+		req, _ := http.NewRequest(http.MethodGet, ts.URL, nil)
+		resp, err := c.do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drainBody(resp)
+	}
+	if n := cc.accepted.Load(); n != 1 {
+		t.Fatalf("%d connections accepted for three drained answers, want 1", n)
+	}
+}
+
+// TestDrainBodyCapsLongAnswer: drainBody reads at most 1 MiB; an answer
+// longer than that is cut off and its connection closed rather than read
+// to the end, and the next request opens a fresh one.
+func TestDrainBodyCapsLongAnswer(t *testing.T) {
+	var written atomic.Int64
+	ts, cc := newCountedServer(t, func(w http.ResponseWriter, _ *http.Request) {
+		const size = 64 << 20
+		w.Header().Set("Content-Length", fmt.Sprint(size))
+		chunk := bytes.Repeat([]byte("x"), 64<<10)
+		for n := 0; n < size; n += len(chunk) {
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+			written.Add(int64(len(chunk)))
+		}
+	})
+	c := newPeerlessCluster(t)
+	req, _ := http.NewRequest(http.MethodGet, ts.URL, nil)
+	resp, err := c.do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainBody(resp)
+	waitFor(t, 2*time.Second, "the long answer's connection to close", func() bool { return cc.open.Load() == 0 })
+	if n := written.Load(); n >= 64<<20 {
+		t.Fatalf("the peer wrote all %d bytes; drainBody read past its cap", n)
+	}
+	if code, _, err := send(t, c, http.MethodGet, ts.URL+"/again", nil); err != nil || code != http.StatusOK {
+		t.Fatalf("GET after the cut = %d, %v", code, err)
+	}
+	if n := cc.accepted.Load(); n != 2 {
+		t.Fatalf("%d connections accepted, want 2 (the cut one and a fresh one)", n)
+	}
+}

@@ -217,16 +217,18 @@ func TestCheckExemptsFlatMinimum(t *testing.T) {
 		{"stalled curve", [][]float64{{0, 0, 0}, {0, 0, 0}, {0, 0, 0}, {0.1, 0, 0}, {0, 1, 0}}, []float64{0, 0, 0}, 8.5e-4},
 		{"D′(0) = D″(0) = 0", [][]float64{{0, 0, 0.1, 0.1}, {0.1, 0, 0.1, 0.1}, {1, 1, 0, 0}}, []float64{0, 0, 0, 0}, 2.9e-8},
 	} {
-		r := New(tc.ctrl, DefaultCells).Project(tc.x)
-		if !r.Flat() {
-			t.Errorf("%s: D is not flat at S = %v", tc.name, r.S)
-		}
-		if err := r.Check(r.S+tc.off, DefaultCells); err != nil {
-			t.Errorf("%s: score %v off the minimiser rejected: %v", tc.name, tc.off, err)
-		}
-		if err := r.Check(0.5, DefaultCells); err == nil {
-			t.Errorf("%s: s = 0.5 accepted, far from the minimum distance", tc.name)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			r := New(tc.ctrl, DefaultCells).Project(tc.x)
+			if !r.Flat() {
+				t.Errorf("D is not flat at S = %v", r.S)
+			}
+			if err := r.Check(r.S+tc.off, DefaultCells); err != nil {
+				t.Errorf("score %v off the minimiser rejected: %v", tc.off, err)
+			}
+			if err := r.Check(0.5, DefaultCells); err == nil {
+				t.Error("s = 0.5 accepted, far from the minimum distance")
+			}
+		})
 	}
 }
 
