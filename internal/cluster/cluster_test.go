@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -363,6 +364,54 @@ func TestForwardDegradesToLocal(t *testing.T) {
 	}
 	if snap.Forwards != 0 {
 		t.Fatalf("forwards = %d, want 0", snap.Forwards)
+	}
+}
+
+// TestForwardHandsOnDeadline: a forwarded request carries its remaining
+// budget to the peer as X-Deadline-Ms, never more than it had left, and a
+// request without a deadline carries none.
+func TestForwardHandsOnDeadline(t *testing.T) {
+	got := make(chan []string, 1)
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == HealthPath {
+			w.Write([]byte(`{"status":"ok","draining":false}`))
+			return
+		}
+		got <- r.Header.Values("X-Deadline-Ms")
+		w.Write([]byte(`{}`))
+	}))
+	defer peer.Close()
+	c, err := New(Options{
+		Self:                "http://self:1",
+		Peers:               []string{peer.URL},
+		Registry:            newTestRegistry(t),
+		ProbeInterval:       time.Hour,
+		AntiEntropyInterval: time.Hour,
+		Seed:                1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	id := pickModelID(t, c.Self(), peer.URL)
+
+	forward := func(remaining time.Duration, hasDeadline bool) []string {
+		t.Helper()
+		r := httptest.NewRequest(http.MethodPost, "/v1/models/"+id+"/score", nil)
+		if !c.Forward(httptest.NewRecorder(), r, id, []byte(`{"rows":[[1,2,3]]}`), remaining, hasDeadline) {
+			t.Fatal("Forward did not relay the peer's answer")
+		}
+		return <-got
+	}
+	h := forward(2*time.Second, true)
+	if len(h) != 1 {
+		t.Fatalf("X-Deadline-Ms = %q, want one value", h)
+	}
+	if ms, err := strconv.ParseInt(h[0], 10, 64); err != nil || ms <= 0 || ms > 2000 {
+		t.Fatalf("X-Deadline-Ms = %q, want in (0, 2000]", h[0])
+	}
+	if h := forward(0, false); len(h) != 0 {
+		t.Fatalf("request without a deadline forwarded X-Deadline-Ms %q", h)
 	}
 }
 

@@ -124,10 +124,6 @@ func (h *Histogram) Snapshot() (cum []int64, count, sumUs int64) {
 	return cum, count, sumUs
 }
 
-// UppersUs returns the configured bucket upper bounds (microseconds),
-// excluding +Inf.
-func (h *Histogram) UppersUs() []int64 { return h.uppersUs }
-
 // maxQuantileBuckets bounds the stack scratch of QuantileUs. The serving
 // latency ladder has 13 buckets; 32 leaves room without an allocation.
 const maxQuantileBuckets = 32

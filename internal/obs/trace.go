@@ -4,7 +4,9 @@
 // traces, and build identification. Everything here is written for the
 // serving hot path's zero-allocation discipline — traces are pooled,
 // spans live in a fixed in-trace buffer, counters are padded atomics —
-// so instrumentation never shows up in an allocation profile.
+// so instrumentation never shows up in an allocation profile. A trace
+// keeps no deadline of its own: it is a context.Context over the request
+// context it was started from, and a client deadline is that context's.
 package obs
 
 import (
@@ -73,9 +75,11 @@ type Span struct {
 const MaxSpans = 48
 
 // Trace is the per-request record: a monotonic ID, the wall-clock start,
-// and a fixed buffer of stage spans. It doubles as a context.Context
-// (delegating to the parent it was started from), which is how it travels
-// through the scoring pool without a per-request context allocation.
+// and a fixed buffer of stage spans. It doubles as a context.Context that
+// answers for its own key and delegates everything else — deadline,
+// cancellation, values — to the parent it was started from, which is how
+// it travels through the scoring pool without a per-request context
+// allocation.
 // Sequential stages are recorded with EndStage; concurrent shards append
 // with AddSpan, which is safe from multiple goroutines.
 type Trace struct {
@@ -84,13 +88,6 @@ type Trace struct {
 	idStr  string
 	start  time.Time
 	cursor time.Time // end of the previous sequential stage
-
-	// deadline, when non-zero, is the request's absolute deadline (client
-	// deadline capped by the server). Expiry is surfaced through Err and
-	// Expired, which cooperative cancellation points poll between row
-	// blocks; the Done channel still belongs to the parent (client
-	// disconnects), so a deadline costs no timer and no allocation.
-	deadline time.Time
 
 	// rowsDone accumulates rows actually scored across pool shards, so a
 	// cancelled batch can report how much work it completed before its
@@ -117,35 +114,10 @@ func StartTrace(parent context.Context) *Trace {
 	t.id, t.idStr = nextID()
 	t.start = time.Now()
 	t.cursor = t.start
-	t.deadline = time.Time{}
 	t.rowsDone.Store(0)
 	t.nspans.Store(0)
 	t.dropped.Store(0)
 	return t
-}
-
-// SetDeadline arms the trace's cooperative deadline. Call once, from the
-// request goroutine, before the trace is shared with pool workers.
-func (t *Trace) SetDeadline(d time.Time) { t.deadline = d }
-
-// HasDeadline reports whether a deadline is armed. Nil-safe, like the
-// other read accessors, so callers holding an optional trace need no
-// guard.
-func (t *Trace) HasDeadline() bool { return t != nil && !t.deadline.IsZero() }
-
-// Expired reports whether the armed deadline has passed. Traces without a
-// deadline never expire. Safe to poll from pool workers; nil-safe.
-func (t *Trace) Expired() bool {
-	return t != nil && !t.deadline.IsZero() && !time.Now().Before(t.deadline)
-}
-
-// Remaining returns the time left until the deadline, or a negative value
-// once it passed; ok is false when no deadline is armed.
-func (t *Trace) Remaining() (d time.Duration, ok bool) {
-	if t.deadline.IsZero() {
-		return 0, false
-	}
-	return time.Until(t.deadline), true
 }
 
 // AddRowsDone accumulates rows completed by one score shard, for the
@@ -253,34 +225,14 @@ func (t *Trace) StageMillis() (ms [NumStages]float64, scoreShards int) {
 // traceKey is the context key Trace answers to.
 type traceKey struct{}
 
-// Deadline implements context.Context: the armed trace deadline when it is
-// earlier than the parent's (or the parent has none), the parent's
-// otherwise.
-func (t *Trace) Deadline() (time.Time, bool) {
-	pd, pok := t.parent.Deadline()
-	if t.deadline.IsZero() {
-		return pd, pok
-	}
-	if pok && pd.Before(t.deadline) {
-		return pd, true
-	}
-	return t.deadline, true
-}
+// Deadline implements context.Context by delegating to the parent.
+func (t *Trace) Deadline() (time.Time, bool) { return t.parent.Deadline() }
 
-// Done implements context.Context by delegating to the parent. The trace's
-// own deadline closes no channel — it is polled cooperatively through Err
-// and Expired at row-block boundaries, which is what keeps arming it
-// allocation- and timer-free.
+// Done implements context.Context by delegating to the parent.
 func (t *Trace) Done() <-chan struct{} { return t.parent.Done() }
 
-// Err implements context.Context: DeadlineExceeded once the armed trace
-// deadline passes, the parent's error otherwise.
-func (t *Trace) Err() error {
-	if t.Expired() {
-		return context.DeadlineExceeded
-	}
-	return t.parent.Err()
-}
+// Err implements context.Context by delegating to the parent.
+func (t *Trace) Err() error { return t.parent.Err() }
 
 // Value implements context.Context: the trace answers for its own key and
 // delegates everything else to the parent.

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"math"
 	"net/http"
 	"strconv"
@@ -20,8 +21,8 @@ const (
 	shedQueueFull = iota // per-model wait queue at capacity
 	shedBytes            // server-wide in-flight byte budget exhausted
 	shedRows             // server-wide in-flight row budget exhausted
-	shedDeadline         // remaining deadline cannot cover the model's p50
-	shedExpired          // deadline expired mid-request (cooperative cancel)
+	shedDeadline         // deadline cannot cover the model's p50, or passed while queued
+	shedExpired          // deadline passed before admission or mid-batch, or the client went away
 	shedDraining         // node is draining
 	shedClosed           // scoring pool already closed (shutdown race)
 	numShedReasons
@@ -100,10 +101,10 @@ func newLimiter(concurrency, queue int) *limiter {
 
 // acquire takes a slot, queueing up to the wait cap. It returns the time
 // spent waiting (0 on the uncontended path, which performs no clock
-// reads), and an error when the queue is full or ctx expired while
-// parked. ctx's Done channel is the client-disconnect signal; the trace
-// deadline is polled because traces close no channel.
-func (l *limiter) acquire(ctx context.Context, tr *obs.Trace) (time.Duration, error) {
+// reads), and an error when the queue is full or ctx ended while parked:
+// shedDeadline when its deadline passed, shedExpired when the client went
+// away.
+func (l *limiter) acquire(ctx context.Context) (time.Duration, error) {
 	select {
 	case l.slots <- struct{}{}:
 		l.active.Add(1)
@@ -117,34 +118,17 @@ func (l *limiter) acquire(ctx context.Context, tr *obs.Trace) (time.Duration, er
 	}
 	defer l.waiting.Add(-1)
 	t0 := time.Now()
-	// Poll the trace deadline while parked: the deadline closes no channel,
-	// so waiting only on Done() would park an already-dead request until a
-	// slot frees. One coarse timer tick bounds the overstay.
-	var tick *time.Ticker
-	var tickC <-chan time.Time
-	if tr.HasDeadline() {
-		tick = time.NewTicker(5 * time.Millisecond)
-		tickC = tick.C
-		defer tick.Stop()
-	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	for {
-		select {
-		case l.slots <- struct{}{}:
-			l.active.Add(1)
-			return time.Since(t0), nil
-		case <-done:
-			return time.Since(t0), &shedError{status: http.StatusServiceUnavailable, reason: shedExpired,
-				msg: "request cancelled while queued for admission"}
-		case <-tickC:
-			if tr.Expired() {
-				return time.Since(t0), &shedError{status: http.StatusServiceUnavailable, reason: shedDeadline,
-					msg: "deadline expired while queued for admission"}
-			}
+	select {
+	case l.slots <- struct{}{}:
+		l.active.Add(1)
+		return time.Since(t0), nil
+	case <-ctx.Done():
+		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+			return time.Since(t0), &shedError{status: http.StatusServiceUnavailable, reason: shedDeadline,
+				msg: "deadline expired while queued for admission"}
 		}
+		return time.Since(t0), &shedError{status: http.StatusServiceUnavailable, reason: shedExpired,
+			msg: "request cancelled while queued for admission"}
 	}
 }
 

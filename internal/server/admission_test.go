@@ -119,7 +119,7 @@ func TestModelQueueFullSheds429(t *testing.T) {
 	// Occupy the model's only concurrency slot so the next request must
 	// queue — and with no queue configured, it sheds immediately.
 	lim := s.adm.limiter(id)
-	if _, err := lim.acquire(context.Background(), nil); err != nil {
+	if _, err := lim.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	resp := scoreReq(t, ts, id, [][]float64{{1, 2, 3}}, 0)
@@ -139,6 +139,68 @@ func TestModelQueueFullSheds429(t *testing.T) {
 	readAll(t, resp)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-release status %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestQueuedDeadlineSheds503: a request parked behind a model's only slot
+// wakes when its deadline passes, not when the slot frees, and is shed 503
+// under reason "deadline". A parked request whose client goes away is
+// shed under "expired".
+func TestQueuedDeadlineSheds503(t *testing.T) {
+	s, ts := newTestServerOpts(t, t.TempDir(), Options{ModelConcurrency: 1})
+	id := fitModel(t, ts, "qd").Model.ID
+	lim := s.adm.limiter(id)
+	if _, err := lim.acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer lim.release()
+
+	start := time.Now()
+	resp := scoreReq(t, ts, id, [][]float64{{1, 2, 3}}, 50)
+	elapsed := time.Since(start)
+	body := readAll(t, resp)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("status %d, want 503; body %s", resp.StatusCode, body)
+	}
+	if !strings.Contains(body, "deadline expired while queued for admission") {
+		t.Fatalf("body %s, want the queued-deadline message", body)
+	}
+	if elapsed < 50*time.Millisecond || elapsed >= 75*time.Millisecond {
+		t.Fatalf("answered after %v, want within [50ms, 75ms)", elapsed)
+	}
+	if n := s.adm.shed[shedDeadline].Load(); n != 1 {
+		t.Fatalf("shed[deadline] = %d, want 1", n)
+	}
+
+	// The client leaving is its request context ending. The request goes
+	// through ServeHTTP directly: over HTTP/1.1, net/http notices a
+	// disconnect only once the body has been read, and a parked request
+	// has not read it yet.
+	ctx, cancel := context.WithCancel(context.Background())
+	req := httptest.NewRequestWithContext(ctx, http.MethodPost, "/v1/models/"+id+"/score", strings.NewReader(`{"rows":[[1,2,3]]}`))
+	rec := httptest.NewRecorder()
+	served := make(chan struct{})
+	go func() {
+		s.ServeHTTP(rec, req)
+		close(served)
+	}()
+	waitForCondition(t, 2*time.Second, "the request to queue", func() bool {
+		_, queued := lim.stats()
+		return queued == 1
+	})
+	cancel()
+	<-served
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "request cancelled while queued for admission") {
+		t.Fatalf("cancelled request: status %d body %s", rec.Code, rec.Body)
+	}
+	if n := s.adm.shed[shedExpired].Load(); n != 1 {
+		t.Fatalf("shed[expired] = %d, want 1", n)
+	}
+	if n := s.adm.shed[shedDeadline].Load(); n != 1 {
+		t.Fatalf("shed[deadline] = %d after the cancel, want still 1", n)
+	}
+	if _, queued := lim.stats(); queued != 0 {
+		t.Fatalf("%d requests still queued", queued)
 	}
 }
 

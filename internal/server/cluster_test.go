@@ -37,6 +37,9 @@ type stormNode struct {
 	ts      *httptest.Server
 	dead    atomic.Bool
 	apiHits atomic.Int64 // inbound /v1/ requests that reached this node
+	// hopDeadline holds the X-Deadline-Ms values of the last inbound
+	// request that crossed a hop.
+	hopDeadline atomic.Pointer[[]string]
 }
 
 // setDead kills or revives the node. Its outbound peer requests fail at
@@ -59,6 +62,10 @@ func (n *stormNode) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	if strings.HasPrefix(r.URL.Path, "/v1/") {
 		n.apiHits.Add(1)
+	}
+	if forwarded(r) {
+		h := r.Header.Values("X-Deadline-Ms")
+		n.hopDeadline.Store(&h)
 	}
 	n.srv.ServeHTTP(w, r)
 }
@@ -589,6 +596,44 @@ func TestForwardedAnswerCarriesContentLength(t *testing.T) {
 	_, direct := postScore(t, owner, id, body, nil)
 	if !bytes.Equal(relayed, direct) {
 		t.Fatal("relayed answer differs from the owner's direct answer")
+	}
+}
+
+// TestForwardedDeadlineReachesOwner: a non-owner that misses its cache
+// hands the owner the client's remaining deadline, no more than the
+// client gave, and a request without a deadline crosses the hop without
+// one.
+func TestForwardedDeadlineReachesOwner(t *testing.T) {
+	owner, fwd, id := hopPair(t, Options{})
+	body := []byte(`{"rows":[[1.0,1.5,7.5],[4.5,4.4,3.9]]}`)
+	for _, tc := range []struct {
+		name   string
+		header map[string]string
+	}{
+		{"deadline", map[string]string{"X-Deadline-Ms": "2000"}},
+		{"no deadline", nil},
+	} {
+		owner.hopDeadline.Store(nil)
+		resp, _ := postScore(t, fwd, id, body, tc.header)
+		if got := resp.Header.Get("X-RPC-Served-By"); got != owner.url {
+			t.Fatalf("%s: served by %q, want the owner %q", tc.name, got, owner.url)
+		}
+		h := owner.hopDeadline.Load()
+		if h == nil {
+			t.Fatalf("%s: the owner saw no forwarded request", tc.name)
+		}
+		if tc.header == nil {
+			if len(*h) != 0 {
+				t.Fatalf("%s: the hop carried X-Deadline-Ms %q", tc.name, *h)
+			}
+			continue
+		}
+		if len(*h) != 1 {
+			t.Fatalf("%s: X-Deadline-Ms = %q, want one value", tc.name, *h)
+		}
+		if ms, err := strconv.ParseInt((*h)[0], 10, 64); err != nil || ms <= 0 || ms > 2000 {
+			t.Fatalf("%s: X-Deadline-Ms = %q, want in (0, 2000]", tc.name, (*h)[0])
+		}
 	}
 }
 

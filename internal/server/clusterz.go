@@ -60,13 +60,10 @@ func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request) (done bool
 		}
 		return true, nil
 	}
-	tr := traceOf(w)
 	var remaining time.Duration
-	hasDeadline := false
-	if tr.HasDeadline() {
-		if rem, ok := tr.Remaining(); ok {
-			remaining, hasDeadline = rem, true
-		}
+	dl, hasDeadline := r.Context().Deadline()
+	if hasDeadline {
+		remaining = time.Until(dl)
 	}
 	if s.cluster.Forward(w, r, id, body, remaining, hasDeadline) {
 		putBuf(&bodyPool, body)

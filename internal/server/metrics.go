@@ -139,13 +139,6 @@ func (m *Metrics) Route(name string) *RouteStats {
 	return rs
 }
 
-// Observe records one request on a route, resolving it by name. Kept for
-// callers without a registered *RouteStats; the server's handlers use the
-// pointer directly.
-func (m *Metrics) Observe(route string, status int, elapsed time.Duration) {
-	m.Route(route).Observe(0, status, elapsed)
-}
-
 // Model returns the stats for a model ID, creating them on first use. Past
 // maxModelSeries distinct IDs, a shared overflow series is returned. The
 // steady path is one RLock-guarded map read.

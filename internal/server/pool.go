@@ -38,12 +38,12 @@ var ErrPoolClosed = errors.New("scoring pool closed")
 // row storage nor scorer scratch. The same workers decode a large score
 // request's body and encode its answer, one row range a task (runRanges).
 //
-// Batches carrying a cancellable context (a trace with an armed deadline,
-// or a request context with a Done channel — every HTTP request has one)
-// are cooperatively cancellable: workers poll it every 64 rows and the
-// first shard to observe expiry trips a batch-wide abort, so every worker
-// frees itself mid-batch instead of finishing doomed work. Batches without
-// either signal skip the polls.
+// Batches carrying a cancellable context (one with a Done channel: every
+// HTTP request's has one, and a client deadline arms its timer) are
+// cooperatively cancellable: workers poll it every 64 rows, and a
+// context's error never clears, so once it ends every shard frees its
+// worker at its next poll instead of finishing doomed work. Batches
+// without a Done channel skip the polls.
 type Pool struct {
 	workers int
 	tasks   chan poolTask
@@ -67,8 +67,8 @@ type Pool struct {
 // rows [lo, hi) of f into out[lo:hi]; the frame and output slice are
 // shared across the batch's tasks, the ranges are disjoint, so no
 // synchronisation beyond b.done is needed. tr, when non-nil, receives a
-// score span for the shard; b carries the batch's barrier, panic slot and
-// cancellation state. A decode or encode task runs range lo of st (see
+// score span for the shard; b carries the batch's context, barrier and
+// panic slot. A decode or encode task runs range lo of st (see
 // runRanges) and carries nothing else.
 type poolTask struct {
 	kind   taskKind
@@ -83,51 +83,25 @@ type poolTask struct {
 }
 
 // scoreBatch is the per-batch state ScoreFrame shares with its shard
-// tasks. As a context it is the cancellation fanout: the request context
-// (deadline + client disconnect; nil when the batch cannot be cancelled)
-// plus an abort latch any shard can trip, so one shard observing expiry
-// frees the whole batch's workers at their next block boundary. done is
-// the barrier the caller waits on, fail the first panic value of a worker.
+// tasks: ctx is the context the shards poll (nil when the batch cannot be
+// cancelled), done the barrier the caller waits on, fail the first panic
+// value of a worker.
 // It comes from batchPool and goes back only after the batch's last task
 // has called done.Done, so a steady-state batch allocates none of it. A
 // batch whose worker panicked is dropped rather than returned: its panic
 // is re-raised on the caller.
 type scoreBatch struct {
-	ctx     context.Context
-	aborted atomic.Bool
-	done    sync.WaitGroup
-	fail    atomic.Pointer[any]
+	ctx  context.Context
+	done sync.WaitGroup
+	fail atomic.Pointer[any]
 }
 
 var batchPool = sync.Pool{New: func() any { return new(scoreBatch) }}
-
-func (b *scoreBatch) Deadline() (time.Time, bool) { return b.ctx.Deadline() }
-func (b *scoreBatch) Done() <-chan struct{}       { return b.ctx.Done() }
-func (b *scoreBatch) Value(k any) any             { return b.ctx.Value(k) }
-func (b *scoreBatch) Err() error {
-	if err := b.ctx.Err(); err != nil {
-		return err
-	}
-	if b.aborted.Load() {
-		return context.Canceled
-	}
-	return nil
-}
-
-// cancelCtx returns b as the context its shards poll, or nil when the
-// batch cannot be cancelled.
-func (b *scoreBatch) cancelCtx() context.Context {
-	if b.ctx == nil {
-		return nil
-	}
-	return b
-}
 
 // release resets b and returns it to batchPool. The caller must be the
 // batch's only remaining user: every task of it has finished.
 func (b *scoreBatch) release() {
 	b.ctx = nil
-	b.aborted.Store(false)
 	batchPool.Put(b)
 }
 
@@ -187,11 +161,10 @@ func boxPanic(r any) *any { return &r }
 // before done.Done(), so the submitter's Wait is the barrier that makes
 // every shard span visible.
 //
-// Cancellation: when the batch is cancellable, the scorer polls it every
-// 64 rows; a shard that stops short trips the batch-wide abort so
-// sibling shards (and queued ones, which skip scoring entirely) free their
-// workers too. Cancellation lands between rows only, so the borrowed
-// scorer is released back to the model's pool in a clean state.
+// Cancellation: when the batch is cancellable, the scorer polls its
+// context every 64 rows, and a shard picked up after the context ended
+// skips scoring entirely. Cancellation lands between rows only, so the
+// borrowed scorer is released back to the model's pool in a clean state.
 func (p *Pool) runTask(t poolTask) {
 	p.busy.Add(1)
 	var t0 time.Time
@@ -208,20 +181,17 @@ func (p *Pool) runTask(t poolTask) {
 		p.busy.Add(-1)
 		t.b.done.Done()
 	}()
-	cctx := t.b.cancelCtx()
-	if cctx != nil && cctx.Err() != nil {
+	ctx := t.b.ctx
+	if ctx != nil && ctx.Err() != nil {
 		// The batch is already dead: free this worker without touching a
 		// scorer. The shard still records its (empty) span.
 		return
 	}
 	p.faults.Fire(faultinject.PointWorker)
 	sc := t.model.AcquireScorer()
-	n := p.scoreRange(cctx, sc, t.out, t.f, t.lo, t.hi)
+	n := p.scoreRange(ctx, sc, t.out, t.f, t.lo, t.hi)
 	t.model.ReleaseScorer(sc)
 	t.tr.AddRowsDone(n)
-	if n < t.hi-t.lo && cctx != nil {
-		t.b.aborted.Store(true)
-	}
 }
 
 // runRangeTask decodes or encodes one range of a score request, with the
@@ -327,10 +297,10 @@ func (p *Pool) Close() {
 // score span on it (worker index = shard); by return, all spans are
 // visible.
 //
-// When ctx is cancellable (a Done channel, or a trace with an armed
-// deadline), the batch is cooperatively cancelled at row-block granularity:
-// the error is ctx.Err()'s cause, the returned slice holds only partially
-// valid scores, and the trace's RowsDone reports how far the batch got.
+// When ctx has a Done channel, the batch is cooperatively cancelled at
+// row-block granularity: the error is ctx.Err(), the returned slice holds
+// only partially valid scores, and the trace's RowsDone reports how far
+// the batch got.
 // After Close, ErrPoolClosed. The batch's own state (scoreBatch) is
 // pooled, so with a dst of capacity f.N() a steady-state call allocates
 // nothing, cancellable or not, inline or sharded.
@@ -342,26 +312,24 @@ func (p *Pool) ScoreFrame(ctx context.Context, m *core.Model, f *frame.Frame, ds
 	} else {
 		dst = make([]float64, n)
 	}
-	b := batchPool.Get().(*scoreBatch)
-	if ctx != nil && (ctx.Done() != nil || (tr != nil && tr.HasDeadline())) {
-		b.ctx = ctx
-		if err := ctx.Err(); err != nil {
-			b.release()
-			return dst[:0], err
-		}
+	if ctx != nil && ctx.Done() == nil {
+		ctx = nil // nothing can cancel the batch: skip the polls
 	}
-	var err error
+	if ctx != nil && ctx.Err() != nil {
+		return dst[:0], ctx.Err()
+	}
 	if p == nil || n < concurrencyThreshold {
-		dst, err = p.scoreInlineCancel(b.cancelCtx(), tr, m, f, dst)
-	} else {
-		// Aim for a few chunks per worker so an uneven row mix still
-		// balances, but never chunks so small the channel hops dominate.
-		chunk := (n + 4*p.workers - 1) / (4 * p.workers)
-		if chunk < concurrencyThreshold/2 {
-			chunk = concurrencyThreshold / 2
-		}
-		dst, err = p.scoreSharded(b, tr, m, f, dst, chunk)
+		return p.scoreInline(ctx, tr, m, f, dst)
 	}
+	// Aim for a few chunks per worker so an uneven row mix still
+	// balances, but never chunks so small the channel hops dominate.
+	chunk := (n + 4*p.workers - 1) / (4 * p.workers)
+	if chunk < concurrencyThreshold/2 {
+		chunk = concurrencyThreshold / 2
+	}
+	b := batchPool.Get().(*scoreBatch)
+	b.ctx = ctx
+	dst, err := p.scoreSharded(b, tr, m, f, dst, chunk)
 	b.release()
 	return dst, err
 }
@@ -395,33 +363,31 @@ func (p *Pool) scoreSharded(b *scoreBatch, tr *obs.Trace, m *core.Model, f *fram
 		panic(*r)
 	}
 	if b.ctx != nil {
-		if err := b.Err(); err != nil {
+		if err := b.ctx.Err(); err != nil {
 			return dst, err
 		}
 	}
 	return dst, nil
 }
 
-// scoreInlineCancel is the small-batch path: one borrowed scorer on the
+// scoreInline is the small-batch path: one borrowed scorer on the
 // caller's goroutine, with the same cancellation contract as the sharded
 // path.
-func (p *Pool) scoreInlineCancel(cctx context.Context, tr *obs.Trace, m *core.Model, f *frame.Frame, dst []float64) ([]float64, error) {
+func (p *Pool) scoreInline(ctx context.Context, tr *obs.Trace, m *core.Model, f *frame.Frame, dst []float64) ([]float64, error) {
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
 	}
 	sc := m.AcquireScorer()
-	n := p.scoreRange(cctx, sc, dst, f, 0, f.N())
+	n := p.scoreRange(ctx, sc, dst, f, 0, f.N())
 	m.ReleaseScorer(sc)
 	tr.AddRowsDone(n)
 	if tr != nil {
 		tr.AddSpan(obs.StageScore, -1, t0, time.Now())
 	}
 	if n < f.N() {
-		if err := cctx.Err(); err != nil {
-			return dst, err
-		}
-		return dst, context.Canceled
+		// Only an ended context stops the range scorer short.
+		return dst, ctx.Err()
 	}
 	return dst, nil
 }

@@ -29,9 +29,12 @@
 // server-wide in-flight byte and row budgets, per-model concurrency with
 // a bounded wait queue, and a feasibility check of the client's deadline
 // (X-Deadline-Ms header or ?deadline_ms=, capped by Options.MaxDeadline)
-// against the model's observed median score time. Shed work answers 429
-// or 503 immediately with Retry-After; admitted work is cancelled
-// cooperatively at row-block boundaries once its deadline expires. See
+// against the model's observed median score time. The client deadline is
+// carried as the request context's deadline, which admission, the scoring
+// pool and the forward hop all read. Shed work answers 429 or 503
+// immediately with Retry-After; a request queued for admission leaves
+// when its context ends, and admitted work is cancelled cooperatively at
+// row-block boundaries. See
 // admission.go, controlz.go, and internal/faultinject for the failure
 // harness the chaos suite drives through these paths.
 package server
@@ -375,6 +378,20 @@ func (s *Server) instrumented(route string, h http.HandlerFunc, ops bool) http.H
 	// per-request path touches no map and no lock.
 	rs := s.metrics.Route(route)
 	return func(w http.ResponseWriter, r *http.Request) {
+		// A client deadline becomes the request context's deadline, so the
+		// trace, admission, the pool and the forward hop all read it from
+		// there. Only a request that asks for one pays for the context and
+		// its timer. A malformed value is answered after the drain check.
+		var derr error
+		if !ops {
+			var d time.Duration
+			d, derr = parseDeadline(r, s.opts.MaxDeadline)
+			if d > 0 {
+				ctx, cancel := context.WithTimeout(r.Context(), d)
+				defer cancel()
+				r = r.WithContext(ctx)
+			}
+		}
 		tr := obs.StartTrace(r.Context())
 		sw := getStatusWriter()
 		sw.ResponseWriter = w
@@ -419,13 +436,9 @@ func (s *Server) instrumented(route string, h http.HandlerFunc, ops bool) http.H
 					msg: "server draining; retry against another node"})
 				return
 			}
-			d, err := parseDeadline(r, s.opts.MaxDeadline)
-			if err != nil {
-				writeError(sw, err)
+			if derr != nil {
+				writeError(sw, derr)
 				return
-			}
-			if d > 0 {
-				tr.SetDeadline(tr.Start().Add(d))
 			}
 			if n := r.ContentLength; n > 0 {
 				if !s.adm.bytes.tryAcquire(n) {
@@ -824,30 +837,29 @@ func (s *Server) scoreRows(tr *obs.Trace, r *http.Request, st *scoreState, m *co
 	}
 	tr.EndStage(obs.StageNormalize)
 	key := shardKeyOf(tr)
-	// Admission. A request with an armed deadline is first checked for
+	// Admission. A request with a deadline is first checked for
 	// feasibility against the model's observed p50 score latency — a batch
 	// that cannot finish in time is shed before it costs a body read, a
 	// decode, or a concurrency slot. Then the model's limiter bounds
 	// concurrent scoring (queueing up to the wait cap); holding the slot
 	// through decode keeps one model's oversized bodies from monopolising
 	// decode CPU too.
-	if tr.HasDeadline() {
-		if rem, ok := tr.Remaining(); ok {
-			if rem <= 0 {
-				s.adm.recordShed(key, shedExpired)
-				return id, &shedError{status: http.StatusServiceUnavailable, reason: shedExpired,
-					msg: "deadline already expired"}
-			}
-			if p50 := s.metrics.Model(id).lat.QuantileUs(0.5); p50 > 0 && rem < time.Duration(p50)*time.Microsecond {
-				s.adm.recordShed(key, shedDeadline)
-				return id, &shedError{status: http.StatusServiceUnavailable, reason: shedDeadline,
-					msg: fmt.Sprintf("remaining deadline %v is below the model's observed p50 score time %v",
-						rem.Round(time.Millisecond), time.Duration(p50)*time.Microsecond)}
-			}
+	if dl, ok := r.Context().Deadline(); ok {
+		rem := time.Until(dl)
+		if rem <= 0 {
+			s.adm.recordShed(key, shedExpired)
+			return id, &shedError{status: http.StatusServiceUnavailable, reason: shedExpired,
+				msg: "deadline already expired"}
+		}
+		if p50 := s.metrics.Model(id).lat.QuantileUs(0.5); p50 > 0 && rem < time.Duration(p50)*time.Microsecond {
+			s.adm.recordShed(key, shedDeadline)
+			return id, &shedError{status: http.StatusServiceUnavailable, reason: shedDeadline,
+				msg: fmt.Sprintf("remaining deadline %v is below the model's observed p50 score time %v",
+					rem.Round(time.Millisecond), time.Duration(p50)*time.Microsecond)}
 		}
 	}
 	lim := s.adm.limiter(id)
-	wait, err := lim.acquire(r.Context(), tr)
+	wait, err := lim.acquire(r.Context())
 	if err != nil {
 		var se *shedError
 		if errors.As(err, &se) {
