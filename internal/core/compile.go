@@ -51,6 +51,15 @@ type Scorer struct {
 	mn, inv   []float64
 }
 
+// clampMargin is L in the box [−L, 1+L] that Score clamps every normalised
+// coordinate into. The distance profile carries ‖u‖² in its constant term,
+// so far enough outside the training box the grid pass cannot tell its
+// nodes apart (the top journals row shifted 1e15 along α scored 0). The
+// clamp is monotone, so Proposition 1 survives it; 2^10 is the largest
+// power of two at which rows at the bound met the projection contract
+// (README, "Performance").
+const clampMargin = 1 << 10
+
 // ctxPollRows is how many rows ScoreFrameRangeCtx scores between polls of
 // its context.
 const ctxPollRows = 64
@@ -112,31 +121,42 @@ func (sc *Scorer) Dim() int { return len(sc.u) }
 // Model returns the model this scorer was compiled from.
 func (sc *Scorer) Model() *Model { return sc.model }
 
-// Score projects one raw observation and returns its score in [0,1].
-// It allocates nothing.
+// Score projects one raw observation, each normalised coordinate clamped
+// into [−clampMargin, 1+clampMargin], and returns its score in [0,1]. It
+// allocates nothing.
 func (sc *Scorer) Score(x []float64) float64 {
 	if sc.fastCubic && len(x) == len(sc.mn) {
 		// Normalise and collapse the distance profile in one register
 		// pass; the cubic kernel needs nothing else. Rows of the wrong
-		// dimension fall through to ApplyInto's canonical panic.
-		c0, c1, c2, c3 := sc.snorm[0], sc.snorm[1], sc.snorm[2], sc.snorm[3]
-		c4, c5, c6 := sc.snorm[4], sc.snorm[5], sc.snorm[6]
-		var x2 float64
-		for j, v := range x {
-			u := (v - sc.mn[j]) * sc.inv[j]
-			x2 += u * u
-			t := 2 * u
-			row := sc.smono[j*4 : j*4+4]
-			c0 -= t * row[0]
-			c1 -= t * row[1]
-			c2 -= t * row[2]
-			c3 -= t * row[3]
+		// dimension fall through to ApplyInto's canonical panic. The clamp
+		// changes no coordinate of a row with ‖u‖ < clampMargin, so only a
+		// row past that is collapsed a second time, clamped.
+		for clamp := false; ; clamp = true {
+			c0, c1, c2, c3 := sc.snorm[0], sc.snorm[1], sc.snorm[2], sc.snorm[3]
+			var x2 float64
+			for j, v := range x {
+				u := (v - sc.mn[j]) * sc.inv[j]
+				if clamp {
+					u = min(max(u, -clampMargin), 1+clampMargin)
+				}
+				x2 += u * u
+				t := 2 * u
+				row := sc.smono[j*4 : j*4+4]
+				c0 -= t * row[0]
+				c1 -= t * row[1]
+				c2 -= t * row[2]
+				c3 -= t * row[3]
+			}
+			if clamp || x2 < clampMargin*clampMargin {
+				s, _ := cubicNewtonKernel(c0+x2, c1, c2, c3, sc.snorm[4], sc.snorm[5], sc.snorm[6], sc.eng.cells, false)
+				return s
+			}
 		}
-		c0 += x2
-		s, _ := cubicNewtonKernel(c0, c1, c2, c3, c4, c5, c6, sc.eng.cells, false)
-		return s
 	}
 	sc.model.Norm.ApplyInto(sc.u, x)
+	for j, u := range sc.u {
+		sc.u[j] = min(max(u, -clampMargin), 1+clampMargin)
+	}
 	s, _ := sc.eng.project(sc.u)
 	return s
 }

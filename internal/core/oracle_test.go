@@ -198,3 +198,96 @@ func TestOracleNearTieRow(t *testing.T) {
 		t.Fatalf("row is not a near tie at a %d-cell grid", defaultGridCells)
 	}
 }
+
+// farModels returns the journals and countries fits at degrees 2–6, as
+// rpcd fits them, and random monotone models at the same degrees, with
+// their names.
+func farModels(t *testing.T) ([]*Model, []string) {
+	t.Helper()
+	var models []*Model
+	var names []string
+	for _, tab := range []*dataset.Table{dataset.Journals(), dataset.Countries()} {
+		for deg := 2; deg <= 6; deg++ {
+			m, err := FitFrame(tab.Data, Options{Alpha: tab.Alpha, Degree: deg, Restarts: 3, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			models = append(models, m)
+			names = append(names, fmt.Sprintf("%s/deg=%d", tab.Name, deg))
+		}
+	}
+	rng := rand.New(rand.NewSource(23))
+	for deg := 2; deg <= 6; deg++ {
+		for _, d := range []int{1, 3, 8} {
+			models = append(models, randParityModel(rng, deg, d))
+			names = append(names, fmt.Sprintf("random/deg=%d/d=%d", deg, d))
+		}
+	}
+	return models, names
+}
+
+// TestScoreAtTheClampBoundMeetsContract holds Scorer.Score to the oracle on
+// rows whose coordinates lie far outside the training box, 1e300 past
+// either end, mixed with coordinates inside it: the scorer projects the
+// row clamped to [−clampMargin, 1+clampMargin], and so does the oracle.
+func TestScoreAtTheClampBoundMeetsContract(t *testing.T) {
+	models, names := farModels(t)
+	rng := rand.New(rand.NewSource(29))
+	for mi, m := range models {
+		sc := m.Compile()
+		oc := oracleCurve(m.Curve)
+		d := m.Dim()
+		u, x := make([]float64, d), make([]float64, d)
+		for r := 0; r < 300; r++ {
+			for j := range u {
+				lo, span := m.Norm.Min[j], m.Norm.Max[j]-m.Norm.Min[j]
+				switch rng.Intn(3) {
+				case 0:
+					u[j], x[j] = -clampMargin, lo-1e300
+				case 1:
+					u[j], x[j] = 1+clampMargin, lo+span+1e300
+				default:
+					x[j] = lo + rng.Float64()*span
+					u[j] = (x[j] - lo) / span
+				}
+			}
+			if err := oc.Project(u).Check(sc.Score(x), m.gridCells); err != nil {
+				t.Fatalf("%s: row %v (clamped %v): %v", names[mi], x, u, err)
+			}
+		}
+	}
+}
+
+// TestProp1ForFarShifts: a row shifted along α by 10^e, e = 0 … 300,
+// strictly dominates the row itself, so it must score at least as high
+// (Proposition 1), however far outside the training box the shift takes
+// it. The journals and countries fits and random monotone curves are
+// checked at degrees 2–6, on training rows and random rows in the box.
+func TestProp1ForFarShifts(t *testing.T) {
+	models, names := farModels(t)
+	rng := rand.New(rand.NewSource(31))
+	for mi, m := range models {
+		sc := m.Compile()
+		d := m.Dim()
+		y, z := make([]float64, d), make([]float64, d)
+		for r := 0; r < 40; r++ {
+			if m.data != nil && r < 20 {
+				copy(y, rawRow(m, m.data.Row(rng.Intn(m.data.N()))))
+			} else {
+				for j := range y {
+					y[j] = m.Norm.Min[j] + rng.Float64()*(m.Norm.Max[j]-m.Norm.Min[j])
+				}
+			}
+			base := sc.Score(y)
+			for e := 0; e <= 300; e++ {
+				shift := math.Pow(10, float64(e))
+				for j := range z {
+					z[j] = y[j] + m.Alpha[j]*shift
+				}
+				if s := sc.Score(z); s < base {
+					t.Fatalf("%s: row %v shifted 1e%d along α scores %.17g, below its own %.17g", names[mi], y, e, s, base)
+				}
+			}
+		}
+	}
+}

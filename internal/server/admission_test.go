@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -172,10 +173,9 @@ func TestQueuedDeadlineSheds503(t *testing.T) {
 		t.Fatalf("shed[deadline] = %d, want 1", n)
 	}
 
-	// The client leaving is its request context ending. The request goes
-	// through ServeHTTP directly: over HTTP/1.1, net/http notices a
-	// disconnect only once the body has been read, and a parked request
-	// has not read it yet.
+	// The client leaving is its request context ending, here driven
+	// through ServeHTTP directly; TestQueuedClientLeaves sends it over a
+	// real connection.
 	ctx, cancel := context.WithCancel(context.Background())
 	req := httptest.NewRequestWithContext(ctx, http.MethodPost, "/v1/models/"+id+"/score", strings.NewReader(`{"rows":[[1,2,3]]}`))
 	rec := httptest.NewRecorder()
@@ -204,6 +204,66 @@ func TestQueuedDeadlineSheds503(t *testing.T) {
 	}
 }
 
+// TestQueuedClientLeaves: a real HTTP/1.1 client that gives up while its
+// request is parked behind a model's only slot gets no answer, and the
+// server sheds the request under "expired" at once rather than scoring it
+// when the slot frees. net/http cancels the request context on a
+// disconnect only once the body has been read, so the body must be read
+// before the request queues.
+func TestQueuedClientLeaves(t *testing.T) {
+	var logs syncBuffer
+	s, ts := newTestServerOpts(t, t.TempDir(), Options{ModelConcurrency: 1, TraceSample: 1,
+		Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	id := fitModel(t, ts, "ql").Model.ID
+	lim := s.adm.limiter(id)
+	if _, err := lim.acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	held := true
+	defer func() {
+		if held {
+			lim.release()
+		}
+	}()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/models/"+id+"/score", strings.NewReader(`{"rows":[[1,2,3]]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	answered := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		answered <- err
+	}()
+	waitForCondition(t, 2*time.Second, "the request to queue", func() bool {
+		_, queued := lim.stats()
+		return queued == 1
+	})
+	cancel()
+	if err := <-answered; err == nil {
+		t.Fatal("the cancelled request was answered")
+	}
+	waitForCondition(t, 2*time.Second, "the parked request to be shed", func() bool {
+		_, queued := lim.stats()
+		return queued == 0 && s.adm.shed[shedExpired].Load() == 1
+	})
+	lim.release()
+	held = false
+	waitForCondition(t, 2*time.Second, "the handler to finish", func() bool {
+		return strings.Contains(logs.String(), "route=score")
+	})
+	if n := s.adm.shed[shedExpired].Load(); n != 1 {
+		t.Fatalf("shed[expired] = %d, want 1", n)
+	}
+	if strings.Contains(logs.String(), "status=200") {
+		t.Fatalf("the cancelled request was scored:\n%s", logs.String())
+	}
+}
+
 func TestByteBudgetSheds429(t *testing.T) {
 	s, ts := newTestServerOpts(t, t.TempDir(), Options{MaxInFlightBytes: 16})
 	// The byte budget is charged from Content-Length at admission, before
@@ -223,6 +283,55 @@ func TestByteBudgetSheds429(t *testing.T) {
 	if got := s.adm.bytes.load(); got != 0 {
 		t.Fatalf("byte budget not released: %d", got)
 	}
+}
+
+// TestByteBudgetChargesEveryFraming: a score body over the in-flight byte
+// budget is shed 429 whether it declares its Content-Length, charged at
+// admission, or comes chunked, charged as it is read; a chunked body within
+// the budget is served; and every charge is released.
+func TestByteBudgetChargesEveryFraming(t *testing.T) {
+	s, ts := newTestServerOpts(t, t.TempDir(), Options{MaxInFlightBytes: 2048})
+	id := fitModel(t, ts, "b").Model.ID
+	post := func(rows int, chunked bool) (int, string) {
+		raw, err := json.Marshal(ScoreRequest{Rows: trainingRows(rows)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body io.Reader = bytes.NewReader(raw)
+		if chunked {
+			body = io.MultiReader(body) // no length known: sent chunked
+		}
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/models/"+id+"/score", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := req.ContentLength > 0, !chunked; got != want {
+			t.Fatalf("Content-Length %d on a chunked=%v request", req.ContentLength, chunked)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, readAll(t, resp)
+	}
+	for i, chunked := range []bool{false, true} {
+		status, body := post(100, chunked)
+		if status != http.StatusTooManyRequests || !strings.Contains(body, "in-flight byte budget") {
+			t.Fatalf("chunked=%v: status %d, want 429; body %s", chunked, status, body)
+		}
+		if n := s.adm.shed[shedBytes].Load(); n != int64(i+1) {
+			t.Fatalf("chunked=%v: shed[bytes] = %d, want %d", chunked, n, i+1)
+		}
+		waitForCondition(t, 2*time.Second, "the byte budget to be released", func() bool {
+			return s.adm.bytes.load() == 0
+		})
+	}
+	if status, body := post(10, true); status != http.StatusOK {
+		t.Fatalf("small chunked body: status %d, want 200; body %s", status, body)
+	}
+	waitForCondition(t, 2*time.Second, "the byte budget to be released", func() bool {
+		return s.adm.bytes.load() == 0
+	})
 }
 
 func TestRowBudgetSheds429(t *testing.T) {

@@ -180,16 +180,19 @@ func BenchmarkPoolScoreBatch(b *testing.B) {
 			b.Fatal(err)
 		}
 		dst := make([]float64, rows)
+		// The split mode fans one chunk a worker out through the pool,
+		// whatever the batch size.
 		chunk := (rows + pool.Workers() - 1) / pool.Workers()
+		split := &scoreBatch{p: pool, m: m, f: f, out: dst, chunk: chunk}
 		for _, mode := range []string{"inline", "split"} {
 			b.Run(fmt.Sprintf("rows=%d/%s", rows, mode), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					var out []float64
+					out := dst
 					if mode == "inline" {
 						out, err = (*Pool)(nil).ScoreFrame(context.Background(), m, f, dst)
-					} else {
-						out, err = pool.scoreSharded(nil, nil, m, f, dst, chunk)
+					} else if !pool.fanOut(split, &split.barrier, (rows+chunk-1)/chunk) {
+						err = ErrPoolClosed
 					}
 					if err != nil || len(out) != rows {
 						b.Fatal("short result")

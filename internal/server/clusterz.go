@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"errors"
 	"io"
 	"net/http"
 	"time"
@@ -52,12 +51,7 @@ func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request) (done bool
 	body, err := readBody(r, s.opts.MaxBodyBytes, getBuf(&bodyPool))
 	if err != nil {
 		putBuf(&bodyPool, body)
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, mbe)
-		} else {
-			writeError(w, badRequest("reading request body: %v", err))
-		}
+		writeError(w, err)
 		return true, nil
 	}
 	var remaining time.Duration

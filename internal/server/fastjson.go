@@ -5,7 +5,6 @@ import (
 	"math"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"rpcrank/internal/frame"
 )
@@ -48,10 +47,13 @@ const splitMinBytes = 8 << 10
 
 // scoreState is one score or rank request's reusable state: the body, the
 // decoded frame, the scores, the row ranges with their encoded parts, and
-// the fan-out's completion state. It is pooled whole (getScoreState), so a
-// steady-state request re-uses every buffer and the decode and encode
+// the barrier of the decode and encode fan-outs (Pool.runRanges), whose
+// part i is range i of the stage kind. It is pooled whole (getScoreState),
+// so a steady-state request re-uses every buffer and the decode and encode
 // tasks allocate nothing.
 type scoreState struct {
+	barrier
+	kind      rangeKind
 	body      []byte
 	fr        frame.Frame
 	scores    []float64
@@ -59,12 +61,15 @@ type scoreState struct {
 	ranges    []rowRange
 	head      []byte   // {"model_id":…,"count":…,"scores":[
 	parts     [][]byte // the answer: head, range parts, glue
-
-	// done and fail are the fan-out barrier and the first panic of a
-	// decode or encode stage run on the pool (Pool.runRanges).
-	done sync.WaitGroup
-	fail atomic.Pointer[any]
 }
+
+// rangeKind says which stage a scoreState's fan-out runs.
+type rangeKind uint8
+
+const (
+	rangeDecode rangeKind = iota
+	rangeEncode
+)
 
 // rowRange is one range of a request: bytes [lo, hi) of the body's rows
 // array hold rows [row, row+n) of the frame, and scores and positions hold
@@ -212,7 +217,7 @@ func (st *scoreState) decode(p *Pool, d, k int) bool {
 		return false
 	}
 	st.fr.Resize(n, d)
-	p.runRanges(st, taskDecode)
+	p.runRanges(st, rangeDecode)
 	for i := range st.ranges {
 		if !st.ranges[i].ok {
 			return false
@@ -241,9 +246,9 @@ func rowBoundary(b []byte, i int) int {
 	}
 }
 
-// runRange runs one stage, decode or encode, on range i.
-func (st *scoreState) runRange(kind taskKind, i int) {
-	if kind == taskDecode {
+// runPart runs the current stage, decode or encode, on range i.
+func (st *scoreState) runPart(i int, _ bool) {
+	if st.kind == rangeDecode {
 		st.decodeRange(i)
 	} else {
 		st.encodeRange(i)
@@ -461,7 +466,7 @@ func (st *scoreState) encode(p *Pool, id string) (parts [][]byte, ok bool) {
 	if !plainJSONString(id) {
 		return nil, false
 	}
-	p.runRanges(st, taskEncode)
+	p.runRanges(st, rangeEncode)
 	h := append(st.head[:0], `{"model_id":"`...)
 	h = append(h, id...)
 	h = append(h, `","count":`...)

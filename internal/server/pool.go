@@ -32,11 +32,13 @@ var ErrPoolClosed = errors.New("scoring pool closed")
 // Pool is a fixed-size worker pool that shards batch scoring across
 // GOMAXPROCS goroutines. Row projections are independent (Eq. 22), so the
 // sharded result is bit-identical to the serial one. One pool is shared by
-// all requests; tasks are row ranges of a batch's shared frame, fanned out
-// over a channel. Workers borrow compiled scorers from the model's internal
-// pool (core.Model.AcquireScorer), so steady-state batches allocate neither
-// row storage nor scorer scratch. The same workers decode a large score
-// request's body and encode its answer, one row range a task (runRanges).
+// all requests. Every stage of a score request — decode, score, encode —
+// splits into independent parts (row ranges of one shared frame), and all
+// three go through one fan-out (fanOut): each part is one task on a
+// channel, and the caller waits on the batch's barrier. Workers borrow
+// compiled scorers from the model's internal pool
+// (core.Model.AcquireScorer), so steady-state batches allocate neither row
+// storage nor scorer scratch.
 //
 // Batches carrying a cancellable context (one with a Done channel: every
 // HTTP request's has one, and a client deadline arms its timer) are
@@ -54,65 +56,56 @@ type Pool struct {
 	// at task pickup and latency between score sub-ranges.
 	faults *faultinject.Faults
 
-	// closeMu fences Close against in-flight ScoreFrame submitters: a
-	// batch holds the read side while feeding the channel, so Close
-	// cannot close it mid-send (a shutdown that drains slower than its
-	// timeout would otherwise panic). After Close, submissions fail with
-	// ErrPoolClosed.
+	// closeMu fences Close against in-flight fan-outs: a batch holds the
+	// read side while feeding the channel, so Close cannot close it
+	// mid-send (a shutdown that drains slower than its timeout would
+	// otherwise panic). After Close, fan-outs report false.
 	closeMu sync.RWMutex
 	closed  bool
 }
 
-// poolTask is one shard of a batch. A score task (the zero kind) scores
-// rows [lo, hi) of f into out[lo:hi]; the frame and output slice are
-// shared across the batch's tasks, the ranges are disjoint, so no
-// synchronisation beyond b.done is needed. tr, when non-nil, receives a
-// score span for the shard; b carries the batch's context, barrier and
-// panic slot. A decode or encode task runs range lo of st (see
-// runRanges) and carries nothing else.
-type poolTask struct {
-	kind   taskKind
-	st     *scoreState
-	model  *core.Model
-	f      *frame.Frame
-	out    []float64
-	lo, hi int
-	shard  int32
-	tr     *obs.Trace
-	b      *scoreBatch
+// part is one fan-out's work, split into independent parts: *scoreBatch
+// scores row chunks, *scoreState decodes or encodes row ranges. runPart
+// runs part i, on a pool worker when worker is set and on the caller
+// otherwise; parts of one fan-out touch disjoint data, so they need no
+// synchronisation beyond the barrier.
+type part interface {
+	runPart(i int, worker bool)
 }
 
-// scoreBatch is the per-batch state ScoreFrame shares with its shard
-// tasks: ctx is the context the shards poll (nil when the batch cannot be
-// cancelled), done the barrier the caller waits on, fail the first panic
-// value of a worker.
-// It comes from batchPool and goes back only after the batch's last task
-// has called done.Done, so a steady-state batch allocates none of it. A
-// batch whose worker panicked is dropped rather than returned: its panic
-// is re-raised on the caller.
-type scoreBatch struct {
-	ctx  context.Context
-	done sync.WaitGroup
+// barrier is a fan-out's completion state: the WaitGroup the caller waits
+// on and the first panic value of a worker.
+type barrier struct {
+	wg   sync.WaitGroup
 	fail atomic.Pointer[any]
 }
 
-var batchPool = sync.Pool{New: func() any { return new(scoreBatch) }}
-
-// release resets b and returns it to batchPool. The caller must be the
-// batch's only remaining user: every task of it has finished.
-func (b *scoreBatch) release() {
-	b.ctx = nil
-	batchPool.Put(b)
+// poolTask is part i of a fan-out.
+type poolTask struct {
+	part part
+	b    *barrier
+	i    int
 }
 
-// taskKind says what a poolTask does.
-type taskKind uint8
+// scoreBatch is one ScoreFrame call's state: it scores rows
+// [i·chunk, (i+1)·chunk) of f into out as part i. ctx is the context the
+// parts poll (nil when the batch cannot be cancelled); tr, when non-nil,
+// receives one score span a part. It comes from batchPool and goes back
+// only after its fan-out returned, so a steady-state batch allocates none
+// of it. A batch whose worker panicked is dropped rather than returned:
+// its panic is re-raised on the caller.
+type scoreBatch struct {
+	barrier
+	p     *Pool
+	ctx   context.Context
+	tr    *obs.Trace
+	m     *core.Model
+	f     *frame.Frame
+	out   []float64
+	chunk int
+}
 
-const (
-	taskScore taskKind = iota
-	taskDecode
-	taskEncode
-)
+var batchPool = sync.Pool{New: func() any { return new(scoreBatch) }}
 
 // NewPool starts a pool with the given number of workers (≤ 0 selects
 // GOMAXPROCS). Close releases the workers.
@@ -137,103 +130,102 @@ func (p *Pool) worker() {
 	// scoring from handler work.
 	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("worker", "score-pool")))
 	for t := range p.tasks {
-		if t.kind == taskScore {
-			p.runTask(t)
-		} else {
-			p.runRangeTask(t)
-		}
+		p.runTask(t)
 	}
 }
 
-// boxPanic boxes a recovered panic value for a batch's fail slot. Taking
+// boxPanic boxes a recovered panic value for a barrier's fail slot. Taking
 // the address of recover()'s result in place would move that variable to
 // the heap on every task, panic or not; here the box is made only when
 // there is something to box.
 func boxPanic(r any) *any { return &r }
 
-// runTask scores one row range. A panic in Scorer.Score (a poison model,
-// or an injected worker fault) must not kill the worker — and with it the
-// process — nor leave the batch's WaitGroup hanging: it is captured for
-// the submitter to re-raise on the request goroutine, where net/http's
-// recover turns it into one failed request instead of a daemon crash. The
-// borrowed scorer is dropped on panic rather than released, so a poisoned
-// scratch never re-enters the model's pool. The trace span is recorded
-// before done.Done(), so the submitter's Wait is the barrier that makes
-// every shard span visible.
-//
-// Cancellation: when the batch is cancellable, the scorer polls its
-// context every 64 rows, and a shard picked up after the context ended
-// skips scoring entirely. Cancellation lands between rows only, so the
-// borrowed scorer is released back to the model's pool in a clean state.
+// runTask runs one part on a worker. A panic in it (a poison model, or an
+// injected worker fault) must not kill the worker — and with it the
+// process — nor leave the fan-out's WaitGroup hanging: it is captured for
+// fanOut to re-raise on the request goroutine, where net/http's recover
+// turns it into one failed request instead of a daemon crash.
 func (p *Pool) runTask(t poolTask) {
 	p.busy.Add(1)
-	var t0 time.Time
-	if t.tr != nil {
-		t0 = time.Now()
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			t.b.fail.CompareAndSwap(nil, boxPanic(r))
 		}
-		if t.tr != nil {
-			t.tr.AddSpan(obs.StageScore, int(t.shard), t0, time.Now())
-		}
 		p.busy.Add(-1)
-		t.b.done.Done()
+		t.b.wg.Done()
 	}()
-	ctx := t.b.ctx
-	if ctx != nil && ctx.Err() != nil {
-		// The batch is already dead: free this worker without touching a
-		// scorer. The shard still records its (empty) span.
-		return
+	t.part.runPart(t.i, true)
+}
+
+// fanOut runs parts 0 … n-1 of pt and returns when all are done. One part,
+// or a nil pool, runs inline on the caller. Otherwise each part is one task
+// on the workers, and a worker's panic is re-raised here, on the caller,
+// once every part has finished. fanOut reports false, having run nothing,
+// when the pool is closed.
+func (p *Pool) fanOut(pt part, b *barrier, n int) bool {
+	if p == nil || n == 1 {
+		for i := 0; i < n; i++ {
+			pt.runPart(i, false)
+		}
+		return true
 	}
-	p.faults.Fire(faultinject.PointWorker)
-	sc := t.model.AcquireScorer()
-	n := p.scoreRange(ctx, sc, t.out, t.f, t.lo, t.hi)
-	t.model.ReleaseScorer(sc)
-	t.tr.AddRowsDone(n)
-}
-
-// runRangeTask decodes or encodes one range of a score request, with the
-// same containment as runTask: a panic is captured for runRanges to
-// re-raise on the request goroutine.
-func (p *Pool) runRangeTask(t poolTask) {
-	p.busy.Add(1)
-	defer func() {
-		if r := recover(); r != nil {
-			t.st.fail.CompareAndSwap(nil, boxPanic(r))
-		}
-		p.busy.Add(-1)
-		t.st.done.Done()
-	}()
-	t.st.runRange(t.kind, t.lo)
-}
-
-// runRanges runs one decode or encode stage over every range of st and
-// returns when all are done. A single range runs inline on the caller, as
-// does every range when there is no pool to run them or it has closed
-// (the score that follows a decode then fails with ErrPoolClosed anyway).
-// Otherwise each range is one task on the workers, and a worker's panic
-// is re-raised here, on the request goroutine, as ScoreFrame does.
-func (p *Pool) runRanges(st *scoreState, kind taskKind) {
-	if p != nil && len(st.ranges) > 1 {
-		p.closeMu.RLock()
-		if !p.closed {
-			st.done.Add(len(st.ranges))
-			for i := range st.ranges {
-				p.tasks <- poolTask{kind: kind, st: st, lo: i}
-			}
-			p.closeMu.RUnlock()
-			st.done.Wait()
-			if r := st.fail.Swap(nil); r != nil {
-				panic(*r)
-			}
-			return
-		}
+	p.closeMu.RLock()
+	if p.closed {
 		p.closeMu.RUnlock()
+		return false
 	}
-	for i := range st.ranges {
-		st.runRange(kind, i)
+	b.wg.Add(n)
+	for i := 0; i < n; i++ {
+		p.tasks <- poolTask{part: pt, b: b, i: i}
+	}
+	p.closeMu.RUnlock()
+	b.wg.Wait()
+	if r := b.fail.Swap(nil); r != nil {
+		panic(*r)
+	}
+	return true
+}
+
+// runRanges runs one decode or encode stage over every range of st. With
+// the pool closed the ranges run inline on the caller (the score that
+// follows a decode then fails with ErrPoolClosed anyway).
+func (p *Pool) runRanges(st *scoreState, kind rangeKind) {
+	st.kind = kind
+	if !p.fanOut(st, &st.barrier, len(st.ranges)) {
+		for i := range st.ranges {
+			st.runPart(i, false)
+		}
+	}
+}
+
+// runPart scores part i of the batch with a borrowed scorer and records
+// its span: shard i on a worker, -1 inline. A part picked up after the
+// batch's context ended skips the scorer entirely, still recording its
+// (empty) span; otherwise cancellation lands between rows only, so the
+// scorer goes back to the model's pool in a clean state. A panicking
+// scorer is dropped rather than released, so a poisoned scratch never
+// re-enters the model's pool.
+func (b *scoreBatch) runPart(i int, worker bool) {
+	var t0 time.Time
+	if b.tr != nil {
+		t0 = time.Now()
+	}
+	if b.ctx == nil || b.ctx.Err() == nil {
+		if worker {
+			b.p.faults.Fire(faultinject.PointWorker)
+		}
+		lo := i * b.chunk
+		sc := b.m.AcquireScorer()
+		n := b.p.scoreRange(b.ctx, sc, b.out, b.f, lo, min(lo+b.chunk, len(b.out)))
+		b.m.ReleaseScorer(sc)
+		b.tr.AddRowsDone(n)
+	}
+	if b.tr != nil {
+		shard := -1
+		if worker {
+			shard = i
+		}
+		b.tr.AddSpan(obs.StageScore, shard, t0, time.Now())
 	}
 }
 
@@ -249,10 +241,7 @@ func (p *Pool) scoreRange(ctx context.Context, sc *core.Scorer, out []float64, f
 	const faultChunk = 256
 	total := 0
 	for b := lo; b < hi; b += faultChunk {
-		e := b + faultChunk
-		if e > hi {
-			e = hi
-		}
+		e := min(b+faultChunk, hi)
 		p.faults.Fire(faultinject.PointScoreBlock)
 		n := sc.ScoreFrameRangeCtx(ctx, out, f, b, e)
 		total += n
@@ -289,21 +278,22 @@ func (p *Pool) Close() {
 
 // ScoreFrame scores every row of f with m into dst (reused when it has the
 // capacity, allocated otherwise) and returns the slice of f.N() scores.
-// Batches of at least concurrencyThreshold rows are split into row ranges
-// scored by the pool over the shared frame; smaller ones run inline on a
-// borrowed scorer. The scores are identical either way, and — beyond a
-// possible dst growth — the steady-state batch performs no per-row
-// allocation at all. When ctx carries an obs.Trace, each shard records a
-// score span on it (worker index = shard); by return, all spans are
-// visible.
+// Batches of at least concurrencyThreshold rows are split into row chunks
+// scored by the pool over the shared frame; smaller ones are one part, run
+// inline on a borrowed scorer. The scores are identical either way, and —
+// beyond a possible dst growth — the steady-state batch performs no per-row
+// allocation at all. When ctx carries an obs.Trace, each part records a
+// score span on it (worker index = shard, -1 inline); by return, all spans
+// are visible.
 //
 // When ctx has a Done channel, the batch is cooperatively cancelled at
 // row-block granularity: the error is ctx.Err(), the returned slice holds
 // only partially valid scores, and the trace's RowsDone reports how far
 // the batch got.
-// After Close, ErrPoolClosed. The batch's own state (scoreBatch) is
-// pooled, so with a dst of capacity f.N() a steady-state call allocates
-// nothing, cancellable or not, inline or sharded.
+// A batch of more than one part fails with ErrPoolClosed after Close. The
+// batch's own state (scoreBatch) is pooled, so with a dst of capacity
+// f.N() a steady-state call allocates nothing, cancellable or not, inline
+// or sharded.
 func (p *Pool) ScoreFrame(ctx context.Context, m *core.Model, f *frame.Frame, dst []float64) ([]float64, error) {
 	tr := obs.FromContext(ctx)
 	n := f.N()
@@ -318,75 +308,22 @@ func (p *Pool) ScoreFrame(ctx context.Context, m *core.Model, f *frame.Frame, ds
 	if ctx != nil && ctx.Err() != nil {
 		return dst[:0], ctx.Err()
 	}
-	if p == nil || n < concurrencyThreshold {
-		return p.scoreInline(ctx, tr, m, f, dst)
-	}
-	// Aim for a few chunks per worker so an uneven row mix still
-	// balances, but never chunks so small the channel hops dominate.
-	chunk := (n + 4*p.workers - 1) / (4 * p.workers)
-	if chunk < concurrencyThreshold/2 {
-		chunk = concurrencyThreshold / 2
+	chunk, parts := n, 1
+	if p != nil && n >= concurrencyThreshold {
+		// Aim for a few chunks per worker so an uneven row mix still
+		// balances, but never chunks so small the channel hops dominate.
+		chunk = max((n+4*p.workers-1)/(4*p.workers), concurrencyThreshold/2)
+		parts = (n + chunk - 1) / chunk
 	}
 	b := batchPool.Get().(*scoreBatch)
-	b.ctx = ctx
-	dst, err := p.scoreSharded(b, tr, m, f, dst, chunk)
-	b.release()
-	return dst, err
-}
-
-// scoreSharded is the large-batch path: rows go to the workers in ranges
-// of chunk rows over the shared frame, and the caller waits on b for them
-// all. A worker's panic is re-raised here, so b is never released after
-// one.
-func (p *Pool) scoreSharded(b *scoreBatch, tr *obs.Trace, m *core.Model, f *frame.Frame, dst []float64, chunk int) ([]float64, error) {
-	n := f.N()
-	p.closeMu.RLock()
-	if p.closed {
-		p.closeMu.RUnlock()
+	b.p, b.ctx, b.tr, b.m, b.f, b.out, b.chunk = p, ctx, tr, m, f, dst, chunk
+	ok := p.fanOut(b, &b.barrier, parts)
+	b.p, b.ctx, b.tr, b.m, b.f, b.out = nil, nil, nil, nil, nil, nil
+	batchPool.Put(b)
+	if !ok {
 		return dst[:0], ErrPoolClosed
 	}
-	shard := int32(0)
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		b.done.Add(1)
-		p.tasks <- poolTask{model: m, f: f, out: dst, lo: lo, hi: hi, shard: shard, tr: tr, b: b}
-		shard++
-	}
-	p.closeMu.RUnlock()
-	b.done.Wait()
-	if r := b.fail.Load(); r != nil {
-		// Re-raise the worker's panic on the request goroutine, where the
-		// HTTP server's per-connection recover contains it.
-		panic(*r)
-	}
-	if b.ctx != nil {
-		if err := b.ctx.Err(); err != nil {
-			return dst, err
-		}
-	}
-	return dst, nil
-}
-
-// scoreInline is the small-batch path: one borrowed scorer on the
-// caller's goroutine, with the same cancellation contract as the sharded
-// path.
-func (p *Pool) scoreInline(ctx context.Context, tr *obs.Trace, m *core.Model, f *frame.Frame, dst []float64) ([]float64, error) {
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
-	sc := m.AcquireScorer()
-	n := p.scoreRange(ctx, sc, dst, f, 0, f.N())
-	m.ReleaseScorer(sc)
-	tr.AddRowsDone(n)
-	if tr != nil {
-		tr.AddSpan(obs.StageScore, -1, t0, time.Now())
-	}
-	if n < f.N() {
-		// Only an ended context stops the range scorer short.
+	if ctx != nil {
 		return dst, ctx.Err()
 	}
 	return dst, nil

@@ -138,7 +138,7 @@ func TestRangeTaskPanicSurfacesOnCaller(t *testing.T) {
 				t.Errorf("encode panic not re-raised on the calling goroutine")
 			}
 		}()
-		pool.runRanges(st, taskEncode)
+		pool.runRanges(st, rangeEncode)
 	}()
 	if busy := pool.busy.Load(); busy != 0 {
 		t.Errorf("%d workers still busy after the stage returned", busy)

@@ -263,7 +263,6 @@ type statusWriter struct {
 	trace   *obs.Trace
 	model   string // model ID of a score/rank request, for slow logs
 	rows    int    // rows scored, for slow logs
-	charged int64  // bytes charged against the in-flight byte budget
 	limiter bodyLimiter
 
 	// upstream is the forwarding node's request ID on a request that
@@ -322,18 +321,28 @@ func shardKeyOf(tr *obs.Trace) uint64 {
 // bodyLimiter is http.MaxBytesReader without the per-request allocation:
 // it lives inside the pooled statusWriter. Reads beyond the limit return
 // *http.MaxBytesError exactly like the stdlib reader, so the 413 mapping
-// in writeError and the decode paths is unchanged.
+// in writeError and the decode paths is unchanged. It also holds the
+// request's charge against the in-flight byte budget: the Content-Length,
+// charged at admission, or for a body without one (chunked), each read's
+// bytes as they arrive, with errByteBudget once the budget refuses them.
 type bodyLimiter struct {
 	rc        io.ReadCloser
 	remaining int64
 	limit     int64
-	tripped   bool
+	err       error // sticky: the size cap's or the byte budget's
 	faults    *faultinject.Faults
+	meter     *budget // charged per read when non-nil
+	charged   int64   // bytes charged against the in-flight byte budget
 }
 
+// errByteBudget is the answer to a request the in-flight byte budget
+// cannot hold, at admission or mid-read.
+var errByteBudget = &shedError{status: http.StatusTooManyRequests, reason: shedBytes,
+	msg: "server at its in-flight byte budget; retry later"}
+
 func (l *bodyLimiter) Read(p []byte) (int, error) {
-	if l.tripped {
-		return 0, &http.MaxBytesError{Limit: l.limit}
+	if l.err != nil {
+		return 0, l.err
 	}
 	// Slow-client and truncated-body faults land here, between the handler
 	// and the transport — exactly where a stalled peer would.
@@ -349,14 +358,20 @@ func (l *bodyLimiter) Read(p []byte) (int, error) {
 		p = p[:l.remaining+1]
 	}
 	n, err := l.rc.Read(p)
-	if int64(n) <= l.remaining {
-		l.remaining -= int64(n)
-		return n, err
+	if int64(n) > l.remaining {
+		n = int(l.remaining)
+		l.err = &http.MaxBytesError{Limit: l.limit}
+		err = l.err
 	}
-	l.tripped = true
-	n = int(l.remaining)
-	l.remaining = 0
-	return n, &http.MaxBytesError{Limit: l.limit}
+	l.remaining -= int64(n)
+	if l.meter != nil && n > 0 {
+		if !l.meter.tryAcquire(int64(n)) {
+			l.err = errByteBudget
+			return 0, l.err
+		}
+		l.charged += int64(n)
+	}
+	return n, err
 }
 
 func (l *bodyLimiter) Close() error { return l.rc.Close() }
@@ -413,7 +428,10 @@ func (s *Server) instrumented(route string, h http.HandlerFunc, ops bool) http.H
 		// released either way.
 		defer func() {
 			s.metrics.InFlight().Add(-1)
-			s.adm.bytes.release(sw.charged)
+			s.adm.bytes.release(sw.limiter.charged)
+			if sw.limiter.err == errByteBudget {
+				s.adm.recordShed(tr.ID(), shedBytes)
+			}
 			elapsed := time.Since(tr.Start())
 			if rec := recover(); rec != nil {
 				rs.Observe(tr.ID(), http.StatusInternalServerError, elapsed)
@@ -440,14 +458,16 @@ func (s *Server) instrumented(route string, h http.HandlerFunc, ops bool) http.H
 				writeError(sw, derr)
 				return
 			}
-			if n := r.ContentLength; n > 0 {
+			switch n := r.ContentLength; {
+			case n > 0:
 				if !s.adm.bytes.tryAcquire(n) {
 					s.adm.recordShed(tr.ID(), shedBytes)
-					writeError(sw, &shedError{status: http.StatusTooManyRequests, reason: shedBytes,
-						msg: "server at its in-flight byte budget; retry later"})
+					writeError(sw, errByteBudget)
 					return
 				}
-				sw.charged = n
+				sw.limiter.charged = n
+			case n < 0:
+				sw.limiter.meter = &s.adm.bytes
 			}
 		}
 		h(sw, r)
@@ -646,26 +666,41 @@ func readBody(r *http.Request, maxBody int64, buf []byte) ([]byte, error) {
 			return buf, nil
 		}
 		if err != nil {
-			return buf, err
+			if lerr := limitError(err); lerr != nil {
+				return buf, lerr
+			}
+			return buf, badRequest("reading request body: %v", err)
 		}
 	}
+}
+
+// limitError returns the body limit a failed read or decode hit — the size
+// cap's *http.MaxBytesError (413) or the byte budget's errByteBudget (429)
+// — or nil when it hit neither.
+func limitError(err error) error {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return mbe
+	}
+	if errors.Is(err, errByteBudget) {
+		return errByteBudget
+	}
+	return nil
 }
 
 func decodeJSON(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return mbe
+		if lerr := limitError(err); lerr != nil {
+			return lerr
 		}
 		return badRequest("decoding request body: %v", err)
 	}
 	// Reject trailing garbage so truncated uploads fail loudly.
 	if err := dec.Decode(&struct{}{}); err != io.EOF {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return mbe
+		if lerr := limitError(err); lerr != nil {
+			return lerr
 		}
 		return badRequest("unexpected data after JSON body")
 	}
@@ -824,8 +859,9 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 //
 // Stage spans recorded on tr: normalize (metadata resolution, and again
 // for the model load — the per-row min–max transform itself is fused into
-// the score kernels and lands in the score spans), decode (body read +
-// parse), validate (shape and batch-size checks), score (one span per pool
+// the score kernels and lands in the score spans), decode (twice: the body
+// read before admission, the parse after it), admit (the queue wait),
+// validate (shape and batch-size checks), score (one span per pool
 // shard, recorded by the workers). The caller records encode.
 func (s *Server) scoreRows(tr *obs.Trace, r *http.Request, st *scoreState, m *core.Model) (id string, err error) {
 	id = r.PathValue("id")
@@ -840,10 +876,13 @@ func (s *Server) scoreRows(tr *obs.Trace, r *http.Request, st *scoreState, m *co
 	// Admission. A request with a deadline is first checked for
 	// feasibility against the model's observed p50 score latency — a batch
 	// that cannot finish in time is shed before it costs a body read, a
-	// decode, or a concurrency slot. Then the model's limiter bounds
-	// concurrent scoring (queueing up to the wait cap); holding the slot
-	// through decode keeps one model's oversized bodies from monopolising
-	// decode CPU too.
+	// decode, or a concurrency slot. Then the body is read, and the model's
+	// limiter bounds concurrent scoring (queueing up to the wait cap). The
+	// read comes first because over HTTP/1.1 net/http cancels r.Context()
+	// on a client disconnect only once the body has been read: a request
+	// parked with its body unread would never see its client leave. Holding
+	// the slot through decode keeps one model's oversized bodies from
+	// monopolising decode CPU.
 	if dl, ok := r.Context().Deadline(); ok {
 		rem := time.Until(dl)
 		if rem <= 0 {
@@ -858,6 +897,10 @@ func (s *Server) scoreRows(tr *obs.Trace, r *http.Request, st *scoreState, m *co
 					rem.Round(time.Millisecond), time.Duration(p50)*time.Microsecond)}
 		}
 	}
+	if st.body, err = readBody(r, s.opts.MaxBodyBytes, st.body); err != nil {
+		return id, err
+	}
+	tr.EndStage(obs.StageDecode)
 	lim := s.adm.limiter(id)
 	wait, err := lim.acquire(r.Context())
 	if err != nil {
@@ -870,14 +913,6 @@ func (s *Server) scoreRows(tr *obs.Trace, r *http.Request, st *scoreState, m *co
 	defer lim.release()
 	s.adm.waitHist.Observe(key, wait.Microseconds())
 	tr.EndStage(obs.StageAdmit)
-	st.body, err = readBody(r, s.opts.MaxBodyBytes, st.body)
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return id, mbe
-		}
-		return id, badRequest("reading request body: %v", err)
-	}
 	if ferr := s.opts.Faults.Fire(faultinject.PointDecode); ferr != nil {
 		return id, ferr
 	}

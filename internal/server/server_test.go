@@ -115,6 +115,28 @@ func TestFitScoreRankRoundTrip(t *testing.T) {
 	}
 }
 
+// TestScoreFarOutsideTheBoxKeepsOrder: rows shifted ever further along α
+// from the top training row, [10, 6, 1], out to 1e300, strictly dominate
+// it, so /score must rank none of them below it (Proposition 1).
+func TestScoreFarOutsideTheBoxKeepsOrder(t *testing.T) {
+	_, ts := newTestServer(t, t.TempDir())
+	fitModel(t, ts, "far")
+	rows := [][]float64{{10, 6, 1}}
+	for _, shift := range []float64{1e14, 1e15, 1e16, 1e17, 1e100, 1e300} {
+		rows = append(rows, []float64{10 + shift, 6 + shift, 1 - shift})
+	}
+	resp := postJSON(t, ts.URL+"/v1/models/far-v1/score", ScoreRequest{Rows: rows})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("score: status %d", resp.StatusCode)
+	}
+	got := decodeBody[ScoreResponse](t, resp)
+	for i, s := range got.Scores[1:] {
+		if s < got.Scores[0] {
+			t.Errorf("row %v scores %v, below the row it dominates (%v)", rows[i+1], s, got.Scores[0])
+		}
+	}
+}
+
 func TestListGetDelete(t *testing.T) {
 	_, ts := newTestServer(t, t.TempDir())
 	fitModel(t, ts, "a")
