@@ -146,7 +146,6 @@ func (c *Cluster) Forward(w http.ResponseWriter, r *http.Request, modelID string
 		}
 		done, ok := c.forwardOnce(w, r, cand.peer, body, att, deadline, hasDeadline)
 		if done {
-			c.forwards.Add(1)
 			return true
 		}
 		if !ok {
@@ -220,6 +219,9 @@ func (c *Cluster) forwardOnce(w http.ResponseWriter, r *http.Request, p *Peer, b
 		return false, false
 	}
 	p.recordSuccess()
+	// Counted before the answer is relayed, so a client holding the
+	// answer sees the hop in the forwarder's stats.
+	c.forwards.Add(1)
 	h := w.Header()
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		h.Set("Content-Type", ct)

@@ -128,30 +128,21 @@ func (sc *Scorer) Score(x []float64) float64 {
 	if sc.fastCubic && len(x) == len(sc.mn) {
 		// Normalise and collapse the distance profile in one register
 		// pass; the cubic kernel needs nothing else. Rows of the wrong
-		// dimension fall through to ApplyInto's canonical panic. The clamp
-		// changes no coordinate of a row with ‖u‖ < clampMargin, so only a
-		// row past that is collapsed a second time, clamped.
-		for clamp := false; ; clamp = true {
-			c0, c1, c2, c3 := sc.snorm[0], sc.snorm[1], sc.snorm[2], sc.snorm[3]
-			var x2 float64
-			for j, v := range x {
-				u := (v - sc.mn[j]) * sc.inv[j]
-				if clamp {
-					u = min(max(u, -clampMargin), 1+clampMargin)
-				}
-				x2 += u * u
-				t := 2 * u
-				row := sc.smono[j*4 : j*4+4]
-				c0 -= t * row[0]
-				c1 -= t * row[1]
-				c2 -= t * row[2]
-				c3 -= t * row[3]
-			}
-			if clamp || x2 < clampMargin*clampMargin {
-				s, _ := cubicNewtonKernel(c0+x2, c1, c2, c3, sc.snorm[4], sc.snorm[5], sc.snorm[6], sc.eng.cells, false)
-				return s
-			}
+		// dimension fall through to ApplyInto's canonical panic.
+		c0, c1, c2, c3 := sc.snorm[0], sc.snorm[1], sc.snorm[2], sc.snorm[3]
+		var x2 float64
+		for j, v := range x {
+			u := min(max((v-sc.mn[j])*sc.inv[j], -clampMargin), 1+clampMargin)
+			x2 += u * u
+			t := 2 * u
+			row := sc.smono[j*4 : j*4+4]
+			c0 -= t * row[0]
+			c1 -= t * row[1]
+			c2 -= t * row[2]
+			c3 -= t * row[3]
 		}
+		s, _ := cubicNewtonKernel(c0+x2, c1, c2, c3, sc.snorm[4], sc.snorm[5], sc.snorm[6], sc.eng.cells, false)
+		return s
 	}
 	sc.model.Norm.ApplyInto(sc.u, x)
 	for j, u := range sc.u {

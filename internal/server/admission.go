@@ -85,42 +85,47 @@ func (b *budget) release(n int64) {
 func (b *budget) load() int64 { return b.cur.Load() }
 
 // limiter bounds one model's concurrent scoring requests plus a bounded
-// wait queue. slots is a buffered channel used as a counting semaphore;
-// waiting counts requests parked between the full semaphore and the queue
-// cap — one past the cap is shed immediately instead of queued.
+// wait queue. slots is a buffered channel used as a counting semaphore,
+// its length the active count; waiting counts requests holding a queue
+// place (reading their body or parked for a slot) — one past the cap is
+// shed immediately instead of queued.
 type limiter struct {
 	slots   chan struct{}
 	waiting atomic.Int64
 	maxWait int64
-	active  atomic.Int64
 }
 
 func newLimiter(concurrency, queue int) *limiter {
 	return &limiter{slots: make(chan struct{}, concurrency), maxWait: int64(queue)}
 }
 
-// acquire takes a slot, queueing up to the wait cap. It returns the time
-// spent waiting (0 on the uncontended path, which performs no clock
-// reads), and an error when the queue is full or ctx ended while parked:
-// shedDeadline when its deadline passed, shedExpired when the client went
-// away.
-func (l *limiter) acquire(ctx context.Context) (time.Duration, error) {
+// reserve takes a free slot (held is true) or, with every slot taken, a
+// place in the wait queue, without blocking, and sheds the request when
+// the queue is full. A queued request goes on to wait, or gives its place
+// back with unreserve.
+func (l *limiter) reserve() (held bool, err error) {
 	select {
 	case l.slots <- struct{}{}:
-		l.active.Add(1)
-		return 0, nil
+		return true, nil
 	default:
 	}
 	if l.waiting.Add(1) > l.maxWait {
 		l.waiting.Add(-1)
-		return 0, &shedError{status: http.StatusTooManyRequests, reason: shedQueueFull,
+		return false, &shedError{status: http.StatusTooManyRequests, reason: shedQueueFull,
 			msg: "model queue full; retry later"}
 	}
+	return false, nil
+}
+
+// wait parks a request reserve queued until a slot frees, giving up the
+// queue place either way. It returns the time spent waiting, and an error
+// when ctx ended while parked: shedDeadline when its deadline passed,
+// shedExpired when the client went away.
+func (l *limiter) wait(ctx context.Context) (time.Duration, error) {
 	defer l.waiting.Add(-1)
 	t0 := time.Now()
 	select {
 	case l.slots <- struct{}{}:
-		l.active.Add(1)
 		return time.Since(t0), nil
 	case <-ctx.Done():
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
@@ -132,14 +137,21 @@ func (l *limiter) acquire(ctx context.Context) (time.Duration, error) {
 	}
 }
 
-func (l *limiter) release() {
-	l.active.Add(-1)
-	<-l.slots
+// unreserve gives back what reserve took, for a request that fails before
+// it waits: the slot when held, the queue place otherwise.
+func (l *limiter) unreserve(held bool) {
+	if held {
+		l.release()
+	} else {
+		l.waiting.Add(-1)
+	}
 }
+
+func (l *limiter) release() { <-l.slots }
 
 // stats returns the limiter's instantaneous active and queued counts.
 func (l *limiter) stats() (active, queued int64) {
-	return l.active.Load(), l.waiting.Load()
+	return int64(len(l.slots)), l.waiting.Load()
 }
 
 // admission is the server's overload-protection state: global byte/row
@@ -203,21 +215,26 @@ func (a *admission) recordShed(key uint64, reason int) {
 	a.shed[reason].Add(key, 1)
 }
 
+// each calls fn on every limiter, the shared overflow one as "_overflow".
+func (a *admission) each(fn func(id string, l *limiter)) {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	for id, l := range a.limiters {
+		fn(id, l)
+	}
+	if a.overflow != nil {
+		fn("_overflow", a.overflow)
+	}
+}
+
 // totals sums active and queued requests across every limiter, for the
 // scrape-time gauges.
 func (a *admission) totals() (active, queued int64) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	for _, l := range a.limiters {
+	a.each(func(_ string, l *limiter) {
 		act, q := l.stats()
 		active += act
 		queued += q
-	}
-	if a.overflow != nil {
-		act, q := a.overflow.stats()
-		active += act
-		queued += q
-	}
+	})
 	return active, queued
 }
 
@@ -230,21 +247,12 @@ type admissionModelState struct {
 
 // snapshotModels returns the non-idle limiters, for /statusz.
 func (a *admission) snapshotModels() []admissionModelState {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	out := make([]admissionModelState, 0, len(a.limiters))
-	for id, l := range a.limiters {
-		active, queued := l.stats()
-		if active == 0 && queued == 0 {
-			continue
+	var out []admissionModelState
+	a.each(func(id string, l *limiter) {
+		if active, queued := l.stats(); active != 0 || queued != 0 {
+			out = append(out, admissionModelState{Model: id, Active: active, Queued: queued})
 		}
-		out = append(out, admissionModelState{Model: id, Active: active, Queued: queued})
-	}
-	if a.overflow != nil {
-		if active, queued := a.overflow.stats(); active != 0 || queued != 0 {
-			out = append(out, admissionModelState{Model: "_overflow", Active: active, Queued: queued})
-		}
-	}
+	})
 	return out
 }
 

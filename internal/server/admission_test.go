@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"log/slog"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"rpcrank/internal/faultinject"
@@ -120,8 +122,8 @@ func TestModelQueueFullSheds429(t *testing.T) {
 	// Occupy the model's only concurrency slot so the next request must
 	// queue — and with no queue configured, it sheds immediately.
 	lim := s.adm.limiter(id)
-	if _, err := lim.acquire(context.Background()); err != nil {
-		t.Fatal(err)
+	if held, err := lim.reserve(); !held || err != nil {
+		t.Fatalf("reserve = %v, %v; want the free slot", held, err)
 	}
 	resp := scoreReq(t, ts, id, [][]float64{{1, 2, 3}}, 0)
 	body := readAll(t, resp)
@@ -143,6 +145,52 @@ func TestModelQueueFullSheds429(t *testing.T) {
 	}
 }
 
+// readCounter counts the bytes read from its reader.
+type readCounter struct {
+	r io.Reader
+	n int
+}
+
+func (c *readCounter) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestQueueFullShedsBeforeReadingBody: a request its model's full queue
+// sheds is answered 429 without a byte of its body read, so shedding
+// stays cheap under overload. A queued request whose body read fails
+// gives its queue place back.
+func TestQueueFullShedsBeforeReadingBody(t *testing.T) {
+	for _, queue := range []int{-1, 1} {
+		s, ts := newTestServerOpts(t, t.TempDir(), Options{ModelConcurrency: 1, ModelQueue: queue})
+		id := fitModel(t, ts, "qb").Model.ID
+		lim := s.adm.limiter(id)
+		if held, err := lim.reserve(); !held || err != nil {
+			t.Fatalf("reserve = %v, %v; want the free slot", held, err)
+		}
+		body := &readCounter{r: io.MultiReader(strings.NewReader(`{"rows":[[1,2,3]`), iotest.ErrReader(errors.New("connection reset")))}
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/models/"+id+"/score", body))
+		lim.release()
+		if queue < 0 {
+			if rec.Code != http.StatusTooManyRequests {
+				t.Fatalf("no queue: status %d, want 429; body %s", rec.Code, rec.Body)
+			}
+			if body.n != 0 {
+				t.Fatalf("no queue: the shed request's body was read (%d bytes)", body.n)
+			}
+			continue
+		}
+		if rec.Code != http.StatusBadRequest || body.n == 0 {
+			t.Fatalf("queue 1: status %d after reading %d bytes, want 400 after reading; body %s", rec.Code, body.n, rec.Body)
+		}
+		if _, queued := lim.stats(); queued != 0 {
+			t.Fatalf("queue 1: %d requests still queued after the body read failed", queued)
+		}
+	}
+}
+
 // TestQueuedDeadlineSheds503: a request parked behind a model's only slot
 // wakes when its deadline passes, not when the slot frees, and is shed 503
 // under reason "deadline". A parked request whose client goes away is
@@ -151,8 +199,8 @@ func TestQueuedDeadlineSheds503(t *testing.T) {
 	s, ts := newTestServerOpts(t, t.TempDir(), Options{ModelConcurrency: 1})
 	id := fitModel(t, ts, "qd").Model.ID
 	lim := s.adm.limiter(id)
-	if _, err := lim.acquire(context.Background()); err != nil {
-		t.Fatal(err)
+	if held, err := lim.reserve(); !held || err != nil {
+		t.Fatalf("reserve = %v, %v; want the free slot", held, err)
 	}
 	defer lim.release()
 
@@ -216,8 +264,8 @@ func TestQueuedClientLeaves(t *testing.T) {
 		Logger: slog.New(slog.NewTextHandler(&logs, nil))})
 	id := fitModel(t, ts, "ql").Model.ID
 	lim := s.adm.limiter(id)
-	if _, err := lim.acquire(context.Background()); err != nil {
-		t.Fatal(err)
+	if held, err := lim.reserve(); !held || err != nil {
+		t.Fatalf("reserve = %v, %v; want the free slot", held, err)
 	}
 	held := true
 	defer func() {

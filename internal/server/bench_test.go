@@ -180,9 +180,10 @@ func BenchmarkPoolScoreBatch(b *testing.B) {
 			b.Fatal(err)
 		}
 		dst := make([]float64, rows)
-		// The split mode fans one chunk a worker out through the pool,
-		// whatever the batch size.
-		chunk := (rows + pool.Workers() - 1) / pool.Workers()
+		// The split mode fans one chunk a worker out through the pool, and
+		// at least two chunks, since fanOut runs a single part inline.
+		parts := max(2, pool.Workers())
+		chunk := (rows + parts - 1) / parts
 		split := &scoreBatch{p: pool, m: m, f: f, out: dst, chunk: chunk}
 		for _, mode := range []string{"inline", "split"} {
 			b.Run(fmt.Sprintf("rows=%d/%s", rows, mode), func(b *testing.B) {

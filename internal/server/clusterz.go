@@ -76,7 +76,7 @@ func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request) (done bool
 // are harmless.
 func (s *Server) handleClusterInstall(w http.ResponseWriter, r *http.Request) {
 	var doc cluster.InstallDoc
-	if err := decodeJSON(r, &doc); err != nil {
+	if err := decodeJSON(r.Body, &doc); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -126,7 +126,7 @@ func (s *Server) handleClusterExport(w http.ResponseWriter, r *http.Request) {
 // next probe would notice.
 func (s *Server) handleClusterDraining(w http.ResponseWriter, r *http.Request) {
 	var n cluster.DrainNotice
-	if err := decodeJSON(r, &n); err != nil {
+	if err := decodeJSON(r.Body, &n); err != nil {
 		writeError(w, err)
 		return
 	}

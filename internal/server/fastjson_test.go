@@ -181,7 +181,7 @@ func TestDecodeRowsCorruptedSplit(t *testing.T) {
 			continue
 		}
 		var req ScoreRequest
-		if err := decodeJSONBytes(body, &req); err != nil {
+		if err := decodeJSON(bytes.NewReader(body), &req); err != nil {
 			t.Fatalf("trial %d: fast parser accepted a body stdlib rejects: %v", trial, err)
 		}
 		if len(req.Rows) != one.fr.N() {

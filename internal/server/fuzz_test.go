@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -60,9 +61,9 @@ func FuzzDecodeRows(f *testing.F) {
 		}
 
 		// The stdlib arbiter, with the exact semantics of the fallback path
-		// (decodeJSONBytes): unknown fields and trailing data are errors.
+		// (decodeJSON): unknown fields and trailing data are errors.
 		var req ScoreRequest
-		stdErr := decodeJSONBytes(body, &req)
+		stdErr := decodeJSON(bytes.NewReader(body), &req)
 
 		if !fastOK {
 			return // fallback path owns the outcome, whatever it is

@@ -90,10 +90,11 @@ type poolTask struct {
 // scoreBatch is one ScoreFrame call's state: it scores rows
 // [i·chunk, (i+1)·chunk) of f into out as part i. ctx is the context the
 // parts poll (nil when the batch cannot be cancelled); tr, when non-nil,
-// receives one score span a part. It comes from batchPool and goes back
-// only after its fan-out returned, so a steady-state batch allocates none
-// of it. A batch whose worker panicked is dropped rather than returned:
-// its panic is re-raised on the caller.
+// receives one score span a part; short records that a part stopped before
+// the end of its chunk, which only an ended context does. It comes from
+// batchPool and goes back only after its fan-out returned, so a
+// steady-state batch allocates none of it. A batch whose worker panicked
+// is dropped rather than returned: its panic is re-raised on the caller.
 type scoreBatch struct {
 	barrier
 	p     *Pool
@@ -103,6 +104,7 @@ type scoreBatch struct {
 	f     *frame.Frame
 	out   []float64
 	chunk int
+	short atomic.Bool
 }
 
 var batchPool = sync.Pool{New: func() any { return new(scoreBatch) }}
@@ -201,24 +203,28 @@ func (p *Pool) runRanges(st *scoreState, kind rangeKind) {
 // runPart scores part i of the batch with a borrowed scorer and records
 // its span: shard i on a worker, -1 inline. A part picked up after the
 // batch's context ended skips the scorer entirely, still recording its
-// (empty) span; otherwise cancellation lands between rows only, so the
-// scorer goes back to the model's pool in a clean state. A panicking
-// scorer is dropped rather than released, so a poisoned scratch never
-// re-enters the model's pool.
+// (empty) span and marking the batch short; otherwise cancellation lands
+// between rows only, so the scorer goes back to the model's pool in a
+// clean state. A panicking scorer is dropped rather than released, so a
+// poisoned scratch never re-enters the model's pool.
 func (b *scoreBatch) runPart(i int, worker bool) {
 	var t0 time.Time
 	if b.tr != nil {
 		t0 = time.Now()
 	}
+	lo := i * b.chunk
+	hi, n := min(lo+b.chunk, len(b.out)), 0
 	if b.ctx == nil || b.ctx.Err() == nil {
 		if worker {
 			b.p.faults.Fire(faultinject.PointWorker)
 		}
-		lo := i * b.chunk
 		sc := b.m.AcquireScorer()
-		n := b.p.scoreRange(b.ctx, sc, b.out, b.f, lo, min(lo+b.chunk, len(b.out)))
+		n = b.p.scoreRange(b.ctx, sc, b.out, b.f, lo, hi)
 		b.m.ReleaseScorer(sc)
 		b.tr.AddRowsDone(n)
+	}
+	if n < hi-lo {
+		b.short.Store(true)
 	}
 	if b.tr != nil {
 		shard := -1
@@ -287,9 +293,10 @@ func (p *Pool) Close() {
 // are visible.
 //
 // When ctx has a Done channel, the batch is cooperatively cancelled at
-// row-block granularity: the error is ctx.Err(), the returned slice holds
-// only partially valid scores, and the trace's RowsDone reports how far
-// the batch got.
+// row-block granularity: a batch its context stopped short fails with
+// ctx.Err(), the returned slice holds only partially valid scores, and the
+// trace's RowsDone reports how far the batch got. A batch that scored every
+// row returns them, even if its context ended after the last poll.
 // A batch of more than one part fails with ErrPoolClosed after Close. The
 // batch's own state (scoreBatch) is pooled, so with a dst of capacity
 // f.N() a steady-state call allocates nothing, cancellable or not, inline
@@ -318,12 +325,13 @@ func (p *Pool) ScoreFrame(ctx context.Context, m *core.Model, f *frame.Frame, ds
 	b := batchPool.Get().(*scoreBatch)
 	b.p, b.ctx, b.tr, b.m, b.f, b.out, b.chunk = p, ctx, tr, m, f, dst, chunk
 	ok := p.fanOut(b, &b.barrier, parts)
+	short := b.short.Swap(false)
 	b.p, b.ctx, b.tr, b.m, b.f, b.out = nil, nil, nil, nil, nil, nil
 	batchPool.Put(b)
 	if !ok {
 		return dst[:0], ErrPoolClosed
 	}
-	if ctx != nil {
+	if short {
 		return dst, ctx.Err()
 	}
 	return dst, nil

@@ -13,6 +13,7 @@ import (
 	"rpcrank/internal/core"
 	"rpcrank/internal/faultinject"
 	"rpcrank/internal/frame"
+	"rpcrank/internal/obs"
 	"rpcrank/internal/order"
 )
 
@@ -255,6 +256,55 @@ func TestScoreFrameAlreadyCancelledScoresNothing(t *testing.T) {
 // row blocks (injected latency holds it open long enough) and then checks
 // the cancellation parity contract: the model's scorer pool must come back
 // consistent, producing bit-identical scores to the serial path.
+// endsOnceScored is a context that ends the moment its trace counts every
+// row of the batch as scored: after a batch's last poll, before it returns.
+type endsOnceScored struct {
+	context.Context
+	tr   *obs.Trace
+	rows int
+	done chan struct{}
+}
+
+func (c *endsOnceScored) Done() <-chan struct{} { return c.done }
+
+func (c *endsOnceScored) Err() error {
+	if c.tr.RowsDone() == c.rows {
+		return context.Canceled
+	}
+	return nil
+}
+
+// A batch that scored every row answers them, inline or split across the
+// workers, even when its context ends between the last poll and return.
+func TestScoreFrameScoredInFullIgnoresLateEnd(t *testing.T) {
+	m := poolTestModel(t)
+	pool := NewPool(2)
+	defer pool.Close()
+	for _, n := range []int{100, 4 * concurrencyThreshold} {
+		rows := trainingRows(n)
+		f, err := frame.FromRows(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := &endsOnceScored{Context: context.Background(), rows: n, done: make(chan struct{})}
+		ctx.tr = obs.StartTrace(ctx)
+		got, err := pool.ScoreFrame(ctx.tr, m, f, nil)
+		if err != nil {
+			t.Fatalf("%d rows: err = %v, want nil once every row is scored", n, err)
+		}
+		if ctx.Err() == nil {
+			t.Fatalf("%d rows: the context never ended; the test checks nothing", n)
+		}
+		want := m.ScoreAll(rows)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%d rows: row %d scored %v, want %v", n, i, got[i], want[i])
+			}
+		}
+		ctx.tr.Release()
+	}
+}
+
 func TestScoreFrameCancelMidBatchLeavesScorersClean(t *testing.T) {
 	m := poolTestModel(t)
 	rows := trainingRows(4096)

@@ -586,21 +586,6 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, resp)
 }
 
-// decodeJSONBytes is decodeJSON over an already-read body, used when the
-// fast-path parser declined it.
-func decodeJSONBytes(body []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return badRequest("decoding request body: %v", err)
-	}
-	// Reject trailing garbage so truncated uploads fail loudly.
-	if err := dec.Decode(&struct{}{}); err != io.EOF {
-		return badRequest("unexpected data after JSON body")
-	}
-	return nil
-}
-
 // writeRawJSON writes a pre-encoded JSON answer given as parts to send in
 // order (ending in the newline json.Encoder terminates documents with).
 // The length is declared up front, so the answer is not chunked, and the
@@ -688,8 +673,11 @@ func limitError(err error) error {
 	return nil
 }
 
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// decodeJSON decodes exactly one JSON document from r into v: unknown
+// fields and trailing data are 400s, and a read that hit a body limit
+// answers that limit's error.
+func decodeJSON(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		if lerr := limitError(err); lerr != nil {
@@ -709,7 +697,7 @@ func decodeJSON(r *http.Request, v any) error {
 
 func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 	var req FitRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(r.Body, &req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -876,13 +864,14 @@ func (s *Server) scoreRows(tr *obs.Trace, r *http.Request, st *scoreState, m *co
 	// Admission. A request with a deadline is first checked for
 	// feasibility against the model's observed p50 score latency — a batch
 	// that cannot finish in time is shed before it costs a body read, a
-	// decode, or a concurrency slot. Then the body is read, and the model's
-	// limiter bounds concurrent scoring (queueing up to the wait cap). The
-	// read comes first because over HTTP/1.1 net/http cancels r.Context()
-	// on a client disconnect only once the body has been read: a request
-	// parked with its body unread would never see its client leave. Holding
-	// the slot through decode keeps one model's oversized bodies from
-	// monopolising decode CPU.
+	// decode, or a concurrency slot. Then the model's limiter bounds
+	// concurrent scoring: the request reserves a slot or a queue place,
+	// shedding a full queue before its body is read, reads the body, and
+	// only then parks for a slot. The read comes before the park because
+	// over HTTP/1.1 net/http cancels r.Context() on a client disconnect only
+	// once the body has been read: a request parked with its body unread
+	// would never see its client leave. Holding the slot through decode
+	// keeps one model's oversized bodies from monopolising decode CPU.
 	if dl, ok := r.Context().Deadline(); ok {
 		rem := time.Until(dl)
 		if rem <= 0 {
@@ -897,18 +886,23 @@ func (s *Server) scoreRows(tr *obs.Trace, r *http.Request, st *scoreState, m *co
 					rem.Round(time.Millisecond), time.Duration(p50)*time.Microsecond)}
 		}
 	}
+	lim := s.adm.limiter(id)
+	held, err := lim.reserve()
+	if err != nil {
+		s.adm.recordShed(key, shedQueueFull)
+		return id, err
+	}
 	if st.body, err = readBody(r, s.opts.MaxBodyBytes, st.body); err != nil {
+		lim.unreserve(held)
 		return id, err
 	}
 	tr.EndStage(obs.StageDecode)
-	lim := s.adm.limiter(id)
-	wait, err := lim.acquire(r.Context())
-	if err != nil {
-		var se *shedError
-		if errors.As(err, &se) {
-			s.adm.recordShed(key, se.reason)
+	var wait time.Duration
+	if !held {
+		if wait, err = lim.wait(r.Context()); err != nil {
+			s.adm.recordShed(key, err.(*shedError).reason)
+			return id, err
 		}
-		return id, err
 	}
 	defer lim.release()
 	s.adm.waitHist.Observe(key, wait.Microseconds())
@@ -932,7 +926,7 @@ func (s *Server) scoreRows(tr *obs.Trace, r *http.Request, st *scoreState, m *co
 		}
 	} else {
 		var req ScoreRequest
-		if err := decodeJSONBytes(st.body, &req); err != nil {
+		if err := decodeJSON(bytes.NewReader(st.body), &req); err != nil {
 			return id, err
 		}
 		tr.EndStage(obs.StageDecode)
