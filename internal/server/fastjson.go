@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"strconv"
 	"sync"
@@ -13,14 +14,17 @@ import (
 // requests. encoding/json decodes [][]float64 through reflection, one small
 // slice allocation per row; at 10k-row batches that is most of the request
 // latency. The decoder below handles exactly the documented request shape
-// {"rows": [[...], ...]} — strict JSON number grammar, values written
-// straight into one pooled contiguous frame — and reports !ok for anything
+// {"rows": [[...], ...]} — strict JSON number grammar, each number scanned
+// with an 8-byte look-ahead over its digit runs and converted in the same
+// pass (floatparse.go), values written straight into one pooled contiguous
+// frame — and reports !ok for anything
 // else, in which case the caller re-decodes with encoding/json so every
 // error message, unknown field and type mismatch behaves exactly as the
 // stdlib path. The encoder is its mirror image for the answers, whose
 // payload is almost entirely float and int arrays; it spells every float
-// the way encoding/json does, so the fast and the fallback answers are
-// byte-identical.
+// the way encoding/json does, scores in [2⁻²⁰, 1) with an exact integer
+// shortest-digit encoder and the rest through strconv, so the fast and the
+// fallback answers are byte-identical.
 //
 // Each row is scored by its own projection (Eq. 22), so a batch splits into
 // independent row ranges, and decode and encode split with it. A body of
@@ -38,11 +42,13 @@ import (
 // encodes on the pool in more than one range. Below it the channel hops and
 // worker wake-ups cost more than splitting the parse and the encode saves.
 // BenchmarkScoreBodyRanges (GOMAXPROCS=2, 4-value rows with six
-// significant digits, 2-vCPU Xeon) puts the crossover between 3.4 KB (one
-// range 39–49 µs, two 43–51 µs) and 6.7 KB (76–89 µs against 70–74 µs);
-// 8 KB, the first power of two above it, keeps the 100-row, 3.3 KB bodies
-// of small batches on one inline range with margin, where a busy server's
-// other requests would also contend for the workers.
+// significant digits, 2-vCPU Xeon, 3 alternating runs) puts the crossover
+// between 3.4 KB (one range 15–21 µs, two 25–26 µs) and 26.9 KB (151–176 µs
+// against 110–133 µs); at 6.7 KB (29–42 against 34–42 µs) and 13.4 KB
+// (61–85 against 64–78 µs) the two overlap. 8 KB, inside that band, keeps
+// the 100-row, 3.3 KB bodies of small batches on one inline range with
+// margin, where a busy server's other requests would also contend for the
+// workers.
 const splitMinBytes = 8 << 10
 
 // scoreState is one score or rank request's reusable state: the body, the
@@ -359,77 +365,143 @@ func (p *fastParser) lit(s string) bool {
 // "0x1p2", "1_000"), so the grammar check stays authoritative — rejecting
 // here sends the request down the stdlib path for an authoritative error —
 // and strconv remains the fallback for every token the fast conversion
-// cannot prove correctly rounded, so values and errors are identical to the
-// two-pass implementation this replaces.
+// cannot prove correctly rounded.
+//
+// The common token, a few integer digits and a few fraction digits, is
+// scanned with a look-ahead: each digit run is read as one 8-byte word,
+// digitRun finds where it ends and digitsValue folds it into the mantissa
+// (floatparse.go). Every other token goes to numberSlow, the byte loop,
+// from its first byte: one with an exponent, a digit run of 8 or more, or
+// a run whose word would reach past the end of b. Both give the same
+// value, end index and ok for every input.
 func (p *fastParser) number() (float64, bool) {
-	start := p.i
+	v, i, ok := scanNumber(p.b, p.i)
+	p.i = i
+	return v, ok
+}
+
+// scanNumber is number on b from index start; it returns the value, the
+// index just past the token, and ok.
+func scanNumber(b []byte, start int) (float64, int, bool) {
+	i := start
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	if i+8 > len(b) {
+		return numberSlow(b, start)
+	}
+	var mant uint64
+	if c := b[i]; c == '0' {
+		i++
+	} else if c-'1' < 9 {
+		x := binary.LittleEndian.Uint64(b[i:])
+		n := digitRun(x)
+		if n == 8 {
+			return numberSlow(b, start)
+		}
+		mant = digitsValue(x, n)
+		i += n
+	} else {
+		return numberSlow(b, start)
+	}
+	exp10 := 0
+	if b[i] == '.' {
+		i++
+		if i+8 > len(b) {
+			return numberSlow(b, start)
+		}
+		x := binary.LittleEndian.Uint64(b[i:])
+		n := digitRun(x)
+		if n == 0 || n == 8 {
+			return numberSlow(b, start)
+		}
+		mant = mant*pow10u[n] + digitsValue(x, n)
+		exp10 = -n
+		i += n
+	}
+	if b[i]|0x20 == 'e' {
+		return numberSlow(b, start)
+	}
+	// At most 14 digits and exp10 ≥ −7: convertDecimal's Clinger route.
+	v, ok := convertDecimal(mant, exp10, neg)
+	if !ok {
+		return numberSlow(b, start)
+	}
+	return v, i, true
+}
+
+// numberSlow is number's byte loop, for every token scanNumber does not
+// take.
+func numberSlow(b []byte, start int) (float64, int, bool) {
+	i := start
 	neg := false
-	if p.i < len(p.b) && p.b[p.i] == '-' {
+	if i < len(b) && b[i] == '-' {
 		neg = true
-		p.i++
+		i++
 	}
 	var mant uint64
 	digits := 0 // significant digits folded into mant (≤ 19)
 	exp10 := 0  // value = mant · 10^exp10
 	exact := true
 	switch {
-	case p.i < len(p.b) && p.b[p.i] == '0':
-		p.i++
-	case p.i < len(p.b) && p.b[p.i] >= '1' && p.b[p.i] <= '9':
-		for p.i < len(p.b) && p.b[p.i] >= '0' && p.b[p.i] <= '9' {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && b[i] >= '1' && b[i] <= '9':
+		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
 			if digits < 19 {
-				mant = mant*10 + uint64(p.b[p.i]-'0')
+				mant = mant*10 + uint64(b[i]-'0')
 				digits++
 			} else {
 				// A dropped trailing integer digit scales the value by ten
 				// (exactly, when the digit is zero).
 				exp10++
-				exact = exact && p.b[p.i] == '0'
+				exact = exact && b[i] == '0'
 			}
-			p.i++
+			i++
 		}
 	default:
-		return 0, false
+		return 0, i, false
 	}
-	if p.i < len(p.b) && p.b[p.i] == '.' {
-		p.i++
-		if p.i >= len(p.b) || p.b[p.i] < '0' || p.b[p.i] > '9' {
-			return 0, false
+	if i < len(b) && b[i] == '.' {
+		i++
+		if i >= len(b) || b[i] < '0' || b[i] > '9' {
+			return 0, i, false
 		}
-		for p.i < len(p.b) && p.b[p.i] >= '0' && p.b[p.i] <= '9' {
+		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
 			switch {
-			case mant == 0 && p.b[p.i] == '0':
+			case mant == 0 && b[i] == '0':
 				// Leading fractional zeros shift the exponent without
 				// spending mantissa capacity (0.00001234…).
 				exp10--
 			case digits < 19:
-				mant = mant*10 + uint64(p.b[p.i]-'0')
+				mant = mant*10 + uint64(b[i]-'0')
 				digits++
 				exp10--
 			default:
 				// Dropped trailing fractional digits only matter when
 				// nonzero.
-				exact = exact && p.b[p.i] == '0'
+				exact = exact && b[i] == '0'
 			}
-			p.i++
+			i++
 		}
 	}
-	if p.i < len(p.b) && (p.b[p.i] == 'e' || p.b[p.i] == 'E') {
-		p.i++
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
 		eneg := false
-		if p.i < len(p.b) && (p.b[p.i] == '+' || p.b[p.i] == '-') {
-			eneg = p.b[p.i] == '-'
-			p.i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			eneg = b[i] == '-'
+			i++
 		}
-		if p.i >= len(p.b) || p.b[p.i] < '0' || p.b[p.i] > '9' {
-			return 0, false
+		if i >= len(b) || b[i] < '0' || b[i] > '9' {
+			return 0, i, false
 		}
 		ev := 0
-		for p.i < len(p.b) && p.b[p.i] >= '0' && p.b[p.i] <= '9' {
+		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
 			if ev < 1<<20 { // saturate; convertDecimal range-checks anyway
-				ev = ev*10 + int(p.b[p.i]-'0')
+				ev = ev*10 + int(b[i]-'0')
 			}
-			p.i++
+			i++
 		}
 		if eneg {
 			exp10 -= ev
@@ -439,14 +511,14 @@ func (p *fastParser) number() (float64, bool) {
 	}
 	if exact {
 		if v, ok := convertDecimal(mant, exp10, neg); ok {
-			return v, true
+			return v, i, true
 		}
 	}
-	v, err := strconv.ParseFloat(string(p.b[start:p.i]), 64)
+	v, err := strconv.ParseFloat(string(b[start:i]), 64)
 	if err != nil {
-		return 0, false
+		return 0, i, false
 	}
-	return v, true
+	return v, i, true
 }
 
 // The fixed glue of the encoded answers.
@@ -521,7 +593,8 @@ func (st *scoreState) encodeRange(i int) {
 // appendFloat appends v spelled as encoding/json spells a float64: the
 // shortest 'f' form for 1e-6 ≤ |v| < 1e21, otherwise the shortest 'e' form
 // with a one-digit negative exponent's leading zero stripped (1e-07 →
-// 1e-7). v must be finite.
+// 1e-7). v must be finite. The 'f' forms of [2⁻²⁰, 1), every served score
+// but 0 and 1, come from appendUnitFloat (floatparse.go).
 func appendFloat(b []byte, v float64) []byte {
 	if a := math.Abs(v); a != 0 && (a < 1e-6 || a >= 1e21) {
 		b = strconv.AppendFloat(b, v, 'e', -1, 64)
@@ -530,6 +603,9 @@ func appendFloat(b []byte, v float64) []byte {
 			b = b[:n-1]
 		}
 		return b
+	}
+	if u := math.Float64bits(v); unitFloat(u) {
+		return appendUnitFloat(b, u)
 	}
 	return strconv.AppendFloat(b, v, 'f', -1, 64)
 }

@@ -6,12 +6,13 @@ import (
 	"math/bits"
 )
 
-// Single-pass float conversion for the JSON fast path. The grammar scan in
-// fastParser.number already walks every byte of a number token; handing the
-// token to strconv.ParseFloat afterwards walks them all again (strconv's
-// readFloat was ~25% of the 10k-row score batch). Instead the scan now
-// accumulates the decimal mantissa and exponent as it validates, and
-// convertDecimal turns them into a float64 by one of two exact routes:
+// The number codec of the JSON fast path, both directions.
+//
+// Decoding. The grammar scan in fastParser.number already walks every byte
+// of a number token; handing the token to strconv.ParseFloat afterwards
+// would walk them all again. Instead the scan accumulates the decimal
+// mantissa and exponent as it validates, and convertDecimal turns them into
+// a float64 by one of two exact routes:
 //
 //   - the Clinger fast path: mantissa ≤ 2⁵³ and |exp10| ≤ 22 means
 //     float64(mant)·10^exp10 (or /10^-exp10) is a single correctly-rounded
@@ -26,10 +27,20 @@ import (
 // Anything outside both routes — 20+ significant digits, exponents beyond
 // the table, subnormal or overflowing results, an ambiguous rounding — falls
 // back to strconv.ParseFloat on the original token, so every value and
-// every error is exactly what the previous implementation produced. The
-// differential tests in floatparse_test.go pin that equivalence over
-// round-tripped random floats (including the shortest 17-digit forms JSON
-// encoders emit) and the classic hard-rounding cases.
+// every error is exactly what strconv gives. The scan reads the digit runs
+// of the common token eight bytes at a time (digitRun, digitsValue: a SWAR
+// digit mask and three multiplies) and keeps a byte loop for the rest (see
+// fastParser.number). The differential tests in floatparse_test.go pin
+// the values to strconv, over round-tripped random floats and the classic
+// hard-rounding cases, and the value, end index and ok of every token to
+// the byte loop the look-ahead scan replaced.
+//
+// Encoding. A served score is a projection index in [0, 1], so almost
+// every answer float has a binary exponent in −20 … −1. appendUnitFloat
+// spells those with strconv's shortest-digit algorithm on exact integers
+// (one 64×64→128-bit product), the answer encoder's appendFloat sends every
+// other value to strconv, and the tests and FuzzAppendFloat pin the bytes
+// to json.Marshal's.
 
 // elMinExp10/elMaxExp10 bound the decimal exponents the Eisel–Lemire table
 // covers. The range spans every finite float64 (10^-348 underflows to zero
@@ -173,4 +184,152 @@ func convertDecimal(mant uint64, exp10 int, neg bool) (float64, bool) {
 		bits64 |= 1 << 63
 	}
 	return math.Float64frombits(bits64), true
+}
+
+// pow10u holds 10⁰ … 10⁷, the scales of the look-ahead digit runs.
+var pow10u = [8]uint64{1, 10, 100, 1000, 10000, 100000, 1000000, 10000000}
+
+// digitRun returns how many of the eight bytes of x, read little-endian
+// (first byte lowest), are ASCII digits before the first non-digit: 8 when
+// all are. A byte's top bit in the mask marks a non-digit: above9's for
+// 0x3A–0xB9, below0's for one under 0x30 or of 0xB0 and more. A carry out
+// of a byte only comes from a byte of 0xB0 or more and only reaches the
+// bytes after it, which no longer count.
+func digitRun(x uint64) int {
+	above9 := x + 0x4646464646464646
+	below0 := ^(x + 0x5050505050505050)
+	return bits.TrailingZeros64((above9|below0)&0x8080808080808080) >> 3
+}
+
+// digitsValue returns the value of the first n (1–7) bytes of x, which
+// digitRun found to be digits, with three multiplies: the digits are
+// shifted to the top of the word, so the bytes below them read as leading
+// zeros, then folded pairwise into 2-, 4- and 8-digit groups.
+func digitsValue(x uint64, n int) uint64 {
+	v := (x - 0x3030303030303030) << (64 - 8*uint(n))
+	v = v*10 + v>>8
+	v = ((v&0x000000FF000000FF)*(100+1000000<<32) +
+		(v>>16&0x000000FF000000FF)*(1+10000<<32)) >> 32
+	return v & 0xFFFFFFFF
+}
+
+// pow5 holds 5⁰ … 5²³; appendUnitFloat multiplies by 5^q with q ≤ 23.
+var pow5 = func() (t [24]uint64) {
+	t[0] = 1
+	for i := 1; i < len(t); i++ {
+		t[i] = 5 * t[i-1]
+	}
+	return t
+}()
+
+// twoDigits spells 00 … 99.
+const twoDigits = "00010203040506070809101112131415161718192021222324252627282930313233343536373839" +
+	"40414243444546474849505152535455565758596061626364656667686970717273747576777879" +
+	"8081828384858687888990919293949596979899"
+
+// unitFloat reports whether appendUnitFloat spells v: |v| ∈ [2⁻²⁰, 1),
+// binary exponents −20 … −1.
+func unitFloat(bits64 uint64) bool {
+	be := bits64 >> 52 & 0x7FF
+	return be >= 1023-20 && be <= 1023-1
+}
+
+// appendUnitFloat appends the shortest 'f' form of the float64 with bits
+// bits64, which unitFloat must accept: exactly the bytes of
+// strconv.AppendFloat(b, v, 'f', -1, 64). It is strconv's shortest-digit
+// algorithm (Ryū) run on exact integers, which the narrow exponent range
+// allows. With m the 53-bit mantissa and E the binary exponent, the value
+// and its rounding-interval ends are
+//
+//	(mc + {-1, 0, +1}) · 2^e2,  mc = 2m, e2 = E − 53
+//	(mc + {-1, 0, +2}) · 2^e2,  mc = 4m, e2 = E − 54  (m = 2⁵², the lower gap is half)
+//
+// and, with q the power of ten strconv picks (the smallest with 10^q > 2^-e2,
+// 17–23), their scaled decimal values are (mc + k)·5^q / 2^s with
+// s = −e2 − q (37–51). mc + 2 < 2⁵⁵ and 5^q < 2⁵⁴, so every product stays
+// below 2¹⁰⁹: mc·5^q is one 128-bit product, and the ends differ from it by
+// 5^q or 2·5^q. The floors and remainders below are therefore exact, where
+// strconv works with a 128-bit truncation of 10^q and tracks whether it
+// stayed exact. From there the digit trimming and the rounding are
+// strconv's (ryuFtoaShortest and ryuDigits), on one uint64 instead of two
+// 9-digit halves: the kept digits round half to even.
+func appendUnitFloat(b []byte, bits64 uint64) []byte {
+	if bits64>>63 != 0 {
+		b = append(b, '-')
+	}
+	frac := bits64 & (1<<52 - 1)
+	m := frac | 1<<52
+	e := int(bits64>>52&0x7FF) - 1023
+	mc, up, e2 := 2*m, uint64(1), e-53
+	if frac == 0 {
+		mc, up, e2 = 4*m, 2, e-54
+	}
+	q := (-e2*78913)>>18 + 1 // strconv's mulByLog2Log10(−e2) + 1
+	s := uint(-e2 - q)
+	p5 := pow5[q]
+	cHi, cLo := bits.Mul64(mc, p5)
+	lLo, borrow := bits.Sub64(cLo, p5, 0)
+	lHi := cHi - borrow
+	uLo, carry := bits.Add64(cLo, up*p5, 0)
+	uHi := cHi + carry
+	// The ends are odd multiples of 2^e2 with e2 ≤ −54, so they have 54 or
+	// more decimal places and are never a multiple of 10^-q. strconv's rule that an end
+	// belongs to the interval only when m is even therefore never applies,
+	// and the admissible range is [⌊lower⌋+1, ⌊upper⌋].
+	dl := (lHi<<(64-s) | lLo>>s) + 1
+	du := uHi<<(64-s) | uLo>>s
+	dc, fc := cHi<<(64-s)|cLo>>s, cLo&(1<<s-1)
+	half := uint64(1) << (s - 1)
+	cup := fc > half || (fc == half && dc&1 == 1)
+	c0 := fc == 0 // the digits dropped from dc so far are all zero
+	trimmed := 0
+	var last uint64 // the digit dropped last
+	for {
+		l, c, cd, u := (dl+9)/10, dc/10, dc%10, du/10
+		if l > u {
+			break
+		}
+		if l == c+1 && c < u {
+			// strconv's guard: dc fell just below the smallest admissible
+			// candidate, which is then the nearest one.
+			c, cd, cup = c+1, 0, false
+		}
+		trimmed++
+		c0 = c0 && last == 0
+		last = cd
+		dl, dc, du = l, c, u
+	}
+	if trimmed > 0 {
+		cup = last > 5 || (last == 5 && (!c0 || dc&1 == 1))
+	}
+	if dc < du && cup {
+		dc++
+	}
+	for dc%10 == 0 {
+		dc /= 10
+		trimmed++
+	}
+	var buf [20]byte
+	i := len(buf)
+	for dc >= 100 {
+		r := dc % 100
+		dc /= 100
+		i -= 2
+		buf[i], buf[i+1] = twoDigits[2*r], twoDigits[2*r+1]
+	}
+	if dc >= 10 {
+		i -= 2
+		buf[i], buf[i+1] = twoDigits[2*dc], twoDigits[2*dc+1]
+	} else {
+		i--
+		buf[i] = byte('0' + dc)
+	}
+	// The digits buf[i:] times 10^(trimmed−q); v < 1 puts the decimal
+	// point zeros places before them.
+	zeros := q - trimmed - (len(buf) - i)
+	b = append(b, '0', '.')
+	for ; zeros > 0; zeros-- {
+		b = append(b, '0')
+	}
+	return append(b, buf[i:]...)
 }

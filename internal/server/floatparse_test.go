@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -178,4 +181,348 @@ func BenchmarkParseNumber(b *testing.B) {
 			b.Fatal("parse failed")
 		}
 	}
+}
+
+// numberOracle is the byte loop number was before the look-ahead scan, kept
+// verbatim as the decoder's oracle: number must return the same value, end
+// index and ok on every input.
+func (p *fastParser) numberOracle() (float64, bool) {
+	start := p.i
+	neg := false
+	if p.i < len(p.b) && p.b[p.i] == '-' {
+		neg = true
+		p.i++
+	}
+	var mant uint64
+	digits := 0 // significant digits folded into mant (≤ 19)
+	exp10 := 0  // value = mant · 10^exp10
+	exact := true
+	switch {
+	case p.i < len(p.b) && p.b[p.i] == '0':
+		p.i++
+	case p.i < len(p.b) && p.b[p.i] >= '1' && p.b[p.i] <= '9':
+		for p.i < len(p.b) && p.b[p.i] >= '0' && p.b[p.i] <= '9' {
+			if digits < 19 {
+				mant = mant*10 + uint64(p.b[p.i]-'0')
+				digits++
+			} else {
+				// A dropped trailing integer digit scales the value by ten
+				// (exactly, when the digit is zero).
+				exp10++
+				exact = exact && p.b[p.i] == '0'
+			}
+			p.i++
+		}
+	default:
+		return 0, false
+	}
+	if p.i < len(p.b) && p.b[p.i] == '.' {
+		p.i++
+		if p.i >= len(p.b) || p.b[p.i] < '0' || p.b[p.i] > '9' {
+			return 0, false
+		}
+		for p.i < len(p.b) && p.b[p.i] >= '0' && p.b[p.i] <= '9' {
+			switch {
+			case mant == 0 && p.b[p.i] == '0':
+				// Leading fractional zeros shift the exponent without
+				// spending mantissa capacity (0.00001234…).
+				exp10--
+			case digits < 19:
+				mant = mant*10 + uint64(p.b[p.i]-'0')
+				digits++
+				exp10--
+			default:
+				// Dropped trailing fractional digits only matter when
+				// nonzero.
+				exact = exact && p.b[p.i] == '0'
+			}
+			p.i++
+		}
+	}
+	if p.i < len(p.b) && (p.b[p.i] == 'e' || p.b[p.i] == 'E') {
+		p.i++
+		eneg := false
+		if p.i < len(p.b) && (p.b[p.i] == '+' || p.b[p.i] == '-') {
+			eneg = p.b[p.i] == '-'
+			p.i++
+		}
+		if p.i >= len(p.b) || p.b[p.i] < '0' || p.b[p.i] > '9' {
+			return 0, false
+		}
+		ev := 0
+		for p.i < len(p.b) && p.b[p.i] >= '0' && p.b[p.i] <= '9' {
+			if ev < 1<<20 { // saturate; convertDecimal range-checks anyway
+				ev = ev*10 + int(p.b[p.i]-'0')
+			}
+			p.i++
+		}
+		if eneg {
+			exp10 -= ev
+		} else {
+			exp10 += ev
+		}
+	}
+	if exact {
+		if v, ok := convertDecimal(mant, exp10, neg); ok {
+			return v, true
+		}
+	}
+	v, err := strconv.ParseFloat(string(p.b[start:p.i]), 64)
+	if err != nil {
+		return 0, false
+	}
+	return v, true
+}
+
+// checkAgainstOracle runs number and numberOracle on b from 0 and compares
+// value bits, end index and ok.
+func checkAgainstOracle(t *testing.T, b []byte) {
+	t.Helper()
+	p, o := fastParser{b: b}, fastParser{b: b}
+	v, ok := p.number()
+	w, wok := o.numberOracle()
+	if ok != wok || p.i != o.i || math.Float64bits(v) != math.Float64bits(w) {
+		t.Fatalf("number(%q) = %v, end %d, ok %v; byte loop %v, end %d, ok %v", b, v, p.i, ok, w, o.i, wok)
+	}
+}
+
+// digitRunTokens returns JSON numbers with digit runs of 1–20 on each side
+// of the point (or none after it), with and without an exponent, of either
+// sign.
+func digitRunTokens(rng *rand.Rand) []string {
+	run := func(n int, lead bool) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte('0' + rng.Intn(10))
+		}
+		if lead && b[0] == '0' {
+			b[0] = '1' + byte(rng.Intn(9))
+		}
+		return string(b)
+	}
+	var toks []string
+	for a := 0; a <= 20; a++ {
+		for f := 0; f <= 20; f++ {
+			for _, exp := range []string{"", "e-5", "E+12", "e0"} {
+				for _, sign := range []string{"", "-"} {
+					tok := "0"
+					if a > 0 {
+						tok = run(a, true)
+					}
+					if f > 0 {
+						tok += "." + run(f, false)
+					}
+					toks = append(toks, sign+tok+exp)
+				}
+			}
+		}
+	}
+	return toks
+}
+
+// TestNumberMatchesByteLoop runs the digit-run tokens and malformed ones,
+// at every distance 0–9 from the end of the bytes, through number, the
+// byte loop and strconv.
+func TestNumberMatchesByteLoop(t *testing.T) {
+	toks := append(digitRunTokens(rand.New(rand.NewSource(30))),
+		"-", "+1", ".5", "1.", "1.e5", "01", "00.5", "-0", "-0.0",
+		"1e", "1e+", "0x10", "1.5.5", "12345678", "1234567.1234567", "0.00000001")
+	// What follows a token: JSON separators, and the digit mask's edges
+	// ('/' and ':' border the digits, 0x80 and 0xFF have the top bit set)
+	// closed by a ']' so that a run read past them would end in range.
+	tails := []string{"]", ",", " ", "],[1,", "e", ".", "0", "/]", ":]", "\x80]", "\xff]"}
+	for _, tok := range toks {
+		want, err := strconv.ParseFloat(tok, 64)
+		for _, tail := range tails {
+			for dist := 0; dist <= 9; dist++ {
+				b := []byte(tok + strings.Repeat(tail, 9)[:dist])
+				checkAgainstOracle(t, b)
+				p := fastParser{b: b}
+				v, ok := p.number()
+				if ok && p.i == len(tok) && (err != nil || math.Float64bits(v) != math.Float64bits(want)) {
+					t.Fatalf("number(%q) = %v, strconv %v (%v)", b, v, want, err)
+				}
+			}
+		}
+	}
+}
+
+// TestParseRowsMatchesByteLoop decodes the digit-run tokens as bodies of
+// 3-value rows, in one range and in split ranges, each number followed by
+// 0–9 spaces so that it ends at every distance from its range's end, and
+// checks every cell against the byte loop and strconv.
+func TestParseRowsMatchesByteLoop(t *testing.T) {
+	p := NewPool(3)
+	defer p.Close()
+	rng := rand.New(rand.NewSource(31))
+	toks := digitRunTokens(rng)
+	rng.Shuffle(len(toks), func(i, j int) { toks[i], toks[j] = toks[j], toks[i] })
+	const d = 3
+	for len(toks) >= d {
+		rows := min(1+rng.Intn(60), len(toks)/d)
+		var body bytes.Buffer
+		var want []float64
+		body.WriteString(`{"rows":[`)
+		for i := 0; i < rows; i++ {
+			if i > 0 {
+				body.WriteByte(',')
+			}
+			body.WriteByte('[')
+			for j := 0; j < d; j++ {
+				if j > 0 {
+					body.WriteByte(',')
+				}
+				tok := toks[0]
+				toks = toks[1:]
+				o := fastParser{b: []byte(tok)}
+				v, ok := o.numberOracle()
+				sv, err := strconv.ParseFloat(tok, 64)
+				if !ok || err != nil || math.Float64bits(v) != math.Float64bits(sv) {
+					t.Fatalf("token %q: byte loop %v/%v, strconv %v/%v", tok, v, ok, sv, err)
+				}
+				want = append(want, v)
+				body.WriteString(tok + strings.Repeat(" ", rng.Intn(10)))
+			}
+			body.WriteByte(']')
+		}
+		body.WriteString("]}")
+		for k := 1; k <= 4; k++ {
+			st, ok := decodeRows(p, body.Bytes(), d, k)
+			if !ok {
+				t.Fatalf("%d ranges declined %s", k, body.Bytes())
+			}
+			got := st.fr.Data()
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%d ranges, cell %d: %v, want %v in %s", k, i, got[i], want[i], body.Bytes())
+				}
+			}
+		}
+	}
+}
+
+// checkUnitFloat asserts that appendUnitFloat spells u's float as
+// strconv's shortest 'f' form and appendFloat as json.Marshal.
+func checkUnitFloat(t *testing.T, u uint64) {
+	t.Helper()
+	v := math.Float64frombits(u)
+	if !unitFloat(u) {
+		t.Fatalf("%v (%#x) is outside the integer encoder's range", v, u)
+	}
+	if got, want := appendUnitFloat(nil, u), strconv.AppendFloat(nil, v, 'f', -1, 64); !bytes.Equal(got, want) {
+		t.Fatalf("appendUnitFloat(%#x) = %s, strconv %s", u, got, want)
+	}
+	checkAppendFloat(t, v)
+}
+
+// checkAppendFloat asserts that appendFloat spells v as json.Marshal does.
+func checkAppendFloat(t *testing.T, v float64) {
+	t.Helper()
+	want, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := appendFloat(nil, v); !bytes.Equal(got, want) {
+		t.Fatalf("appendFloat(%v) = %s, json.Marshal %s", v, got, want)
+	}
+}
+
+// TestAppendUnitFloatMatchesStrconv runs every binary exponent of the
+// integer encoder with the extreme and 50k random mantissas each, the short
+// dyadics k/2^j, and the neighbours of the decimal powers and of ½.
+func TestAppendUnitFloatMatchesStrconv(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	n := 50_000
+	if testing.Short() {
+		n = 5_000
+	}
+	for e := -20; e <= -1; e++ {
+		for k := 0; k < n+3; k++ {
+			frac := rng.Uint64() & (1<<52 - 1)
+			switch k {
+			case 0:
+				frac = 0
+			case 1:
+				frac = 1
+			case 2:
+				frac = 1<<52 - 1
+			}
+			checkUnitFloat(t, uint64(e+1023)<<52|frac|rng.Uint64()&(1<<63))
+		}
+	}
+	// Dyadics k/2^j: every odd k < 2^j up to j = 12; past that, 2048
+	// random odd k, whose 13–40 decimal places put exact ties (…5000) in
+	// the digits the encoder trims and rounds.
+	for j := 1; j <= 40; j++ {
+		for i := 0; i < 1<<min(j-1, 11); i++ {
+			k := uint64(2*i + 1)
+			if j > 12 {
+				k = uint64(rng.Int63n(1<<j)) | 1
+			}
+			if v := float64(k) / float64(uint64(1)<<j); v >= 1.0/(1<<20) && v < 1 {
+				checkUnitFloat(t, math.Float64bits(v))
+			}
+		}
+	}
+	for _, base := range []float64{0.5, 0.1, 0.01, 1e-3, 1e-4, 1e-5, 1e-6} {
+		for _, dir := range []float64{0, 1} {
+			v := base
+			for k := 0; k < 200; k++ {
+				checkUnitFloat(t, math.Float64bits(v))
+				v = math.Nextafter(v, dir)
+			}
+		}
+	}
+	for _, v := range []float64{0, 1, math.Copysign(0, -1), -1, math.Nextafter(1e-6, 0), 1 - 0x1p-53} {
+		checkAppendFloat(t, v)
+	}
+}
+
+// BenchmarkParseRows times the decode of the rows a score body carries:
+// 10k rows of 4 values with six significant digits, the shape the
+// repository benchmark's clients send.
+func BenchmarkParseRows(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	const rows, d = 10_000, 4
+	var body []byte
+	for i := 0; i < rows; i++ {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = append(body, '[')
+		for j := 0; j < d; j++ {
+			if j > 0 {
+				body = append(body, ',')
+			}
+			body = strconv.AppendFloat(body, 100*rng.Float64(), 'g', 6, 64)
+		}
+		body = append(body, ']')
+	}
+	dst := make([]float64, rows*d)
+	b.SetBytes(int64(len(body)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n, ok := parseRows(body, dst, d, true); !ok || n != rows {
+			b.Fatal("parse failed")
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows*d), "ns/number")
+}
+
+// BenchmarkAppendScores times the encode of 10k scores in [0, 1).
+func BenchmarkAppendScores(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	scores := make([]float64, 10_000)
+	for i := range scores {
+		scores[i] = rng.Float64()
+	}
+	buf := make([]byte, 0, 20*len(scores))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = buf[:0]
+		for _, v := range scores {
+			buf = append(appendFloat(buf, v), ',')
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(scores)), "ns/score")
 }

@@ -186,3 +186,26 @@ func FuzzParseDeadline(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAppendFloat pins the answer encoder's float spelling to
+// encoding/json's: every finite bit pattern must come out of appendFloat as
+// the bytes json.Marshal writes, whether the integer encoder or strconv
+// spells it.
+func FuzzAppendFloat(f *testing.F) {
+	for _, v := range []float64{0, 1, 0.5, 0.1, 1e-6, 9.5367431640625e-07, 0.9999999999999999, 6.21801796743513e-05, -0.25, 1e21, 5e-324} {
+		f.Add(math.Float64bits(v))
+	}
+	f.Fuzz(func(t *testing.T, u uint64) {
+		v := math.Float64frombits(u)
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return
+		}
+		want, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendFloat(nil, v); !bytes.Equal(got, want) {
+			t.Fatalf("appendFloat(%v) = %s, json.Marshal %s", v, got, want)
+		}
+	})
+}
