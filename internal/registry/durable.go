@@ -7,12 +7,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"time"
-
-	"rpcrank/internal/core"
 )
 
 // quarantineDirName is the subdirectory corrupt records are moved to.
@@ -117,11 +117,7 @@ func (r *Registry) moveToQuarantine(name string) {
 // move the file aside, remember it as damaged, and record it in the
 // skipped report. Runs single-threaded (inside Open), no locking needed.
 func (r *Registry) quarantineAtOpen(name string, reason error) {
-	key := name
-	if id := trimJSONExt(name); id != "" {
-		key = id
-	}
-	r.quar[key] = reason.Error()
+	r.quar[strings.TrimSuffix(name, ".json")] = reason.Error()
 	r.corruptTotal.Add(1)
 	r.skipped = append(r.skipped, fmt.Sprintf("%s: quarantined: %v", name, reason))
 	r.moveToQuarantine(name)
@@ -137,12 +133,7 @@ func (r *Registry) quarantineRecord(id string, reason error) {
 		r.mu.Unlock()
 		return
 	}
-	delete(r.metas, id)
-	delete(r.legacy, id)
-	if el, ok := r.cache[id]; ok {
-		r.lru.Remove(el)
-		delete(r.cache, id)
-	}
+	r.forgetLocked(id)
 	r.quar[id] = reason.Error()
 	r.mu.Unlock()
 	r.corruptTotal.Add(1)
@@ -160,33 +151,19 @@ func (r *Registry) markRepairedLocked(id string) {
 	}
 }
 
-func trimJSONExt(name string) string {
-	if len(name) > len(".json") && name[len(name)-len(".json"):] == ".json" {
-		return name[:len(name)-len(".json")]
-	}
-	return ""
-}
-
-// degradeWrite records a rule whose disk write failed as memory-only: it
-// is indexed and servable immediately, flagged persisted:false in its
-// metadata, and queued for background retry. meta and payload carry the
-// clean (unflagged) form that will eventually land on disk. Returns the
-// flagged meta for the caller to hand out.
-func (r *Registry) degradeWrite(meta Meta, payload []byte, m *core.Model) Meta {
-	flagged := meta
-	f := false
-	flagged.Persisted = &f
+// degradeWrite queues a record whose disk write failed for background
+// retry. meta and payload carry the clean (unflagged) form that will
+// eventually land on disk; the returned meta is flagged persisted:false,
+// for store to index and hand out until a retry lands the record.
+func (r *Registry) degradeWrite(meta Meta, payload []byte) Meta {
 	r.mu.Lock()
-	r.metas[meta.ID] = flagged
 	r.pending[meta.ID] = &pendingWrite{meta: meta, payload: payload}
-	r.markRepairedLocked(meta.ID)
-	if m != nil {
-		r.insertLocked(meta.ID, m.ServingCopy())
-	}
 	r.mu.Unlock()
 	r.degradedTotal.Add(1)
 	r.startRetry()
-	return flagged
+	f := false
+	meta.Persisted = &f
+	return meta
 }
 
 // startRetry launches the background flush goroutine on first use. It
@@ -235,10 +212,7 @@ func (r *Registry) flushPending(budgeted bool) (remaining int, firstErr error) {
 	defer r.putMu.Unlock()
 
 	r.mu.Lock()
-	snapshot := make(map[string]int, len(r.versions))
-	for n, v := range r.versions {
-		snapshot[n] = v
-	}
+	snapshot := maps.Clone(r.versions)
 	ids := make([]string, 0, len(r.pending))
 	for id := range r.pending {
 		ids = append(ids, id)

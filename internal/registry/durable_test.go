@@ -595,6 +595,75 @@ func TestRecordOfAcceptedRuleStaysLoadable(t *testing.T) {
 	}
 }
 
+// TestRecordWhoseMetaMisstatesItsRule: sealed records whose meta disagrees
+// with the rule they carry pass Open's checksum scan, and the first load
+// holds them to the rule. A wrong Dim could never score a row, so that
+// record is quarantined and answers ErrNotFound; a wrong Monotone serves,
+// and the index then reports the value the rule certifies.
+func TestRecordWhoseMetaMisstatesItsRule(t *testing.T) {
+	dir := t.TempDir()
+	f, _, meta := storedRecord(t, dir)
+	edits := map[string]func(m *Meta){
+		"widthlie":    func(m *Meta) { m.Dim, m.Alpha = 2, []float64{1, 1} },
+		"monotonelie": func(m *Meta) { m.Monotone = !m.Monotone },
+	}
+	for name, edit := range edits {
+		g := f
+		g.Meta.ID, g.Meta.Name = name+"-v1", name
+		edit(&g.Meta)
+		out, err := json.Marshal(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name+"-v1.json"), sealRecord(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	reg, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	if _, _, err := reg.Get("widthlie-v1"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get(widthlie-v1): err = %v, want ErrNotFound", err)
+	}
+	if st := reg.Stats(); st.Quarantined != 1 || len(st.QuarantinedIDs) != 1 || st.QuarantinedIDs[0] != "widthlie-v1" {
+		t.Fatalf("stats = %+v, want widthlie-v1 alone quarantined", st)
+	}
+	if _, err := os.Stat(filepath.Join(dir, quarantineDirName, "widthlie-v1.json")); err != nil {
+		t.Fatalf("widthlie-v1 not in quarantine: %v", err)
+	}
+
+	m, got, err := reg.Get("monotonelie-v1")
+	if err != nil {
+		t.Fatalf("Get(monotonelie-v1): %v", err)
+	}
+	if got.Monotone != meta.Monotone || got.Monotone != m.StrictlyMonotone() {
+		t.Errorf("Get meta monotone = %v, rule certifies %v", got.Monotone, m.StrictlyMonotone())
+	}
+	if got, err := reg.GetMeta("monotonelie-v1"); err != nil || got.Monotone != meta.Monotone {
+		t.Errorf("GetMeta(monotonelie-v1) = %+v, %v; want monotone %v", got, err, meta.Monotone)
+	}
+	if st := reg.Stats(); st.Quarantined != 1 {
+		t.Fatalf("stats = %+v, want monotonelie-v1 not quarantined", st)
+	}
+
+	// Export ships the derived shape, so a peer accepts the record.
+	expMeta, rule, err := reg.Export("monotonelie-v1")
+	if err != nil || expMeta.Monotone != meta.Monotone {
+		t.Fatalf("Export(monotonelie-v1) = %+v, %v; want monotone %v", expMeta, err, meta.Monotone)
+	}
+	peer, err := Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	if _, err := peer.InstallVersion(expMeta, rule); err != nil {
+		t.Fatalf("peer refuses the exported record: %v", err)
+	}
+}
+
 // storedRecord puts a fitted rule into a registry on dir, closes it and
 // returns the rule's record, the rule document decoded into a map, and
 // its meta, so a test can write altered records next to it.

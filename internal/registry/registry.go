@@ -15,9 +15,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -30,7 +32,9 @@ import (
 
 // Meta is the registry's description of one stored ranking rule. It is
 // what listing endpoints return: everything a client needs to pick a rule
-// without loading it.
+// without loading it. Dim, Alpha, Degree and Monotone are the rule's shape:
+// its control points and α fix them (meta-rule 5), so the registry derives
+// them from the model (see shapeOf) and never takes them from a caller.
 type Meta struct {
 	// ID uniquely identifies this rule version, e.g. "wine-v3".
 	ID string `json:"id"`
@@ -49,16 +53,19 @@ type Meta struct {
 	Rows int `json:"rows"`
 	// ExplainedVariance is the fit quality of §6.2.1 (0 when unknown).
 	ExplainedVariance float64 `json:"explained_variance"`
-	// Monotone is Model.StrictlyMonotone at Put: true when the exact
+	// Monotone is Model.StrictlyMonotone of the rule: true when the exact
 	// Bernstein certificate proves every coordinate strictly monotone in
 	// its direction (Proposition 1), false when it refutes one or cannot
 	// decide it (a derivative touching zero at an interior point).
 	Monotone bool `json:"monotone"`
 	// CreatedAt is the wall-clock time the rule entered the registry.
 	CreatedAt time.Time `json:"created_at"`
-	// Fit is the telemetry of the fit run that produced the rule: nil for
+	// Fit is the summary of the fit run that produced the rule: nil for
 	// rules installed from a saved document (the rule payload itself stays
 	// a pure serving artifact; diagnostics live only in this envelope).
+	// Put stores it without the per-iteration trace, which only the fit
+	// answer carries; records written before that keep their trace, and
+	// replicate with it byte for byte.
 	Fit *core.FitDiagnostics `json:"fit,omitempty"`
 	// Persisted, when non-nil and false, marks a rule accepted in degraded
 	// write mode: the disk write failed and the rule serves from memory
@@ -114,9 +121,10 @@ type Registry struct {
 	dir       string
 	maxLoaded int
 
-	// putMu serialises writers (Put) so the version file snapshots stay
-	// ordered; r.mu alone guards the in-memory maps and is never held
-	// across disk I/O, keeping cached Gets fast while a rule is written.
+	// putMu serialises writers (store, flushPending) so the version file
+	// snapshots stay ordered; r.mu alone guards the in-memory maps and is
+	// never held across disk I/O, keeping cached Gets fast while a rule is
+	// written.
 	putMu sync.Mutex
 
 	mu       sync.Mutex
@@ -308,23 +316,51 @@ func readRecordMeta(path string) (Meta, recordFormat, error) {
 	if err != nil {
 		return Meta{}, 0, err
 	}
+	f, format, err := decodeRecord(raw)
+	if err == nil && format == formatV1 {
+		if _, lerr := core.Load(bytes.NewReader(f.Model)); lerr != nil {
+			err = fmt.Errorf("%w: model payload: %v", ErrCorrupt, lerr)
+		}
+	}
+	return f.Meta, format, err
+}
+
+// decodeRecord verifies a record's envelope and decodes its payload. Every
+// failure is ErrCorrupt.
+func decodeRecord(raw []byte) (fileJSON, recordFormat, error) {
 	payload, format, err := openRecord(raw)
 	if err != nil {
-		return Meta{}, format, err
+		return fileJSON{}, format, err
 	}
 	var f fileJSON
 	if err := json.Unmarshal(payload, &f); err != nil {
-		return Meta{}, format, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return fileJSON{}, format, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	if f.Meta.ID == "" {
-		return Meta{}, format, fmt.Errorf("%w: missing meta.id", ErrCorrupt)
+		return fileJSON{}, format, fmt.Errorf("%w: missing meta.id", ErrCorrupt)
 	}
-	if format == formatV1 {
-		if _, err := core.Load(bytes.NewReader(f.Model)); err != nil {
-			return Meta{}, format, fmt.Errorf("%w: model payload: %v", ErrCorrupt, err)
-		}
+	return f, format, nil
+}
+
+// shapeOf returns meta with the fields its rule fixes — Dim, Degree, Alpha
+// and Monotone — derived from m, and names the first stored value that
+// disagreed ("" when all agreed).
+func shapeOf(meta Meta, m *core.Model) (Meta, string) {
+	dim, degree, monotone := m.Dim(), m.Curve.Degree(), m.StrictlyMonotone()
+	var bad string
+	switch {
+	case meta.Dim != dim:
+		bad = fmt.Sprintf("dim %d, rule has %d attributes", meta.Dim, dim)
+	case meta.Degree != degree:
+		bad = fmt.Sprintf("degree %d, rule has %d", meta.Degree, degree)
+	case !slices.Equal(meta.Alpha, []float64(m.Alpha)):
+		bad = fmt.Sprintf("alpha %v, rule has %v", meta.Alpha, m.Alpha)
+	case meta.Monotone != monotone:
+		bad = fmt.Sprintf("monotone %t, rule certifies %t", meta.Monotone, monotone)
 	}
-	return f.Meta, format, nil
+	meta.Dim, meta.Degree, meta.Monotone = dim, degree, monotone
+	meta.Alpha = append([]float64{}, m.Alpha...)
+	return meta, bad
 }
 
 // Dir returns the persistence directory.
@@ -347,10 +383,11 @@ func (r *Registry) path(id string) string {
 }
 
 // Put stores m as the next version of name, persists it, and returns the
-// assigned metadata. rows and explainedVariance describe the fit (pass 0
-// for rules whose training set is unknown). If a write fails the assigned
-// version number is burned (never re-issued), leaving a gap rather than
-// risking two models behind one ID.
+// assigned metadata, whose shape fields are derived from m. rows and
+// explainedVariance describe the fit (pass 0 for rules whose training set
+// is unknown). The record keeps m.FitDiag without its per-iteration trace.
+// If a write fails the assigned version number is burned (never
+// re-issued), leaving a gap rather than risking two models behind one ID.
 func (r *Registry) Put(name string, m *core.Model, rows int, explainedVariance float64) (Meta, error) {
 	if !ValidName(name) {
 		return Meta{}, fmt.Errorf("registry: invalid rule name %q", name)
@@ -359,99 +396,104 @@ func (r *Registry) Put(name string, m *core.Model, rows int, explainedVariance f
 	if err := m.Save(&buf); err != nil {
 		return Meta{}, fmt.Errorf("registry: serialising %s: %w", name, err)
 	}
+	meta, _ := shapeOf(Meta{
+		Name:              name,
+		Rows:              rows,
+		ExplainedVariance: explainedVariance,
+		CreatedAt:         time.Now().UTC(),
+	}, m)
+	if m.FitDiag != nil {
+		fit := *m.FitDiag
+		fit.Trace, fit.TraceTruncated = nil, false
+		meta.Fit = &fit
+	}
+	meta, _, err := r.store(meta, buf.Bytes(), m)
+	if err == nil && meta.Persisted == nil {
+		// Amortised v1→v2 rewrite: each persisted Put upgrades a few
+		// legacy files, so an old directory converges to checksummed
+		// records without a stop-the-world migration.
+		r.upgradeLegacy(4)
+	}
+	return meta, err
+}
 
+// store is the one write path of a rule record. A meta with Version 0 is
+// a local Put and takes the name's next version; any other is a replicated
+// install, a no-op (false) when its ID is already indexed. The
+// version marks are reserved and snapshotted under the map lock; the disk
+// I/O runs without it (under putMu), so scoring-path Gets never wait on a
+// write. A failed write degrades to serving from memory.
+func (r *Registry) store(meta Meta, rule json.RawMessage, m *core.Model) (Meta, bool, error) {
 	r.putMu.Lock()
 	defer r.putMu.Unlock()
 
-	// Reserve the version and snapshot the high-water map under the map
-	// lock, then do all disk I/O without it so scoring-path Gets never
-	// wait on a write.
 	r.mu.Lock()
-	version := r.versions[name] + 1
-	r.versions[name] = version
-	snapshot := make(map[string]int, len(r.versions))
-	for n, v := range r.versions {
-		snapshot[n] = v
+	if meta.Version == 0 {
+		meta.Version = r.versions[meta.Name] + 1
+		meta.ID = fmt.Sprintf("%s-v%d", meta.Name, meta.Version)
+	} else if _, ok := r.metas[meta.ID]; ok {
+		r.mu.Unlock()
+		return meta, false, nil
 	}
+	r.versions[meta.Name] = max(r.versions[meta.Name], meta.Version)
+	snapshot := maps.Clone(r.versions)
 	r.mu.Unlock()
 
-	meta := Meta{
-		ID:                fmt.Sprintf("%s-v%d", name, version),
-		Name:              name,
-		Version:           version,
-		Dim:               m.Dim(),
-		Alpha:             append([]float64{}, m.Alpha...),
-		Degree:            m.Curve.Degree(),
-		Rows:              rows,
-		ExplainedVariance: explainedVariance,
-		Monotone:          m.StrictlyMonotone(),
-		CreatedAt:         time.Now().UTC(),
-		Fit:               m.FitDiag,
-	}
-	payload, err := json.MarshalIndent(fileJSON{Meta: meta, Model: buf.Bytes()}, "", "  ")
+	payload, err := json.MarshalIndent(fileJSON{Meta: meta, Model: rule}, "", "  ")
 	if err != nil {
-		return Meta{}, fmt.Errorf("registry: encoding %s: %w", meta.ID, err)
+		return Meta{}, false, fmt.Errorf("registry: encoding %s: %w", meta.ID, err)
 	}
-	versionsPayload, err := json.Marshal(snapshot)
-	if err != nil {
-		return Meta{}, fmt.Errorf("registry: encoding %s: %w", versionsFile, err)
-	}
-	werr := r.fireIOHook("write")
-	if werr == nil {
-		werr = atomicWrite(filepath.Join(r.dir, versionsFile), sealRecord(versionsPayload))
-	}
+	werr := r.persistVersions(snapshot)
 	if werr == nil {
 		werr = atomicWrite(r.path(meta.ID), sealRecord(payload))
 	}
 	if werr != nil {
-		// Degraded write mode: the fit already succeeded and the model is
-		// valid, so a full disk or failing device must not cost the caller
-		// the work. Serve from memory, flag the meta persisted:false, and
+		// Degraded write mode: the model is valid, so a full disk or
+		// failing device must not cost the caller the fit or the peer the
+		// install. Serve from memory, flag the meta persisted:false, and
 		// let the background retry land it.
-		return r.degradeWrite(meta, payload, m), nil
+		meta = r.degradeWrite(meta, payload)
 	}
 
-	// Cache a serving copy: the fitted model drags O(rows) training
+	// Cache a serving copy: a fitted model drags O(rows) training
 	// diagnostics that scoring never reads, and the cache outlives the
-	// request.
+	// request. A quarantined version re-installed from a peer is the
+	// repair path completing: the same ID is back, byte-identical by
+	// construction.
 	r.mu.Lock()
 	r.metas[meta.ID] = meta
 	r.insertLocked(meta.ID, m.ServingCopy())
+	r.markRepairedLocked(meta.ID)
 	r.mu.Unlock()
-	// Amortised v1→v2 rewrite: each successful Put upgrades a few legacy
-	// files, so an old directory converges to checksummed records without
-	// a stop-the-world migration.
-	r.upgradeLegacy(4)
-	return meta, nil
+	return meta, true, nil
 }
 
 // atomicWrite writes data to path via a temp file in the same directory and
 // an os.Rename, so readers never observe a partial file.
-func atomicWrite(path string, data []byte) error {
+func atomicWrite(path string, data []byte) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("registry: temp file: %w", err)
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
+	defer func() {
+		if err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+		}
+	}()
+	if _, err = tmp.Write(data); err != nil {
 		return fmt.Errorf("registry: writing %s: %w", path, err)
 	}
 	// Sync before the rename: without it a power loss can persist the
 	// rename but not the data, leaving a truncated rule behind.
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
+	if err = tmp.Sync(); err != nil {
 		return fmt.Errorf("registry: syncing %s: %w", path, err)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
+	if err = tmp.Close(); err != nil {
 		return fmt.Errorf("registry: closing %s: %w", path, err)
 	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
+	if err = os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("registry: installing %s: %w", path, err)
 	}
 	// Best-effort directory sync so the rename itself is durable.
@@ -483,7 +525,9 @@ var ErrNotFound = fmt.Errorf("registry: rule not found")
 
 // Get returns the rule with the given ID, loading it from disk if it is
 // not resident. The returned model must be treated as read-only: it is
-// shared between callers.
+// shared between callers. A load checks the stored meta against the
+// decoded model (see readRule): a wrong Dim quarantines the record, any
+// other wrong shape field is replaced in the index by the derived value.
 func (r *Registry) Get(id string) (*core.Model, Meta, error) {
 	r.mu.Lock()
 	meta, ok := r.metas[id]
@@ -501,18 +545,11 @@ func (r *Registry) Get(id string) (*core.Model, Meta, error) {
 
 	// Load outside the lock: disk reads are slow and models are immutable,
 	// so a racing duplicate load is harmless.
-	f, err := r.readFileJSON(id)
+	_, m, err := r.readRule(id)
 	if err != nil {
 		return nil, Meta{}, err
 	}
-	m, err := core.Load(bytes.NewReader(f.Model))
-	if err != nil {
-		// The envelope verified but the model payload does not decode —
-		// possible only for legacy v1 records rotted since the Open scan.
-		// Same contract as any corruption: quarantine, never load.
-		r.quarantineRecord(id, fmt.Errorf("%w: model payload: %v", ErrCorrupt, err))
-		return nil, Meta{}, fmt.Errorf("%w: %q (quarantined: %v)", ErrNotFound, id, err)
-	}
+	shaped, bad := shapeOf(meta, m)
 	r.mu.Lock()
 	// Re-check the index: a Delete may have won the race while the file
 	// was being read, and caching the model then would strand it in the
@@ -521,9 +558,34 @@ func (r *Registry) Get(id string) (*core.Model, Meta, error) {
 		r.mu.Unlock()
 		return nil, Meta{}, fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
+	if bad != "" {
+		r.metas[id] = shaped
+	}
 	r.insertLocked(id, m)
 	r.mu.Unlock()
-	return m, meta, nil
+	return m, shaped, nil
+}
+
+// readRule reads id's record and decodes its rule. A record whose rule no
+// longer decodes, or whose meta.dim is not the rule's width, is quarantined
+// and reported as ErrNotFound: the score path sizes rows by meta.Dim, so
+// such a record could never score a row and never served one.
+func (r *Registry) readRule(id string) (fileJSON, *core.Model, error) {
+	f, err := r.readFileJSON(id)
+	if err != nil {
+		return fileJSON{}, nil, err
+	}
+	m, err := core.Load(bytes.NewReader(f.Model))
+	if err != nil {
+		err = fmt.Errorf("model payload: %v", err)
+	} else if m.Dim() != f.Meta.Dim {
+		err = fmt.Errorf("meta.dim %d, rule has %d attributes", f.Meta.Dim, m.Dim())
+	}
+	if err != nil {
+		r.quarantineRecord(id, fmt.Errorf("%w: %v", ErrCorrupt, err))
+		return fileJSON{}, nil, fmt.Errorf("%w: %q (quarantined: %v)", ErrNotFound, id, err)
+	}
+	return f, m, nil
 }
 
 // Resident returns the rule with the given ID if it is decoded in the LRU
@@ -556,8 +618,9 @@ func (r *Registry) readFileJSON(id string) (fileJSON, error) {
 		return fileJSON{}, fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
 	if pw != nil {
-		var f fileJSON
-		if err := json.Unmarshal(pw.payload, &f); err != nil {
+		// An unsealed payload decodes as a v1 record.
+		f, _, err := decodeRecord(pw.payload)
+		if err != nil {
 			return fileJSON{}, fmt.Errorf("registry: decoding pending %s: %w", id, err)
 		}
 		return f, nil
@@ -572,14 +635,9 @@ func (r *Registry) readFileJSON(id string) (fileJSON, error) {
 	if err != nil {
 		return fileJSON{}, fmt.Errorf("registry: reading %s: %w", id, err)
 	}
-	payload, _, err := openRecord(raw)
+	f, _, err := decodeRecord(raw)
 	if err != nil {
 		r.quarantineRecord(id, err)
-		return fileJSON{}, fmt.Errorf("%w: %q (quarantined: %v)", ErrNotFound, id, err)
-	}
-	var f fileJSON
-	if err := json.Unmarshal(payload, &f); err != nil {
-		r.quarantineRecord(id, fmt.Errorf("%w: %v", ErrCorrupt, err))
 		return fileJSON{}, fmt.Errorf("%w: %q (quarantined: %v)", ErrNotFound, id, err)
 	}
 	return f, nil
@@ -597,29 +655,35 @@ func (r *Registry) RuleDocument(id string) (json.RawMessage, error) {
 	return f.Model, nil
 }
 
-// Export returns a rule's stored metadata and its raw saved-rule payload
-// in one read — the transfer unit of replicated installs. The pair
-// round-trips through InstallVersion on a peer registry to a byte-identical
-// on-disk file (both sides marshal the same envelope the same way).
+// Export returns a rule's metadata and its raw saved-rule payload in one
+// read — the transfer unit of replicated installs. The meta is the stored
+// one with its shape fields derived from the rule, as Get derives them, so
+// a peer's InstallVersion accepts it; a record whose Dim is wrong is
+// quarantined instead of spread. An honest pair round-trips through
+// InstallVersion on a peer registry to a byte-identical on-disk file (both
+// sides marshal the same envelope the same way), including a record that
+// still carries the fit trace.
 func (r *Registry) Export(id string) (Meta, json.RawMessage, error) {
-	f, err := r.readFileJSON(id)
+	f, m, err := r.readRule(id)
 	if err != nil {
 		return Meta{}, nil, err
 	}
-	return f.Meta, f.Model, nil
+	meta, _ := shapeOf(f.Meta, m)
+	return meta, f.Model, nil
 }
 
 // InstallVersion applies a replicated install: a rule whose identity —
 // name, version, metadata — was assigned by another registry (a broadcast
-// or an anti-entropy pull). It is idempotent: an ID that is already
-// indexed is a complete no-op, touching neither memory nor disk, so a
-// duplicated broadcast leaves byte-for-byte identical state. It is
-// ordered through the version high-water marks: installing name-vN raises
-// the name's counter to at least N, so a later local Put can never
-// re-issue a version this node first saw by replication, while an
-// out-of-order older version (pulled after a newer one) still installs
-// without regressing the counter. Returns installed=false for the no-op
-// case.
+// or an anti-entropy pull). A meta whose Dim, Degree, Alpha or Monotone
+// disagrees with the rule is refused with an error naming the field. It is
+// idempotent: an ID that is already indexed is a complete no-op, touching
+// neither memory nor disk, so a duplicated broadcast leaves byte-for-byte
+// identical state. It is ordered through the version high-water marks:
+// installing name-vN raises the name's counter to at least N, so a later
+// local Put can never re-issue a version this node first saw by
+// replication, while an out-of-order older version (pulled after a newer
+// one) still installs without regressing the counter. Returns
+// installed=false for the no-op case.
 func (r *Registry) InstallVersion(meta Meta, rule json.RawMessage) (bool, error) {
 	if !ValidName(meta.Name) {
 		return false, fmt.Errorf("registry: invalid rule name %q", meta.Name)
@@ -627,61 +691,17 @@ func (r *Registry) InstallVersion(meta Meta, rule json.RawMessage) (bool, error)
 	if meta.Version < 1 || meta.ID != fmt.Sprintf("%s-v%d", meta.Name, meta.Version) {
 		return false, fmt.Errorf("registry: rule id %q does not match name %q version %d", meta.ID, meta.Name, meta.Version)
 	}
-	// Decode before taking any lock: a corrupt payload must not burn a
-	// version or touch state, and the decoded model seeds the cache below.
+	// Decode and check before taking any lock: a corrupt payload or a
+	// meta that misstates its rule must not burn a version or touch state.
 	m, err := core.Load(bytes.NewReader(rule))
 	if err != nil {
 		return false, fmt.Errorf("registry: installing %s: %w", meta.ID, err)
 	}
-
-	r.putMu.Lock()
-	defer r.putMu.Unlock()
-
-	r.mu.Lock()
-	if _, ok := r.metas[meta.ID]; ok {
-		r.mu.Unlock()
-		return false, nil
+	if _, bad := shapeOf(meta, m); bad != "" {
+		return false, fmt.Errorf("registry: installing %s: meta %s", meta.ID, bad)
 	}
-	if meta.Version > r.versions[meta.Name] {
-		r.versions[meta.Name] = meta.Version
-	}
-	snapshot := make(map[string]int, len(r.versions))
-	for n, v := range r.versions {
-		snapshot[n] = v
-	}
-	r.mu.Unlock()
-
-	payload, err := json.MarshalIndent(fileJSON{Meta: meta, Model: rule}, "", "  ")
-	if err != nil {
-		return false, fmt.Errorf("registry: encoding %s: %w", meta.ID, err)
-	}
-	versionsPayload, err := json.Marshal(snapshot)
-	if err != nil {
-		return false, fmt.Errorf("registry: encoding %s: %w", versionsFile, err)
-	}
-	werr := r.fireIOHook("write")
-	if werr == nil {
-		werr = atomicWrite(filepath.Join(r.dir, versionsFile), sealRecord(versionsPayload))
-	}
-	if werr == nil {
-		werr = atomicWrite(r.path(meta.ID), sealRecord(payload))
-	}
-	if werr != nil {
-		// Degraded install: the replicated document decoded fine, so the
-		// rule is servable; answer the install as applied with a
-		// persisted:false marker and land the bytes in the background.
-		r.degradeWrite(meta, payload, m)
-		return true, nil
-	}
-
-	r.mu.Lock()
-	r.metas[meta.ID] = meta
-	r.insertLocked(meta.ID, m.ServingCopy())
-	// A quarantined version re-installed from a peer is the repair path
-	// completing: the same ID is back, byte-identical by construction.
-	r.markRepairedLocked(meta.ID)
-	r.mu.Unlock()
-	return true, nil
+	_, installed, err := r.store(meta, rule, m)
+	return installed, err
 }
 
 // VersionDigest snapshots the per-name version high-water marks — the
@@ -690,11 +710,7 @@ func (r *Registry) InstallVersion(meta Meta, rule json.RawMessage) (bool, error)
 func (r *Registry) VersionDigest() map[string]int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[string]int, len(r.versions))
-	for n, v := range r.versions {
-		out[n] = v
-	}
-	return out
+	return maps.Clone(r.versions)
 }
 
 // IDs returns the IDs of every stored rule, unsorted.
@@ -768,6 +784,17 @@ func (r *Registry) Delete(id string) error {
 		r.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
+	r.forgetLocked(id)
+	r.mu.Unlock()
+	if err := os.Remove(r.path(id)); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("registry: deleting %s left an orphaned file: %w", id, err)
+	}
+	return nil
+}
+
+// forgetLocked drops id from the index, the cache and the pending and
+// legacy sets; its version stays burned. Caller holds r.mu.
+func (r *Registry) forgetLocked(id string) {
 	delete(r.metas, id)
 	delete(r.pending, id)
 	delete(r.legacy, id)
@@ -775,9 +802,4 @@ func (r *Registry) Delete(id string) error {
 		r.lru.Remove(el)
 		delete(r.cache, id)
 	}
-	r.mu.Unlock()
-	if err := os.Remove(r.path(id)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("registry: deleting %s left an orphaned file: %w", id, err)
-	}
-	return nil
 }

@@ -479,6 +479,47 @@ func TestInstallVersionDuplicateIsByteForByteNoOp(t *testing.T) {
 	}
 }
 
+// TestInstallVersionRefusesMisstatedShape: a replicated meta whose Dim,
+// Degree, Alpha or Monotone disagrees with its rule is refused with an
+// error naming the field, and burns no version.
+func TestInstallVersionRefusesMisstatedShape(t *testing.T) {
+	src, err := Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := fitTestModel(t)
+	meta, err := src.Put("wine", m, 8, m.ExplainedVariance())
+	if err != nil {
+		t.Fatal(err)
+	}
+	expMeta, rule, err := src.Export(meta.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for field, edit := range map[string]func(m *Meta){
+		"dim":      func(m *Meta) { m.Dim = 2 },
+		"degree":   func(m *Meta) { m.Degree++ },
+		"alpha":    func(m *Meta) { m.Alpha = []float64{1, 1, 1} },
+		"monotone": func(m *Meta) { m.Monotone = !m.Monotone },
+	} {
+		lie := expMeta
+		edit(&lie)
+		if _, err := dst.InstallVersion(lie, rule); err == nil || !strings.Contains(err.Error(), "meta "+field) {
+			t.Errorf("install with a wrong %s: err = %v, want one naming %s", field, err, field)
+		}
+	}
+	if dst.Len() != 0 || dst.VersionDigest()["wine"] != 0 {
+		t.Fatalf("refused installs left %d rules, mark %d", dst.Len(), dst.VersionDigest()["wine"])
+	}
+	if installed, err := dst.InstallVersion(expMeta, rule); err != nil || !installed {
+		t.Fatalf("honest install: installed=%v err=%v", installed, err)
+	}
+}
+
 // TestConcurrentPutRacingInstallVersion storms one name from both sides at
 // once: local Puts minting new versions racing replicated installs of
 // versions minted elsewhere. The contract under the race: the per-name

@@ -2,14 +2,18 @@ package registry
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"rpcrank/internal/core"
 )
 
 // TestFitDiagnosticsPersist pins the fit-telemetry envelope: diagnostics
-// ride on Meta (not inside the rule document), survive a registry reopen,
-// and stay nil for rules installed from a saved document.
+// ride on Meta (not inside the rule document), survive a registry reopen
+// without the per-iteration trace, and stay nil for rules installed from a
+// saved document.
 func TestFitDiagnosticsPersist(t *testing.T) {
 	dir := t.TempDir()
 	reg, err := Open(dir, 0)
@@ -70,8 +74,16 @@ func TestFitDiagnosticsPersist(t *testing.T) {
 	if got.Fit.FinalObjective != m.FitDiag.FinalObjective {
 		t.Errorf("reloaded final objective %v, want %v", got.Fit.FinalObjective, m.FitDiag.FinalObjective)
 	}
-	if len(got.Fit.Trace) != len(m.FitDiag.Trace) {
-		t.Errorf("reloaded trace has %d entries, want %d", len(got.Fit.Trace), len(m.FitDiag.Trace))
+	// The record keeps the fit summary; the per-iteration trace stays on
+	// the fitted model, which the fit answer reports.
+	if len(got.Fit.Trace) != 0 || got.Fit.TraceTruncated {
+		t.Errorf("reloaded meta carries a trace of %d entries", len(got.Fit.Trace))
+	}
+	if len(meta.Fit.Trace) != 0 {
+		t.Errorf("Put's meta carries a trace of %d entries", len(meta.Fit.Trace))
+	}
+	if len(m.FitDiag.Trace) == 0 {
+		t.Errorf("Put cleared the fitted model's own trace (%d entries)", len(m.FitDiag.Trace))
 	}
 	if got.Fit.Stages.RefineNs != m.FitDiag.Stages.RefineNs {
 		t.Errorf("reloaded refine ns %d, want %d", got.Fit.Stages.RefineNs, m.FitDiag.Stages.RefineNs)
@@ -82,5 +94,51 @@ func TestFitDiagnosticsPersist(t *testing.T) {
 	}
 	if got2.Fit != nil {
 		t.Error("uploaded rule gained diagnostics across reopen")
+	}
+}
+
+// TestRecordWithTraceReplicatesByteIdentical: a record written before Put
+// left the fit trace out still loads with its trace, and a replicated
+// install of its export lands byte-identical on the peer's disk.
+func TestRecordWithTraceReplicatesByteIdentical(t *testing.T) {
+	dir := t.TempDir()
+	f, _, _ := storedRecord(t, dir)
+	m := fitTestModel(t)
+	f.Meta.ID, f.Meta.Name, f.Meta.Fit = "old-v1", "old", m.FitDiag
+	payload, err := json.MarshalIndent(f, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sealRecord(payload)
+	if err := os.WriteFile(filepath.Join(dir, "old-v1.json"), want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	meta, rule, err := src.Export("old-v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.Fit == nil || len(meta.Fit.Trace) != len(m.FitDiag.Trace) {
+		t.Fatalf("exported meta lost the stored trace: %+v", meta.Fit)
+	}
+	peerDir := t.TempDir()
+	peer, err := Open(peerDir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	if installed, err := peer.InstallVersion(meta, rule); err != nil || !installed {
+		t.Fatalf("install: installed=%v err=%v", installed, err)
+	}
+	got, err := os.ReadFile(filepath.Join(peerDir, "old-v1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("replicated record differs from the source's (%d vs %d bytes)", len(got), len(want))
 	}
 }

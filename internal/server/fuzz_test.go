@@ -9,6 +9,11 @@ import (
 	"net/url"
 	"testing"
 	"time"
+
+	"rpcrank/internal/cluster"
+	"rpcrank/internal/core"
+	"rpcrank/internal/order"
+	"rpcrank/internal/registry"
 )
 
 // FuzzDecodeRows pins the hand-rolled score-request decoder against
@@ -206,6 +211,89 @@ func FuzzAppendFloat(f *testing.F) {
 		}
 		if got := appendFloat(nil, v); !bytes.Equal(got, want) {
 			t.Fatalf("appendFloat(%v) = %s, json.Marshal %s", v, got, want)
+		}
+	})
+}
+
+// FuzzInstallDoc feeds arbitrary bytes to POST /clusterz/install, the
+// replication entry point, which trusts nothing a peer sends. Every
+// answer must be 200 or 4xx, and each accepted rule is then scored with
+// rows as wide as its meta says and as wide as its rule is, in a small
+// batch and in one the pool splits; every score answer must be 200 or 4xx
+// too, and nothing may panic. The seeds are an honest export and the same
+// rule under a meta that misstates its width.
+func FuzzInstallDoc(f *testing.F) {
+	src, err := registry.Open(f.TempDir(), 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	m, err := core.Fit(trainingRows(24), core.Options{Alpha: order.MustDirection(1, 1, -1), Seed: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	meta, err := src.Put("honest", m, 24, m.ExplainedVariance())
+	if err != nil {
+		f.Fatal(err)
+	}
+	expMeta, rule, err := src.Export(meta.ID)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, doc := range []cluster.InstallDoc{{Meta: expMeta, Model: rule}, lyingInstallDoc(rule)} {
+		body, err := json.Marshal(doc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+
+	reg, err := registry.Open(f.TempDir(), 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	s := New(reg, Options{})
+	f.Cleanup(s.Close)
+	serve := func(path string, body []byte) (int, string) {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		return w.Code, w.Body.String()
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		code, answer := serve("/clusterz/install", body)
+		if code != http.StatusOK && (code < 400 || code > 499) {
+			t.Fatalf("install answered %d: %s", code, answer)
+		}
+		if code != http.StatusOK {
+			return
+		}
+		var doc cluster.InstallDoc
+		if err := json.Unmarshal(body, &doc); err != nil {
+			t.Fatalf("install accepted a body encoding/json refuses: %v", err)
+		}
+		m, err := core.Load(bytes.NewReader(doc.Model))
+		if err != nil {
+			t.Fatalf("install accepted a rule core.Load refuses: %v", err)
+		}
+		for _, d := range []int{doc.Meta.Dim, m.Dim()} {
+			if d < 1 || d > 64 {
+				continue
+			}
+			for _, n := range []int{2, 600} {
+				rows := make([][]float64, n)
+				for i := range rows {
+					rows[i] = make([]float64, d)
+					for j := range rows[i] {
+						rows[i][j] = float64(i+j) / float64(n)
+					}
+				}
+				req, err := json.Marshal(ScoreRequest{Rows: rows})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if code, answer := serve("/v1/models/"+doc.Meta.ID+"/score", req); code != http.StatusOK && (code < 400 || code > 499) {
+					t.Fatalf("score of %s with %d rows of %d answered %d: %s", doc.Meta.ID, n, d, code, answer)
+				}
+			}
 		}
 	})
 }

@@ -791,6 +791,9 @@ func (s *Server) fitRows(w http.ResponseWriter, name string, req *FitRequest) {
 	if s.cluster != nil {
 		s.cluster.BroadcastInstall(meta.ID)
 	}
+	// The stored record keeps the fit summary; the answer alone carries
+	// the per-iteration trace.
+	meta.Fit = m.FitDiag
 	writeJSON(w, http.StatusCreated, FitResponse{
 		Model:     meta,
 		Scores:    m.Scores,

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"rpcrank/internal/cluster"
 	"rpcrank/internal/registry"
 )
 
@@ -237,6 +238,84 @@ func TestRuleExportAndInstall(t *testing.T) {
 		if got.Scores[i] != want.Scores[i] {
 			t.Errorf("row %d: installed rule scores %v, original %v", i, got.Scores[i], want.Scores[i])
 		}
+	}
+}
+
+// lyingInstallDoc is a replication document whose meta misstates the rule
+// it carries: the rule is 3 attributes wide, the meta says 2.
+func lyingInstallDoc(rule json.RawMessage) cluster.InstallDoc {
+	return cluster.InstallDoc{
+		Meta:  registry.Meta{ID: "evil-v1", Name: "evil", Version: 1, Dim: 2, Alpha: []float64{1, 1}, Monotone: true},
+		Model: rule,
+	}
+}
+
+// TestClusterInstallRefusesMetaThatMisstatesRule: a replicated install
+// whose meta disagrees with its rule's shape is refused with a 400 naming
+// the field, and leaves nothing behind to score. Stored as given, the
+// 2-wide meta over a 3-wide rule let every score of 2-wide rows reach the
+// normaliser and panic. An honest meta for the same rule installs.
+func TestClusterInstallRefusesMetaThatMisstatesRule(t *testing.T) {
+	_, ts := newTestServer(t, t.TempDir())
+	fit := fitModel(t, ts, "wine")
+	resp, err := http.Get(ts.URL + "/v1/models/wine-v1/rule")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rule, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	resp = postJSON(t, ts.URL+"/clusterz/install", lyingInstallDoc(rule))
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "dim") {
+		t.Fatalf("lying install: status %d %s, want 400 naming dim", resp.StatusCode, body)
+	}
+	resp = postJSON(t, ts.URL+"/v1/models/evil-v1/score", ScoreRequest{Rows: [][]float64{{1, 2}, {3, 4}}})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("score of the refused rule: status %d, want 404", resp.StatusCode)
+	}
+
+	honest := cluster.InstallDoc{Meta: fit.Model, Model: rule}
+	honest.Meta.ID, honest.Meta.Name = "honest-v1", "honest"
+	resp = postJSON(t, ts.URL+"/clusterz/install", honest)
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("honest install: status %d %s", resp.StatusCode, body)
+	}
+	probe := [][]float64{{2.2, 1.9, 2.5}, {8.0, 4.7, 1.4}}
+	want := decodeBody[ScoreResponse](t, postJSON(t, ts.URL+"/v1/models/wine-v1/score", ScoreRequest{Rows: probe}))
+	got := decodeBody[ScoreResponse](t, postJSON(t, ts.URL+"/v1/models/honest-v1/score", ScoreRequest{Rows: probe}))
+	for i := range probe {
+		if got.Scores[i] != want.Scores[i] {
+			t.Errorf("row %d: installed rule scores %v, original %v", i, got.Scores[i], want.Scores[i])
+		}
+	}
+}
+
+// TestFitAnswerCarriesTheTraceTheRecordDoesNot: the fit answer reports
+// the per-iteration trace; the stored meta keeps the fit summary only.
+func TestFitAnswerCarriesTheTraceTheRecordDoesNot(t *testing.T) {
+	_, ts := newTestServer(t, t.TempDir())
+	fit := fitModel(t, ts, "wine")
+	if fit.Model.Fit == nil || len(fit.Model.Fit.Trace) == 0 {
+		t.Fatalf("fit answer carries no trace: %+v", fit.Model.Fit)
+	}
+	resp, err := http.Get(ts.URL + "/v1/models/wine-v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := decodeBody[registry.Meta](t, resp)
+	if meta.Fit == nil || meta.Fit.Iterations != fit.Model.Fit.Iterations {
+		t.Fatalf("stored fit summary %+v, fit answer %+v", meta.Fit, fit.Model.Fit)
+	}
+	if len(meta.Fit.Trace) != 0 {
+		t.Errorf("stored meta carries a trace of %d entries", len(meta.Fit.Trace))
 	}
 }
 
