@@ -12,11 +12,14 @@ package rpcrank
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"rpcrank/internal/core"
 	"rpcrank/internal/dataset"
 	"rpcrank/internal/experiments"
+	"rpcrank/internal/frame"
 	"rpcrank/internal/order"
 )
 
@@ -257,6 +260,45 @@ func BenchmarkScoreOne(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = sc.Score(probe)
 	}
+}
+
+// BenchmarkScoreFrameRows measures the compiled scorer over 10,000 varied
+// rows — the degree-3 countries fit scoring rows drawn uniformly from the
+// table's attribute box, as bench/ payloads are — so the branches of the
+// grid scan and the Newton tail see a fresh row each time, which
+// BenchmarkScoreOne's single probe row hides. It reports ns/row; the alloc
+// report must stay at 0.
+func BenchmarkScoreFrameRows(b *testing.B) {
+	ds := dataset.Countries()
+	m, err := core.Fit(ds.Data.ToRows(), core.Options{Alpha: ds.Alpha, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 10_000
+	d := ds.Dim()
+	lo, hi := make([]float64, d), make([]float64, d)
+	var col []float64
+	for j := range d {
+		col = ds.Data.Col(j, col)
+		lo[j], hi[j] = slices.Min(col), slices.Max(col)
+	}
+	rng := rand.New(rand.NewSource(7))
+	fr := frame.WithCapacity(d, n)
+	x := make([]float64, d)
+	for range n {
+		for j := range x {
+			x[j] = lo[j] + rng.Float64()*(hi[j]-lo[j])
+		}
+		fr.AppendRow(x)
+	}
+	sc := m.Compile()
+	dst := make([]float64, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = sc.ScoreFrame(dst, fr)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
 }
 
 // BenchmarkScoreOneReference measures the Model.Score convenience path —

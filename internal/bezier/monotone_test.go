@@ -151,13 +151,138 @@ func TestStrictlyMonotoneTouchingDerivative(t *testing.T) {
 
 	// The search stops at the depth cap: it walks one undecided path
 	// down, certifying the sibling pieces on the way, so it splits about
-	// twice per level. Every split allocates the same amount, so the
-	// allocation count bounds the number of splits.
+	// twice per level. Every split of the reference certificate allocates
+	// the same amount, so its allocation count bounds the number of
+	// splits; StrictlyMonotone makes the same splits (it agrees with the
+	// reference, TestStrictlyMonotoneMatchesReference) in one piece stack
+	// allocated on the first split.
+	one := []float64{1}
 	h := touch.Derivative()
 	perSplit := testing.AllocsPerRun(10, func() { h.Split(0.5) })
-	total := testing.AllocsPerRun(10, func() { StrictlyMonotone(touch, []float64{1}) })
+	total := testing.AllocsPerRun(10, func() { refStrictlyMonotone(touch, one) })
 	if maxSplits := 2*maxCertifyDepth + 4; total > float64(maxSplits)*perSplit {
-		t.Errorf("touching cubic allocated %.0f times, more than %d splits of %.0f", total, maxSplits, perSplit)
+		t.Errorf("touching cubic allocated %.0f times in the reference, more than %d splits of %.0f", total, maxSplits, perSplit)
+	}
+	if n := testing.AllocsPerRun(10, func() { StrictlyMonotone(touch, one) }); n != 1 {
+		t.Errorf("touching cubic allocated %.0f times, want the one piece stack", n)
+	}
+}
+
+// TestStrictlyMonotoneAllocatesOnlyToSubdivide: a curve whose hodograph
+// coefficients certify at once, as a fitted curve's do, allocates nothing,
+// up to degree 8 and in any dimension.
+func TestStrictlyMonotoneAllocatesOnlyToSubdivide(t *testing.T) {
+	for _, k := range []int{1, 3, 6, 8} {
+		pts := make([][]float64, k+1)
+		for r := range pts {
+			u := float64(r) / float64(k)
+			pts[r] = []float64{u, 1 - u, u * u}
+		}
+		c := MustNew(pts)
+		alpha := []float64{1, -1, 1}
+		if !StrictlyMonotone(c, alpha) {
+			t.Fatalf("degree %d: monotone curve not certified", k)
+		}
+		if n := testing.AllocsPerRun(10, func() { StrictlyMonotone(c, alpha) }); n != 0 {
+			t.Errorf("degree %d: certificate allocated %.0f times without subdividing", k, n)
+		}
+	}
+}
+
+// refStrictlyMonotone is the certificate built on Curve.Derivative and
+// Curve.Split, which allocate a curve per hodograph coordinate and per
+// split; StrictlyMonotone must return its answer on every curve.
+func refStrictlyMonotone(c *Curve, alpha []float64) bool {
+	if len(alpha) != c.Dim() {
+		panic("bezier: alpha dimension mismatch")
+	}
+	h := c.Derivative()
+	for j, a := range alpha {
+		if !(a > 0 || a < 0) {
+			return false
+		}
+		pts := make([][]float64, len(h.Points))
+		for r, p := range h.Points {
+			pts[r] = []float64{a * p[j]}
+		}
+		if !refCertifyPositive(&Curve{Points: pts}, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+func refCertifyPositive(g *Curve, depth int) bool {
+	b := g.Points
+	if b[0][0] < 0 || b[len(b)-1][0] < 0 {
+		return false
+	}
+	nonneg, pos := true, false
+	for _, p := range b {
+		nonneg = nonneg && p[0] >= 0
+		pos = pos || p[0] > 0
+	}
+	if nonneg && pos {
+		return true
+	}
+	if depth == maxCertifyDepth {
+		return false
+	}
+	l, r := g.Split(0.5)
+	return refCertifyPositive(l, depth+1) && refCertifyPositive(r, depth+1)
+}
+
+// TestStrictlyMonotoneMatchesReference runs the certificate and the
+// reference on 20,000 random curves of degree 1–10 in 1–3 dimensions:
+// rising control values jittered so that both answers occur, derivatives
+// that touch zero, constant coordinates, and zero or NaN directions.
+func TestStrictlyMonotoneMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	var yes, no int
+	for trial := 0; trial < 20000; trial++ {
+		k := 1 + trial%10
+		d := 1 + rng.Intn(3)
+		pts := make([][]float64, k+1)
+		for r := range pts {
+			pts[r] = make([]float64, d)
+		}
+		alpha := make([]float64, d)
+		for j := range alpha {
+			alpha[j] = []float64{1, -1, 1, -1, 2.5, 0, math.NaN()}[rng.Intn(7)]
+			jitter := []float64{0, 0.05, 0.3, 1}[rng.Intn(4)]
+			for r := range pts {
+				v := float64(r) / float64(k)
+				if alpha[j] < 0 {
+					v = 1 - v
+				}
+				pts[r][j] = v + jitter*(rng.Float64()-0.5)
+			}
+			switch rng.Intn(20) {
+			case 0: // constant coordinate
+				for r := range pts {
+					pts[r][j] = 0.5
+				}
+			case 1: // derivative (1 − 3s)², touching zero off the midpoints
+				if k == 3 {
+					for r, v := range []float64{0, 1.0 / 3, -1.0 / 3, 1} {
+						pts[r][j] = v
+					}
+				}
+			}
+		}
+		c := MustNew(pts)
+		got, want := StrictlyMonotone(c, alpha), refStrictlyMonotone(c, alpha)
+		if got != want {
+			t.Fatalf("trial %d: certificate %v, reference %v (points %v, alpha %v)", trial, got, want, pts, alpha)
+		}
+		if got {
+			yes++
+		} else {
+			no++
+		}
+	}
+	if yes < 2000 || no < 2000 {
+		t.Fatalf("draws too one-sided: %d certified, %d refused", yes, no)
 	}
 }
 
@@ -245,7 +370,8 @@ func checkAgainstSamples(vs []float64, alpha float64) string {
 // FuzzStrictlyMonotone draws one coordinate of degree 2–6 and checks the
 // certificate against dense sampling of its hodograph in both directions:
 // a certified coordinate has no sample clearly below zero, and one whose
-// samples are clearly negative is never certified.
+// samples are clearly negative is never certified. It also holds the
+// certificate to the reference's answer.
 func FuzzStrictlyMonotone(f *testing.F) {
 	f.Add(uint8(3), 0.0, 1.0/3, -1.0/3, 1.0, 0.0, 0.0, 0.0, true)
 	f.Add(uint8(3), 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, true)
@@ -266,6 +392,10 @@ func FuzzStrictlyMonotone(f *testing.F) {
 		}
 		if msg := checkAgainstSamples(vs, alpha); msg != "" {
 			t.Fatalf("%v (alpha %v): %s", vs, alpha, msg)
+		}
+		c, a := line1D(vs...), []float64{alpha}
+		if got, want := StrictlyMonotone(c, a), refStrictlyMonotone(c, a); got != want {
+			t.Fatalf("%v (alpha %v): certificate %v, reference %v", vs, alpha, got, want)
 		}
 	})
 }

@@ -31,9 +31,11 @@ import (
 //     s(x) ≥ s(y).
 //
 // Every model is served through the same grid-seeded Newton decision tree
-// as the fit's score step, whatever projector a loaded rule names. The
-// contract is tested on componentwise-monotone curves — everything Fit can
-// produce — and (c) rests on that monotonicity.
+// as the fit's score step, whatever projector a loaded rule names; a cubic
+// curve's rows, served or fitted, all run the one cubicNewtonKernel over
+// the curve's grid table (see engine). The contract is tested on
+// componentwise-monotone curves — everything Fit can produce — and (c)
+// rests on that monotonicity.
 type Scorer struct {
 	model *Model
 	eng   *engine
@@ -41,14 +43,15 @@ type Scorer struct {
 
 	// Cubic fast-path data: the curve's centre-shifted coefficients plus
 	// the normaliser's offsets and precomputed inverse ranges, so one pass
-	// over the row collapses its distance profile straight into registers.
-	// Multiplying by the inverse range instead of dividing perturbs the
-	// normalised coordinate by at most one ulp, far inside the contract's
-	// 1e-12 score bound.
-	fastCubic bool
-	smono     []float64 // flat, stride 4 (from bezier.Compiled.ShiftedMono)
-	snorm     []float64 // len 7 (from bezier.Compiled.ShiftedNormSq)
-	mn, inv   []float64
+	// over the row collapses the row-dependent part of its distance
+	// profile (c0..c3) straight into registers; the curve's own part is in
+	// the engine's grid table. Multiplying by the inverse range instead of
+	// dividing perturbs the normalised coordinate by at most one ulp, far
+	// inside the contract's 1e-12 score bound. Set only for cubic curves
+	// (eng.grid non-nil).
+	smono   []float64 // flat, stride 4 (from bezier.Compiled.ShiftedMono)
+	snorm   []float64 // len 7 (from bezier.Compiled.ShiftedNormSq)
+	mn, inv []float64
 }
 
 // clampMargin is L in the box [−L, 1+L] that Score clamps every normalised
@@ -67,8 +70,10 @@ const ctxPollRows = 64
 // Compile builds the zero-allocation scorer for m, whose scores meet the
 // projection contract stated on Scorer, on m's seed grid: 32 cells for a
 // fitted model, the document's grid_cells for a loaded one, and 32 for a
-// hand-assembled one. It is cheap — O(d·k²) — so per-request compilation
-// is fine; per-row compilation defeats the point. The Scorer references
+// hand-assembled one. It costs O(d·k²) plus, for a cubic curve, one pass
+// over the grid to build its table (O(cells)), so per-request compilation
+// is fine at the default grid; per-row compilation defeats the point.
+// Clone shares the compiled curve and the table. The Scorer references
 // m's curve and normaliser; mutating the model afterwards (refitting in
 // place) invalidates it.
 func (m *Model) Compile() *Scorer {
@@ -89,11 +94,10 @@ func (m *Model) Compile() *Scorer {
 
 func (sc *Scorer) initFastPath() {
 	e := sc.eng
-	if e.comp.Degree() != 3 {
+	if e.grid == nil {
 		return
 	}
 	d := e.comp.Dim()
-	sc.fastCubic = true
 	sc.smono = e.comp.ShiftedMono()
 	sc.snorm = e.comp.ShiftedNormSq()
 	sc.mn = sc.model.Norm.Min
@@ -104,7 +108,7 @@ func (sc *Scorer) initFastPath() {
 }
 
 // Clone returns an independent Scorer for use by another goroutine,
-// sharing the compiled coefficients.
+// sharing the compiled coefficients and the cubic grid table.
 func (sc *Scorer) Clone() *Scorer {
 	c := &Scorer{
 		model: sc.model,
@@ -125,10 +129,11 @@ func (sc *Scorer) Model() *Model { return sc.model }
 // into [−clampMargin, 1+clampMargin], and returns its score in [0,1]. It
 // allocates nothing.
 func (sc *Scorer) Score(x []float64) float64 {
-	if sc.fastCubic && len(x) == len(sc.mn) {
-		// Normalise and collapse the distance profile in one register
-		// pass; the cubic kernel needs nothing else. Rows of the wrong
-		// dimension fall through to ApplyInto's canonical panic.
+	if sc.eng.grid != nil && len(x) == len(sc.mn) {
+		// Normalise and collapse the row's part of the distance profile
+		// in one register pass; the cubic kernel needs nothing else. Rows
+		// of the wrong dimension fall through to ApplyInto's canonical
+		// panic.
 		c0, c1, c2, c3 := sc.snorm[0], sc.snorm[1], sc.snorm[2], sc.snorm[3]
 		var x2 float64
 		for j, v := range x {
@@ -141,7 +146,7 @@ func (sc *Scorer) Score(x []float64) float64 {
 			c2 -= t * row[2]
 			c3 -= t * row[3]
 		}
-		s, _ := cubicNewtonKernel(c0+x2, c1, c2, c3, sc.snorm[4], sc.snorm[5], sc.snorm[6], sc.eng.cells, false)
+		s, _ := cubicNewtonKernel(sc.eng.grid, c0+x2, c1, c2, c3, false)
 		return s
 	}
 	sc.model.Norm.ApplyInto(sc.u, x)

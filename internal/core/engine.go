@@ -18,9 +18,16 @@ import (
 // precision — cubicNewtonKernel for cubic curves, projectSeeded for other
 // degrees. Tests hold every path through it to internal/oracle, an
 // independent dense-scan projector, under the contract stated on Scorer.
+//
+// A cubic curve's engine also carries its cubicGrid: the terms of the
+// kernel's arithmetic that do not depend on the row, tabulated once per
+// compiled curve. It sits beside comp and is shared and refreshed with it.
+// Every cubic projection — Scorer.Score, project's cold passes and
+// projectWarmCubic's fallback — runs the one cubicNewtonKernel over it.
 type engine struct {
 	cells int
 	comp  *bezier.Compiled
+	grid  *cubicGrid // nil unless comp is cubic
 
 	// dc/d1c/d2c hold the distance profile D and its first two derivatives
 	// for the row being projected, as polynomials in t = s − ½.
@@ -40,6 +47,10 @@ func newEngine(c *bezier.Curve, cells int) *engine {
 		cells: cells,
 		comp:  bezier.Compile(c),
 	}
+	if e.comp.Degree() == 3 {
+		e.grid = newCubicGrid(cells)
+		e.grid.set(e.comp.ShiftedNormSq())
+	}
 	e.initScratch()
 	return e
 }
@@ -51,17 +62,18 @@ func (e *engine) initScratch() {
 	e.d2c = make([]float64, n-2)
 }
 
-// clone returns an engine sharing the compiled coefficients but owning
-// fresh scratch, for use by another goroutine.
+// clone returns an engine sharing the compiled coefficients and the cubic
+// grid table but owning fresh scratch, for use by another goroutine.
 func (e *engine) clone() *engine {
-	c := &engine{cells: e.cells, comp: e.comp}
+	c := &engine{cells: e.cells, comp: e.comp, grid: e.grid}
 	c.initScratch()
 	return c
 }
 
 // recompile rebuilds the compiled coefficients for c in place, reusing
-// their buffers (bezier.CompileInto). Engines cloned from this one share
-// the Compiled, so one recompile refreshes all of them — that is exactly
+// their buffers (bezier.CompileInto), and refreshes the cubic grid table in
+// place from them. Engines cloned from this one share the Compiled and the
+// table, so one recompile refreshes all of them — that is exactly
 // what the fit worker pool wants between iterations of Algorithm 1, and why
 // recompile must only run while every sharing engine is quiescent (the
 // pool's workers are parked on their job channels).
@@ -74,6 +86,9 @@ func (e *engine) recompile(c *bezier.Curve) {
 		panic("core: engine.recompile across curve shapes; build a new engine")
 	}
 	bezier.CompileInto(e.comp, c)
+	if e.grid != nil {
+		e.grid.set(e.comp.ShiftedNormSq())
+	}
 }
 
 // projectWarm is project seeded by the row's score from the previous
@@ -133,7 +148,8 @@ func (e *engine) warmBracket(sPrev float64) (lo, hi float64) {
 // bit-equal to the ones project would compute — applies the same bracket
 // and no-regress checks, and refines from sPrev with cubicNewtonTail, the
 // tail of the cold serving kernel. A row failing a check falls back exactly
-// as project would, to cubicNewtonKernel on the same coefficients.
+// as project would, to cubicNewtonKernel on the same coefficients and the
+// shared grid table.
 func (e *engine) projectWarmCubic(u []float64, sPrev float64) (s, distSq float64, warm bool) {
 	const origin = bezier.DistPolyOrigin
 	snorm := e.comp.ShiftedNormSq()
@@ -169,7 +185,7 @@ func (e *engine) projectWarmCubic(u []float64, sPrev float64) (s, distSq float64
 			return s, nonNeg(d), true
 		}
 	}
-	s, d := cubicNewtonKernel(c0, c1, c2, c3, c4, c5, c6, e.cells, true)
+	s, d := cubicNewtonKernel(e.grid, c0, c1, c2, c3, true)
 	return s, d, false
 }
 
@@ -177,10 +193,11 @@ func (e *engine) projectWarmCubic(u []float64, sPrev float64) (s, distSq float64
 // for one normalised row. Zero allocations.
 func (e *engine) project(u []float64) (float64, float64) {
 	e.comp.DistPolyInto(e.dc, u)
-	if len(e.dc) == 7 {
+	if e.grid != nil {
 		// Cubic curves are THE hot path (rpcd's default degree); they get
-		// a fully inlined kernel.
-		return e.projectCubicNewton()
+		// the register-resident kernel. e.dc[4:7] are the curve's own
+		// coefficients, which the grid table already holds.
+		return cubicNewtonKernel(e.grid, e.dc[0], e.dc[1], e.dc[2], e.dc[3], true)
 	}
 	e.fillDerivatives()
 	return e.projectSeeded()
@@ -283,38 +300,100 @@ func (e *engine) newtonRefine(a, b, start float64) float64 {
 	return s
 }
 
-// projectCubicNewton is project's entry into the cubic serving kernel,
-// feeding it the collapsed profile from e.dc.
-func (e *engine) projectCubicNewton() (float64, float64) {
-	return cubicNewtonKernel(
-		e.dc[0], e.dc[1], e.dc[2], e.dc[3], e.dc[4], e.dc[5], e.dc[6],
-		e.cells, true)
+// cubicGrid is the row-independent half of cubicNewtonKernel's arithmetic
+// for one compiled cubic curve on one seed grid. A row's distance profile
+// D(t) = c0 + c1·t + … + c6·t⁶ (t = s − DistPolyOrigin) depends on the row
+// only through c0..c3; c4..c6 are the curve's ‖f‖² coefficients
+// (bezier.Compiled.ShiftedNormSq()[4:7]). So every term built from t and
+// c4..c6 alone is computed once per curve instead of once per row: the
+// grid nodes with their squares and high-order profile terms, and the
+// Horner prefixes of D′ and D at every bracket end the kernel can pick.
+// The kernel then performs the same IEEE operations in the same order as
+// evaluating the whole polynomial per row, so its scores are bit-identical
+// to that form (the differential tests keep it as their oracle).
+//
+// A table is built with the engine that owns the compiled curve, shared by
+// its clones as they share the Compiled, and refreshed in place by set on
+// every recompile, so a fit iteration allocates nothing for it and a
+// pooled scorer costs no table of its own. Like the Compiled it is read
+// concurrently and written only while every reader is quiescent.
+type cubicGrid struct {
+	h          float64 // node spacing 1/cells
+	c4, c5, c6 float64 // the curve's part of D
+	b3, b4, b5 float64 // the curve's part of D′ = Σ b_k t^k
+	e2, e3, e4 float64 // the curve's part of D″ = Σ e_k t^k
+
+	// nodes[i] describes grid node i ∈ [0, cells] at t = i·h − ½.
+	nodes []cubicNode
+	// ends[j] describes the bracket end min(j·h, 1), j ∈ [0, cells+1]: a
+	// seed at node i brackets [ends[max(i−1, 0)], ends[i+1]].
+	ends []cubicEnd
 }
 
-// cubicNewtonKernel projects one row given its collapsed degree-6 distance
-// profile c0..c6 (coefficients in powers of t = s − DistPolyOrigin): the
-// profile and its derivatives live in registers, every evaluation is an
-// unrolled polynomial pass, and the Newton seed is sharpened by a parabola
-// through the best grid sample and its neighbours. Same decision tree as
-// project; only the seed and the arithmetic differ, which the convergence
-// contract absorbs. With wantDist false the attained distance
-// is not evaluated (0 is returned) — serving only needs the score.
-func cubicNewtonKernel(c0, c1, c2, c3, c4, c5, c6 float64, cells int, wantDist bool) (float64, float64) {
+// cubicNode is one grid node: t, t² and L = t²·((c4 + c5·t) + t²·c6), so
+// the profile there is (c0 + c1·t) + t²·((c2 + c3·t) + L).
+type cubicNode struct{ t, t2, l float64 }
+
+// cubicEnd is one bracket end s, at t = s − ½, with the Horner prefixes
+// g = (b5·t + b4)·t + b3 of D′ and d = (c6·t + c5)·t + c4 of D.
+type cubicEnd struct{ s, t, g, d float64 }
+
+// newCubicGrid allocates the table for a seed grid of cells cells; set
+// fills it.
+func newCubicGrid(cells int) *cubicGrid {
+	return &cubicGrid{
+		h:     1 / float64(cells),
+		nodes: make([]cubicNode, cells+1),
+		ends:  make([]cubicEnd, cells+2),
+	}
+}
+
+// set refreshes the table in place for a curve whose shifted ‖f‖²
+// coefficients are snorm (length 7). The node and bracket positions are
+// the expressions the kernel evaluated per row before it had a table:
+// i·h − ½ at node i, and i·h clipped into [0, 1] at a bracket end.
+func (g *cubicGrid) set(snorm []float64) {
 	const origin = bezier.DistPolyOrigin
-	h := 1 / float64(cells)
+	c4, c5, c6 := snorm[4], snorm[5], snorm[6]
+	g.c4, g.c5, g.c6 = c4, c5, c6
+	g.b3, g.b4, g.b5 = 4*c4, 5*c5, 6*c6
+	g.e2, g.e3, g.e4 = 3*g.b3, 4*g.b4, 5*g.b5
+	for i := range g.nodes {
+		t := float64(i)*g.h - origin
+		t2 := t * t
+		g.nodes[i] = cubicNode{t: t, t2: t2, l: t2 * ((c4 + c5*t) + t2*c6)}
+	}
+	for j := range g.ends {
+		s := float64(j) * g.h
+		if s > 1 {
+			s = 1
+		}
+		t := s - origin
+		g.ends[j] = cubicEnd{s: s, t: t, g: (g.b5*t+g.b4)*t + g.b3, d: (c6*t+c5)*t + c4}
+	}
+}
+
+// cubicNewtonKernel projects one row of a cubic curve given the
+// row-dependent coefficients c0..c3 of its collapsed degree-6 distance
+// profile (powers of t = s − DistPolyOrigin); the rest of the profile is
+// the curve's, read from its grid table g. The profile and its derivatives
+// live in registers, every evaluation is an unrolled polynomial pass, and
+// the Newton seed is sharpened by a parabola through the best grid sample
+// and its neighbours. Same decision tree as project; only the seed and the
+// arithmetic differ, which the convergence contract absorbs. With wantDist
+// false the attained distance is not evaluated (0 is returned) — serving
+// only needs the score.
+func cubicNewtonKernel(g *cubicGrid, c0, c1, c2, c3 float64, wantDist bool) (float64, float64) {
+	nodes := g.nodes
 	bestI := 0
 	bestV := math.Inf(1)
-	// Two grid points per iteration, Estrin-evaluated: the two profile
-	// values are independent dependency chains the CPU overlaps, and the
-	// pairwise scheme keeps each chain short.
+	// Two grid nodes per iteration: the two profile values are independent
+	// dependency chains the CPU overlaps.
 	i := 0
-	for ; i+1 <= cells; i += 2 {
-		t := float64(i)*h - origin
-		u := float64(i+1)*h - origin
-		t2 := t * t
-		u2 := u * u
-		v := (c0 + c1*t) + t2*((c2+c3*t)+t2*((c4+c5*t)+t2*c6))
-		w := (c0 + c1*u) + u2*((c2+c3*u)+u2*((c4+c5*u)+u2*c6))
+	for ; i+1 < len(nodes); i += 2 {
+		p, q := &nodes[i], &nodes[i+1]
+		v := (c0 + c1*p.t) + p.t2*((c2+c3*p.t)+p.l)
+		w := (c0 + c1*q.t) + q.t2*((c2+c3*q.t)+q.l)
 		if v < bestV {
 			bestV, bestI = v, i
 		}
@@ -322,14 +401,13 @@ func cubicNewtonKernel(c0, c1, c2, c3, c4, c5, c6 float64, cells int, wantDist b
 			bestV, bestI = w, i+1
 		}
 	}
-	if i <= cells {
-		t := float64(i)*h - origin
-		t2 := t * t
-		if v := (c0 + c1*t) + t2*((c2+c3*t)+t2*((c4+c5*t)+t2*c6)); v < bestV {
+	if i < len(nodes) {
+		p := &nodes[i]
+		if v := (c0 + c1*p.t) + p.t2*((c2+c3*p.t)+p.l); v < bestV {
 			bestV, bestI = v, i
 		}
 	}
-	return cubicNewtonFromSeed(c0, c1, c2, c3, c4, c5, c6, cells, bestI, bestV, wantDist)
+	return cubicNewtonFromSeed(g, c0, c1, c2, c3, bestI, bestV, wantDist)
 }
 
 // cubicNewtonFromSeed is cubicNewtonKernel after its grid scan: bracket
@@ -337,30 +415,24 @@ func cubicNewtonKernel(c0, c1, c2, c3, c4, c5, c6 float64, cells int, wantDist b
 // profile value bestV, then the refinement in cubicNewtonTail. Like
 // refineSeed it stays a separate function so CPU profiles split the scan
 // from the refinement by function name.
-func cubicNewtonFromSeed(c0, c1, c2, c3, c4, c5, c6 float64, cells, bestI int, bestV float64, wantDist bool) (float64, float64) {
+func cubicNewtonFromSeed(g *cubicGrid, c0, c1, c2, c3 float64, bestI int, bestV float64, wantDist bool) (float64, float64) {
 	const origin = bezier.DistPolyOrigin
-	// D′ and D″ coefficients (in the same shifted basis).
-	b0, b1, b2, b3, b4, b5 := c1, 2*c2, 3*c3, 4*c4, 5*c5, 6*c6
-	e0, e1, e2, e3, e4 := b1, 2*b2, 3*b3, 4*b4, 5*b5
+	// The row's part of D′ and D″ (in the same shifted basis).
+	b0, b1, b2 := c1, 2*c2, 3*c3
+	e0, e1 := b1, 2*b2
 
-	h := 1 / float64(cells)
-	lo := float64(bestI-1) * h
-	hi := float64(bestI+1) * h
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > 1 {
-		hi = 1
-	}
+	h := g.h
+	l := &g.ends[max(bestI-1, 0)]
+	r := &g.ends[bestI+1]
+	lo, hi := l.s, r.s
 	s0 := float64(bestI) * h
 
 	// Bracket classification by the sign of D′ at the bracket ends, as in
 	// refineSeed. A miss publishes the seed node itself, so rows past the
 	// curve's ends land on exactly 0 or 1.
-	tl := lo - origin
-	th := hi - origin
-	ga := ((((b5*tl+b4)*tl+b3)*tl+b2)*tl+b1)*tl + b0
-	gb := ((((b5*th+b4)*th+b3)*th+b2)*th+b1)*th + b0
+	tl, th := l.t, r.t
+	ga := ((l.g*tl+b2)*tl+b1)*tl + b0
+	gb := ((r.g*th+b2)*th+b1)*th + b0
 	if !(ga <= 0 && gb >= 0) {
 		if wantDist {
 			return s0, nonNeg(bestV)
@@ -372,8 +444,8 @@ func cubicNewtonFromSeed(c0, c1, c2, c3, c4, c5, c6 float64, cells, bestI int, b
 	// buy a Newton start ~h² from the root instead of ~h.
 	s := s0
 	if lo < s0 && s0 < hi {
-		vl := (((((c6*tl+c5)*tl+c4)*tl+c3)*tl+c2)*tl+c1)*tl + c0
-		vh := (((((c6*th+c5)*th+c4)*th+c3)*th+c2)*th+c1)*th + c0
+		vl := (((l.d*tl+c3)*tl+c2)*tl+c1)*tl + c0
+		vh := (((r.d*th+c3)*th+c2)*th+c1)*th + c0
 		if den := vl - 2*bestV + vh; den > 0 {
 			if off := 0.5 * h * (vl - vh) / den; off > -h && off < h {
 				s = s0 + off
@@ -381,12 +453,12 @@ func cubicNewtonFromSeed(c0, c1, c2, c3, c4, c5, c6 float64, cells, bestI int, b
 		}
 	}
 
-	s = cubicNewtonTail(b0, b1, b2, b3, b4, b5, e0, e1, e2, e3, e4, lo, hi, s)
+	s = cubicNewtonTail(b0, b1, b2, g.b3, g.b4, g.b5, e0, e1, g.e2, g.e3, g.e4, lo, hi, s)
 	if !wantDist {
 		return s, 0
 	}
 	t := s - origin
-	return s, nonNeg((((((c6*t+c5)*t+c4)*t+c3)*t+c2)*t+c1)*t + c0)
+	return s, nonNeg((((((g.c6*t+g.c5)*t+g.c4)*t+c3)*t+c2)*t+c1)*t + c0)
 }
 
 // cubicNewtonTail is the safeguarded Newton iteration on D′ of a cubic

@@ -227,18 +227,25 @@ type Model struct {
 	// scorers recycles compiled scorers for Model.Score, which must stay
 	// safe for concurrent use while a Scorer (owning scratch) is not.
 	scorers sync.Pool
+	// compiled is the scorer every pooled one is cloned from, compiled on
+	// first use, so the curve and its cubic grid table are built once per
+	// model however many scorers the pool holds.
+	compileOnce sync.Once
+	compiled    *Scorer
 }
 
 // AcquireScorer borrows a compiled scorer from the model's internal pool,
-// compiling one when the pool is empty. Callers that score a bounded chunk
-// of work — a batch shard, a request — should Acquire, score, and
-// ReleaseScorer instead of calling Compile per batch: after warm-up the
-// borrow is allocation-free. The scorer is owned by the caller until
-// released and is not safe for concurrent use.
+// cloning one from the model's compiled scorer when the pool is empty (the
+// first call compiles it). Callers that score a bounded chunk of work — a
+// batch shard, a request — should Acquire, score, and ReleaseScorer instead
+// of calling Compile per batch: after warm-up the borrow is allocation-free.
+// The scorer is owned by the caller until released and is not safe for
+// concurrent use.
 func (m *Model) AcquireScorer() *Scorer {
 	sc, _ := m.scorers.Get().(*Scorer)
 	if sc == nil {
-		sc = m.Compile()
+		m.compileOnce.Do(func() { m.compiled = m.Compile() })
+		sc = m.compiled.Clone()
 	}
 	return sc
 }

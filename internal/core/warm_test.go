@@ -118,7 +118,9 @@ func TestNewtonRefineStopsAtFixpoint(t *testing.T) {
 // parabolic seed is exact on a quadratic profile, so its Newton tail starts
 // on the root and must stop there.
 func TestCubicNewtonKernelStopsAtFixpoint(t *testing.T) {
-	if s, _ := cubicNewtonKernel(0.005, -0.1, 0.5, 0, 0, 0, 0, 32, true); s != 0.6 {
+	g := newCubicGrid(32)
+	g.set([]float64{0, 0, 0, 0, 0, 0, 0})
+	if s, _ := cubicNewtonKernel(g, 0.005, -0.1, 0.5, 0, true); s != 0.6 {
 		t.Fatalf("cubicNewtonKernel on ½(s − 0.6)² = %.17g, want 0.6", s)
 	}
 }

@@ -70,6 +70,27 @@ func (d *discardWriter) Write(p []byte) (int, error) {
 }
 func (d *discardWriter) WriteHeader(code int) { d.status = code }
 
+// sixDigitBody is the score request body of rows with every value written
+// to six significant digits, as bench/ payloads and typical clients send
+// them.
+func sixDigitBody(rows [][]float64) []byte {
+	body := []byte(`{"rows":[`)
+	for i, row := range rows {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = append(body, '[')
+		for j, v := range row {
+			if j > 0 {
+				body = append(body, ',')
+			}
+			body = strconv.AppendFloat(body, v, 'g', 6, 64)
+		}
+		body = append(body, ']')
+	}
+	return append(body, "]}"...)
+}
+
 // BenchmarkServerScoreBatch measures the server data plane of the score
 // path — mux routing, frame decode, validation, worker-pool scoring over
 // the shared frame, response encode — by driving ServeHTTP directly, at
@@ -77,17 +98,35 @@ func (d *discardWriter) WriteHeader(code int) { d.status = code }
 // the sharded path (10k). Transport cost is excluded (see
 // BenchmarkServerScoreHTTP for the socket-level number), so allocs/op here
 // is the data plane's own footprint: pooled body, frame, scores, and
-// response buffers make it independent of the row count.
+// response buffers make it independent of the row count. The rows=N bodies
+// come from json.Marshal, whose shortest round-trip numbers run to 17
+// significant digits and all take the decoder's slow number path;
+// digits=6/rows=10000 sends the same 10k rows at six significant digits,
+// the decode path bench/ payloads take.
 func BenchmarkServerScoreBatch(b *testing.B) {
 	s := benchServer(b)
 	defer s.Close()
 
-	for _, size := range []int{1, 100, 10_000} {
+	cases := []struct {
+		name      string
+		size      int
+		sixDigits bool
+	}{
+		{"rows=1", 1, false},
+		{"rows=100", 100, false},
+		{"rows=10000", 10_000, false},
+		{"digits=6/rows=10000", 10_000, true},
+	}
+	for _, c := range cases {
+		size := c.size
 		body, err := json.Marshal(ScoreRequest{Rows: benchRows(size)})
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(fmt.Sprintf("rows=%d", size), func(b *testing.B) {
+		if c.sixDigits {
+			body = sixDigitBody(benchRows(size))
+		}
+		b.Run(c.name, func(b *testing.B) {
 			rb := &replayBody{}
 			req := httptest.NewRequest("POST", "/v1/models/bench-v1/score", nil)
 			req.Header.Set("Content-Type", "application/json")
@@ -230,21 +269,14 @@ func BenchmarkScoreBodyRanges(b *testing.B) {
 	defer pool.Close()
 	rng := rand.New(rand.NewSource(1))
 	for _, rows := range []int{50, 100, 200, 400, 800, 1600, 10_000} {
-		body := []byte(`{"rows":[`)
-		for i := 0; i < rows; i++ {
-			if i > 0 {
-				body = append(body, ',')
+		vals := make([][]float64, rows)
+		for i := range vals {
+			vals[i] = make([]float64, 4)
+			for j := range vals[i] {
+				vals[i][j] = 100 * rng.Float64()
 			}
-			body = append(body, '[')
-			for j := 0; j < 4; j++ {
-				if j > 0 {
-					body = append(body, ',')
-				}
-				body = strconv.AppendFloat(body, 100*rng.Float64(), 'g', 6, 64)
-			}
-			body = append(body, ']')
 		}
-		body = append(body, "]}"...)
+		body := sixDigitBody(vals)
 		scores := make([]float64, rows)
 		for i := range scores {
 			scores[i] = rng.Float64()
