@@ -50,7 +50,7 @@ func Compile(c *Curve) *Compiled {
 // iteration of Algorithm 1, so the steady state must be allocation-free.
 //
 // The rebuilt coefficients are visible to everything holding dst — in
-// particular every projection engine cloned from one engine shares a single
+// particular every worker of the fit's projection pool reads a single
 // Compiled. Callers must only recompile while all of those readers are
 // quiescent (the fit worker pool recompiles between iterations, while its
 // workers are parked on their job channels).
@@ -146,23 +146,8 @@ func (cc *Compiled) DistPolyInto(dst, x []float64) []float64 {
 }
 
 // EvalPoly evaluates a polynomial given by ascending coefficients at s by
-// Horner's rule. A collapsed cubic distance profile and its two derivatives
-// (7, 6 and 5 coefficients, the serving and fit hot path) are unrolled. The
-// generic loop starts from a zero accumulator, and its first step
-// 0·s + c_top equals c_top for every finite s, so the straight-line forms
-// compute the loop's value.
+// Horner's rule.
 func EvalPoly(coeffs []float64, s float64) float64 {
-	switch len(coeffs) {
-	case 7:
-		c := coeffs[:7]
-		return (((((c[6]*s+c[5])*s+c[4])*s+c[3])*s+c[2])*s+c[1])*s + c[0]
-	case 6:
-		c := coeffs[:6]
-		return ((((c[5]*s+c[4])*s+c[3])*s+c[2])*s+c[1])*s + c[0]
-	case 5:
-		c := coeffs[:5]
-		return (((c[4]*s+c[3])*s+c[2])*s+c[1])*s + c[0]
-	}
 	acc := 0.0
 	for p := len(coeffs) - 1; p >= 0; p-- {
 		acc = acc*s + coeffs[p]

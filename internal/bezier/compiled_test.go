@@ -1,7 +1,6 @@
 package bezier
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -90,33 +89,6 @@ func TestCompiledDistPoly(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestEvalPolyUnrolledMatchesLoop(t *testing.T) {
-	// The unrolled fast paths (a cubic profile and its two derivatives)
-	// must be bit-identical to the generic Horner loop: the projection
-	// engine depends on the two agreeing. Lengths 4 and 8 exercise the loop
-	// on either side of the unrolled forms.
-	rng := rand.New(rand.NewSource(15))
-	for _, n := range []int{4, 5, 6, 7, 8} {
-		t.Run(fmt.Sprintf("len=%d", n), func(t *testing.T) {
-			for trial := 0; trial < 200; trial++ {
-				coeffs := make([]float64, n)
-				for i := range coeffs {
-					coeffs[i] = rng.NormFloat64()
-				}
-				s := rng.Float64() - DistPolyOrigin
-				fast := EvalPoly(coeffs, s)
-				acc := 0.0
-				for p := n - 1; p >= 0; p-- {
-					acc = acc*s + coeffs[p]
-				}
-				if math.Float64bits(fast) != math.Float64bits(acc) {
-					t.Fatalf("unrolled %v != loop %v", fast, acc)
-				}
-			}
-		})
 	}
 }
 

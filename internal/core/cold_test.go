@@ -268,7 +268,8 @@ func TestColdPassEdgeRowsInterleaved(t *testing.T) {
 }
 
 // TestProjPoolWarmMatchesProjectWarm: the fit pool's warm pass, striped
-// over two workers, must publish exactly what one engine's per-row
+// over its caller and one extra worker sharing its engine, must publish
+// exactly what one engine's per-row
 // projectWarm loop does — scores, residuals and warm-hit telemetry — at
 // every degree Fit accepts, from honest warm seeds and from adversarial
 // ones that force the no-regression guard into its cold fallback.
@@ -281,8 +282,8 @@ func TestProjPoolWarmMatchesProjectWarm(t *testing.T) {
 			u := marginFrame(rng, n, dim)
 			pool := newProjPool(m.Curve, u, 2)
 			defer pool.close()
-			if len(pool.engines) != 2 {
-				t.Fatalf("pool has %d engines, want 2", len(pool.engines))
+			if len(pool.chans) != 1 {
+				t.Fatalf("pool has %d extra workers, want 1", len(pool.chans))
 			}
 			ref := newEngine(m.Curve, defaultGridCells)
 

@@ -8,12 +8,13 @@ import (
 
 // Scorer is the compiled serving form of a fitted Model: the curve's
 // distance profile precomputed into Horner-evaluated polynomial
-// coefficients, plus reusable scratch, so scoring one observation performs
-// zero heap allocations. Obtain one with Model.Compile.
+// coefficients, so scoring one observation performs zero heap
+// allocations. Obtain one with Model.Compile, or share the model's own
+// with Model.AcquireScorer.
 //
-// A Scorer is NOT safe for concurrent use — it owns scratch buffers. Hand
-// each goroutine its own via Clone, which shares the immutable compiled
-// coefficients and costs only the scratch.
+// A Scorer is immutable once compiled and safe for concurrent use: a
+// row's working state lives on the scoring goroutine's stack, so any
+// number of goroutines may score through one Scorer at once.
 //
 // The projection contract. A score is the minimiser of the row's distance
 // profile D(s) = ‖f(s) − u‖² over s ∈ [0,1] (Eq. 20/22), found from a seed
@@ -39,19 +40,19 @@ import (
 type Scorer struct {
 	model *Model
 	eng   *engine
-	u     []float64
 
-	// Cubic fast-path data: the curve's centre-shifted coefficients plus
-	// the normaliser's offsets and precomputed inverse ranges, so one pass
-	// over the row collapses the row-dependent part of its distance
-	// profile (c0..c3) straight into registers; the curve's own part is in
-	// the engine's grid table. Multiplying by the inverse range instead of
-	// dividing perturbs the normalised coordinate by at most one ulp, far
-	// inside the contract's 1e-12 score bound. Set only for cubic curves
-	// (eng.grid non-nil).
-	smono   []float64 // flat, stride 4 (from bezier.Compiled.ShiftedMono)
-	snorm   []float64 // len 7 (from bezier.Compiled.ShiftedNormSq)
-	mn, inv []float64
+	// The curve's centre-shifted coefficients and the normaliser's bounds,
+	// so one pass over the row normalises it, clamps it and collapses the
+	// row-dependent part of its distance profile. A cubic collapses c0..c3
+	// straight into registers (the curve's own part is in the engine's grid
+	// table) and multiplies by the precomputed inverse range instead of
+	// dividing, which perturbs the normalised coordinate by at most one ulp,
+	// far inside the contract's 1e-12 score bound. Other degrees divide by
+	// the range, as Normalizer.ApplyInto does.
+	smono  []float64 // flat, stride degree+1 (bezier.Compiled.ShiftedMono)
+	snorm  []float64 // len 2·degree+1 (bezier.Compiled.ShiftedNormSq)
+	mn, mx []float64
+	inv    []float64 // cubic only: 1/(mx−mn)
 }
 
 // clampMargin is L in the box [−L, 1+L] that Score clamps every normalised
@@ -72,10 +73,10 @@ const ctxPollRows = 64
 // fitted model, the document's grid_cells for a loaded one, and 32 for a
 // hand-assembled one. It costs O(d·k²) plus, for a cubic curve, one pass
 // over the grid to build its table (O(cells)), so per-request compilation
-// is fine at the default grid; per-row compilation defeats the point.
-// Clone shares the compiled curve and the table. The Scorer references
-// m's curve and normaliser; mutating the model afterwards (refitting in
-// place) invalidates it.
+// is fine at the default grid; per-row compilation defeats the point, and
+// Model.AcquireScorer compiles once per model. The Scorer references m's
+// curve and normaliser; mutating the model afterwards (refitting in place)
+// invalidates it.
 func (m *Model) Compile() *Scorer {
 	cells := m.gridCells
 	if cells == 0 {
@@ -83,44 +84,26 @@ func (m *Model) Compile() *Scorer {
 		// through Fit or Load; give them the standard grid.
 		cells = defaultGridCells
 	}
+	e := newEngine(m.Curve, cells)
 	sc := &Scorer{
 		model: m,
-		eng:   newEngine(m.Curve, cells),
-		u:     make([]float64, m.Curve.Dim()),
+		eng:   e,
+		smono: e.comp.ShiftedMono(),
+		snorm: e.comp.ShiftedNormSq(),
+		mn:    m.Norm.Min,
+		mx:    m.Norm.Max,
 	}
-	sc.initFastPath()
+	if e.grid != nil {
+		sc.inv = make([]float64, len(sc.mn))
+		for j := range sc.inv {
+			sc.inv[j] = 1 / (sc.mx[j] - sc.mn[j])
+		}
+	}
 	return sc
 }
 
-func (sc *Scorer) initFastPath() {
-	e := sc.eng
-	if e.grid == nil {
-		return
-	}
-	d := e.comp.Dim()
-	sc.smono = e.comp.ShiftedMono()
-	sc.snorm = e.comp.ShiftedNormSq()
-	sc.mn = sc.model.Norm.Min
-	sc.inv = make([]float64, d)
-	for j := 0; j < d; j++ {
-		sc.inv[j] = 1 / (sc.model.Norm.Max[j] - sc.model.Norm.Min[j])
-	}
-}
-
-// Clone returns an independent Scorer for use by another goroutine,
-// sharing the compiled coefficients and the cubic grid table.
-func (sc *Scorer) Clone() *Scorer {
-	c := &Scorer{
-		model: sc.model,
-		eng:   sc.eng.clone(),
-		u:     make([]float64, len(sc.u)),
-	}
-	c.initFastPath()
-	return c
-}
-
 // Dim returns the attribute dimension rows must have.
-func (sc *Scorer) Dim() int { return len(sc.u) }
+func (sc *Scorer) Dim() int { return sc.eng.comp.Dim() }
 
 // Model returns the model this scorer was compiled from.
 func (sc *Scorer) Model() *Model { return sc.model }
@@ -129,11 +112,12 @@ func (sc *Scorer) Model() *Model { return sc.model }
 // into [−clampMargin, 1+clampMargin], and returns its score in [0,1]. It
 // allocates nothing.
 func (sc *Scorer) Score(x []float64) float64 {
-	if sc.eng.grid != nil && len(x) == len(sc.mn) {
+	if len(x) != len(sc.mn) {
+		sc.model.Norm.CheckRow(x) // the normaliser's dimension panic
+	}
+	if sc.eng.grid != nil {
 		// Normalise and collapse the row's part of the distance profile
-		// in one register pass; the cubic kernel needs nothing else. Rows
-		// of the wrong dimension fall through to ApplyInto's canonical
-		// panic.
+		// in one register pass; the cubic kernel needs nothing else.
 		c0, c1, c2, c3 := sc.snorm[0], sc.snorm[1], sc.snorm[2], sc.snorm[3]
 		var x2 float64
 		for j, v := range x {
@@ -149,11 +133,26 @@ func (sc *Scorer) Score(x []float64) float64 {
 		s, _ := cubicNewtonKernel(sc.eng.grid, c0+x2, c1, c2, c3, false)
 		return s
 	}
-	sc.model.Norm.ApplyInto(sc.u, x)
-	for j, u := range sc.u {
-		sc.u[j] = min(max(u, -clampMargin), 1+clampMargin)
+	// Other degrees: the same pass into a stack-held profile, with the
+	// arithmetic of Normalizer.ApplyInto and bezier.Compiled.DistPolyInto,
+	// so the profile is bit-equal to theirs.
+	var p profile
+	p.n = len(sc.snorm)
+	dc := p.dc[:p.n]
+	copy(dc, sc.snorm)
+	k := sc.eng.comp.Degree() + 1
+	var x2 float64
+	for j, v := range x {
+		u := min(max((v-sc.mn[j])/(sc.mx[j]-sc.mn[j]), -clampMargin), 1+clampMargin)
+		x2 += u * u
+		t := 2 * u
+		for c, mc := range sc.smono[j*k : (j+1)*k] {
+			dc[c] -= t * mc
+		}
 	}
-	s, _ := sc.eng.project(sc.u)
+	dc[0] += x2
+	p.derive()
+	s, _ := sc.eng.projectSeeded(&p)
 	return s
 }
 
@@ -185,13 +184,13 @@ func (sc *Scorer) ScoreFrame(dst []float64, f *frame.Frame) []float64 {
 	} else {
 		dst = make([]float64, f.N())
 	}
-	sc.ScoreFrameRange(dst, f, 0, f.N())
+	sc.ScoreFrameRangeCtx(nil, dst, f, 0, f.N())
 	return dst
 }
 
 // ScoreFrameRange scores frame rows [lo, hi) into dst[lo:hi]. It is the
-// sharding primitive behind worker pools: several goroutines, each holding
-// its own Scorer, write disjoint ranges of one shared dst over one shared
+// sharding primitive behind worker pools: several goroutines, sharing one
+// Scorer, write disjoint ranges of one shared dst over one shared
 // read-only frame with no synchronisation. Every row goes through Score, so
 // the batch and per-row scores are bit-identical.
 func (sc *Scorer) ScoreFrameRange(dst []float64, f *frame.Frame, lo, hi int) {
@@ -202,8 +201,7 @@ func (sc *Scorer) ScoreFrameRange(dst []float64, f *frame.Frame, lo, hi int) {
 // (when non-nil) is polled before every ctxPollRows rows, and the call
 // returns the number of rows actually scored — hi-lo on completion, less
 // when the context was done first, in which case dst beyond lo+n is
-// untouched. Cancellation lands between rows, so a cancelled scorer is left
-// reusable and can be released back to its model's pool.
+// untouched. Cancellation lands between rows.
 func (sc *Scorer) ScoreFrameRangeCtx(ctx context.Context, dst []float64, f *frame.Frame, lo, hi int) int {
 	for b := lo; b < hi; b += ctxPollRows {
 		if ctx != nil && ctx.Err() != nil {

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"sort"
+	"sync"
 	"testing"
 
 	"rpcrank/internal/bezier"
@@ -227,32 +229,105 @@ func TestScoreIntoReusesBuffer(t *testing.T) {
 	}
 }
 
-// TestScorerCloneIndependent verifies clones share coefficients but not
-// scratch: concurrent use of clones is race-free (run with -race).
-func TestScorerCloneIndependent(t *testing.T) {
+// TestScorerShared: a model's one scorer serves concurrent callers. Eight
+// goroutines score through one AcquireScorer() at every degree Fit accepts
+// and d ∈ {1, 3, 8}, and on the legacy 48-cell quartic rule, over rows
+// inside and outside the training box, and every score must be
+// bit-identical to the serial one. Run with -race.
+func TestScorerShared(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
-	m := randParityModel(rng, 3, 3)
-	sc := m.Compile()
-	rows := make([][]float64, 64)
-	for i := range rows {
-		row := make([]float64, 3)
-		for j := range row {
-			row[j] = m.Norm.Min[j] + rng.Float64()*(m.Norm.Max[j]-m.Norm.Min[j])
+	type model struct {
+		name string
+		m    *Model
+	}
+	var models []model
+	for deg := minDegree; deg <= maxDegree; deg++ {
+		for _, dim := range []int{1, 3, 8} {
+			models = append(models, model{fmt.Sprintf("deg=%d/d=%d", deg, dim), randParityModel(rng, deg, dim)})
 		}
-		rows[i] = row
 	}
-	want := sc.ScoreInto(nil, rows)
-	done := make(chan []float64, 4)
-	for w := 0; w < 4; w++ {
-		go func() {
-			done <- sc.Clone().ScoreInto(nil, rows)
-		}()
+	doc, err := os.ReadFile("testdata/legacy/rule-unknown-projector.json")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for w := 0; w < 4; w++ {
-		got := <-done
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("clone score %d: %v vs %v", i, got[i], want[i])
+	legacy, err := Load(bytes.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if legacy.Curve.Degree() != 4 || legacy.gridCells != 48 {
+		t.Fatalf("legacy rule: degree %d, %d cells; want the 48-cell quartic", legacy.Curve.Degree(), legacy.gridCells)
+	}
+	models = append(models, model{"legacy-48-cell-quartic", legacy})
+	for _, c := range models {
+		t.Run(c.name, func(t *testing.T) {
+			m := c.m
+			rows := make([][]float64, 256)
+			for i := range rows {
+				row := make([]float64, m.Dim())
+				for j := range row {
+					u := rng.Float64()
+					if i%4 == 3 {
+						u = -3 + 7*rng.Float64()
+					}
+					row[j] = m.Norm.Min[j] + u*(m.Norm.Max[j]-m.Norm.Min[j])
+				}
+				rows[i] = row
+			}
+			sc := m.AcquireScorer()
+			want := make([]float64, len(rows))
+			for i, x := range rows {
+				want[i] = sc.Score(x)
+			}
+			const workers = 8
+			got := make([][]float64, workers)
+			var wg sync.WaitGroup
+			for w := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					out := make([]float64, len(rows))
+					for i := range rows {
+						// Each goroutine walks the rows from its own offset,
+						// so different rows are in flight at once.
+						k := (i + w*len(rows)/workers) % len(rows)
+						out[k] = sc.Score(rows[k])
+					}
+					got[w] = out
+				}()
+			}
+			wg.Wait()
+			for w, out := range got {
+				for i := range want {
+					if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("goroutine %d row %d: %.17g, serial %.17g", w, i, out[i], want[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestScorerDimensionPanic: a row of the wrong width panics with the
+// normaliser's canonical message at every degree, through the cubic
+// register path and the stack-held profile alike.
+func TestScorerDimensionPanic(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	for deg := minDegree; deg <= maxDegree; deg++ {
+		m := randParityModel(rng, deg, 3)
+		for _, width := range []int{0, 2, 4} {
+			want := fmt.Sprintf("stats: dimension mismatch: normalizer 3, row %d", width)
+			for name, score := range map[string]func([]float64) float64{
+				"Scorer.Score": m.Compile().Score,
+				"Model.Score":  m.Score,
+			} {
+				func() {
+					defer func() {
+						if r := recover(); r != want {
+							t.Errorf("deg=%d width %d %s: panic %v, want %q", deg, width, name, r, want)
+						}
+					}()
+					score(make([]float64, width))
+				}()
 			}
 		}
 	}

@@ -7,10 +7,11 @@ import (
 )
 
 // engine is the compiled projection kernel: the curve's squared-distance
-// profile collapsed to a 1-D polynomial (bezier.Compiled), plus the scratch
-// that profile and its two derivatives need. One engine serves one
-// goroutine; clone() hands an independent scratch to another worker while
-// sharing the immutable compiled coefficients.
+// profile collapsed to a 1-D polynomial (bezier.Compiled), the seed grid,
+// and for a cubic curve the grid table. It holds no scratch: a non-cubic
+// row's profile lives in a profile on the projecting goroutine's stack,
+// and a cubic row's in registers. So any number of goroutines may project
+// through one engine at once, as long as none recompiles it meanwhile.
 //
 // project runs one decision tree for every row, fitted or served: a grid
 // seed, bracket classification by the signs of the profile's derivative,
@@ -21,24 +22,13 @@ import (
 //
 // A cubic curve's engine also carries its cubicGrid: the terms of the
 // kernel's arithmetic that do not depend on the row, tabulated once per
-// compiled curve. It sits beside comp and is shared and refreshed with it.
-// Every cubic projection — Scorer.Score, project's cold passes and
+// compiled curve. It sits beside comp and is refreshed with it. Every
+// cubic projection — Scorer.Score, project's cold passes and
 // projectWarmCubic's fallback — runs the one cubicNewtonKernel over it.
 type engine struct {
 	cells int
 	comp  *bezier.Compiled
 	grid  *cubicGrid // nil unless comp is cubic
-
-	// dc/d1c/d2c hold the distance profile D and its first two derivatives
-	// for the row being projected, as polynomials in t = s − ½.
-	dc, d1c, d2c []float64
-
-	// warmRows/warmHits count warm-started projections and validated
-	// basins for fit telemetry. One engine is owned by one goroutine, so
-	// plain fields suffice; the fit pool reads them only behind its
-	// WaitGroup barrier.
-	warmRows int64
-	warmHits int64
 }
 
 // newEngine compiles c for a seed grid of cells cells.
@@ -51,43 +41,59 @@ func newEngine(c *bezier.Curve, cells int) *engine {
 		e.grid = newCubicGrid(cells)
 		e.grid.set(e.comp.ShiftedNormSq())
 	}
-	e.initScratch()
 	return e
-}
-
-func (e *engine) initScratch() {
-	n := 2*e.comp.Degree() + 1
-	e.dc = make([]float64, n)
-	e.d1c = make([]float64, n-1)
-	e.d2c = make([]float64, n-2)
-}
-
-// clone returns an engine sharing the compiled coefficients and the cubic
-// grid table but owning fresh scratch, for use by another goroutine.
-func (e *engine) clone() *engine {
-	c := &engine{cells: e.cells, comp: e.comp, grid: e.grid}
-	c.initScratch()
-	return c
 }
 
 // recompile rebuilds the compiled coefficients for c in place, reusing
 // their buffers (bezier.CompileInto), and refreshes the cubic grid table in
-// place from them. Engines cloned from this one share the Compiled and the
-// table, so one recompile refreshes all of them — that is exactly
-// what the fit worker pool wants between iterations of Algorithm 1, and why
-// recompile must only run while every sharing engine is quiescent (the
-// pool's workers are parked on their job channels).
+// place from them. It must only run while no goroutine projects through
+// the engine: the fit worker pool recompiles between iterations of
+// Algorithm 1, while its workers are parked on their job channels.
 func (e *engine) recompile(c *bezier.Curve) {
-	// A shape change cannot be honoured: clones sharing e.comp keep their
-	// own dc/d1c/d2c scratch that recompile cannot reach, so resizing here
-	// would fix this engine and corrupt every clone. No fit-loop caller
-	// changes degree or dimension mid-run; enforce that rather than assume.
+	// A shape change cannot be honoured: the grid table exists only for a
+	// cubic, and a reshaped Compiled would reallocate the coefficient
+	// slices a Scorer caches. No fit-loop caller changes degree or
+	// dimension mid-run; enforce that rather than assume.
 	if c.Degree() != e.comp.Degree() || c.Dim() != e.comp.Dim() {
 		panic("core: engine.recompile across curve shapes; build a new engine")
 	}
 	bezier.CompileInto(e.comp, c)
 	if e.grid != nil {
 		e.grid.set(e.comp.ShiftedNormSq())
+	}
+}
+
+// profile is the distance profile D of one row against a non-cubic curve,
+// with its first two derivatives D′ and D″, as ascending coefficients in
+// t = s − DistPolyOrigin. Its arrays are sized for maxDegree, the largest
+// degree Fit and Load accept, so a projection keeps it on its own stack.
+type profile struct {
+	n   int // coefficients of D in use: 2·degree+1
+	dc  [2*maxDegree + 1]float64
+	d1c [2 * maxDegree]float64
+	d2c [2*maxDegree - 1]float64
+}
+
+// d, d1 and d2 are D, D′ and D″ at t.
+func (p *profile) d(t float64) float64  { return bezier.EvalPoly(p.dc[:p.n], t) }
+func (p *profile) d1(t float64) float64 { return bezier.EvalPoly(p.d1c[:p.n-1], t) }
+func (p *profile) d2(t float64) float64 { return bezier.EvalPoly(p.d2c[:p.n-2], t) }
+
+// collapse fills p with the profile of normalised row u against cc
+// (bezier.Compiled.DistPolyInto) and its derivatives.
+func (p *profile) collapse(cc *bezier.Compiled, u []float64) {
+	p.n = 2*cc.Degree() + 1
+	cc.DistPolyInto(p.dc[:p.n], u)
+	p.derive()
+}
+
+// derive fills D′ and D″ from the profile D in p.dc.
+func (p *profile) derive() {
+	for c := 1; c < p.n; c++ {
+		p.d1c[c-1] = float64(c) * p.dc[c]
+	}
+	for c := 1; c < p.n-1; c++ {
+		p.d2c[c-1] = float64(c) * p.d1c[c]
 	}
 }
 
@@ -112,26 +118,25 @@ func (e *engine) recompile(c *bezier.Curve) {
 // a cold projection — and report warm=false; the fit stays within the
 // existing convergence contract either way.
 func (e *engine) projectWarm(u []float64, sPrev float64) (s, distSq float64, warm bool) {
-	if len(e.dc) == 7 {
+	if e.grid != nil {
 		return e.projectWarmCubic(u, sPrev)
 	}
-	e.comp.DistPolyInto(e.dc, u)
-	e.fillDerivatives()
+	const origin = bezier.DistPolyOrigin
+	var p profile
+	p.collapse(e.comp, u)
 	lo, hi := e.warmBracket(sPrev)
-	ga := bezier.EvalPoly(e.d1c, lo-bezier.DistPolyOrigin)
-	gb := bezier.EvalPoly(e.d1c, hi-bezier.DistPolyOrigin)
-	if ga <= 0 && gb >= 0 {
-		dPrev := bezier.EvalPoly(e.dc, sPrev-bezier.DistPolyOrigin)
-		s = e.newtonRefine(lo, hi, sPrev)
-		if d := bezier.EvalPoly(e.dc, s-bezier.DistPolyOrigin); d <= dPrev+1e-12*(1+dPrev) {
+	if p.d1(lo-origin) <= 0 && p.d1(hi-origin) >= 0 {
+		dPrev := p.d(sPrev - origin)
+		s = p.newtonRefine(lo, hi, sPrev)
+		if d := p.d(s - origin); d <= dPrev+1e-12*(1+dPrev) {
 			return s, nonNeg(d), true
 		}
 		// Newton wandered: fall through to the cold path below.
 	}
 	// No validated basin around the warm start (it moved, or the row
 	// projects onto a domain edge, which only the grid pass detects). The
-	// profile in e.dc is already collapsed; only the seeding is redone.
-	s, d := e.projectSeeded()
+	// profile is already collapsed; only the seeding is redone.
+	s, d := e.projectSeeded(&p)
 	return s, d, false
 }
 
@@ -142,20 +147,15 @@ func (e *engine) warmBracket(sPrev float64) (lo, hi float64) {
 	return max(sPrev-h, 0), min(sPrev+h, 1)
 }
 
-// projectWarmCubic is projectWarm for a cubic curve. It collapses the row's
-// distance profile straight into registers — the arithmetic of
+// cubicRow collapses normalised row u's part of a cubic curve's distance
+// profile, c0..c3, into registers: the arithmetic of
 // bezier.Compiled.DistPolyInto, term for term, so the coefficients are
-// bit-equal to the ones project would compute — applies the same bracket
-// and no-regress checks, and refines from sPrev with cubicNewtonTail, the
-// tail of the cold serving kernel. A row failing a check falls back exactly
-// as project would, to cubicNewtonKernel on the same coefficients and the
-// shared grid table.
-func (e *engine) projectWarmCubic(u []float64, sPrev float64) (s, distSq float64, warm bool) {
-	const origin = bezier.DistPolyOrigin
+// bit-equal to the ones it would compute. The rest of the profile is the
+// curve's, in the grid table.
+func (e *engine) cubicRow(u []float64) (c0, c1, c2, c3 float64) {
 	snorm := e.comp.ShiftedNormSq()
 	smono := e.comp.ShiftedMono()
-	c0, c1, c2, c3 := snorm[0], snorm[1], snorm[2], snorm[3]
-	c4, c5, c6 := snorm[4], snorm[5], snorm[6]
+	c0, c1, c2, c3 = snorm[0], snorm[1], snorm[2], snorm[3]
 	var x2 float64
 	for j, v := range u {
 		x2 += v * v
@@ -166,77 +166,78 @@ func (e *engine) projectWarmCubic(u []float64, sPrev float64) (s, distSq float64
 		c2 -= t * row[2]
 		c3 -= t * row[3]
 	}
-	c0 += x2
+	return c0 + x2, c1, c2, c3
+}
+
+// projectWarmCubic is projectWarm for a cubic curve. It collapses the row
+// with cubicRow, applies the same bracket and no-regress checks, and
+// refines from sPrev with cubicNewtonTail, the tail of the cold serving
+// kernel. A row failing a check falls back exactly as project would, to
+// cubicNewtonKernel on the same coefficients and the grid table.
+func (e *engine) projectWarmCubic(u []float64, sPrev float64) (s, distSq float64, warm bool) {
+	const origin = bezier.DistPolyOrigin
+	g := e.grid
+	c0, c1, c2, c3 := e.cubicRow(u)
+	c4, c5, c6 := g.c4, g.c5, g.c6
 	// D′ and D″ coefficients (in the same shifted basis).
-	b0, b1, b2, b3, b4, b5 := c1, 2*c2, 3*c3, 4*c4, 5*c5, 6*c6
-	e0, e1, e2, e3, e4 := b1, 2*b2, 3*b3, 4*b4, 5*b5
+	b0, b1, b2 := c1, 2*c2, 3*c3
+	e0, e1 := b1, 2*b2
 
 	lo, hi := e.warmBracket(sPrev)
 	tl := lo - origin
 	th := hi - origin
-	ga := ((((b5*tl+b4)*tl+b3)*tl+b2)*tl+b1)*tl + b0
-	gb := ((((b5*th+b4)*th+b3)*th+b2)*th+b1)*th + b0
+	ga := ((((g.b5*tl+g.b4)*tl+g.b3)*tl+b2)*tl+b1)*tl + b0
+	gb := ((((g.b5*th+g.b4)*th+g.b3)*th+b2)*th+b1)*th + b0
 	if ga <= 0 && gb >= 0 {
 		t := sPrev - origin
 		dPrev := (((((c6*t+c5)*t+c4)*t+c3)*t+c2)*t+c1)*t + c0
-		s = cubicNewtonTail(b0, b1, b2, b3, b4, b5, e0, e1, e2, e3, e4, lo, hi, sPrev)
+		s = cubicNewtonTail(b0, b1, b2, g.b3, g.b4, g.b5, e0, e1, g.e2, g.e3, g.e4, lo, hi, sPrev)
 		t = s - origin
 		if d := (((((c6*t+c5)*t+c4)*t+c3)*t+c2)*t+c1)*t + c0; d <= dPrev+1e-12*(1+dPrev) {
 			return s, nonNeg(d), true
 		}
 	}
-	s, d := cubicNewtonKernel(e.grid, c0, c1, c2, c3, true)
+	s, d := cubicNewtonKernel(g, c0, c1, c2, c3, true)
 	return s, d, false
 }
 
 // project computes argmin_s ‖u − f(s)‖² and the attained squared distance
 // for one normalised row. Zero allocations.
 func (e *engine) project(u []float64) (float64, float64) {
-	e.comp.DistPolyInto(e.dc, u)
 	if e.grid != nil {
 		// Cubic curves are THE hot path (rpcd's default degree); they get
-		// the register-resident kernel. e.dc[4:7] are the curve's own
-		// coefficients, which the grid table already holds.
-		return cubicNewtonKernel(e.grid, e.dc[0], e.dc[1], e.dc[2], e.dc[3], true)
+		// the register-resident kernel and build no profile.
+		c0, c1, c2, c3 := e.cubicRow(u)
+		return cubicNewtonKernel(e.grid, c0, c1, c2, c3, true)
 	}
-	e.fillDerivatives()
-	return e.projectSeeded()
-}
-
-// fillDerivatives derives the d1c/d2c coefficient arrays from the distance
-// profile currently in e.dc.
-func (e *engine) fillDerivatives() {
-	for c := 1; c < len(e.dc); c++ {
-		e.d1c[c-1] = float64(c) * e.dc[c]
-	}
-	for c := 1; c < len(e.d1c); c++ {
-		e.d2c[c-1] = float64(c) * e.d1c[c]
-	}
+	var p profile
+	p.collapse(e.comp, u)
+	return e.projectSeeded(&p)
 }
 
 // projectSeeded is the cold decision tree of non-cubic curves — grid seed,
 // bracket classification, safeguarded Newton — over the already-collapsed
-// profile in e.dc/d1c/d2c. project and the warm-start fallback both land
+// profile p. project, Scorer.Score and the warm-start fallback all land
 // here, so a row never pays the profile collapse twice.
-func (e *engine) projectSeeded() (float64, float64) {
+func (e *engine) projectSeeded(p *profile) (float64, float64) {
 	// Grid pass: the best of cells+1 evenly spaced nodes on [0,1].
 	h := 1 / float64(e.cells)
 	bestI := 0
 	bestV := math.Inf(1)
 	for i := 0; i <= e.cells; i++ {
 		s := float64(i) * h
-		if v := bezier.EvalPoly(e.dc, s-bezier.DistPolyOrigin); v < bestV {
+		if v := p.d(s - bezier.DistPolyOrigin); v < bestV {
 			bestV, bestI = v, i
 		}
 	}
-	return e.refineSeed(bestI, bestV)
+	return e.refineSeed(p, bestI, bestV)
 }
 
 // refineSeed is projectSeeded after its grid pass: bracket classification
 // and safeguarded Newton from grid node bestI, whose profile value is
 // bestV. It is a separate function so CPU profiles split the grid scan
 // from the refinement by function name.
-func (e *engine) refineSeed(bestI int, bestV float64) (float64, float64) {
+func (e *engine) refineSeed(p *profile, bestI int, bestV float64) (float64, float64) {
 	h := 1 / float64(e.cells)
 	lo := float64(bestI-1) * h
 	hi := float64(bestI+1) * h
@@ -253,30 +254,28 @@ func (e *engine) refineSeed(bestI int, bestV float64) (float64, float64) {
 	// else (the grid best sat on a domain edge, or a non-unimodal profile
 	// confused the bracket) keeps the best grid node, which is exact at the
 	// edges, where the minimiser is 0 or 1.
-	ga := bezier.EvalPoly(e.d1c, lo-bezier.DistPolyOrigin)
-	gb := bezier.EvalPoly(e.d1c, hi-bezier.DistPolyOrigin)
-	if !(ga <= 0 && gb >= 0) {
+	if !(p.d1(lo-bezier.DistPolyOrigin) <= 0 && p.d1(hi-bezier.DistPolyOrigin) >= 0) {
 		return s0, nonNeg(bestV)
 	}
 
-	s := e.newtonRefine(lo, hi, s0)
-	return s, nonNeg(bezier.EvalPoly(e.dc, s-bezier.DistPolyOrigin))
+	s := p.newtonRefine(lo, hi, s0)
+	return s, nonNeg(p.d(s - bezier.DistPolyOrigin))
 }
 
-// newtonRefine is the safeguarded Newton iteration on D′ over the prepared
-// d1c/d2c profile, from start inside the sign bracket [a, b] — the tail of
-// projectSeeded and of projectWarm's non-cubic rows (cubic rows refine in
-// cubicNewtonTail instead). A step that leaves the current sign bracket is
-// replaced by the bracket midpoint, so the iteration always converges. A
-// Newton step that does not move s means s is a root to the last bit, so
-// the loop stops there before the bracket safeguard could reject the step:
-// at a fixpoint on the bracket end the step lands on a == s, and bisecting
-// away from it would only walk back.
-func (e *engine) newtonRefine(a, b, start float64) float64 {
+// newtonRefine is the safeguarded Newton iteration on D′ of p, from start
+// inside the sign bracket [a, b] — the tail of projectSeeded and of
+// projectWarm's non-cubic rows (cubic rows refine in cubicNewtonTail
+// instead). A step that leaves the current sign bracket is replaced by the
+// bracket midpoint, so the iteration always converges. A Newton step that
+// does not move s means s is a root to the last bit, so the loop stops
+// there before the bracket safeguard could reject the step: at a fixpoint
+// on the bracket end the step lands on a == s, and bisecting away from it
+// would only walk back.
+func (p *profile) newtonRefine(a, b, start float64) float64 {
 	s := start
 	for i := 0; i < 80; i++ {
 		t := s - bezier.DistPolyOrigin
-		gs := bezier.EvalPoly(e.d1c, t)
+		gs := p.d1(t)
 		if gs == 0 {
 			break
 		}
@@ -285,7 +284,7 @@ func (e *engine) newtonRefine(a, b, start float64) float64 {
 		} else {
 			b = s
 		}
-		nt := s - gs/bezier.EvalPoly(e.d2c, t)
+		nt := s - gs/p.d2(t)
 		if nt == s {
 			break
 		}
@@ -312,11 +311,10 @@ func (e *engine) newtonRefine(a, b, start float64) float64 {
 // evaluating the whole polynomial per row, so its scores are bit-identical
 // to that form (the differential tests keep it as their oracle).
 //
-// A table is built with the engine that owns the compiled curve, shared by
-// its clones as they share the Compiled, and refreshed in place by set on
-// every recompile, so a fit iteration allocates nothing for it and a
-// pooled scorer costs no table of its own. Like the Compiled it is read
-// concurrently and written only while every reader is quiescent.
+// A table is built with the engine that owns the compiled curve and
+// refreshed in place by set on every recompile, so a fit iteration
+// allocates nothing for it. Like the Compiled it is read concurrently and
+// written only while every reader is quiescent.
 type cubicGrid struct {
 	h          float64 // node spacing 1/cells
 	c4, c5, c6 float64 // the curve's part of D

@@ -475,36 +475,26 @@ func fitPrepared(sh *fitShared, opts Options) (*Model, error) {
 }
 
 // Score projects a single raw observation onto the fitted curve and returns
-// its score in [0,1]. It scores through a pooled compiled scorer (see
-// Model.Compile), so casual per-row use is fast and safe for concurrent
-// callers; dedicated hot loops should still hold their own Scorer and skip
-// the pool round-trip. The result is Scorer.Score's and meets the
+// its score in [0,1]. It scores through the model's shared compiled scorer
+// (Model.AcquireScorer), so casual per-row use is fast and safe for
+// concurrent callers. The result is Scorer.Score's and meets the
 // projection contract stated on Scorer.
 func (m *Model) Score(x []float64) float64 {
-	sc := m.AcquireScorer()
-	s := sc.Score(x)
-	m.ReleaseScorer(sc)
-	return s
+	return m.AcquireScorer().Score(x)
 }
 
-// ScoreAll scores every row through a pooled compiled scorer (see
-// Model.Compile), so a batch costs one output-slice allocation; the scores
-// are identical to per-row Model.Score, which borrows from the same pool.
-func (m *Model) ScoreAll(xs [][]float64) []float64 {
-	sc := m.AcquireScorer()
-	out := sc.ScoreInto(make([]float64, len(xs)), xs)
-	m.ReleaseScorer(sc)
-	return out
-}
-
-// ScoreFrame scores every frame row through a pooled compiled scorer; the
-// batch costs one output-slice allocation and the scores are identical to
+// ScoreAll scores every row through the model's shared compiled scorer, so
+// a batch costs one output-slice allocation; the scores are identical to
 // per-row Model.Score.
+func (m *Model) ScoreAll(xs [][]float64) []float64 {
+	return m.AcquireScorer().ScoreInto(make([]float64, len(xs)), xs)
+}
+
+// ScoreFrame scores every frame row through the model's shared compiled
+// scorer; the batch costs one output-slice allocation and the scores are
+// identical to per-row Model.Score.
 func (m *Model) ScoreFrame(f *frame.Frame) []float64 {
-	sc := m.AcquireScorer()
-	out := sc.ScoreFrame(make([]float64, f.N()), f)
-	m.ReleaseScorer(sc)
-	return out
+	return m.AcquireScorer().ScoreFrame(make([]float64, f.N()), f)
 }
 
 // Reconstruct returns the point on the curve at score s mapped back into
@@ -566,11 +556,11 @@ type projJob struct{ lo, hi int }
 
 // projPool is the persistent projection worker pool of one fit run. It is
 // built once per fit: worker goroutines park on per-worker job channels
-// across iterations, every worker keeps its engine (and scratch) for the
-// whole run, and all engines share one bezier.Compiled that project()
-// rebuilds in place (engine.recompile) each iteration. Each worker owns a
-// disjoint stripe of rows and every row's projection is independent of its
-// stripe, so the worker count never changes a bit of the result.
+// across iterations and all project through the pool's one engine, whose
+// compiled curve project() rebuilds in place (engine.recompile) each
+// iteration. Each worker owns a disjoint stripe of rows and every row's
+// projection is independent of its stripe, so the worker count never
+// changes a bit of the result.
 //
 // Lifetimes and synchronisation: the pool is owned by exactly one fit
 // goroutine, which must close() it when the run ends (fitPrepared defers
@@ -578,39 +568,42 @@ type projJob struct{ lo, hi int }
 // every worker is parked, which is what makes the in-place recompile and
 // the caller's writes to scores/resid/warm race-free — channel send/receive
 // and WaitGroup publish them. Stripes are disjoint, so no two goroutines
-// ever write the same element.
+// ever write the same element, and worker w adds its warm hits to hits[w]
+// alone.
 type projPool struct {
-	u       *frame.Frame
-	engines []*engine      // engines[0] owns the shared Compiled; one each
-	chans   []chan projJob // one per extra worker goroutine
-	wg      sync.WaitGroup
-	scores  []float64
-	resid   []float64
-	warm    []float64 // previous scores; nil on cold passes
+	u        *frame.Frame
+	eng      *engine
+	chans    []chan projJob // one per extra worker goroutine
+	wg       sync.WaitGroup
+	scores   []float64
+	resid    []float64
+	warm     []float64 // previous scores; nil on cold passes
+	warmRows int64     // rows of every warm pass so far
+	hits     []int64   // validated warm basins, one slot per worker
 }
 
 // newProjPool builds the pool for u on the default seed grid, with
 // workers resolved as Options.Workers is, spawning the extra goroutines
 // immediately. Inputs under four rows per worker stay serial.
 func newProjPool(c *bezier.Curve, u *frame.Frame, workers int) *projPool {
-	p := &projPool{u: u, engines: []*engine{newEngine(c, defaultGridCells)}}
+	p := &projPool{u: u, eng: newEngine(c, defaultGridCells)}
 	workers = resolveWorkers(workers)
-	if workers > 1 && u.N() >= 4*workers {
-		for w := 1; w < workers; w++ {
-			e := p.engines[0].clone()
-			ch := make(chan projJob, 1)
-			p.engines = append(p.engines, e)
-			p.chans = append(p.chans, ch)
-			go func(e *engine, ch chan projJob) {
-				// The worker label makes pool goroutines identifiable in
-				// profiles.
-				pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("worker", "fit-proj")))
-				for job := range ch {
-					p.runRange(e, job.lo, job.hi)
-					p.wg.Done()
-				}
-			}(e, ch)
-		}
+	if workers <= 1 || u.N() < 4*workers {
+		workers = 1
+	}
+	p.hits = make([]int64, workers)
+	for w := 1; w < workers; w++ {
+		ch := make(chan projJob, 1)
+		p.chans = append(p.chans, ch)
+		go func(w int, ch chan projJob) {
+			// The worker label makes pool goroutines identifiable in
+			// profiles.
+			pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("worker", "fit-proj")))
+			for job := range ch {
+				p.runRange(w, job.lo, job.hi)
+				p.wg.Done()
+			}
+		}(w, ch)
 	}
 	return p
 }
@@ -622,12 +615,15 @@ func newProjPool(c *bezier.Curve, u *frame.Frame, workers int) *projPool {
 // reads its warm score before writing its new one. Rows whose warm basin
 // fails validation fall back to the cold projection individually.
 func (p *projPool) project(c *bezier.Curve, scores, resid, warm []float64) {
-	p.engines[0].recompile(c)
+	p.eng.recompile(c)
 	p.scores, p.resid, p.warm = scores, resid, warm
 	n := p.u.N()
+	if warm != nil {
+		p.warmRows += int64(n)
+	}
 	W := len(p.chans) + 1
 	if W == 1 || n < W {
-		p.runRange(p.engines[0], 0, n)
+		p.runRange(0, 0, n)
 		return
 	}
 	chunk := (n + W - 1) / W
@@ -643,42 +639,43 @@ func (p *projPool) project(c *bezier.Curve, scores, resid, warm []float64) {
 		p.wg.Add(1)
 		p.chans[w-1] <- projJob{lo, hi}
 	}
-	p.runRange(p.engines[0], 0, chunk)
+	p.runRange(0, 0, chunk)
 	p.wg.Wait()
 }
 
-// runRange projects rows [lo, hi) through e, trying the warm start first
-// when one is available. Cold passes (the first iteration and the final
-// best-curve projection) grid-seed every row; warm rows are seeded from
-// their previous score and never scan the grid unless the basin check
+// runRange projects rows [lo, hi) for worker w, trying the warm start
+// first when one is available. Cold passes (the first iteration and the
+// final best-curve projection) grid-seed every row; warm rows are seeded
+// from their previous score and never scan the grid unless the basin check
 // fails.
-func (p *projPool) runRange(e *engine, lo, hi int) {
-	warm := p.warm
+func (p *projPool) runRange(w, lo, hi int) {
+	e, warm := p.eng, p.warm
 	if warm == nil {
 		for i := lo; i < hi; i++ {
 			p.scores[i], p.resid[i] = e.project(p.u.Row(i))
 		}
 		return
 	}
+	var hits int64
 	for i := lo; i < hi; i++ {
 		s, r2, hit := e.projectWarm(p.u.Row(i), warm[i])
 		p.scores[i], p.resid[i] = s, r2
-		e.warmRows++
 		if hit {
-			e.warmHits++
+			hits++
 		}
 	}
+	p.hits[w] += hits
 }
 
-// warmCounts sums the warm-start counters across the pool's engines.
-// Callable only between project calls, when every worker is parked (the
-// WaitGroup publishes the engines' plain int64s to the fit goroutine).
+// warmCounts reports the rows of every warm pass and their validated
+// basins. Callable only between project calls, when every worker is
+// parked (the WaitGroup publishes the workers' slots to the fit
+// goroutine).
 func (p *projPool) warmCounts() (rows, hits int64) {
-	for _, e := range p.engines {
-		rows += e.warmRows
-		hits += e.warmHits
+	for _, h := range p.hits {
+		hits += h
 	}
-	return rows, hits
+	return p.warmRows, hits
 }
 
 // close shuts the worker goroutines down. The pool must not be used after.

@@ -228,22 +228,19 @@ func TestCubicGridKernelBitIdenticalFitted(t *testing.T) {
 	}
 }
 
-// TestCubicGridShared: clones and pooled scorers read the table their
-// compiled curve built, and recompile refreshes it in place, without
-// allocating, to the table a fresh engine builds.
+// TestCubicGridShared: every AcquireScorer call returns the model's one
+// scorer, so its grid table is built once and the second call allocates
+// nothing; recompile refreshes the table in place, without allocating, to
+// the table a fresh engine builds.
 func TestCubicGridShared(t *testing.T) {
 	rng := rand.New(rand.NewSource(5152))
 	m := randParityModel(rng, 3, 4)
-	sc := m.Compile()
-	if sc.Clone().eng.grid != sc.eng.grid {
-		t.Error("Scorer.Clone built its own grid table")
+	if a, b := m.AcquireScorer(), m.AcquireScorer(); a != b {
+		t.Error("two AcquireScorer calls on one model returned different scorers")
 	}
-	a, b := m.AcquireScorer(), m.AcquireScorer()
-	if a.eng.grid != b.eng.grid {
-		t.Error("two pooled scorers of one model hold different grid tables")
+	if allocs := testing.AllocsPerRun(10, func() { m.AcquireScorer() }); allocs != 0 {
+		t.Errorf("a repeated AcquireScorer allocated %.0f times", allocs)
 	}
-	m.ReleaseScorer(a)
-	m.ReleaseScorer(b)
 
 	e := newEngine(m.Curve, 48)
 	g := e.grid

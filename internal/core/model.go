@@ -224,35 +224,25 @@ type Model struct {
 	gridCells int          // seed grid of the projector; 0 means defaultGridCells
 	data      *frame.Frame // normalised training rows, retained for diagnostics
 
-	// scorers recycles compiled scorers for Model.Score, which must stay
-	// safe for concurrent use while a Scorer (owning scratch) is not.
-	scorers sync.Pool
-	// compiled is the scorer every pooled one is cloned from, compiled on
-	// first use, so the curve and its cubic grid table are built once per
-	// model however many scorers the pool holds.
+	// compiled is the model's one scorer, compiled on first use by
+	// AcquireScorer and shared by every caller.
 	compileOnce sync.Once
 	compiled    *Scorer
 }
 
-// AcquireScorer borrows a compiled scorer from the model's internal pool,
-// cloning one from the model's compiled scorer when the pool is empty (the
-// first call compiles it). Callers that score a bounded chunk of work — a
-// batch shard, a request — should Acquire, score, and ReleaseScorer instead
-// of calling Compile per batch: after warm-up the borrow is allocation-free.
-// The scorer is owned by the caller until released and is not safe for
-// concurrent use.
+// AcquireScorer returns the model's scorer, compiling it on the first
+// call. Every call returns the same immutable Scorer, which is safe for
+// concurrent use, so the curve and its cubic grid table are built once
+// per model; after the first call the lookup is allocation-free.
 func (m *Model) AcquireScorer() *Scorer {
-	sc, _ := m.scorers.Get().(*Scorer)
-	if sc == nil {
-		m.compileOnce.Do(func() { m.compiled = m.Compile() })
-		sc = m.compiled.Clone()
-	}
-	return sc
+	m.compileOnce.Do(func() { m.compiled = m.Compile() })
+	return m.compiled
 }
 
-// ReleaseScorer returns a scorer obtained from AcquireScorer to the pool.
-// The scorer must not be used after release.
-func (m *Model) ReleaseScorer(sc *Scorer) { m.scorers.Put(sc) }
+// ReleaseScorer does nothing: the scorer AcquireScorer returns is shared
+// and needs no release. It is kept for callers written against the
+// borrow-and-release form.
+func (m *Model) ReleaseScorer(*Scorer) {}
 
 // Dim returns the attribute dimension.
 func (m *Model) Dim() int { return m.Alpha.Dim() }

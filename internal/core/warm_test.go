@@ -103,13 +103,10 @@ func checkWarmAgreesFromAnyStart(t *testing.T, eng *engine, rows [][]float64) {
 // root takes a Newton step that rounds to zero. The refinement must return
 // the start unchanged rather than bisect away from it and walk back.
 func TestNewtonRefineStopsAtFixpoint(t *testing.T) {
-	e := &engine{
-		dc:  []float64{0.005, -0.1, 0.5, 0, 0, 0, 0},
-		d1c: make([]float64, 6),
-		d2c: make([]float64, 5),
-	}
-	e.fillDerivatives()
-	if s := e.newtonRefine(0.5, 0.7, 0.6); s != 0.6 {
+	p := profile{n: 7}
+	copy(p.dc[:], []float64{0.005, -0.1, 0.5})
+	p.derive()
+	if s := p.newtonRefine(0.5, 0.7, 0.6); s != 0.6 {
 		t.Fatalf("newtonRefine from the root = %.17g, want 0.6", s)
 	}
 }
@@ -266,8 +263,8 @@ func TestFitMultiStartSharedFrameConcurrently(t *testing.T) {
 
 // TestFitAllocsFlatInIterations pins the "allocations flat in iteration
 // count" contract for both updaters: extending the iteration budget must
-// not add allocations, because every per-iteration buffer — pool engines,
-// compiled coefficients, work matrices, eigen scratch, the exact step's
+// not add allocations, because every per-iteration buffer — the pool's
+// engine and compiled coefficients, work matrices, eigen scratch, the exact step's
 // faces and Anderson's history — is reused.
 func TestFitAllocsFlatInIterations(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))

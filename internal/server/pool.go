@@ -35,10 +35,9 @@ var ErrPoolClosed = errors.New("scoring pool closed")
 // all requests. Every stage of a score request — decode, score, encode —
 // splits into independent parts (row ranges of one shared frame), and all
 // three go through one fan-out (fanOut): each part is one task on a
-// channel, and the caller waits on the batch's barrier. Workers borrow
-// compiled scorers from the model's internal pool
-// (core.Model.AcquireScorer), so steady-state batches allocate neither row
-// storage nor scorer scratch.
+// channel, and the caller waits on the batch's barrier. Workers share the
+// model's one immutable compiled scorer (core.Model.AcquireScorer), so
+// steady-state batches allocate neither row storage nor scorers.
 //
 // Batches carrying a cancellable context (one with a Done channel: every
 // HTTP request's has one, and a client deadline arms its timer) are
@@ -200,13 +199,11 @@ func (p *Pool) runRanges(st *scoreState, kind rangeKind) {
 	}
 }
 
-// runPart scores part i of the batch with a borrowed scorer and records
-// its span: shard i on a worker, -1 inline. A part picked up after the
-// batch's context ended skips the scorer entirely, still recording its
+// runPart scores part i of the batch with the model's shared scorer and
+// records its span: shard i on a worker, -1 inline. A part picked up after
+// the batch's context ended skips the scorer entirely, still recording its
 // (empty) span and marking the batch short; otherwise cancellation lands
-// between rows only, so the scorer goes back to the model's pool in a
-// clean state. A panicking scorer is dropped rather than released, so a
-// poisoned scratch never re-enters the model's pool.
+// between rows.
 func (b *scoreBatch) runPart(i int, worker bool) {
 	var t0 time.Time
 	if b.tr != nil {
@@ -218,9 +215,7 @@ func (b *scoreBatch) runPart(i int, worker bool) {
 		if worker {
 			b.p.faults.Fire(faultinject.PointWorker)
 		}
-		sc := b.m.AcquireScorer()
-		n = b.p.scoreRange(b.ctx, sc, b.out, b.f, lo, hi)
-		b.m.ReleaseScorer(sc)
+		n = b.p.scoreRange(b.ctx, b.m.AcquireScorer(), b.out, b.f, lo, hi)
 		b.tr.AddRowsDone(n)
 	}
 	if n < hi-lo {
@@ -286,7 +281,7 @@ func (p *Pool) Close() {
 // capacity, allocated otherwise) and returns the slice of f.N() scores.
 // Batches of at least concurrencyThreshold rows are split into row chunks
 // scored by the pool over the shared frame; smaller ones are one part, run
-// inline on a borrowed scorer. The scores are identical either way, and —
+// inline on the shared scorer. The scores are identical either way, and —
 // beyond a possible dst growth — the steady-state batch performs no per-row
 // allocation at all. When ctx carries an obs.Trace, each part records a
 // score span on it (worker index = shard, -1 inline); by return, all spans

@@ -113,8 +113,8 @@ func (n *Normalizer) Apply(x []float64) []float64 {
 // have the normaliser's dimension) and returns dst. It is the
 // allocation-free form of Apply for scoring hot paths; dst may alias x.
 func (n *Normalizer) ApplyInto(dst, x []float64) []float64 {
-	n.check(x)
-	n.check(dst)
+	n.CheckRow(x)
+	n.CheckRow(dst)
 	for j, v := range x {
 		dst[j] = (v - n.Min[j]) / (n.Max[j] - n.Min[j])
 	}
@@ -148,7 +148,7 @@ func (n *Normalizer) ApplyFrame(f *frame.Frame) {
 
 // Invert maps a unit-hypercube point back to the original data space.
 func (n *Normalizer) Invert(u []float64) []float64 {
-	n.check(u)
+	n.CheckRow(u)
 	out := make([]float64, len(u))
 	for j, v := range u {
 		out[j] = n.Min[j] + v*(n.Max[j]-n.Min[j])
@@ -156,7 +156,9 @@ func (n *Normalizer) Invert(u []float64) []float64 {
 	return out
 }
 
-func (n *Normalizer) check(x []float64) {
+// CheckRow panics, naming both widths, unless x has the normaliser's
+// dimension.
+func (n *Normalizer) CheckRow(x []float64) {
 	if len(x) != len(n.Min) {
 		panic(fmt.Sprintf("stats: dimension mismatch: normalizer %d, row %d", len(n.Min), len(x)))
 	}

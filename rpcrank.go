@@ -120,7 +120,7 @@ type Options = core.Options
 type Model = core.Model
 
 // Scorer re-exports the compiled zero-allocation scoring engine. Obtain
-// one with Model.Compile(); give each goroutine its own via Scorer.Clone.
+// one with Model.Compile(); it is immutable and safe for concurrent use.
 // Hot serving loops should score through it rather than Model.Score — the
 // rpcd batch path does, and it is several times faster per row.
 type Scorer = core.Scorer
