@@ -228,8 +228,9 @@ func BenchmarkFitRestarts(b *testing.B) {
 }
 
 // BenchmarkFitJournals measures the fit rpcd serves for the journals table
-// (393×5): three restarts over two projection workers, seed 1. Algorithm
-// 1's score step dominates it, almost all of it warm-started passes.
+// (393×5): three restarts at Workers 2, seed 1, so two restarts run at a
+// time, each projecting its rows serially. Algorithm 1's score step
+// dominates it, almost all of it warm-started passes.
 func BenchmarkFitJournals(b *testing.B) {
 	ds := dataset.Journals()
 	xs := ds.Data.ToRows()

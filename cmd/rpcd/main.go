@@ -58,7 +58,7 @@ func run(ctx context.Context, args []string, out io.Writer, onReady func(addr, p
 	addr := fs.String("addr", ":8080", "listen address")
 	modelDir := fs.String("model-dir", "models", "directory holding the model registry")
 	maxLoaded := fs.Int("max-loaded", registry.DefaultMaxLoaded, "models kept decoded in memory (LRU)")
-	workers := fs.Int("workers", 0, "batch-scoring workers (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "batch-scoring workers, also the cap on a fit's concurrent restarts (0 = GOMAXPROCS)")
 	maxBodyMB := fs.Int64("max-body-mb", 32, "largest accepted request body, in MiB")
 	maxBatchRows := fs.Int("max-batch-rows", 1_000_000, "largest accepted row count per request")
 	readTimeout := fs.Duration("read-timeout", 30*time.Second, "HTTP read timeout")

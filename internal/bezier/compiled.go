@@ -49,11 +49,9 @@ func Compile(c *Curve) *Compiled {
 // call or a shape change. The fit loop recompiles its evolving curve every
 // iteration of Algorithm 1, so the steady state must be allocation-free.
 //
-// The rebuilt coefficients are visible to everything holding dst — in
-// particular every worker of the fit's projection pool reads a single
-// Compiled. Callers must only recompile while all of those readers are
-// quiescent (the fit worker pool recompiles between iterations, while its
-// workers are parked on their job channels).
+// The rebuilt coefficients are visible to everything holding dst, so
+// callers must only recompile while none of those readers projects (a fit
+// restart recompiles its own engine between iterations).
 func CompileInto(dst *Compiled, c *Curve) *Compiled {
 	k := c.Degree()
 	d := c.Dim()

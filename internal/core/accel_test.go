@@ -30,7 +30,7 @@ func TestFitConvergesAtServedOptions(t *testing.T) {
 	for _, c := range cases {
 		t.Run(fmt.Sprintf("%s/deg=%d", c.table.Name, c.deg), func(t *testing.T) {
 			opts := Options{Alpha: c.table.Alpha, Degree: c.deg, Restarts: 3, Workers: 2, Seed: 1}.withDefaults()
-			models, err := fitRestarts(c.table.Data, opts, resolveWorkers(opts.Workers))
+			models, err := fitRestarts(c.table.Data, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

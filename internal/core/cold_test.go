@@ -1,10 +1,10 @@
 package core
 
-// Tests of the cold projection passes: the fit pool's grid-seeded pass and
+// Tests of the cold projection passes: the fit's grid-seeded pass and
 // the serving batch path (Scorer.ScoreFrameRange) held to internal/oracle,
 // which shares no code with the engine or bezier; explicit edge-projection
-// and bracket-miss rows; stripe and range boundaries; the fit pool's warm
-// pass; and cancellation.
+// and bracket-miss rows; range boundaries; the fit's warm pass; and
+// cancellation.
 
 import (
 	"context"
@@ -21,11 +21,11 @@ import (
 )
 
 // coldParityCheck projects every row of u (normalised space) through the
-// fit pool's cold pass, serially and striped over two workers, and through
-// ScoreFrameRange of a model whose normaliser is the identity, and holds
-// every score to the oracle's projection contract (oracle.Result.Check)
-// and every residual to the oracle's D(s) at 1e-12 relative. It returns the
-// pool's and the serving path's scores for exact checks.
+// fit's cold pass (projectPass) and through ScoreFrameRange of a model
+// whose normaliser is the identity, and holds every score to the oracle's
+// projection contract (oracle.Result.Check) and every cold residual to the
+// oracle's D(s) at 1e-12 relative. It returns the fit's and the serving
+// path's scores for exact checks.
 func coldParityCheck(t *testing.T, c *bezier.Curve, alpha order.Direction, u *frame.Frame) (cold, served []float64) {
 	t.Helper()
 	return checkColdPaths(t, oracleRows(c, u), c, alpha, u)
@@ -36,25 +36,15 @@ func coldParityCheck(t *testing.T, c *bezier.Curve, alpha order.Direction, u *fr
 func checkColdPaths(t *testing.T, refs []*oracle.Result, c *bezier.Curve, alpha order.Direction, u *frame.Frame) (cold, served []float64) {
 	t.Helper()
 	n := u.N()
-	for _, workers := range []int{1, 2} {
-		pool := newProjPool(c, u, workers)
-		scores := make([]float64, n)
-		resid := make([]float64, n)
-		pool.project(c, scores, resid, nil)
-		pool.close()
-		for i := 0; i < n; i++ {
-			if err := refs[i].Check(scores[i], defaultGridCells); err != nil {
-				t.Fatalf("workers=%d row %d: cold pass: %v", workers, i, err)
-			}
-			if d := refs[i].DistAt(scores[i]); math.Abs(resid[i]-d) > 1e-12*(1+d) {
-				t.Fatalf("workers=%d row %d: cold resid %.17g vs the oracle's D(s) %.17g", workers, i, resid[i], d)
-			}
-			if workers == 2 && scores[i] != cold[i] {
-				t.Fatalf("row %d: two-worker cold score %.17g vs serial %.17g", i, scores[i], cold[i])
-			}
+	cold = make([]float64, n)
+	resid := make([]float64, n)
+	projectPass(newEngine(c, defaultGridCells), c, u, cold, resid, nil)
+	for i := 0; i < n; i++ {
+		if err := refs[i].Check(cold[i], defaultGridCells); err != nil {
+			t.Fatalf("row %d: cold pass: %v", i, err)
 		}
-		if workers == 1 {
-			cold = scores
+		if d := refs[i].DistAt(cold[i]); math.Abs(resid[i]-d) > 1e-12*(1+d) {
+			t.Fatalf("row %d: cold resid %.17g vs the oracle's D(s) %.17g", i, resid[i], d)
 		}
 	}
 	served = make([]float64, n)
@@ -160,7 +150,7 @@ func TestColdPassEdgeRows(t *testing.T) {
 		ef.Set(6, j, 0.5)              // centre (interior basin)
 		ef.Set(7, j, lo-3)             // far past the worst corner
 	}
-	// The fit's pool and the served scorer must both publish the edge
+	// The fit's cold pass and the served scorer must both publish the edge
 	// nodes exactly.
 	cold, served := coldParityCheck(t, m.Curve, m.Alpha, ef)
 	for _, scores := range [][]float64{cold, served} {
@@ -218,9 +208,9 @@ func TestColdPassRandomCurves(t *testing.T) {
 }
 
 // TestColdPassEdgeRowsInterleaved pins the bracket-miss contract on a
-// random cubic Newton curve across a stripe boundary: points outward along
-// the end tangents, interleaved with interior rows over 66 rows, must
-// publish exactly 0 and 1.
+// random cubic Newton curve: points outward along the end tangents,
+// interleaved with interior rows over 66 rows, must publish exactly 0
+// and 1.
 func TestColdPassEdgeRowsInterleaved(t *testing.T) {
 	rng := rand.New(rand.NewSource(223))
 	m := randParityModel(rng, 3, 3)
@@ -267,29 +257,24 @@ func TestColdPassEdgeRowsInterleaved(t *testing.T) {
 	}
 }
 
-// TestProjPoolWarmMatchesProjectWarm: the fit pool's warm pass, striped
-// over its caller and one extra worker sharing its engine, must publish
-// exactly what one engine's per-row
-// projectWarm loop does — scores, residuals and warm-hit telemetry — at
-// every degree Fit accepts, from honest warm seeds and from adversarial
-// ones that force the no-regression guard into its cold fallback.
-func TestProjPoolWarmMatchesProjectWarm(t *testing.T) {
+// TestProjectPassWarmMatchesProjectWarm: the fit's warm pass must publish
+// exactly what a per-row projectWarm loop over a separate engine does —
+// scores, residuals and the pass's warm-hit count — at every degree Fit
+// accepts, from honest warm seeds and from adversarial ones that force the
+// no-regression guard into its cold fallback.
+func TestProjectPassWarmMatchesProjectWarm(t *testing.T) {
 	rng := rand.New(rand.NewSource(227))
 	for _, deg := range []int{3, 5, 2, 4, 6} {
 		t.Run(fmt.Sprintf("newton/deg=%d", deg), func(t *testing.T) {
 			const dim, n = 3, 71
 			m := randParityModel(rng, deg, dim)
 			u := marginFrame(rng, n, dim)
-			pool := newProjPool(m.Curve, u, 2)
-			defer pool.close()
-			if len(pool.chans) != 1 {
-				t.Fatalf("pool has %d extra workers, want 1", len(pool.chans))
-			}
+			eng := newEngine(m.Curve, defaultGridCells)
 			ref := newEngine(m.Curve, defaultGridCells)
 
 			// Honest warm seeds: the previous sweep's own scores.
 			warm := make([]float64, n)
-			pool.project(m.Curve, warm, make([]float64, n), nil)
+			projectPass(eng, m.Curve, u, warm, make([]float64, n), nil)
 			for pass := 0; pass < 2; pass++ {
 				if pass == 1 {
 					// Adversarial seeds: the mirrored score is usually in
@@ -299,26 +284,23 @@ func TestProjPoolWarmMatchesProjectWarm(t *testing.T) {
 						warm[i] = 1 - warm[i]
 					}
 				}
-				rows0, hits0 := pool.warmCounts()
 				ps, pr := make([]float64, n), make([]float64, n)
-				pool.project(m.Curve, ps, pr, warm)
-				rows1, hits1 := pool.warmCounts()
-				var refHits int64
+				hits := projectPass(eng, m.Curve, u, ps, pr, warm)
+				var refHits int
 				for i := 0; i < n; i++ {
 					s, r2, hit := ref.projectWarm(u.Row(i), warm[i])
 					if ps[i] != s {
-						t.Fatalf("pass %d row %d: pool warm score %.17g, per-row %.17g", pass, i, ps[i], s)
+						t.Fatalf("pass %d row %d: pass warm score %.17g, per-row %.17g", pass, i, ps[i], s)
 					}
 					if pr[i] != r2 {
-						t.Fatalf("pass %d row %d: pool warm resid %.17g, per-row %.17g", pass, i, pr[i], r2)
+						t.Fatalf("pass %d row %d: pass warm resid %.17g, per-row %.17g", pass, i, pr[i], r2)
 					}
 					if hit {
 						refHits++
 					}
 				}
-				if rows1-rows0 != n || hits1-hits0 != refHits {
-					t.Fatalf("pass %d: pool telemetry %d/%d, per-row %d/%d",
-						pass, hits1-hits0, rows1-rows0, refHits, n)
+				if hits != refHits {
+					t.Fatalf("pass %d: %d warm hits, per-row %d", pass, hits, refHits)
 				}
 				if pass == 0 && refHits == 0 {
 					t.Fatal("honest warm seeds produced no warm hits")
@@ -380,8 +362,8 @@ func TestScoreFrameRangeCtxCancellation(t *testing.T) {
 }
 
 // TestColdPassBoundarySizes sweeps row counts around the cancellation
-// poll interval and the pool's serial threshold (four rows per worker), so
-// every remainder shape of the poll loop and of the two-worker stripes runs.
+// poll interval, so every remainder shape of the poll loop runs, and down
+// to a single row.
 func TestColdPassBoundarySizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	alpha := order.MustDirection(1, -1, 1)
@@ -395,7 +377,7 @@ func TestColdPassBoundarySizes(t *testing.T) {
 		ctxPollRows, 2 * ctxPollRows, // n % poll == 0
 		1, ctxPollRows + 1, // n % poll == 1
 		ctxPollRows - 1, 2*ctxPollRows - 1, // n % poll == poll−1
-		2, 3, 4, 5, 6, 7, // below and at the two-worker stripe threshold
+		2, 3, 4, 5, 6, 7, // tiny frames
 	} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			coldParityCheck(t, m.Curve, m.Alpha, full.Slice(0, n))

@@ -187,7 +187,7 @@ func TestScoreFrameReusesBuffer(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { sc.ScoreFrame(out, fr) }); n != 0 {
 		t.Errorf("warm ScoreFrame allocates %v times per batch", n)
 	}
-	// Model.ScoreFrame (pooled scorer) agrees with the direct path.
+	// Model.ScoreFrame (the model's shared scorer) agrees with the direct path.
 	for i, v := range m.ScoreFrame(fr) {
 		if v != out[i] {
 			t.Errorf("row %d: Model.ScoreFrame %v vs Scorer.ScoreFrame %v", i, v, out[i])

@@ -47,8 +47,8 @@ func newEngine(c *bezier.Curve, cells int) *engine {
 // recompile rebuilds the compiled coefficients for c in place, reusing
 // their buffers (bezier.CompileInto), and refreshes the cubic grid table in
 // place from them. It must only run while no goroutine projects through
-// the engine: the fit worker pool recompiles between iterations of
-// Algorithm 1, while its workers are parked on their job channels.
+// the engine: a fit restart recompiles its own engine at the start of each
+// score step (projectPass).
 func (e *engine) recompile(c *bezier.Curve) {
 	// A shape change cannot be honoured: the grid table exists only for a
 	// cubic, and a reshaped Compiled would reallocate the coefficient

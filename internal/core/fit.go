@@ -1,13 +1,12 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
-	"runtime/pprof"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rpcrank/internal/bezier"
@@ -71,12 +70,7 @@ func fitValidated(f *frame.Frame, opts Options) (*Model, error) {
 	if err := opts.validate(f.N(), f.Dim()); err != nil {
 		return nil, err
 	}
-	// Restart concurrency honours the caller's parallelism grant: Workers
-	// is the fit's goroutine budget, so with Workers 0 or 1 the restarts
-	// run serially exactly as the projection does, and with Workers = -1
-	// they fan out machine-wide. The fitted model is bit-identical for
-	// every width (see fitMultiStart), so this only shapes CPU use.
-	return fitMultiStart(f, opts, resolveWorkers(opts.Workers))
+	return fitMultiStart(f, opts)
 }
 
 // fitShared is the per-fit-run input every restart shares read-only: the
@@ -129,11 +123,9 @@ func prepFit(f *frame.Frame, opts Options) (*fitShared, error) {
 	return &fitShared{norm: norm, u: u, X: X}, nil
 }
 
-// resolveWorkers maps an Options.Workers value onto a concrete goroutine
-// width: -1 means machine-wide, anything below 1 means serial. Every site
-// sizing fit parallelism — restart fan-out, the worker split across
-// restarts, the projection pool — resolves through here so the semantics
-// cannot drift apart.
+// resolveWorkers maps an Options.Workers value onto the number of
+// restarts that run at once: -1 means machine-wide, anything below 1 means
+// serial.
 func resolveWorkers(w int) int {
 	if w == -1 {
 		return runtime.GOMAXPROCS(0)
@@ -144,17 +136,17 @@ func resolveWorkers(w int) int {
 	return w
 }
 
-// fitMultiStart runs Algorithm 1 from every initialisation of the fit, at
-// most par restarts at a time, and returns the model with the lowest final
-// objective: restart 0 is the jittered-diagonal default, restart 1 places
-// the interior control points on the rows at the interior quantiles of a
-// rough weighted-sum ordering (a deterministic version of Algorithm 1's
-// sample-based init), and further restarts draw random data rows. A fit
-// with Restarts ≤ 1 is restart 0 alone. The winner scan walks restart
-// order with a strict '<', giving the lowest restart index on ties, so the
-// returned model is bit-identical for every par ≥ 1 — pinned by test.
-func fitMultiStart(f *frame.Frame, opts Options, par int) (*Model, error) {
-	models, err := fitRestarts(f, opts, par)
+// fitMultiStart runs Algorithm 1 from every initialisation of the fit and
+// returns the model with the lowest final objective: restart 0 is the
+// jittered-diagonal default, restart 1 places the interior control points
+// on the rows at the interior quantiles of a rough weighted-sum ordering
+// (a deterministic version of Algorithm 1's sample-based init), and
+// further restarts draw random data rows. A fit with Restarts ≤ 1 is
+// restart 0 alone. The winner scan walks restart order with a strict '<',
+// giving the lowest restart index on ties, so the returned model is
+// bit-identical however many restarts run at once — pinned by test.
+func fitMultiStart(f *frame.Frame, opts Options) (*Model, error) {
+	models, err := fitRestarts(f, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -167,12 +159,14 @@ func fitMultiStart(f *frame.Frame, opts Options, par int) (*Model, error) {
 	return best, nil
 }
 
-// fitRestarts runs every restart of a multi-start fit, at most par at a
-// time, and returns their models in restart order. The normalised frame and
-// X matrix are prepared once and shared read-only by every restart; the
-// restart initialisations are drawn serially up front, so rng consumption
-// never depends on scheduling.
-func fitRestarts(f *frame.Frame, opts Options, par int) ([]*Model, error) {
+// fitRestarts runs every restart of a multi-start fit and returns their
+// models in restart order. The normalised frame and X matrix are prepared
+// once and shared read-only by every restart; the restart initialisations
+// are drawn serially up front, so rng consumption never depends on
+// scheduling. Restarts are the fit's one parallelism: each runs on one
+// goroutine from start to end, and min(Workers, Restarts) goroutines — the
+// caller among them — take restart indices in order.
+func fitRestarts(f *frame.Frame, opts Options) ([]*Model, error) {
 	restarts := max(opts.Restarts, 1)
 	sh, err := prepFit(f, opts)
 	if err != nil {
@@ -216,46 +210,24 @@ func fitRestarts(f *frame.Frame, opts Options, par int) ([]*Model, error) {
 		}
 	}
 
-	if par > restarts {
-		par = restarts
-	}
-	if par < 1 {
-		par = 1
-	}
-	if par > 1 {
-		// Concurrent restarts split the projection workers between them so
-		// Restarts×Workers cannot oversubscribe the machine; the worker
-		// count never changes results (see Options.Workers).
-		if w := resolveWorkers(opts.Workers); w > 1 {
-			if w = w / par; w < 1 {
-				w = 1
-			}
-			for r := range ros {
-				ros[r].Workers = w
-			}
-		}
-	}
-
 	models := make([]*Model, restarts)
 	errs := make([]error, restarts)
-	if par == 1 {
-		for r := range ros {
+	var next atomic.Int32
+	run := func() {
+		for r := int(next.Add(1)) - 1; r < restarts; r = int(next.Add(1)) - 1 {
 			models[r], errs[r] = fitPrepared(sh, ros[r])
 		}
-	} else {
-		sem := make(chan struct{}, par)
-		var wg sync.WaitGroup
-		for r := range ros {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				models[r], errs[r] = fitPrepared(sh, ros[r])
-			}(r)
-		}
-		wg.Wait()
 	}
+	var wg sync.WaitGroup
+	for range min(resolveWorkers(opts.Workers), restarts) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	run()
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -265,10 +237,10 @@ func fitRestarts(f *frame.Frame, opts Options, par int) ([]*Model, error) {
 }
 
 // fitPrepared is the Algorithm-1 iteration loop over a prepared (normalised,
-// shared, read-only) input. All per-iteration state — the projection worker
-// pool with its per-worker engines, the control-point work matrices and
-// the eigen scratch — is allocated once up front, so the loop itself is
-// allocation-free however many iterations run.
+// shared, read-only) input. All per-iteration state — the projection
+// engine, the control-point work matrices and the eigen scratch — is
+// allocated once up front, so the loop itself is allocation-free however
+// many iterations run.
 func fitPrepared(sh *fitShared, opts Options) (*Model, error) {
 	u := sh.u
 	X := sh.X
@@ -293,12 +265,11 @@ func fitPrepared(sh *fitShared, opts Options) (*Model, error) {
 	bestScores := make([]float64, n)
 	bestResid := make([]float64, n)
 
-	// The projection worker pool lives for the whole fit run: its engines
-	// (and their shared compiled curve coefficients) persist across all
-	// iterations. scores carries each row's previous score into the next
-	// iteration's warm-started projection, which overwrites it in place.
-	pool := newProjPool(curve, u, opts.Workers)
-	defer pool.close()
+	// The projection engine lives for the whole fit run: its compiled
+	// curve coefficients are rebuilt in place each iteration. scores
+	// carries each row's previous score into the next iteration's
+	// warm-started projection, which overwrites it in place.
+	eng := newEngine(curve, defaultGridCells)
 
 	// Fit telemetry: the per-iteration trace, warm-start deltas and stage
 	// times are collected as the loop runs.
@@ -306,7 +277,7 @@ func fitPrepared(sh *fitShared, opts Options) (*Model, error) {
 	// Pre-sized to its cap so the iteration loop stays allocation-flat
 	// (pinned by TestFitAllocsFlatInIterations).
 	diag.Trace = make([]FitIteration, 0, min(opts.MaxIter, maxFitTrace))
-	var prevWarmRows, prevWarmHits int64
+	var warmRows, warmHits int
 
 	// Work matrices of the control-point step, allocated once and reused
 	// across all Algorithm-1 iterations: every product below has a fixed
@@ -349,11 +320,15 @@ func fitPrepared(sh *fitShared, opts Options) (*Model, error) {
 		// Score step (Eq. 22): project every observation onto the curve,
 		// warm-started from the previous iteration's scores after the first.
 		t0 := time.Now()
+		it := FitIteration{Restart: opts.restartIndex, Iter: iter}
 		if iter > 0 {
-			pool.project(curve, scores, resid, scores)
+			it.WarmRows = n
+			it.WarmHits = projectPass(eng, curve, u, scores, resid, scores)
+			warmRows += it.WarmRows
+			warmHits += it.WarmHits
 			diag.Stages.RefineNs += time.Since(t0).Nanoseconds()
 		} else {
-			pool.project(curve, scores, resid, nil)
+			projectPass(eng, curve, u, scores, resid, nil)
 			diag.Stages.SeedNs += time.Since(t0).Nanoseconds()
 		}
 		J := sum(resid)
@@ -361,16 +336,7 @@ func fitPrepared(sh *fitShared, opts Options) (*Model, error) {
 		// least ξ: a stalled extrapolation is no evidence of convergence,
 		// so the plain step decides that.
 		accepted := J < bestJ && (!extrapolated || bestJ-J >= opts.Tol)
-		wr, wh := pool.warmCounts()
-		it := FitIteration{
-			Restart:   opts.restartIndex,
-			Iter:      iter,
-			Objective: J,
-			Accepted:  accepted,
-			WarmRows:  int(wr - prevWarmRows),
-			WarmHits:  int(wh - prevWarmHits),
-		}
-		prevWarmRows, prevWarmHits = wr, wh
+		it.Objective, it.Accepted = J, accepted
 		if iter == 0 {
 			diag.InitialObjective = J
 		}
@@ -458,7 +424,7 @@ func fitPrepared(sh *fitShared, opts Options) (*Model, error) {
 	// 61 of 393 journals rows differ by up to 3.5e-16 and 31 of 171
 	// countries rows by up to 1.1e-16; other degrees matched exactly.
 	t0 := time.Now()
-	pool.project(bestCurve, bestScores, bestResid, nil)
+	projectPass(eng, bestCurve, u, bestScores, bestResid, nil)
 	diag.Stages.SeedNs += time.Since(t0).Nanoseconds()
 	finalJ := sum(bestResid)
 	m.Curve = bestCurve
@@ -467,8 +433,8 @@ func fitPrepared(sh *fitShared, opts Options) (*Model, error) {
 	diag.Iterations = m.Iterations
 	diag.Converged = m.Converged
 	diag.FinalObjective = finalJ
-	if wr, wh := pool.warmCounts(); wr > 0 {
-		diag.WarmStartHitRate = float64(wh) / float64(wr)
+	if warmRows > 0 {
+		diag.WarmStartHitRate = float64(warmHits) / float64(warmRows)
 	}
 	m.FitDiag = diag
 	return m, nil
@@ -551,138 +517,31 @@ func constrainCurve(c *bezier.Curve, opts Options, d, k int) {
 	}
 }
 
-// projJob is one stripe of rows for a pool worker to project.
-type projJob struct{ lo, hi int }
-
-// projPool is the persistent projection worker pool of one fit run. It is
-// built once per fit: worker goroutines park on per-worker job channels
-// across iterations and all project through the pool's one engine, whose
-// compiled curve project() rebuilds in place (engine.recompile) each
-// iteration. Each worker owns a disjoint stripe of rows and every row's
-// projection is independent of its stripe, so the worker count never
-// changes a bit of the result.
-//
-// Lifetimes and synchronisation: the pool is owned by exactly one fit
-// goroutine, which must close() it when the run ends (fitPrepared defers
-// this) so the workers exit. Between a wg.Wait and the next channel send
-// every worker is parked, which is what makes the in-place recompile and
-// the caller's writes to scores/resid/warm race-free — channel send/receive
-// and WaitGroup publish them. Stripes are disjoint, so no two goroutines
-// ever write the same element, and worker w adds its warm hits to hits[w]
-// alone.
-type projPool struct {
-	u        *frame.Frame
-	eng      *engine
-	chans    []chan projJob // one per extra worker goroutine
-	wg       sync.WaitGroup
-	scores   []float64
-	resid    []float64
-	warm     []float64 // previous scores; nil on cold passes
-	warmRows int64     // rows of every warm pass so far
-	hits     []int64   // validated warm basins, one slot per worker
-}
-
-// newProjPool builds the pool for u on the default seed grid, with
-// workers resolved as Options.Workers is, spawning the extra goroutines
-// immediately. Inputs under four rows per worker stay serial.
-func newProjPool(c *bezier.Curve, u *frame.Frame, workers int) *projPool {
-	p := &projPool{u: u, eng: newEngine(c, defaultGridCells)}
-	workers = resolveWorkers(workers)
-	if workers <= 1 || u.N() < 4*workers {
-		workers = 1
-	}
-	p.hits = make([]int64, workers)
-	for w := 1; w < workers; w++ {
-		ch := make(chan projJob, 1)
-		p.chans = append(p.chans, ch)
-		go func(w int, ch chan projJob) {
-			// The worker label makes pool goroutines identifiable in
-			// profiles.
-			pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("worker", "fit-proj")))
-			for job := range ch {
-				p.runRange(w, job.lo, job.hi)
-				p.wg.Done()
-			}
-		}(w, ch)
-	}
-	return p
-}
-
-// project runs one score step against c: the shared compiled coefficients
-// are rebuilt in place, then the rows fan out to the parked workers (the
-// calling goroutine takes stripe 0). warm is the previous iteration's score
-// per row, or nil for a cold pass; it may be scores itself, since each row
-// reads its warm score before writing its new one. Rows whose warm basin
-// fails validation fall back to the cold projection individually.
-func (p *projPool) project(c *bezier.Curve, scores, resid, warm []float64) {
-	p.eng.recompile(c)
-	p.scores, p.resid, p.warm = scores, resid, warm
-	n := p.u.N()
-	if warm != nil {
-		p.warmRows += int64(n)
-	}
-	W := len(p.chans) + 1
-	if W == 1 || n < W {
-		p.runRange(0, 0, n)
-		return
-	}
-	chunk := (n + W - 1) / W
-	for w := 1; w < W; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		p.wg.Add(1)
-		p.chans[w-1] <- projJob{lo, hi}
-	}
-	p.runRange(0, 0, chunk)
-	p.wg.Wait()
-}
-
-// runRange projects rows [lo, hi) for worker w, trying the warm start
-// first when one is available. Cold passes (the first iteration and the
-// final best-curve projection) grid-seed every row; warm rows are seeded
-// from their previous score and never scan the grid unless the basin check
-// fails.
-func (p *projPool) runRange(w, lo, hi int) {
-	e, warm := p.eng, p.warm
+// projectPass runs one score step of the fit against c: e's compiled
+// coefficients are rebuilt in place, then every row of u is projected in
+// order. warm is the previous iteration's score per row, or nil for a cold
+// pass; it may be scores itself, since each row reads its warm score before
+// writing its new one. Cold passes (the first iteration and the final
+// best-curve projection) grid-seed every row; warm rows are seeded from
+// their previous score and fall back to the cold projection individually
+// when their basin fails validation. It returns the pass's validated warm
+// basins (0 on a cold pass).
+func projectPass(e *engine, c *bezier.Curve, u *frame.Frame, scores, resid, warm []float64) (hits int) {
+	e.recompile(c)
 	if warm == nil {
-		for i := lo; i < hi; i++ {
-			p.scores[i], p.resid[i] = e.project(p.u.Row(i))
+		for i := range scores {
+			scores[i], resid[i] = e.project(u.Row(i))
 		}
-		return
+		return 0
 	}
-	var hits int64
-	for i := lo; i < hi; i++ {
-		s, r2, hit := e.projectWarm(p.u.Row(i), warm[i])
-		p.scores[i], p.resid[i] = s, r2
+	for i := range scores {
+		s, r2, hit := e.projectWarm(u.Row(i), warm[i])
+		scores[i], resid[i] = s, r2
 		if hit {
 			hits++
 		}
 	}
-	p.hits[w] += hits
-}
-
-// warmCounts reports the rows of every warm pass and their validated
-// basins. Callable only between project calls, when every worker is
-// parked (the WaitGroup publishes the workers' slots to the fit
-// goroutine).
-func (p *projPool) warmCounts() (rows, hits int64) {
-	for _, h := range p.hits {
-		hits += h
-	}
-	return p.warmRows, hits
-}
-
-// close shuts the worker goroutines down. The pool must not be used after.
-func (p *projPool) close() {
-	for _, ch := range p.chans {
-		close(ch)
-	}
+	return hits
 }
 
 // bernsteinBasisInto fills mz, the row-major (k+1)×n matrix MZ of Eq. 25,

@@ -112,13 +112,11 @@ type Options struct {
 	// small-n fits. Default 1.
 	Restarts int
 
-	// Workers parallelises the projection step (Eq. 22) across goroutines.
-	// Projections of distinct observations are independent, so the result
-	// is bit-identical to the serial fit. 0 or 1 = serial; −1 = one worker
-	// per CPU. When Restarts > 1 the restarts also run concurrently, at
-	// most Workers wide (so 0 or 1 keeps the whole fit serial), splitting
-	// the projection workers between them; the result does not depend on
-	// either degree of parallelism.
+	// Workers caps how many restarts run at once: each restart runs on
+	// one goroutine, so a fit with Restarts ≤ 1 is serial whatever the
+	// value. 0 or 1 = one restart at a time; −1 = one per CPU. The restarts
+	// are independent and the winner is picked in restart order, so the
+	// result is bit-identical to the serial fit at every width.
 	Workers int
 
 	// restartIndex and restartTotal thread the multi-start bookkeeping

@@ -1,8 +1,8 @@
 package core
 
 // The differential harness: every path that produces a fitted or served
-// score — Model.Score, Scorer.Score, the fit pool's cold pass on one and
-// two workers (with Scorer.ScoreFrameRange), projectWarm seeded at the
+// score — Model.Score, Scorer.Score, the fit's cold pass (with
+// Scorer.ScoreFrameRange), projectWarm seeded at the
 // oracle's minimiser, and bare engines — held to internal/oracle, which
 // shares no code with any of them, under the contract of
 // oracle.Result.Check, plus Proposition 1 on dominated pairs.

@@ -123,9 +123,10 @@ func TestCubicNewtonKernelStopsAtFixpoint(t *testing.T) {
 }
 
 // TestFitMultiStartDeterministicAcrossParallelism pins the multi-start
-// contract: whatever the restart concurrency, the winning model's control
-// points, scores, and iteration counts are bit-identical, because the
-// restart inits are drawn serially up front and the winner scan is ordered.
+// contract: whatever the restart concurrency Options.Workers grants, the
+// winning model's control points, scores, and iteration counts are
+// bit-identical, because the restart inits are drawn serially up front and
+// the winner scan is ordered.
 func TestFitMultiStartDeterministicAcrossParallelism(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	alpha := order.MustDirection(1, 1, -1)
@@ -134,13 +135,14 @@ func TestFitMultiStartDeterministicAcrossParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Alpha: alpha, Restarts: 5, Seed: 7}.withDefaults()
-	serial, err := fitMultiStart(f, opts, 1)
+	opts := Options{Alpha: alpha, Restarts: 5, Seed: 7, Workers: 1}.withDefaults()
+	serial, err := fitMultiStart(f, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{2, 4, 16} {
-		parallel, err := fitMultiStart(f, opts, par)
+		opts.Workers = par
+		parallel, err := fitMultiStart(f, opts)
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}
@@ -215,8 +217,8 @@ func TestSingleStartFitIsRestartZero(t *testing.T) {
 }
 
 // TestFitMultiStartPublicPathDeterministic: the exported Fit with
-// Restarts > 1 (which picks its own concurrency) must agree with the
-// serial reference run for the same options.
+// Restarts > 1 fanned out machine-wide must agree with the serial
+// reference run (Workers 1) for the same options.
 func TestFitMultiStartPublicPathDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	alpha := order.MustDirection(1, -1, 1)
@@ -232,7 +234,9 @@ func TestFitMultiStartPublicPathDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := fitMultiStart(f, opts.withDefaults(), 1)
+	serial := opts
+	serial.Workers = 1
+	ref, err := fitMultiStart(f, serial.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,10 +248,10 @@ func TestFitMultiStartPublicPathDeterministic(t *testing.T) {
 }
 
 // TestFitMultiStartSharedFrameConcurrently drives concurrent restarts over
-// one shared read-only frame together with inner projection workers. Its
-// real assertion is the race detector: the core package runs under the
-// go test -race CI job, so any unsynchronised access to the shared frame,
-// the X matrix, or a pool engine fails there.
+// one shared read-only frame. Its real assertion is the race detector: the
+// core package runs under the go test -race CI job, so any unsynchronised
+// access to the shared frame, the X matrix, or a restart's results fails
+// there.
 func TestFitMultiStartSharedFrameConcurrently(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	alpha := order.MustDirection(1, 1)
@@ -263,9 +267,9 @@ func TestFitMultiStartSharedFrameConcurrently(t *testing.T) {
 
 // TestFitAllocsFlatInIterations pins the "allocations flat in iteration
 // count" contract for both updaters: extending the iteration budget must
-// not add allocations, because every per-iteration buffer — the pool's
-// engine and compiled coefficients, work matrices, eigen scratch, the exact step's
-// faces and Anderson's history — is reused.
+// not add allocations, because every per-iteration buffer — the engine
+// and its compiled coefficients, work matrices, eigen scratch, the exact
+// step's faces and Anderson's history — is reused.
 func TestFitAllocsFlatInIterations(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	alpha := order.MustDirection(1, 1, -1)
@@ -299,8 +303,8 @@ func TestFitAllocsFlatInIterations(t *testing.T) {
 	}
 }
 
-// BenchmarkProjectAllWarm measures one warm score step against one cold
-// one over the same pool, curve, and 4096-row frame — the per-iteration
+// BenchmarkProjectAllWarm measures one serial warm score step against one
+// cold one over the same engine, curve, and 4096-row frame — the per-iteration
 // delta the warm-start subsystem buys. The warm pass also walks the
 // fallback path for every row whose basin check fails, so a -benchtime=1x
 // smoke run of this bench exercises both branches.
@@ -312,23 +316,22 @@ func BenchmarkProjectAllWarm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pool := newProjPool(m.Curve, m.data, 0)
-	defer pool.close()
+	eng := newEngine(m.Curve, defaultGridCells)
 	n := m.data.N()
 	scores := make([]float64, n)
 	resid := make([]float64, n)
 	warm := make([]float64, n)
-	pool.project(m.Curve, warm, resid, nil) // seed the warm cache
+	projectPass(eng, m.Curve, m.data, warm, resid, nil) // seed the warm cache
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			pool.project(m.Curve, scores, resid, nil)
+			projectPass(eng, m.Curve, m.data, scores, resid, nil)
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			pool.project(m.Curve, scores, resid, warm)
+			projectPass(eng, m.Curve, m.data, scores, resid, warm)
 		}
 	})
 }

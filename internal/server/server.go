@@ -63,7 +63,8 @@ import (
 
 // Options configures New.
 type Options struct {
-	// Workers sizes the batch-scoring pool (≤ 0 selects GOMAXPROCS).
+	// Workers sizes the batch-scoring pool (≤ 0 selects GOMAXPROCS); the
+	// pool's size also caps how many restarts of a fit request run at once.
 	Workers int
 	// MaxBodyBytes bounds request bodies (default 32 MiB).
 	MaxBodyBytes int64
@@ -770,12 +771,10 @@ func (s *Server) fitRows(w http.ResponseWriter, name string, req *FitRequest) {
 		Degree:   req.Degree,
 		Restarts: restarts,
 		Seed:     req.Seed,
-		// Parallel projection is bit-identical to serial (per core.Options)
-		// and large fits would otherwise pin one core for minutes. With
-		// Restarts > 1 core.Fit also runs the restarts concurrently, at
-		// most Workers wide, splitting these workers between them — the
-		// parallelism never changes the fitted model, so /v1/models stays
-		// deterministic per seed.
+		// With Restarts > 1 core.Fit runs the restarts concurrently, at
+		// most as many at once as the scoring pool has workers. The width
+		// never changes the fitted model (per core.Options), so /v1/models
+		// stays deterministic per seed.
 		Workers: s.pool.Workers(),
 	})
 	if err != nil {

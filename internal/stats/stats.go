@@ -18,24 +18,48 @@ type Normalizer struct {
 	Min, Max []float64
 }
 
+// table is the row access the column scans share: a [][]float64 (rowSlice)
+// or a *frame.Frame. Each scan is one loop over it, so a table's slice and
+// frame forms give bit-identical results.
+type table interface {
+	N() int
+	Row(i int) []float64
+}
+
+// rowSlice is a [][]float64 as a table.
+type rowSlice [][]float64
+
+func (r rowSlice) N() int              { return len(r) }
+func (r rowSlice) Row(i int) []float64 { return r[i] }
+
 // FitNormalizer computes column ranges over the rows. Degenerate columns
 // (max == min) are widened by ±0.5 around the constant value so that the
 // transform remains well-defined and maps the constant to 0.5. A column
 // whose range or its inverse is not finite is refused, naming the column.
 func FitNormalizer(xs [][]float64) (*Normalizer, error) {
-	if len(xs) == 0 {
+	return fitNormalizer(rowSlice(xs))
+}
+
+// FitNormalizerFrame is FitNormalizer over a contiguous frame.
+func FitNormalizerFrame(f *frame.Frame) (*Normalizer, error) {
+	return fitNormalizer(f)
+}
+
+func fitNormalizer(t table) (*Normalizer, error) {
+	if t.N() == 0 {
 		return nil, fmt.Errorf("stats: no rows to normalise")
 	}
-	d := len(xs[0])
+	d := len(t.Row(0))
 	if d == 0 {
 		return nil, fmt.Errorf("stats: rows must have at least one column")
 	}
 	mn := make([]float64, d)
 	mx := make([]float64, d)
-	copy(mn, xs[0])
-	copy(mx, xs[0])
-	for i, row := range xs {
-		if len(row) != d {
+	copy(mn, t.Row(0))
+	copy(mx, t.Row(0))
+	for i := 0; i < t.N(); i++ {
+		row := t.Row(i)
+		if len(row) != d { // only a rowSlice can be ragged
 			return nil, fmt.Errorf("stats: row %d has %d columns, want %d", i, len(row), d)
 		}
 		for j, v := range row {
@@ -68,37 +92,6 @@ func finishRanges(mn, mx []float64) (*Normalizer, error) {
 		}
 	}
 	return &Normalizer{Min: mn, Max: mx}, nil
-}
-
-// FitNormalizerFrame computes column ranges over a contiguous frame — the
-// frame-native form of FitNormalizer. Rectangularity is the frame's
-// invariant, so the scan is a single strided pass over the backing array.
-func FitNormalizerFrame(f *frame.Frame) (*Normalizer, error) {
-	if f == nil || f.N() == 0 {
-		return nil, fmt.Errorf("stats: no rows to normalise")
-	}
-	d := f.Dim()
-	if d == 0 {
-		return nil, fmt.Errorf("stats: rows must have at least one column")
-	}
-	mn := make([]float64, d)
-	mx := make([]float64, d)
-	copy(mn, f.Row(0))
-	copy(mx, f.Row(0))
-	for i := 0; i < f.N(); i++ {
-		for j, v := range f.Row(i) {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("stats: row %d column %d is not finite: %v", i, j, v)
-			}
-			if v < mn[j] {
-				mn[j] = v
-			}
-			if v > mx[j] {
-				mx[j] = v
-			}
-		}
-	}
-	return finishRanges(mn, mx)
 }
 
 // Dim returns the number of columns.
@@ -165,19 +158,20 @@ func (n *Normalizer) CheckRow(x []float64) {
 }
 
 // ColumnMeans returns the per-column mean of the rows.
-func ColumnMeans(xs [][]float64) []float64 {
-	if len(xs) == 0 {
+func ColumnMeans(xs [][]float64) []float64 { return columnMeans(rowSlice(xs)) }
+
+func columnMeans(t table) []float64 {
+	if t.N() == 0 {
 		return nil
 	}
-	d := len(xs[0])
-	out := make([]float64, d)
-	for _, row := range xs {
-		for j, v := range row {
+	out := make([]float64, len(t.Row(0)))
+	for i := 0; i < t.N(); i++ {
+		for j, v := range t.Row(i) {
 			out[j] += v
 		}
 	}
 	for j := range out {
-		out[j] /= float64(len(xs))
+		out[j] /= float64(t.N())
 	}
 	return out
 }
@@ -212,59 +206,15 @@ func Covariance(xs [][]float64) [][]float64 {
 	return cov
 }
 
-// ColumnMeansFrame is ColumnMeans over a contiguous frame.
-func ColumnMeansFrame(f *frame.Frame) []float64 {
-	if f == nil || f.N() == 0 {
-		return nil
-	}
-	out := make([]float64, f.Dim())
-	for i := 0; i < f.N(); i++ {
-		for j, v := range f.Row(i) {
-			out[j] += v
-		}
-	}
-	for j := range out {
-		out[j] /= float64(f.N())
-	}
-	return out
-}
-
-// TotalVarianceFrame is TotalVariance over a contiguous frame.
-func TotalVarianceFrame(f *frame.Frame) float64 {
-	mu := ColumnMeansFrame(f)
-	var sum float64
-	for i := 0; i < f.N(); i++ {
-		for j, v := range f.Row(i) {
-			d := v - mu[j]
-			sum += d * d
-		}
-	}
-	return sum
-}
-
-// ExplainedVarianceFrame is ExplainedVariance over a contiguous frame.
-func ExplainedVarianceFrame(f *frame.Frame, residualsSq []float64) float64 {
-	if f.N() != len(residualsSq) {
-		panic(fmt.Sprintf("stats: ExplainedVariance length mismatch %d vs %d", f.N(), len(residualsSq)))
-	}
-	tv := TotalVarianceFrame(f)
-	if tv == 0 {
-		return 1
-	}
-	var rs float64
-	for _, r := range residualsSq {
-		rs += r
-	}
-	return 1 - rs/tv
-}
-
 // TotalVariance returns Σᵢ‖xᵢ − mean‖², the denominator of explained
 // variance.
-func TotalVariance(xs [][]float64) float64 {
-	mu := ColumnMeans(xs)
+func TotalVariance(xs [][]float64) float64 { return totalVariance(rowSlice(xs)) }
+
+func totalVariance(t table) float64 {
+	mu := columnMeans(t)
 	var sum float64
-	for _, row := range xs {
-		for j, v := range row {
+	for i := 0; i < t.N(); i++ {
+		for j, v := range t.Row(i) {
 			d := v - mu[j]
 			sum += d * d
 		}
@@ -276,10 +226,19 @@ func TotalVariance(xs [][]float64) float64 {
 // quality measure of §6.2.1. residuals holds the squared reconstruction
 // error of each row. The result is clamped below at −∞ but will be ≤ 1.
 func ExplainedVariance(xs [][]float64, residualsSq []float64) float64 {
-	if len(xs) != len(residualsSq) {
-		panic(fmt.Sprintf("stats: ExplainedVariance length mismatch %d vs %d", len(xs), len(residualsSq)))
+	return explainedVariance(rowSlice(xs), residualsSq)
+}
+
+// ExplainedVarianceFrame is ExplainedVariance over a contiguous frame.
+func ExplainedVarianceFrame(f *frame.Frame, residualsSq []float64) float64 {
+	return explainedVariance(f, residualsSq)
+}
+
+func explainedVariance(t table, residualsSq []float64) float64 {
+	if t.N() != len(residualsSq) {
+		panic(fmt.Sprintf("stats: ExplainedVariance length mismatch %d vs %d", t.N(), len(residualsSq)))
 	}
-	tv := TotalVariance(xs)
+	tv := totalVariance(t)
 	if tv == 0 {
 		return 1
 	}

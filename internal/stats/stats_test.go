@@ -260,11 +260,11 @@ func TestFrameVariantsMatchSliceVariants(t *testing.T) {
 	}
 
 	g := frame.MustFromRows(rows)
-	if !reflect.DeepEqual(ColumnMeans(rows), ColumnMeansFrame(g)) {
-		t.Fatal("ColumnMeansFrame mismatch")
+	if !reflect.DeepEqual(ColumnMeans(rows), columnMeans(g)) {
+		t.Fatal("frame columnMeans mismatch")
 	}
-	if TotalVariance(rows) != TotalVarianceFrame(g) {
-		t.Fatal("TotalVarianceFrame mismatch")
+	if TotalVariance(rows) != totalVariance(g) {
+		t.Fatal("frame totalVariance mismatch")
 	}
 	res := []float64{0.1, 0.2, 0.3, 0.4}
 	if ExplainedVariance(rows, res) != ExplainedVarianceFrame(g, res) {
